@@ -11,7 +11,6 @@ import (
 	"ldplfs/internal/harness"
 	"ldplfs/internal/mpi"
 	"ldplfs/internal/mpiio"
-	"ldplfs/internal/plfs"
 	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/workload"
@@ -154,7 +153,7 @@ func BenchmarkPlainWrite1MiB(b *testing.B) {
 func BenchmarkFuseWrite1MiB(b *testing.B) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	fs := fuse.Mount(mem, "/mnt/plfs", "/backend", plfs.DefaultOptions())
+	fs := fuse.Mount(mem, "/mnt/plfs", "/backend")
 	fd, err := fs.Open("/mnt/plfs/bench", posix.O_CREAT|posix.O_WRONLY, 0o644)
 	if err != nil {
 		b.Fatal(err)

@@ -105,7 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	p := plfs.New(fs, plfs.Options{NumHostdirs: *hostdirs})
+	p := plfs.New(fs, plfs.EngineOptions{NumHostdirs: *hostdirs})
 	path := args[1]
 
 	switch args[0] {
@@ -385,8 +385,6 @@ func runRemote(addr, tenant string, args []string, fix bool, stdout io.Writer, f
 func runStats(stdout io.Writer, fail func(string, ...any) int) int {
 	plane := iostats.NewPlane()
 	store := harness.Instrument(harness.NewStore(), plane)
-	popts := plfs.DefaultOptions()
-	popts.Stats = plane
 	hints := mpiio.DefaultHints()
 	hints.Collector = plane
 	cfg := workload.MPIIOTestConfig{
@@ -396,7 +394,7 @@ func runStats(stdout io.Writer, fail func(string, ...any) int) int {
 		Hints:        hints,
 	}
 	err := mpi.Run(4, 2, func(r *mpi.Rank) {
-		drv, pathFor, err := harness.DriverForOpts("romio", store, r.Rank(), popts)
+		drv, pathFor, err := harness.DriverForOpts("romio", store, r.Rank(), plfs.WithStats(plane))
 		if err != nil {
 			panic(err)
 		}

@@ -67,7 +67,7 @@ func TestDoctorAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(nil, plfs.Options{NumHostdirs: 6, Backends: stores})
+	p := plfs.New(nil, plfs.EngineOptions{NumHostdirs: 6}, plfs.WithBackends(stores...))
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestCtlCommandsAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(nil, plfs.Options{NumHostdirs: 6, Backends: stores})
+	p := plfs.New(nil, plfs.EngineOptions{NumHostdirs: 6}, plfs.WithBackends(stores...))
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestDoctorIndexHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestDoctorIndexHealth(t *testing.T) {
 	}
 
 	// Stage staleness: newer raw droppings behind the record's back.
-	stale := plfs.New(osfs, plfs.Options{NumHostdirs: 4, DisableAutoFlatten: true})
+	stale := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4}, plfs.IndexOptions{DisableAutoFlatten: true})
 	g, err := stale.Open("/data", posix.O_WRONLY, 7, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestCompactWritesFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.Options{NumHostdirs: 4, DisableAutoFlatten: true})
+	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4}, plfs.IndexOptions{DisableAutoFlatten: true})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestDoctorFixOrdersOpenhostsBeforeFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func replicaPlfs(t *testing.T, roots []string) *plfs.FS {
 		t.Fatal(err)
 	}
 	striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
-	return plfs.New(striped, plfs.Options{NumHostdirs: 6})
+	return plfs.New(striped, plfs.EngineOptions{NumHostdirs: 6})
 }
 
 // findReplicatedDropping walks the host roots for a data dropping that

@@ -29,7 +29,7 @@
 // durable prefix. See README.md ("The write engine").
 //
 // Containers can be striped over multiple backends
-// (posix.StripedFS / plfs.Options.Backends, the -backends CLI flags):
+// (posix.StripedFS / plfs.WithBackends, the -backends CLI flags):
 // canonical metadata lives on backend 0 while hostdirs — and so data
 // and index droppings — distribute across all backends by hostdir
 // number, letting both engines aggregate bandwidth over independent
@@ -49,12 +49,12 @@
 //
 // Telemetry is a single cross-cutting plane (internal/iostats): the
 // posix backends (via the composable posix.InstrumentFS wrapper), the
-// PLFS engines and read caches (plfs.Options.Stats), the MPI-IO
+// PLFS engines and read caches (plfs.WithStats), the MPI-IO
 // collective path (mpiio.Hints.Collector) and the iotrace recorder all
 // report per-op counts, bytes and latency through one Collector of
 // sharded-atomic counters and fixed-bucket histograms — nil-safe, so an
 // uninstrumented stack pays one branch per call. On top of it,
-// plfs.Options.AutoTune starts an IOPathTune-style feedback controller
+// plfs.TuneOptions.Enable starts an IOPathTune-style feedback controller
 // (internal/plfs/tune) that hill-climbs ReadWorkers, WriteWorkers and
 // IndexBatch online from observed throughput within hard ladder
 // bounds. `plfsctl stats` dumps a four-layer snapshot; the workload

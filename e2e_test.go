@@ -93,7 +93,7 @@ func TestEndToEndOnRealDisk(t *testing.T) {
 	}
 
 	// 3. plfsctl-style flatten agrees with cp through the shim.
-	p := plfs.New(osfs, plfs.DefaultOptions())
+	p := plfs.New(osfs)
 	if err := p.Flatten("/backend/ckpt", "/scratch/ckpt.flat2"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPaperScaleFlashOnNullFS(t *testing.T) {
 		t.Fatalf("wrote %d, want >= %d", wrote, 4*perProc)
 	}
 	// The checkpoint container's logical size matches the layout.
-	p := plfs.New(null, plfs.DefaultOptions())
+	p := plfs.New(null)
 	st, err := p.Stat("/backend/flash_hdf5_chk_0001")
 	if err != nil {
 		t.Fatal(err)

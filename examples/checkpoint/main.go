@@ -57,7 +57,7 @@ func main() {
 
 	// Post-processing: flatten the checkpoint container into an ordinary
 	// file (what plfsctl flatten does), e.g. for tape archiving.
-	p := plfs.New(store, plfs.DefaultOptions())
+	p := plfs.New(store)
 	src := harness.BackendDir + "/sim_hdf5_chk_0001"
 	dst := harness.ScratchDir + "/sim_chk_0001.h5"
 	if err := p.Flatten(src, dst); err != nil {

@@ -37,14 +37,13 @@ import (
 // whose per-call byte-slice allocations the alloc budgets forbid.
 // Additions to the hot path belong here too.
 var HotFuncs = map[string]bool{
-	"scatterGather":  true,
-	"scatterGatherV": true,
-	"planBatches":    true,
-	"readBatch":      true,
-	"failBatch":      true,
-	"writeV":         true,
-	"writeData":      true,
-	"pwriteAll":      true,
+	"scatterGather": true,
+	"planBatches":   true,
+	"readBatch":     true,
+	"failBatch":     true,
+	"writeV":        true,
+	"writeData":     true,
+	"pwriteAll":     true,
 	// mpiio collective shuffle plane: the per-round aggregator loop.
 	"route":         true,
 	"stageWrite":    true,

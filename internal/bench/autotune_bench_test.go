@@ -45,11 +45,11 @@ const (
 )
 
 // autotuneOpts builds the striped, service-limited configuration.
-func autotuneOpts() plfs.Options {
-	opts := plfs.Options{
-		NumHostdirs:        atPids,
-		DisableAutoFlatten: true, // keep every round's close identical
-		Backends:           make([]posix.FS, atBackends),
+func autotuneOpts() plfs.Config {
+	opts := plfs.Config{
+		Engine:   plfs.EngineOptions{NumHostdirs: atPids},
+		Index:    plfs.IndexOptions{DisableAutoFlatten: true}, // keep every round's close identical
+		Backends: make([]posix.FS, atBackends),
 	}
 	for i := range opts.Backends {
 		writeSvc := posix.NewFaultFS(posix.NewMemFS())
@@ -126,20 +126,19 @@ func TestAutoTuneConverges(t *testing.T) {
 
 	// Hand-tuned best static configuration.
 	best := autotuneOpts()
-	best.ReadWorkers, best.WriteWorkers, best.IndexBatch = 8, 8, 512
+	best.Engine.ReadWorkers, best.Engine.WriteWorkers, best.Engine.IndexBatch = 8, 8, 512
 	bestTail := runRounds(t, plfs.New(nil, best), 2+tailRounds, tailRounds)
 
 	// Deliberately worst static configuration, for the record (a short
 	// tail suffices: it only anchors the "actually climbed" check).
 	worst := autotuneOpts()
-	worst.ReadWorkers, worst.WriteWorkers, worst.IndexBatch = 1, 1, 1
+	worst.Engine.ReadWorkers, worst.Engine.WriteWorkers, worst.Engine.IndexBatch = 1, 1, 1
 	worstTail := runRounds(t, plfs.New(nil, worst), 1+tailRounds/2, tailRounds/2)
 
 	// Autotune, starting from the worst configuration.
 	tuned := autotuneOpts()
-	tuned.ReadWorkers, tuned.WriteWorkers, tuned.IndexBatch = 1, 1, 1
-	tuned.AutoTune = true
-	tuned.TuneWindowBytes = atRoundBytes // one window per round: identical mix
+	tuned.Engine.ReadWorkers, tuned.Engine.WriteWorkers, tuned.Engine.IndexBatch = 1, 1, 1
+	tuned.Tune = plfs.TuneOptions{Enable: true, WindowBytes: atRoundBytes} // one window per round: identical mix
 	tp := plfs.New(nil, tuned)
 	autoTail := runRounds(t, tp, tuneRounds+tailRounds, tailRounds)
 
@@ -188,9 +187,8 @@ func BenchmarkAutoTuneConverge(b *testing.B) {
 	b.SetBytes(int64(tailRounds * atRoundBytes))
 	for i := 0; i < b.N; i++ {
 		opts := autotuneOpts()
-		opts.ReadWorkers, opts.WriteWorkers, opts.IndexBatch = 1, 1, 1
-		opts.AutoTune = true
-		opts.TuneWindowBytes = atRoundBytes
+		opts.Engine.ReadWorkers, opts.Engine.WriteWorkers, opts.Engine.IndexBatch = 1, 1, 1
+		opts.Tune = plfs.TuneOptions{Enable: true, WindowBytes: atRoundBytes}
 		p := plfs.New(nil, opts)
 		b.StopTimer()
 		for r := 0; r < tuneRounds; r++ {

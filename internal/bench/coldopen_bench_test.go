@@ -33,7 +33,7 @@ func setupColdOpen(tb testing.TB) *posix.MemFS {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		tb.Fatal(err)
 	}
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 16})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16})
 	f, err := p.Open("/backend/many", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
 		tb.Fatal(err)
@@ -61,7 +61,7 @@ func setupColdOpen(tb testing.TB) *posix.MemFS {
 // application sees byte 0.
 func coldOpenOnce(tb testing.TB, mem *posix.MemFS, disableFlattened bool) time.Duration {
 	tb.Helper()
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 16, DisableFlattenedReads: disableFlattened})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16}, plfs.IndexOptions{DisableFlattenedReads: disableFlattened})
 	buf := make([]byte, coBlock)
 	start := time.Now()
 	f, err := p.Open("/backend/many", posix.O_RDONLY, 9999, 0)

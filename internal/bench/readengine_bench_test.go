@@ -13,9 +13,8 @@ import (
 // Read-engine benchmarks: N-1 read patterns (many writers striped into
 // one logical file, many concurrent readers) over a real OS-backed
 // store, where positional reads are genuinely parallel. The "serial"
-// variants run the pre-engine configuration — per-handle index, one
-// exclusive lock per Read, sequential extent gathers — so the engine's
-// win is measured against the seed behavior, not a strawman.
+// variants pin the fan-out knobs to 1 (sequential dropping loads and
+// extent gathers) on the same read path.
 const (
 	n1Writers   = 16 // data droppings (≥16 per the acceptance criteria)
 	n1Readers   = 8  // concurrent reader goroutines (≥8)
@@ -24,15 +23,15 @@ const (
 	n1ReadSize  = 1 << 20
 )
 
-func n1Serial() plfs.Options {
-	return plfs.Options{DisableIndexCache: true, ReadWorkers: 1, IndexWorkers: 1}
+func n1Serial() plfs.EngineOptions {
+	return plfs.EngineOptions{ReadWorkers: 1, IndexWorkers: 1}
 }
 
-func n1Parallel() plfs.Options { return plfs.Options{} }
+func n1Parallel() plfs.EngineOptions { return plfs.EngineOptions{} }
 
 // setupN1 writes the striped container once and returns the PLFS
 // instance plus the expected logical contents.
-func setupN1(b *testing.B, opts plfs.Options) (*plfs.FS, []byte) {
+func setupN1(b *testing.B, opts plfs.EngineOptions) (*plfs.FS, []byte) {
 	b.Helper()
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
@@ -64,7 +63,7 @@ func setupN1(b *testing.B, opts plfs.Options) (*plfs.FS, []byte) {
 
 // benchN1Read measures n1Readers goroutines each opening the container
 // and streaming it end to end — the paper's N-1 checkpoint restart.
-func benchN1Read(b *testing.B, opts plfs.Options) {
+func benchN1Read(b *testing.B, opts plfs.EngineOptions) {
 	p, want := setupN1(b, opts)
 	b.SetBytes(int64(len(want)) * n1Readers)
 	b.ResetTimer()
@@ -106,7 +105,7 @@ func BenchmarkN1Read_Parallel(b *testing.B) { benchN1Read(b, n1Parallel()) }
 // dominates checkpoint-restart latency: every iteration drops the cache
 // (serial: implicit, each handle rebuilds; parallel: fresh instance) and
 // times n1Readers concurrent open+first-read sequences.
-func benchN1FirstOpen(b *testing.B, opts plfs.Options) {
+func benchN1FirstOpen(b *testing.B, opts plfs.EngineOptions) {
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -159,7 +158,7 @@ func BenchmarkN1FirstOpen_Parallel(b *testing.B) { benchN1FirstOpen(b, n1Paralle
 // TestN1BenchCorrectness keeps the benchmark honest: both configurations
 // must produce identical bytes. Runs in the normal test suite.
 func TestN1BenchCorrectness(t *testing.T) {
-	for name, opts := range map[string]plfs.Options{"serial": n1Serial(), "parallel": n1Parallel()} {
+	for name, opts := range map[string]plfs.EngineOptions{"serial": n1Serial(), "parallel": n1Parallel()} {
 		t.Run(name, func(t *testing.T) {
 			osfs, err := posix.NewOSFS(t.TempDir())
 			if err != nil {

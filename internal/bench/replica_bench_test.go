@@ -27,17 +27,17 @@ import (
 
 // replicaOpts builds a replica-2 PLFS configuration over n service-
 // limited backends.
-func replicaOpts(tb testing.TB, n int) (plfs.Options, []*posix.FaultFS) {
+func replicaOpts(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS) {
 	tb.Helper()
 	opts, faults := stripedOpts(n)
-	opts.Layout = "replica-2"
+	opts.Layout.Layout = "replica-2"
 	return opts, faults
 }
 
 // setupReplicaN1 writes the canonical N-1 container through a replica-2
 // layout (service time off during setup) and returns the options for
 // cold re-opens plus the expected bytes.
-func setupReplicaN1(tb testing.TB, n int) (plfs.Options, []*posix.FaultFS, []byte) {
+func setupReplicaN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte) {
 	tb.Helper()
 	opts, faults := replicaOpts(tb, n)
 	p := plfs.New(nil, opts)

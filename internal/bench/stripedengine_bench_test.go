@@ -31,14 +31,16 @@ const (
 // stripedOpts builds a PLFS configuration over n service-limited
 // backends, returning the FaultFS handles so service time can be toggled
 // around the setup phase.
-func stripedOpts(n int) (plfs.Options, []*posix.FaultFS) {
+func stripedOpts(n int) (plfs.Config, []*posix.FaultFS) {
 	faults := make([]*posix.FaultFS, n)
-	opts := plfs.Options{
-		NumHostdirs:  stWriters,
-		ReadWorkers:  8,
-		IndexWorkers: 8,
-		WriteWorkers: 8,
-		Backends:     make([]posix.FS, n),
+	opts := plfs.Config{
+		Engine: plfs.EngineOptions{
+			NumHostdirs:  stWriters,
+			ReadWorkers:  8,
+			IndexWorkers: 8,
+			WriteWorkers: 8,
+		},
+		Backends: make([]posix.FS, n),
 	}
 	for i := range faults {
 		faults[i] = posix.NewFaultFS(posix.NewMemFS())
@@ -50,7 +52,7 @@ func stripedOpts(n int) (plfs.Options, []*posix.FaultFS) {
 // setupStripedN1 writes the canonical N-1 container (service time off,
 // so setup cost does not pollute the measurement) and returns a fresh
 // cold-cache instance for the read phase plus the expected bytes.
-func setupStripedN1(tb testing.TB, n int) (plfs.Options, []*posix.FaultFS, []byte) {
+func setupStripedN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte) {
 	tb.Helper()
 	opts, faults := stripedOpts(n)
 	p := plfs.New(nil, opts)
@@ -80,7 +82,7 @@ func setupStripedN1(tb testing.TB, n int) (plfs.Options, []*posix.FaultFS, []byt
 // readStripedN1 opens the container cold and streams it end to end,
 // returning the wall time of open+read+close under the configured
 // service times.
-func readStripedN1(tb testing.TB, opts plfs.Options, want []byte) time.Duration {
+func readStripedN1(tb testing.TB, opts plfs.Config, want []byte) time.Duration {
 	tb.Helper()
 	p := plfs.New(nil, opts) // cold caches: index reconstruction included
 	start := time.Now()
@@ -118,7 +120,7 @@ func BenchmarkStripedN1Read_3Backends(b *testing.B) { benchStripedN1Read(b, 3) }
 
 // writeStripedN1 runs one N-1 checkpoint pass with stWriters concurrent
 // writer goroutines and returns its wall time.
-func writeStripedN1(tb testing.TB, opts plfs.Options) time.Duration {
+func writeStripedN1(tb testing.TB, opts plfs.Config) time.Duration {
 	tb.Helper()
 	p := plfs.New(nil, opts)
 	f, err := p.Open("/w1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)

@@ -19,7 +19,7 @@ import (
 // benchN1Batched streams the whole striped container with one reader —
 // the shape where batching bites: every dropping contributes
 // n1BlocksPer contiguous extents per pass.
-func benchN1Batched(b *testing.B, opts plfs.Options) {
+func benchN1Batched(b *testing.B, opts plfs.EngineOptions) {
 	p, want := setupN1(b, opts)
 	b.SetBytes(int64(len(want)))
 	buf := make([]byte, len(want))
@@ -37,16 +37,16 @@ func benchN1Batched(b *testing.B, opts plfs.Options) {
 }
 
 func BenchmarkN1StridedReadBatched(b *testing.B) {
-	benchN1Batched(b, plfs.Options{})
+	benchN1Batched(b, plfs.EngineOptions{})
 }
 
 func BenchmarkN1StridedReadPerExtent(b *testing.B) {
-	benchN1Batched(b, plfs.Options{BatchDepth: 1})
+	benchN1Batched(b, plfs.EngineOptions{BatchDepth: 1})
 }
 
 // setupN1Mem writes the strided N-1 container over backend (MemFS or
 // an instrumented wrapper) and returns the instance and logical size.
-func setupN1Mem(t testing.TB, backend posix.FS, opts plfs.Options) (*plfs.FS, int) {
+func setupN1Mem(t testing.TB, backend posix.FS, opts plfs.EngineOptions) (*plfs.FS, int) {
 	t.Helper()
 	p := plfs.New(backend, opts)
 	f, err := p.Open("/n1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
@@ -84,7 +84,7 @@ func TestWarmReadAllocs(t *testing.T) {
 	}
 	// Serial read workers pin the no-closure serial gather path; the
 	// parallel path necessarily allocates goroutine bookkeeping.
-	p, size := setupN1Mem(t, posix.NewMemFS(), plfs.Options{ReadWorkers: 1})
+	p, size := setupN1Mem(t, posix.NewMemFS(), plfs.EngineOptions{ReadWorkers: 1})
 	f, err := p.Open("/n1", posix.O_RDONLY, 200, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestWarmReadAllocs(t *testing.T) {
 // extents per dropping, so the expected collapse is ~16x; 4x is the
 // regression floor.
 func TestN1BatchedBackendOps(t *testing.T) {
-	readOps := func(opts plfs.Options) int64 {
+	readOps := func(opts plfs.EngineOptions) int64 {
 		plane := iostats.NewPlane()
 		ifs := posix.NewInstrumentFS(posix.NewMemFS(), plane)
 		p, size := setupN1Mem(t, ifs, opts)
@@ -138,8 +138,8 @@ func TestN1BatchedBackendOps(t *testing.T) {
 		return ctr.Load() - before
 	}
 
-	batched := readOps(plfs.Options{})
-	perExtent := readOps(plfs.Options{BatchDepth: 1})
+	batched := readOps(plfs.EngineOptions{})
+	perExtent := readOps(plfs.EngineOptions{BatchDepth: 1})
 	if batched == 0 || perExtent == 0 {
 		t.Fatalf("op counters did not move (batched=%d perExtent=%d)", batched, perExtent)
 	}

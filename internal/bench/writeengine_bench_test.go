@@ -13,11 +13,9 @@ import (
 // Write-engine benchmarks: the N-1 checkpoint shape (many writers
 // striping one logical file, syncing after each burst — plfs_write then
 // plfs_sync, as MPI-IO checkpoints do) over a real OS-backed store. The
-// "serial" variants run the pre-engine configuration — one exclusive
-// handle lock per Write and Sync, index records buffered until sync — so
-// the engine's win is measured against the seed behavior, not a
-// strawman: under the seed lock one writer's fsync stalls every other
-// writer, while sharded writers overlap their I/O. Cold measures the
+// "serial" variants pin the knobs to their serial values — one WriteV
+// worker, index records buffered until sync — on the same sharded write
+// path. Cold measures the
 // whole checkpoint lifecycle (container create, first writes, close);
 // warm measures steady-state bursts on open writers.
 const (
@@ -27,11 +25,11 @@ const (
 	w1SyncEvery = 4  // blocks per sync burst
 )
 
-func w1Serial() plfs.Options {
-	return plfs.Options{DisableWriteSharding: true, WriteWorkers: 1, IndexBatch: -1}
+func w1Serial() plfs.EngineOptions {
+	return plfs.EngineOptions{WriteWorkers: 1, IndexBatch: -1}
 }
 
-func w1Sharded() plfs.Options { return plfs.Options{} }
+func w1Sharded() plfs.EngineOptions { return plfs.EngineOptions{} }
 
 // writeN1Pass has every writer stripe its blocks into the container
 // concurrently, syncing after each w1SyncEvery-block burst.
@@ -71,7 +69,7 @@ func writeN1Pass(b *testing.B, f *plfs.File, pass int) {
 // runs stay comparable). Cold times the whole lifecycle — container
 // create, writer setup, write bursts, close; warm pre-opens the writers
 // outside the timer and times only the bursts.
-func benchN1Write(b *testing.B, opts plfs.Options, warm bool) {
+func benchN1Write(b *testing.B, opts plfs.EngineOptions, warm bool) {
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -126,7 +124,7 @@ func BenchmarkN1WriteWarm_Sharded(b *testing.B) { benchN1Write(b, w1Sharded(), t
 // benchWriteV measures one rank's strided multi-extent commit — the
 // flattened-datatype write BT-IO issues per timestep — serially per
 // extent versus one vectored WriteV.
-func benchWriteV(b *testing.B, opts plfs.Options, vectored bool) {
+func benchWriteV(b *testing.B, opts plfs.EngineOptions, vectored bool) {
 	const (
 		extents = 256
 		extLen  = 16 << 10
@@ -182,7 +180,7 @@ func BenchmarkStridedCommit_WriteV(b *testing.B) { benchWriteV(b, w1Sharded(), t
 // and sharded configurations must produce identical logical bytes. Runs
 // in the normal test suite.
 func TestN1WriteBenchCorrectness(t *testing.T) {
-	for name, opts := range map[string]plfs.Options{"serial": w1Serial(), "sharded": w1Sharded()} {
+	for name, opts := range map[string]plfs.EngineOptions{"serial": w1Serial(), "sharded": w1Sharded()} {
 		t.Run(name, func(t *testing.T) {
 			osfs, err := posix.NewOSFS(t.TempDir())
 			if err != nil {

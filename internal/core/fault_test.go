@@ -21,7 +21,7 @@ func faultEnv(t *testing.T) (*posix.Dispatch, *posix.FaultFS) {
 	if _, err := Preload(d, Config{
 		Mounts:      []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:         1,
-		PlfsOptions: plfs.Options{NumHostdirs: 2},
+		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 2}},
 	}); err != nil {
 		t.Fatal(err)
 	}

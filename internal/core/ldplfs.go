@@ -53,7 +53,7 @@ type Config struct {
 	// instance over the dispatch's previous symbols.
 	Plfs *plfs.FS
 	// PlfsOptions configures the instance created when Plfs is nil.
-	PlfsOptions plfs.Options
+	PlfsOptions plfs.Config
 	// ShadowPath is the file opened to obtain shadow descriptors; the
 	// paper uses /dev/random. Defaults to "/.ldplfs.shadow" on the
 	// underlying FS, created on demand.

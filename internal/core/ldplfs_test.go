@@ -24,7 +24,7 @@ func newEnv(t *testing.T) (*posix.Dispatch, *LDPLFS, *posix.MemFS) {
 	l, err := Preload(d, Config{
 		Mounts:      []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:         42,
-		PlfsOptions: plfs.Options{NumHostdirs: 4},
+		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ type fuseFD struct {
 
 // Mount creates a FUSE view: mountPoint becomes a window onto PLFS
 // containers stored under backendDir of inner. opts take any mix of
-// grouped plfs option values (or the deprecated flat plfs.Options).
+// grouped plfs option values.
 func Mount(inner posix.FS, mountPoint, backendDir string, opts ...plfs.Option) *FS {
 	return &FS{
 		mountPoint: strings.TrimRight(mountPoint, "/"),

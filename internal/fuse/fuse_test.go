@@ -15,7 +15,7 @@ func newMount(t *testing.T) (*FS, *posix.MemFS) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return Mount(mem, "/mnt/plfs", "/backend", plfs.Options{NumHostdirs: 4}), mem
+	return Mount(mem, "/mnt/plfs", "/backend", plfs.EngineOptions{NumHostdirs: 4}), mem
 }
 
 func TestFuseRoundTrip(t *testing.T) {
@@ -107,7 +107,7 @@ func TestFuseVsLDPLFSSameBytes(t *testing.T) {
 	fs.Write(fd, want)
 	fs.Close(fd)
 
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 	pf, err := p.Open("/backend/x", posix.O_RDONLY, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,6 @@ type MPIIO struct {
 	CBBufferSize  int
 	CBRounds      int
 	CBAggregators int
-	NoPipeline    bool
 	SieveBuffer   int
 	CBAutoTune    bool
 }
@@ -89,7 +88,6 @@ func (m *MPIIO) Register(fl *flag.FlagSet) {
 	fl.IntVar(&m.CBBufferSize, "cb-buffer-size", 0, "collective-buffering staging size per aggregator round in bytes (0 = ROMIO default 16 MiB)")
 	fl.IntVar(&m.CBRounds, "cb-rounds", 0, "pipelined collective rounds per aggregator domain (0 = derive from cb-buffer-size)")
 	fl.IntVar(&m.CBAggregators, "cb-aggregators", 0, "aggregators per compute node (0 = the paper's default of 1)")
-	fl.BoolVar(&m.NoPipeline, "no-cb-pipeline", false, "use the one-shot two-phase collective path instead of the pipelined overlapped rounds")
 	fl.IntVar(&m.SieveBuffer, "sieve-buffer-size", 0, "data-sieving block size for independent strided access (0 = default 4 MiB)")
 	fl.BoolVar(&m.CBAutoTune, "cb-autotune", false, "hill-climb cb-buffer-size/cb-rounds/cb-aggregators online")
 }
@@ -106,7 +104,6 @@ func (m *MPIIO) Hints() mpiio.Hints {
 	if m.CBAggregators > 0 {
 		h.CBAggregators = m.CBAggregators
 	}
-	h.DisablePipeline = m.NoPipeline
 	if m.SieveBuffer > 0 {
 		h.SieveBufferSize = m.SieveBuffer
 	}

@@ -103,9 +103,8 @@ func DriverFor(method string, fs posix.FS, rank int) (mpiio.Driver, func(name st
 }
 
 // DriverForOpts is DriverFor with explicit PLFS options — any mix of
-// grouped option structs (plfs.EngineOptions{...}), a whole
-// plfs.Config, or the deprecated flat plfs.Options — so the CLI tools
-// can thread engine tuning (ReadWorkers, WriteWorkers, IndexBatch, ...)
+// grouped option structs (plfs.EngineOptions{...}) or a whole
+// plfs.Config — so the CLI tools can thread engine tuning (ReadWorkers, WriteWorkers, IndexBatch, ...)
 // down to whichever methods run over PLFS.
 func DriverForOpts(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {

@@ -120,7 +120,7 @@ func TestLDPLFSCreatesScaleWithRanks(t *testing.T) {
 				if _, err := core.Preload(d, core.Config{
 					Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 					Pid:         uint32(r.Rank()),
-					PlfsOptions: plfs.Options{NumHostdirs: 4},
+					PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
 				}); err != nil {
 					panic(err)
 				}

@@ -1,7 +1,7 @@
 // Package mpi provides an in-process MPI runtime: ranks are goroutines,
 // the world communicator supports the collectives ROMIO and the
 // mini-applications need (Barrier, Bcast, Gather, Allgather, Reduce,
-// Allreduce, Alltoallv), and a node topology (processes-per-node) mirrors
+// Allreduce, Alltoall), and a node topology (processes-per-node) mirrors
 // how the paper lays ranks out on Minerva and Sierra.
 //
 // Collectives are built on a single generation-counted rendezvous: every
@@ -267,7 +267,7 @@ func (r *Rank) ReduceInt64(root int, value int64, op Op) int64 {
 // goes to rank i, and the result holds at index j the value rank j sent
 // to this rank. Nil entries are allowed and arrive as nil.
 //
-// Unlike Alltoallv, nothing is marshalled: the value itself — typically
+// Nothing is marshalled: the value itself — typically
 // a slice of descriptors referencing the sender's memory — crosses
 // ranks by reference, so large payloads move zero-copy. The rendezvous
 // gives the usual happens-before edge (everything a sender wrote before
@@ -296,26 +296,4 @@ func (r *Rank) Alltoall(send []any) []any {
 		return out
 	})
 	return res.([]any)
-}
-
-// Alltoallv exchanges byte slices: send[i] goes to rank i; the return
-// value holds, at index j, the slice rank j sent to this rank. Nil slices
-// are allowed and arrive as nil.
-func (r *Rank) Alltoallv(send [][]byte) [][]byte {
-	if len(send) != r.comm.size {
-		panic(fmt.Sprintf("mpi: Alltoallv send vector has %d entries for %d ranks", len(send), r.comm.size))
-	}
-	res := r.rendezvous(send, func(in []any) []any {
-		n := len(in)
-		out := make([]any, n)
-		for dst := 0; dst < n; dst++ {
-			recv := make([][]byte, n)
-			for src := 0; src < n; src++ {
-				recv[src] = in[src].([][]byte)[dst]
-			}
-			out[dst] = recv
-		}
-		return out
-	})
-	return res.([][]byte)
 }

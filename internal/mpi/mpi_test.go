@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -147,27 +146,26 @@ func TestReductions(t *testing.T) {
 	}
 }
 
-func TestAlltoallv(t *testing.T) {
+func TestAlltoall(t *testing.T) {
 	const n = 5
 	err := Run(n, 1, func(r *Rank) {
-		send := make([][]byte, n)
+		send := make([]any, n)
 		for dst := 0; dst < n; dst++ {
 			if dst == r.Rank() {
 				continue // nil to self is allowed
 			}
-			send[dst] = []byte(fmt.Sprintf("%d->%d", r.Rank(), dst))
+			send[dst] = fmt.Sprintf("%d->%d", r.Rank(), dst)
 		}
-		recv := r.Alltoallv(send)
+		recv := r.Alltoall(send)
 		for src := 0; src < n; src++ {
 			if src == r.Rank() {
 				if recv[src] != nil {
-					t.Errorf("self slot = %q", recv[src])
+					t.Errorf("self slot = %v", recv[src])
 				}
 				continue
 			}
-			want := fmt.Sprintf("%d->%d", src, r.Rank())
-			if !bytes.Equal(recv[src], []byte(want)) {
-				t.Errorf("rank %d recv[%d] = %q, want %q", r.Rank(), src, recv[src], want)
+			if want := fmt.Sprintf("%d->%d", src, r.Rank()); recv[src] != want {
+				t.Errorf("rank %d recv[%d] = %v, want %q", r.Rank(), src, recv[src], want)
 			}
 		}
 	})
@@ -201,9 +199,9 @@ func TestSingleRankWorld(t *testing.T) {
 		if got := r.AllreduceInt64(7, OpSum); got != 7 {
 			t.Errorf("singleton sum = %d", got)
 		}
-		recv := r.Alltoallv([][]byte{[]byte("self")})
-		if string(recv[0]) != "self" {
-			t.Errorf("self alltoall = %q", recv[0])
+		recv := r.Alltoall([]any{"self"})
+		if recv[0] != "self" {
+			t.Errorf("self alltoall = %v", recv[0])
 		}
 	})
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 
 // Point-to-point messaging: blocking Send/Recv with tag matching, built
 // on per-destination mailboxes. ROMIO's two-phase exchange uses
-// Alltoallv, but tools and tests (and MPI programs generally) also need
+// Alltoall, but tools and tests (and MPI programs generally) also need
 // plain sends — and the FLASH master-slave startup uses them.
 
 type p2pKey struct {

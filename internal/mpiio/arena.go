@@ -159,7 +159,7 @@ func (a *arena) release() {
 
 // collect gathers the round's pieces from the exchange result in rank
 // order and sorts them by offset (stably, so overlapping writes resolve
-// in rank order, matching the one-shot path's determinism).
+// in rank order, whatever order the exchange delivered them in).
 func (a *arena) collect(recv []any) {
 	a.refs = a.refs[:0]
 	for _, v := range recv {
@@ -171,9 +171,8 @@ func (a *arena) collect(recv []any) {
 
 // stageWrite coalesces the round's write pieces into packed runs,
 // copying each piece exactly once into the arena (the only copy on the
-// whole write path). maxRun caps a single run at the staging size, like
-// the one-shot path's cb-buffer-sized runs. Returns piece and byte
-// counts for the shuffle counters.
+// whole write path). maxRun caps a single run at the staging size.
+// Returns piece and byte counts for the shuffle counters.
 func (a *arena) stageWrite(recv []any, maxRun int64) (npieces int, nbytes int64) {
 	a.collect(recv)
 	a.runs = a.runs[:0]
@@ -267,8 +266,7 @@ func (a *arena) deliver() {
 	}
 }
 
-// findRun binary-searches the run covering off — the reassembly index
-// that replaces the one-shot path's pieceMap and linear scan.
+// findRun binary-searches the run covering off — the reassembly index.
 func (a *arena) findRun(off int64) int {
 	lo, hi := 0, len(a.runs)-1
 	for lo < hi {

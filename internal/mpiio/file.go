@@ -1,11 +1,9 @@
 package mpiio
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 
 	"ldplfs/internal/iostats"
@@ -37,11 +35,6 @@ type Hints struct {
 	// aggregator per distinct node; higher values fan aggregator I/O
 	// out across more ranks (capped at the node's PPN).
 	CBAggregators int
-	// DisablePipeline falls back to the one-shot two-phase path
-	// (shuffle everything, then flush) instead of the pipelined
-	// overlapped rounds. The one-shot path is kept as a differential
-	// baseline and escape hatch.
-	DisablePipeline bool
 	// AutoTune hill-climbs CBBufferSize/CBRounds/CBAggregators on the
 	// throughput ladder (rank 0 drives; committed values are broadcast
 	// with each collective).
@@ -404,104 +397,6 @@ func segsBytes(segs []Segment) int64 {
 
 // --- collective operations (two-phase I/O) -------------------------------
 
-// piece is the wire format unit exchanged between ranks and aggregators:
-// 16-byte header (off,len) + payload (writes) or empty payload (read
-// requests).
-func appendPiece(dst []byte, off int64, payload []byte) []byte {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(off))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-func appendReq(dst []byte, off, length int64) []byte {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(off))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(length))
-	return append(dst, hdr[:]...)
-}
-
-type piece struct {
-	off  int64
-	data []byte // nil for requests
-}
-
-func parsePieces(b []byte, withPayload bool) ([]piece, error) {
-	var out []piece
-	for len(b) > 0 {
-		if len(b) < 16 {
-			return nil, fmt.Errorf("mpiio: torn piece header")
-		}
-		off := int64(binary.LittleEndian.Uint64(b[0:]))
-		n := int64(binary.LittleEndian.Uint64(b[8:]))
-		b = b[16:]
-		p := piece{off: off}
-		if withPayload {
-			if int64(len(b)) < n {
-				return nil, fmt.Errorf("mpiio: torn piece payload")
-			}
-			p.data = b[:n:n]
-			b = b[n:]
-		} else {
-			p.data = make([]byte, n) // request: length carrier only
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// aggregators returns the rank ids acting as collective-buffering
-// aggregators: the first rank on each node (the paper's default of one
-// aggregator per distinct compute node).
-func aggregators(r *mpi.Rank) []int {
-	aggs := make([]int, 0, r.Nodes())
-	for n := 0; n < r.Nodes(); n++ {
-		aggs = append(aggs, n*r.PPN())
-	}
-	return aggs
-}
-
-// domainOf maps a file offset to an aggregator index for domain [lo,hi).
-func domainOf(off, lo, domain int64) int {
-	if domain <= 0 {
-		return 0
-	}
-	return int((off - lo) / domain)
-}
-
-// exchangeExtent allgathers every rank's access extent and returns the
-// global [lo,hi) plus per-aggregator domain size.
-func (f *File) exchangeExtent(segs []Segment) (lo, hi, domain int64, aggs []int) {
-	type extent struct{ lo, hi int64 }
-	mine := extent{lo: 1 << 62, hi: 0}
-	for _, s := range segs {
-		if s.Off < mine.lo {
-			mine.lo = s.Off
-		}
-		if end := s.Off + s.Len; end > mine.hi {
-			mine.hi = end
-		}
-	}
-	all := f.rank.Allgather(mine)
-	lo, hi = int64(1<<62), int64(0)
-	for _, v := range all {
-		e := v.(extent)
-		if e.lo < lo {
-			lo = e.lo
-		}
-		if e.hi > hi {
-			hi = e.hi
-		}
-	}
-	aggs = aggregators(f.rank)
-	if hi <= lo {
-		return 0, 0, 0, aggs
-	}
-	domain = (hi - lo + int64(len(aggs)) - 1) / int64(len(aggs))
-	return lo, hi, domain, aggs
-}
-
 // WriteAll performs a collective strided write — MPI_File_write_all with
 // a flattened view. All ranks must call it; segs may be empty on some.
 func (f *File) WriteAll(segs []Segment, buf []byte) (int, error) {
@@ -521,98 +416,7 @@ func (f *File) writeAll(segs []Segment, buf []byte) (int, error) {
 		f.rank.Barrier()
 		return n, err
 	}
-	if f.hints.DisablePipeline {
-		return f.writeAllOneShot(segs, buf)
-	}
 	return f.writeAllPipelined(segs, buf)
-}
-
-// writeAllOneShot is the original one-shot two-phase write: shuffle the
-// whole access, then flush. Kept as the DisablePipeline baseline the
-// differential tests pin the pipelined path against.
-func (f *File) writeAllOneShot(segs []Segment, buf []byte) (int, error) {
-	lo, _, domain, aggs := f.exchangeExtent(segs)
-
-	// Phase 1: route every segment piece to its domain's aggregator.
-	send := make([][]byte, f.rank.Size())
-	cursor := 0
-	for _, s := range segs {
-		segOff, segLen := s.Off, s.Len
-		for segLen > 0 {
-			d := domainOf(segOff, lo, domain)
-			if d >= len(aggs) {
-				d = len(aggs) - 1
-			}
-			dEnd := lo + int64(d+1)*domain
-			n := segLen
-			if segOff+n > dEnd {
-				n = dEnd - segOff
-			}
-			agg := aggs[d]
-			send[agg] = appendPiece(send[agg], segOff, buf[cursor:cursor+int(n)])
-			segOff += n
-			segLen -= n
-			cursor += int(n)
-		}
-	}
-	recv := f.rank.Alltoallv(send)
-
-	// Phase 2: aggregators coalesce and issue large writes. Every rank
-	// must reach the closing allreduce regardless of local errors, so the
-	// aggregator work is funnelled through an error value, never an early
-	// return (an early return would deadlock the communicator).
-	var aggErr error
-	if f.rank.NodeLeader() {
-		var pieces []piece
-		for _, b := range recv {
-			ps, err := parsePieces(b, true)
-			if err != nil {
-				aggErr = err
-				break
-			}
-			pieces = append(pieces, ps...)
-		}
-		if aggErr == nil {
-			_, aggErr = f.flushPieces(pieces)
-		}
-	}
-	var flag int64
-	if aggErr != nil {
-		flag = 1
-	}
-	if f.rank.AllreduceInt64(flag, mpi.OpMax) != 0 {
-		if aggErr != nil {
-			return 0, aggErr
-		}
-		return 0, fmt.Errorf("mpiio: collective write failed on an aggregator")
-	}
-	return int(segsBytes(segs)), nil
-}
-
-// flushPieces sorts, coalesces, and writes pieces in cb-buffer-sized runs.
-func (f *File) flushPieces(pieces []piece) (int64, error) {
-	sort.Slice(pieces, func(i, j int) bool { return pieces[i].off < pieces[j].off })
-	var total int64
-	i := 0
-	for i < len(pieces) {
-		// Coalesce a contiguous run.
-		runOff := pieces[i].off
-		run := append([]byte(nil), pieces[i].data...)
-		j := i + 1
-		for j < len(pieces) && pieces[j].off == runOff+int64(len(run)) && len(run)+len(pieces[j].data) <= f.hints.CBBufferSize {
-			run = append(run, pieces[j].data...)
-			j++
-		}
-		f.cdw.Add(1)
-		n, err := f.df.PwriteAt(run, runOff)
-		total += int64(n)
-		f.cbw.Add(int64(n))
-		if err != nil {
-			return total, err
-		}
-		i = j
-	}
-	return total, nil
 }
 
 // WriteAtAll is the contiguous special case — MPI_File_write_at_all.
@@ -644,172 +448,7 @@ func (f *File) readAll(segs []Segment, buf []byte) (int, error) {
 		f.rank.Barrier()
 		return n, err
 	}
-	if f.hints.DisablePipeline {
-		return f.readAllOneShot(segs, buf)
-	}
 	return f.readAllPipelined(segs, buf)
-}
-
-// readAllOneShot is the original one-shot two-phase read (request
-// shuffle, aggregator reads, reply shuffle, pieceMap reassembly) — the
-// DisablePipeline differential baseline.
-func (f *File) readAllOneShot(segs []Segment, buf []byte) (int, error) {
-	lo, _, domain, aggs := f.exchangeExtent(segs)
-
-	// Phase 1: send read requests to domain aggregators.
-	reqs := make([][]byte, f.rank.Size())
-	for _, s := range segs {
-		segOff, segLen := s.Off, s.Len
-		for segLen > 0 {
-			d := domainOf(segOff, lo, domain)
-			if d >= len(aggs) {
-				d = len(aggs) - 1
-			}
-			dEnd := lo + int64(d+1)*domain
-			n := segLen
-			if segOff+n > dEnd {
-				n = dEnd - segOff
-			}
-			agg := aggs[d]
-			reqs[agg] = appendReq(reqs[agg], segOff, n)
-			segOff += n
-			segLen -= n
-		}
-	}
-	gotReqs := f.rank.Alltoallv(reqs)
-
-	// Phase 2: aggregators read their domain in coalesced runs and answer
-	// each requester. As in WriteAll, every rank must reach both the
-	// second Alltoallv and the closing allreduce, so errors are carried,
-	// not returned early.
-	replies := make([][]byte, f.rank.Size())
-	var aggErr error
-	if f.rank.NodeLeader() {
-		aggErr = f.answerReadRequests(gotReqs, replies)
-	}
-	gotData := f.rank.Alltoallv(replies)
-
-	// Reassemble into buf following the original segment order.
-	var localErr error
-	pieceMap := map[int64][]byte{}
-	for _, b := range gotData {
-		ps, err := parsePieces(b, true)
-		if err != nil {
-			localErr = err
-			break
-		}
-		for _, p := range ps {
-			pieceMap[p.off] = p.data
-		}
-	}
-	got := 0
-	cursor := 0
-	if localErr == nil {
-	assemble:
-		for _, s := range segs {
-			segOff, segLen := s.Off, s.Len
-			for segLen > 0 {
-				d := domainOf(segOff, lo, domain)
-				if d >= len(aggs) {
-					d = len(aggs) - 1
-				}
-				dEnd := lo + int64(d+1)*domain
-				n := segLen
-				if segOff+n > dEnd {
-					n = dEnd - segOff
-				}
-				data, ok := pieceMap[segOff]
-				if !ok || int64(len(data)) != n {
-					localErr = fmt.Errorf("mpiio: collective read lost piece at %d (+%d)", segOff, n)
-					break assemble
-				}
-				got += copy(buf[cursor:cursor+int(n)], data)
-				segOff += n
-				segLen -= n
-				cursor += int(n)
-			}
-		}
-	}
-	var flag int64
-	if aggErr != nil || localErr != nil {
-		flag = 1
-	}
-	if f.rank.AllreduceInt64(flag, mpi.OpMax) != 0 {
-		switch {
-		case aggErr != nil:
-			return got, aggErr
-		case localErr != nil:
-			return got, localErr
-		default:
-			return got, fmt.Errorf("mpiio: collective read failed on another rank")
-		}
-	}
-	return got, nil
-}
-
-// answerReadRequests performs the aggregator half of ReadAll: coalesce the
-// requested ranges, read covering runs, slice out each requester's pieces.
-func (f *File) answerReadRequests(gotReqs [][]byte, replies [][]byte) error {
-	type request struct {
-		src      int
-		off, len int64
-	}
-	var all []request
-	for src, b := range gotReqs {
-		ps, err := parsePieces(b, false)
-		if err != nil {
-			return err
-		}
-		for _, p := range ps {
-			all = append(all, request{src: src, off: p.off, len: int64(len(p.data))})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].off < all[j].off })
-	type run struct {
-		off  int64
-		data []byte
-	}
-	var runs []run
-	i := 0
-	for i < len(all) {
-		runOff := all[i].off
-		runEnd := all[i].off + all[i].len
-		j := i + 1
-		for j < len(all) && all[j].off <= runEnd && int(runEnd-runOff) < f.hints.CBBufferSize {
-			if e := all[j].off + all[j].len; e > runEnd {
-				runEnd = e
-			}
-			j++
-		}
-		data := make([]byte, runEnd-runOff)
-		f.cdr.Add(1)
-		n, err := f.df.PreadAt(data, runOff)
-		if err != nil {
-			return err
-		}
-		f.cbr.Add(int64(n))
-		runs = append(runs, run{off: runOff, data: data[:n]})
-		i = j
-	}
-	locate := func(off, length int64) []byte {
-		for _, rn := range runs {
-			if off >= rn.off && off+length <= rn.off+int64(len(rn.data)) {
-				return rn.data[off-rn.off : off-rn.off+length]
-			}
-			// Short read at EOF: return what exists.
-			if off >= rn.off && off < rn.off+int64(len(rn.data)) {
-				return rn.data[off-rn.off:]
-			}
-		}
-		return nil
-	}
-	for _, rq := range all {
-		data := locate(rq.off, rq.len)
-		padded := make([]byte, rq.len)
-		copy(padded, data)
-		replies[rq.src] = appendPiece(replies[rq.src], rq.off, padded)
-	}
-	return nil
 }
 
 // ReadAtAll is the contiguous special case — MPI_File_read_at_all.

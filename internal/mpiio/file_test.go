@@ -37,7 +37,7 @@ func methods(t *testing.T) []methodUnderTest {
 			name: "romio-plfs",
 			path: "/scratch/file",
 			driver: func(t *testing.T, mem *posix.MemFS, rank int) Driver {
-				p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+				p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 				return NewPLFSDriver(p, func(path string) (string, bool) {
 					return "/backend" + strings.TrimPrefix(path, "/scratch"), true
 				})
@@ -51,7 +51,7 @@ func methods(t *testing.T) []methodUnderTest {
 				_, err := core.Preload(d, core.Config{
 					Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 					Pid:         uint32(rank),
-					PlfsOptions: plfs.Options{NumHostdirs: 4},
+					PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -63,7 +63,7 @@ func methods(t *testing.T) []methodUnderTest {
 			name: "fuse",
 			path: "/mnt/plfs/file",
 			driver: func(t *testing.T, mem *posix.MemFS, rank int) Driver {
-				return NewUFS(fuse.Mount(mem, "/mnt/plfs", "/backend", plfs.Options{NumHostdirs: 4}))
+				return NewUFS(fuse.Mount(mem, "/mnt/plfs", "/backend", plfs.EngineOptions{NumHostdirs: 4}))
 			},
 		},
 	}
@@ -367,7 +367,7 @@ func TestOpenErrors(t *testing.T) {
 
 func TestPLFSDriverProducesContainers(t *testing.T) {
 	mem := newWorldFS(t)
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 	err := mpi.Run(4, 2, func(r *mpi.Rank) {
 		drv := NewPLFSDriver(p, nil)
 		fh, err := Open(r, drv, "/backend/cont", ModeCreate|ModeWronly, DefaultHints())

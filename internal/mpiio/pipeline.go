@@ -295,7 +295,7 @@ func (w *aggWorker) close() (error, int64) {
 // flushArena issues one staged round: vector-capable drivers take every
 // run in a single call (the PLFS driver turns it into one WriteV, whose
 // engine batches physically-contiguous pwrites), others get a pwrite
-// per run — still coalesced, exactly the one-shot path's op shape.
+// per run — still coalesced.
 func (f *File) flushArena(a *arena) error {
 	if len(a.runs) == 0 {
 		return nil
@@ -324,8 +324,7 @@ func (f *File) flushArena(a *arena) error {
 // fetchArena reads one round's covering runs into the arena:
 // vector-capable drivers in one call (PLFS resolves the index once and
 // batches contiguous extents across runs), others a pread per run.
-// Bytes past EOF are zero-filled either way, so delivery pads exactly
-// like the one-shot path.
+// Bytes past EOF are zero-filled either way.
 func (f *File) fetchArena(a *arena) error {
 	if len(a.runs) == 0 {
 		return nil

@@ -375,8 +375,8 @@ func (f readFaultFile) PreadAt(p []byte, off int64) (int, error) {
 
 // --- satellite: differential byte-identity ---------------------------------
 
-// TestCollectivePathDifferential pins byte-identity of the pipelined,
-// one-shot and independent paths over randomized disjoint strided
+// TestCollectivePathDifferential pins byte-identity of the pipelined
+// and independent paths over randomized disjoint strided
 // scripts: whatever the shuffle schedule, the file and every rank's
 // read-back must be identical. Pipelined variants also sweep the round
 // and aggregator knobs.
@@ -393,7 +393,6 @@ func TestCollectivePathDifferential(t *testing.T) {
 		{"pipelined", func(h *Hints) {}},
 		{"pipelined-r3-a2", func(h *Hints) { h.CBRounds = 3; h.CBAggregators = 2 }},
 		{"pipelined-small-cb", func(h *Hints) { h.CBBufferSize = 2 * block }},
-		{"one-shot", func(h *Hints) { h.DisablePipeline = true }},
 		{"independent", func(h *Hints) { h.CollectiveBuffering = false }},
 	}
 	for seed := int64(1); seed <= 3; seed++ {

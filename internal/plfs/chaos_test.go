@@ -23,20 +23,18 @@ type replicaRig struct {
 // InstrumentFS("b<i>") -> FaultFS -> MemFS, so fault injection sits
 // below the op counters and every attempt (including ones the fault
 // layer rejects) is counted.
-func newReplicaRig(t *testing.T, n int, desc string, opts Options) *replicaRig {
+func newReplicaRig(t *testing.T, n int, desc string, opts ...Option) *replicaRig {
 	t.Helper()
 	r := &replicaRig{plane: iostats.NewPlane()}
-	opts.Backends = make([]posix.FS, n)
-	opts.Layout = desc
-	opts.Stats = r.plane
+	backends := make([]posix.FS, n)
 	for i := 0; i < n; i++ {
 		mem := posix.NewMemFS()
 		ff := posix.NewFaultFS(mem)
 		r.mems = append(r.mems, mem)
 		r.faults = append(r.faults, ff)
-		opts.Backends[i] = posix.NewInstrumentFS(ff, r.plane, posix.WithLayerName(fmt.Sprintf("b%d", i)))
+		backends[i] = posix.NewInstrumentFS(ff, r.plane, posix.WithLayerName(fmt.Sprintf("b%d", i)))
 	}
-	r.p = New(nil, opts)
+	r.p = New(nil, append(opts, WithLayout(desc), WithStats(r.plane), WithBackends(backends...))...)
 	if err := r.p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// Healthy twin: replica-2, no faults — the latency baseline. The
 	// helper returns the expected logical bytes (the undisturbed
 	// reference: content is a pure function of writer and block).
-	healthy := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 6})
+	healthy := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
 	want := writeN1(t, healthy.p, "/backend/f", pids, recs, recSize)
 	if got := readBack(t, healthy.p, "/backend/f"); !bytes.Equal(got, want) {
 		t.Fatalf("healthy replica-2 read diverged from reference (%d vs %d bytes)", len(got), len(want))
@@ -99,7 +97,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// Chaos run: backend 1 dies after its 10th write op (past container
 	// creation, well inside the workload) and stays dark through the
 	// read phase.
-	chaos := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 6})
+	chaos := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
 	chaos.faults[1].Schedule(nil, &posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, chaos.p, "/backend/f", pids, recs, recSize)
 	if !chaos.faults[1].Killed() {
@@ -122,7 +120,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 
 	// Determinism: the same schedule on a fresh rig reproduces the same
 	// degraded-write count.
-	again := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 6})
+	again := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
 	again.faults[1].Schedule(nil, &posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, again.p, "/backend/f", pids, recs, recSize)
 	if a, b := again.counter("replica_write_degraded"), chaos.counter("replica_write_degraded"); a != b {
@@ -141,11 +139,10 @@ func TestChaosHedgedReadAtPlfsLayer(t *testing.T) {
 		ch <- time.Time{}
 		return ch
 	}
-	rig := newReplicaRig(t, 3, "replica-2", Options{
-		NumHostdirs:   6,
-		HedgeDeadline: time.Millisecond,
-		HedgeTimer:    hedgeNow,
-	})
+	rig := newReplicaRig(t, 3, "replica-2",
+		EngineOptions{NumHostdirs: 6},
+		LayoutOptions{HedgeDeadline: time.Millisecond, HedgeTimer: hedgeNow},
+	)
 	hedgeWant := writeN1(t, rig.p, "/backend/f", 2, 4, 256)
 
 	// Find the hostdir the droppings landed in and gate reads on its
@@ -189,7 +186,7 @@ func TestChaosHedgedReadAtPlfsLayer(t *testing.T) {
 func TestChaosHealCycle(t *testing.T) {
 	const pids, recs, recSize = 6, 10, 256
 
-	rig := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 6})
+	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
 	rig.faults[2].Kill()
 	want := writeN1(t, rig.p, "/backend/f", pids, recs, recSize)
 	if got := readBack(t, rig.p, "/backend/f"); !bytes.Equal(got, want) {

@@ -154,7 +154,7 @@ func BenchmarkReadOpenAfterCompaction(b *testing.B) {
 	build := func(compact bool) *FS {
 		mem := posix.NewMemFS()
 		mem.Mkdir("/backend", 0o755)
-		p := New(mem, Options{NumHostdirs: 32})
+		p := New(mem, EngineOptions{NumHostdirs: 32})
 		f, _ := p.Open("/backend/f", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 		for w := 0; w < 64; w++ {
 			f.Write(make([]byte, 4096), int64(w)*4096, uint32(w))

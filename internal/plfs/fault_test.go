@@ -3,6 +3,7 @@ package plfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"ldplfs/internal/posix"
@@ -16,7 +17,7 @@ func faultPLFS(t *testing.T) (*FS, *posix.FaultFS, *posix.MemFS) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	return New(ffs, Options{NumHostdirs: 2}), ffs, mem
+	return New(ffs, EngineOptions{NumHostdirs: 2}), ffs, mem
 }
 
 func TestENOSPCDuringDataWrite(t *testing.T) {
@@ -223,5 +224,69 @@ func TestMetaHintWriteFailureIsNotFatal(t *testing.T) {
 	st, err := p.Stat("/backend/hintless")
 	if err != nil || st.Size != 512 {
 		t.Fatalf("stat without hint = %+v, %v", st, err)
+	}
+}
+
+// TestIndexDroppingHeaderWindow holds writer 1 between creating its
+// index dropping and writing the header (a gate on the header write) —
+// the window a sibling rank's first write or a reader's cold open can
+// land in. Both must treat the sub-header dropping as empty, through
+// both dropping parsers: seedClock slurps (ReadDropping), the cold open
+// streams (OpenDroppingStream). Neither may fail the container.
+func TestIndexDroppingHeaderWindow(t *testing.T) {
+	p1, ffs, mem := faultPLFS(t)
+	p2 := New(ffs, EngineOptions{NumHostdirs: 2}) // a sibling rank: its own instance
+	const path = "/backend/window"
+	if err := p1.CreateContainer(path, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: "dropping.index.1", Times: 1, Gate: gate})
+	f1, err := p1.Open(path, posix.O_WRONLY, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := f1.Write([]byte("one"), 0, 1)
+		done <- err
+	}()
+	// Wait for writer 1 to park inside the window: dropping created,
+	// header write held at the gate.
+	for {
+		if st, err := mem.Stat(path + "/hostdir.1/dropping.index.1"); err == nil {
+			if st.Size != 0 {
+				t.Fatalf("gated dropping already has %d bytes", st.Size)
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+
+	f2, err := p2.Open(path, posix.O_RDWR, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f2.Write([]byte("two"), 3, 2); err != nil {
+		t.Fatalf("sibling's first write inside the header window: %v", err)
+	}
+	got := make([]byte, 8)
+	if n, err := f2.Read(got, 0); err != nil || !bytes.Equal(got[:n], []byte("\x00\x00\x00two")) {
+		t.Fatalf("cold read inside the header window = %q, %v", got[:n], err)
+	}
+
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("gated writer: %v", err)
+	}
+	if err := f1.Close(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Close(2); err != nil {
+		t.Fatal(err)
+	}
+	if all := readAllBytes(t, New(ffs, EngineOptions{NumHostdirs: 2}), path); string(all) != "onetwo" {
+		t.Fatalf("after the window closed: %q", all)
 	}
 }

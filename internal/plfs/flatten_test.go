@@ -112,7 +112,7 @@ func TestAutoFlattenOnLastWriterClose(t *testing.T) {
 
 	// A cold instance over the same backend serves the first build from
 	// the flattened record — and reads the same bytes.
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/af"); !bytes.Equal(got, want) {
 		t.Fatal("flattened-backed read diverged")
 	}
@@ -127,7 +127,7 @@ func TestFlattenedStaleAfterNewWrites(t *testing.T) {
 
 	// A later writer (auto-flatten disabled, so the gen-1 record stays
 	// behind, now stale) appends more data.
-	noflat := New(p.backend, Options{NumHostdirs: 4, DisableAutoFlatten: true})
+	noflat := New(p.backend, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
 	g, err := noflat.Open("/backend/stale", posix.O_WRONLY, 9, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFlattenedStaleAfterNewWrites(t *testing.T) {
 
 	// A cold reader must detect the mismatch, ignore the record, and see
 	// the new bytes via the streaming merge.
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	got := readAllBytes(t, cold, "/backend/stale")
 	if int64(len(got)) != 4*4*64+int64(len(tail)) {
 		t.Fatalf("size over stale record = %d", len(got))
@@ -175,7 +175,7 @@ func TestCorruptFlattenedFallsBackSilently(t *testing.T) {
 	}
 	mem.Close(fd)
 
-	cold := New(mem, Options{NumHostdirs: 4})
+	cold := New(mem, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/corrupt"); !bytes.Equal(got, want) {
 		t.Fatal("corrupt flattened record corrupted reads")
 	}
@@ -187,7 +187,7 @@ func TestCorruptFlattenedFallsBackSilently(t *testing.T) {
 	if err := mem.Truncate("/backend/corrupt/index.flattened.1", st.Size-11); err != nil {
 		t.Fatal(err)
 	}
-	cold2 := New(mem, Options{NumHostdirs: 4})
+	cold2 := New(mem, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold2, "/backend/corrupt"); !bytes.Equal(got, want) {
 		t.Fatal("torn flattened record corrupted reads")
 	}
@@ -210,7 +210,7 @@ func TestFlattenedDistrustedWhileWriterLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	readAllBytes(t, cold, "/backend/live-w")
 	if s := cacheStats(cold); s.FlattenedBuilds != 0 {
 		t.Fatal("flattened record trusted while a writer is live")
@@ -222,7 +222,7 @@ func TestSetFlattenedReadsRuntimeToggle(t *testing.T) {
 	p, _ := newTestFS(t)
 	want := writeN1(t, p, "/backend/knob", 4, 4, 64)
 
-	cold := New(p.backend, Options{NumHostdirs: 4, DisableFlattenedReads: true})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableFlattenedReads: true})
 	if cold.FlattenedReads() {
 		t.Fatal("DisableFlattenedReads did not seed the knob")
 	}
@@ -282,7 +282,7 @@ func TestDropFlattenedIndex(t *testing.T) {
 	if names := flattenedNames(t, p, "/backend/dropf"); len(names) != 0 {
 		t.Fatalf("records after drop = %v", names)
 	}
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/dropf"); !bytes.Equal(got, want) {
 		t.Fatal("read after drop diverged")
 	}
@@ -331,7 +331,7 @@ func TestCompactIndexRefreshesFlattened(t *testing.T) {
 	if h.Flattened == nil || !h.Flattened.Fresh || h.Flattened.Generation < 2 {
 		t.Fatalf("flattened after compact = %+v, want a fresh refreshed record", h.Flattened)
 	}
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/cflat"); !bytes.Equal(got, want) {
 		t.Fatal("read after compact+flatten diverged")
 	}
@@ -348,7 +348,7 @@ func TestFlattenedSurvivesRename(t *testing.T) {
 	if err := p.Rename("/backend/mv-a", "/backend/mv-b"); err != nil {
 		t.Fatal(err)
 	}
-	cold := New(p.backend, Options{NumHostdirs: 4})
+	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/mv-b"); !bytes.Equal(got, want) {
 		t.Fatal("read after rename diverged")
 	}
@@ -360,7 +360,7 @@ func TestFlattenedSurvivesRename(t *testing.T) {
 func TestStripedFlattenedPlacement(t *testing.T) {
 	// The flattened record is canonical metadata: it must live on backend
 	// 0 only, while the droppings it summarises spread across all three.
-	p, mems := newStripedFS(t, 3, false, Options{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/backend/fplace", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestStripedFlattenedPlacement(t *testing.T) {
 			t.Fatalf("flattened record leaked onto shadow backend %d", bi)
 		}
 	}
-	cold := New(nil, Options{NumHostdirs: 6, Backends: []posix.FS{mems[0], mems[1], mems[2]}})
+	cold := New(nil, EngineOptions{NumHostdirs: 6}, WithBackends(mems[0], mems[1], mems[2]))
 	if got := readAllBytes(t, cold, "/backend/fplace"); !bytes.Equal(got, want) {
 		t.Fatal("striped flattened read diverged")
 	}
@@ -419,7 +419,7 @@ func TestFlattenedStaleGenerationNameMismatch(t *testing.T) {
 	}
 	mem.Close(wfd)
 
-	cold := New(mem, Options{NumHostdirs: 4})
+	cold := New(mem, EngineOptions{NumHostdirs: 4})
 	if got := readAllBytes(t, cold, "/backend/genm"); !bytes.Equal(got, want) {
 		t.Fatal("gen-mismatched record corrupted reads")
 	}

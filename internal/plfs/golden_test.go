@@ -45,7 +45,7 @@ func goldenV3Rig(tb testing.TB, backends ...posix.FS) *FS {
 		tb.Fatal(err)
 	}
 	striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
-	return New(striped, Options{NumHostdirs: 4})
+	return New(striped, EngineOptions{NumHostdirs: 4})
 }
 
 // goldenWriteScript produces the fixture container: multiple writers on
@@ -135,7 +135,11 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 	}
 	// v2 containers carry a flattened global index; freeze its observable
 	// contract too (a v1 container emits no line here).
-	if h, err := p.IndexHealth(path); err == nil && h.Flattened != nil {
+	h, err := p.IndexHealth(path)
+	if err != nil {
+		tb.Fatalf("IndexHealth(%s): %v", path, err)
+	}
+	if h.Flattened != nil {
 		fmt.Fprintf(&sb, "flattened gen %d extents %d size %d fresh %v\n",
 			h.Flattened.Generation, h.Flattened.Extents, h.Flattened.Size, h.Flattened.Fresh)
 	}
@@ -186,7 +190,7 @@ func regenerateGolden(t *testing.T) {
 	// container.v1 predates the flattened global index: regenerate it
 	// with auto-flatten off, exactly the bytes the v1 code produced.
 	mem := posix.NewMemFS()
-	p := New(mem, Options{NumHostdirs: 4, DisableAutoFlatten: true})
+	p := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
 	goldenWriteScript(t, p, goldenContainer)
 	dumpTree(t, mem, "/"+goldenContainer, filepath.Join(goldenDir, goldenContainer))
 	expect := describeContainer(t, p, "/"+goldenContainer)
@@ -197,7 +201,7 @@ func regenerateGolden(t *testing.T) {
 	// identical droppings plus the flattened record the last close
 	// persists.
 	mem2 := posix.NewMemFS()
-	p2 := New(mem2, Options{NumHostdirs: 4})
+	p2 := New(mem2, EngineOptions{NumHostdirs: 4})
 	goldenWriteScript(t, p2, goldenContainerV2)
 	dumpTree(t, mem2, "/"+goldenContainerV2, filepath.Join(goldenDir, goldenContainerV2))
 	expect2 := describeContainer(t, p2, "/"+goldenContainerV2)
@@ -255,7 +259,7 @@ func TestGoldenContainerFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(osfs, Options{NumHostdirs: 4})
+	p := New(osfs, EngineOptions{NumHostdirs: 4})
 	if !p.IsContainer("/" + goldenContainer) {
 		t.Fatalf("fixture is not recognised as a container")
 	}
@@ -308,7 +312,7 @@ func TestGoldenContainerFormat(t *testing.T) {
 	// not merely the same logical file. v1 containers are what the
 	// pre-flatten code wrote, so the replay disables auto-flatten.
 	mem := posix.NewMemFS()
-	fresh := New(mem, Options{NumHostdirs: 4, DisableAutoFlatten: true})
+	fresh := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
 	goldenWriteScript(t, fresh, goldenContainer)
 	if regen := describeContainer(t, fresh, "/"+goldenContainer); regen != string(wantBytes) {
 		t.Fatalf("write path no longer reproduces the golden container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
@@ -352,7 +356,7 @@ func TestGoldenContainerV2(t *testing.T) {
 	// Default read path: the fixture's flattened record must be fresh
 	// after a checkout (its raw signature is path- and mtime-invariant)
 	// and actually serve the build.
-	p := New(osfs, Options{NumHostdirs: 4})
+	p := New(osfs, EngineOptions{NumHostdirs: 4})
 	got := describeContainer(t, p, "/"+goldenContainerV2)
 	if got != string(wantBytes) {
 		t.Fatalf("v2 container no longer reads identically.\n-- want --\n%s\n-- got --\n%s", wantBytes, got)
@@ -363,7 +367,7 @@ func TestGoldenContainerV2(t *testing.T) {
 
 	// The v1 read regime (flattened ignored) must resolve the same bytes:
 	// the record is an accelerator, never a semantic fork.
-	pOff := New(osfs, Options{NumHostdirs: 4, DisableFlattenedReads: true})
+	pOff := New(osfs, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableFlattenedReads: true})
 	gotOff := describeContainer(t, pOff, "/"+goldenContainerV2)
 	if gotOff != string(wantBytes) {
 		t.Fatalf("v2 container reads differently with flattened disabled.\n-- want --\n%s\n-- got --\n%s", wantBytes, gotOff)
@@ -388,7 +392,7 @@ func TestGoldenContainerV2(t *testing.T) {
 	// Replay determinism for the current format: the write script must
 	// reproduce the v2 description (flattened line included) today.
 	mem := posix.NewMemFS()
-	fresh := New(mem, Options{NumHostdirs: 4})
+	fresh := New(mem, EngineOptions{NumHostdirs: 4})
 	goldenWriteScript(t, fresh, goldenContainerV2)
 	if regen := describeContainer(t, fresh, "/"+goldenContainerV2); regen != string(wantBytes) {
 		t.Fatalf("write path no longer reproduces the v2 container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)

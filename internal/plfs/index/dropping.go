@@ -18,6 +18,56 @@ const (
 // records without parsing.
 const DroppingHeaderSize = headerSize
 
+// writeHeader appends the dropping header to a fresh (or emptied) fd.
+func writeHeader(fs posix.FS, fd int) error {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint64(hdr[0:], Magic)
+	binary.LittleEndian.PutUint64(hdr[8:], version)
+	if _, err := fs.Write(fd, hdr[:]); err != nil {
+		return fmt.Errorf("index: write header: %w", err)
+	}
+	return nil
+}
+
+// wholeRecords is the one size/header rule of an index dropping, shared
+// by every opener (ReadDropping directly; OpenDroppingStream and
+// OpenWriter via probeDropping): given the file's size and its leading
+// bytes it returns how many whole records follow the header. Two states are in-flight, not corrupt, and
+// read as "no more records": a trailing partial record (a group flush
+// or crash mid-append) and a file still shorter than its header (created,
+// header not yet written). Neither was ever covered by a successful
+// sync, so ignoring them loses nothing that was promised. A full-length
+// header with the wrong magic or version is corruption and stays fatal.
+func wholeRecords(path string, size int64, hdr []byte) (int64, error) {
+	if size < headerSize {
+		return 0, nil
+	}
+	if got := binary.LittleEndian.Uint64(hdr[0:]); got != Magic {
+		return 0, fmt.Errorf("index: dropping %s: bad magic %#x", path, got)
+	}
+	if got := binary.LittleEndian.Uint64(hdr[8:]); got != version {
+		return 0, fmt.Errorf("index: dropping %s: unsupported version %d", path, got)
+	}
+	return (size - headerSize) / EntrySize, nil
+}
+
+// probeDropping stats the open dropping and applies wholeRecords to its
+// header: the file's size and the number of whole records it holds.
+func probeDropping(fs posix.FS, fd int, path string) (size, records int64, err error) {
+	st, err := fs.Fstat(fd)
+	if err != nil {
+		return 0, 0, err
+	}
+	var hdr [headerSize]byte
+	if st.Size >= headerSize {
+		if err := posix.ReadFull(fs, fd, hdr[:], 0); err != nil {
+			return 0, 0, fmt.Errorf("index: read dropping %s header: %w", path, err)
+		}
+	}
+	records, err = wholeRecords(path, st.Size, hdr[:])
+	return st.Size, records, err
+}
+
 // Writer appends index records to an index dropping file through a posix
 // backend. It buffers records and flushes on Sync/Close so that a long run
 // of small writes costs one appended burst, as in PLFS's buffered index.
@@ -34,15 +84,11 @@ func NewWriter(fs posix.FS, path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: create dropping %s: %w", path, err)
 	}
-	w := &Writer{fs: fs, fd: fd}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], Magic)
-	binary.LittleEndian.PutUint64(hdr[8:], version)
-	if _, err := fs.Write(fd, hdr[:]); err != nil {
+	if err := writeHeader(fs, fd); err != nil {
 		fs.Close(fd)
-		return nil, fmt.Errorf("index: write header: %w", err)
+		return nil, err
 	}
-	return w, nil
+	return &Writer{fs: fs, fd: fd}, nil
 }
 
 // Buffered returns the number of bytes of appended records not yet
@@ -102,47 +148,49 @@ func (w *Writer) Close() error {
 }
 
 // OpenWriter opens an existing index dropping for appending, after
-// validating its header. New records land after the existing ones. A
-// trailing partial record (a flush that died mid-record, or a crashed
-// writer's torn tail) is truncated away first, so resumed appends stay
-// record-aligned instead of corrupting everything written after them.
+// validating its header. New records land after the existing ones. The
+// in-flight states wholeRecords tolerates are repaired first, so resumed
+// appends stay record-aligned instead of corrupting everything written
+// after them: a trailing partial record is truncated away, and a
+// sub-header file (its creator died before the header write) is emptied
+// and given its header.
 func OpenWriter(fs posix.FS, path string) (*Writer, error) {
 	fd, err := fs.Open(path, posix.O_RDWR|posix.O_APPEND, 0)
 	if err != nil {
 		return nil, fmt.Errorf("index: reopen dropping %s: %w", path, err)
 	}
-	var hdr [headerSize]byte
-	if err := posix.ReadFull(fs, fd, hdr[:], 0); err != nil {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: reopen dropping %s: short header: %w", path, err)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[0:]); got != Magic {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: reopen dropping %s: bad magic %#x", path, got)
-	}
-	st, err := fs.Fstat(fd)
-	if err != nil {
+	if err := resumeDropping(fs, fd, path); err != nil {
 		fs.Close(fd)
 		return nil, err
-	}
-	if torn := (st.Size - headerSize) % EntrySize; torn != 0 {
-		if err := fs.Ftruncate(fd, st.Size-torn); err != nil {
-			fs.Close(fd)
-			return nil, fmt.Errorf("index: reopen dropping %s: trim torn tail: %w", path, err)
-		}
 	}
 	return &Writer{fs: fs, fd: fd}, nil
 }
 
-// ReadDropping loads every entry from the index dropping at path. A
-// trailing partial record is ignored, not an error: the write engine
-// group-flushes record batches, and a short flush (or a crash mid-
-// append) legitimately leaves a record prefix on the backend that the
-// writer completes on its next flush — readers racing that window must
-// see the whole records, not fail the container. Durability is not
-// weakened: a record is only promised once plfs_sync succeeded, and a
-// torn record by definition never did. Corruption inside whole records
-// is still caught by the per-record checksum.
+func resumeDropping(fs posix.FS, fd int, path string) error {
+	size, n, err := probeDropping(fs, fd, path)
+	if err != nil {
+		return err
+	}
+	if size < headerSize {
+		if err := fs.Ftruncate(fd, 0); err != nil {
+			return fmt.Errorf("index: reopen dropping %s: reset sub-header file: %w", path, err)
+		}
+		return writeHeader(fs, fd)
+	}
+	if end := headerSize + n*EntrySize; end != size {
+		if err := fs.Ftruncate(fd, end); err != nil {
+			return fmt.Errorf("index: reopen dropping %s: trim torn tail: %w", path, err)
+		}
+	}
+	return nil
+}
+
+// ReadDropping loads every whole entry from the index dropping at path
+// (see wholeRecords for the in-flight states it reads past: the write
+// engine group-flushes record batches and creates droppings header-
+// last, and readers racing those windows must see the whole records,
+// not fail the container). Corruption inside whole records is still
+// caught by the per-record checksum.
 func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	fd, err := fs.Open(path, posix.O_RDONLY, 0)
 	if err != nil {
@@ -154,28 +202,20 @@ func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Size < headerSize {
-		return nil, fmt.Errorf("index: dropping %s too short (%d bytes)", path, st.Size)
-	}
 	data := make([]byte, st.Size)
 	if err := posix.ReadFull(fs, fd, data, 0); err != nil {
 		return nil, fmt.Errorf("index: read dropping %s: %w", path, err)
 	}
-	if got := binary.LittleEndian.Uint64(data[0:]); got != Magic {
-		return nil, fmt.Errorf("index: dropping %s: bad magic %#x", path, got)
+	n, err := wholeRecords(path, st.Size, data)
+	if err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint64(data[8:]); got != version {
-		return nil, fmt.Errorf("index: dropping %s: unsupported version %d", path, got)
-	}
-	body := data[headerSize:]
-	body = body[:len(body)-len(body)%EntrySize] // drop an in-flight partial tail
-	entries := make([]Entry, 0, len(body)/EntrySize)
-	for off := 0; off < len(body); off += EntrySize {
-		var e Entry
-		if err := e.Unmarshal(body[off : off+EntrySize]); err != nil {
-			return nil, fmt.Errorf("index: dropping %s record %d: %w", path, off/EntrySize, err)
+	entries := make([]Entry, n)
+	for i := range entries {
+		off := headerSize + i*EntrySize
+		if err := entries[i].Unmarshal(data[off : off+EntrySize]); err != nil {
+			return nil, fmt.Errorf("index: dropping %s record %d: %w", path, i, err)
 		}
-		entries = append(entries, e)
 	}
 	return entries, nil
 }

@@ -304,3 +304,62 @@ func TestDroppingSyncMidstream(t *testing.T) {
 		t.Fatalf("after close: %d entries, %v", len(got), err)
 	}
 }
+
+// TestDroppingHeaderRule enumerates the header window for all three
+// openers: every sub-header length reads as an empty dropping and
+// resumes for append (the header is rewritten), while a full-length
+// header with a bad magic or version stays fatal everywhere.
+func TestDroppingHeaderRule(t *testing.T) {
+	fs := posix.NewMemFS()
+	if err := WriteDropping(fs, "/valid", nil); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, headerSize)
+	fd, _ := fs.Open("/valid", posix.O_RDONLY, 0)
+	if err := posix.ReadFull(fs, fd, hdr, 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close(fd)
+
+	extra := Entry{LogicalOffset: 1, Length: 2, PhysicalOffset: 3, Timestamp: 4, Pid: 5}
+	for n := 0; n < headerSize; n++ {
+		writeFile(t, fs, "/sub", hdr[:n])
+		if got, err := ReadDropping(fs, "/sub"); err != nil || len(got) != 0 {
+			t.Fatalf("%d-byte dropping: ReadDropping = %v, %v", n, got, err)
+		}
+		s, err := OpenDroppingStream(fs, "/sub", 0)
+		if err != nil || s.Len() != 0 {
+			t.Fatalf("%d-byte dropping: OpenDroppingStream = %v", n, err)
+		}
+		if _, ok, err := s.Next(); ok || err != nil {
+			t.Fatalf("%d-byte dropping: stream yielded a record (%v)", n, err)
+		}
+		s.Close()
+		w, err := OpenWriter(fs, "/sub")
+		if err != nil {
+			t.Fatalf("%d-byte dropping: OpenWriter = %v", n, err)
+		}
+		w.Append(extra)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadDropping(fs, "/sub"); err != nil || len(got) != 1 || got[0] != extra {
+			t.Fatalf("%d-byte dropping resumed to %v, %v", n, got, err)
+		}
+	}
+
+	for name, at := range map[string]int{"magic": 0, "version": 8} {
+		bad := append([]byte(nil), hdr...)
+		bad[at] ^= 0xff
+		writeFile(t, fs, "/bad", bad)
+		if _, err := ReadDropping(fs, "/bad"); err == nil {
+			t.Fatalf("bad %s: ReadDropping accepted", name)
+		}
+		if _, err := OpenDroppingStream(fs, "/bad", 0); err == nil {
+			t.Fatalf("bad %s: OpenDroppingStream accepted", name)
+		}
+		if _, err := OpenWriter(fs, "/bad"); err == nil {
+			t.Fatalf("bad %s: OpenWriter accepted", name)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package index
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -42,8 +41,8 @@ type DroppingStream struct {
 
 // OpenDroppingStream opens the index dropping at path for streaming,
 // validating its header. chunkRecords bounds the records buffered per
-// read (0 = DefaultStreamChunk). A trailing partial record is excluded,
-// exactly as ReadDropping excludes it.
+// read (0 = DefaultStreamChunk). In-flight states are read past exactly
+// as ReadDropping reads past them (see wholeRecords).
 func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
 	if chunkRecords <= 0 {
 		chunkRecords = DefaultStreamChunk
@@ -52,35 +51,17 @@ func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingSt
 	if err != nil {
 		return nil, fmt.Errorf("index: open dropping %s: %w", path, err)
 	}
-	st, err := fs.Fstat(fd)
+	_, n, err := probeDropping(fs, fd, path)
 	if err != nil {
 		fs.Close(fd)
 		return nil, err
 	}
-	if st.Size < headerSize {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: dropping %s too short (%d bytes)", path, st.Size)
-	}
-	var hdr [headerSize]byte
-	if err := posix.ReadFull(fs, fd, hdr[:], 0); err != nil {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: read dropping %s header: %w", path, err)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[0:]); got != Magic {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: dropping %s: bad magic %#x", path, got)
-	}
-	if got := binary.LittleEndian.Uint64(hdr[8:]); got != version {
-		fs.Close(fd)
-		return nil, fmt.Errorf("index: dropping %s: unsupported version %d", path, got)
-	}
-	body := st.Size - headerSize
 	return &DroppingStream{
 		fs:    fs,
 		fd:    fd,
 		path:  path,
 		off:   headerSize,
-		end:   headerSize + body - body%EntrySize,
+		end:   headerSize + n*EntrySize,
 		chunk: chunkRecords,
 	}, nil
 }

@@ -13,11 +13,7 @@
 //	)
 //
 // Each group value passed to New replaces that whole group, so a group
-// literal reads exactly like the configuration it produces. The
-// pre-redesign flat Options struct remains as a one-release
-// compatibility shim: it implements Option itself, so historical call
-// sites — plfs.New(fs, plfs.Options{WriteWorkers: 8}) — compile and
-// behave identically (see Options).
+// literal reads exactly like the configuration it produces.
 package plfs
 
 import (
@@ -56,8 +52,7 @@ type EngineOptions struct {
 	// engine groups a scatter-gather's extents by data dropping and
 	// issues up to BatchDepth segments per preadv, and WriteV coalesces
 	// up to BatchDepth segments per pwritev. 0 picks DefaultBatchDepth;
-	// 1 disables coalescing (one backend op per extent, the pre-vector
-	// behavior — the baseline the batched benches compare against).
+	// 1 disables coalescing (one backend op per extent).
 	BatchDepth int
 
 	// IndexBatch is the group-flush threshold of the per-writer index
@@ -66,14 +61,8 @@ type EngineOptions struct {
 	// write (no fsync), so a long run of small writes costs
 	// O(writes/batch) index I/Os. 0 picks DefaultIndexBatch; negative
 	// disables auto-flushing entirely (records accumulate until
-	// Sync/Close/read, the pre-engine behavior).
+	// Sync/Close/read).
 	IndexBatch int
-
-	// DisableWriteSharding reverts to the pre-engine write path: every
-	// Write and Sync on a File takes one exclusive handle lock, so
-	// writers serialize however many pids share the handle. Kept as the
-	// benchmark baseline.
-	DisableWriteSharding bool
 }
 
 // applyOption implements Option: the literal replaces the whole group.
@@ -90,11 +79,6 @@ type IndexOptions struct {
 	// MaxCachedIndexes caps how many containers keep a cached merged
 	// index (0 = readcache.DefaultMaxContainers).
 	MaxCachedIndexes int
-
-	// DisableCache reverts to the pre-cache behavior — every File
-	// handle merges and holds its own private index, and Read serializes
-	// under one exclusive lock. Kept as the benchmark baseline.
-	DisableCache bool
 
 	// DisableAutoFlatten stops the instance from persisting a flattened
 	// global index record when a container's last writer closes. Reads
@@ -210,8 +194,8 @@ func (o Config) applyOption(c *Config) { *c = o }
 
 // Option is one configuration item accepted by New. The cohesive group
 // structs (EngineOptions, IndexOptions, TelemetryOptions, TuneOptions),
-// a whole Config, the functional helpers (WithBackends, WithStats) and
-// the deprecated flat Options all implement it.
+// a whole Config and the functional helpers (WithBackends, WithStats,
+// WithLayout) all implement it.
 type Option interface {
 	applyOption(*Config)
 }
@@ -238,83 +222,3 @@ func WithStats(stats iostats.Collector) Option {
 func WithLayout(descriptor string) Option {
 	return optionFunc(func(c *Config) { c.Layout.Layout = descriptor })
 }
-
-// Options is the pre-redesign flat configuration surface.
-//
-// Deprecated: use the grouped option structs (EngineOptions,
-// IndexOptions, TelemetryOptions, TuneOptions, WithBackends) with New.
-// Options remains for one release as a compatibility shim: it
-// implements Option by translating every flat field onto the grouped
-// Config, so plfs.New(fs, plfs.Options{...}) compiles and behaves
-// exactly as before the redesign.
-type Options struct {
-	NumHostdirs           int               // see EngineOptions.NumHostdirs
-	ReadWorkers           int               // see EngineOptions.ReadWorkers
-	IndexWorkers          int               // see EngineOptions.IndexWorkers
-	MaxReadFDs            int               // see IndexOptions.MaxReadFDs
-	MaxCachedIndexes      int               // see IndexOptions.MaxCachedIndexes
-	DisableIndexCache     bool              // see IndexOptions.DisableCache
-	WriteWorkers          int               // see EngineOptions.WriteWorkers
-	BatchDepth            int               // see EngineOptions.BatchDepth
-	IndexBatch            int               // see EngineOptions.IndexBatch
-	DisableWriteSharding  bool              // see EngineOptions.DisableWriteSharding
-	DisableAutoFlatten    bool              // see IndexOptions.DisableAutoFlatten
-	DisableFlattenedReads bool              // see IndexOptions.DisableFlattenedReads
-	MergeChunkRecords     int               // see IndexOptions.MergeChunkRecords
-	Stats                 iostats.Collector // see TelemetryOptions.Stats
-	AutoTune              bool              // see TuneOptions.Enable
-	TuneWindowBytes       int64             // see TuneOptions.WindowBytes
-	TuneClock             tune.Clock        // see TuneOptions.Clock
-	Backends              []posix.FS        // see Config.Backends
-
-	Layout        string                               // see LayoutOptions.Layout
-	HedgeDeadline time.Duration                        // see LayoutOptions.HedgeDeadline
-	HedgeTimer    func(time.Duration) <-chan time.Time // see LayoutOptions.HedgeTimer
-}
-
-// Grouped translates the flat fields onto the grouped Config — the
-// single point where the old surface maps to the new one.
-func (o Options) Grouped() Config {
-	return Config{
-		Engine: EngineOptions{
-			NumHostdirs:          o.NumHostdirs,
-			ReadWorkers:          o.ReadWorkers,
-			IndexWorkers:         o.IndexWorkers,
-			WriteWorkers:         o.WriteWorkers,
-			BatchDepth:           o.BatchDepth,
-			IndexBatch:           o.IndexBatch,
-			DisableWriteSharding: o.DisableWriteSharding,
-		},
-		Index: IndexOptions{
-			MaxReadFDs:            o.MaxReadFDs,
-			MaxCachedIndexes:      o.MaxCachedIndexes,
-			DisableCache:          o.DisableIndexCache,
-			DisableAutoFlatten:    o.DisableAutoFlatten,
-			DisableFlattenedReads: o.DisableFlattenedReads,
-			MergeChunkRecords:     o.MergeChunkRecords,
-		},
-		Telemetry: TelemetryOptions{Stats: o.Stats},
-		Tune: TuneOptions{
-			Enable:      o.AutoTune,
-			WindowBytes: o.TuneWindowBytes,
-			Clock:       o.TuneClock,
-		},
-		Layout: LayoutOptions{
-			Layout:        o.Layout,
-			HedgeDeadline: o.HedgeDeadline,
-			HedgeTimer:    o.HedgeTimer,
-		},
-		Backends: o.Backends,
-	}
-}
-
-// applyOption implements Option (the compatibility shim): the flat
-// struct replaces the whole Config, exactly as passing it to the old
-// two-argument New did.
-func (o Options) applyOption(c *Config) { *c = o.Grouped() }
-
-// DefaultOptions mirror PLFS 2.x defaults.
-//
-// Deprecated: the zero Config already means "defaults"; call New with
-// no options instead.
-func DefaultOptions() Options { return Options{NumHostdirs: 32} }

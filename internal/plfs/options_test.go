@@ -1,88 +1,15 @@
 package plfs
 
 import (
-	"bytes"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"ldplfs/internal/plfs/readcache"
 	"ldplfs/internal/posix"
 )
 
-// cacheStats snapshots the shared index cache's counters (zero value
-// when the cache is disabled) — the in-package replacement for the
-// retired FS.IndexCacheStats shim.
-func cacheStats(p *FS) readcache.Stats {
-	if p.cache == nil {
-		return readcache.Stats{}
-	}
-	return p.cache.Stats()
-}
-
-// TestOptionsGroupedCoversEveryField pins the flat-to-grouped
-// translation: every field of the deprecated Options must land in
-// Grouped()'s output, so a new knob added to one surface but not the
-// other fails here rather than silently defaulting.
-func TestOptionsGroupedCoversEveryField(t *testing.T) {
-	// A flat Options with every field set to a distinguishable non-zero
-	// value.
-	mem := posix.NewMemFS()
-	flat := Options{
-		NumHostdirs:           7,
-		ReadWorkers:           3,
-		IndexWorkers:          5,
-		MaxReadFDs:            11,
-		MaxCachedIndexes:      13,
-		DisableIndexCache:     true,
-		WriteWorkers:          4,
-		IndexBatch:            99,
-		DisableWriteSharding:  true,
-		DisableAutoFlatten:    true,
-		DisableFlattenedReads: true,
-		MergeChunkRecords:     17,
-		Stats:                 nil, // interface fields checked structurally below
-		AutoTune:              true,
-		TuneWindowBytes:       1 << 20,
-		TuneClock:             nil,
-		Backends:              []posix.FS{mem},
-		Layout:                "replica-2",
-		HedgeDeadline:         19,
-		HedgeTimer:            nil, // func field checked structurally below
-	}
-	got := flat.Grouped()
-	want := Config{
-		Engine: EngineOptions{
-			NumHostdirs: 7, ReadWorkers: 3, IndexWorkers: 5,
-			WriteWorkers: 4, IndexBatch: 99, DisableWriteSharding: true,
-		},
-		Index: IndexOptions{
-			MaxReadFDs: 11, MaxCachedIndexes: 13, DisableCache: true,
-			DisableAutoFlatten: true, DisableFlattenedReads: true,
-			MergeChunkRecords: 17,
-		},
-		Tune:     TuneOptions{Enable: true, WindowBytes: 1 << 20},
-		Layout:   LayoutOptions{Layout: "replica-2", HedgeDeadline: 19},
-		Backends: []posix.FS{mem},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Grouped() = %+v, want %+v", got, want)
-	}
-
-	// Field-count tripwire: the flat struct must map onto exactly the
-	// grouped fields (groups' fields + Backends). If either side grows
-	// without the other, the translation above needs updating too.
-	flatN := reflect.TypeOf(Options{}).NumField()
-	groupedN := reflect.TypeOf(EngineOptions{}).NumField() +
-		reflect.TypeOf(IndexOptions{}).NumField() +
-		reflect.TypeOf(TelemetryOptions{}).NumField() +
-		reflect.TypeOf(TuneOptions{}).NumField() +
-		reflect.TypeOf(LayoutOptions{}).NumField() +
-		1 // Config.Backends
-	if flatN != groupedN {
-		t.Fatalf("flat Options has %d fields, grouped surface has %d — update Options.Grouped()", flatN, groupedN)
-	}
-}
+// cacheStats snapshots the shared index cache's counters — the
+// in-package replacement for the retired FS.IndexCacheStats shim.
+func cacheStats(p *FS) readcache.Stats { return p.cache.Stats() }
 
 // TestOptionsGroupReplacement checks the documented override semantics:
 // a group literal passed to New replaces that whole group, later options
@@ -99,136 +26,5 @@ func TestOptionsGroupReplacement(t *testing.T) {
 	}
 	if cfg.Index.MaxCachedIndexes != 5 {
 		t.Fatalf("IndexOptions lost: %+v", cfg.Index)
-	}
-}
-
-// opsScript is one randomized container workload: interleaved writes
-// from several pids, syncs, reads, a truncation, and a final
-// close-and-reread. Driven identically against two instances.
-type opsScript struct {
-	steps []scriptStep
-}
-
-type scriptStep struct {
-	kind string // "write", "sync", "read", "trunc"
-	pid  uint32
-	off  int64
-	n    int
-}
-
-func makeScript(rng *rand.Rand, steps int) opsScript {
-	s := opsScript{}
-	for i := 0; i < steps; i++ {
-		switch rng.Intn(10) {
-		case 0:
-			s.steps = append(s.steps, scriptStep{kind: "sync", pid: uint32(rng.Intn(3))})
-		case 1:
-			s.steps = append(s.steps, scriptStep{kind: "read", off: int64(rng.Intn(1 << 16)), n: 1 + rng.Intn(4096)})
-		case 2:
-			s.steps = append(s.steps, scriptStep{kind: "trunc", off: int64(rng.Intn(1 << 15))})
-		default:
-			s.steps = append(s.steps, scriptStep{
-				kind: "write", pid: uint32(rng.Intn(3)),
-				off: int64(rng.Intn(1 << 15)), n: 1 + rng.Intn(2048),
-			})
-		}
-	}
-	return s
-}
-
-// runScript executes the script against a fresh container on p and
-// returns the container's final logical bytes plus a log of every read
-// result. The data written is a pure function of (step index, offset),
-// so two instances driven by the same script must agree byte-for-byte.
-func runScript(t *testing.T, p *FS, path string, s opsScript) ([]byte, []byte) {
-	t.Helper()
-	files := map[uint32]*File{}
-	openFor := func(pid uint32) *File {
-		if f, ok := files[pid]; ok {
-			return f
-		}
-		f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
-		if err != nil {
-			t.Fatalf("open pid %d: %v", pid, err)
-		}
-		files[pid] = f
-		return f
-	}
-	var readLog []byte
-	for i, st := range s.steps {
-		switch st.kind {
-		case "write":
-			buf := make([]byte, st.n)
-			for j := range buf {
-				buf[j] = byte(i*131 + j + int(st.off))
-			}
-			if _, err := openFor(st.pid).Write(buf, st.off, st.pid); err != nil {
-				t.Fatalf("step %d write: %v", i, err)
-			}
-		case "sync":
-			if err := openFor(st.pid).Sync(st.pid); err != nil {
-				t.Fatalf("step %d sync: %v", i, err)
-			}
-		case "read":
-			buf := make([]byte, st.n)
-			n, err := openFor(0).Read(buf, st.off)
-			if err != nil {
-				t.Fatalf("step %d read: %v", i, err)
-			}
-			readLog = append(readLog, buf[:n]...)
-		case "trunc":
-			if err := openFor(0).Trunc(st.off); err != nil {
-				t.Fatalf("step %d trunc: %v", i, err)
-			}
-		}
-	}
-	for pid, f := range files {
-		if err := f.Close(pid); err != nil {
-			t.Fatalf("close pid %d: %v", pid, err)
-		}
-	}
-	// Cold re-read of the final container contents.
-	f, err := p.Open(path, posix.O_RDONLY, 999, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close(999)
-	size, err := f.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := make([]byte, size)
-	if n, err := f.Read(final, 0); err != nil || int64(n) != size {
-		t.Fatalf("final read: n=%d err=%v size=%d", n, err, size)
-	}
-	return final, readLog
-}
-
-// TestOptionsCompatDifferential drives the same randomized script
-// through an instance configured with the deprecated flat Options and
-// one configured with the equivalent grouped options: every read along
-// the way and the final container bytes must be identical — the
-// old-API-behaves-identically guarantee of the redesign.
-func TestOptionsCompatDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		script := makeScript(rng, 120)
-
-		oldP := New(posix.NewMemFS(), Options{
-			NumHostdirs: 4,
-			IndexBatch:  8,
-		})
-		newP := New(posix.NewMemFS(),
-			EngineOptions{NumHostdirs: 4, IndexBatch: 8},
-		)
-		oldFinal, oldReads := runScript(t, oldP, "/f", script)
-		newFinal, newReads := runScript(t, newP, "/f", script)
-		if !bytes.Equal(oldFinal, newFinal) {
-			t.Fatalf("seed %d: final container bytes diverged (old %d bytes, new %d bytes)",
-				seed, len(oldFinal), len(newFinal))
-		}
-		if !bytes.Equal(oldReads, newReads) {
-			t.Fatalf("seed %d: interleaved read results diverged", seed)
-		}
 	}
 }

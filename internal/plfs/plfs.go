@@ -22,6 +22,33 @@
 // from Listing 1 of the LDPLFS paper: offsets are explicit, a writer id
 // ("pid") names the dropping, and there is no implicit file pointer — that
 // bookkeeping is exactly what LDPLFS (internal/core) adds on top.
+//
+// # One read path, one write path
+//
+// Every read — Read, ReadV, Size, Stat's slow path — resolves the
+// container's merged index through the instance's shared cache
+// (internal/plfs/readcache) and, for data, runs the one scatter-gather
+// in readengine.go; Read is its one-segment case. Every write — Write,
+// WriteV — takes the handle lock shared and its pid's writer lock
+// (lockWriter), lands payload with positional writes and buffers index
+// records per writer. The worker counts, BatchDepth and IndexBatch
+// (EngineOptions) tune these paths; nothing selects a different one.
+//
+// # Tolerance rules
+//
+// Two degraded states are recoverable by rule, each stated and enforced
+// in one place:
+//
+//   - An index dropping whose tail is a partial record, or that is still
+//     shorter than its header, is in flight, not corrupt: readers see its
+//     whole records (possibly none) and a resuming writer repairs it.
+//     Neither state was ever covered by a successful sync. A full header
+//     with a bad magic or version, or a whole record with a bad checksum,
+//     is corruption and fails the open. (index.wholeRecords)
+//   - Under a replicated layout, a live backend's verdict (ENOENT,
+//     EACCES, ...) outranks a dead backend's EIO on every read-side path
+//     operation, so a killed replica never turns "absent" into "I/O
+//     error". (posix.liveVerdict)
 package plfs
 
 import (
@@ -69,9 +96,9 @@ type FS struct {
 	cfg     Config
 	clock   atomic.Uint64 // container-wide write ordering
 
-	// cache is the shared per-container merged-index cache (nil when
-	// IndexOptions.DisableCache). fds is the shared read-descriptor
-	// cache; both are the read-engine state shared by every File.
+	// cache is the shared per-container merged-index cache and fds the
+	// shared read-descriptor cache: the read-engine state shared by
+	// every File.
 	cache *readcache.IndexCache
 	fds   *readcache.FDCache
 
@@ -111,9 +138,9 @@ type FS struct {
 
 // New returns a PLFS instance over backend, configured by the supplied
 // options (see Option; later options override earlier ones, group by
-// group). With Backends set (WithBackends, Config.Backends or the
-// deprecated flat Options), backend is ignored (and may be nil) and the
-// instance stripes its containers across the listed stores.
+// group). With Backends set (WithBackends or Config.Backends), backend
+// is ignored (and may be nil) and the instance stripes its containers
+// across the listed stores.
 func New(backend posix.FS, opts ...Option) *FS {
 	var cfg Config
 	for _, o := range opts {
@@ -144,9 +171,7 @@ func New(backend posix.FS, opts ...Option) *FS {
 		seeded:  make(map[string]bool),
 	}
 	p.initTelemetry()
-	if !cfg.Index.DisableCache {
-		p.cache = readcache.NewIndexCacheWith(cfg.Index.MaxCachedIndexes, p.cacheStatsLayer())
-	}
+	p.cache = readcache.NewIndexCacheWith(cfg.Index.MaxCachedIndexes, p.cacheStatsLayer())
 	p.flattenOff.Store(cfg.Index.DisableFlattenedReads)
 	return p
 }
@@ -159,18 +184,10 @@ func (p *FS) CachedReadFDs() int { return p.fds.Len() }
 
 // invalidateIndex marks path's cached merged index stale. Call after any
 // operation that changes the on-backend index droppings.
-func (p *FS) invalidateIndex(path string) {
-	if p.cache != nil {
-		p.cache.Invalidate(path)
-	}
-}
+func (p *FS) invalidateIndex(path string) { p.cache.Invalidate(path) }
 
 // dropIndex removes path's cache entry outright (unlink/rename).
-func (p *FS) dropIndex(path string) {
-	if p.cache != nil {
-		p.cache.Drop(path)
-	}
-}
+func (p *FS) dropIndex(path string) { p.cache.Drop(path) }
 
 func (p *FS) retainContainer(path string, f *File) {
 	p.hmu.Lock()
@@ -543,17 +560,9 @@ type File struct {
 	// first read of a fresh handle checks the dropping signature).
 	validated atomic.Bool
 
-	// wgen counts this handle's writes: the private index (below) is
-	// stale whenever its build generation trails wgen. A per-handle
-	// generation bump replaces the pre-engine global stale-out (index =
-	// nil under an exclusive lock) that every write used to pay.
-	wgen atomic.Uint64
-
-	mu       sync.RWMutex
-	writers  map[uint32]*writer
-	index    *idx.Index // private index, used only with DisableIndexCache
-	indexGen uint64     // wgen value the private index was built at
-	refs     int
+	mu      sync.RWMutex
+	writers map[uint32]*writer
+	refs    int
 
 	// dpaths caches pid → data-dropping path so warm reads skip the
 	// two per-batch Sprintf calls. Guarded by dmu, not f.mu: path
@@ -693,7 +702,7 @@ func openIndexWriter(p *FS, path string) (*idx.Writer, error) {
 
 // Write appends count bytes at logical offset off on behalf of pid —
 // plfs_write. The payload lands at the end of pid's data dropping and one
-// index record is buffered (group-flushed per Options.IndexBatch).
+// index record is buffered (group-flushed per EngineOptions.IndexBatch).
 // Writes for distinct pids proceed fully in parallel.
 //
 // Partial-write semantics: n is the number of payload bytes that reached
@@ -733,31 +742,6 @@ func (f *File) write(buf []byte, off int64, pid uint32) (int, error) {
 		return n, fmt.Errorf("plfs: write data dropping: %w", werr)
 	}
 	return n, nil
-}
-
-// loadIndexLocked builds (or returns) this handle's private index — the
-// pre-cache path, used only with Options.DisableIndexCache. Caller holds
-// f.mu exclusive, so no writer is mid-flight and their buffers can be
-// flushed without taking per-writer locks.
-func (f *File) loadIndexLocked() (*idx.Index, error) {
-	gen := f.wgen.Load()
-	if f.index != nil && f.indexGen == gen {
-		return f.index, nil
-	}
-	// Flush our buffered index records so they are part of the merge.
-	for _, w := range f.writers {
-		if err := w.idxW.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	entries, err := f.fs.readAllEntries(f.path)
-	if err != nil {
-		return nil, err
-	}
-	// gen was sampled before the flush: a write racing with the merge
-	// bumps wgen past it and the next read rebuilds.
-	f.index, f.indexGen = idx.Build(entries), gen
-	return f.index, nil
 }
 
 // readIndex returns the merged index for this handle's container via the
@@ -809,7 +793,7 @@ func (f *File) readIndex() (*idx.Index, error) {
 // zeros. Reads do not exclude each other: concurrent Reads on one handle
 // (or many handles over one container) proceed in parallel, and the
 // per-extent preads of a single Read are themselves issued concurrently
-// across droppings (Options.ReadWorkers).
+// across droppings (EngineOptions.ReadWorkers).
 //
 // Short-read semantics: with no error, n is the number of requested
 // bytes that lie below EOF (n < len(buf) only at end of file). On error,
@@ -833,35 +817,17 @@ func (f *File) read(buf []byte, off int64) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	if f.fs.cfg.Index.DisableCache {
-		// Legacy serialized path: one exclusive lock across merge and
-		// gather, exactly the seed behavior. Benchmark baseline.
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		index, err := f.loadIndexLocked()
-		if err != nil {
-			return 0, err
-		}
-		return f.fs.scatterGather(f, buf, off, index)
-	}
 	index, err := f.readIndex()
 	if err != nil {
 		return 0, err
 	}
-	return f.fs.scatterGather(f, buf, off, index)
+	seg := [1]ReadSeg{{Off: off, Buf: buf}}
+	n, err := f.fs.scatterGather(f, seg[:], index)
+	return int(n), err
 }
 
 // Size returns the logical file size.
 func (f *File) Size() (int64, error) {
-	if f.fs.cfg.Index.DisableCache {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		index, err := f.loadIndexLocked()
-		if err != nil {
-			return 0, err
-		}
-		return index.Size(), nil
-	}
 	index, err := f.readIndex()
 	if err != nil {
 		return 0, err
@@ -950,8 +916,6 @@ func (p *FS) truncateShared(path string, size int64) error {
 		if err := f.rebindWritersLocked(size); err != nil && rerr == nil {
 			rerr = err
 		}
-		f.index = nil
-		f.wgen.Add(1)
 	}
 	return rerr
 }
@@ -1062,7 +1026,6 @@ func (f *File) teardownWriterLocked(pid uint32) error {
 	}
 	f.fs.clearOpen(f.path, pid)
 	delete(f.writers, pid)
-	f.index = nil
 	return nil
 }
 
@@ -1079,7 +1042,6 @@ func (f *File) releaseLocked() {
 		// retires all of them.
 		f.teardownWriterLocked(pid)
 	}
-	f.index = nil
 }
 
 // Stat describes a container without opening it — plfs_getattr. It prefers
@@ -1123,14 +1085,10 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 	return out, nil
 }
 
-// mergedIndex returns the container's merged index, through the shared
-// cache when enabled (revalidated against the backend, since no handle
-// tracks freshness for path-level operations).
+// mergedIndex returns the container's merged index through the shared
+// cache (revalidated against the backend, since no handle tracks
+// freshness for path-level operations).
 func (p *FS) mergedIndex(path string) (*idx.Index, error) {
-	if p.cache == nil {
-		index, _, _, err := p.buildIndex(path)
-		return index, err
-	}
 	index, _, err := p.cache.Get(path, true,
 		func() (readcache.Signature, error) { return p.indexSignature(path) },
 		func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(path) })

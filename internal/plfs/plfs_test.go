@@ -16,7 +16,7 @@ func newTestFS(t *testing.T) (*FS, *posix.MemFS) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return New(mem, Options{NumHostdirs: 4}), mem
+	return New(mem, EngineOptions{NumHostdirs: 4}), mem
 }
 
 func TestWriteReadSingleWriter(t *testing.T) {

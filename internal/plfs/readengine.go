@@ -42,7 +42,7 @@ func defaultWorkers() int {
 
 // readWorkers resolves the scatter-gather fan-out: the runtime
 // override (the autotune controller / SetReadWorkers) wins over the
-// static Options value.
+// static EngineOptions value.
 func (p *FS) readWorkers() int {
 	if n := p.knobReadWorkers.Load(); n > 0 {
 		return int(n)
@@ -306,8 +306,8 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 }
 
 // batchDepth resolves the vectored-submission bound: the runtime
-// override (autotune / SetBatchDepth) wins over the static Options
-// value. 1 disables coalescing.
+// override (autotune / SetBatchDepth) wins over the static
+// EngineOptions value. 1 disables coalescing.
 func (p *FS) batchDepth() int {
 	if n := p.knobBatchDepth.Load(); n > 0 {
 		return int(n)
@@ -413,29 +413,40 @@ func growErrs(s []error, n int) []error {
 	return s
 }
 
-// scatterGather fills buf (whose logical origin is off) from the index:
-// holes zero-fill inline, data extents are grouped by dropping into
-// physically-contiguous batches of at most batchDepth segments, and
-// each batch is one vectored pread — concurrently across batches when
-// the configured fan-out allows. Returns the number of bytes of the
-// contiguous error-free prefix and the error of the lowest failing
-// extent, per File.Read's short-read contract.
-func (p *FS) scatterGather(f *File, buf []byte, off int64, index *idx.Index) (int, error) {
+// scatterGather fills every segment from the index — the one gather
+// behind both Read (a single segment) and ReadV. All segments' extents
+// are queried into one shared plan: holes and past-EOF tails zero-fill
+// inline, data extents are grouped by dropping into physically-
+// contiguous batches of at most batchDepth segments (coalescing across
+// segment boundaries), and each batch is one vectored pread —
+// concurrently across batches when the configured fan-out allows.
+// Segments are ascending, so jobs stay in logical order. Returns the
+// bytes below EOF on success; on failure, the bytes of the segments'
+// ranges below the lowest failing extent and that extent's error, per
+// File.Read's short-read contract.
+func (p *FS) scatterGather(f *File, segs []ReadSeg, index *idx.Index) (int64, error) {
 	plan := readPlanPool.Get().(*readPlan)
 	defer plan.release()
-	plan.extents = index.QueryInto(plan.extents[:0], off, int64(len(buf)))
 
-	covered := 0
-	for _, x := range plan.extents {
-		dst := buf[x.LogicalOffset-off : x.LogicalOffset-off+x.Length]
-		covered += len(dst)
-		if x.Hole {
-			for i := range dst {
-				dst[i] = 0
-			}
+	var covered int64
+	for _, s := range segs {
+		if len(s.Buf) == 0 {
 			continue
 		}
-		plan.jobs = append(plan.jobs, readJob{x, dst})
+		mark := len(plan.extents)
+		plan.extents = index.QueryInto(plan.extents, s.Off, int64(len(s.Buf)))
+		segCovered := 0
+		for _, x := range plan.extents[mark:] {
+			dst := s.Buf[x.LogicalOffset-s.Off : x.LogicalOffset-s.Off+x.Length]
+			segCovered += len(dst)
+			if x.Hole {
+				clear(dst)
+				continue
+			}
+			plan.jobs = append(plan.jobs, readJob{x, dst})
+		}
+		clear(s.Buf[segCovered:]) // past-EOF tail
+		covered += int64(segCovered)
 	}
 	if len(plan.jobs) == 0 {
 		return covered, nil
@@ -459,13 +470,25 @@ func (p *FS) scatterGather(f *File, buf []byte, off int64, index *idx.Index) (in
 			first = bi
 		}
 	}
-	if first >= 0 {
-		// Every data extent below the failing offset succeeded (it would
-		// otherwise be a lower failing segment of its own batch), and
-		// holes were filled inline — the prefix is intact.
-		return int(plan.errOffs[first] - off), plan.errs[first]
+	if first < 0 {
+		return covered, nil
 	}
-	return covered, nil
+	// Every data extent below the failing offset succeeded (it would
+	// otherwise be a lower failing segment of its own batch), and holes
+	// were filled inline — the prefix is intact.
+	errOff := plan.errOffs[first]
+	var prefix int64
+	for _, s := range segs {
+		if end := s.Off + int64(len(s.Buf)); end <= errOff {
+			prefix += int64(len(s.Buf))
+			continue
+		}
+		if s.Off < errOff {
+			prefix += errOff - s.Off
+		}
+		break
+	}
+	return prefix, plan.errs[first]
 }
 
 // planBatches groups the plan's jobs into coalesced submissions: a

@@ -42,7 +42,7 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			mem := posix.NewMemFS()
 			mem.Mkdir("/backend", 0o755)
-			p := New(mem, Options{NumHostdirs: 4, ReadWorkers: workers, IndexWorkers: workers})
+			p := New(mem, EngineOptions{NumHostdirs: 4, ReadWorkers: workers, IndexWorkers: workers})
 			want := writeN1(t, p, "/backend/n1", 16, 8, 512)
 
 			f, err := p.Open("/backend/n1", posix.O_RDONLY, 99, 0)
@@ -73,7 +73,7 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 func TestSharedIndexBuildsOncePerContainer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
 	want := writeN1(t, p, "/backend/shared", 8, 4, 256)
 
 	// N sequential opens + reads: one full build; reopens revalidate by
@@ -102,7 +102,7 @@ func TestSharedIndexBuildsOncePerContainer(t *testing.T) {
 func TestCacheInvalidatedByWrite(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
 	f, err := p.Open("/backend/w", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestCacheInvalidatedByWrite(t *testing.T) {
 func TestCacheInvalidatedByTrunc(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
 	f, _ := p.Open("/backend/t", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	defer f.Close(1)
 	f.Write(bytes.Repeat([]byte{7}, 1000), 0, 1)
@@ -157,7 +157,7 @@ func TestCacheInvalidatedByTrunc(t *testing.T) {
 func TestCacheInvalidatedByCompactIndex(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
 	want := writeN1(t, p, "/backend/c", 8, 4, 128)
 
 	// Prime the cache through a reader, keep the handle open across the
@@ -189,7 +189,7 @@ func TestCacheInvalidatedByCompactIndex(t *testing.T) {
 func TestConcurrentReadersDuringActiveWriter(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
 	const block = 256
 
 	w, err := p.Open("/backend/live", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
@@ -261,7 +261,7 @@ func TestConcurrentReadersDuringActiveWriter(t *testing.T) {
 func TestReadEngineRaceHammer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4, MaxReadFDs: 8})
+	p := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{MaxReadFDs: 8})
 	const (
 		writers = 4
 		readers = 8
@@ -350,7 +350,7 @@ func TestShortReadOnMidExtentError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ffs.Clear()
-			p := New(ffs, Options{NumHostdirs: 4, ReadWorkers: workers})
+			p := New(ffs, EngineOptions{NumHostdirs: 4, ReadWorkers: workers})
 			path := fmt.Sprintf("/backend/short%d", workers)
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
@@ -398,7 +398,7 @@ func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	mem.Mkdir("/backend", 0o755)
 	// 64 writers, fd cache capped at 8: the gather must succeed while
 	// never holding more than cap descriptors (plus in-flight pins).
-	p := New(mem, Options{NumHostdirs: 8, MaxReadFDs: 8, ReadWorkers: 4})
+	p := New(mem, EngineOptions{NumHostdirs: 8, ReadWorkers: 4}, IndexOptions{MaxReadFDs: 8})
 	want := writeN1(t, p, "/backend/wide", 64, 2, 64)
 	f, err := p.Open("/backend/wide", posix.O_RDONLY, 999, 0)
 	if err != nil {
@@ -428,8 +428,8 @@ func TestCrossInstanceCloseToOpenConsistency(t *testing.T) {
 	// Two library instances over one backend — two "processes". A reader
 	// instance that cached the index must see a second process's writes
 	// on its next open (close-to-open), via signature revalidation.
-	pA := New(mem, Options{NumHostdirs: 4})
-	pB := New(mem, Options{NumHostdirs: 4})
+	pA := New(mem, EngineOptions{NumHostdirs: 4})
+	pB := New(mem, EngineOptions{NumHostdirs: 4})
 
 	fA, _ := pA.Open("/backend/x", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	fA.Write([]byte("first"), 0, 1)
@@ -453,24 +453,5 @@ func TestCrossInstanceCloseToOpenConsistency(t *testing.T) {
 	defer fB.Close(2)
 	if n, err := fB.Read(buf, 0); err != nil || string(buf[:n]) != "first-second" {
 		t.Fatalf("B reopened read = %q, %v (stale cache?)", buf[:n], err)
-	}
-}
-
-func TestDisableIndexCacheBaseline(t *testing.T) {
-	mem := posix.NewMemFS()
-	mem.Mkdir("/backend", 0o755)
-	p := New(mem, Options{NumHostdirs: 4, DisableIndexCache: true, ReadWorkers: 1, IndexWorkers: 1})
-	want := writeN1(t, p, "/backend/base", 8, 4, 256)
-	f, err := p.Open("/backend/base", posix.O_RDONLY, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close(9)
-	got := make([]byte, len(want))
-	if n, err := f.Read(got, 0); err != nil || n != len(want) || !bytes.Equal(got, want) {
-		t.Fatalf("baseline read = %d, %v", n, err)
-	}
-	if s := cacheStats(p); s.Builds != 0 {
-		t.Fatalf("disabled cache recorded %d builds", s.Builds)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ldplfs/internal/iostats"
-	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 )
 
@@ -50,97 +49,9 @@ func (f *File) readV(segs []ReadSeg) (int64, error) {
 	if len(segs) == 0 {
 		return 0, nil
 	}
-	if f.fs.cfg.Index.DisableCache {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		index, err := f.loadIndexLocked()
-		if err != nil {
-			return 0, err
-		}
-		return f.fs.scatterGatherV(f, segs, index)
-	}
 	index, err := f.readIndex()
 	if err != nil {
 		return 0, err
 	}
-	return f.fs.scatterGatherV(f, segs, index)
-}
-
-// scatterGatherV is the vectored scatter-gather: every segment's extents
-// are queried into one shared plan, so planBatches coalesces physically-
-// contiguous extents across segment boundaries and the whole vector goes
-// to the backends as a handful of vectored preads. Segments are
-// ascending, so jobs stay in logical order and failBatch's lowest-
-// failing-offset contract carries over unchanged.
-func (p *FS) scatterGatherV(f *File, segs []ReadSeg, index *idx.Index) (int64, error) {
-	plan := readPlanPool.Get().(*readPlan)
-	defer plan.release()
-
-	var covered int64
-	for _, s := range segs {
-		if len(s.Buf) == 0 {
-			continue
-		}
-		mark := len(plan.extents)
-		plan.extents = index.QueryInto(plan.extents, s.Off, int64(len(s.Buf)))
-		segCovered := 0
-		for _, x := range plan.extents[mark:] {
-			dst := s.Buf[x.LogicalOffset-s.Off : x.LogicalOffset-s.Off+x.Length]
-			segCovered += len(dst)
-			if x.Hole {
-				for i := range dst {
-					dst[i] = 0
-				}
-				continue
-			}
-			plan.jobs = append(plan.jobs, readJob{x, dst})
-		}
-		// Past-EOF tail: uncovered destination bytes read as zeros, so a
-		// vectored read is byte-identical to per-segment reads plus the
-		// caller's own padding.
-		tail := s.Buf[segCovered:]
-		for i := range tail {
-			tail[i] = 0
-		}
-		covered += int64(segCovered)
-	}
-	if len(plan.jobs) == 0 {
-		return covered, nil
-	}
-
-	p.planBatches(plan)
-
-	nb := len(plan.batches)
-	workers := p.readWorkers()
-	if workers <= 1 || nb == 1 {
-		for bi := range plan.batches {
-			p.readBatch(f, plan, bi)
-		}
-	} else {
-		runParallel(nb, workers, func(bi int) { p.readBatch(f, plan, bi) })
-	}
-
-	first := -1
-	for bi := range plan.batches {
-		if plan.errs[bi] != nil && (first < 0 || plan.errOffs[bi] < plan.errOffs[first]) {
-			first = bi
-		}
-	}
-	if first >= 0 {
-		errOff := plan.errOffs[first]
-		var prefix int64
-		for _, s := range segs {
-			end := s.Off + int64(len(s.Buf))
-			if end <= errOff {
-				prefix += int64(len(s.Buf))
-				continue
-			}
-			if s.Off < errOff {
-				prefix += errOff - s.Off
-			}
-			break
-		}
-		return prefix, plan.errs[first]
-	}
-	return covered, nil
+	return f.fs.scatterGather(f, segs, index)
 }

@@ -53,7 +53,7 @@ func damageReplica(t *testing.T, rig *replicaRig, container string) (string, int
 // diverged (not under-replicated), a plain repair refuses to touch it,
 // and a forced repair rebuilds it from the longest copy.
 func TestReplicationHealthDetectsDivergence(t *testing.T) {
-	rig := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 4})
+	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 4})
 	want := writeN1(t, rig.p, "/backend/f", 4, 6, 128)
 
 	h, err := rig.p.ReplicationHealth("/backend/f")
@@ -141,7 +141,7 @@ func TestReplicationHealthDetectsDivergence(t *testing.T) {
 // layout.desc is reported (DescriptorErr), reads are unaffected, and a
 // repair rewrites the canonical record.
 func TestReplicationDescriptorRepair(t *testing.T) {
-	rig := newReplicaRig(t, 3, "replica-2", Options{NumHostdirs: 4})
+	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 4})
 	want := writeN1(t, rig.p, "/backend/f", 2, 4, 64)
 
 	if desc, err := rig.p.ContainerLayout("/backend/f"); err != nil || desc != "replica-2" {
@@ -196,7 +196,7 @@ func TestReplicationDescriptorRepair(t *testing.T) {
 // no-op for width-1 layouts: mod-N containers are trivially clean and
 // repair does nothing.
 func TestReplicationHealthModNTrivial(t *testing.T) {
-	p, _ := newStripedFS(t, 3, false, Options{NumHostdirs: 4})
+	p, _ := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 4})
 	writeN1(t, p, "/backend/f", 2, 2, 64)
 	h, err := p.ReplicationHealth("/backend/f")
 	if err != nil {

@@ -12,19 +12,19 @@ import (
 // newStripedFS builds a PLFS instance striped over n in-memory backends
 // (each optionally wrapped in a FaultFS), returning the raw MemFS stores
 // for physical inspection.
-func newStripedFS(t *testing.T, n int, faulty bool, opts Options) (*FS, []*posix.MemFS) {
+func newStripedFS(t *testing.T, n int, faulty bool, opts ...Option) (*FS, []*posix.MemFS) {
 	t.Helper()
 	mems := make([]*posix.MemFS, n)
-	opts.Backends = make([]posix.FS, n)
+	backends := make([]posix.FS, n)
 	for i := range mems {
 		mems[i] = posix.NewMemFS()
 		if faulty {
-			opts.Backends[i] = posix.NewFaultFS(mems[i])
+			backends[i] = posix.NewFaultFS(mems[i])
 		} else {
-			opts.Backends[i] = mems[i]
+			backends[i] = mems[i]
 		}
 	}
-	p := New(nil, opts)
+	p := New(nil, append(opts, WithBackends(backends...))...)
 	if err := p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func newStripedFS(t *testing.T, n int, faulty bool, opts Options) (*FS, []*posix
 // Droppings of a striped container must physically land on the backend
 // the hostdir rule names — canonical metadata stays on backend 0.
 func TestStripedContainerPlacement(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, Options{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/backend/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ type stripedScriptInstance struct {
 func TestStripedDifferentialScript(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opts := Options{NumHostdirs: 5}
+			opts := EngineOptions{NumHostdirs: 5}
 			var insts []*stripedScriptInstance
 			for _, cfg := range []struct {
 				name   string
@@ -130,9 +130,7 @@ func TestStripedDifferentialScript(t *testing.T) {
 				{"replica3", 3, false, "replica-3"},
 				{"replica3-fault", 3, true, "replica-3"},
 			} {
-				o := opts
-				o.Layout = cfg.layout
-				p, _ := newStripedFS(t, cfg.n, cfg.faulty, o)
+				p, _ := newStripedFS(t, cfg.n, cfg.faulty, opts, WithLayout(cfg.layout))
 				f, err := p.Open("/backend/diff", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 				if err != nil {
 					t.Fatal(err)
@@ -312,11 +310,11 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 	}
 
 	// Forced on: refresh the record, then prove a cold instance loads it.
-	freshP := New(backend, Options{NumHostdirs: hostdirs})
+	freshP := New(backend, EngineOptions{NumHostdirs: hostdirs})
 	if _, err := freshP.WriteFlattenedIndex(path); err != nil {
 		t.Fatalf("[%s] flatten: %v", name, err)
 	}
-	onP := New(backend, Options{NumHostdirs: hostdirs})
+	onP := New(backend, EngineOptions{NumHostdirs: hostdirs})
 	if got := readVia(onP, int64(len(want))); !bytes.Equal(got, want) {
 		t.Fatalf("[%s] flattened-on read diverged", name)
 	}
@@ -325,7 +323,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 	}
 
 	// Forced off: pure streaming merge.
-	offP := New(backend, Options{NumHostdirs: hostdirs, DisableFlattenedReads: true})
+	offP := New(backend, EngineOptions{NumHostdirs: hostdirs}, IndexOptions{DisableFlattenedReads: true})
 	if got := readVia(offP, int64(len(want))); !bytes.Equal(got, want) {
 		t.Fatalf("[%s] flattened-off read diverged", name)
 	}
@@ -335,7 +333,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 
 	// Deliberately stale: append past EOF without refreshing the record.
 	staleTail := []byte("stale-mode differential tail")
-	wP := New(backend, Options{NumHostdirs: hostdirs, DisableAutoFlatten: true})
+	wP := New(backend, EngineOptions{NumHostdirs: hostdirs}, IndexOptions{DisableAutoFlatten: true})
 	wf, err := wP.Open(path, posix.O_WRONLY, 31338, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +345,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 		t.Fatal(err)
 	}
 	wantStale := append(append([]byte(nil), want...), staleTail...)
-	staleP := New(backend, Options{NumHostdirs: hostdirs})
+	staleP := New(backend, EngineOptions{NumHostdirs: hostdirs})
 	if got := readVia(staleP, int64(len(wantStale))); !bytes.Equal(got, wantStale) {
 		t.Fatalf("[%s] stale-record read diverged", name)
 	}
@@ -360,7 +358,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 // partial truncate (index consolidation), CompactIndex, Flatten, Rename,
 // Unlink — must work when droppings span backends.
 func TestStripedContainerOps(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, Options{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/backend/ops", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +446,7 @@ func TestStripedContainerOps(t *testing.T) {
 // backend is not stale, and a record whose dropping is gone is — and
 // ScrubOpenHosts repairs it.
 func TestStripedOpenHostsDoctor(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, Options{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/backend/doc", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)

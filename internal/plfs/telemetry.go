@@ -1,17 +1,17 @@
 // Telemetry and online tuning for the PLFS engines.
 //
-// Telemetry: with Options.Stats set, the instance reports every
+// Telemetry: with TelemetryOptions.Stats set, the instance reports every
 // open/read/write/sync through one iostats layer ("plfs") and
 // registers the shared index cache's counters on a second
 // ("readcache"). With it unset, every recording call is a nil check —
 // the plane is pay-for-what-you-touch.
 //
-// Tuning: with Options.AutoTune set, an IOPathTune-style feedback
+// Tuning: with TuneOptions.Enable set, an IOPathTune-style feedback
 // controller (internal/plfs/tune) hill-climbs the engine knobs —
 // ReadWorkers, WriteWorkers, IndexBatch, BatchDepth — from observed throughput
 // alone, within the hard bounds of the ladders below. The knobs it
 // steers are runtime overrides (atomics consulted by the engines ahead
-// of Options), so the controller adapts a live instance without a
+// of EngineOptions), so the controller adapts a live instance without a
 // reopen; the same overrides double as the operator's runtime pinning
 // surface (SetReadWorkers and friends).
 package plfs
@@ -43,7 +43,7 @@ func (p *FS) initTelemetry() {
 	if !p.cfg.Tune.Enable {
 		return
 	}
-	// The flush-only-on-sync mode (Options.IndexBatch < 0) reports a
+	// The flush-only-on-sync mode (EngineOptions.IndexBatch < 0) reports a
 	// threshold of 0; its nearest tunable analogue is the largest
 	// batch, not the ladder bottom — starting at batch=1 would turn
 	// the least index I/O into the most.
@@ -91,7 +91,7 @@ func (p *FS) observeOp(op iostats.Op, n int64, start time.Time, err error) {
 	}
 }
 
-// SetReadWorkers overrides Options.ReadWorkers on the live instance:
+// SetReadWorkers overrides EngineOptions.ReadWorkers on the live instance:
 // subsequent reads fan their extent preads across n workers. n <= 0
 // removes the override, restoring the configured value. The autotune
 // controller drives this; operators can call it directly to pin the
@@ -107,13 +107,13 @@ func (p *FS) SetWriteWorkers(n int) { p.knobWriteWorkers.Store(int32(n)) }
 // n <= 0 removes the override, restoring the configured value.
 func (p *FS) SetBatchDepth(n int) { p.knobBatchDepth.Store(int32(n)) }
 
-// SetIndexBatch overrides Options.IndexBatch on the live instance:
+// SetIndexBatch overrides EngineOptions.IndexBatch on the live instance:
 // subsequent writes group-flush their index records every n records.
 // n <= 0 removes the override (it cannot express the "flush only on
-// sync" mode; configure that statically via Options.IndexBatch < 0).
+// sync" mode; configure that statically via EngineOptions.IndexBatch < 0).
 func (p *FS) SetIndexBatch(n int) { p.knobIndexBatch.Store(int32(n)) }
 
 // Tuner exposes the running autotune controller (nil when
-// Options.AutoTune is off) — its State reports the knobs' current
+// TuneOptions.Enable is off) — its State reports the knobs' current
 // values and bounds, its Decisions the accepted and reverted trials.
 func (p *FS) Tuner() *tune.Controller { return p.tuner }

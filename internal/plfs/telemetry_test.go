@@ -15,9 +15,7 @@ import (
 // IndexCacheStats shim still reading the same numbers.
 func TestStatsPlaneRecordsEngineOps(t *testing.T) {
 	plane := iostats.NewPlane()
-	opts := DefaultOptions()
-	opts.Stats = plane
-	p := New(posix.NewMemFS(), opts)
+	p := New(posix.NewMemFS(), WithStats(plane))
 
 	f, err := p.Open("/c", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
@@ -66,9 +64,7 @@ func TestStatsPlaneRecordsEngineOps(t *testing.T) {
 // TestKnobOverrides checks the runtime overrides win over Options and
 // that clearing them restores the static configuration.
 func TestKnobOverrides(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ReadWorkers, opts.WriteWorkers, opts.IndexBatch = 2, 3, 100
-	p := New(posix.NewMemFS(), opts)
+	p := New(posix.NewMemFS(), EngineOptions{ReadWorkers: 2, WriteWorkers: 3, IndexBatch: 100})
 
 	if got := p.readWorkers(); got != 2 {
 		t.Fatalf("readWorkers = %d, want configured 2", got)
@@ -105,11 +101,7 @@ func TestKnobOverrides(t *testing.T) {
 // every knob stays inside its ladder bounds.
 func TestAutoTuneTicksAndStaysInBounds(t *testing.T) {
 	clock := &tune.ManualClock{}
-	opts := DefaultOptions()
-	opts.AutoTune = true
-	opts.TuneWindowBytes = 64 << 10
-	opts.TuneClock = clock
-	p := New(posix.NewMemFS(), opts)
+	p := New(posix.NewMemFS(), TuneOptions{Enable: true, WindowBytes: 64 << 10, Clock: clock})
 	if p.Tuner() == nil {
 		t.Fatal("AutoTune did not start a controller")
 	}
@@ -151,9 +143,7 @@ func TestAutoTuneTicksAndStaysInBounds(t *testing.T) {
 func TestStripedIntrospectionSeesThroughInstrumentation(t *testing.T) {
 	plane := iostats.NewPlane()
 	striped := posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS())
-	opts := DefaultOptions()
-	opts.NumHostdirs = 6
-	p := New(posix.NewInstrumentFS(striped, plane), opts)
+	p := New(posix.NewInstrumentFS(striped, plane), EngineOptions{NumHostdirs: 6})
 
 	if got := p.NumBackends(); got != 3 {
 		t.Fatalf("NumBackends through InstrumentFS = %d, want 3", got)
@@ -191,11 +181,10 @@ func TestStripedIntrospectionSeesThroughInstrumentation(t *testing.T) {
 // batch=1, the most index I/O possible. The nearest tunable analogue
 // is the ladder top.
 func TestAutoTuneFlushOnSyncStartsAtLargestBatch(t *testing.T) {
-	opts := DefaultOptions()
-	opts.IndexBatch = -1
-	opts.AutoTune = true
-	opts.TuneClock = &tune.ManualClock{}
-	p := New(posix.NewMemFS(), opts)
+	p := New(posix.NewMemFS(),
+		EngineOptions{IndexBatch: -1},
+		TuneOptions{Enable: true, Clock: &tune.ManualClock{}},
+	)
 	if got := p.indexBatchRecords(); got != indexBatchLadder[len(indexBatchLadder)-1] {
 		t.Fatalf("indexBatchRecords = %d under AutoTune with IndexBatch<0, want ladder top %d",
 			got, indexBatchLadder[len(indexBatchLadder)-1])
@@ -206,7 +195,7 @@ func TestAutoTuneFlushOnSyncStartsAtLargestBatch(t *testing.T) {
 // contract's control side: no collector, no AutoTune — no layer, no
 // tuner.
 func TestAutoTuneOffHasNoController(t *testing.T) {
-	p := New(posix.NewMemFS(), DefaultOptions())
+	p := New(posix.NewMemFS())
 	if p.Tuner() != nil || p.stats != nil {
 		t.Fatal("telemetry state allocated with Stats nil and AutoTune off")
 	}

@@ -7,10 +7,10 @@
 // Write/Sync hold the File lock *shared* and serialize only on the
 // owning writer's lock, so N pids funneled through one handle stream N
 // droppings fully in parallel; the logical clock is a lone atomic; and
-// index records group-flush per Options.IndexBatch instead of hitting
+// index records group-flush per EngineOptions.IndexBatch instead of hitting
 // the backend per record. WriteV goes further: it reserves one physical
 // range in the dropping up front and fans the per-segment pwrites out
-// across Options.WriteWorkers (positional writes carry no file pointer —
+// across EngineOptions.WriteWorkers (positional writes carry no file pointer —
 // posix.FS requires concurrent-pwrite safety).
 package plfs
 
@@ -25,7 +25,7 @@ import (
 
 // writeWorkers resolves the vectored-write fan-out: the runtime
 // override (the autotune controller / SetWriteWorkers) wins over the
-// static Options value.
+// static EngineOptions value.
 func (p *FS) writeWorkers() int {
 	if n := p.knobWriteWorkers.Load(); n > 0 {
 		return int(n)
@@ -37,7 +37,7 @@ func (p *FS) writeWorkers() int {
 }
 
 // indexBatchRecords returns the group-flush threshold in records, or 0
-// when auto-flushing is disabled (Options.IndexBatch < 0). The runtime
+// when auto-flushing is disabled (EngineOptions.IndexBatch < 0). The runtime
 // override (autotune / SetIndexBatch) wins over the static value.
 func (p *FS) indexBatchRecords() int {
 	if n := p.knobIndexBatch.Load(); n > 0 {
@@ -54,18 +54,8 @@ func (p *FS) indexBatchRecords() int {
 
 // lockWriter returns pid's writer with the handle lock held shared and
 // the writer's own lock held, creating the writer on first use. unlock
-// releases both. With Options.DisableWriteSharding the handle lock is
-// taken exclusive instead — the pre-engine serialized baseline.
+// releases both.
 func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
-	if f.fs.cfg.Engine.DisableWriteSharding {
-		f.mu.Lock()
-		w, err := f.getWriterLocked(pid)
-		if err != nil {
-			f.mu.Unlock()
-			return nil, nil, err
-		}
-		return w, f.mu.Unlock, nil
-	}
 	for {
 		f.mu.RLock()
 		if w, ok := f.writers[pid]; ok {
@@ -129,14 +119,12 @@ func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 }
 
 // recordExtentLocked buffers one index record for n bytes at logical
-// offset off, advances the writer's cursor, bumps the handle's write
-// generation, and group-flushes the index buffer at the batch
-// threshold. Caller holds the writer's lock (or the handle lock
-// exclusive).
+// offset off, advances the writer's cursor and group-flushes the index
+// buffer at the batch threshold. Caller holds the writer's lock (or the
+// handle lock exclusive).
 func (f *File) recordExtentLocked(w *writer, off, n int64, pid uint32) {
 	f.appendEntryLocked(w, off, n, w.physOff, pid)
 	w.physOff += n
-	f.wgen.Add(1)
 	f.maybeFlushIndexLocked(w)
 }
 
@@ -170,7 +158,7 @@ type WriteSeg struct {
 // strided access patterns (one MPI-IO flattened datatype = one WriteV).
 // The physical range for the whole vector is reserved up front, so the
 // per-segment pwrites land at precomputed dropping offsets concurrently
-// (Options.WriteWorkers) while the writer's lock is held once for the
+// (EngineOptions.WriteWorkers) while the writer's lock is held once for the
 // whole vector rather than once per segment.
 //
 // Partial-failure semantics mirror Read's short-read contract: every
@@ -309,7 +297,6 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		f.appendEntryLocked(w, s.Off, int64(plan.ns[i]), plan.offs[i], pid)
 	}
 	w.physOff = base + total
-	f.wgen.Add(1)
 	f.maybeFlushIndexLocked(w)
 
 	var written int64

@@ -10,7 +10,7 @@ import (
 	"ldplfs/internal/posix"
 )
 
-func writePLFS(t *testing.T, opts Options) (*FS, *posix.MemFS) {
+func writePLFS(t *testing.T, opts EngineOptions) (*FS, *posix.MemFS) {
 	t.Helper()
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
@@ -27,80 +27,74 @@ func writePLFS(t *testing.T, opts Options) (*FS, *posix.MemFS) {
 // while Syncs and Reads run concurrently, and the final contents must be
 // exactly the strided pattern. Run with -race in CI.
 func TestConcurrentWritersStress(t *testing.T) {
-	for _, sharded := range []bool{true, false} {
-		name := "sharded"
-		if !sharded {
-			name = "serialized"
+	t.Run("sharded", func(t *testing.T) {
+		p, _ := writePLFS(t, EngineOptions{IndexBatch: 8})
+		const (
+			writers   = 8
+			blocks    = 32
+			blockSize = 512
+		)
+		f, err := p.Open("/backend/stress", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			p, _ := writePLFS(t, Options{DisableWriteSharding: !sharded, IndexBatch: 8})
-			const (
-				writers   = 8
-				blocks    = 32
-				blockSize = 512
-			)
-			f, err := p.Open("/backend/stress", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]byte, writers*blocks*blockSize)
-			var wg sync.WaitGroup
-			errc := make(chan error, writers+2)
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					payload := bytes.Repeat([]byte{byte(w + 1)}, blockSize)
-					for blk := 0; blk < blocks; blk++ {
-						off := int64((blk*writers + w) * blockSize)
-						copy(want[off:], payload)
-						if n, err := f.Write(payload, off, uint32(w)); err != nil || n != blockSize {
-							errc <- fmt.Errorf("writer %d block %d: n=%d err=%v", w, blk, n, err)
-							return
-						}
-						if blk%8 == 7 {
-							if err := f.Sync(uint32(w)); err != nil {
-								errc <- fmt.Errorf("writer %d sync: %v", w, err)
-								return
-							}
-						}
+		want := make([]byte, writers*blocks*blockSize)
+		var wg sync.WaitGroup
+		errc := make(chan error, writers+2)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				payload := bytes.Repeat([]byte{byte(w + 1)}, blockSize)
+				for blk := 0; blk < blocks; blk++ {
+					off := int64((blk*writers + w) * blockSize)
+					copy(want[off:], payload)
+					if n, err := f.Write(payload, off, uint32(w)); err != nil || n != blockSize {
+						errc <- fmt.Errorf("writer %d block %d: n=%d err=%v", w, blk, n, err)
+						return
 					}
-				}(w)
-			}
-			// Readers race the writers; they only check that Read never
-			// fails or returns non-pattern garbage for covered bytes.
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					buf := make([]byte, 4096)
-					for i := 0; i < 20; i++ {
-						if _, err := f.Read(buf, int64(i*1024)); err != nil {
-							errc <- fmt.Errorf("concurrent read: %v", err)
+					if blk%8 == 7 {
+						if err := f.Sync(uint32(w)); err != nil {
+							errc <- fmt.Errorf("writer %d sync: %v", w, err)
 							return
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(want))
-			if n, err := f.Read(got, 0); err != nil || n != len(want) {
-				t.Fatalf("final read: n=%d err=%v", n, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("concurrent writers corrupted the strided pattern")
-			}
-			for w := 0; w < writers; w++ {
-				if err := f.Close(uint32(w)); err != nil {
-					t.Fatal(err)
 				}
+			}(w)
+		}
+		// Readers race the writers; they only check that Read never
+		// fails or returns non-pattern garbage for covered bytes.
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, 4096)
+				for i := 0; i < 20; i++ {
+					if _, err := f.Read(buf, int64(i*1024)); err != nil {
+						errc <- fmt.Errorf("concurrent read: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if n, err := f.Read(got, 0); err != nil || n != len(want) {
+			t.Fatalf("final read: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("concurrent writers corrupted the strided pattern")
+		}
+		for w := 0; w < writers; w++ {
+			if err := f.Close(uint32(w)); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWriteVRoundTrip checks that one vectored write is equivalent to
@@ -108,7 +102,7 @@ func TestConcurrentWritersStress(t *testing.T) {
 func TestWriteVRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			p, _ := writePLFS(t, Options{WriteWorkers: workers})
+			p, _ := writePLFS(t, EngineOptions{WriteWorkers: workers})
 			f, err := p.Open("/backend/vec", posix.O_CREAT|posix.O_RDWR, 7, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -165,7 +159,7 @@ func TestWriteVPartialFailure(t *testing.T) {
 	// asserts the independent-segment durability contract that
 	// coalescing intentionally trades away (see TestWriteVChunkFailure
 	// for the vectored contract).
-	p := New(ffs, Options{NumHostdirs: 2, WriteWorkers: 1, BatchDepth: 1})
+	p := New(ffs, EngineOptions{NumHostdirs: 2, WriteWorkers: 1, BatchDepth: 1})
 	f, err := p.Open("/backend/vfail", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +217,7 @@ func TestWriteVChunkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, Options{NumHostdirs: 2, WriteWorkers: 1})
+	p := New(ffs, EngineOptions{NumHostdirs: 2, WriteWorkers: 1})
 	f, err := p.Open("/backend/vchunk", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +278,7 @@ func TestShortIndexFlushHealsOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, Options{NumHostdirs: 2, IndexBatch: 2})
+	p := New(ffs, EngineOptions{NumHostdirs: 2, IndexBatch: 2})
 	f, err := p.Open("/backend/shortflush", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +324,7 @@ func TestShortIndexFlushHealsOnRetry(t *testing.T) {
 // batches: the on-backend dropping grows only at multiples of the batch
 // threshold until a Sync drains the remainder.
 func TestIndexBatchGroupFlush(t *testing.T) {
-	p, mem := writePLFS(t, Options{IndexBatch: 4})
+	p, mem := writePLFS(t, EngineOptions{IndexBatch: 4})
 	f, err := p.Open("/backend/batched", posix.O_CREAT|posix.O_WRONLY, 3, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +371,7 @@ func TestIndexBatchGroupFlush(t *testing.T) {
 // hasOpenWriters reports true forever, Stat permanently takes the slow
 // merged path and CompactIndex refuses the container.
 func TestTruncZeroClearsOpenHosts(t *testing.T) {
-	p, _ := writePLFS(t, Options{})
+	p, _ := writePLFS(t, EngineOptions{})
 	f, err := p.Open("/backend/leak", posix.O_CREAT|posix.O_RDWR, 5, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +407,7 @@ func TestTruncZeroClearsOpenHosts(t *testing.T) {
 // every index dropping, so surviving writers must be rebound to fresh
 // droppings or all their post-truncate writes are invisible.
 func TestTruncRebindsLiveIndexWriters(t *testing.T) {
-	p, _ := writePLFS(t, Options{})
+	p, _ := writePLFS(t, EngineOptions{})
 	f, err := p.Open("/backend/shrink", posix.O_CREAT|posix.O_RDWR, 9, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +468,7 @@ func TestTruncAcrossHandlesRebindsAllWriters(t *testing.T) {
 			name = "via-path"
 		}
 		t.Run(name, func(t *testing.T) {
-			p, _ := writePLFS(t, Options{})
+			p, _ := writePLFS(t, EngineOptions{})
 			a, err := p.Open("/backend/xh", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -524,7 +518,7 @@ func TestTruncAcrossHandlesRebindsAllWriters(t *testing.T) {
 // existing handle's writers (their droppings are gone), so their
 // subsequent writes start fresh instead of resurrecting stale state.
 func TestOpenTruncRetiresOtherHandles(t *testing.T) {
-	p, _ := writePLFS(t, Options{})
+	p, _ := writePLFS(t, EngineOptions{})
 	a, err := p.Open("/backend/ot", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +553,7 @@ func TestOpenTruncRetiresOtherHandles(t *testing.T) {
 // pre-fix damage: an openhosts record whose pid has no data dropping is
 // stale, and scrubbing removes exactly those.
 func TestDoctorFlagsStaleOpenHosts(t *testing.T) {
-	p, mem := writePLFS(t, Options{})
+	p, mem := writePLFS(t, EngineOptions{})
 	f, err := p.Open("/backend/sick", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -604,7 +598,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	p1 := New(mem, Options{NumHostdirs: 2})
+	p1 := New(mem, EngineOptions{NumHostdirs: 2})
 	f, err := p1.Open("/backend/resume", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -619,7 +613,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 	// that has no dropping of its own: the clock seed must cover both.
 	for round, pid := range []uint32{1, 7} {
 		want := byte('A' + round)
-		p2 := New(mem, Options{NumHostdirs: 2})
+		p2 := New(mem, EngineOptions{NumHostdirs: 2})
 		g, err := p2.Open("/backend/resume", posix.O_WRONLY, pid, 0o644)
 		if err != nil {
 			t.Fatal(err)
@@ -629,7 +623,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 		}
 		g.Close(pid)
 
-		p3 := New(mem, Options{NumHostdirs: 2})
+		p3 := New(mem, EngineOptions{NumHostdirs: 2})
 		r, err := p3.Open("/backend/resume", posix.O_RDONLY, 100, 0)
 		if err != nil {
 			t.Fatal(err)

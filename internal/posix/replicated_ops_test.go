@@ -129,6 +129,70 @@ func TestReplicatedOpsSurfaceDegraded(t *testing.T) {
 	}
 }
 
+// TestLiveVerdictOutranksDeadEIO walks the read-side path ops over a
+// canonical directory (owners b0,b1 under replica-2 of 3) and a routed
+// one (hostdir.1: owners b1,b2) through every degraded window: an
+// owner dead, a non-owner dead, and the directory missing on the
+// surviving owner. A survivor that holds the directory must serve it; a
+// survivor that looked and found nothing must answer ENOENT — never
+// the dead owner's EIO.
+func TestLiveVerdictOutranksDeadEIO(t *testing.T) {
+	ops := []struct {
+		name string
+		do   func(s *StripedFS, path string) error
+	}{
+		{"Readdir", func(s *StripedFS, path string) error { _, err := s.Readdir(path); return err }},
+		{"Stat", func(s *StripedFS, path string) error { _, err := s.Stat(path); return err }},
+		{"Access", func(s *StripedFS, path string) error { return s.Access(path, 0) }},
+	}
+	dirs := []struct {
+		path            string
+		owner, nonOwner int // the owner to kill, and a backend outside the owner set
+		survivor        int // the owner left standing
+	}{
+		{"/c/openhosts", 0, 2, 1},
+		{"/c/hostdir.1", 1, 0, 2},
+	}
+	scenarios := []struct {
+		name      string
+		killOwner bool // kill dir.owner rather than dir.nonOwner
+		missing   bool // remove the directory from the surviving owner
+		want      error
+	}{
+		{"owner dead", true, false, nil},
+		{"non-owner dead", false, false, nil},
+		{"owner dead, dir missing on the survivor", true, true, ENOENT},
+	}
+	for _, dir := range dirs {
+		for _, sc := range scenarios {
+			for _, op := range ops {
+				t.Run(dir.path[3:]+"/"+sc.name+"/"+op.name, func(t *testing.T) {
+					s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+					if err := s.Mkdir("/c", 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Mkdir(dir.path, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if sc.missing {
+						if err := faults[dir.survivor].Rmdir(dir.path); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dead := dir.nonOwner
+					if sc.killOwner {
+						dead = dir.owner
+					}
+					faults[dead].Kill()
+					if err := op.do(s, dir.path); !errors.Is(err, sc.want) {
+						t.Fatalf("%s(%s) = %v, want %v", op.name, dir.path, err, sc.want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestNewStripedRootsLayout pins the CLI composition root: host
 // directory trees composed under a replica layout serve replicated
 // droppings, the empty spec returns the canonical backend, and layout

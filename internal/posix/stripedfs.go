@@ -810,10 +810,22 @@ func (s *StripedFS) Fstat(fd int) (Stat, error) {
 	return Stat{}, firstErr
 }
 
+// liveVerdict folds one more owner's failure into the running error of
+// a multi-owner read-side op. The first error stands unless it is a
+// dead backend's EIO and err is a live backend's verdict (ENOENT,
+// EACCES, ...): the survivor actually looked, so its answer outranks
+// the dead backend's. This is the one statement of that rule; every
+// owner loop that can meet a dead replica folds its errors through it.
+func liveVerdict(cur, err error) error {
+	if cur == nil || (errors.Is(cur, EIO) && !errors.Is(err, EIO)) {
+		return err
+	}
+	return cur
+}
+
 // pathFirst applies op to each owner of path in replica order and
 // returns the first success — the read-side semantics for path ops. On
-// total failure a live backend's verdict (ENOENT, EACCES, ...) beats a
-// dead backend's EIO: the survivor actually looked.
+// total failure the error is chosen by liveVerdict.
 func (s *StripedFS) pathFirst(path string, op func(b FS) error) error {
 	owners := s.ownersFor(path)
 	if len(owners) == 1 {
@@ -825,9 +837,7 @@ func (s *StripedFS) pathFirst(path string, op func(b FS) error) error {
 		if err == nil {
 			return nil
 		}
-		if firstErr == nil || (errors.Is(firstErr, EIO) && !errors.Is(err, EIO)) {
-			firstErr = err
-		}
+		firstErr = liveVerdict(firstErr, err)
 	}
 	return firstErr
 }
@@ -857,21 +867,12 @@ func (s *StripedFS) pathAll(path string, op func(b FS) error) error {
 
 // Stat implements FS.
 func (s *StripedFS) Stat(path string) (Stat, error) {
-	owners := s.ownersFor(path)
-	if len(owners) == 1 {
-		return s.backends[owners[0]].Stat(path)
-	}
-	var firstErr error
-	for _, b := range owners {
-		st, err := s.backends[b].Stat(path)
-		if err == nil {
-			return st, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return Stat{}, firstErr
+	var st Stat
+	err := s.pathFirst(path, func(b FS) (err error) {
+		st, err = b.Stat(path)
+		return err
+	})
+	return st, err
 }
 
 // Truncate implements FS.
@@ -1039,7 +1040,7 @@ func (s *StripedFS) Readdir(path string) ([]DirEntry, error) {
 // mergedReaddir merges listings across the scan backends, requiring at
 // least one of the owner backends to answer; other failures are
 // tolerated (a dead or partially-healed replica must not blind the
-// container walk).
+// container walk). When no owner answers, liveVerdict picks the error.
 func (s *StripedFS) mergedReaddir(path string, scan, owners []int) ([]DirEntry, error) {
 	isOwner := make(map[int]bool, len(owners))
 	for _, b := range owners {
@@ -1052,8 +1053,8 @@ func (s *StripedFS) mergedReaddir(path string, scan, owners []int) ([]DirEntry, 
 	for _, i := range scan {
 		list, err := s.backends[i].Readdir(path)
 		if err != nil {
-			if isOwner[i] && ownerErr == nil {
-				ownerErr = err
+			if isOwner[i] {
+				ownerErr = liveVerdict(ownerErr, err)
 			}
 			continue
 		}

@@ -27,7 +27,7 @@ func env(t *testing.T) (*posix.Dispatch, *posix.MemFS) {
 	if _, err := core.Preload(d, core.Config{
 		Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:         7,
-		PlfsOptions: plfs.Options{NumHostdirs: 4},
+		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
 	}); err != nil {
 		t.Fatal(err)
 	}

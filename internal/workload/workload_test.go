@@ -19,7 +19,7 @@ func driverFor(t *testing.T, method string, mem *posix.MemFS, rank int) (mpiio.D
 	case "mpiio":
 		return mpiio.NewUFS(posix.NewDispatch(mem)), "/scratch/out"
 	case "romio":
-		p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+		p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 		return mpiio.NewPLFSDriver(p, func(path string) (string, bool) {
 			return "/backend" + strings.TrimPrefix(path, "/scratch"), true
 		}), "/scratch/out"
@@ -28,13 +28,13 @@ func driverFor(t *testing.T, method string, mem *posix.MemFS, rank int) (mpiio.D
 		if _, err := core.Preload(d, core.Config{
 			Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 			Pid:         uint32(rank),
-			PlfsOptions: plfs.Options{NumHostdirs: 4},
+			PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return mpiio.NewUFS(d), "/mnt/plfs/out"
 	case "fuse":
-		return mpiio.NewUFS(fuse.Mount(mem, "/mnt/plfs", "/backend", plfs.Options{NumHostdirs: 4})), "/mnt/plfs/out"
+		return mpiio.NewUFS(fuse.Mount(mem, "/mnt/plfs", "/backend", plfs.EngineOptions{NumHostdirs: 4})), "/mnt/plfs/out"
 	}
 	t.Fatalf("unknown method %s", method)
 	return nil, ""
@@ -220,7 +220,7 @@ func TestFlashIOContainersAppearInBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 	for _, name := range flashFileNames("/backend/out") {
 		if !p.IsContainer(name) {
 			t.Fatalf("%s is not a PLFS container", name)
@@ -312,7 +312,7 @@ func TestFlashIOSplitFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each rank's checkpoint is its own PLFS container in the backend.
-	p := plfs.New(mem, plfs.Options{NumHostdirs: 4})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4})
 	for rank := 0; rank < 4; rank++ {
 		name := nnPath("/backend/out_hdf5_chk_0001", rank)
 		if !p.IsContainer(name) {
