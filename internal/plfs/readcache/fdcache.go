@@ -65,12 +65,23 @@ func (r Ref) Release() {
 	if r.c == nil {
 		return
 	}
-	r.c.mu.Lock()
+	c := r.c
+	c.mu.Lock()
 	r.e.refs--
-	closeNow := r.e.dead && r.e.refs == 0
-	r.c.mu.Unlock()
-	if closeNow {
-		r.c.fs.Close(r.e.fd)
+	var victims []int
+	if r.e.refs == 0 {
+		if r.e.dead {
+			victims = append(victims, r.e.fd)
+		}
+		if len(c.entries) > c.max {
+			// The cache was pushed over its cap while every entry was
+			// pinned; this release may be the one that frees a slot.
+			victims = append(victims, c.evictLocked()...)
+		}
+	}
+	c.mu.Unlock()
+	for _, fd := range victims {
+		c.fs.Close(fd)
 	}
 }
 
@@ -133,7 +144,8 @@ func (c *FDCache) AcquireRef(path string) (int, Ref, error) {
 // evictLocked enforces the cap: unreferenced entries are removed
 // oldest-first and their fds returned for closing. Entries pinned by
 // in-flight preads cannot be evicted, so the cache may transiently
-// exceed its cap under extreme fan-out. Caller holds c.mu.
+// exceed its cap under extreme fan-out; the release that unpins one
+// re-runs eviction. Caller holds c.mu.
 func (c *FDCache) evictLocked() []int {
 	var victims []int
 	for len(c.entries) > c.max {

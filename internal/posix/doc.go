@@ -20,14 +20,39 @@
 //
 //   - "mod-n" (default): hostdir.K lives on backend K mod N; canonical
 //     paths (container markers, meta/, openhosts/) live on backend 0.
-//     One copy of everything — the classic bandwidth-aggregation
-//     layout, byte-identical to the pre-layout StripedFS.
+//     One copy of everything — the bandwidth-aggregation layout.
 //   - "replica-R": each path lives on R consecutive backends starting
 //     at its mod-N primary; canonical paths live on backends 0..R-1.
 //     Writes fan out to every live replica, reads serve from the
 //     primary and fail over on error — or race a second replica after
 //     a hedge deadline (ReplicaOptions) — and plfsctl doctor re-
 //     replicates whatever a dead backend missed.
+//
+// Mod-N is not a separate code path: it is the width-1 case of the one
+// replica loop, under three rules each stated once in stripedfs.go and
+// enumerated by TestFailureBudgetWindow, TestLiveVerdictOutranksDeadEIO
+// and TestSoleOwnerIsPassThrough:
+//
+//   - Failure budget (across). A layout of width W keeps a survivor in
+//     every replica set while fewer than W backends have failed, so a
+//     path op rides out W-1 dead backends (EIO) and the next one aborts
+//     it; mod-N tolerates none and fails fast on its primary. A
+//     backend's ENOENT is never a failure — a shadow may never have
+//     held the path — and a live backend's refusal (ENOTEMPTY, EEXIST,
+//     EACCES) is a verdict returned at once, not a failure to ride
+//     out. So a directory listing is complete or an error, never
+//     silently short, and a directory whose hostdirs live on shadows
+//     cannot be removed from under them.
+//   - Live verdict (liveVerdict). When no owner can serve, a live
+//     backend's answer outranks a dead backend's EIO: the survivor
+//     actually looked.
+//   - The last replica stays live (stripedFD.retire). A descriptor's
+//     replica is disabled only when another replica served the
+//     operation it failed. When every replica fails none is disabled
+//     and the primary-most error, byte count included, comes back
+//     exactly as its backend returned it — which is all a sole owner
+//     ever sees, so a mod-N descriptor is a pass-through that a
+//     transient error never poisons.
 //
 // The layout contract, pinned by the table tests in layout_test.go:
 // Replicas(path, n) returns 1..Width() distinct indices in [0, n),

@@ -242,21 +242,6 @@ func (f *FaultFS) stepLocked(op FaultOp) {
 	}
 }
 
-// enter runs the common prologue of every faultable operation: advance
-// the schedule, fail if the backend is dark, then occupy the matching
-// service slots. It returns EIO for a killed backend.
-func (f *FaultFS) enter(op FaultOp, path string) error {
-	f.mu.Lock()
-	f.stepLocked(op)
-	killed := f.killed
-	f.mu.Unlock()
-	if killed {
-		return EIO
-	}
-	f.service(op, path)
-	return nil
-}
-
 // SetServiceTime models the backend's service rate: every operation of
 // class op (FaultAny for all classes; Close and Lseek are exempt, like
 // injected faults) occupies the backend's single service slot for d
@@ -329,17 +314,23 @@ func (f *FaultFS) Fired() int {
 	return total
 }
 
-// check returns the injected error for (op, path), if any rule fires.
-func (f *FaultFS) check(op FaultOp, path string) error {
-	err, _ := f.checkPartial(op, path)
-	return err
-}
-
-// checkPartial is check plus the firing rule's Partial byte budget, for
-// the write paths that can honor a short-write-then-error injection. A
-// firing rule's Gate (if any) is waited on outside the lock, so a
-// gated operation stalls without blocking the rest of the backend.
-func (f *FaultFS) checkPartial(op FaultOp, path string) (error, int) {
+// admit is the one prologue of every faultable operation: advance the
+// schedule, fail with EIO if the backend is dark, occupy the matching
+// service slots, then consult the rules. A non-nil error is the one to
+// surface in place of the inner call; partial is the firing rule's byte
+// budget, for the write paths that honor a short-write-then-error
+// injection. A firing rule's Gate (if any) is waited on outside the
+// lock, so a gated operation stalls without blocking the rest of the
+// backend.
+func (f *FaultFS) admit(op FaultOp, path string) (partial int, err error) {
+	f.mu.Lock()
+	f.stepLocked(op)
+	killed := f.killed
+	f.mu.Unlock()
+	if killed {
+		return 0, EIO
+	}
+	f.service(op, path)
 	f.mu.Lock()
 	var fired *FaultRule
 	for _, r := range f.rules {
@@ -362,20 +353,44 @@ func (f *FaultFS) checkPartial(op FaultOp, path string) (error, int) {
 	}
 	f.mu.Unlock()
 	if fired == nil {
-		return nil, 0
+		return 0, nil
 	}
 	if fired.Gate != nil {
 		<-fired.Gate
 	}
-	return fired.Err, fired.Partial
+	return fired.Partial, fired.Err
+}
+
+// admitFD is admit for an fd-based operation, matched under the path
+// the descriptor was opened with.
+func (f *FaultFS) admitFD(op FaultOp, fd int) (partial int, err error) {
+	return f.admit(op, f.pathOf(fd))
+}
+
+// short lands the first partial bytes of bufs (clamped to the request,
+// spanning buffer boundaries) through put, which is handed each piece
+// with the count already landed, and returns the total — the kernel's
+// short-write-then-error shape, shared by every write path.
+func short(bufs [][]byte, partial int, put func(q []byte, done int64) (int, error)) (done int64) {
+	budget := min(int64(partial), vectorLen(bufs))
+	for _, b := range bufs {
+		if budget <= 0 {
+			break
+		}
+		q := b[:min(int64(len(b)), budget)]
+		n, _ := put(q, done)
+		done += int64(n)
+		budget -= int64(n)
+		if n < len(q) {
+			break
+		}
+	}
+	return done
 }
 
 // Open implements FS.
 func (f *FaultFS) Open(path string, flags int, mode uint32) (int, error) {
-	if err := f.enter(FaultOpen, path); err != nil {
-		return -1, err
-	}
-	if err := f.check(FaultOpen, path); err != nil {
+	if _, err := f.admit(FaultOpen, path); err != nil {
 		return -1, err
 	}
 	fd, err := f.inner.Open(path, flags, mode)
@@ -398,50 +413,26 @@ func (f *FaultFS) Close(fd int) error {
 
 // Read implements FS.
 func (f *FaultFS) Read(fd int, p []byte) (int, error) {
-	if err := f.enter(FaultRead, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err := f.check(FaultRead, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultRead, fd); err != nil {
 		return 0, err
 	}
 	return f.inner.Read(fd, p)
 }
 
-// injectPartial applies a firing write rule: the first partial bytes
-// (clamped to the request) land through write, and the injected error is
-// returned with the short count — the kernel's short-write-then-error
-// shape shared by Write and Pwrite.
-func injectPartial(p []byte, partial int, injected error, write func([]byte) (int, error)) (int, error) {
-	if partial > len(p) {
-		partial = len(p)
-	}
-	if partial > 0 {
-		n, _ := write(p[:partial])
-		return n, injected
-	}
-	return 0, injected
-}
-
 // Write implements FS. A firing rule with Partial > 0 lets that many
 // bytes (clamped to the request) through before surfacing the error.
 func (f *FaultFS) Write(fd int, p []byte) (int, error) {
-	if err := f.enter(FaultWrite, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err, partial := f.checkPartial(FaultWrite, f.pathOf(fd)); err != nil {
-		return injectPartial(p, partial, err, func(q []byte) (int, error) {
+	if partial, err := f.admitFD(FaultWrite, fd); err != nil {
+		return int(short([][]byte{p}, partial, func(q []byte, _ int64) (int, error) {
 			return f.inner.Write(fd, q)
-		})
+		})), err
 	}
 	return f.inner.Write(fd, p)
 }
 
 // Pread implements FS.
 func (f *FaultFS) Pread(fd int, p []byte, off int64) (int, error) {
-	if err := f.enter(FaultRead, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err := f.check(FaultRead, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultRead, fd); err != nil {
 		return 0, err
 	}
 	return f.inner.Pread(fd, p, off)
@@ -453,13 +444,20 @@ func (f *FaultFS) Pread(fd int, p []byte, off int64) (int, error) {
 // how often rules are consulted exactly as it changes the syscall
 // count.
 func (f *FaultFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
-	if err := f.enter(FaultRead, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err := f.check(FaultRead, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultRead, fd); err != nil {
 		return 0, err
 	}
 	return Preadv(f.inner, fd, bufs, off)
+}
+
+// Pwrite implements FS. Partial rules behave as in Write.
+func (f *FaultFS) Pwrite(fd int, p []byte, off int64) (int, error) {
+	if partial, err := f.admitFD(FaultWrite, fd); err != nil {
+		return int(short([][]byte{p}, partial, func(q []byte, _ int64) (int, error) {
+			return f.inner.Pwrite(fd, q, off)
+		})), err
+	}
+	return f.inner.Pwrite(fd, p, off)
 }
 
 // Pwritev implements VectorFS. Rules match once per vector; a firing
@@ -467,53 +465,12 @@ func (f *FaultFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 // buffer boundaries — the short-write-then-error shape of a failed
 // pwritev(2).
 func (f *FaultFS) Pwritev(fd int, bufs [][]byte, off int64) (int64, error) {
-	if err := f.enter(FaultWrite, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err, partial := f.checkPartial(FaultWrite, f.pathOf(fd)); err != nil {
-		return f.injectPartialV(fd, bufs, off, partial, err)
+	if partial, err := f.admitFD(FaultWrite, fd); err != nil {
+		return short(bufs, partial, func(q []byte, done int64) (int, error) {
+			return f.inner.Pwrite(fd, q, off+done)
+		}), err
 	}
 	return Pwritev(f.inner, fd, bufs, off)
-}
-
-// injectPartialV lands the first partial bytes of the vector (clamped,
-// spanning buffers) on the inner FS and returns the injected error with
-// the short count.
-func (f *FaultFS) injectPartialV(fd int, bufs [][]byte, off int64, partial int, injected error) (int64, error) {
-	var put int64
-	budget := int64(partial)
-	if max := vectorLen(bufs); budget > max {
-		budget = max
-	}
-	for _, b := range bufs {
-		if budget <= 0 {
-			break
-		}
-		q := b
-		if int64(len(q)) > budget {
-			q = q[:budget]
-		}
-		n, _ := f.inner.Pwrite(fd, q, off+put)
-		put += int64(n)
-		budget -= int64(n)
-		if n < len(q) {
-			break
-		}
-	}
-	return put, injected
-}
-
-// Pwrite implements FS. Partial rules behave as in Write.
-func (f *FaultFS) Pwrite(fd int, p []byte, off int64) (int, error) {
-	if err := f.enter(FaultWrite, f.pathOf(fd)); err != nil {
-		return 0, err
-	}
-	if err, partial := f.checkPartial(FaultWrite, f.pathOf(fd)); err != nil {
-		return injectPartial(p, partial, err, func(q []byte) (int, error) {
-			return f.inner.Pwrite(fd, q, off)
-		})
-	}
-	return f.inner.Pwrite(fd, p, off)
 }
 
 // Lseek implements FS (exempt from faults, service and kill — a pure
@@ -524,10 +481,7 @@ func (f *FaultFS) Lseek(fd int, offset int64, whence int) (int64, error) {
 
 // Fsync implements FS.
 func (f *FaultFS) Fsync(fd int) error {
-	if err := f.enter(FaultSync, f.pathOf(fd)); err != nil {
-		return err
-	}
-	if err := f.check(FaultSync, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultSync, fd); err != nil {
 		return err
 	}
 	return f.inner.Fsync(fd)
@@ -535,10 +489,7 @@ func (f *FaultFS) Fsync(fd int) error {
 
 // Ftruncate implements FS.
 func (f *FaultFS) Ftruncate(fd int, size int64) error {
-	if err := f.enter(FaultMeta, f.pathOf(fd)); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultMeta, fd); err != nil {
 		return err
 	}
 	return f.inner.Ftruncate(fd, size)
@@ -546,10 +497,7 @@ func (f *FaultFS) Ftruncate(fd int, size int64) error {
 
 // Fstat implements FS.
 func (f *FaultFS) Fstat(fd int) (Stat, error) {
-	if err := f.enter(FaultMeta, f.pathOf(fd)); err != nil {
-		return Stat{}, err
-	}
-	if err := f.check(FaultMeta, f.pathOf(fd)); err != nil {
+	if _, err := f.admitFD(FaultMeta, fd); err != nil {
 		return Stat{}, err
 	}
 	return f.inner.Fstat(fd)
@@ -557,10 +505,7 @@ func (f *FaultFS) Fstat(fd int) (Stat, error) {
 
 // Stat implements FS.
 func (f *FaultFS) Stat(path string) (Stat, error) {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return Stat{}, err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return Stat{}, err
 	}
 	return f.inner.Stat(path)
@@ -568,10 +513,7 @@ func (f *FaultFS) Stat(path string) (Stat, error) {
 
 // Truncate implements FS.
 func (f *FaultFS) Truncate(path string, size int64) error {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return err
 	}
 	return f.inner.Truncate(path, size)
@@ -579,10 +521,7 @@ func (f *FaultFS) Truncate(path string, size int64) error {
 
 // Unlink implements FS.
 func (f *FaultFS) Unlink(path string) error {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return err
 	}
 	return f.inner.Unlink(path)
@@ -590,10 +529,7 @@ func (f *FaultFS) Unlink(path string) error {
 
 // Mkdir implements FS.
 func (f *FaultFS) Mkdir(path string, mode uint32) error {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return err
 	}
 	return f.inner.Mkdir(path, mode)
@@ -601,10 +537,7 @@ func (f *FaultFS) Mkdir(path string, mode uint32) error {
 
 // Rmdir implements FS.
 func (f *FaultFS) Rmdir(path string) error {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return err
 	}
 	return f.inner.Rmdir(path)
@@ -612,10 +545,7 @@ func (f *FaultFS) Rmdir(path string) error {
 
 // Readdir implements FS.
 func (f *FaultFS) Readdir(path string) ([]DirEntry, error) {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return nil, err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return nil, err
 	}
 	return f.inner.Readdir(path)
@@ -623,10 +553,7 @@ func (f *FaultFS) Readdir(path string) ([]DirEntry, error) {
 
 // Rename implements FS.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if err := f.enter(FaultMeta, oldpath); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, oldpath); err != nil {
+	if _, err := f.admit(FaultMeta, oldpath); err != nil {
 		return err
 	}
 	return f.inner.Rename(oldpath, newpath)
@@ -634,10 +561,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 
 // Access implements FS.
 func (f *FaultFS) Access(path string, mode int) error {
-	if err := f.enter(FaultMeta, path); err != nil {
-		return err
-	}
-	if err := f.check(FaultMeta, path); err != nil {
+	if _, err := f.admit(FaultMeta, path); err != nil {
 		return err
 	}
 	return f.inner.Access(path, mode)

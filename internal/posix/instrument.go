@@ -2,6 +2,7 @@ package posix
 
 import (
 	"sync"
+	"time"
 
 	"ldplfs/internal/iostats"
 )
@@ -115,6 +116,33 @@ func (f *InstrumentFS) emit(ev OpEvent) {
 	}
 }
 
+// data is the one epilogue of every data operation: record it on the
+// layer, count one backend operation carrying segs logical segments
+// (a scalar op is one — segments/ops is the batching the engine
+// achieved), and observe it when bytes moved.
+func (f *InstrumentFS) data(op iostats.Op, fd, segs int, n int64, start time.Time, err error) {
+	f.ls.End(op, n, start, err)
+	f.backendOps.Add(1)
+	f.vectorSegments.Add(int64(segs))
+	if n > 0 {
+		f.emit(OpEvent{Op: op, Path: f.pathOf(fd), Bytes: n})
+	}
+}
+
+// begin opens a meta operation on path: observed unconditionally, then
+// timed from the returned instant.
+func (f *InstrumentFS) begin(path string) time.Time {
+	f.emit(OpEvent{Op: iostats.Meta, Path: path})
+	return f.ls.Start()
+}
+
+// meta is the one epilogue of every non-data operation: record it under
+// op on the layer and hand err back.
+func (f *InstrumentFS) meta(op iostats.Op, start time.Time, err error) error {
+	f.ls.End(op, 0, start, err)
+	return err
+}
+
 // Open implements FS.
 func (f *InstrumentFS) Open(path string, flags int, mode uint32) (int, error) {
 	created := false
@@ -128,8 +156,7 @@ func (f *InstrumentFS) Open(path string, flags int, mode uint32) (int, error) {
 	}
 	start := f.ls.Start()
 	fd, err := f.inner.Open(path, flags, mode)
-	f.ls.End(iostats.Open, 0, start, err)
-	if err != nil {
+	if f.meta(iostats.Open, start, err) != nil {
 		return fd, err
 	}
 	if f.fds != nil {
@@ -150,21 +177,14 @@ func (f *InstrumentFS) Close(fd int) error {
 		f.mu.Unlock()
 	}
 	start := f.ls.Start()
-	err := f.inner.Close(fd)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	return f.meta(iostats.Meta, start, f.inner.Close(fd))
 }
 
 // Read implements FS.
 func (f *InstrumentFS) Read(fd int, p []byte) (int, error) {
 	start := f.ls.Start()
 	n, err := f.inner.Read(fd, p)
-	f.ls.End(iostats.Read, int64(n), start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(1)
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Read, Path: f.pathOf(fd), Bytes: int64(n)})
-	}
+	f.data(iostats.Read, fd, 1, int64(n), start, err)
 	return n, err
 }
 
@@ -172,12 +192,7 @@ func (f *InstrumentFS) Read(fd int, p []byte) (int, error) {
 func (f *InstrumentFS) Write(fd int, p []byte) (int, error) {
 	start := f.ls.Start()
 	n, err := f.inner.Write(fd, p)
-	f.ls.End(iostats.Write, int64(n), start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(1)
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Write, Path: f.pathOf(fd), Bytes: int64(n)})
-	}
+	f.data(iostats.Write, fd, 1, int64(n), start, err)
 	return n, err
 }
 
@@ -185,12 +200,7 @@ func (f *InstrumentFS) Write(fd int, p []byte) (int, error) {
 func (f *InstrumentFS) Pread(fd int, p []byte, off int64) (int, error) {
 	start := f.ls.Start()
 	n, err := f.inner.Pread(fd, p, off)
-	f.ls.End(iostats.Read, int64(n), start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(1)
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Read, Path: f.pathOf(fd), Bytes: int64(n)})
-	}
+	f.data(iostats.Read, fd, 1, int64(n), start, err)
 	return n, err
 }
 
@@ -198,26 +208,16 @@ func (f *InstrumentFS) Pread(fd int, p []byte, off int64) (int, error) {
 func (f *InstrumentFS) Pwrite(fd int, p []byte, off int64) (int, error) {
 	start := f.ls.Start()
 	n, err := f.inner.Pwrite(fd, p, off)
-	f.ls.End(iostats.Write, int64(n), start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(1)
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Write, Path: f.pathOf(fd), Bytes: int64(n)})
-	}
+	f.data(iostats.Write, fd, 1, int64(n), start, err)
 	return n, err
 }
 
 // Preadv implements VectorFS: one backend operation carrying len(bufs)
-// segments — the counters record the batching the engine achieved.
+// segments.
 func (f *InstrumentFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 	start := f.ls.Start()
 	n, err := Preadv(f.inner, fd, bufs, off)
-	f.ls.End(iostats.Read, n, start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(int64(len(bufs)))
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Read, Path: f.pathOf(fd), Bytes: n})
-	}
+	f.data(iostats.Read, fd, len(bufs), n, start, err)
 	return n, err
 }
 
@@ -225,12 +225,7 @@ func (f *InstrumentFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 func (f *InstrumentFS) Pwritev(fd int, bufs [][]byte, off int64) (int64, error) {
 	start := f.ls.Start()
 	n, err := Pwritev(f.inner, fd, bufs, off)
-	f.ls.End(iostats.Write, n, start, err)
-	f.backendOps.Add(1)
-	f.vectorSegments.Add(int64(len(bufs)))
-	if n > 0 {
-		f.emit(OpEvent{Op: iostats.Write, Path: f.pathOf(fd), Bytes: n})
-	}
+	f.data(iostats.Write, fd, len(bufs), n, start, err)
 	return n, err
 }
 
@@ -241,63 +236,47 @@ func (f *InstrumentFS) Lseek(fd int, offset int64, whence int) (int64, error) {
 
 // Fsync implements FS.
 func (f *InstrumentFS) Fsync(fd int) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: f.pathOf(fd)})
-	start := f.ls.Start()
-	err := f.inner.Fsync(fd)
-	f.ls.End(iostats.Sync, 0, start, err)
-	return err
+	start := f.begin(f.pathOf(fd))
+	return f.meta(iostats.Sync, start, f.inner.Fsync(fd))
 }
 
 // Ftruncate implements FS.
 func (f *InstrumentFS) Ftruncate(fd int, size int64) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: f.pathOf(fd)})
-	start := f.ls.Start()
-	err := f.inner.Ftruncate(fd, size)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(f.pathOf(fd))
+	return f.meta(iostats.Meta, start, f.inner.Ftruncate(fd, size))
 }
 
 // Fstat implements FS.
 func (f *InstrumentFS) Fstat(fd int) (Stat, error) {
-	f.emit(OpEvent{Op: iostats.Meta, Path: f.pathOf(fd)})
-	start := f.ls.Start()
+	start := f.begin(f.pathOf(fd))
 	st, err := f.inner.Fstat(fd)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return st, err
+	return st, f.meta(iostats.Meta, start, err)
 }
 
 // Stat implements FS.
 func (f *InstrumentFS) Stat(path string) (Stat, error) {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
+	start := f.begin(path)
 	st, err := f.inner.Stat(path)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return st, err
+	return st, f.meta(iostats.Meta, start, err)
 }
 
 // Truncate implements FS.
 func (f *InstrumentFS) Truncate(path string, size int64) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
-	err := f.inner.Truncate(path, size)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(path)
+	return f.meta(iostats.Meta, start, f.inner.Truncate(path, size))
 }
 
 // Unlink implements FS.
 func (f *InstrumentFS) Unlink(path string) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
-	err := f.inner.Unlink(path)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(path)
+	return f.meta(iostats.Meta, start, f.inner.Unlink(path))
 }
 
-// Mkdir implements FS.
+// Mkdir implements FS (observed, on success only, as the creation of a
+// directory rather than as a meta op).
 func (f *InstrumentFS) Mkdir(path string, mode uint32) error {
 	start := f.ls.Start()
-	err := f.inner.Mkdir(path, mode)
-	f.ls.End(iostats.Meta, 0, start, err)
+	err := f.meta(iostats.Meta, start, f.inner.Mkdir(path, mode))
 	if err == nil {
 		f.emit(OpEvent{Op: iostats.Open, Path: path, Created: true, Dir: true})
 	}
@@ -306,38 +285,27 @@ func (f *InstrumentFS) Mkdir(path string, mode uint32) error {
 
 // Rmdir implements FS.
 func (f *InstrumentFS) Rmdir(path string) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
-	err := f.inner.Rmdir(path)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(path)
+	return f.meta(iostats.Meta, start, f.inner.Rmdir(path))
 }
 
 // Readdir implements FS.
 func (f *InstrumentFS) Readdir(path string) ([]DirEntry, error) {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
+	start := f.begin(path)
 	entries, err := f.inner.Readdir(path)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return entries, err
+	return entries, f.meta(iostats.Meta, start, err)
 }
 
 // Rename implements FS.
 func (f *InstrumentFS) Rename(oldpath, newpath string) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: oldpath})
-	start := f.ls.Start()
-	err := f.inner.Rename(oldpath, newpath)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(oldpath)
+	return f.meta(iostats.Meta, start, f.inner.Rename(oldpath, newpath))
 }
 
 // Access implements FS.
 func (f *InstrumentFS) Access(path string, mode int) error {
-	f.emit(OpEvent{Op: iostats.Meta, Path: path})
-	start := f.ls.Start()
-	err := f.inner.Access(path, mode)
-	f.ls.End(iostats.Meta, 0, start, err)
-	return err
+	start := f.begin(path)
+	return f.meta(iostats.Meta, start, f.inner.Access(path, mode))
 }
 
 var _ FS = (*InstrumentFS)(nil)

@@ -60,9 +60,9 @@ func primaryIndex(path string, n int) int {
 	return int(h % uint64(n))
 }
 
-// ModNLayout is the classic single-copy placement: each path lives on
-// exactly its primary backend. It is the default layout and is
-// byte-identical to the pre-layout StripedFS behavior.
+// ModNLayout is the single-copy placement: each path lives on exactly
+// its primary backend. It is the default layout, the width-1 case of
+// StripedFS's replica loop.
 type ModNLayout struct{}
 
 // Descriptor implements Layout.

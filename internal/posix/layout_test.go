@@ -1,6 +1,7 @@
 package posix
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,7 @@ func TestLayoutContract(t *testing.T) {
 			// Colocation: every path below one hostdir shares its set.
 			a := l.Replicas("/c/hostdir.5/dropping.data.1", n)
 			b := l.Replicas("/c/hostdir.5/dropping.index.2", n)
-			if !sameOwners(a, b) {
+			if !slices.Equal(a, b) {
 				t.Fatalf("%s/n=%d: hostdir.5 placement differs per file: %v vs %v", tc.desc, n, a, b)
 			}
 		}

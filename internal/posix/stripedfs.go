@@ -3,9 +3,10 @@ package posix
 import (
 	"errors"
 	gopath "path"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldplfs/internal/iostats"
@@ -18,32 +19,34 @@ import (
 //
 // Placement is delegated to a Layout (see layout.go) and is purely
 // path-based, so every instance over the same backend list agrees
-// without coordination. Under the default mod-N layout:
+// without coordination. Each path has an ordered replica set of
+// Layout.Width() backends, primary first:
 //
-//   - A path containing a hostdir component ("hostdir.K") routes to
-//     backend K mod N — hostdirs, and hence data and index droppings,
-//     spread deterministically across all backends.
+//   - A path containing a hostdir component ("hostdir.K") has primary
+//     K mod N — hostdirs, and hence data and index droppings, spread
+//     deterministically across all backends.
 //   - Every other path (container marker, version, meta/, openhosts/,
-//     plain files and directories) routes to backend 0, the canonical
-//     backend. Container metadata has a single home; only the bulk
-//     dropping I/O is striped.
+//     plain files and directories) has primary 0, the canonical
+//     backend.
 //
-// Under a replica-R layout each path instead has an ordered replica set
-// of R backends (primary first, primary identical to the mod-N owner):
-// writes fan out to every live replica, reads serve from the primary
-// and fail over — or are hedged against a second replica after a
-// deadline — and a backend failure degrades the file to its surviving
-// replicas instead of losing data. Divergence introduced by degraded
-// writes is repaired offline by plfsctl doctor (see internal/plfs's
-// replication scanner).
+// One replica loop serves every width: writes fan out to every live
+// replica, reads serve from the primary and fail over in replica order
+// — or are hedged against the next replica after a deadline — and a
+// backend failure degrades the file to its surviving replicas.
+// Divergence introduced by degraded writes is repaired offline by
+// plfsctl doctor (see internal/plfs's replication scanner). Mod-N is the
+// width-1 case: its sole owner has nothing to fail over to, so the loop
+// is a pass-through and every error comes back exactly as the backend
+// returned it. The package doc states the three rules the loop obeys
+// (failure budget, liveVerdict, last replica stays live).
 //
 // Directory structure is mirrored so each backend can hold its share of
 // hostdirs: creating a canonical directory creates it on every backend
-// (shadow copies are created with parents, best-effort EEXIST-tolerant),
-// removing or renaming one removes or renames it everywhere, and listing
-// one merges the per-backend listings. A container written with one
-// backend list must be read with the same list, exactly as a PLFS mount
-// must keep its backend configuration stable.
+// (shadow copies are created with parents, EEXIST-tolerant), removing or
+// renaming one removes or renames it everywhere, and listing one merges
+// the per-backend listings. A container written with one backend list
+// must be read with the same list, exactly as a PLFS mount must keep its
+// backend configuration stable.
 //
 // File descriptors are scoped to the composite and translated to the
 // owning backend(s), so StripedFS satisfies the full FS contract —
@@ -51,7 +54,7 @@ import (
 // backends.
 type StripedFS struct {
 	backends []FS
-	layout   Layout // nil = classic mod-N (single owner per path)
+	layout   Layout
 	ropts    ReplicaOptions
 
 	// Replica data-path counters, registered on layer "posix" when a
@@ -66,15 +69,16 @@ type StripedFS struct {
 	nextFD int
 }
 
-// ReplicaOptions tunes the replica data path of a layout-driven
-// StripedFS. The zero value disables hedging and telemetry.
+// ReplicaOptions tunes the replica data path of a StripedFS. The zero
+// value disables hedging and telemetry.
 type ReplicaOptions struct {
 	// HedgeDeadline races a read against the next replica when the
 	// primary has not answered within the deadline — the classic
 	// tail-latency hedge against a straggling backend. Zero disables
 	// hedging; reads then fail over only on error. Callers typically
 	// derive the deadline from the backends' known service time (e.g.
-	// a small multiple of the FaultFS per-op service time).
+	// a small multiple of the FaultFS per-op service time). A width-1
+	// layout has no second replica to race, so the deadline is ignored.
 	HedgeDeadline time.Duration
 
 	// HedgeTimer injects the hedge trigger for deterministic tests:
@@ -87,40 +91,70 @@ type ReplicaOptions struct {
 	Stats iostats.Collector
 }
 
-// stripedFD is one composite descriptor: the ordered replica set it was
-// opened across and the per-replica backend descriptors.
+// stripedFD is one composite descriptor: the path it was opened under
+// and its ordered replica set.
 type stripedFD struct {
-	mu    sync.Mutex
-	path  string
-	reps  []int  // owner backend indices, primary first
-	bfds  []int  // per-replica backend fd; -1 = not opened (lazy)
-	dead  []bool // replica disabled after an error (fd, if any, still closed on Close)
-	wrote bool   // opened for writing (every replica opened eagerly)
+	path string
+	reps []replica // primary first
 }
 
-// NewStripedFS composes backends into one striped FS under the classic
-// mod-N layout. Backend 0 is the canonical backend. At least one backend
-// is required; with exactly one, the composite degenerates to a
-// pass-through.
+// replica is one member of a descriptor's replica set. Its state is
+// atomic so the data path takes no per-descriptor lock.
+type replica struct {
+	b    int          // backend index
+	fd   atomic.Int64 // backend descriptor; -1 = not opened (lazy, or the open failed)
+	dead atomic.Bool  // disabled: another replica served an op this one failed
+}
+
+// open returns r's backend descriptor, or -1 when r is disabled or was
+// never opened.
+func (r *replica) open() int {
+	if r.dead.Load() {
+		return -1
+	}
+	return int(r.fd.Load())
+}
+
+// retire disables every replica ahead of i and reports how many were
+// live until now. It is called when replica i has just served an op:
+// each replica ahead of it failed that op or was already out. Being the
+// only way a replica is disabled, it keeps the third StripedFS rule — a
+// replica dies only when another served in its stead, so the last live
+// one never does.
+func (e *stripedFD) retire(i int) (n int64) {
+	for j := range e.reps[:i] {
+		if e.reps[j].dead.CompareAndSwap(false, true) {
+			n++
+		}
+	}
+	return n
+}
+
+// NewStripedFS composes backends into one striped FS under the mod-N
+// layout. Backend 0 is the canonical backend. At least one backend is
+// required; with exactly one, the composite is a pass-through.
 func NewStripedFS(backends ...FS) *StripedFS {
-	return NewLayoutFS(nil, ReplicaOptions{}, backends...)
+	return NewLayoutFS(ModNLayout{}, ReplicaOptions{}, backends...)
 }
 
-// NewLayoutFS composes backends under an explicit layout. A nil layout
-// (or ModNLayout) gives the classic single-copy striping; a layout with
-// Width > 1 enables the replica data path governed by ropts.
+// NewLayoutFS composes backends under an explicit layout (nil means
+// ModNLayout); ropts governs the replica data path.
 func NewLayoutFS(layout Layout, ropts ReplicaOptions, backends ...FS) *StripedFS {
 	if len(backends) == 0 {
 		panic("posix: NewStripedFS needs at least one backend")
 	}
-	bs := make([]FS, len(backends))
-	copy(bs, backends)
+	if layout == nil {
+		layout = ModNLayout{}
+	}
 	s := &StripedFS{
-		backends: bs,
+		backends: slices.Clone(backends),
 		layout:   layout,
 		ropts:    ropts,
 		fds:      make(map[int]*stripedFD),
 		nextFD:   3,
+	}
+	if s.LayoutWidth() == 1 {
+		s.ropts.HedgeDeadline = 0 // no second replica to race
 	}
 	var layer *iostats.LayerStats
 	if ropts.Stats != nil {
@@ -137,31 +171,18 @@ func NewLayoutFS(layout Layout, ropts ReplicaOptions, backends ...FS) *StripedFS
 func (s *StripedFS) NumBackends() int { return len(s.backends) }
 
 // Backends returns the composed backends (index 0 is canonical).
-func (s *StripedFS) Backends() []FS {
-	out := make([]FS, len(s.backends))
-	copy(out, s.backends)
-	return out
-}
+func (s *StripedFS) Backends() []FS { return slices.Clone(s.backends) }
 
-// Layout returns the placement layout (ModNLayout when none was set).
-func (s *StripedFS) Layout() Layout {
-	if s.layout == nil {
-		return ModNLayout{}
-	}
-	return s.layout
-}
+// Layout returns the placement layout.
+func (s *StripedFS) Layout() Layout { return s.layout }
 
 // LayoutWidth returns the effective replica count per path.
-func (s *StripedFS) LayoutWidth() int {
-	w := s.Layout().Width()
-	if w > len(s.backends) {
-		w = len(s.backends)
-	}
-	return w
-}
+func (s *StripedFS) LayoutWidth() int { return min(s.layout.Width(), len(s.backends)) }
 
 // ReplicasFor returns the ordered replica set owning path.
-func (s *StripedFS) ReplicasFor(path string) []int { return s.ownersFor(path) }
+func (s *StripedFS) ReplicasFor(path string) []int {
+	return s.layout.Replicas(path, len(s.backends))
+}
 
 // hostdirComponent returns the first "hostdir.*" component of path, or "".
 func hostdirComponent(path string) string {
@@ -175,8 +196,8 @@ func hostdirComponent(path string) string {
 
 // BackendFor returns the index of the backend holding the primary copy
 // of path: hostdir.K routes to K mod N, everything else to 0 —
-// identical across layouts, so mod-N and replicated instances agree on
-// where the authoritative copy lives.
+// identical across layouts, so every instance agrees on where the
+// authoritative copy lives.
 func (s *StripedFS) BackendFor(path string) int {
 	return primaryIndex(path, len(s.backends))
 }
@@ -184,18 +205,6 @@ func (s *StripedFS) BackendFor(path string) int {
 // routed reports whether path is owned by the hostdir placement rule
 // (it contains a hostdir component) rather than the canonical rule.
 func routed(path string) bool { return hostdirComponent(path) != "" }
-
-// ownersFor returns the ordered replica set for path; single-element
-// under mod-N, which keeps every legacy code path byte-identical.
-func (s *StripedFS) ownersFor(path string) []int {
-	if s.layout == nil || len(s.backends) == 1 {
-		return []int{s.BackendFor(path)}
-	}
-	return s.layout.Replicas(path, len(s.backends))
-}
-
-// replicated reports whether the composite runs a multi-copy layout.
-func (s *StripedFS) replicated() bool { return s.layout != nil && s.LayoutWidth() > 1 }
 
 // MkdirAll creates path and any missing parents on b, tolerating
 // existing directories — used to materialise the mirrored directory
@@ -228,9 +237,6 @@ func MkdirAll(b FS, path string, mode uint32) error {
 	return lastErr
 }
 
-// mkdirAll is the historical package-internal name.
-func mkdirAll(b FS, path string, mode uint32) error { return MkdirAll(b, path, mode) }
-
 // track registers a descriptor entry and returns the composite fd.
 func (s *StripedFS) track(e *stripedFD) int {
 	s.mu.Lock()
@@ -252,13 +258,14 @@ func (s *StripedFS) entry(fd int) (*stripedFD, error) {
 	return e, nil
 }
 
-// openOn opens path on backend b, materialising missing parent
-// directories when creating (a container adopted mid-stream, a mirror
-// that raced, or a revived replica whose skeleton is gone).
-func (s *StripedFS) openOn(b int, path string, flags int, mode uint32, retryDirs bool) (int, error) {
+// openOn opens path on backend b. A create under a hostdir rebuilds
+// missing parent directories first (a container adopted mid-stream, a
+// mirror that raced, or a revived replica whose skeleton is gone); a
+// canonical path's missing parent is the caller's ENOENT.
+func (s *StripedFS) openOn(b int, path string, flags int, mode uint32) (int, error) {
 	fd, err := s.backends[b].Open(path, flags, mode)
-	if errors.Is(err, ENOENT) && flags&O_CREAT != 0 && retryDirs {
-		if merr := mkdirAll(s.backends[b], gopath.Dir(gopath.Clean("/"+path)), 0o755); merr != nil {
+	if errors.Is(err, ENOENT) && flags&O_CREAT != 0 && routed(path) {
+		if merr := MkdirAll(s.backends[b], gopath.Dir(gopath.Clean("/"+path)), 0o755); merr != nil {
 			return -1, merr
 		}
 		fd, err = s.backends[b].Open(path, flags, mode)
@@ -266,64 +273,37 @@ func (s *StripedFS) openOn(b int, path string, flags int, mode uint32, retryDirs
 	return fd, err
 }
 
-// Open implements FS. Under mod-N the single owner is opened directly.
-// Under a replica layout a write-mode open fans out to every replica
-// (succeeding while at least one lives, the rest marked dead for the
-// doctor to heal) and a read-mode open takes the first replica that
-// answers, leaving the rest to open lazily on failover.
+// Open implements FS. A write-mode open fans out to every replica
+// (succeeding while at least one answers; the rest start disabled, for
+// the doctor to heal) and a read-only open takes the first replica that
+// answers, leaving the rest to open lazily on failover. On total
+// failure the error is chosen by liveVerdict.
 func (s *StripedFS) Open(path string, flags int, mode uint32) (int, error) {
-	owners := s.ownersFor(path)
-	if len(owners) == 1 {
-		b := owners[0]
-		fd, err := s.openOn(b, path, flags, mode, routed(path))
-		if err != nil {
-			return -1, err
-		}
-		e := &stripedFD{path: path, reps: owners, bfds: []int{fd}, dead: []bool{false}}
-		return s.track(e), nil
-	}
-	e := &stripedFD{
-		path: path,
-		reps: owners,
-		bfds: make([]int, len(owners)),
-		dead: make([]bool, len(owners)),
-	}
-	for i := range e.bfds {
-		e.bfds[i] = -1
-	}
-	var firstErr error
-	if flags&O_ACCMODE == O_RDONLY {
-		for i, b := range owners {
-			fd, err := s.backends[b].Open(path, flags, mode)
-			if err == nil {
-				e.bfds[i] = fd
-				return s.track(e), nil
-			}
-			e.dead[i] = true
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return -1, firstErr
-	}
-	e.wrote = true
+	owners := s.ReplicasFor(path)
+	e := &stripedFD{path: path, reps: make([]replica, len(owners))}
+	readOnly := flags&O_ACCMODE == O_RDONLY
 	opened := 0
+	var verdict error
 	for i, b := range owners {
-		fd, err := s.openOn(b, path, flags, mode, true)
-		if err != nil {
-			e.dead[i] = true
-			if firstErr == nil {
-				firstErr = err
-			}
+		r := &e.reps[i]
+		r.b = b
+		r.fd.Store(-1)
+		if readOnly && opened > 0 {
 			continue
 		}
-		e.bfds[i] = fd
+		fd, err := s.openOn(b, path, flags, mode)
+		if err != nil {
+			r.dead.Store(true)
+			verdict = liveVerdict(verdict, err)
+			continue
+		}
+		r.fd.Store(int64(fd))
 		opened++
 	}
 	if opened == 0 {
-		return -1, firstErr
+		return -1, verdict
 	}
-	if opened < len(owners) {
+	if !readOnly && opened < len(owners) {
 		s.writeDegraded.Add(1)
 	}
 	return s.track(e), nil
@@ -334,215 +314,182 @@ func (s *StripedFS) Open(path string, flags int, mode uint32) (int, error) {
 func (s *StripedFS) Close(fd int) error {
 	s.mu.Lock()
 	e, ok := s.fds[fd]
-	if ok {
-		delete(s.fds, fd)
-	}
+	delete(s.fds, fd)
 	s.mu.Unlock()
 	if !ok {
 		return EBADF
 	}
 	var firstErr error
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, bfd := range e.bfds {
-		if bfd < 0 {
-			continue
+	for i := range e.reps {
+		r := &e.reps[i]
+		if bfd := r.fd.Swap(-1); bfd >= 0 {
+			if err := s.backends[r.b].Close(int(bfd)); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		if err := s.backends[e.reps[i]].Close(bfd); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		e.bfds[i] = -1
 	}
 	return firstErr
 }
 
-// live returns a snapshot of the replica indices currently usable for
-// I/O (open and not dead), in replica order.
-func (e *stripedFD) live() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, 0, len(e.reps))
-	for i := range e.reps {
-		if e.bfds[i] >= 0 && !e.dead[i] {
-			out = append(out, i)
-		}
+// readable returns an open backend descriptor for replica r, opening it
+// read-only on first use (the lazy failover open). Racing openers are
+// reconciled: the loser's descriptor is closed.
+func (s *StripedFS) readable(e *stripedFD, r *replica) (int, error) {
+	if fd := r.fd.Load(); fd >= 0 {
+		return int(fd), nil
 	}
-	return out
-}
-
-// markDead disables replica i of e.
-func (e *stripedFD) markDead(i int) {
-	e.mu.Lock()
-	e.dead[i] = true
-	e.mu.Unlock()
-}
-
-// ensureReadable returns an open backend fd for replica i, opening it
-// read-only on first use (lazy failover opens). Racing openers are
-// reconciled: the loser's fd is closed.
-func (s *StripedFS) ensureReadable(e *stripedFD, i int) (int, error) {
-	e.mu.Lock()
-	if e.dead[i] {
-		e.mu.Unlock()
-		return -1, EIO
-	}
-	if e.bfds[i] >= 0 {
-		bfd := e.bfds[i]
-		e.mu.Unlock()
-		return bfd, nil
-	}
-	e.mu.Unlock()
-	fd, err := s.backends[e.reps[i]].Open(e.path, O_RDONLY, 0)
+	fd, err := s.backends[r.b].Open(e.path, O_RDONLY, 0)
 	if err != nil {
-		e.markDead(i)
 		return -1, err
 	}
-	e.mu.Lock()
-	if e.bfds[i] >= 0 {
-		stored := e.bfds[i]
-		e.mu.Unlock()
-		_ = s.backends[e.reps[i]].Close(fd)
-		return stored, nil
+	if !r.fd.CompareAndSwap(-1, int64(fd)) {
+		_ = s.backends[r.b].Close(fd) // lost the race; the winner's descriptor serves
+		return int(r.fd.Load()), nil
 	}
-	e.bfds[i] = fd
-	e.mu.Unlock()
 	return fd, nil
 }
 
-// Read implements FS. Multi-replica pointer reads serve from the first
-// live replica and advance the others' file pointers to match, keeping
-// the replica set interchangeable for subsequent pointer I/O.
+// fanOut applies op to every open replica of e — the write side of the
+// replica loop. The primary-most success is the result, and a replica
+// that failed while another succeeded is disabled (a degraded write the
+// doctor later heals). When every replica fails none is disabled and the
+// primary-most failure comes back exactly as its backend returned it,
+// count included — which is all a sole owner (mod-N) ever sees.
+func fanOut[N int | int64](s *StripedFS, e *stripedFD, op func(b FS, bfd int) (N, error)) (N, error) {
+	var n N
+	var firstErr error
+	served := false
+	for i := range e.reps {
+		r := &e.reps[i]
+		bfd := r.open()
+		if bfd < 0 {
+			continue
+		}
+		rn, err := op(s.backends[r.b], bfd)
+		switch {
+		case err == nil && !served:
+			n, served = rn, true
+			if lost := e.retire(i); lost > 0 {
+				s.writeDegraded.Add(lost)
+			}
+		case err == nil:
+		case served:
+			r.dead.Store(true)
+			s.writeDegraded.Add(1)
+		case firstErr == nil:
+			n, firstErr = rn, err
+		}
+	}
+	if served {
+		return n, nil
+	}
+	if firstErr == nil {
+		firstErr = EIO // no replica left open
+	}
+	return n, firstErr
+}
+
+// serve runs op on the first replica of e that answers, in replica
+// order — the read side of the replica loop — and returns its result
+// with the index that served (-1 on failure). With lazy set, replicas
+// not yet opened are opened read-only on demand; pointer I/O passes
+// false, since a fresh descriptor would not share the file position.
+// Replicas that failed ahead of the one that served are retired; on
+// total failure none is, and the primary-most failure comes back as its
+// backend returned it.
+func serve[T any](s *StripedFS, e *stripedFD, lazy bool, op func(b FS, bfd int) (T, error)) (T, int, error) {
+	var first T
+	var firstErr error
+	for i := range e.reps {
+		r := &e.reps[i]
+		if r.dead.Load() || (!lazy && r.fd.Load() < 0) {
+			continue
+		}
+		var v T
+		bfd, err := s.readable(e, r)
+		if err == nil {
+			if v, err = op(s.backends[r.b], bfd); err == nil {
+				e.retire(i)
+				return v, i, nil
+			}
+		}
+		if firstErr == nil {
+			first, firstErr = v, err
+		}
+	}
+	if firstErr == nil {
+		firstErr = EIO // no replica left to ask
+	}
+	return first, -1, firstErr
+}
+
+// countRead records which replica served a positional read.
+func (s *StripedFS) countRead(i int) {
+	switch {
+	case i == 0:
+		s.readPrimary.Add(1)
+	case i > 0:
+		s.readFailover.Add(1)
+	}
+}
+
+// Read implements FS: served from the first live replica, after which
+// the others' file pointers are advanced to match, keeping the replica
+// set interchangeable for subsequent pointer I/O.
 func (s *StripedFS) Read(fd int, p []byte) (int, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Read(e.bfds[0], p)
+	n, i, err := serve(s, e, false, func(b FS, bfd int) (int, error) { return b.Read(bfd, p) })
+	if err != nil {
+		return n, err
 	}
-	live := e.live()
-	if len(live) == 0 {
-		return 0, EIO
-	}
-	var firstErr error
-	for k, i := range live {
-		n, err := s.backends[e.reps[i]].Read(e.bfds[i], p)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			continue
-		}
-		for _, j := range live[k+1:] {
-			if _, serr := s.backends[e.reps[j]].Lseek(e.bfds[j], int64(n), SEEK_CUR); serr != nil {
-				e.markDead(j)
+	for j := i + 1; j < len(e.reps); j++ {
+		r := &e.reps[j]
+		if bfd := r.open(); bfd >= 0 {
+			if _, serr := s.backends[r.b].Lseek(bfd, int64(n), SEEK_CUR); serr != nil {
+				r.dead.Store(true)
 			}
 		}
-		return n, nil
 	}
-	return 0, firstErr
+	return n, nil
 }
 
-// Write implements FS: multi-replica pointer writes fan out to every
-// live replica; at least one must succeed.
+// Write implements FS.
 func (s *StripedFS) Write(fd int, p []byte) (int, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Write(e.bfds[0], p)
-	}
-	return s.fanOut(e, func(b FS, bfd int) (int, error) { return b.Write(bfd, p) })
+	return fanOut(s, e, func(b FS, bfd int) (int, error) { return b.Write(bfd, p) })
 }
 
-// fanOut applies op to every live replica of e: the primary-most
-// success is the reported result, failing replicas are marked dead (a
-// degraded write the doctor later heals), and only a total loss is an
-// error.
-func (s *StripedFS) fanOut(e *stripedFD, op func(b FS, bfd int) (int, error)) (int, error) {
-	live := e.live()
-	n := -1
-	var firstErr error
-	for _, i := range live {
-		wn, err := op(s.backends[e.reps[i]], e.bfds[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			s.writeDegraded.Add(1)
-			continue
-		}
-		if n < 0 {
-			n = wn
-		}
-	}
-	if n < 0 {
-		if firstErr == nil {
-			firstErr = EIO
-		}
-		return 0, firstErr
-	}
-	return n, nil
-}
-
-// Pread implements FS. Multi-replica reads serve from the primary,
-// failing over in replica order; with a hedge deadline configured, a
-// slow primary is raced against the next replica and the first answer
-// wins.
+// Pread implements FS: served from the primary, failing over in replica
+// order; with a hedge deadline configured, a slow primary is raced
+// against the next replica and the first answer wins.
 func (s *StripedFS) Pread(fd int, p []byte, off int64) (int, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Pread(e.bfds[0], p, off)
-	}
 	if s.ropts.HedgeDeadline > 0 {
 		return s.hedgedPread(e, p, off)
 	}
-	var firstErr error
-	for i := range e.reps {
-		bfd, err := s.ensureReadable(e, i)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n, err := s.backends[e.reps[i]].Pread(bfd, p, off)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			continue
-		}
-		if i == 0 {
-			s.readPrimary.Add(1)
-		} else {
-			s.readFailover.Add(1)
-		}
-		return n, nil
-	}
-	return 0, firstErr
+	n, i, err := serve(s, e, true, func(b FS, bfd int) (int, error) { return b.Pread(bfd, p, off) })
+	s.countRead(i)
+	return n, err
 }
 
-// Preadv implements VectorFS. A single-owner descriptor delegates the
-// whole vector to its backend; a replica set serves the vector from the
-// primary and fails over in replica order, exactly like Pread. Under a
-// hedge deadline the vector degrades to per-buffer hedged reads — the
-// hedge races private buffers per request, and its deterministic tests
-// count those requests, so hedging keeps the scalar shape.
+// Preadv implements VectorFS: the whole vector is served by one replica,
+// failing over exactly like Pread. Under a hedge deadline the vector
+// degrades to per-buffer hedged reads — the hedge races private buffers
+// per request, and its deterministic tests count those requests, so
+// hedging keeps the scalar shape.
 func (s *StripedFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
-	}
-	if len(e.reps) == 1 {
-		return Preadv(s.backends[e.reps[0]], e.bfds[0], bufs, off)
 	}
 	if s.ropts.HedgeDeadline > 0 {
 		var total int64
@@ -558,31 +505,9 @@ func (s *StripedFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 		}
 		return total, nil
 	}
-	var firstErr error
-	for i := range e.reps {
-		bfd, err := s.ensureReadable(e, i)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n, err := Preadv(s.backends[e.reps[i]], bfd, bufs, off)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			continue
-		}
-		if i == 0 {
-			s.readPrimary.Add(1)
-		} else {
-			s.readFailover.Add(1)
-		}
-		return n, nil
-	}
-	return 0, firstErr
+	n, i, err := serve(s, e, true, func(b FS, bfd int) (int64, error) { return Preadv(b, bfd, bufs, off) })
+	s.countRead(i)
+	return n, err
 }
 
 // hedgeTimer returns the channel that triggers a hedge after d.
@@ -597,7 +522,9 @@ func (s *StripedFS) hedgeTimer(d time.Duration) <-chan time.Time {
 // has not answered by the hedge deadline the next replica is launched
 // too; the first successful answer wins. Each racer reads into a
 // private buffer so a late loser never scribbles on the caller's
-// buffer. Errors fail over to further replicas immediately.
+// buffer. Errors fail over to further replicas immediately, and — as in
+// serve — the replicas that failed are disabled only once another has
+// answered.
 func (s *StripedFS) hedgedPread(e *stripedFD, p []byte, off int64) (int, error) {
 	type result struct {
 		idx int
@@ -607,35 +534,35 @@ func (s *StripedFS) hedgedPread(e *stripedFD, p []byte, off int64) (int, error) 
 	}
 	ch := make(chan result, len(e.reps))
 	var firstErr error
+	var failed []int
 	next := 0
 	inflight := 0
 	launch := func() {
 		for next < len(e.reps) {
 			i := next
 			next++
-			bfd, err := s.ensureReadable(e, i)
+			r := &e.reps[i]
+			if r.dead.Load() {
+				continue
+			}
+			bfd, err := s.readable(e, r)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
+				failed = append(failed, i)
 				continue
 			}
 			inflight++
-			go func(i, bfd int) {
+			go func() {
 				buf := make([]byte, len(p))
-				n, err := s.backends[e.reps[i]].Pread(bfd, buf, off)
+				n, err := s.backends[r.b].Pread(bfd, buf, off)
 				ch <- result{idx: i, n: n, err: err, buf: buf}
-			}(i, bfd)
+			}()
 			return
 		}
 	}
 	launch()
-	if inflight == 0 {
-		if firstErr == nil {
-			firstErr = EIO
-		}
-		return 0, firstErr
-	}
 	timer := s.hedgeTimer(s.ropts.HedgeDeadline)
 	for inflight > 0 {
 		select {
@@ -643,17 +570,16 @@ func (s *StripedFS) hedgedPread(e *stripedFD, p []byte, off int64) (int, error) 
 			inflight--
 			if r.err == nil {
 				copy(p, r.buf[:r.n])
-				if r.idx == 0 {
-					s.readPrimary.Add(1)
-				} else {
-					s.readFailover.Add(1)
+				for _, j := range failed {
+					e.reps[j].dead.Store(true)
 				}
+				s.countRead(r.idx)
 				return r.n, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
-			e.markDead(r.idx)
+			failed = append(failed, r.idx)
 			launch()
 		case <-timer:
 			timer = nil // fire at most once; nil channel never selects
@@ -664,63 +590,30 @@ func (s *StripedFS) hedgedPread(e *stripedFD, p []byte, off int64) (int, error) 
 			}
 		}
 	}
+	if firstErr == nil {
+		firstErr = EIO // no replica left to ask
+	}
 	return 0, firstErr
 }
 
-// Pwrite implements FS: multi-replica writes fan out to every live
-// replica at the same offset.
+// Pwrite implements FS.
 func (s *StripedFS) Pwrite(fd int, p []byte, off int64) (int, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Pwrite(e.bfds[0], p, off)
-	}
-	return s.fanOut(e, func(b FS, bfd int) (int, error) { return b.Pwrite(bfd, p, off) })
+	return fanOut(s, e, func(b FS, bfd int) (int, error) { return b.Pwrite(bfd, p, off) })
 }
 
-// Pwritev implements VectorFS: a single-owner descriptor delegates, a
-// replica set fans the whole vector out to every live replica at the
-// same offset — one vectored submission per replica instead of one per
-// segment per replica.
+// Pwritev implements VectorFS: the whole vector goes to every live
+// replica at the same offset — one vectored submission per replica
+// instead of one per segment per replica.
 func (s *StripedFS) Pwritev(fd int, bufs [][]byte, off int64) (int64, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return Pwritev(s.backends[e.reps[0]], e.bfds[0], bufs, off)
-	}
-	return s.fanOut64(e, func(b FS, bfd int) (int64, error) { return Pwritev(b, bfd, bufs, off) })
-}
-
-// fanOut64 is fanOut for int64-counted (vectored) operations.
-func (s *StripedFS) fanOut64(e *stripedFD, op func(b FS, bfd int) (int64, error)) (int64, error) {
-	live := e.live()
-	n := int64(-1)
-	var firstErr error
-	for _, i := range live {
-		wn, err := op(s.backends[e.reps[i]], e.bfds[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			s.writeDegraded.Add(1)
-			continue
-		}
-		if n < 0 {
-			n = wn
-		}
-	}
-	if n < 0 {
-		if firstErr == nil {
-			firstErr = EIO
-		}
-		return 0, firstErr
-	}
-	return n, nil
+	return fanOut(s, e, func(b FS, bfd int) (int64, error) { return Pwritev(b, bfd, bufs, off) })
 }
 
 // Lseek implements FS: applied to every live replica so their file
@@ -730,58 +623,26 @@ func (s *StripedFS) Lseek(fd int, offset int64, whence int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Lseek(e.bfds[0], offset, whence)
-	}
-	live := e.live()
-	pos := int64(-1)
-	var firstErr error
-	for _, i := range live {
-		p, err := s.backends[e.reps[i]].Lseek(e.bfds[i], offset, whence)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			e.markDead(i)
-			continue
-		}
-		if pos < 0 {
-			pos = p
-		}
-	}
-	if pos < 0 {
-		if firstErr == nil {
-			firstErr = EIO
-		}
-		return 0, firstErr
-	}
-	return pos, nil
+	return fanOut(s, e, func(b FS, bfd int) (int64, error) { return b.Lseek(bfd, offset, whence) })
 }
 
-// Fsync implements FS: flushed on every live replica; one durable copy
-// is enough to succeed (the rest are marked dead for the doctor).
+// Fsync implements FS: one durable copy is enough to succeed.
 func (s *StripedFS) Fsync(fd int) error {
 	e, err := s.entry(fd)
 	if err != nil {
 		return err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Fsync(e.bfds[0])
-	}
-	_, err = s.fanOut(e, func(b FS, bfd int) (int, error) { return 0, b.Fsync(bfd) })
+	_, err = fanOut(s, e, func(b FS, bfd int) (int, error) { return 0, b.Fsync(bfd) })
 	return err
 }
 
-// Ftruncate implements FS: applied to every live replica.
+// Ftruncate implements FS.
 func (s *StripedFS) Ftruncate(fd int, size int64) error {
 	e, err := s.entry(fd)
 	if err != nil {
 		return err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Ftruncate(e.bfds[0], size)
-	}
-	_, err = s.fanOut(e, func(b FS, bfd int) (int, error) { return 0, b.Ftruncate(bfd, size) })
+	_, err = fanOut(s, e, func(b FS, bfd int) (int, error) { return 0, b.Ftruncate(bfd, size) })
 	return err
 }
 
@@ -791,31 +652,16 @@ func (s *StripedFS) Fstat(fd int) (Stat, error) {
 	if err != nil {
 		return Stat{}, err
 	}
-	if len(e.reps) == 1 {
-		return s.backends[e.reps[0]].Fstat(e.bfds[0])
-	}
-	var firstErr error
-	for _, i := range e.live() {
-		st, err := s.backends[e.reps[i]].Fstat(e.bfds[i])
-		if err == nil {
-			return st, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = EIO
-	}
-	return Stat{}, firstErr
+	st, _, err := serve(s, e, false, func(b FS, bfd int) (Stat, error) { return b.Fstat(bfd) })
+	return st, err
 }
 
 // liveVerdict folds one more owner's failure into the running error of
-// a multi-owner read-side op. The first error stands unless it is a
-// dead backend's EIO and err is a live backend's verdict (ENOENT,
-// EACCES, ...): the survivor actually looked, so its answer outranks
-// the dead backend's. This is the one statement of that rule; every
-// owner loop that can meet a dead replica folds its errors through it.
+// a multi-owner op. The first error stands unless it is a dead
+// backend's EIO and err is a live backend's verdict (ENOENT, EACCES,
+// ...): the survivor actually looked, so its answer outranks the dead
+// backend's. This is the one statement of that rule; every owner loop
+// that can meet a dead replica folds its errors through it.
 func liveVerdict(cur, err error) error {
 	if cur == nil || (errors.Is(cur, EIO) && !errors.Is(err, EIO)) {
 		return err
@@ -823,46 +669,81 @@ func liveVerdict(cur, err error) error {
 	return cur
 }
 
+// across applies op to the backends in scan, in order, on behalf of a
+// path owned by owners (a subset of scan) — the one loop behind every
+// mutating path op and Readdir. It succeeds when at least one owner
+// did, and is the one statement of the failure budget: a layout of
+// width W keeps a survivor in every replica set while fewer than W
+// backends have failed, so W-1 dead backends (EIO) are ridden out and
+// the next one aborts — mod-N tolerates none and fails fast on its
+// primary. ENOENT is never a failure: a shadow may never have held the
+// path and an owner may have missed it while degraded, though once no
+// owner is left to serve, the owners' liveVerdict is returned without
+// touching what remains of scan. Any other error is a live backend's
+// refusal (ENOTEMPTY, EEXIST, EACCES): a verdict, returned at once, not
+// a failure to ride out.
+func (s *StripedFS) across(scan, owners []int, op func(i int) error) error {
+	budget := len(owners) - 1
+	pending := len(owners)
+	served := false
+	var verdict error
+	for _, i := range scan {
+		owner := slices.Contains(owners, i)
+		err := op(i)
+		switch {
+		case err == nil:
+			served = served || owner
+		case errors.Is(err, EIO):
+			if budget--; budget < 0 {
+				return err
+			}
+		case errors.Is(err, ENOENT):
+		default:
+			return err
+		}
+		if owner {
+			verdict = liveVerdict(verdict, err)
+			if pending--; pending == 0 && !served {
+				return verdict
+			}
+		}
+	}
+	return nil
+}
+
+// mirrored returns every backend index in the order a canonical
+// directory op visits them: owners in replica order, then the shadows.
+func (s *StripedFS) mirrored(owners []int) []int {
+	order := append(make([]int, 0, len(s.backends)), owners...)
+	for i := range s.backends {
+		if !slices.Contains(owners, i) {
+			order = append(order, i)
+		}
+	}
+	return order
+}
+
 // pathFirst applies op to each owner of path in replica order and
 // returns the first success — the read-side semantics for path ops. On
 // total failure the error is chosen by liveVerdict.
 func (s *StripedFS) pathFirst(path string, op func(b FS) error) error {
-	owners := s.ownersFor(path)
-	if len(owners) == 1 {
-		return op(s.backends[owners[0]])
-	}
-	var firstErr error
-	for _, b := range owners {
-		err := op(s.backends[b])
+	var verdict error
+	for _, i := range s.ReplicasFor(path) {
+		err := op(s.backends[i])
 		if err == nil {
 			return nil
 		}
-		firstErr = liveVerdict(firstErr, err)
+		verdict = liveVerdict(verdict, err)
 	}
-	return firstErr
+	return verdict
 }
 
-// pathAll applies op to every owner of path and succeeds if at least
-// one owner does — the write-side semantics for path ops (a dead
-// replica degrades the copy set; the doctor heals it later).
+// pathAll applies op to every owner of path under the rules of across —
+// the write-side semantics for path ops (a dead replica degrades the
+// copy set; the doctor heals it later).
 func (s *StripedFS) pathAll(path string, op func(b FS) error) error {
-	owners := s.ownersFor(path)
-	if len(owners) == 1 {
-		return op(s.backends[owners[0]])
-	}
-	ok := false
-	var firstErr error
-	for _, b := range owners {
-		if err := op(s.backends[b]); err == nil {
-			ok = true
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if ok {
-		return nil
-	}
-	return firstErr
+	owners := s.ReplicasFor(path)
+	return s.across(owners, owners, func(i int) error { return op(s.backends[i]) })
 }
 
 // Stat implements FS.
@@ -885,19 +766,17 @@ func (s *StripedFS) Unlink(path string) error {
 	return s.pathAll(path, func(b FS) error { return b.Unlink(path) })
 }
 
-// Mkdir implements FS. A routed (hostdir) directory is created on every
-// owning backend; a canonical directory is created on backend 0 with
-// authoritative error semantics and mirrored — with parents — onto every
-// shadow backend so later hostdirs have a home there. Under a replica
-// layout one surviving owner is enough, and shadow mirror failures are
-// tolerated (a dead backend's skeleton is rebuilt when it is healed).
+// Mkdir implements FS. A routed (hostdir) directory is created on its
+// owners, rebuilding a missing parent skeleton there. A canonical
+// directory is created on its primary with authoritative error
+// semantics, then mirrored — with parents, EEXIST-tolerant — onto every
+// other backend so later hostdirs have a home there.
 func (s *StripedFS) Mkdir(path string, mode uint32) error {
 	if routed(path) {
 		return s.pathAll(path, func(b FS) error {
 			err := b.Mkdir(path, mode)
 			if errors.Is(err, ENOENT) {
-				// Parent skeleton missing on the owning backend; build it.
-				if merr := mkdirAll(b, gopath.Dir(gopath.Clean("/"+path)), 0o755); merr != nil {
+				if merr := MkdirAll(b, gopath.Dir(gopath.Clean("/"+path)), 0o755); merr != nil {
 					return merr
 				}
 				err = b.Mkdir(path, mode)
@@ -905,245 +784,76 @@ func (s *StripedFS) Mkdir(path string, mode uint32) error {
 			return err
 		})
 	}
-	if !s.replicated() {
-		err0 := s.backends[0].Mkdir(path, mode)
-		if err0 != nil && !errors.Is(err0, EEXIST) {
-			return err0
-		}
-		for _, b := range s.backends[1:] {
-			if err := mkdirAll(b, path, mode); err != nil {
-				return err
-			}
-		}
-		return err0
-	}
-	owners := s.ownersFor(path)
-	isOwner := make(map[int]bool, len(owners))
-	for _, b := range owners {
-		isOwner[b] = true
-	}
-	err0 := s.backends[owners[0]].Mkdir(path, mode)
-	ok := err0 == nil || errors.Is(err0, EEXIST)
-	for i, b := range s.backends {
+	owners := s.ReplicasFor(path)
+	return s.across(s.mirrored(owners), owners, func(i int) error {
 		if i == owners[0] {
-			continue
+			return s.backends[i].Mkdir(path, mode)
 		}
-		if err := mkdirAll(b, path, mode); err == nil && isOwner[i] {
-			ok = true
-		}
-	}
-	if !ok {
-		return err0
-	}
-	if errors.Is(err0, EEXIST) {
-		return err0
-	}
-	return nil
+		return MkdirAll(s.backends[i], path, mode)
+	})
 }
 
-// Rmdir implements FS. Canonical directories come down on every backend
-// (shadows first, tolerating directories that never made it there);
-// backend 0 is authoritative for the result. Under a replica layout a
-// dead backend's copy is tolerated — the doctor reconciles it later.
+// Rmdir implements FS. A canonical directory comes down on every
+// backend, shadows first and the primary last: a shadow still holding
+// hostdirs refuses (ENOTEMPTY) before any owner is touched.
 func (s *StripedFS) Rmdir(path string) error {
 	if routed(path) {
 		return s.pathAll(path, func(b FS) error { return b.Rmdir(path) })
 	}
-	if !s.replicated() {
-		for _, b := range s.backends[1:] {
-			if err := b.Rmdir(path); err != nil && !errors.Is(err, ENOENT) {
-				return err
-			}
-		}
-		return s.backends[0].Rmdir(path)
-	}
-	owners := s.ownersFor(path)
-	isOwner := make(map[int]bool, len(owners))
-	for _, b := range owners {
-		isOwner[b] = true
-	}
-	ok := false
-	var ownerErr error
-	for i := len(s.backends) - 1; i >= 0; i-- {
-		err := s.backends[i].Rmdir(path)
-		if !isOwner[i] {
-			continue
-		}
-		switch {
-		case err == nil:
-			ok = true
-		case errors.Is(err, ENOENT):
-			// A replica that never materialised the directory.
-		case ownerErr == nil || i == owners[0]:
-			ownerErr = err
-		}
-	}
-	if ok {
-		return nil
-	}
-	if ownerErr != nil {
-		return ownerErr
-	}
-	return ENOENT
+	owners := s.ReplicasFor(path)
+	order := s.mirrored(owners)
+	slices.Reverse(order)
+	return s.across(order, owners, func(i int) error { return s.backends[i].Rmdir(path) })
 }
 
-// Readdir implements FS. A directory's listing is the merged,
+// Readdir implements FS. A directory's listing is the name-ordered,
 // name-deduplicated union across the backends that may hold entries —
-// this is how a container walk discovers hostdirs wherever they live.
-// Under mod-N backend 0 is authoritative for canonical errors; under a
-// replica layout one answering owner is enough.
+// every backend for a canonical directory, which is how a container
+// walk discovers hostdirs wherever they live. Under the failure budget
+// a listing is either complete or an error, never silently short.
 func (s *StripedFS) Readdir(path string) ([]DirEntry, error) {
-	if routed(path) {
-		owners := s.ownersFor(path)
-		if len(owners) == 1 {
-			return s.backends[owners[0]].Readdir(path)
-		}
-		return s.mergedReaddir(path, owners, owners)
+	owners := s.ReplicasFor(path)
+	scan := owners
+	if !routed(path) {
+		scan = s.mirrored(owners)
 	}
-	if !s.replicated() {
-		entries, err := s.backends[0].Readdir(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(s.backends) == 1 {
-			return entries, nil
-		}
-		seen := make(map[string]bool, len(entries))
-		for _, e := range entries {
-			seen[e.Name] = true
-		}
-		for _, b := range s.backends[1:] {
-			shadow, err := b.Readdir(path)
-			if err != nil {
-				if errors.Is(err, ENOENT) || errors.Is(err, ENOTDIR) {
-					continue
-				}
-				return nil, err
-			}
-			for _, e := range shadow {
-				if !seen[e.Name] {
-					seen[e.Name] = true
-					entries = append(entries, e)
-				}
-			}
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-		return entries, nil
-	}
-	all := make([]int, len(s.backends))
-	for i := range all {
-		all[i] = i
-	}
-	return s.mergedReaddir(path, all, s.ownersFor(path))
-}
-
-// mergedReaddir merges listings across the scan backends, requiring at
-// least one of the owner backends to answer; other failures are
-// tolerated (a dead or partially-healed replica must not blind the
-// container walk). When no owner answers, liveVerdict picks the error.
-func (s *StripedFS) mergedReaddir(path string, scan, owners []int) ([]DirEntry, error) {
-	isOwner := make(map[int]bool, len(owners))
-	for _, b := range owners {
-		isOwner[b] = true
-	}
-	seen := make(map[string]bool)
 	var entries []DirEntry
-	ok := false
-	var ownerErr error
-	for _, i := range scan {
+	err := s.across(scan, owners, func(i int) error {
 		list, err := s.backends[i].Readdir(path)
-		if err != nil {
-			if isOwner[i] {
-				ownerErr = liveVerdict(ownerErr, err)
-			}
-			continue
+		if entries == nil {
+			entries = list
+		} else {
+			entries = append(entries, list...)
 		}
-		if isOwner[i] {
-			ok = true
-		}
-		for _, e := range list {
-			if !seen[e.Name] {
-				seen[e.Name] = true
-				entries = append(entries, e)
-			}
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !ok {
-		if ownerErr == nil {
-			ownerErr = ENOENT
-		}
-		return nil, ownerErr
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	return entries, nil
-}
-
-// sameOwners reports whether two replica sets are identical.
-func sameOwners(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	// Map-free merge: the stable sort keeps the primary-most copy of a
+	// name first, and that is the one CompactFunc keeps.
+	slices.SortStableFunc(entries, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+	return slices.CompactFunc(entries, func(a, b DirEntry) bool { return a.Name == b.Name }), nil
 }
 
 // Rename implements FS. Routed paths rename within their owning replica
 // set; a rename that would move data between replica sets is refused
-// (EXDEV, as between real mounts). Canonical paths rename on backend 0
-// first — the authoritative copy, so the common failures (destination
-// occupied, permissions) fail fast before any shadow moves — then on
-// every shadow holding the old path, carrying a container's shadow
-// hostdir trees along.
+// (EXDEV, as between real mounts). Canonical paths rename on their
+// owners first — so the common failures (destination occupied,
+// permissions) fail fast before any shadow moves — then on every shadow
+// holding the old path, carrying a container's shadow hostdir trees
+// along.
 func (s *StripedFS) Rename(oldpath, newpath string) error {
+	owners := s.ReplicasFor(oldpath)
+	scan := owners
 	if routed(oldpath) || routed(newpath) {
-		oo, no := s.ownersFor(oldpath), s.ownersFor(newpath)
-		if !sameOwners(oo, no) {
+		if !slices.Equal(owners, s.ReplicasFor(newpath)) {
 			return EXDEV
 		}
-		return s.pathAll(oldpath, func(b FS) error { return b.Rename(oldpath, newpath) })
+	} else {
+		scan = s.mirrored(owners)
 	}
-	if !s.replicated() {
-		if err := s.backends[0].Rename(oldpath, newpath); err != nil {
-			return err
-		}
-		for _, b := range s.backends[1:] {
-			if err := b.Rename(oldpath, newpath); err != nil && !errors.Is(err, ENOENT) {
-				return err
-			}
-		}
-		return nil
-	}
-	owners := s.ownersFor(oldpath)
-	isOwner := make(map[int]bool, len(owners))
-	for _, b := range owners {
-		isOwner[b] = true
-	}
-	ok := false
-	var ownerErr error
-	for i, b := range s.backends {
-		err := b.Rename(oldpath, newpath)
-		if !isOwner[i] {
-			continue
-		}
-		switch {
-		case err == nil:
-			ok = true
-		case errors.Is(err, ENOENT):
-		case ownerErr == nil || i == owners[0]:
-			ownerErr = err
-		}
-	}
-	if ok {
-		return nil
-	}
-	if ownerErr != nil {
-		return ownerErr
-	}
-	return ENOENT
+	return s.across(scan, owners, func(i int) error { return s.backends[i].Rename(oldpath, newpath) })
 }
 
 // Access implements FS.

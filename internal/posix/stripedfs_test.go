@@ -66,10 +66,26 @@ func TestStripedFSConcurrentPreadRouted(t *testing.T) {
 // to a plain backend — the same differential rig that validates MemFS
 // against the OS validates the composite against MemFS.
 func TestStripedFSMatchesMemFS(t *testing.T) {
+	rows := []struct {
+		layout string
+		n      int
+	}{{"mod-n", 1}, {"mod-n", 3}, {"replica-2", 3}, {"replica-3", 3}}
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s, _ := striped3()
-			runDifferential(t, rand.New(rand.NewSource(seed)), s, NewMemFS(), 400)
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("%sx%d", row.layout, row.n), func(t *testing.T) {
+					layout, err := LayoutFor(row.layout, row.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					backends := make([]FS, row.n)
+					for i := range backends {
+						backends[i] = NewMemFS()
+					}
+					s := NewLayoutFS(layout, ReplicaOptions{}, backends...)
+					runDifferential(t, rand.New(rand.NewSource(seed)), s, NewMemFS(), 400)
+				})
+			}
 		})
 	}
 }
