@@ -22,7 +22,7 @@
 //
 // The write path is its twin: per-writer sharded locking (writes and
 // syncs for distinct pids proceed fully in parallel under a shared
-// handle lock), batched index appends (Options.IndexBatch), and
+// container lock), batched index appends (Options.IndexBatch), and
 // vectored multi-extent writes (File.WriteV, Options.WriteWorkers)
 // that reserve a physical range up front and fan segment pwrites out
 // concurrently. Partial writes are always indexed to exactly the

@@ -26,16 +26,18 @@
 //
 // # lockorder — the data path's three locks have a declared ranking
 //
-// Invariant: FS.hmu (handle registry) before File.mu (handle) before
-// writer.mu (per-pid writer shard), within any one function including
-// its closures. Scope: ldplfs/internal/plfs only.
+// Invariant: FS.hmu (container registry) before container.mu (the
+// per-container writer table) before writer.mu (per-pid writer shard),
+// within any one function including its closures. Scope:
+// ldplfs/internal/plfs only.
 //
 // History: the PR 2 truncate redesign fixed a deadlock between
-// container-level truncation (quiescing every handle in File.seq
-// order) and handle operations that re-entered the registry while
-// holding their own lock. Distinct instances of one rank are ordered
-// dynamically by File.seq, which a static check cannot see, so
-// same-rank reacquisition is allowed.
+// container-level truncation and operations that re-entered the
+// registry while holding the lock below it. Distinct instances of one
+// rank cannot be ordered statically, so same-rank reacquisition is
+// allowed. A ranking entry that names no mutex field of the scoped
+// package is a finding, like a stale allowlist entry: a rename must
+// move the rank with it.
 //
 // # errnopreserve — errors that cross the wire keep their errno chain
 //

@@ -1,23 +1,25 @@
 // Package lockorder checks mutex acquisitions against a declared
 // ranking within one function.
 //
-// The PR 2 truncate redesign fixed a deadlock class by declaring a
-// deterministic acquisition order across the write path's three locks:
-// the FS handle registry (FS.hmu), then the handle lock (File.mu,
-// shared or exclusive), then the per-pid writer shard (writer.mu).
-// Container-level truncation quiesces every handle in File.seq order
-// under that ranking. The invariant lives only in comments; this
+// The write path declares a deterministic acquisition order across its
+// three locks: the FS container registry (FS.hmu), then the container
+// lock (container.mu, shared or exclusive), then the per-pid writer
+// shard (writer.mu). The invariant lives only in comments; this
 // analyzer makes it mechanical: acquiring a ranked lock while a
 // strictly higher-ranked lock is held (in the same function, including
 // closures, which inherit the enclosing held-set) is a finding.
 //
 // The check is a linear over-approximation: statements are scanned in
 // source order, Lock/RLock marks a rank held, Unlock/RUnlock releases
-// it, and a deferred unlock pins the rank held to function end. Locks
-// not named in the ranking are ignored, and re-acquiring an
-// already-held rank is allowed — distinct instances of one rank (e.g.
-// every handle of a container) are ordered dynamically by File.seq,
-// which is beyond static reach.
+// it, and a deferred unlock pins the rank held to function end. A lock
+// reached through an embedded struct is ranked under the type that
+// declares the field. Locks not named in the ranking are ignored, and
+// re-acquiring an already-held rank is allowed — distinct instances of
+// one rank are beyond static reach.
+//
+// A ranking entry that names no mutex field of the analyzed package is
+// itself a finding: a renamed type or field would otherwise leave its
+// rank silently matching nothing.
 package lockorder
 
 import (
@@ -32,7 +34,7 @@ import (
 // DefaultRanking is the declared data-path order, outermost first:
 // "Type.field" at index i must be acquired before any entry at index
 // j > i.
-var DefaultRanking = []string{"FS.hmu", "File.mu", "writer.mu"}
+var DefaultRanking = []string{"FS.hmu", "container.mu", "writer.mu"}
 
 // Analyzer is the production instance over DefaultRanking.
 var Analyzer = New(DefaultRanking)
@@ -56,6 +58,15 @@ func New(ranking []string) *analysis.Analyzer {
 }
 
 func run(pass *analysis.Pass, ranking []string, rank map[string]int) error {
+	if len(pass.Files) == 0 {
+		return nil
+	}
+	for _, key := range ranking {
+		owner, field, _ := strings.Cut(key, ".")
+		if !declaresMutex(pass.Pkg, owner, field) {
+			pass.Reportf(pass.Files[0].Package, "ranking entry %s names no mutex field in package %s", key, pass.Pkg.Name())
+		}
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -125,13 +136,46 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr) (key, method string, ok b
 	if !found || selection.Kind() != types.FieldVal {
 		return "", "", false
 	}
+	// Walk the embedding path, so a promoted field is keyed by the struct
+	// that declares it, not by the type it was reached through.
 	owner := selection.Recv()
-	if p, isPtr := owner.Underlying().(*types.Pointer); isPtr {
-		owner = p.Elem()
+	for _, i := range selection.Index()[:len(selection.Index())-1] {
+		owner = structOf(owner).Field(i).Type()
 	}
-	named, isNamed := owner.(*types.Named)
+	named, isNamed := deref(owner).(*types.Named)
 	if !isNamed {
 		return "", "", false
 	}
 	return fmt.Sprintf("%s.%s", named.Obj().Name(), recv.Sel.Name), method, true
+}
+
+// deref returns what t points to, or t itself when it is no pointer.
+func deref(t types.Type) types.Type {
+	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
+		return p.Elem()
+	}
+	return t
+}
+
+// structOf returns the struct behind t, through one pointer.
+func structOf(t types.Type) *types.Struct {
+	s, _ := deref(t).Underlying().(*types.Struct)
+	return s
+}
+
+// declaresMutex reports whether pkg declares a struct type owner with a
+// sync.Mutex or sync.RWMutex field named field.
+func declaresMutex(pkg *types.Package, owner, field string) bool {
+	obj := pkg.Scope().Lookup(owner)
+	if obj == nil {
+		return false
+	}
+	s := structOf(obj.Type())
+	for i := 0; s != nil && i < s.NumFields(); i++ {
+		if f := s.Field(i); f.Name() == field {
+			t := f.Type().String()
+			return t == "sync.Mutex" || t == "sync.RWMutex"
+		}
+	}
+	return false
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "a")
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "a", "stale")
 }

@@ -1,6 +1,7 @@
 // Fixture for the lockorder analyzer. The structs mirror the data
-// path's lock owners: FS.hmu (handle registry, rank 0), File.mu
-// (handle, rank 1), writer.mu (per-pid shard, rank 2).
+// path's lock owners: FS.hmu (container registry, rank 0), container.mu
+// (per-container writer table, rank 1), writer.mu (per-pid shard, rank
+// 2). File is a view that embeds its container.
 package a
 
 import "sync"
@@ -9,76 +10,89 @@ type FS struct {
 	hmu sync.RWMutex
 }
 
-type File struct {
+type container struct {
 	mu sync.RWMutex
+}
+
+type File struct {
+	*container
 }
 
 type writer struct {
 	mu sync.Mutex
 }
 
-// Correct order: registry, then handle, then writer shard.
-func inOrder(p *FS, f *File, w *writer) {
+// Correct order: registry, then container, then writer shard.
+func inOrder(p *FS, c *container, w *writer) {
 	p.hmu.RLock()
-	f.mu.Lock()
+	c.mu.Lock()
 	w.mu.Lock()
 	w.mu.Unlock()
-	f.mu.Unlock()
+	c.mu.Unlock()
 	p.hmu.RUnlock()
 }
 
-// Regression: the PR 2 deadlock shape. Resolving a handle back through
-// the registry while holding the handle's own lock inverts rank 0 and
-// rank 1; with a concurrent container truncate quiescing handles in
-// seq order the two block on each other forever.
+// Regression: the PR 2 deadlock shape. Going back to the registry while
+// holding a container's lock inverts rank 0 and rank 1; with a
+// concurrent last Close holding the registry and waiting for the
+// container the two block on each other forever.
+func registryUnderContainer(p *FS, c *container) {
+	c.mu.Lock()
+	p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding container\.mu \(rank 1\)`
+	p.hmu.RUnlock()
+	c.mu.Unlock()
+}
+
+// The same inversion through a handle: the promoted field is ranked
+// under the struct that declares it.
 func registryUnderHandle(p *FS, f *File) {
 	f.mu.Lock()
-	p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding File\.mu \(rank 1\)`
+	p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding container\.mu \(rank 1\)`
 	p.hmu.RUnlock()
 	f.mu.Unlock()
 }
 
-func writerBeforeHandle(f *File, w *writer) {
+func writerBeforeContainer(c *container, w *writer) {
 	w.mu.Lock()
-	f.mu.Lock() // want `acquires File\.mu \(rank 1\) while holding writer\.mu \(rank 2\)`
-	f.mu.Unlock()
+	c.mu.Lock() // want `acquires container\.mu \(rank 1\) while holding writer\.mu \(rank 2\)`
+	c.mu.Unlock()
 	w.mu.Unlock()
 }
 
 // A deferred unlock pins the rank held to function end, so a later
 // lower-rank acquisition is still an inversion.
-func deferredHold(p *FS, f *File) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding File\.mu \(rank 1\)`
+func deferredHold(p *FS, c *container) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding container\.mu \(rank 1\)`
 	p.hmu.RUnlock()
 }
 
 // An explicit unlock releases the rank: re-entering the registry after
-// dropping the handle lock is the documented retry shape.
-func unlockThenRegistry(p *FS, f *File) {
-	f.mu.Lock()
-	f.mu.Unlock()
+// dropping the container lock is the documented retry shape.
+func unlockThenRegistry(p *FS, c *container) {
+	c.mu.Lock()
+	c.mu.Unlock()
 	p.hmu.RLock()
 	p.hmu.RUnlock()
 }
 
-// Same-rank reacquisition is allowed: distinct handles of one
-// container are ordered dynamically by File.seq, beyond static reach.
-func twoHandles(f1, f2 *File) {
-	f1.mu.Lock()
-	f2.mu.Lock()
-	f2.mu.Unlock()
-	f1.mu.Unlock()
+// Same-rank reacquisition is allowed: the order between distinct
+// instances of one rank is beyond static reach.
+func twoContainers(c1, c2 *container) {
+	c1.mu.Lock()
+	c2.mu.Lock()
+	c2.mu.Unlock()
+	c1.mu.Unlock()
 }
 
 // Closures inherit the enclosing held-set: the inversion does not
 // escape by hiding in a func literal.
-func closureHeld(p *FS, f *File) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func closureHeld(p *FS, c *container) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	probe := func() {
-		p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding File\.mu \(rank 1\)`
+		p.hmu.RLock() // want `acquires FS\.hmu \(rank 0\) while holding container\.mu \(rank 1\)`
 		p.hmu.RUnlock()
 	}
 	probe()
@@ -89,9 +103,9 @@ type cache struct {
 }
 
 // Locks outside the ranking are ignored.
-func unranked(c *cache, f *File) {
-	f.mu.Lock()
+func unranked(x *cache, c *container) {
 	c.mu.Lock()
+	x.mu.Lock()
+	x.mu.Unlock()
 	c.mu.Unlock()
-	f.mu.Unlock()
 }

@@ -35,7 +35,7 @@ func TestKnownBadTripsEveryAnalyzer(t *testing.T) {
 	}
 	// The historical-bug shapes must be called out in the messages.
 	assertFinding(t, findings, "possibly-nil *ldplfs/internal/iostats.Plane stored into ldplfs/internal/iostats.Collector")
-	assertFinding(t, findings, "acquires FS.hmu (rank 0) while holding File.mu (rank 1)")
+	assertFinding(t, findings, "acquires FS.hmu (rank 0) while holding container.mu (rank 1)")
 	assertFinding(t, findings, "error wrapped with %v drops its errno chain")
 	assertFinding(t, findings, "time.Now bypasses the injected tune.Clock")
 	assertFinding(t, findings, "plain access of gen")

@@ -19,8 +19,12 @@ type FS struct {
 	hmu sync.RWMutex
 }
 
-type File struct {
+type container struct {
 	mu sync.RWMutex
+}
+
+type writer struct {
+	mu sync.Mutex
 }
 
 // nilcollector: the PR 6 typed-nil shape.
@@ -29,11 +33,13 @@ func typedNil(p *iostats.Plane) iostats.Collector {
 }
 
 // lockorder: the PR 2 inversion shape.
-func inverted(p *FS, f *File) {
-	f.mu.Lock()
+func inverted(p *FS, c *container, w *writer) {
+	w.mu.Lock()
+	c.mu.Lock()
 	p.hmu.RLock()
 	p.hmu.RUnlock()
-	f.mu.Unlock()
+	c.mu.Unlock()
+	w.mu.Unlock()
 }
 
 // errnopreserve: %v severs the errno chain.

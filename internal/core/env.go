@@ -29,7 +29,7 @@ func ParseMounts(spec string) ([]Mount, error) {
 		if !ok || point == "" || backend == "" {
 			return nil, fmt.Errorf("ldplfs: bad mount spec %q (want point=backend)", part)
 		}
-		mounts = append(mounts, Mount{Point: point, Backend: backend})
+		mounts = append(mounts, NewMount(point, backend))
 	}
 	return mounts, nil
 }

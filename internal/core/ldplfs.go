@@ -21,6 +21,12 @@
 //     lseek(fd, off+n, SEEK_SET) after it.
 //   - Operations on descriptors or paths with no lookup entry fall through
 //     to the previous symbols untouched.
+//
+// Every open() gets its own table entry and its own Plfs_fd, so a process
+// may hold several descriptors on one file. The table allows it and PLFS
+// makes it safe: all of them share the process's one writer on that
+// container (see "Handles" in internal/plfs), so their writes append to
+// one dropping in order and each sees what the others wrote.
 package core
 
 import (
@@ -40,6 +46,26 @@ import (
 type Mount struct {
 	Point   string // application-visible prefix, e.g. "/mnt/plfs"
 	Backend string // backing directory, e.g. "/lustre/plfs-store"
+}
+
+// NewMount returns the mount of backend at point with both prefixes
+// cleaned — rooted, no trailing slash — the form Resolve matches against.
+func NewMount(point, backend string) Mount {
+	return Mount{Point: cleanPrefix(point), Backend: cleanPrefix(backend)}
+}
+
+// Resolve translates path to its backend location if it falls under the
+// mount point — the one prefix rewrite behind the shim, the FUSE
+// emulation, the ROMIO driver and the gateway. ok reports whether the
+// path is PLFS-managed.
+func (m Mount) Resolve(path string) (backend string, ok bool) {
+	if !strings.HasPrefix(path, "/") {
+		path = "/" + path
+	}
+	if rest, under := strings.CutPrefix(path, m.Point); under && (rest == "" || rest[0] == '/') {
+		return m.Backend + rest, true
+	}
+	return "", false
 }
 
 // Config configures a preload.
@@ -99,13 +125,14 @@ func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
 	if len(cfg.Mounts) == 0 {
 		return nil, errors.New("ldplfs: no mount points configured (set PLFS_MNT)")
 	}
-	for i := range cfg.Mounts {
-		cfg.Mounts[i].Point = cleanPrefix(cfg.Mounts[i].Point)
-		cfg.Mounts[i].Backend = cleanPrefix(cfg.Mounts[i].Backend)
-		if cfg.Mounts[i].Point == "" || cfg.Mounts[i].Backend == "" {
-			return nil, fmt.Errorf("ldplfs: invalid mount %+v", cfg.Mounts[i])
+	mounts := make([]Mount, len(cfg.Mounts))
+	for i, m := range cfg.Mounts {
+		mounts[i] = NewMount(m.Point, m.Backend)
+		if mounts[i].Point == "" || mounts[i].Backend == "" {
+			return nil, fmt.Errorf("ldplfs: invalid mount %+v", m)
 		}
 	}
+	cfg.Mounts = mounts
 	if cfg.ShadowPath == "" {
 		cfg.ShadowPath = "/.ldplfs.shadow"
 	}
@@ -176,18 +203,12 @@ func cleanPrefix(p string) string {
 	return p
 }
 
-// resolve translates path to its backend location if it falls under a
-// mount point. ok reports whether the path is PLFS-managed.
-func (l *LDPLFS) resolve(path string) (backend string, ok bool) {
-	if !strings.HasPrefix(path, "/") {
-		path = "/" + path
-	}
+// Resolve translates path to its backend location under the first mount
+// that covers it. ok reports whether the path is PLFS-managed.
+func (l *LDPLFS) Resolve(path string) (backend string, ok bool) {
 	for _, m := range l.cfg.Mounts {
-		if path == m.Point {
-			return m.Backend, true
-		}
-		if strings.HasPrefix(path, m.Point+"/") {
-			return m.Backend + path[len(m.Point):], true
+		if backend, ok = m.Resolve(path); ok {
+			return backend, true
 		}
 	}
 	return "", false
@@ -203,7 +224,7 @@ func (l *LDPLFS) lookup(fd int) (*openFile, bool) {
 // --- interposed symbols -------------------------------------------------
 
 func (l *LDPLFS) open(path string, flags int, mode uint32) (int, error) {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Open(path, flags, mode)
@@ -341,7 +362,7 @@ func (l *LDPLFS) pread(fd int, p []byte, off int64) (int, error) {
 // shadow-offset bookkeeping, one shared-lock table lookup, then straight
 // into plfs.File.Write — which serializes only against same-pid writes,
 // so concurrent pwrites through the shim stream their droppings in
-// parallel (the File takes its handle lock shared).
+// parallel (the File takes its container's lock shared).
 func (l *LDPLFS) pwrite(fd int, p []byte, off int64) (int, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
@@ -413,7 +434,7 @@ func (l *LDPLFS) fstat(fd int) (posix.Stat, error) {
 }
 
 func (l *LDPLFS) stat(path string) (posix.Stat, error) {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Stat(path)
@@ -426,7 +447,7 @@ func (l *LDPLFS) stat(path string) (posix.Stat, error) {
 }
 
 func (l *LDPLFS) truncate(path string, size int64) error {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Truncate(path, size)
@@ -439,7 +460,7 @@ func (l *LDPLFS) truncate(path string, size int64) error {
 }
 
 func (l *LDPLFS) unlink(path string) error {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Unlink(path)
@@ -452,7 +473,7 @@ func (l *LDPLFS) unlink(path string) error {
 }
 
 func (l *LDPLFS) mkdir(path string, mode uint32) error {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Mkdir(path, mode)
@@ -462,7 +483,7 @@ func (l *LDPLFS) mkdir(path string, mode uint32) error {
 }
 
 func (l *LDPLFS) rmdir(path string) error {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Rmdir(path)
@@ -476,7 +497,7 @@ func (l *LDPLFS) rmdir(path string) error {
 }
 
 func (l *LDPLFS) readdir(path string) ([]posix.DirEntry, error) {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Readdir(path)
@@ -499,8 +520,8 @@ func (l *LDPLFS) readdir(path string) ([]posix.DirEntry, error) {
 }
 
 func (l *LDPLFS) rename(oldpath, newpath string) error {
-	bold, ok1 := l.resolve(oldpath)
-	bnew, ok2 := l.resolve(newpath)
+	bold, ok1 := l.Resolve(oldpath)
+	bnew, ok2 := l.Resolve(newpath)
 	switch {
 	case !ok1 && !ok2:
 		l.Stats.PassedThru.Add(1)
@@ -520,7 +541,7 @@ func (l *LDPLFS) rename(oldpath, newpath string) error {
 }
 
 func (l *LDPLFS) access(path string, mode int) error {
-	bpath, ok := l.resolve(path)
+	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Access(path, mode)

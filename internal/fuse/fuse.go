@@ -9,10 +9,10 @@ package fuse
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"ldplfs/internal/core"
 	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 )
@@ -37,10 +37,9 @@ type Metrics struct {
 // PLFS containers in the backend directory; everything else is ENOENT —
 // a FUSE mount only exposes its own tree.
 type FS struct {
-	mountPoint string
-	backend    string
-	plfs       *plfs.FS
-	inner      posix.FS
+	mount core.Mount
+	plfs  *plfs.FS
+	inner posix.FS
 
 	mu     sync.Mutex
 	fds    map[int]*fuseFD
@@ -69,12 +68,11 @@ type fuseFD struct {
 // grouped plfs option values.
 func Mount(inner posix.FS, mountPoint, backendDir string, opts ...plfs.Option) *FS {
 	return &FS{
-		mountPoint: strings.TrimRight(mountPoint, "/"),
-		backend:    strings.TrimRight(backendDir, "/"),
-		plfs:       plfs.New(inner, opts...),
-		inner:      inner,
-		fds:        make(map[int]*fuseFD),
-		nextFD:     3,
+		mount:  core.NewMount(mountPoint, backendDir),
+		plfs:   plfs.New(inner, opts...),
+		inner:  inner,
+		fds:    make(map[int]*fuseFD),
+		nextFD: 3,
 	}
 }
 
@@ -88,14 +86,8 @@ func (f *FS) cross(n int64) {
 }
 
 func (f *FS) resolve(path string) (string, error) {
-	if !strings.HasPrefix(path, "/") {
-		path = "/" + path
-	}
-	if path == f.mountPoint {
-		return f.backend, nil
-	}
-	if strings.HasPrefix(path, f.mountPoint+"/") {
-		return f.backend + path[len(f.mountPoint):], nil
+	if bpath, ok := f.mount.Resolve(path); ok {
+		return bpath, nil
 	}
 	return "", posix.ENOENT
 }

@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"ldplfs/internal/core"
 	"ldplfs/internal/fuse"
@@ -113,12 +112,7 @@ func DriverForOpts(method string, fs posix.FS, rank int, opts ...plfs.Option) (m
 			func(name string) string { return ScratchDir + "/" + name }, nil
 	case "romio":
 		p := plfs.New(fs, opts...)
-		drv := mpiio.NewPLFSDriver(p, func(path string) (string, bool) {
-			if strings.HasPrefix(path, MountPoint+"/") {
-				return BackendDir + path[len(MountPoint):], true
-			}
-			return "", false
-		})
+		drv := mpiio.NewPLFSDriver(p, core.NewMount(MountPoint, BackendDir).Resolve)
 		return drv, func(name string) string { return MountPoint + "/" + name }, nil
 	case "ldplfs":
 		d := posix.NewDispatch(fs)

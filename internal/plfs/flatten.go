@@ -15,6 +15,7 @@ package plfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -118,20 +119,11 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 	if len(flatGens) == 0 {
 		return h, nil
 	}
-	best := flatGens[0]
-	for _, g := range flatGens[1:] {
-		if g > best {
-			best = g
-		}
-	}
-	info := &FlattenedInfo{Generation: best}
-	raw := rawSignature(path, droppings, stats)
-	if fl, err := idx.ReadFlattened(p.backend, flattenedPath(path, best)); err != nil {
-		info.Err = err
-	} else {
+	gen, fl, trusted, err := p.newestFlattened(path, flatGens, droppings, stats)
+	info := &FlattenedInfo{Generation: gen, Fresh: trusted, Err: err}
+	if fl != nil {
 		info.Extents = len(fl.Extents)
 		info.Size = fl.Size
-		info.Fresh = fl.Generation == best && fl.RawSig == raw && h.OpenWriters == 0
 	}
 	h.Flattened = info
 	h.StaleRecords = len(flatGens) - 1
@@ -139,6 +131,22 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 		h.StaleRecords++
 	}
 	return h, nil
+}
+
+// newestFlattened reads the newest of the container's flattened records
+// (flatGens must be non-empty) and reports whether a reader would trust
+// it — the one statement of the package doc's third tolerance rule:
+// the record is the generation its name says, its embedded signature
+// matches the raw droppings as listed and statted just now, and no
+// writer holds the container open.
+func (p *FS) newestFlattened(path string, flatGens []uint64, droppings []string, stats []posix.Stat) (gen uint64, fl *idx.Flattened, trusted bool, err error) {
+	gen = slices.Max(flatGens)
+	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen))
+	if err != nil {
+		return gen, nil, false, err
+	}
+	trusted = fl.Generation == gen && fl.RawSig == rawSignature(path, droppings, stats) && !p.hasOpenWriters(path)
+	return gen, fl, trusted, nil
 }
 
 // WriteFlattenedIndex builds the container's merged index and persists
@@ -177,10 +185,8 @@ func (p *FS) writeFlattened(path string) (FlattenedInfo, error) {
 		return FlattenedInfo{}, err
 	}
 	gen := uint64(1)
-	for _, g := range flatGens {
-		if g >= gen {
-			gen = g + 1
-		}
+	if len(flatGens) > 0 {
+		gen = slices.Max(flatGens) + 1
 	}
 	fl := &idx.Flattened{
 		Generation: gen,

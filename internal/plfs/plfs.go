@@ -29,15 +29,42 @@
 // container's merged index through the instance's shared cache
 // (internal/plfs/readcache) and, for data, runs the one scatter-gather
 // in readengine.go; Read is its one-segment case. Every write — Write,
-// WriteV — takes the handle lock shared and its pid's writer lock
+// WriteV — takes the container lock shared and its pid's writer lock
 // (lockWriter), lands payload with positional writes and buffers index
 // records per writer. The worker counts, BatchDepth and IndexBatch
 // (EngineOptions) tune these paths; nothing selects a different one.
 //
+// # Handles
+//
+// Droppings are named per pid, so the append cursor and index buffer
+// that feed them exist once per pid: an instance keeps one record per
+// container it has open (FS.containers) holding the pid → writer table,
+// and a File is a view over that record — its own flags and freshness
+// mark, nothing else. The paper's shim hands out one Plfs_fd per open(),
+// so several handles on one container, even of one pid, are ordinary
+// traffic. Three rules:
+//
+//  1. A pid has one writer per container per instance, however many
+//     handles it opened. Close(pid) retires that pid's writer — a later
+//     write through a surviving handle re-opens it at the dropping's end
+//     — and the container's last handle out retires whatever is left and
+//     drains the read-fd cache, all under the registry lock, so an Open
+//     racing the last Close never inherits half-retired writers.
+//  2. A read sees every write the instance has accepted: readIndex
+//     flushes each writer holding buffered index records, whichever
+//     handle they arrived through.
+//  3. Trunc, path Truncate and an O_TRUNC open take exactly one lock:
+//     truncateShared holds the record's lock exclusive from the flush to
+//     the rebind.
+//
+// Lock order: FS.hmu (registry) before container.mu before writer.mu.
+// Handles held by other FS instances over the same backend are out of
+// reach, exactly as other processes are for PLFS proper.
+//
 // # Tolerance rules
 //
-// Two degraded states are recoverable by rule, each stated and enforced
-// in one place:
+// Three degraded states are recoverable by rule, each stated and
+// enforced in one place:
 //
 //   - An index dropping whose tail is a partial record, or that is still
 //     shorter than its header, is in flight, not corrupt: readers see its
@@ -49,12 +76,16 @@
 //     EACCES, ...) outranks a dead backend's EIO on every read-side path
 //     operation, so a killed replica never turns "absent" into "I/O
 //     error". (posix.liveVerdict)
+//   - A flattened record is a memo, never an authority: a reader trusts
+//     only the newest generation, and only while the record's embedded
+//     signature matches the raw droppings as they are now and no writer
+//     holds the container open. A stale, torn or corrupt record costs a
+//     streaming merge, never wrong bytes. (newestFlattened)
 package plfs
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,14 +133,10 @@ type FS struct {
 	cache *readcache.IndexCache
 	fds   *readcache.FDCache
 
-	// handles registers the open File handles per container, so the
-	// read-fd cache can be drained when the last one closes (PLFS
-	// closes data descriptors at plfs_close) and container-level
-	// truncation can quiesce and rebind every handle's writers, not
-	// just the one it was issued through.
-	hmu     sync.Mutex
-	handles map[string]map[*File]struct{}
-	fileSeq uint64 // next File.seq; lock-order tiebreak for handles
+	// containers holds one record per container this instance has open
+	// handles on (see "Handles" in the package doc).
+	hmu        sync.Mutex
+	containers map[string]*container
 
 	// seeded tracks containers whose on-backend timestamps this
 	// instance has folded into its clock (see seedClock).
@@ -164,11 +191,11 @@ func New(backend posix.FS, opts ...Option) *FS {
 		}, cfg.Backends...)
 	}
 	p := &FS{
-		backend: backend,
-		cfg:     cfg,
-		fds:     readcache.NewFDCache(backend, cfg.Index.MaxReadFDs),
-		handles: make(map[string]map[*File]struct{}),
-		seeded:  make(map[string]bool),
+		backend:    backend,
+		cfg:        cfg,
+		fds:        readcache.NewFDCache(backend, cfg.Index.MaxReadFDs),
+		containers: make(map[string]*container),
+		seeded:     make(map[string]bool),
 	}
 	p.initTelemetry()
 	p.cache = readcache.NewIndexCacheWith(cfg.Index.MaxCachedIndexes, p.cacheStatsLayer())
@@ -188,44 +215,6 @@ func (p *FS) invalidateIndex(path string) { p.cache.Invalidate(path) }
 
 // dropIndex removes path's cache entry outright (unlink/rename).
 func (p *FS) dropIndex(path string) { p.cache.Drop(path) }
-
-func (p *FS) retainContainer(path string, f *File) {
-	p.hmu.Lock()
-	p.fileSeq++
-	f.seq = p.fileSeq
-	if p.handles[path] == nil {
-		p.handles[path] = make(map[*File]struct{})
-	}
-	p.handles[path][f] = struct{}{}
-	p.hmu.Unlock()
-}
-
-func (p *FS) releaseContainer(path string, f *File) {
-	p.hmu.Lock()
-	delete(p.handles[path], f)
-	drop := len(p.handles[path]) == 0
-	if drop {
-		delete(p.handles, path)
-	}
-	p.hmu.Unlock()
-	if drop {
-		p.fds.DropPrefix(path + "/")
-	}
-}
-
-// openHandles snapshots the container's registered handles in lock
-// order (File.seq ascending) — the deterministic order every
-// cross-handle operation must acquire their locks in.
-func (p *FS) openHandles(path string) []*File {
-	p.hmu.Lock()
-	out := make([]*File, 0, len(p.handles[path]))
-	for f := range p.handles[path] {
-		out = append(out, f)
-	}
-	p.hmu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
 
 // Backend returns the posix layer this instance stores containers on
 // (the striped composite, for a multi-backend instance).
@@ -526,13 +515,13 @@ func (p *FS) seedClock(path string) error {
 	return nil
 }
 
-// writer is the per-pid append state of an open file. Each writer owns
-// its own lock: writes by distinct pids touch distinct droppings and
+// writer is the per-pid append state of an open container. Each writer
+// owns its own lock: writes by distinct pids touch distinct droppings and
 // proceed fully in parallel (the point of PLFS's file partitioning),
-// synchronizing only on the handle's shared lock and the atomic clock.
+// synchronizing only on the container's shared lock and the atomic clock.
 //
-// Lock order: File.mu (shared or exclusive) before writer.mu. Paths
-// holding File.mu exclusive (Trunc, Close, release) own every writer
+// Lock order: container.mu (shared or exclusive) before writer.mu. Paths
+// holding container.mu exclusive (Trunc, Close) own every writer
 // outright and skip writer.mu.
 type writer struct {
 	mu      sync.Mutex
@@ -542,39 +531,48 @@ type writer struct {
 	maxEnd  int64 // highest logical offset+len this writer produced
 }
 
-// File is an open PLFS file handle — the analogue of Plfs_fd*. A single
-// File may serve several writer pids (as when LDPLFS funnels multiple
-// POSIX fds onto one container) and any number of readers. Reads and
-// writes take the handle lock shared — concurrent readers proceed in
-// parallel, and writers for distinct pids do too, serializing only on
-// their own per-writer lock. Handle lifecycle and cross-writer
-// operations (Trunc, Close, release) take it exclusive.
+// container is one instance's state for one container it has open: the
+// pid → writer table every handle shares. Reads and writes take mu
+// shared — concurrent readers proceed in parallel, and writers for
+// distinct pids do too, serializing only on their own per-writer lock.
+// Close and truncation take it exclusive.
+type container struct {
+	fs   *FS
+	path string
+
+	// handles counts the open Files viewing this record; like the
+	// registry entry it keeps alive, it is guarded by FS.hmu.
+	handles int
+
+	mu      sync.RWMutex
+	writers map[uint32]*writer
+
+	// dpaths caches pid → data-dropping path so warm reads skip the
+	// two per-batch Sprintf calls. Guarded by dmu, not mu: path
+	// resolution happens inside the read engine where mu may be held
+	// shared by many readers.
+	dmu    sync.RWMutex
+	dpaths map[uint32]string
+
+	// sigFn/loadFn are the shared index-cache callbacks, bound once per
+	// record so a warm readIndex allocates no closures.
+	sigFn  func() (readcache.Signature, error)
+	loadFn func() (*idx.Index, readcache.Signature, readcache.BuildKind, error)
+}
+
+// File is an open PLFS file handle — the analogue of Plfs_fd*: a view
+// over its container's shared writer table (see "Handles" in the package
+// doc). Any handle may write for any pid and serve any number of readers.
 type File struct {
-	fs    *FS
-	path  string
+	*container
 	flags int
-	seq   uint64 // registration order; cross-handle lock-acquisition order
 
 	// validated records whether this handle has revalidated the shared
 	// index cache against the backend (close-to-open consistency: the
 	// first read of a fresh handle checks the dropping signature).
 	validated atomic.Bool
 
-	mu      sync.RWMutex
-	writers map[uint32]*writer
-	refs    int
-
-	// dpaths caches pid → data-dropping path so warm reads skip the
-	// two per-batch Sprintf calls. Guarded by dmu, not f.mu: path
-	// resolution happens inside the read engine where f.mu may be held
-	// shared by many readers.
-	dmu    sync.RWMutex
-	dpaths map[uint32]string
-
-	// sigFn/loadFn are the shared index-cache callbacks, bound once at
-	// open so a warm readIndex allocates no closures.
-	sigFn  func() (readcache.Signature, error)
-	loadFn func() (*idx.Index, readcache.Signature, readcache.BuildKind, error)
+	closed bool // guarded by FS.hmu
 }
 
 // Open opens (and with O_CREAT, creates) the container at path, returning
@@ -601,93 +599,79 @@ func (p *FS) open(path string, flags int, pid uint32, mode uint32) (*File, error
 	} else if flags&posix.O_CREAT != 0 && flags&posix.O_EXCL != 0 {
 		return nil, posix.EEXIST
 	}
-
-	f := &File{
-		fs:      p,
-		path:    path,
-		flags:   flags,
-		writers: make(map[uint32]*writer),
-		dpaths:  make(map[uint32]string),
-		refs:    1,
-	}
-	f.sigFn = func() (readcache.Signature, error) { return p.indexSignature(f.path) }
-	f.loadFn = func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(f.path) }
 	if flags&posix.O_TRUNC != 0 && flags&posix.O_ACCMODE != posix.O_RDONLY {
-		// Shared truncate: handles already open on this container must
-		// have their writers retired, not left appending to unlinked
-		// droppings. The new handle has no writers yet.
 		if err := p.truncateShared(path, 0); err != nil {
-			f.release()
 			return nil, err
 		}
 	}
-	p.retainContainer(path, f)
-	return f, nil
-}
-
-// Ref increments the handle's reference count (plfs_open on an already
-// open Plfs_fd does the same).
-func (f *File) Ref() {
-	f.mu.Lock()
-	f.refs++
-	f.mu.Unlock()
+	p.hmu.Lock()
+	c := p.containers[path]
+	if c == nil {
+		c = &container{fs: p, path: path, writers: make(map[uint32]*writer), dpaths: make(map[uint32]string)}
+		c.sigFn = func() (readcache.Signature, error) { return p.indexSignature(path) }
+		c.loadFn = func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(path) }
+		p.containers[path] = c
+	}
+	c.handles++
+	p.hmu.Unlock()
+	return &File{container: c, flags: flags}, nil
 }
 
 // Path returns the container path this handle refers to.
 func (f *File) Path() string { return f.path }
 
-// dataPath resolves pid's data-dropping path through the handle's
-// cache: the hostdir/dropping formatting runs once per pid per handle,
+// dataPath resolves pid's data-dropping path through the record's
+// cache: the hostdir/dropping formatting runs once per pid per record,
 // warm lookups are a shared-lock map hit.
-func (f *File) dataPath(pid uint32) string {
-	f.dmu.RLock()
-	path, ok := f.dpaths[pid]
-	f.dmu.RUnlock()
+func (c *container) dataPath(pid uint32) string {
+	c.dmu.RLock()
+	path, ok := c.dpaths[pid]
+	c.dmu.RUnlock()
 	if ok {
 		return path
 	}
-	path = dataDropping(f.fs.hostdir(f.path, pid), pid)
-	f.dmu.Lock()
-	f.dpaths[pid] = path
-	f.dmu.Unlock()
+	path = dataDropping(c.fs.hostdir(c.path, pid), pid)
+	c.dmu.Lock()
+	c.dpaths[pid] = path
+	c.dmu.Unlock()
 	return path
 }
 
 // getWriterLocked returns (creating if needed) pid's writer. Caller
-// holds f.mu exclusive.
-func (f *File) getWriterLocked(pid uint32) (*writer, error) {
-	if w, ok := f.writers[pid]; ok {
+// holds c.mu exclusive.
+func (c *container) getWriterLocked(pid uint32) (*writer, error) {
+	if w, ok := c.writers[pid]; ok {
 		return w, nil
 	}
-	if err := f.fs.seedClock(f.path); err != nil {
+	p := c.fs
+	if err := p.seedClock(c.path); err != nil {
 		return nil, err
 	}
-	hostdir := f.fs.hostdir(f.path, pid)
-	if err := f.fs.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
+	hostdir := p.hostdir(c.path, pid)
+	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
 		return nil, fmt.Errorf("plfs: create hostdir: %w", err)
 	}
 	// The data dropping is opened without O_APPEND: the write engine
 	// tracks the append cursor (physOff) itself and lands payload with
 	// positional writes, so WriteV can reserve a physical range and fan
 	// its segment pwrites out concurrently.
-	dataPath := dataDropping(hostdir, pid)
-	fd, err := f.fs.backend.Open(dataPath, posix.O_CREAT|posix.O_WRONLY, 0o644)
+	fd, err := p.backend.Open(dataDropping(hostdir, pid), posix.O_CREAT|posix.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("plfs: open data dropping: %w", err)
 	}
-	st, err := f.fs.backend.Fstat(fd)
+	st, err := p.backend.Fstat(fd)
 	if err != nil {
-		f.fs.backend.Close(fd)
+		p.backend.Close(fd)
 		return nil, err
 	}
-	iw, err := openIndexWriter(f.fs, indexDropping(hostdir, pid))
+	iw, err := openIndexWriter(p, indexDropping(hostdir, pid))
 	if err != nil {
-		f.fs.backend.Close(fd)
+		p.backend.Close(fd)
 		return nil, err
 	}
 	w := &writer{dataFD: fd, idxW: iw, physOff: st.Size}
-	f.writers[pid] = w
-	f.fs.markOpen(f.path, pid)
+	c.writers[pid] = w
+	p.markOpen(c.path, pid)
 	return w, nil
 }
 
@@ -744,41 +728,38 @@ func (f *File) write(buf []byte, off int64, pid uint32) (int, error) {
 	return n, nil
 }
 
-// readIndex returns the merged index for this handle's container via the
-// shared cache, flushing this handle's buffered index records first so
-// its own writes are visible to its reads. The first call on a fresh
-// handle revalidates the cached index against the backend (close-to-open
-// consistency); after that, same-instance generation tracking suffices.
-func (f *File) readIndex() (*idx.Index, error) {
-	f.mu.RLock()
-	dirty := false
-	for _, w := range f.writers {
+// flushIndex puts every index record the instance has buffered for this
+// container on the backend — one sweep over the writers, each quiesced
+// under its own lock so the others stay concurrent.
+func (c *container) flushIndex() error {
+	var ferr error
+	flushed := false
+	c.mu.RLock()
+	for _, w := range c.writers {
 		w.mu.Lock()
-		buffered := w.idxW.Buffered()
-		w.mu.Unlock()
-		if buffered > 0 {
-			dirty = true
-			break
-		}
-	}
-	if dirty {
-		// Writers stay concurrent during the flush — each is quiesced
-		// under its own lock, not the handle's.
-		var ferr error
-		for _, w := range f.writers {
-			w.mu.Lock()
+		if w.idxW.Buffered() > 0 {
+			flushed = true
 			if err := w.idxW.Sync(); err != nil && ferr == nil {
 				ferr = err
 			}
-			w.mu.Unlock()
 		}
-		f.mu.RUnlock()
-		f.fs.invalidateIndex(f.path)
-		if ferr != nil {
-			return nil, ferr
-		}
-	} else {
-		f.mu.RUnlock()
+		w.mu.Unlock()
+	}
+	c.mu.RUnlock()
+	if flushed {
+		c.fs.invalidateIndex(c.path)
+	}
+	return ferr
+}
+
+// readIndex returns the merged index for this handle's container via the
+// shared cache, flushing buffered index records first so every write the
+// instance accepted is visible. The first call on a fresh handle
+// revalidates the cached index against the backend (close-to-open
+// consistency); after that, same-instance generation tracking suffices.
+func (f *File) readIndex() (*idx.Index, error) {
+	if err := f.flushIndex(); err != nil {
+		return nil, err
 	}
 	index, _, err := f.fs.cache.Get(f.path, !f.validated.Load(), f.sigFn, f.loadFn)
 	if err != nil {
@@ -844,26 +825,26 @@ func (f *File) Sync(pid uint32) error {
 	return err
 }
 
-func (f *File) sync(pid uint32) error {
-	f.mu.RLock()
-	w, ok := f.writers[pid]
+func (c *container) sync(pid uint32) error {
+	c.mu.RLock()
+	w, ok := c.writers[pid]
 	if !ok {
-		f.mu.RUnlock()
+		c.mu.RUnlock()
 		return nil
 	}
 	w.mu.Lock()
 	serr := w.idxW.Sync()
 	var ferr error
 	if serr == nil {
-		ferr = f.fs.backend.Fsync(w.dataFD)
+		ferr = c.fs.backend.Fsync(w.dataFD)
 	}
 	w.mu.Unlock()
-	f.mu.RUnlock()
+	c.mu.RUnlock()
 	// Stale out the shared index even on error: the record flush may
 	// have reached the backend before the fsync failed, and the writer's
-	// buffer is empty either way, so readIndex's dirty check would never
-	// re-trigger the invalidation.
-	f.fs.invalidateIndex(f.path)
+	// buffer is empty either way, so flushIndex would never re-trigger
+	// the invalidation.
+	c.fs.invalidateIndex(c.path)
 	if serr != nil {
 		return serr
 	}
@@ -871,9 +852,8 @@ func (f *File) sync(pid uint32) error {
 }
 
 // Trunc truncates the open file — plfs_trunc on an open handle. The
-// truncate is container-level: every handle this instance holds on the
-// container is quiesced and has its writers retired or rebound, not
-// just the handle it was issued through.
+// truncate is container-level: every writer this instance holds on the
+// container is retired or rebound, whichever handle opened it.
 func (f *File) Trunc(size int64) error {
 	if f.flags&posix.O_ACCMODE == posix.O_RDONLY {
 		return posix.EBADF
@@ -881,167 +861,139 @@ func (f *File) Trunc(size int64) error {
 	return f.fs.truncateShared(f.path, size)
 }
 
-// truncateShared truncates a container while quiescing every open
-// handle this instance holds on it: all handle locks are acquired (in
-// registration order, so concurrent truncates cannot deadlock), every
-// writer's buffered records are flushed so they participate in the
-// consolidation, and afterwards each handle's writers are retired
-// (size 0) or rebound to fresh index droppings (size > 0) — a truncate
-// through one handle, a path-based Truncate, or an O_TRUNC open must
-// not leave another handle's writers appending to unlinked droppings.
-// Handles held by other FS instances over the same backend are out of
-// reach, exactly as other processes are for PLFS proper.
+// truncateShared truncates a container under its record's lock (when
+// the instance has it open): every writer's buffered records are flushed
+// so they participate in the consolidation, and afterwards the writers
+// are retired (size 0) or rebound to fresh index droppings (size > 0) —
+// a truncate through one handle, a path-based Truncate, or an O_TRUNC
+// open must not leave any writer appending to unlinked droppings.
 func (p *FS) truncateShared(path string, size int64) error {
-	files := p.openHandles(path)
-	for _, f := range files {
-		f.mu.Lock()
+	p.hmu.Lock()
+	c := p.containers[path]
+	p.hmu.Unlock()
+	if c == nil {
+		return p.truncateContainer(path, size)
 	}
-	defer func() {
-		for _, f := range files {
-			f.mu.Unlock()
-		}
-	}()
-	for _, f := range files {
-		for _, w := range f.writers {
-			if err := w.idxW.Sync(); err != nil {
-				return err
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.writers {
+		if err := w.idxW.Sync(); err != nil {
+			return err
 		}
 	}
 	if err := p.truncateContainer(path, size); err != nil {
 		return err
 	}
-	var rerr error
-	for _, f := range files {
-		if err := f.rebindWritersLocked(size); err != nil && rerr == nil {
-			rerr = err
-		}
-	}
-	return rerr
+	return c.rebindWritersLocked(size)
 }
 
-// rebindWritersLocked repairs this handle's writers after the
-// container's droppings were replaced by a truncate. Caller holds f.mu
-// exclusive.
-func (f *File) rebindWritersLocked(size int64) error {
-	if size == 0 {
-		// The droppings are gone; retire every writer outright. Each
-		// pid's openhosts record goes with it — leaving it behind would
-		// make hasOpenWriters report true for the container's remaining
-		// lifetime, pinning Stat on the slow merged-index path and
-		// making CompactIndex refuse the container forever.
-		for pid, w := range f.writers {
-			f.fs.backend.Close(w.dataFD)
-			w.idxW.Close()
-			f.fs.clearOpen(f.path, pid)
-			delete(f.writers, pid)
-		}
-		return nil
-	}
-	// truncateContainer replaced every index dropping with one
-	// consolidated dropping — including the droppings live writers
-	// still hold open. Rebind each surviving writer to a fresh index
-	// dropping, or its post-truncate records would keep landing in the
-	// unlinked file, invisible to every reader. Data droppings are
-	// untouched, so physical cursors remain valid. Every writer is
-	// visited even after a rebind failure: a writer that cannot be
-	// rebound is retired (its future writes would otherwise vanish),
-	// and the first error is reported.
+// rebindWritersLocked repairs the writers after the container's
+// droppings were replaced by a truncate. Caller holds c.mu exclusive.
+//
+// A partial truncate replaced every index dropping with one consolidated
+// dropping — including the droppings live writers still hold open — so
+// each writer is rebound to a fresh index dropping, or its post-truncate
+// records would keep landing in the unlinked file, invisible to every
+// reader. Data droppings are untouched, so physical cursors remain
+// valid. A writer that cannot be rebound is retired (its future writes
+// would otherwise vanish) and the first error is reported; every writer
+// is visited regardless. A truncate to zero removed the data droppings
+// too, so every writer is retired. Retiring clears the pid's openhosts
+// record — left behind, it would make hasOpenWriters report true for
+// the container's remaining lifetime, pinning Stat on the slow
+// merged-index path and making CompactIndex refuse the container.
+func (c *container) rebindWritersLocked(size int64) error {
+	p := c.fs
 	var rerr error
-	for pid, w := range f.writers {
+	for pid, w := range c.writers {
 		w.idxW.Close()
-		iw, err := openIndexWriter(f.fs, indexDropping(f.fs.hostdir(f.path, pid), pid))
-		if err != nil {
-			f.fs.backend.Close(w.dataFD)
-			f.fs.clearOpen(f.path, pid)
-			delete(f.writers, pid)
+		if size > 0 {
+			iw, err := openIndexWriter(p, indexDropping(p.hostdir(c.path, pid), pid))
+			if err == nil {
+				w.idxW = iw
+				// Clamp the close-time size hint: this writer's extents
+				// beyond size were just clipped away.
+				w.maxEnd = min(w.maxEnd, size)
+				continue
+			}
 			if rerr == nil {
 				rerr = fmt.Errorf("plfs: rebind index dropping after trunc: %w", err)
 			}
-			continue
 		}
-		w.idxW = iw
-		if w.maxEnd > size {
-			// Clamp the close-time size hint: this writer's extents
-			// beyond size were just clipped away.
-			w.maxEnd = size
-		}
+		p.backend.Close(w.dataFD)
+		p.clearOpen(c.path, pid)
+		delete(c.writers, pid)
 	}
 	return rerr
 }
 
-// Close drops pid's writer state and decrements the handle refcount —
-// plfs_close. When the last reference closes, every remaining writer is
-// also torn down, size metadata is dropped into meta/ so later stats can
-// avoid a full index merge, and the openhosts records are cleared. A
-// close that retires the container's last writer also persists the
-// flattened global index (best effort), so the next cold open loads
-// O(extents) instead of re-merging every dropping.
+// Close closes the handle and retires pid's writer — plfs_close: its
+// size hint is dropped into meta/ so later stats can avoid a full index
+// merge, and its openhosts record is cleared. The container's last
+// handle out retires every remaining writer the same way and drains the
+// read-fd cache. A close that retires the container's last writer also
+// persists the flattened global index (best effort), so the next cold
+// open loads O(extents) instead of re-merging every dropping. Closing a
+// closed handle is a no-op.
 func (f *File) Close(pid uint32) error {
-	f.mu.Lock()
-	_, hadWriter := f.writers[pid]
-	if err := f.teardownWriterLocked(pid); err != nil {
-		f.mu.Unlock()
+	c, p := f.container, f.fs
+	p.hmu.Lock()
+	if f.closed {
+		p.hmu.Unlock()
+		return nil
+	}
+	c.mu.Lock()
+	_, hadWriter := c.writers[pid]
+	err := c.teardownWriterLocked(pid)
+	if err == nil {
+		f.closed = true
+		c.handles--
+		if c.handles == 0 {
+			hadWriter = hadWriter || len(c.writers) > 0
+			for pid := range c.writers {
+				c.teardownWriterLocked(pid)
+			}
+			delete(p.containers, c.path)
+			p.fds.DropPrefix(c.path + "/")
+		}
+	}
+	c.mu.Unlock()
+	p.hmu.Unlock()
+	if err != nil {
 		return err
 	}
-	f.refs--
-	last := f.refs <= 0
-	if last {
-		if len(f.writers) > 0 {
-			hadWriter = true
-		}
-		f.releaseLocked()
-	}
-	f.mu.Unlock()
-	if last {
-		f.fs.releaseContainer(f.path, f)
-	}
 	if hadWriter {
-		f.fs.maybeAutoFlatten(f.path)
+		p.maybeAutoFlatten(c.path)
 	}
 	return nil
 }
 
 // teardownWriterLocked closes one pid's writer, drops its size hint and
-// clears its openhosts record. Caller holds f.mu.
-func (f *File) teardownWriterLocked(pid uint32) error {
-	w, ok := f.writers[pid]
+// clears its openhosts record. Caller holds c.mu exclusive.
+func (c *container) teardownWriterLocked(pid uint32) error {
+	w, ok := c.writers[pid]
 	if !ok {
 		return nil
 	}
+	p := c.fs
 	// Invalidate even if the close errors below: its internal flush may
 	// have put records on the backend before failing.
-	defer f.fs.invalidateIndex(f.path)
+	defer p.invalidateIndex(c.path)
 	if err := w.idxW.Close(); err != nil {
 		return err
 	}
-	if err := f.fs.backend.Close(w.dataFD); err != nil {
+	if err := p.backend.Close(w.dataFD); err != nil {
 		return err
 	}
 	// Drop a metadata hint: max logical extent this writer saw.
-	metaPath := fmt.Sprintf("%s/%s/size.%d", f.path, metaDir, pid)
-	if fd, err := f.fs.backend.Open(metaPath, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644); err == nil {
-		f.fs.backend.Write(fd, []byte(fmt.Sprintf("%d\n", w.maxEnd)))
-		f.fs.backend.Close(fd)
+	metaPath := fmt.Sprintf("%s/%s/size.%d", c.path, metaDir, pid)
+	if fd, err := p.backend.Open(metaPath, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644); err == nil {
+		p.backend.Write(fd, []byte(fmt.Sprintf("%d\n", w.maxEnd)))
+		p.backend.Close(fd)
 	}
-	f.fs.clearOpen(f.path, pid)
-	delete(f.writers, pid)
+	p.clearOpen(c.path, pid)
+	delete(c.writers, pid)
 	return nil
-}
-
-func (f *File) release() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.releaseLocked()
-}
-
-func (f *File) releaseLocked() {
-	for pid := range f.writers {
-		// Full teardown (hints + openhosts), not just fd closes: the
-		// handle may serve several writer pids and the last reference
-		// retires all of them.
-		f.teardownWriterLocked(pid)
-	}
 }
 
 // Stat describes a container without opening it — plfs_getattr. It prefers
@@ -1239,20 +1191,8 @@ func (p *FS) truncateContainer(path string, size int64) error {
 		global.Extend(size)
 	}
 	// Replace every index dropping with one consolidated dropping holding
-	// the clipped extents (re-timestamped in resolved order).
-	var consolidated []idx.Entry
-	for i, x := range global.Extents() {
-		if x.Hole {
-			continue
-		}
-		consolidated = append(consolidated, idx.Entry{
-			LogicalOffset:  x.LogicalOffset,
-			Length:         x.Length,
-			PhysicalOffset: x.PhysicalOffset,
-			Timestamp:      uint64(i + 1),
-			Pid:            x.Pid,
-		})
-	}
+	// the clipped extents.
+	consolidated := restamp(global)
 	droppings, err := p.listIndexDroppings(path)
 	if err != nil {
 		return err
@@ -1289,6 +1229,26 @@ func (p *FS) truncateContainer(path string, size int64) error {
 	return p.clearMeta(path, size)
 }
 
+// restamp turns a resolved index back into raw records: one entry per
+// data extent, re-timestamped in resolved order — the contents of the
+// consolidated dropping that truncation and compaction write.
+func restamp(global *idx.Index) []idx.Entry {
+	var out []idx.Entry
+	for i, x := range global.Extents() {
+		if x.Hole {
+			continue
+		}
+		out = append(out, idx.Entry{
+			LogicalOffset:  x.LogicalOffset,
+			Length:         x.Length,
+			PhysicalOffset: x.PhysicalOffset,
+			Timestamp:      uint64(i + 1),
+			Pid:            x.Pid,
+		})
+	}
+	return out
+}
+
 // clearMeta resets the meta hints to a single authoritative size.
 func (p *FS) clearMeta(path string, size int64) error {
 	metaPath := path + "/" + metaDir
@@ -1323,20 +1283,7 @@ func (p *FS) CompactIndex(path string) error {
 	if err != nil {
 		return err
 	}
-	global := idx.Build(entries)
-	var flat []idx.Entry
-	for i, x := range global.Extents() {
-		if x.Hole {
-			continue
-		}
-		flat = append(flat, idx.Entry{
-			LogicalOffset:  x.LogicalOffset,
-			Length:         x.Length,
-			PhysicalOffset: x.PhysicalOffset,
-			Timestamp:      uint64(i + 1),
-			Pid:            x.Pid,
-		})
-	}
+	flat := restamp(idx.Build(entries))
 	// Write the consolidated dropping first, then remove the shards, so a
 	// crash between the two steps leaves a readable (if redundant) index.
 	hostdir := fmt.Sprintf("%s/hostdir.%d", path, 0)

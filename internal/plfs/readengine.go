@@ -269,10 +269,8 @@ func (p *FS) mergeIndex(droppings []string) (*idx.Index, error) {
 
 // buildIndex is the cache loader: one full reconstruction. It lists and
 // stats the container once, then takes the cheapest trustworthy path —
-// the newest flattened record when its embedded raw signature still
-// matches the droppings and no writer is live (an O(extents) load), the
-// streaming merge otherwise. A stale, torn or corrupt flattened record
-// is silently ignored: it can cost a merge, never wrong bytes.
+// the newest flattened record when newestFlattened trusts it (an
+// O(extents) load), the streaming merge otherwise.
 func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache.BuildKind, error) {
 	droppings, flatGens, err := p.listIndexState(path)
 	if err != nil {
@@ -284,15 +282,7 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 	}
 	sig := signatureFrom(droppings, stats)
 	if p.FlattenedReads() && len(flatGens) > 0 {
-		best := flatGens[0]
-		for _, g := range flatGens[1:] {
-			if g > best {
-				best = g
-			}
-		}
-		raw := rawSignature(path, droppings, stats)
-		if fl, err := idx.ReadFlattened(p.backend, flattenedPath(path, best)); err == nil &&
-			fl.Generation == best && fl.RawSig == raw && !p.hasOpenWriters(path) {
+		if _, fl, trusted, _ := p.newestFlattened(path, flatGens, droppings, stats); trusted {
 			if index, err := idx.FromExtents(fl.Extents, fl.Size); err == nil {
 				return index, sig, readcache.BuildFlattened, nil
 			}

@@ -4,8 +4,8 @@
 // A PLFS write has none of the read path's cross-writer coupling — every
 // pid appends payload to its own data dropping and index records to its
 // own index dropping. The engine makes the client side match that shape:
-// Write/Sync hold the File lock *shared* and serialize only on the
-// owning writer's lock, so N pids funneled through one handle stream N
+// Write/Sync hold the container lock *shared* and serialize only on the
+// owning writer's lock, so N pids writing one container stream N
 // droppings fully in parallel; the logical clock is a lone atomic; and
 // index records group-flush per EngineOptions.IndexBatch instead of hitting
 // the backend per record. WriteV goes further: it reserves one physical
@@ -52,23 +52,23 @@ func (p *FS) indexBatchRecords() int {
 	return DefaultIndexBatch
 }
 
-// lockWriter returns pid's writer with the handle lock held shared and
-// the writer's own lock held, creating the writer on first use. unlock
-// releases both.
-func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
+// lockWriter returns pid's writer with the container lock held shared
+// and the writer's own lock held, creating the writer on first use.
+// unlock releases both.
+func (c *container) lockWriter(pid uint32) (*writer, func(), error) {
 	for {
-		f.mu.RLock()
-		if w, ok := f.writers[pid]; ok {
+		c.mu.RLock()
+		if w, ok := c.writers[pid]; ok {
 			w.mu.Lock()
-			return w, func() { w.mu.Unlock(); f.mu.RUnlock() }, nil
+			return w, func() { w.mu.Unlock(); c.mu.RUnlock() }, nil
 		}
-		f.mu.RUnlock()
+		c.mu.RUnlock()
 		// First write from this pid: create the writer under the
 		// exclusive lock, then loop back to the shared fast path (a
 		// concurrent Trunc/Close may retire it before we re-acquire).
-		f.mu.Lock()
-		_, err := f.getWriterLocked(pid)
-		f.mu.Unlock()
+		c.mu.Lock()
+		_, err := c.getWriterLocked(pid)
+		c.mu.Unlock()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -103,8 +103,8 @@ func (w *writer) writeData(backend posix.FS, buf []byte) (int, error) {
 
 // appendEntryLocked buffers one index record for n bytes at logical
 // offset off whose payload landed at physOff, stamping the clock and
-// the writer's size hint. Caller holds the writer's lock (or the handle
-// lock exclusive).
+// the writer's size hint. Caller holds the writer's lock (or the
+// container lock exclusive).
 func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 	w.idxW.Append(idx.Entry{
 		LogicalOffset:  off,
@@ -121,7 +121,7 @@ func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 // recordExtentLocked buffers one index record for n bytes at logical
 // offset off, advances the writer's cursor and group-flushes the index
 // buffer at the batch threshold. Caller holds the writer's lock (or the
-// handle lock exclusive).
+// container lock exclusive).
 func (f *File) recordExtentLocked(w *writer, off, n int64, pid uint32) {
 	f.appendEntryLocked(w, off, n, w.physOff, pid)
 	w.physOff += n

@@ -346,8 +346,7 @@ func (g *Gateway) StatsText() string {
 // path through the tenant's PLFS instance — the remote face of plfsctl
 // doctor. The report format mirrors the CLI's.
 func (s *Session) Doctor(path string, fix bool) (string, error) {
-	// Resolve the mount-relative path the way the shim would.
-	backendPath, ok := resolveMount(s.g.cfg.Mounts, path)
+	backendPath, ok := s.ld.Resolve(path)
 	if !ok {
 		return "", posix.ENOENT
 	}
@@ -358,20 +357,6 @@ func (s *Session) Doctor(path string, fix bool) (string, error) {
 		return err
 	})
 	return report, err
-}
-
-// resolveMount maps a client path to its backend path (the same prefix
-// rewrite core's shim applies).
-func resolveMount(mounts []core.Mount, path string) (string, bool) {
-	for _, m := range mounts {
-		if path == m.Point {
-			return m.Backend, true
-		}
-		if len(path) > len(m.Point) && path[:len(m.Point)] == m.Point && path[len(m.Point)] == '/' {
-			return m.Backend + path[len(m.Point):], true
-		}
-	}
-	return "", false
 }
 
 // doctorReport is the service-side doctor: openhosts liveness plus

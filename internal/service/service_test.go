@@ -345,3 +345,38 @@ func TestDoctorOverSession(t *testing.T) {
 		t.Fatal("doctor outside the mounts succeeded")
 	}
 }
+
+// TestMountSpellings pins that every path-taking operation of a session
+// resolves mounts through the one core.Mount.Resolve: a mount point the
+// operator spelled with a trailing slash (or without the leading one)
+// serves I/O and Doctor alike.
+func TestMountSpellings(t *testing.T) {
+	for _, point := range []string{"/mnt/plfs", "/mnt/plfs/", "mnt/plfs"} {
+		t.Run(point, func(t *testing.T) {
+			g := newTestGateway(t, func(cfg *Config) {
+				cfg.Mounts = []core.Mount{{Point: point, Backend: "/backend/"}}
+			})
+			s, err := g.NewSession("gold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.End()
+			fd, err := s.Open("/mnt/plfs/f", posix.O_CREAT|posix.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Pwrite(fd, []byte("droppings"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := s.Stat("/mnt/plfs/f"); err != nil || st.Size != 9 {
+				t.Fatalf("Stat = %+v, %v", st, err)
+			}
+			if _, err := s.Doctor("/mnt/plfs/f", false); err != nil {
+				t.Fatalf("Doctor: %v", err)
+			}
+		})
+	}
+}
