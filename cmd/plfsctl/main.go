@@ -394,7 +394,7 @@ func runStats(stdout io.Writer, fail func(string, ...any) int) int {
 		Hints:        hints,
 	}
 	err := mpi.Run(4, 2, func(r *mpi.Rank) {
-		drv, pathFor, err := harness.DriverForOpts("romio", store, r.Rank(), plfs.WithStats(plane))
+		drv, pathFor, err := harness.DriverFor("romio", store, r.Rank(), plfs.WithStats(plane))
 		if err != nil {
 			panic(err)
 		}

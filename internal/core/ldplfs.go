@@ -527,11 +527,9 @@ func (l *LDPLFS) rename(oldpath, newpath string) error {
 		l.Stats.PassedThru.Add(1)
 		return l.real.Rename(oldpath, newpath)
 	case ok1 != ok2:
-		// Cross-device rename between PLFS and non-PLFS space: POSIX
-		// returns EXDEV; the paper's tools then fall back to copy. We
-		// surface EINVAL (no EXDEV in our errno set) to force the same
-		// fallback.
-		return posix.EINVAL
+		// Cross-device rename between PLFS and non-PLFS space: EXDEV, on
+		// which the paper's tools fall back to copy.
+		return posix.EXDEV
 	}
 	l.Stats.Interposed.Add(1)
 	if l.plfs.IsContainer(bold) {

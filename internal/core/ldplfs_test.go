@@ -240,6 +240,15 @@ func TestUnlinkAndRename(t *testing.T) {
 	if err := d.Rename("/home/x", "/mnt/plfs/x"); err == nil {
 		t.Fatal("cross-device rename succeeded; want error")
 	}
+	// ... with EXDEV, in both directions.
+	if err := d.Rename("/home/x", "/mnt/plfs/x"); !errors.Is(err, posix.EXDEV) {
+		t.Fatalf("rename into the mount = %v, want EXDEV", err)
+	}
+	fd, _ = d.Open("/mnt/plfs/y", posix.O_CREAT|posix.O_WRONLY, 0o644)
+	d.Close(fd)
+	if err := d.Rename("/mnt/plfs/y", "/home/y"); !errors.Is(err, posix.EXDEV) {
+		t.Fatalf("rename out of the mount = %v, want EXDEV", err)
+	}
 }
 
 func TestTruncateThroughShim(t *testing.T) {

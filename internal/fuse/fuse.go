@@ -1,15 +1,15 @@
-// Package fuse emulates the PLFS FUSE deployment path: a kernel-mediated
-// mount where every file operation crosses user→kernel→daemon and data is
-// copied twice. Functionally it behaves exactly like LDPLFS (applications
-// see containers as plain files); its purpose in the reproduction is
-// (a) transparency — any FS consumer works unmodified — and (b) cost
-// accounting, because the crossings/copies it meters are what make the
-// FUSE bars the slowest in Figure 3 of the paper.
+// Package fuse emulates the PLFS FUSE deployment path: the LDPLFS shim
+// (internal/core) behind a mount boundary and a meter. The daemon's
+// POSIX→PLFS translation is the shim's own — descriptors, file pointers
+// and the container-or-plain rules all live there — and this package adds
+// only what a kernel mount adds: paths outside the mount do not exist,
+// and every operation crosses user→kernel→daemon with its payload copied
+// twice, in MaxTransfer segments. Metrics counts those crossings and
+// copies; what they cost in time — why the FUSE bars are the slowest in
+// Figure 3 of the paper — is the model in internal/fsim, not this package.
 package fuse
 
 import (
-	"errors"
-	"sync"
 	"sync/atomic"
 
 	"ldplfs/internal/core"
@@ -33,17 +33,14 @@ type Metrics struct {
 	Ops atomic.Int64
 }
 
-// FS is a mounted PLFS-FUSE file system. Paths under MountPoint map to
-// PLFS containers in the backend directory; everything else is ENOENT —
-// a FUSE mount only exposes its own tree.
+// FS is a mounted PLFS-FUSE file system. Paths under the mount point map
+// to PLFS containers in the backend directory; everything else is ENOENT
+// — a FUSE mount only exposes its own tree.
 type FS struct {
 	mount core.Mount
+	d     *posix.Dispatch // inner's symbols with the shim preloaded
 	plfs  *plfs.FS
-	inner posix.FS
-
-	mu     sync.Mutex
-	fds    map[int]*fuseFD
-	nextFD int
+	err   error // why the mount failed; every path operation reports it
 
 	Metrics Metrics
 }
@@ -55,25 +52,22 @@ var nextWriterID atomic.Uint32
 
 func init() { nextWriterID.Store(1 << 20) } // distinct from application pids
 
-type fuseFD struct {
-	file    *plfs.File
-	dirPath string // non-empty for directory fds
-	off     int64
-	flags   int
-	pid     uint32
-}
-
 // Mount creates a FUSE view: mountPoint becomes a window onto PLFS
-// containers stored under backendDir of inner. opts take any mix of
-// grouped plfs option values.
+// containers stored under backendDir of inner. One mount is one daemon
+// and writes under one pid. opts take any mix of grouped plfs option
+// values.
 func Mount(inner posix.FS, mountPoint, backendDir string, opts ...plfs.Option) *FS {
-	return &FS{
-		mount:  core.NewMount(mountPoint, backendDir),
-		plfs:   plfs.New(inner, opts...),
-		inner:  inner,
-		fds:    make(map[int]*fuseFD),
-		nextFD: 3,
+	f := &FS{
+		mount: core.NewMount(mountPoint, backendDir),
+		d:     posix.NewDispatch(inner),
+		plfs:  plfs.New(inner, opts...),
 	}
+	_, f.err = core.Preload(f.d, core.Config{
+		Mounts: []core.Mount{f.mount},
+		Pid:    nextWriterID.Add(1),
+		Plfs:   f.plfs,
+	})
+	return f
 }
 
 // Plfs returns the PLFS instance behind the mount.
@@ -85,356 +79,165 @@ func (f *FS) cross(n int64) {
 	f.Metrics.Ops.Add(1)
 }
 
-func (f *FS) resolve(path string) (string, error) {
-	if bpath, ok := f.mount.Resolve(path); ok {
-		return bpath, nil
+// enter is the prologue of every path operation: one request/reply
+// crossing, and the mount boundary — a path outside the mount does not
+// exist.
+func (f *FS) enter(paths ...string) error {
+	f.cross(2)
+	if f.err != nil {
+		return f.err
 	}
-	return "", posix.ENOENT
+	for _, path := range paths {
+		if _, ok := f.mount.Resolve(path); !ok {
+			return posix.ENOENT
+		}
+	}
+	return nil
 }
 
-// segments returns the number of MaxTransfer segments needed for n bytes.
-func segments(n int) int64 {
-	if n <= 0 {
-		return 1
+// moved is the epilogue of every data operation: a req-byte request
+// crosses in MaxTransfer segments of one round trip each, and the n
+// bytes it moved were copied twice.
+func (f *FS) moved(req, n int) {
+	segments := int64(1)
+	if req > 0 {
+		segments = int64((req + MaxTransfer - 1) / MaxTransfer)
 	}
-	return int64((n + MaxTransfer - 1) / MaxTransfer)
+	f.cross(2 * segments)
+	f.Metrics.BytesCopied.Add(2 * int64(n))
 }
 
 // Open implements posix.FS.
 func (f *FS) Open(path string, flags int, mode uint32) (int, error) {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return -1, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st, serr := f.inner.Stat(bpath); serr == nil && st.IsDir() && !f.plfs.IsContainer(bpath) {
-		if flags&posix.O_ACCMODE != posix.O_RDONLY {
-			return -1, posix.EISDIR
-		}
-		fd := f.nextFD
-		f.nextFD++
-		f.fds[fd] = &fuseFD{dirPath: bpath, flags: flags}
-		return fd, nil
-	}
-	pid := nextWriterID.Add(1)
-	pf, err := f.plfs.Open(bpath, flags, pid, mode)
-	if err != nil {
-		return -1, err
-	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = &fuseFD{file: pf, flags: flags, pid: pid}
-	if flags&posix.O_APPEND != 0 {
-		if size, err := pf.Size(); err == nil {
-			f.fds[fd].off = size
-		}
-	}
-	return fd, nil
-}
-
-func (f *FS) fd(fd int) (*fuseFD, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h, ok := f.fds[fd]
-	if !ok {
-		return nil, posix.EBADF
-	}
-	return h, nil
+	return f.d.Open(path, flags, mode)
 }
 
 // Close implements posix.FS.
 func (f *FS) Close(fd int) error {
 	f.cross(2)
-	f.mu.Lock()
-	h, ok := f.fds[fd]
-	if ok {
-		delete(f.fds, fd)
-	}
-	f.mu.Unlock()
-	if !ok {
-		return posix.EBADF
-	}
-	if h.file != nil {
-		return h.file.Close(h.pid)
-	}
-	return nil
+	return f.d.Close(fd)
 }
 
-// Read implements posix.FS.
+// Read implements posix.FS, segmenting at MaxTransfer per kernel trip.
 func (f *FS) Read(fd int, p []byte) (int, error) {
-	h, err := f.fd(fd)
-	if err != nil {
-		f.cross(2)
-		return 0, err
-	}
-	f.mu.Lock()
-	off := h.off
-	f.mu.Unlock()
-	n, err := f.Pread(fd, p, off)
-	if err == nil {
-		f.mu.Lock()
-		h.off = off + int64(n)
-		f.mu.Unlock()
-	}
+	n, err := f.d.Read(fd, p)
+	f.moved(len(p), n)
 	return n, err
 }
 
-// Write implements posix.FS.
+// Write implements posix.FS, segmenting at MaxTransfer per kernel trip.
 func (f *FS) Write(fd int, p []byte) (int, error) {
-	h, err := f.fd(fd)
-	if err != nil {
-		f.cross(2)
-		return 0, err
-	}
-	f.mu.Lock()
-	off := h.off
-	f.mu.Unlock()
-	if h.flags&posix.O_APPEND != 0 && h.file != nil {
-		size, serr := h.file.Size()
-		if serr != nil {
-			return 0, serr
-		}
-		off = size
-	}
-	n, err := f.Pwrite(fd, p, off)
-	if err == nil {
-		f.mu.Lock()
-		h.off = off + int64(n)
-		f.mu.Unlock()
-	}
+	n, err := f.d.Write(fd, p)
+	f.moved(len(p), n)
 	return n, err
 }
 
 // Pread implements posix.FS, segmenting at MaxTransfer per kernel trip.
 func (f *FS) Pread(fd int, p []byte, off int64) (int, error) {
-	h, err := f.fd(fd)
-	if err != nil {
-		f.cross(2)
-		return 0, err
-	}
-	if h.file == nil {
-		f.cross(2)
-		return 0, posix.EISDIR
-	}
-	f.cross(2 * segments(len(p)))
-	n, err := h.file.Read(p, off)
-	f.Metrics.BytesCopied.Add(2 * int64(n))
+	n, err := f.d.Pread(fd, p, off)
+	f.moved(len(p), n)
 	return n, err
 }
 
 // Pwrite implements posix.FS, segmenting at MaxTransfer per kernel trip.
 func (f *FS) Pwrite(fd int, p []byte, off int64) (int, error) {
-	h, err := f.fd(fd)
-	if err != nil {
-		f.cross(2)
-		return 0, err
-	}
-	if h.file == nil {
-		f.cross(2)
-		return 0, posix.EISDIR
-	}
-	f.cross(2 * segments(len(p)))
-	n, err := h.file.Write(p, off, h.pid)
-	f.Metrics.BytesCopied.Add(2 * int64(n))
+	n, err := f.d.Pwrite(fd, p, off)
+	f.moved(len(p), n)
 	return n, err
 }
 
 // Lseek implements posix.FS. Seeks are resolved in the VFS against the
 // kernel-held offset; only SEEK_END needs a getattr round trip.
 func (f *FS) Lseek(fd int, offset int64, whence int) (int64, error) {
-	h, err := f.fd(fd)
-	if err != nil {
-		return 0, err
+	if whence == posix.SEEK_END {
+		f.cross(2)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var base int64
-	switch whence {
-	case posix.SEEK_SET:
-		base = 0
-	case posix.SEEK_CUR:
-		base = h.off
-	case posix.SEEK_END:
-		if h.file == nil {
-			return 0, posix.EISDIR
-		}
-		f.cross(2) // getattr
-		size, err := h.file.Size()
-		if err != nil {
-			return 0, err
-		}
-		base = size
-	default:
-		return 0, posix.EINVAL
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, posix.EINVAL
-	}
-	h.off = pos
-	return pos, nil
+	return f.d.Lseek(fd, offset, whence)
 }
 
 // Fsync implements posix.FS.
 func (f *FS) Fsync(fd int) error {
 	f.cross(2)
-	h, err := f.fd(fd)
-	if err != nil {
-		return err
-	}
-	if h.file == nil {
-		return nil
-	}
-	return h.file.Sync(h.pid)
+	return f.d.Fsync(fd)
 }
 
 // Ftruncate implements posix.FS.
 func (f *FS) Ftruncate(fd int, size int64) error {
 	f.cross(2)
-	h, err := f.fd(fd)
-	if err != nil {
-		return err
-	}
-	if h.file == nil {
-		return posix.EISDIR
-	}
-	return h.file.Trunc(size)
+	return f.d.Ftruncate(fd, size)
 }
 
 // Fstat implements posix.FS.
 func (f *FS) Fstat(fd int) (posix.Stat, error) {
 	f.cross(2)
-	h, err := f.fd(fd)
-	if err != nil {
-		return posix.Stat{}, err
-	}
-	if h.file == nil {
-		return f.inner.Stat(h.dirPath)
-	}
-	size, err := h.file.Size()
-	if err != nil {
-		return posix.Stat{}, err
-	}
-	return posix.Stat{Size: size, Mode: 0o644, Nlink: 1}, nil
+	return f.d.Fstat(fd)
 }
 
 // Stat implements posix.FS.
 func (f *FS) Stat(path string) (posix.Stat, error) {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return posix.Stat{}, err
 	}
-	if f.plfs.IsContainer(bpath) {
-		return f.plfs.Stat(bpath)
-	}
-	return f.inner.Stat(bpath)
+	return f.d.Stat(path)
 }
 
 // Truncate implements posix.FS.
 func (f *FS) Truncate(path string, size int64) error {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return err
 	}
-	if f.plfs.IsContainer(bpath) {
-		return f.plfs.Truncate(bpath, size)
-	}
-	return f.inner.Truncate(bpath, size)
+	return f.d.Truncate(path, size)
 }
 
 // Unlink implements posix.FS.
 func (f *FS) Unlink(path string) error {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return err
 	}
-	if f.plfs.IsContainer(bpath) {
-		return f.plfs.Unlink(bpath)
-	}
-	return f.inner.Unlink(bpath)
+	return f.d.Unlink(path)
 }
 
 // Mkdir implements posix.FS.
 func (f *FS) Mkdir(path string, mode uint32) error {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return err
 	}
-	return f.inner.Mkdir(bpath, mode)
+	return f.d.Mkdir(path, mode)
 }
 
 // Rmdir implements posix.FS.
 func (f *FS) Rmdir(path string) error {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return err
 	}
-	if f.plfs.IsContainer(bpath) {
-		return posix.ENOTDIR
-	}
-	return f.inner.Rmdir(bpath)
+	return f.d.Rmdir(path)
 }
 
-// Readdir implements posix.FS, flattening containers to file entries.
+// Readdir implements posix.FS; containers list as files.
 func (f *FS) Readdir(path string) ([]posix.DirEntry, error) {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return nil, err
 	}
-	entries, err := f.inner.Readdir(bpath)
-	if err != nil {
-		return nil, err
-	}
-	out := entries[:0]
-	for _, e := range entries {
-		if e.IsDir && f.plfs.IsContainer(bpath+"/"+e.Name) {
-			e.IsDir = false
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	return f.d.Readdir(path)
 }
 
 // Rename implements posix.FS.
 func (f *FS) Rename(oldpath, newpath string) error {
-	f.cross(2)
-	bold, err := f.resolve(oldpath)
-	if err != nil {
+	if err := f.enter(oldpath, newpath); err != nil {
 		return err
 	}
-	bnew, err := f.resolve(newpath)
-	if err != nil {
-		return err
-	}
-	if f.plfs.IsContainer(bold) {
-		return f.plfs.Rename(bold, bnew)
-	}
-	return f.inner.Rename(bold, bnew)
+	return f.d.Rename(oldpath, newpath)
 }
 
 // Access implements posix.FS.
 func (f *FS) Access(path string, mode int) error {
-	f.cross(2)
-	bpath, err := f.resolve(path)
-	if err != nil {
+	if err := f.enter(path); err != nil {
 		return err
 	}
-	if f.plfs.IsContainer(bpath) {
-		return nil
-	}
-	err = f.inner.Access(bpath, mode)
-	if errors.Is(err, posix.ENOENT) {
-		return posix.ENOENT
-	}
-	return err
+	return f.d.Access(path, mode)
 }
 
 var _ posix.FS = (*FS)(nil)

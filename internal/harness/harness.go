@@ -1,9 +1,12 @@
 // Package harness wires the paper's four access methods onto a backing
 // store for the command-line tools and benchmarks: given a method name it
 // produces the per-rank ADIO driver and the path the application should
-// open. The conventions match the experiments: PLFS containers live under
-// /backend, the PLFS mount point is /mnt/plfs, plain shared files live
-// under /scratch.
+// open. It assembles, it does not translate: three methods — and remote
+// mode, a gateway connection in place of the store — are the ufs driver
+// over a different POSIX face (plain dispatch, shim, FUSE view of the
+// shim, client.Conn dispatch), the fourth is ad_plfs. The conventions
+// match the experiments: PLFS containers live under /backend, the PLFS
+// mount point is /mnt/plfs, plain shared files live under /scratch.
 package harness
 
 import (
@@ -94,18 +97,12 @@ func PrepareStore(fs posix.FS) error {
 	return nil
 }
 
-// DriverFor builds the per-rank ADIO driver for a named method over fs
-// with default PLFS options, and returns the application-visible path
-// for the given file name.
-func DriverFor(method string, fs posix.FS, rank int) (mpiio.Driver, func(name string) string, error) {
-	return DriverForOpts(method, fs, rank)
-}
-
-// DriverForOpts is DriverFor with explicit PLFS options — any mix of
-// grouped option structs (plfs.EngineOptions{...}) or a whole
-// plfs.Config — so the CLI tools can thread engine tuning (ReadWorkers, WriteWorkers, IndexBatch, ...)
-// down to whichever methods run over PLFS.
-func DriverForOpts(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
+// DriverFor builds the per-rank ADIO driver for a named method over fs,
+// and returns the application-visible path for the given file name.
+// opts — any mix of grouped option structs (plfs.EngineOptions{...}) or a
+// whole plfs.Config — thread engine tuning down to whichever methods run
+// over PLFS.
+func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {
 	case "mpiio":
 		return mpiio.NewUFS(posix.NewDispatch(fs)),

@@ -15,113 +15,19 @@ type RemoteDialer interface {
 	Dial() (*client.Conn, error)
 }
 
-// RankDriver builds one rank's ADIO driver: against the gateway named
-// by rd when remote mode is on (each rank dials its own connection —
-// one session, one PLFS pid), otherwise the local method over fs. The
-// path function addresses the PLFS mount either way, so kernels are
-// oblivious to where the containers live.
+// RankDriver builds one rank's ADIO driver: the ufs driver over a
+// gateway connection's dispatch when remote mode is on (each rank dials
+// its own connection — one session, one PLFS pid), otherwise the local
+// method over fs. The path function addresses the PLFS mount either way,
+// so kernels are oblivious to where the containers live.
 func RankDriver(rd RemoteDialer, method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	if rd != nil && rd.Enabled() {
 		conn, err := rd.Dial()
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewRemoteDriver(conn),
+		return mpiio.NewUFS(conn.Dispatch()),
 			func(name string) string { return MountPoint + "/" + name }, nil
 	}
-	return DriverForOpts(method, fs, rank, opts...)
+	return DriverFor(method, fs, rank, opts...)
 }
-
-// RemoteDriver adapts a plfsd gateway connection to the ADIO driver
-// interface, so every workload kernel that runs over a local method
-// (mpiio-test, bt-io, flash-io, ldrun scripts) runs unchanged against
-// a remote daemon: each rank dials its own connection — one gateway
-// session, one PLFS pid — and the kernels' collective structure is
-// preserved because the driver surface is identical.
-type RemoteDriver struct {
-	conn *client.Conn
-}
-
-// NewRemoteDriver wraps an authenticated gateway connection.
-func NewRemoteDriver(conn *client.Conn) *RemoteDriver {
-	return &RemoteDriver{conn: conn}
-}
-
-// Name implements mpiio.Driver.
-func (d *RemoteDriver) Name() string { return "remote" }
-
-// Open implements mpiio.Driver.
-func (d *RemoteDriver) Open(path string, amode int, rank int) (mpiio.DriverFile, error) {
-	flags, err := mpiio.AmodeToFlags(amode)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := d.conn.Open(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &remoteFile{conn: d.conn, fd: fd, path: path}, nil
-}
-
-// Delete implements mpiio.Driver.
-func (d *RemoteDriver) Delete(path string) error { return d.conn.Unlink(path) }
-
-// remoteFile is one open fd on the gateway.
-type remoteFile struct {
-	conn *client.Conn
-	fd   int
-	path string
-}
-
-func (f *remoteFile) PreadAt(p []byte, off int64) (int, error) {
-	// Reads above the frame ceiling split into protocol-sized chunks; a
-	// short chunk means EOF and ends the loop like a local pread would.
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > maxRemoteIO {
-			n = maxRemoteIO
-		}
-		got, err := f.conn.Pread(f.fd, p[total:total+n], off+int64(total))
-		total += got
-		if err != nil {
-			return total, err
-		}
-		if got < n {
-			break
-		}
-	}
-	return total, nil
-}
-
-func (f *remoteFile) PwriteAt(p []byte, off int64) (int, error) {
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > maxRemoteIO {
-			n = maxRemoteIO
-		}
-		got, err := f.conn.Pwrite(f.fd, p[total:total+n], off+int64(total))
-		total += got
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (f *remoteFile) Size() (int64, error) {
-	st, err := f.conn.Fstat(f.fd)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size, nil
-}
-
-func (f *remoteFile) Truncate(size int64) error { return f.conn.Truncate(f.path, size) }
-func (f *remoteFile) Sync() error               { return f.conn.Sync(f.fd) }
-func (f *remoteFile) Close() error              { return f.conn.CloseFd(f.fd) }
-
-// maxRemoteIO keeps one data op comfortably inside MaxFramePayload
-// with room for the fixed fields.
-const maxRemoteIO = 4 << 20

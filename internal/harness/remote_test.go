@@ -55,7 +55,7 @@ func TestRemoteDriverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Name() != "remote" {
+	if d.Name() != "ufs" {
 		t.Fatalf("driver %q", d.Name())
 	}
 	path := pathFor("ckpt")
@@ -110,8 +110,8 @@ func TestRankDriverLocalFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Name() == "remote" {
-			t.Fatal("local fallback picked the remote driver")
+		if d.Name() != "ufs" {
+			t.Fatalf("local fallback: driver %q, want the ldplfs method's ufs", d.Name())
 		}
 		if pathFor("x") == "" {
 			t.Fatal("empty path")

@@ -4,13 +4,14 @@
 // buffering with one aggregator per compute node (the paper's default),
 // and data sieving for independent strided access.
 //
-// The four access methods of the paper differ only in how this stack is
-// assembled:
+// The four access methods of the paper, and the remote mode added to
+// them, differ only in how this stack is assembled:
 //
 //	MPI-IO  : ufs driver over the plain POSIX dispatch
 //	FUSE    : ufs driver over a fuse.FS mount
 //	ROMIO   : plfs driver (direct PLFS calls, one Plfs_fd per rank)
 //	LDPLFS  : ufs driver over a dispatch with internal/core preloaded
+//	remote  : ufs driver over a client.Conn dispatch
 package mpiio
 
 import (
@@ -29,11 +30,6 @@ const (
 	ModeExcl
 	ModeAppend
 )
-
-// AmodeToFlags translates MPI_MODE_* to POSIX open flags — the same
-// mapping the in-tree drivers use, exported so out-of-package drivers
-// (the harness's remote-gateway driver) agree with them.
-func AmodeToFlags(amode int) (int, error) { return amodeToPosix(amode) }
 
 // amodeToPosix translates MPI_MODE_* to POSIX open flags.
 func amodeToPosix(amode int) (int, error) {

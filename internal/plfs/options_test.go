@@ -3,13 +3,29 @@ package plfs
 import (
 	"testing"
 
-	"ldplfs/internal/plfs/readcache"
 	"ldplfs/internal/posix"
 )
 
-// cacheStats snapshots the shared index cache's counters — the
-// in-package replacement for the retired FS.IndexCacheStats shim.
-func cacheStats(p *FS) readcache.Stats { return p.cache.Stats() }
+// cacheCounters is a point-in-time view of the shared index cache's
+// counters.
+type cacheCounters struct {
+	Lookups, Hits, Builds, LoadErrors, FlattenedBuilds, Revalidations, Invalidations int64
+}
+
+// cacheStats reads the counters where callers read them: off the
+// instance's "readcache" layer.
+func cacheStats(p *FS) cacheCounters {
+	ls := p.cacheLayer
+	return cacheCounters{
+		Lookups:         ls.Counter("lookups").Load(),
+		Hits:            ls.Counter("hits").Load(),
+		Builds:          ls.Counter("builds").Load(),
+		LoadErrors:      ls.Counter("load_errors").Load(),
+		FlattenedBuilds: ls.Counter("flattened_builds").Load(),
+		Revalidations:   ls.Counter("revalidations").Load(),
+		Invalidations:   ls.Counter("invalidations").Load(),
+	}
+}
 
 // TestOptionsGroupReplacement checks the documented override semantics:
 // a group literal passed to New replaces that whole group, later options

@@ -63,7 +63,7 @@
 //
 // # Tolerance rules
 //
-// Three degraded states are recoverable by rule, each stated and
+// Four degraded states are recoverable by rule, each stated and
 // enforced in one place:
 //
 //   - An index dropping whose tail is a partial record, or that is still
@@ -81,11 +81,19 @@
 //     signature matches the raw droppings as they are now and no writer
 //     holds the container open. A stale, torn or corrupt record costs a
 //     streaming merge, never wrong bytes. (newestFlattened)
+//   - An operation that replaces index droppings — CompactIndex, a
+//     partial truncate — may stop at any backend op: the replacement
+//     dropping is complete, under a name no source uses, before any
+//     source is unlinked, and out-stamps them all. A fresh reader
+//     therefore finds a compaction's bytes and size unchanged and a
+//     truncate's bytes intact below the smaller size, and running the
+//     operation again completes it. (consolidate)
 package plfs
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,9 +137,11 @@ type FS struct {
 
 	// cache is the shared per-container merged-index cache and fds the
 	// shared read-descriptor cache: the read-engine state shared by
-	// every File.
-	cache *readcache.IndexCache
-	fds   *readcache.FDCache
+	// every File. cacheLayer is where the index cache counts: the
+	// collector's "readcache" layer, or a standalone one without.
+	cache      *readcache.IndexCache
+	cacheLayer *iostats.LayerStats
+	fds        *readcache.FDCache
 
 	// containers holds one record per container this instance has open
 	// handles on (see "Handles" in the package doc).
@@ -198,7 +208,7 @@ func New(backend posix.FS, opts ...Option) *FS {
 		seeded:     make(map[string]bool),
 	}
 	p.initTelemetry()
-	p.cache = readcache.NewIndexCacheWith(cfg.Index.MaxCachedIndexes, p.cacheStatsLayer())
+	p.cache = readcache.NewIndexCache(cfg.Index.MaxCachedIndexes, p.cacheLayer)
 	p.flattenOff.Store(cfg.Index.DisableFlattenedReads)
 	return p
 }
@@ -1144,8 +1154,8 @@ func (p *FS) Truncate(path string, size int64) error {
 }
 
 // truncateContainer implements truncation the way PLFS does: size zero
-// removes every dropping; a partial truncate consolidates the clipped
-// global index into a single replacement index dropping.
+// removes every dropping; a partial truncate is a compaction with a
+// clip (see consolidate).
 func (p *FS) truncateContainer(path string, size int64) error {
 	if size < 0 {
 		return posix.EINVAL
@@ -1181,38 +1191,9 @@ func (p *FS) truncateContainer(path string, size int64) error {
 		return p.clearMeta(path, 0)
 	}
 
-	entries, err := p.readAllEntries(path)
-	if err != nil {
+	if err := p.consolidate(path, size); err != nil {
 		return err
 	}
-	global := idx.Build(entries)
-	global.Truncate(size)
-	if global.Size() < size {
-		global.Extend(size)
-	}
-	// Replace every index dropping with one consolidated dropping holding
-	// the clipped extents.
-	consolidated := restamp(global)
-	droppings, err := p.listIndexDroppings(path)
-	if err != nil {
-		return err
-	}
-	for _, d := range droppings {
-		if err := p.backend.Unlink(d); err != nil {
-			return err
-		}
-	}
-	hostdir := fmt.Sprintf("%s/hostdir.%d", path, 0)
-	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
-		return err
-	}
-	if err := idx.WriteDropping(p.backend, hostdir+"/dropping.index.trunc", consolidated); err != nil {
-		return err
-	}
-	// Consolidation can mint more timestamps than writes ever happened
-	// (overlaps split entries into several extents); keep the clock ahead
-	// of them so post-truncate writes still win last-writer-wins.
-	p.bumpClock(uint64(len(consolidated)))
 	// Any flattened record predates the consolidation; its raw signature
 	// no longer matches, so retire it rather than leave a stale file.
 	for _, d := range dirs {
@@ -1222,19 +1203,71 @@ func (p *FS) truncateContainer(path string, size int64) error {
 			}
 		}
 	}
-	// A sparse tail (truncate upward) needs a zero-length sentinel so Size
-	// sees the extension. Represent it with a zero-filled entry of length
-	// zero is impossible; instead extend via meta hints.
-	p.invalidateIndex(path)
+	// The index cannot hold a trailing hole, so a truncate upward is
+	// carried by the meta hint alone.
 	return p.clearMeta(path, size)
 }
 
+// consolidate replaces every index dropping of the container with one
+// dropping holding the resolved index, clipped at clip bytes unless clip
+// is negative: partial truncate is compaction with a clip. Its one rule
+// (the fourth tolerance rule of the package doc): the replacement is
+// complete, under a name no source uses, before any source is unlinked,
+// and its records out-stamp every source's. A failure before that point
+// leaves every source, and a torn replacement beside them adds only
+// records they already resolve to; a failure after it leaves the whole
+// replacement overriding whichever sources survive; and the leftovers
+// of either are sources like any other when the operation runs again.
+func (p *FS) consolidate(path string, clip int64) error {
+	defer p.invalidateIndex(path)
+	sources, err := p.listIndexDroppings(path)
+	if err != nil {
+		return err
+	}
+	entries, err := p.loadDroppings(sources)
+	if err != nil {
+		return err
+	}
+	var newest uint64
+	for _, e := range entries {
+		newest = max(newest, e.Timestamp)
+	}
+	global := idx.Build(entries)
+	if clip >= 0 {
+		global.Truncate(clip)
+	}
+	merged := restamp(global, newest)
+	hostdir := path + "/hostdir.0"
+	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
+		return err
+	}
+	var replacement string
+	for gen := 0; ; gen++ {
+		replacement = fmt.Sprintf("%s/dropping.index.merged.%d", hostdir, gen)
+		if !slices.Contains(sources, replacement) {
+			break
+		}
+	}
+	if err := idx.WriteDropping(p.backend, replacement, merged); err != nil {
+		return err
+	}
+	// Keep the clock ahead of the minted timestamps so later writes still
+	// win last-writer-wins.
+	p.bumpClock(newest + uint64(len(merged)))
+	for _, d := range sources {
+		if err := p.backend.Unlink(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // restamp turns a resolved index back into raw records: one entry per
-// data extent, re-timestamped in resolved order — the contents of the
-// consolidated dropping that truncation and compaction write.
-func restamp(global *idx.Index) []idx.Entry {
+// data extent, re-timestamped in resolved order above base — the
+// contents of the dropping consolidate writes.
+func restamp(global *idx.Index, base uint64) []idx.Entry {
 	var out []idx.Entry
-	for i, x := range global.Extents() {
+	for _, x := range global.Extents() {
 		if x.Hole {
 			continue
 		}
@@ -1242,28 +1275,44 @@ func restamp(global *idx.Index) []idx.Entry {
 			LogicalOffset:  x.LogicalOffset,
 			Length:         x.Length,
 			PhysicalOffset: x.PhysicalOffset,
-			Timestamp:      uint64(i + 1),
+			Timestamp:      base + uint64(len(out)+1),
 			Pid:            x.Pid,
 		})
 	}
 	return out
 }
 
-// clearMeta resets the meta hints to a single authoritative size.
+// clearMeta resets the meta hints to a single authoritative size. The
+// new hint lands before the stale ones go, so Stat (which takes the
+// largest) never reports less than both sizes in between; and a failure
+// fails the truncate, because a stale hint left behind would outvote
+// the index.
 func (p *FS) clearMeta(path string, size int64) error {
+	const hint = "size.trunc"
 	metaPath := path + "/" + metaDir
+	fd, err := p.backend.Open(metaPath+"/"+hint, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = p.backend.Write(fd, []byte(fmt.Sprintf("%d\n", size)))
+	if cerr := p.backend.Close(fd); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
 	entries, err := p.backend.Readdir(metaPath)
-	if err == nil {
-		for _, e := range entries {
-			p.backend.Unlink(metaPath + "/" + e.Name)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.Name == hint {
+			continue
+		}
+		if err := p.backend.Unlink(metaPath + "/" + e.Name); err != nil {
+			return err
 		}
 	}
-	fd, err := p.backend.Open(metaPath+"/size.trunc", posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
-	if err != nil {
-		return nil // best effort: stat falls back to index merge
-	}
-	p.backend.Write(fd, []byte(fmt.Sprintf("%d\n", size)))
-	p.backend.Close(fd)
 	return nil
 }
 
@@ -1279,35 +1328,9 @@ func (p *FS) CompactIndex(path string) error {
 	if p.hasOpenWriters(path) {
 		return fmt.Errorf("plfs: compact %s: container has active writers", path)
 	}
-	entries, err := p.readAllEntries(path)
-	if err != nil {
+	if err := p.consolidate(path, -1); err != nil {
 		return err
 	}
-	flat := restamp(idx.Build(entries))
-	// Write the consolidated dropping first, then remove the shards, so a
-	// crash between the two steps leaves a readable (if redundant) index.
-	hostdir := fmt.Sprintf("%s/hostdir.%d", path, 0)
-	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
-		return err
-	}
-	compacted := hostdir + "/dropping.index.flattened"
-	if err := idx.WriteDropping(p.backend, compacted, flat); err != nil {
-		return err
-	}
-	p.bumpClock(uint64(len(flat)))
-	droppings, err := p.listIndexDroppings(path)
-	if err != nil {
-		return err
-	}
-	for _, d := range droppings {
-		if d == compacted {
-			continue
-		}
-		if err := p.backend.Unlink(d); err != nil {
-			return err
-		}
-	}
-	p.invalidateIndex(path)
 	// Compaction replaced the raw droppings, so any existing flattened
 	// record just went stale; refresh it from the consolidated state
 	// (best effort — compaction itself succeeded either way). plfsctl

@@ -55,23 +55,6 @@ type Loader func() (*idx.Index, Signature, BuildKind, error)
 // droppings.
 type SigFunc func() (Signature, error)
 
-// Stats counts cache activity. Snapshot via IndexCache.Stats.
-//
-// Deprecated-but-kept: the counters behind it live on the iostats
-// plane (layer "readcache" when the owning plfs.FS is built with a
-// collector); this struct remains as a point-in-time view so existing
-// tests and callers keep compiling. Every Get is exactly one of Hits,
-// Builds or LoadErrors, so Hits+Builds+LoadErrors == Lookups always.
-type Stats struct {
-	Lookups         int64 // Get calls
-	Hits            int64 // Get served from cache
-	Builds          int64 // Get ran the loader successfully (misses)
-	LoadErrors      int64 // Get ran the loader and it failed
-	FlattenedBuilds int64 // of Builds, how many loaded a flattened record
-	Revalidations   int64 // signature checks performed
-	Invalidations   int64 // generation bumps
-}
-
 // DefaultMaxContainers bounds how many containers keep a cached index.
 const DefaultMaxContainers = 64
 
@@ -83,13 +66,13 @@ type IndexCache struct {
 	max     int
 	tick    uint64
 
-	lookups         *iostats.Counter
-	hits            *iostats.Counter
-	builds          *iostats.Counter
-	loadErrors      *iostats.Counter
-	flattenedBuilds *iostats.Counter
-	revalidations   *iostats.Counter
-	invalidations   *iostats.Counter
+	lookups         *iostats.Counter // Get calls
+	hits            *iostats.Counter // Get served from cache
+	builds          *iostats.Counter // Get ran the loader successfully (misses)
+	loadErrors      *iostats.Counter // Get ran the loader and it failed
+	flattenedBuilds *iostats.Counter // of builds, how many loaded a flattened record
+	revalidations   *iostats.Counter // signature checks performed
+	invalidations   *iostats.Counter // generation bumps
 }
 
 type cacheEntry struct {
@@ -103,15 +86,13 @@ type cacheEntry struct {
 }
 
 // NewIndexCache returns a cache holding at most max container indexes
-// (DefaultMaxContainers if max <= 0), with standalone counters.
-func NewIndexCache(max int) *IndexCache { return NewIndexCacheWith(max, nil) }
-
-// NewIndexCacheWith is NewIndexCache with the cache's counters
-// registered on an iostats layer (typically the owning plfs.FS's
-// "readcache" layer), so cache activity shows up on the shared
-// telemetry plane. A nil layer keeps the counters standalone —
-// IndexCache.Stats works either way.
-func NewIndexCacheWith(max int, ls *iostats.LayerStats) *IndexCache {
+// (DefaultMaxContainers if max <= 0). Its seven counters — lookups,
+// hits, builds, load_errors, flattened_builds, revalidations,
+// invalidations — register on ls (typically the owning plfs.FS's
+// "readcache" layer), which is where callers read them; a nil layer
+// leaves them unobservable. Every Get is exactly one of a hit, a build
+// or a load error, so hits+builds+load_errors == lookups always.
+func NewIndexCache(max int, ls *iostats.LayerStats) *IndexCache {
 	if max <= 0 {
 		max = DefaultMaxContainers
 	}
@@ -232,17 +213,4 @@ func (c *IndexCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *IndexCache) Stats() Stats {
-	return Stats{
-		Lookups:         c.lookups.Load(),
-		Hits:            c.hits.Load(),
-		Builds:          c.builds.Load(),
-		LoadErrors:      c.loadErrors.Load(),
-		FlattenedBuilds: c.flattenedBuilds.Load(),
-		Revalidations:   c.revalidations.Load(),
-		Invalidations:   c.invalidations.Load(),
-	}
 }

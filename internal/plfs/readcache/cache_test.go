@@ -7,8 +7,31 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ldplfs/internal/iostats"
 	idx "ldplfs/internal/plfs/index"
 )
+
+// counters is a point-in-time view of a cache's seven counters.
+type counters struct {
+	Lookups, Hits, Builds, LoadErrors, FlattenedBuilds, Revalidations, Invalidations int64
+}
+
+// newCounted returns a cache counting on a standalone layer and the
+// reader of that layer — how every caller observes a cache.
+func newCounted(max int) (*IndexCache, func() counters) {
+	ls := iostats.NewLayerStats("readcache")
+	return NewIndexCache(max, ls), func() counters {
+		return counters{
+			Lookups:         ls.Counter("lookups").Load(),
+			Hits:            ls.Counter("hits").Load(),
+			Builds:          ls.Counter("builds").Load(),
+			LoadErrors:      ls.Counter("load_errors").Load(),
+			FlattenedBuilds: ls.Counter("flattened_builds").Load(),
+			Revalidations:   ls.Counter("revalidations").Load(),
+			Invalidations:   ls.Counter("invalidations").Load(),
+		}
+	}
+}
 
 func loader(builds *atomic.Int64, sig Signature) Loader {
 	return func() (*idx.Index, Signature, BuildKind, error) {
@@ -22,7 +45,7 @@ func sigFn(s Signature) SigFunc {
 }
 
 func TestGetBuildsOnceAndHits(t *testing.T) {
-	c := NewIndexCache(0)
+	c, stats := newCounted(0)
 	var builds atomic.Int64
 	for i := 0; i < 5; i++ {
 		index, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
@@ -36,13 +59,13 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 	if builds.Load() != 1 {
 		t.Fatalf("builds = %d, want 1", builds.Load())
 	}
-	if s := c.Stats(); s.Hits != 4 || s.Builds != 1 {
+	if s := stats(); s.Hits != 4 || s.Builds != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestInvalidateForcesRebuild(t *testing.T) {
-	c := NewIndexCache(0)
+	c := NewIndexCache(0, nil)
 	var builds atomic.Int64
 	c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 	c.Invalidate("/c")
@@ -58,7 +81,7 @@ func TestInvalidateForcesRebuild(t *testing.T) {
 }
 
 func TestRevalidationDetectsBackendChange(t *testing.T) {
-	c := NewIndexCache(0)
+	c := NewIndexCache(0, nil)
 	var builds atomic.Int64
 	cur := Signature("v1")
 	sig := func() (Signature, error) { return cur, nil }
@@ -87,7 +110,7 @@ func TestRevalidationDetectsBackendChange(t *testing.T) {
 }
 
 func TestLoadErrorNotCached(t *testing.T) {
-	c := NewIndexCache(0)
+	c := NewIndexCache(0, nil)
 	boom := errors.New("boom")
 	fail := func() (*idx.Index, Signature, BuildKind, error) { return nil, "", BuildMerge, boom }
 	if _, _, err := c.Get("/c", false, sigFn("s"), fail); !errors.Is(err, boom) {
@@ -100,7 +123,7 @@ func TestLoadErrorNotCached(t *testing.T) {
 }
 
 func TestDropRemovesEntry(t *testing.T) {
-	c := NewIndexCache(0)
+	c := NewIndexCache(0, nil)
 	var builds atomic.Int64
 	c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 	c.Drop("/c")
@@ -114,7 +137,7 @@ func TestDropRemovesEntry(t *testing.T) {
 }
 
 func TestLRUEvictionBoundsContainers(t *testing.T) {
-	c := NewIndexCache(4)
+	c := NewIndexCache(4, nil)
 	var builds atomic.Int64
 	for i := 0; i < 10; i++ {
 		path := fmt.Sprintf("/c%d", i)
@@ -130,7 +153,7 @@ func TestLRUEvictionBoundsContainers(t *testing.T) {
 }
 
 func TestConcurrentGetSingleflight(t *testing.T) {
-	c := NewIndexCache(0)
+	c := NewIndexCache(0, nil)
 	var builds atomic.Int64
 	var inFlight, maxInFlight atomic.Int64
 	load := func() (*idx.Index, Signature, BuildKind, error) {
@@ -170,7 +193,7 @@ func TestConcurrentGetSingleflight(t *testing.T) {
 // iostats plane promises: every lookup resolved as exactly one of a
 // hit, a build or a load error — however the goroutines interleaved.
 func TestStatsCoherenceUnderRaces(t *testing.T) {
-	c := NewIndexCache(4)
+	c, stats := newCounted(4)
 	paths := []string{"/a", "/b", "/c", "/d", "/e", "/f"}
 	var builds atomic.Int64
 
@@ -208,7 +231,7 @@ func TestStatsCoherenceUnderRaces(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := c.Stats()
+	s := stats()
 	if s.Lookups == 0 {
 		t.Fatal("no lookups recorded")
 	}
@@ -225,21 +248,21 @@ func TestStatsCoherenceUnderRaces(t *testing.T) {
 }
 
 func TestLoadErrorCounted(t *testing.T) {
-	c := NewIndexCache(0)
+	c, stats := newCounted(0)
 	boom := errors.New("boom")
 	fail := func() (*idx.Index, Signature, BuildKind, error) { return nil, "", BuildMerge, boom }
 	c.Get("/c", false, sigFn("s"), fail)
 	var builds atomic.Int64
 	c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 	c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
-	s := c.Stats()
+	s := stats()
 	if s.Lookups != 3 || s.LoadErrors != 1 || s.Builds != 1 || s.Hits != 1 {
 		t.Fatalf("stats = %+v, want 3 lookups = 1 error + 1 build + 1 hit", s)
 	}
 }
 
 func TestFlattenedBuildsCounted(t *testing.T) {
-	c := NewIndexCache(0)
+	c, stats := newCounted(0)
 	flat := func() (*idx.Index, Signature, BuildKind, error) {
 		return idx.Build(nil), "s", BuildFlattened, nil
 	}
@@ -251,7 +274,7 @@ func TestFlattenedBuildsCounted(t *testing.T) {
 	if _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s")); err != nil || !built {
 		t.Fatalf("rebuild: built=%v err=%v", built, err)
 	}
-	s := c.Stats()
+	s := stats()
 	if s.Builds != 2 || s.FlattenedBuilds != 1 {
 		t.Fatalf("stats = %+v, want 2 builds of which 1 flattened", s)
 	}

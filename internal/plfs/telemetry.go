@@ -39,6 +39,9 @@ var (
 func (p *FS) initTelemetry() {
 	if p.cfg.Telemetry.Stats != nil {
 		p.stats = p.cfg.Telemetry.Stats.Layer("plfs")
+		p.cacheLayer = p.cfg.Telemetry.Stats.Layer("readcache")
+	} else {
+		p.cacheLayer = iostats.NewLayerStats("readcache")
 	}
 	if !p.cfg.Tune.Enable {
 		return
@@ -66,15 +69,6 @@ func (p *FS) initTelemetry() {
 		tune.Knob{Name: "batch-depth", Ladder: batchDepthLadder,
 			Start: p.batchDepth(), Apply: p.SetBatchDepth},
 	)
-}
-
-// cacheStatsLayer returns the layer the index cache should register
-// its counters on (nil when telemetry is off).
-func (p *FS) cacheStatsLayer() *iostats.LayerStats {
-	if p.cfg.Telemetry.Stats == nil {
-		return nil
-	}
-	return p.cfg.Telemetry.Stats.Layer("readcache")
 }
 
 // opStart samples the clock for a latency measurement iff telemetry

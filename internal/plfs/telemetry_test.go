@@ -10,9 +10,9 @@ import (
 )
 
 // TestStatsPlaneRecordsEngineOps checks the plfs engines report through
-// the collector: op counts and bytes on layer "plfs", the index
-// cache's counters on layer "readcache", and the deprecated
-// IndexCacheStats shim still reading the same numbers.
+// the collector: op counts and bytes on layer "plfs", and the index
+// cache's counters on layer "readcache" — the layer the instance counts
+// on, not a copy.
 func TestStatsPlaneRecordsEngineOps(t *testing.T) {
 	plane := iostats.NewPlane()
 	p := New(posix.NewMemFS(), WithStats(plane))
@@ -50,14 +50,12 @@ func TestStatsPlaneRecordsEngineOps(t *testing.T) {
 		t.Errorf("sync count = %d, want 1", n)
 	}
 
-	// The cache counters live on the plane and feed the legacy shim.
 	cacheLayer := plane.Layer("readcache")
-	builds := cacheLayer.Counter("builds").Load()
-	if builds == 0 {
+	if cacheLayer.Counter("builds").Load() == 0 {
 		t.Error("readcache layer recorded no builds")
 	}
-	if shim := cacheStats(p); shim.Builds != builds {
-		t.Errorf("IndexCacheStats shim reports %d builds, plane has %d", shim.Builds, builds)
+	if p.cacheLayer != cacheLayer {
+		t.Error("the instance counts on a layer other than the collector's readcache layer")
 	}
 }
 

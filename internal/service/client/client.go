@@ -1,8 +1,10 @@
 // Package client is the Go client for a plfsd gateway: it speaks the
 // length-prefixed frame protocol of internal/service over any
 // net.Conn, presenting the same open/pread/pwrite/sync/close surface
-// as a local dispatch so ldrun-style workloads can target a remote
-// daemon unchanged (harness wires it up behind -remote).
+// as a local dispatch so ldrun-style workloads and the ufs ADIO driver
+// target a remote daemon unchanged (harness wires it up behind
+// -remote). The wire's rules — the frame ceiling, what has no frame —
+// are this package's to know; see Conn.Dispatch.
 package client
 
 import (
@@ -106,30 +108,54 @@ func (c *Conn) Open(path string, flags int, mode uint32) (int, error) {
 	return int(r.U32()), r.Err()
 }
 
-// Pread reads up to len(p) bytes at off into p.
+// maxIO is the most payload one data frame carries: the frame ceiling
+// less room for the fixed fields (the gateway refuses larger reads).
+const maxIO = service.MaxFramePayload - 64
+
+// Pread reads up to len(p) bytes at off into p, one frame per maxIO
+// bytes. A short frame is EOF and ends the read like a local pread.
 func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	w.U64(uint64(off))
-	w.U32(uint32(len(p)))
-	r, err := c.roundTrip(service.OpRead, w.Payload())
-	if err != nil {
-		return 0, err
+	total := 0
+	for {
+		chunk := p[total:min(len(p), total+maxIO)]
+		var w service.WireWriter
+		w.U32(uint32(fd))
+		w.U64(uint64(off + int64(total)))
+		w.U32(uint32(len(chunk)))
+		r, err := c.roundTrip(service.OpRead, w.Payload())
+		if err != nil {
+			return total, err
+		}
+		n := copy(chunk, r.Rest())
+		total += n
+		if n < len(chunk) || total == len(p) {
+			return total, nil
+		}
 	}
-	return copy(p, r.Rest()), nil
 }
 
-// Pwrite writes p at off.
+// Pwrite writes p at off, one frame per maxIO bytes.
 func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	w.U64(uint64(off))
-	w.Bytes(p)
-	r, err := c.roundTrip(service.OpWrite, w.Payload())
-	if err != nil {
-		return 0, err
+	total := 0
+	for {
+		chunk := p[total:min(len(p), total+maxIO)]
+		var w service.WireWriter
+		w.U32(uint32(fd))
+		w.U64(uint64(off + int64(total)))
+		w.Bytes(chunk)
+		r, err := c.roundTrip(service.OpWrite, w.Payload())
+		if err != nil {
+			return total, err
+		}
+		n := int(r.U32())
+		if err := r.Err(); err != nil {
+			return total, err
+		}
+		total += n
+		if n < len(chunk) || total == len(p) {
+			return total, nil
+		}
 	}
-	return int(r.U32()), r.Err()
 }
 
 // Sync flushes the fd's droppings on the gateway.

@@ -7,48 +7,62 @@ import (
 )
 
 // Dispatch presents the connection as a process symbol table, so the
-// bundled UNIX tools (and anything else written against
-// *posix.Dispatch) run against a remote gateway. Sequential read/write
-// offsets are tracked client-side, the way libc tracks them for a
-// kernel that only really has pread/pwrite underneath. Operations the
-// wire protocol does not carry (mkdir, readdir, rename, ...) return
-// ENOSYS.
+// bundled UNIX tools, the ufs ADIO driver (remote mode is
+// mpiio.NewUFS(conn.Dispatch())) and anything else written against
+// *posix.Dispatch run against a remote gateway. The wire carries
+// open/pread/pwrite/sync/close, stat/fstat, path truncate and unlink;
+// the rest is made up client-side where it can be and refused where it
+// cannot:
+//
+//   - the file pointer (read, write, lseek, O_APPEND) is tracked here,
+//     the way libc tracks it for a kernel that only really has
+//     pread/pwrite underneath;
+//   - ftruncate is a path truncate of the name the fd was opened under;
+//   - access is a stat (existence only, no permission check);
+//   - mkdir, rmdir, readdir and rename have no frame: ENOSYS.
 func (c *Conn) Dispatch() *posix.Dispatch {
-	offs := &offsetTable{m: make(map[int]*int64)}
+	fds := &fdTable{m: make(map[int]*openFD)}
 	return &posix.Dispatch{
 		OpenFn: func(path string, flags int, mode uint32) (int, error) {
 			fd, err := c.Open(path, flags, mode)
 			if err == nil {
-				offs.add(fd)
+				fds.add(fd, &openFD{path: path, flags: flags})
 			}
 			return fd, err
 		},
 		CloseFn: func(fd int) error {
-			offs.drop(fd)
+			fds.drop(fd)
 			return c.CloseFd(fd)
 		},
 		ReadFn: func(fd int, p []byte) (int, error) {
-			off, ok := offs.get(fd)
+			h, ok := fds.get(fd)
 			if !ok {
 				return 0, posix.EBADF
 			}
-			n, err := c.Pread(fd, p, *off)
-			*off += int64(n)
+			n, err := c.Pread(fd, p, h.off)
+			h.off += int64(n)
 			return n, err
 		},
 		WriteFn: func(fd int, p []byte) (int, error) {
-			off, ok := offs.get(fd)
+			h, ok := fds.get(fd)
 			if !ok {
 				return 0, posix.EBADF
 			}
-			n, err := c.Pwrite(fd, p, *off)
-			*off += int64(n)
+			if h.flags&posix.O_APPEND != 0 {
+				st, err := c.Fstat(fd)
+				if err != nil {
+					return 0, err
+				}
+				h.off = st.Size
+			}
+			n, err := c.Pwrite(fd, p, h.off)
+			h.off += int64(n)
 			return n, err
 		},
 		PreadFn:  c.Pread,
 		PwriteFn: c.Pwrite,
 		LseekFn: func(fd int, offset int64, whence int) (int64, error) {
-			off, ok := offs.get(fd)
+			h, ok := fds.get(fd)
 			if !ok {
 				return 0, posix.EBADF
 			}
@@ -57,7 +71,7 @@ func (c *Conn) Dispatch() *posix.Dispatch {
 			case posix.SEEK_SET:
 				base = 0
 			case posix.SEEK_CUR:
-				base = *off
+				base = h.off
 			case posix.SEEK_END:
 				st, err := c.Fstat(fd)
 				if err != nil {
@@ -71,14 +85,16 @@ func (c *Conn) Dispatch() *posix.Dispatch {
 			if pos < 0 {
 				return 0, posix.EINVAL
 			}
-			*off = pos
+			h.off = pos
 			return pos, nil
 		},
 		FsyncFn: c.Sync,
 		FtruncateFn: func(fd int, size int64) error {
-			// The wire carries path truncate only; no fd->path map is
-			// kept client-side.
-			return posix.ENOSYS
+			h, ok := fds.get(fd)
+			if !ok {
+				return posix.EBADF
+			}
+			return c.Truncate(h.path, size)
 		},
 		FstatFn:    c.Fstat,
 		StatFn:     c.Stat,
@@ -95,29 +111,35 @@ func (c *Conn) Dispatch() *posix.Dispatch {
 	}
 }
 
-// offsetTable tracks per-fd sequential positions. One goroutine per fd
-// is the expected pattern (it is what the tools do); the table itself
-// is safe for concurrent fds.
-type offsetTable struct {
+// fdTable is the client's per-fd state: what the wire does not carry
+// for an open descriptor. One goroutine per fd is the expected pattern
+// (it is what the tools do); the table itself is safe for concurrent fds.
+type fdTable struct {
 	mu sync.Mutex
-	m  map[int]*int64
+	m  map[int]*openFD
 }
 
-func (t *offsetTable) add(fd int) {
+type openFD struct {
+	path  string // the name it was opened under, for ftruncate
+	flags int
+	off   int64 // the sequential file pointer
+}
+
+func (t *fdTable) add(fd int, h *openFD) {
 	t.mu.Lock()
-	t.m[fd] = new(int64)
+	t.m[fd] = h
 	t.mu.Unlock()
 }
 
-func (t *offsetTable) drop(fd int) {
+func (t *fdTable) drop(fd int) {
 	t.mu.Lock()
 	delete(t.m, fd)
 	t.mu.Unlock()
 }
 
-func (t *offsetTable) get(fd int) (*int64, bool) {
+func (t *fdTable) get(fd int) (*openFD, bool) {
 	t.mu.Lock()
-	off, ok := t.m[fd]
+	h, ok := t.m[fd]
 	t.mu.Unlock()
-	return off, ok
+	return h, ok
 }
