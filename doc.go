@@ -22,10 +22,9 @@
 //
 // The write path is its twin: per-writer sharded locking (writes and
 // syncs for distinct pids proceed fully in parallel under a shared
-// container lock), batched index appends (Options.IndexBatch), and
-// vectored multi-extent writes (File.WriteV, Options.WriteWorkers)
-// that reserve a physical range up front and fan segment pwrites out
-// concurrently. Partial writes are always indexed to exactly the
+// container lock), batched index appends (plfs.DefaultIndexBatch), and
+// vectored multi-extent writes (File.WriteV) that reserve a physical
+// range up front and fan chunk pwrites out concurrently. Partial writes are always indexed to exactly the
 // durable prefix. See README.md ("The write engine").
 //
 // Containers can be striped over multiple backends
@@ -53,19 +52,21 @@
 // collective path (mpiio.Hints.Collector) and the iotrace recorder all
 // report per-op counts, bytes and latency through one Collector of
 // sharded-atomic counters and fixed-bucket histograms — nil-safe, so an
-// uninstrumented stack pays one branch per call. On top of it,
-// plfs.TuneOptions.Enable starts an IOPathTune-style feedback controller
-// (internal/plfs/tune) that hill-climbs ReadWorkers, WriteWorkers and
-// IndexBatch online from observed throughput within hard ladder
-// bounds. `plfsctl stats` dumps a four-layer snapshot; the workload
-// CLIs take -stats and -autotune. See README.md ("The telemetry plane
-// and online tuning").
+// uninstrumented stack pays one branch per call. The PLFS engines take
+// no tuning — their fan-out, batch depth and index batch are constants
+// a sweep over the benchmark's workloads settled — and an
+// IOPathTune-style feedback controller (internal/tune) hill-climbs,
+// within hard ladder bounds, the parameters that do trade: the MPI-IO
+// cb_* hints (mpiio.Hints.AutoTune, -cb-autotune) and the gateway's
+// per-tenant rate caps. `plfsctl stats` dumps a four-layer snapshot; the
+// workload CLIs take -stats. See README.md ("The telemetry plane and
+// online tuning").
 //
 // The on-disk format is guarded by golden container fixtures for both
 // format versions (internal/plfs/testdata/golden), native fuzz targets
 // over the dropping parser, index merge and flattened record
 // (internal/plfs/index), and differential tests proving single- and
-// multi-backend instances — with flattening trusted, disabled, or
-// deliberately stale — read byte-identically. See README.md
+// multi-backend instances — with the flattened record trusted, dropped,
+// or deliberately stale — read byte-identically. See README.md
 // ("Multi-backend striped containers", "Format guardrails").
 package ldplfs

@@ -13,9 +13,9 @@ type knobs struct {
 	label       string
 }
 
-// SetReadWorkers is the atomic writer that puts readWorkers under the
+// setWorkers is the atomic writer that puts readWorkers under the
 // analyzer's watch.
-func (k *knobs) SetReadWorkers(n int32) {
+func (k *knobs) setWorkers(n int32) {
 	atomic.StoreInt32(&k.readWorkers, n)
 }
 

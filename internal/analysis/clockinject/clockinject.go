@@ -1,7 +1,7 @@
 // Package clockinject forbids direct wall-clock access in packages
 // whose tests depend on deterministic, injectable time.
 //
-// The PR 5 autotune controller (internal/plfs/tune) and the PR 6 QoS
+// The PR 5 autotune controller (internal/tune) and the PR 6 QoS
 // stage both take a tune.Clock so tests drive throughput windows and
 // token-bucket refills with a ManualClock — the convergence and
 // isolation tests are deterministic only because no code path consults

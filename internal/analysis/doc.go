@@ -52,8 +52,8 @@
 //
 // # clockinject — no wall-clock reads behind the injected clock
 //
-// Invariant: ldplfs/internal/plfs/tune and ldplfs/internal/service
-// never call time.Now/Since/Until/Sleep/After/Tick/NewTimer/NewTicker/
+// Invariant: ldplfs/internal/tune and ldplfs/internal/service never
+// call time.Now/Since/Until/Sleep/After/Tick/NewTimer/NewTicker/
 // AfterFunc directly; time flows through tune.Clock so ManualClock
 // tests stay deterministic.
 //
@@ -72,11 +72,11 @@
 // fine, races, and only occasionally trips the race detector because
 // the window is a single load.
 //
-// History: the PR 5 runtime knob overrides (SetReadWorkers and
-// friends) made "written atomically, read on the data path" a standing
-// pattern; the engines since migrated to atomic.Int32 wrapper types,
-// which make mixed access inexpressible — this analyzer covers the
-// function-style atomics that remain. Mutex-guarded mixed use (atomic
+// History: the PR 5 runtime knob overrides made "written atomically,
+// read on the data path" a standing pattern; the engines migrated to
+// atomic.Int32 wrapper types, which make mixed access inexpressible,
+// and plfs's own overrides went in PR 20 (mpiio's cb_* ones remain) —
+// this analyzer covers the function-style atomics that remain. Mutex-guarded mixed use (atomic
 // write, read under the lock all writers hold) is the legitimate
 // exception; suppress it inline.
 //

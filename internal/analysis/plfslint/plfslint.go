@@ -42,7 +42,7 @@ func Checks() []analysis.Check {
 			"ldplfs/cmd/plfsd",
 		}},
 		{Analyzer: clockinject.Analyzer, Packages: []string{
-			"ldplfs/internal/plfs/tune",
+			"ldplfs/internal/tune",
 			"ldplfs/internal/service",
 		}},
 		{Analyzer: bufpool.Analyzer, Packages: []string{

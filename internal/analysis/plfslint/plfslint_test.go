@@ -73,7 +73,7 @@ func TestScopes(t *testing.T) {
 	}
 	for name, needle := range map[string]string{
 		"errnopreserve": "ldplfs/internal/service/...",
-		"clockinject":   "ldplfs/internal/plfs/tune",
+		"clockinject":   "ldplfs/internal/tune",
 		"bufpool":       "ldplfs/internal/plfs",
 	} {
 		found := false

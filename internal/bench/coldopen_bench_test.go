@@ -26,8 +26,9 @@ const (
 // round-robin across the 16 writers' segments, so timestamps interleave
 // across 16 regions — the worst realistic shape for the merge (inserts
 // rotate across the logical space instead of appending at one tail). The
-// clean closes persist the flattened record.
-func setupColdOpen(tb testing.TB) *posix.MemFS {
+// clean closes persist the flattened record; dropRecord removes it
+// again, leaving a cold open the streaming merge over raw droppings.
+func setupColdOpen(tb testing.TB, dropRecord bool) *posix.MemFS {
 	tb.Helper()
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
@@ -52,6 +53,11 @@ func setupColdOpen(tb testing.TB) *posix.MemFS {
 			tb.Fatal(err)
 		}
 	}
+	if dropRecord {
+		if n, err := p.DropFlattenedIndex("/backend/many"); err != nil || n != 1 {
+			tb.Fatalf("drop flattened = %d, %v; want 1", n, err)
+		}
+	}
 	return mem
 }
 
@@ -59,9 +65,9 @@ func setupColdOpen(tb testing.TB) *posix.MemFS {
 // the index build via Size (the index-backed half of Stat) plus a first
 // read — the plfs_open+plfs_getattr cost LDPLFS pays before an
 // application sees byte 0.
-func coldOpenOnce(tb testing.TB, mem *posix.MemFS, disableFlattened bool) time.Duration {
+func coldOpenOnce(tb testing.TB, mem *posix.MemFS) time.Duration {
 	tb.Helper()
-	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16}, plfs.IndexOptions{DisableFlattenedReads: disableFlattened})
+	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16})
 	buf := make([]byte, coBlock)
 	start := time.Now()
 	f, err := p.Open("/backend/many", posix.O_RDONLY, 9999, 0)
@@ -83,11 +89,11 @@ func coldOpenOnce(tb testing.TB, mem *posix.MemFS, disableFlattened bool) time.D
 	return elapsed
 }
 
-func benchOpenCold(b *testing.B, disableFlattened bool) {
-	mem := setupColdOpen(b)
+func benchOpenCold(b *testing.B, dropRecord bool) {
+	mem := setupColdOpen(b, dropRecord)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coldOpenOnce(b, mem, disableFlattened)
+		coldOpenOnce(b, mem)
 	}
 }
 
@@ -101,11 +107,11 @@ func BenchmarkOpenColdManyWriters_Merge(b *testing.B)     { benchOpenCold(b, tru
 // headroom for scheduler noise). Best-of-three per side keeps one GC
 // pause from failing the build.
 func TestFlattenedColdOpenFloor(t *testing.T) {
-	mem := setupColdOpen(t)
-	best := func(disable bool) time.Duration {
+	best := func(dropRecord bool) time.Duration {
+		mem := setupColdOpen(t, dropRecord)
 		lo := time.Duration(1<<63 - 1)
 		for i := 0; i < 3; i++ {
-			if d := coldOpenOnce(t, mem, disable); d < lo {
+			if d := coldOpenOnce(t, mem); d < lo {
 				lo = d
 			}
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,9 +13,7 @@ import (
 
 // Read-engine benchmarks: N-1 read patterns (many writers striped into
 // one logical file, many concurrent readers) over a real OS-backed
-// store, where positional reads are genuinely parallel. The "serial"
-// variants pin the fan-out knobs to 1 (sequential dropping loads and
-// extent gathers) on the same read path.
+// store, where positional reads are genuinely parallel.
 const (
 	n1Writers   = 16 // data droppings (≥16 per the acceptance criteria)
 	n1Readers   = 8  // concurrent reader goroutines (≥8)
@@ -23,21 +22,24 @@ const (
 	n1ReadSize  = 1 << 20
 )
 
-func n1Serial() plfs.EngineOptions {
-	return plfs.EngineOptions{ReadWorkers: 1, IndexWorkers: 1}
+// newPLFSAt builds an instance while GOMAXPROCS is procs. The engines
+// size their worker pool from it once, in New, so 1 pins the serial
+// shape and 8 the widest pooled one on any machine; the instance runs
+// at the machine's own GOMAXPROCS afterwards.
+func newPLFSAt(procs int, backend posix.FS, opts ...plfs.Option) *plfs.FS {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return plfs.New(backend, opts...)
 }
-
-func n1Parallel() plfs.EngineOptions { return plfs.EngineOptions{} }
 
 // setupN1 writes the striped container once and returns the PLFS
 // instance plus the expected logical contents.
-func setupN1(b *testing.B, opts plfs.EngineOptions) (*plfs.FS, []byte) {
+func setupN1(b *testing.B) (*plfs.FS, []byte) {
 	b.Helper()
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := plfs.New(osfs, opts)
+	p := plfs.New(osfs)
 	want := make([]byte, n1Writers*n1BlocksPer*n1Block)
 	f, err := p.Open("/n1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
@@ -61,10 +63,11 @@ func setupN1(b *testing.B, opts plfs.EngineOptions) (*plfs.FS, []byte) {
 	return p, want
 }
 
-// benchN1Read measures n1Readers goroutines each opening the container
-// and streaming it end to end — the paper's N-1 checkpoint restart.
-func benchN1Read(b *testing.B, opts plfs.EngineOptions) {
-	p, want := setupN1(b, opts)
+// BenchmarkN1Read_Parallel measures n1Readers goroutines each opening
+// the container and streaming it end to end — the paper's N-1
+// checkpoint restart.
+func BenchmarkN1Read_Parallel(b *testing.B) {
+	p, want := setupN1(b)
 	b.SetBytes(int64(len(want)) * n1Readers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,19 +101,16 @@ func benchN1Read(b *testing.B, opts plfs.EngineOptions) {
 	}
 }
 
-func BenchmarkN1Read_Serial(b *testing.B)   { benchN1Read(b, n1Serial()) }
-func BenchmarkN1Read_Parallel(b *testing.B) { benchN1Read(b, n1Parallel()) }
-
-// benchN1FirstOpen measures the cold "first read after open" path that
-// dominates checkpoint-restart latency: every iteration drops the cache
-// (serial: implicit, each handle rebuilds; parallel: fresh instance) and
-// times n1Readers concurrent open+first-read sequences.
-func benchN1FirstOpen(b *testing.B, opts plfs.EngineOptions) {
+// BenchmarkN1FirstOpen_Parallel measures the cold "first read after
+// open" path that dominates checkpoint-restart latency: every iteration
+// starts from a fresh instance (cold caches) and times n1Readers
+// concurrent open+first-read sequences.
+func BenchmarkN1FirstOpen_Parallel(b *testing.B) {
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	seed := plfs.New(osfs, opts)
+	seed := plfs.New(osfs)
 	f, err := seed.Open("/n1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
 		b.Fatal(err)
@@ -130,7 +130,7 @@ func benchN1FirstOpen(b *testing.B, opts plfs.EngineOptions) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := plfs.New(osfs, opts) // cold caches each iteration
+		p := plfs.New(osfs) // cold caches each iteration
 		var wg sync.WaitGroup
 		for r := 0; r < n1Readers; r++ {
 			wg.Add(1)
@@ -152,19 +152,17 @@ func benchN1FirstOpen(b *testing.B, opts plfs.EngineOptions) {
 	}
 }
 
-func BenchmarkN1FirstOpen_Serial(b *testing.B)   { benchN1FirstOpen(b, n1Serial()) }
-func BenchmarkN1FirstOpen_Parallel(b *testing.B) { benchN1FirstOpen(b, n1Parallel()) }
-
-// TestN1BenchCorrectness keeps the benchmark honest: both configurations
-// must produce identical bytes. Runs in the normal test suite.
+// TestN1BenchCorrectness keeps the benchmark honest: the serial and the
+// pooled engine shape must both produce the written bytes. Runs in the
+// normal test suite.
 func TestN1BenchCorrectness(t *testing.T) {
-	for name, opts := range map[string]plfs.EngineOptions{"serial": n1Serial(), "parallel": n1Parallel()} {
+	for name, procs := range map[string]int{"serial": 1, "parallel": 8} {
 		t.Run(name, func(t *testing.T) {
 			osfs, err := posix.NewOSFS(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := plfs.New(osfs, opts)
+			p := newPLFSAt(procs, osfs)
 			f, err := p.Open("/n1", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
 				t.Fatal(err)

@@ -34,12 +34,7 @@ const (
 func stripedOpts(n int) (plfs.Config, []*posix.FaultFS) {
 	faults := make([]*posix.FaultFS, n)
 	opts := plfs.Config{
-		Engine: plfs.EngineOptions{
-			NumHostdirs:  stWriters,
-			ReadWorkers:  8,
-			IndexWorkers: 8,
-			WriteWorkers: 8,
-		},
+		Engine:   plfs.EngineOptions{NumHostdirs: stWriters},
 		Backends: make([]posix.FS, n),
 	}
 	for i := range faults {
@@ -49,13 +44,18 @@ func stripedOpts(n int) (plfs.Config, []*posix.FaultFS) {
 	return opts, faults
 }
 
+// newStriped builds the rig's instance at the full fan-out of 8 whatever
+// the machine: these backends sleep rather than compute, so overlapping
+// their waits needs goroutines, not cores.
+func newStriped(opts plfs.Config) *plfs.FS { return newPLFSAt(8, nil, opts) }
+
 // setupStripedN1 writes the canonical N-1 container (service time off,
 // so setup cost does not pollute the measurement) and returns a fresh
 // cold-cache instance for the read phase plus the expected bytes.
 func setupStripedN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte) {
 	tb.Helper()
 	opts, faults := stripedOpts(n)
-	p := plfs.New(nil, opts)
+	p := newStriped(opts)
 	want := make([]byte, stWriters*stBlocksPer*stBlock)
 	f, err := p.Open("/n1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
@@ -84,7 +84,7 @@ func setupStripedN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte
 // service times.
 func readStripedN1(tb testing.TB, opts plfs.Config, want []byte) time.Duration {
 	tb.Helper()
-	p := plfs.New(nil, opts) // cold caches: index reconstruction included
+	p := newStriped(opts) // cold caches: index reconstruction included
 	start := time.Now()
 	f, err := p.Open("/n1", posix.O_RDONLY, 99, 0)
 	if err != nil {
@@ -122,7 +122,7 @@ func BenchmarkStripedN1Read_3Backends(b *testing.B) { benchStripedN1Read(b, 3) }
 // writer goroutines and returns its wall time.
 func writeStripedN1(tb testing.TB, opts plfs.Config) time.Duration {
 	tb.Helper()
-	p := plfs.New(nil, opts)
+	p := newStriped(opts)
 	f, err := p.Open("/w1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
 		tb.Fatal(err)
@@ -169,7 +169,7 @@ func benchStripedN1Write(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		writeStripedN1(b, opts)
 		b.StopTimer()
-		plfs.New(nil, opts).Unlink("/w1")
+		newStriped(opts).Unlink("/w1")
 		b.StartTimer()
 	}
 }

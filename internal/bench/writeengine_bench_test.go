@@ -12,24 +12,15 @@ import (
 
 // Write-engine benchmarks: the N-1 checkpoint shape (many writers
 // striping one logical file, syncing after each burst — plfs_write then
-// plfs_sync, as MPI-IO checkpoints do) over a real OS-backed store. The
-// "serial" variants pin the knobs to their serial values — one WriteV
-// worker, index records buffered until sync — on the same sharded write
-// path. Cold measures the
-// whole checkpoint lifecycle (container create, first writes, close);
-// warm measures steady-state bursts on open writers.
+// plfs_sync, as MPI-IO checkpoints do) over a real OS-backed store. Cold
+// measures the whole checkpoint lifecycle (container create, first
+// writes, close); warm measures steady-state bursts on open writers.
 const (
 	w1Writers   = 16 // concurrent writer goroutines / data droppings
 	w1Block     = 64 << 10
 	w1BlocksPer = 16 // per writer => 16 MiB logical file per pass
 	w1SyncEvery = 4  // blocks per sync burst
 )
-
-func w1Serial() plfs.EngineOptions {
-	return plfs.EngineOptions{WriteWorkers: 1, IndexBatch: -1}
-}
-
-func w1Sharded() plfs.EngineOptions { return plfs.EngineOptions{} }
 
 // writeN1Pass has every writer stripe its blocks into the container
 // concurrently, syncing after each w1SyncEvery-block burst.
@@ -69,12 +60,12 @@ func writeN1Pass(b *testing.B, f *plfs.File, pass int) {
 // runs stay comparable). Cold times the whole lifecycle — container
 // create, writer setup, write bursts, close; warm pre-opens the writers
 // outside the timer and times only the bursts.
-func benchN1Write(b *testing.B, opts plfs.EngineOptions, warm bool) {
+func benchN1Write(b *testing.B, warm bool) {
 	osfs, err := posix.NewOSFS(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := plfs.New(osfs, opts)
+	p := plfs.New(osfs)
 	b.SetBytes(int64(w1Writers * w1BlocksPer * w1Block))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,15 +107,13 @@ func benchN1Write(b *testing.B, opts plfs.EngineOptions, warm bool) {
 	}
 }
 
-func BenchmarkN1WriteCold_Serial(b *testing.B)  { benchN1Write(b, w1Serial(), false) }
-func BenchmarkN1WriteCold_Sharded(b *testing.B) { benchN1Write(b, w1Sharded(), false) }
-func BenchmarkN1WriteWarm_Serial(b *testing.B)  { benchN1Write(b, w1Serial(), true) }
-func BenchmarkN1WriteWarm_Sharded(b *testing.B) { benchN1Write(b, w1Sharded(), true) }
+func BenchmarkN1WriteCold_Sharded(b *testing.B) { benchN1Write(b, false) }
+func BenchmarkN1WriteWarm_Sharded(b *testing.B) { benchN1Write(b, true) }
 
 // benchWriteV measures one rank's strided multi-extent commit — the
 // flattened-datatype write BT-IO issues per timestep — serially per
 // extent versus one vectored WriteV.
-func benchWriteV(b *testing.B, opts plfs.EngineOptions, vectored bool) {
+func benchWriteV(b *testing.B, vectored bool) {
 	const (
 		extents = 256
 		extLen  = 16 << 10
@@ -133,7 +122,7 @@ func benchWriteV(b *testing.B, opts plfs.EngineOptions, vectored bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := plfs.New(osfs, opts)
+	p := plfs.New(osfs)
 	payload := make([]byte, extLen)
 	segs := make([]plfs.WriteSeg, extents)
 	for e := 0; e < extents; e++ {
@@ -173,20 +162,20 @@ func benchWriteV(b *testing.B, opts plfs.EngineOptions, vectored bool) {
 	}
 }
 
-func BenchmarkStridedCommit_Writes(b *testing.B) { benchWriteV(b, w1Serial(), false) }
-func BenchmarkStridedCommit_WriteV(b *testing.B) { benchWriteV(b, w1Sharded(), true) }
+func BenchmarkStridedCommit_Writes(b *testing.B) { benchWriteV(b, false) }
+func BenchmarkStridedCommit_WriteV(b *testing.B) { benchWriteV(b, true) }
 
-// TestN1WriteBenchCorrectness keeps the benchmarks honest: serialized
-// and sharded configurations must produce identical logical bytes. Runs
+// TestN1WriteBenchCorrectness keeps the benchmarks honest: the serial
+// and the pooled engine shape must both produce the written bytes. Runs
 // in the normal test suite.
 func TestN1WriteBenchCorrectness(t *testing.T) {
-	for name, opts := range map[string]plfs.EngineOptions{"serial": w1Serial(), "sharded": w1Sharded()} {
+	for name, procs := range map[string]int{"serial": 1, "sharded": 8} {
 		t.Run(name, func(t *testing.T) {
 			osfs, err := posix.NewOSFS(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := plfs.New(osfs, opts)
+			p := newPLFSAt(procs, osfs)
 			f, err := p.Open("/w1", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package flags centralises the flag registration the workload CLIs
-// (ldrun, mpiio-test, bt-io, flash-io) used to duplicate: PLFS engine
-// tuning, telemetry, MPI job shape, and the remote-gateway connection.
+// (ldrun, mpiio-test, bt-io, flash-io) used to duplicate: the PLFS
+// instance, telemetry, MPI job shape, and the remote-gateway connection.
 // Each tool registers the groups it needs on its own FlagSet and keeps
 // its tool-specific flags local.
 package flags
@@ -15,28 +15,16 @@ import (
 	"ldplfs/internal/service/client"
 )
 
-// Plfs is the engine-tuning flag group shared by every tool that can
-// run over PLFS.
+// Plfs is the flag group shared by every tool that can run over PLFS.
+// The engines themselves take no tuning (see plfs/options.go).
 type Plfs struct {
-	IndexBatch        int
-	WriteWorkers      int
-	ReadWorkers       int
-	MergeChunkRecords int
-	NoAutoFlatten     bool
-	NoFlattenedReads  bool
-	AutoTune          bool
-	Stats             bool
+	NoAutoFlatten bool
+	Stats         bool
 }
 
 // Register installs the group's flags on fl.
 func (p *Plfs) Register(fl *flag.FlagSet) {
-	fl.IntVar(&p.IndexBatch, "index-batch", 0, "PLFS index group-flush threshold in records (0 = default, <0 = flush only on sync)")
-	fl.IntVar(&p.WriteWorkers, "write-workers", 0, "PLFS parallel pwrites per vectored write (0 = default)")
-	fl.IntVar(&p.ReadWorkers, "read-workers", 0, "PLFS parallel preads per scatter-gather read (0 = default)")
-	fl.IntVar(&p.MergeChunkRecords, "merge-chunk-records", 0, "records buffered per dropping stream during the index merge (0 = default; bounds merge memory)")
 	fl.BoolVar(&p.NoAutoFlatten, "no-auto-flatten", false, "do not persist a flattened global index when a container's last writer closes")
-	fl.BoolVar(&p.NoFlattenedReads, "no-flattened-reads", false, "ignore flattened index records; every cold open runs the streaming merge")
-	fl.BoolVar(&p.AutoTune, "autotune", false, "let the PLFS feedback controller adapt ReadWorkers/WriteWorkers/IndexBatch online")
 	fl.BoolVar(&p.Stats, "stats", false, "attach the iostats telemetry plane to every layer and dump a snapshot at exit")
 }
 
@@ -49,20 +37,7 @@ func (p *Plfs) Options(plane *iostats.Plane) []plfs.Option {
 	if plane != nil {
 		tel.Stats = plane
 	}
-	return []plfs.Option{
-		plfs.EngineOptions{
-			IndexBatch:   p.IndexBatch,
-			WriteWorkers: p.WriteWorkers,
-			ReadWorkers:  p.ReadWorkers,
-		},
-		plfs.IndexOptions{
-			MergeChunkRecords:     p.MergeChunkRecords,
-			DisableAutoFlatten:    p.NoAutoFlatten,
-			DisableFlattenedReads: p.NoFlattenedReads,
-		},
-		tel,
-		plfs.TuneOptions{Enable: p.AutoTune},
-	}
+	return []plfs.Option{plfs.IndexOptions{DisableAutoFlatten: p.NoAutoFlatten}, tel}
 }
 
 // NewPlane returns the telemetry plane the flags ask for, or nil.

@@ -3,6 +3,7 @@ package flags
 import (
 	"flag"
 	"net"
+	"slices"
 	"testing"
 
 	"ldplfs/internal/core"
@@ -15,12 +16,14 @@ func TestPlfsGroup(t *testing.T) {
 	var p Plfs
 	fl := flag.NewFlagSet("test", flag.ContinueOnError)
 	p.Register(fl)
-	err := fl.Parse([]string{
-		"-index-batch", "64", "-write-workers", "4", "-read-workers", "2",
-		"-merge-chunk-records", "128", "-no-auto-flatten", "-no-flattened-reads",
-		"-autotune", "-stats",
-	})
-	if err != nil {
+	// The group is the whole PLFS surface of the workload CLIs: a flag
+	// added here is a knob added everywhere.
+	var names []string
+	fl.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"no-auto-flatten", "stats"}; !slices.Equal(names, want) {
+		t.Fatalf("Plfs registers %v, want exactly %v", names, want)
+	}
+	if err := fl.Parse([]string{"-no-auto-flatten", "-stats"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,32 +31,23 @@ func TestPlfsGroup(t *testing.T) {
 	if plane == nil {
 		t.Fatal("-stats must build a plane")
 	}
-	var eng plfs.EngineOptions
 	var idx plfs.IndexOptions
 	var tel plfs.TelemetryOptions
-	var tun plfs.TuneOptions
 	for _, o := range p.Options(plane) {
 		switch v := o.(type) {
-		case plfs.EngineOptions:
-			eng = v
 		case plfs.IndexOptions:
 			idx = v
 		case plfs.TelemetryOptions:
 			tel = v
-		case plfs.TuneOptions:
-			tun = v
 		default:
 			t.Fatalf("unexpected option type %T", o)
 		}
 	}
-	if eng.IndexBatch != 64 || eng.WriteWorkers != 4 || eng.ReadWorkers != 2 {
-		t.Fatalf("engine group = %+v", eng)
-	}
-	if idx.MergeChunkRecords != 128 || !idx.DisableAutoFlatten || !idx.DisableFlattenedReads {
+	if want := (plfs.IndexOptions{DisableAutoFlatten: true}); idx != want {
 		t.Fatalf("index group = %+v", idx)
 	}
-	if tel.Stats != plane || !tun.Enable {
-		t.Fatal("telemetry/tune groups not rendered")
+	if tel.Stats != plane {
+		t.Fatal("telemetry group not rendered")
 	}
 
 	var off Plfs

@@ -99,8 +99,8 @@ func PrepareStore(fs posix.FS) error {
 
 // DriverFor builds the per-rank ADIO driver for a named method over fs,
 // and returns the application-visible path for the given file name.
-// opts — any mix of grouped option structs (plfs.EngineOptions{...}) or a
-// whole plfs.Config — thread engine tuning down to whichever methods run
+// opts — any mix of grouped option structs (plfs.IndexOptions{...}) or a
+// whole plfs.Config — configure the instance of whichever methods run
 // over PLFS.
 func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {

@@ -20,10 +20,11 @@
 //
 // A Plane is the concrete Collector: a named set of layers, snapshotted
 // atomically-enough for dashboards (`plfsctl stats`, the CLIs' -stats
-// flag) and consumed online by the autotune controller
-// (internal/plfs/tune), which steers engine knobs from the byte
-// counters alone — the PAIO "stage-based instrumentation" idea crossed
-// with IOPathTune's observe-only tuning loop.
+// flag) and consumed online by the gateway's QoS governor (an
+// internal/tune controller), which steers background tenants' rate
+// caps from the byte counters alone — the PAIO "stage-based
+// instrumentation" idea crossed with IOPathTune's observe-only tuning
+// loop.
 package iostats
 
 import (
@@ -206,7 +207,7 @@ type LayerStats struct {
 
 // NewLayerStats returns a standalone layer, not attached to any Plane
 // — for components that keep their own counters regardless of whether
-// an operator wired up a collector (FaultFS, the autotune source).
+// an operator wired up a collector (the plfs index cache, an mpiio file).
 func NewLayerStats(name string) *LayerStats {
 	return &LayerStats{name: name, counters: make(map[string]*Counter)}
 }

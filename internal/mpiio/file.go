@@ -8,7 +8,7 @@ import (
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
-	"ldplfs/internal/plfs/tune"
+	"ldplfs/internal/tune"
 )
 
 // Hints mirror the ROMIO info keys the paper leans on.

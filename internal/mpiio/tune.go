@@ -1,7 +1,7 @@
 package mpiio
 
 import (
-	"ldplfs/internal/plfs/tune"
+	"ldplfs/internal/tune"
 )
 
 // Autotune wiring for the collective-buffering knobs. Rank 0 owns the

@@ -41,9 +41,13 @@ var compactStep = windowStep{
 	next: func(s windowState) windowState { return s },
 }
 
-// consolidationOpts pins the index pool to one worker so the k-th
-// backend op is the same op on every run.
-var consolidationOpts = EngineOptions{NumHostdirs: 2, IndexWorkers: 1}
+// newWindowFS pins the worker pool to one so the k-th backend op is
+// the same op on every run.
+func newWindowFS(backend posix.FS) *FS {
+	p := New(backend, EngineOptions{NumHostdirs: 2})
+	p.workers = 1
+	return p
+}
 
 // buildWindowFile writes the 8 KiB two-writer file every script starts
 // from: interleaved blocks, then two overwrites whose order only the
@@ -51,7 +55,7 @@ var consolidationOpts = EngineOptions{NumHostdirs: 2, IndexWorkers: 1}
 // outrank its replacement shows up as wrong bytes, not just a wrong size.
 func buildWindowFile(t *testing.T, backend posix.FS, path string) windowState {
 	t.Helper()
-	p := New(backend, consolidationOpts)
+	p := newWindowFS(backend)
 	f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +84,7 @@ func buildWindowFile(t *testing.T, backend posix.FS, path string) windowState {
 // observe reads the container's state through a fresh instance.
 func observe(t *testing.T, backend posix.FS, path string) windowState {
 	t.Helper()
-	p := New(backend, consolidationOpts)
+	p := newWindowFS(backend)
 	st, err := p.Stat(path)
 	if err != nil {
 		t.Fatalf("stat: %v", err)
@@ -125,7 +129,7 @@ func TestConsolidationWindow(t *testing.T) {
 					}
 					ff.Schedule(nil, sched...)
 
-					p := New(ff, consolidationOpts)
+					p := newWindowFS(ff)
 					failed := -1
 					for i, st := range sc.steps {
 						if err := st.run(p, path); err != nil {
@@ -140,7 +144,7 @@ func TestConsolidationWindow(t *testing.T) {
 					if failed >= 0 {
 						after := sc.steps[failed].next(state)
 						checkBetween(t, where+", interrupted "+sc.steps[failed].name, observe(t, ff, path), state, after)
-						retry := New(ff, consolidationOpts)
+						retry := newWindowFS(ff)
 						for _, st := range sc.steps[failed:] {
 							if err := st.run(retry, path); err != nil {
 								t.Fatalf("%s: re-running %s: %v", where, st.name, err)

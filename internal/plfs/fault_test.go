@@ -230,9 +230,9 @@ func TestMetaHintWriteFailureIsNotFatal(t *testing.T) {
 // TestIndexDroppingHeaderWindow holds writer 1 between creating its
 // index dropping and writing the header (a gate on the header write) —
 // the window a sibling rank's first write or a reader's cold open can
-// land in. Both must treat the sub-header dropping as empty, through
-// both dropping parsers: seedClock slurps (ReadDropping), the cold open
-// streams (OpenDroppingStream). Neither may fail the container.
+// land in. Both must treat the sub-header dropping as empty — seedClock
+// and the cold open each stream it (OpenDroppingStream). Neither may
+// fail the container.
 func TestIndexDroppingHeaderWindow(t *testing.T) {
 	p1, ffs, mem := faultPLFS(t)
 	p2 := New(ffs, EngineOptions{NumHostdirs: 2}) // a sibling rank: its own instance

@@ -41,17 +41,6 @@ func parseFlattenedGen(name string) (uint64, bool) {
 	return gen, err == nil
 }
 
-// SetFlattenedReads toggles the read path's use of flattened records at
-// runtime (IOPathTune-style: the knob that governs metadata-rebuild cost
-// is tunable on a live instance, not baked in at mount time). Disabling
-// never affects correctness — reads fall back to the streaming merge —
-// so operators can flip it freely while diagnosing index trouble.
-func (p *FS) SetFlattenedReads(enabled bool) { p.flattenOff.Store(!enabled) }
-
-// FlattenedReads reports whether the read path currently trusts
-// flattened records.
-func (p *FS) FlattenedReads() bool { return !p.flattenOff.Load() }
-
 // rawSignature hashes the droppings' container-relative paths and sizes —
 // the freshness token embedded in flattened records. It is rename- and
 // copy-invariant (no mtimes, no absolute paths) while still changing
@@ -180,7 +169,7 @@ func (p *FS) writeFlattened(path string) (FlattenedInfo, error) {
 		return FlattenedInfo{}, err
 	}
 	raw := rawSignature(path, droppings, stats)
-	global, err := p.mergeIndex(droppings)
+	global, _, err := p.mergeIndex(droppings)
 	if err != nil {
 		return FlattenedInfo{}, err
 	}

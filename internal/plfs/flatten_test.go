@@ -218,28 +218,31 @@ func TestFlattenedDistrustedWhileWriterLive(t *testing.T) {
 	g.Close(3)
 }
 
-func TestSetFlattenedReadsRuntimeToggle(t *testing.T) {
+// TestFlattenedReadMatchesMerge is the two-read-path differential: the
+// same container read cold through its flattened record and, once the
+// record is dropped, through the streaming merge over raw droppings.
+func TestFlattenedReadMatchesMerge(t *testing.T) {
 	p, _ := newTestFS(t)
-	want := writeN1(t, p, "/backend/knob", 4, 4, 64)
+	const path = "/backend/two-paths"
+	want := writeN1(t, p, path, 4, 4, 64)
 
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableFlattenedReads: true})
-	if cold.FlattenedReads() {
-		t.Fatal("DisableFlattenedReads did not seed the knob")
-	}
-	if got := readAllBytes(t, cold, "/backend/knob"); !bytes.Equal(got, want) {
-		t.Fatal("merge-path read diverged")
-	}
-	if s := cacheStats(cold); s.FlattenedBuilds != 0 {
-		t.Fatal("disabled flattened reads still loaded the record")
-	}
-	// Flip the knob live; invalidate to force a rebuild.
-	cold.SetFlattenedReads(true)
-	cold.invalidateIndex("/backend/knob")
-	if got := readAllBytes(t, cold, "/backend/knob"); !bytes.Equal(got, want) {
+	withRecord := New(p.backend, EngineOptions{NumHostdirs: 4})
+	if got := readAllBytes(t, withRecord, path); !bytes.Equal(got, want) {
 		t.Fatal("flattened-path read diverged")
 	}
-	if s := cacheStats(cold); s.FlattenedBuilds != 1 {
-		t.Fatalf("stats after live enable = %+v", s)
+	if s := cacheStats(withRecord); s.Builds != 1 || s.FlattenedBuilds != 1 {
+		t.Fatalf("stats with the record = %+v", s)
+	}
+
+	if n, err := p.DropFlattenedIndex(path); err != nil || n != 1 {
+		t.Fatalf("drop = %d, %v; want 1", n, err)
+	}
+	dropped := New(p.backend, EngineOptions{NumHostdirs: 4})
+	if got := readAllBytes(t, dropped, path); !bytes.Equal(got, want) {
+		t.Fatal("merge-path read diverged")
+	}
+	if s := cacheStats(dropped); s.Builds != 1 || s.FlattenedBuilds != 0 {
+		t.Fatalf("stats with the record dropped = %+v", s)
 	}
 }
 
@@ -519,14 +522,17 @@ func TestColdOpenDroppingReadCost(t *testing.T) {
 	const writers = 12
 	writeN1(t, p, "/backend/cost", writers, 4, 64)
 
-	countReads := func(disable bool) int {
+	countReads := func(dropRecord bool) int {
 		mem2 := posix.NewMemFS()
 		copyTree(t, p.backend, mem2, "/backend")
+		if dropRecord {
+			if n, err := New(mem2, EngineOptions{NumHostdirs: 4}).DropFlattenedIndex("/backend/cost"); err != nil || n != 1 {
+				t.Fatalf("drop = %d, %v; want 1", n, err)
+			}
+		}
 		plane := iostats.NewPlane()
 		ins := posix.NewInstrumentFS(mem2, plane, posix.WithLayerName("backend"))
-		cold := New(ins,
-			EngineOptions{NumHostdirs: 4},
-			IndexOptions{DisableFlattenedReads: disable})
+		cold := New(ins, EngineOptions{NumHostdirs: 4})
 		before := plane.Layer("backend").OpCount(iostats.Open)
 		f, err := cold.Open("/backend/cost", posix.O_RDONLY, 50, 0)
 		if err != nil {

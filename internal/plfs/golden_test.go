@@ -113,7 +113,11 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 	}
 	fmt.Fprintf(&sb, "md5 %x\n", md5.Sum(content))
 
-	entries, err := p.readAllEntries(path)
+	droppings, err := p.listIndexDroppings(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	entries, err := p.loadDroppings(droppings)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -122,10 +126,6 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 		fmt.Fprintf(&sb, "extent %d %d %d %d\n", x.LogicalOffset, x.Length, x.PhysicalOffset, x.Pid)
 	}
 
-	droppings, err := p.listIndexDroppings(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	for _, d := range droppings {
 		dst, err := p.backend.Stat(d)
 		if err != nil {
@@ -365,14 +365,6 @@ func TestGoldenContainerV2(t *testing.T) {
 		t.Fatalf("v2 fixture read did not load its flattened record: %+v", s)
 	}
 
-	// The v1 read regime (flattened ignored) must resolve the same bytes:
-	// the record is an accelerator, never a semantic fork.
-	pOff := New(osfs, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableFlattenedReads: true})
-	gotOff := describeContainer(t, pOff, "/"+goldenContainerV2)
-	if gotOff != string(wantBytes) {
-		t.Fatalf("v2 container reads differently with flattened disabled.\n-- want --\n%s\n-- got --\n%s", wantBytes, gotOff)
-	}
-
 	// Raw flattened file checks: name, geometry, magic, generation.
 	raw, err := os.ReadFile(filepath.Join(work, goldenContainerV2, "index.flattened.1"))
 	if err != nil {
@@ -387,6 +379,19 @@ func TestGoldenContainerV2(t *testing.T) {
 	}
 	if fl.Generation != 1 {
 		t.Fatalf("fixture flattened generation = %d", fl.Generation)
+	}
+
+	// The v1 read regime (no record: dropped from the work-tree copy,
+	// read by a fresh instance) must resolve the same bytes — the record
+	// is an accelerator, never a semantic fork. The description then
+	// lacks exactly the record's own line.
+	if n, err := p.DropFlattenedIndex("/" + goldenContainerV2); err != nil || n != 1 {
+		t.Fatalf("drop the fixture's record = %d, %v; want 1", n, err)
+	}
+	wantOff, _, _ := strings.Cut(string(wantBytes), "flattened gen ")
+	pOff := New(osfs, EngineOptions{NumHostdirs: 4})
+	if gotOff := describeContainer(t, pOff, "/"+goldenContainerV2); gotOff != wantOff {
+		t.Fatalf("v2 container reads differently with its flattened record dropped.\n-- want --\n%s\n-- got --\n%s", wantOff, gotOff)
 	}
 
 	// Replay determinism for the current format: the write script must

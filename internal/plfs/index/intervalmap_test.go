@@ -355,6 +355,10 @@ func TestMergeStreamsMatchesBuild(t *testing.T) {
 		all = append(all, es...)
 	}
 	want := Build(all)
+	var wantNewest uint64
+	for _, e := range all {
+		wantNewest = max(wantNewest, e.Timestamp)
+	}
 
 	for _, chunk := range []int{1, 7, 100, 0} {
 		streams := make([]*DroppingStream, len(paths))
@@ -366,9 +370,12 @@ func TestMergeStreamsMatchesBuild(t *testing.T) {
 			streams[i] = s
 			defer s.Close()
 		}
-		got, err := MergeStreams(streams...)
+		got, newest, err := MergeStreams(streams...)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		if newest != wantNewest {
+			t.Fatalf("chunk %d: newest timestamp %d, want %d", chunk, newest, wantNewest)
 		}
 		if got.Size() != want.Size() || got.NumExtents() != want.NumExtents() {
 			t.Fatalf("chunk %d: size %d/%d extents %d/%d",
@@ -394,7 +401,7 @@ func TestMergeStreamsRejectsUnsorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := MergeStreams(s); err == nil {
+	if _, _, err := MergeStreams(s); err == nil {
 		t.Fatal("unsorted dropping streamed without error")
 	} else if !errorsIs(err, ErrUnsorted) {
 		t.Fatalf("err = %v, want ErrUnsorted", err)

@@ -166,13 +166,15 @@ func (h *mergeHeap) popHead() (m mergeItem) { return heap.Pop(h).(mergeItem) }
 // entry slice, but with memory bounded by the streams' chunk buffers
 // instead of the container's total record count. A stream that turns out
 // to be unsorted fails with ErrUnsorted (callers fall back to Build);
-// corrupt records fail with their parse error.
-func MergeStreams(streams ...*DroppingStream) (*Index, error) {
+// corrupt records fail with their parse error. Alongside the index it
+// returns the newest timestamp it overlaid (0 for no records) — what a
+// caller minting further records must out-stamp.
+func MergeStreams(streams ...*DroppingStream) (*Index, uint64, error) {
 	h := make(mergeHeap, 0, len(streams))
 	for i, s := range streams {
 		e, ok, err := s.Next()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ok {
 			h = append(h, mergeItem{e, i})
@@ -180,12 +182,14 @@ func MergeStreams(streams ...*DroppingStream) (*Index, error) {
 	}
 	heap.Init(&h)
 	idx := &Index{}
+	var newest uint64
 	for h.Len() > 0 {
 		head := h.head()
 		idx.insert(head.e)
+		newest = head.e.Timestamp // the heap pops in ascending timestamp order
 		e, ok, err := streams[head.stream].Next()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if ok {
 			head.e = e
@@ -194,5 +198,5 @@ func MergeStreams(streams ...*DroppingStream) (*Index, error) {
 			h.popHead()
 		}
 	}
-	return idx, nil
+	return idx, newest, nil
 }

@@ -1,75 +1,46 @@
 // Configuration surface of a PLFS instance.
 //
 // The public API is a functional-options constructor over four cohesive
-// groups — engine fan-out (EngineOptions), index/cache behavior
-// (IndexOptions), telemetry (TelemetryOptions) and the online tuner
-// (TuneOptions) — plus the backend stripe set:
+// groups — container geometry (EngineOptions), index/cache behavior
+// (IndexOptions), telemetry (TelemetryOptions) and multi-backend
+// placement (LayoutOptions) — plus the backend stripe set:
 //
 //	p := plfs.New(backend,
-//	        plfs.EngineOptions{WriteWorkers: 8, IndexBatch: 512},
+//	        plfs.EngineOptions{NumHostdirs: 16},
 //	        plfs.IndexOptions{MaxCachedIndexes: 128},
 //	        plfs.WithStats(plane),
-//	        plfs.TuneOptions{Enable: true},
 //	)
 //
 // Each group value passed to New replaces that whole group, so a group
 // literal reads exactly like the configuration it produces.
+//
+// What is not here is deliberate: the engines' fan-out, their vectored
+// batch depth and the index group-flush threshold are constants (see
+// defaultWorkers, DefaultBatchDepth, DefaultIndexBatch), each decided
+// by a sweep of its values over every plfsbench workload — README
+// "Constants, and why" carries the numbers.
 package plfs
 
 import (
 	"time"
 
 	"ldplfs/internal/iostats"
-	"ldplfs/internal/plfs/tune"
 	"ldplfs/internal/posix"
 )
 
-// EngineOptions groups the data-path knobs of the read and write
-// engines: container geometry and the concurrency fan-outs. The zero
-// value means "defaults" for every field.
+// EngineOptions holds the container geometry. The zero value means
+// "defaults".
 type EngineOptions struct {
 	// NumHostdirs is the number of hostdir buckets per container (PLFS
 	// default is 32; tests use fewer to exercise collisions).
 	NumHostdirs int
-
-	// ReadWorkers bounds the number of concurrent preads one Read
-	// scatter-gathers across data droppings. 0 picks a default from
-	// GOMAXPROCS; 1 reads extents serially.
-	ReadWorkers int
-
-	// IndexWorkers bounds the number of concurrent dropping loads during
-	// index reconstruction. 0 picks a default from GOMAXPROCS; 1 loads
-	// droppings serially.
-	IndexWorkers int
-
-	// WriteWorkers bounds the number of concurrent pwrites one WriteV
-	// fans across its segments. 0 picks a default from GOMAXPROCS; 1
-	// writes segments serially.
-	WriteWorkers int
-
-	// BatchDepth bounds how many physically-contiguous extents the
-	// engines coalesce into one vectored backend submission: the read
-	// engine groups a scatter-gather's extents by data dropping and
-	// issues up to BatchDepth segments per preadv, and WriteV coalesces
-	// up to BatchDepth segments per pwritev. 0 picks DefaultBatchDepth;
-	// 1 disables coalescing (one backend op per extent).
-	BatchDepth int
-
-	// IndexBatch is the group-flush threshold of the per-writer index
-	// buffer, in records: once a writer has buffered this many index
-	// records they are appended to its index dropping in one backend
-	// write (no fsync), so a long run of small writes costs
-	// O(writes/batch) index I/Os. 0 picks DefaultIndexBatch; negative
-	// disables auto-flushing entirely (records accumulate until
-	// Sync/Close/read).
-	IndexBatch int
 }
 
 // applyOption implements Option: the literal replaces the whole group.
 func (o EngineOptions) applyOption(c *Config) { c.Engine = o }
 
 // IndexOptions groups the metadata-path behavior: the shared read
-// caches, the streaming merge and the flattened-record lifecycle.
+// caches and the flattened-record lifecycle.
 type IndexOptions struct {
 	// MaxReadFDs caps the shared cache of read-only data-dropping
 	// descriptors (0 = readcache.DefaultMaxFDs). Wide containers with
@@ -82,22 +53,10 @@ type IndexOptions struct {
 
 	// DisableAutoFlatten stops the instance from persisting a flattened
 	// global index record when a container's last writer closes. Reads
-	// still trust records written by other instances or plfsctl compact
-	// (unless DisableFlattenedReads). Used by baselines, and to stage
-	// deliberately stale records in tests.
+	// still trust records written by other instances or plfsctl
+	// compact. It trades close cost against the next cold open, and is
+	// how tests stage deliberately stale records.
 	DisableAutoFlatten bool
-
-	// DisableFlattenedReads makes the read path ignore flattened records
-	// entirely — every cold build runs the streaming merge over raw
-	// droppings. The setting is only the initial value; it can be toggled
-	// on a live instance via SetFlattenedReads.
-	DisableFlattenedReads bool
-
-	// MergeChunkRecords bounds the records each dropping stream buffers
-	// during the streaming index merge (0 = index.DefaultStreamChunk).
-	// Total merge memory is droppings x MergeChunkRecords x EntrySize on
-	// top of the result, independent of container history length.
-	MergeChunkRecords int
 }
 
 // applyOption implements Option.
@@ -115,29 +74,6 @@ type TelemetryOptions struct {
 
 // applyOption implements Option.
 func (o TelemetryOptions) applyOption(c *Config) { c.Telemetry = o }
-
-// TuneOptions groups the online feedback controller
-// (internal/plfs/tune).
-type TuneOptions struct {
-	// Enable starts the controller: ReadWorkers, WriteWorkers and
-	// IndexBatch are hill-climbed from observed throughput within fixed
-	// bounds (see the ladders in telemetry.go), overriding their static
-	// values. Off pins the knobs to the EngineOptions fields.
-	Enable bool
-
-	// WindowBytes is the measurement window: the controller
-	// re-evaluates after this many bytes have moved through the engines
-	// (0 = tune.DefaultWindowBytes). Benchmarks align it with their
-	// phase size so every window measures the same mix.
-	WindowBytes int64
-
-	// Clock injects the controller's clock (nil = wall clock); tests
-	// use tune.ManualClock to drive deterministic climbs.
-	Clock tune.Clock
-}
-
-// applyOption implements Option.
-func (o TuneOptions) applyOption(c *Config) { c.Tune = o }
 
 // LayoutOptions groups the multi-backend placement policy: which layout
 // the striped composite runs (see posix.Layout) and how its replica
@@ -175,7 +111,6 @@ type Config struct {
 	Engine    EngineOptions
 	Index     IndexOptions
 	Telemetry TelemetryOptions
-	Tune      TuneOptions
 	Layout    LayoutOptions
 
 	// Backends stripes the instance across multiple stores: the canonical
@@ -193,7 +128,7 @@ type Config struct {
 func (o Config) applyOption(c *Config) { *c = o }
 
 // Option is one configuration item accepted by New. The cohesive group
-// structs (EngineOptions, IndexOptions, TelemetryOptions, TuneOptions),
+// structs (EngineOptions, IndexOptions, TelemetryOptions, LayoutOptions),
 // a whole Config and the functional helpers (WithBackends, WithStats,
 // WithLayout) all implement it.
 type Option interface {

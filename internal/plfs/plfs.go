@@ -31,8 +31,9 @@
 // in readengine.go; Read is its one-segment case. Every write — Write,
 // WriteV — takes the container lock shared and its pid's writer lock
 // (lockWriter), lands payload with positional writes and buffers index
-// records per writer. The worker counts, BatchDepth and IndexBatch
-// (EngineOptions) tune these paths; nothing selects a different one.
+// records per writer. Their fan-out, batch depth and index group-flush
+// threshold are fixed when the instance is built (FS.workers,
+// batchDepth, indexBatch); nothing selects a different path.
 //
 // # Handles
 //
@@ -101,7 +102,6 @@ import (
 	"ldplfs/internal/iostats"
 	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/plfs/readcache"
-	"ldplfs/internal/plfs/tune"
 	"ldplfs/internal/posix"
 )
 
@@ -114,18 +114,20 @@ const (
 	versionText  = "ldplfs-go plfs container v1\n"
 )
 
-// DefaultIndexBatch is the per-writer index group-flush threshold used
-// when EngineOptions.IndexBatch is zero. 512 records is one 24 KiB
-// append per flush — large enough to amortize the backend call, small
-// enough that a crashed writer loses at most a modest index tail.
+// DefaultIndexBatch is the per-writer index group-flush threshold: once
+// a writer has buffered this many index records they are appended to
+// its index dropping in one backend write (no fsync), so a long run of
+// small writes costs O(writes/batch) index I/Os. 512 records is one
+// 24 KiB append per flush — large enough to amortize the backend call,
+// small enough that a crashed writer loses at most a modest index tail.
 const DefaultIndexBatch = 512
 
-// DefaultBatchDepth is the vectored-submission bound used when
-// EngineOptions.BatchDepth is zero: up to 64 physically-contiguous
-// extents coalesce into one preadv/pwritev. 64 segments of the common
-// 64 KiB strided block is a 4 MiB submission — large enough to collapse
-// a wide N-1 read to one backend op per dropping, small enough to keep
-// partial-failure blast radius and per-batch latency modest.
+// DefaultBatchDepth is the vectored-submission bound: up to 64
+// physically-contiguous extents coalesce into one preadv/pwritev. 64
+// segments of the common 64 KiB strided block is a 4 MiB submission —
+// large enough to collapse a wide N-1 read to one backend op per
+// dropping, small enough to keep partial-failure blast radius and
+// per-batch latency modest.
 const DefaultBatchDepth = 64
 
 // FS is a PLFS library instance bound to a backing store. It is safe for
@@ -153,24 +155,17 @@ type FS struct {
 	smu    sync.Mutex
 	seeded map[string]bool
 
-	// flattenOff disables the flattened-record read path at runtime
-	// (SetFlattenedReads); initialised from
-	// IndexOptions.DisableFlattenedReads.
-	flattenOff atomic.Bool
+	// workers bounds every engine fan-out (index reconstruction, the
+	// read scatter-gather, WriteV); batchDepth and indexBatch are the
+	// coalescing and group-flush bounds. All three are resolved once in
+	// New; in-package tests set them on a fresh instance to pin the
+	// serial or the pooled shape.
+	workers    int
+	batchDepth int
+	indexBatch int
 
-	// stats is the instance's engine telemetry layer (nil = off) and
-	// tuner the autotune controller (nil = off); tuneBytes accumulates
-	// the data-path bytes the tuner's throughput windows are cut from.
-	// The knob atomics are runtime overrides the engines consult ahead
-	// of the EngineOptions fields (0 = no override) — the surface the
-	// tuner (and SetReadWorkers & friends) steer without a reopen.
-	stats            *iostats.LayerStats
-	tuner            *tune.Controller
-	tuneBytes        atomic.Int64
-	knobReadWorkers  atomic.Int32
-	knobWriteWorkers atomic.Int32
-	knobIndexBatch   atomic.Int32
-	knobBatchDepth   atomic.Int32
+	// stats is the instance's engine telemetry layer (nil = off).
+	stats *iostats.LayerStats
 }
 
 // New returns a PLFS instance over backend, configured by the supplied
@@ -206,10 +201,12 @@ func New(backend posix.FS, opts ...Option) *FS {
 		fds:        readcache.NewFDCache(backend, cfg.Index.MaxReadFDs),
 		containers: make(map[string]*container),
 		seeded:     make(map[string]bool),
+		workers:    defaultWorkers(),
+		batchDepth: DefaultBatchDepth,
+		indexBatch: DefaultIndexBatch,
 	}
 	p.initTelemetry()
 	p.cache = readcache.NewIndexCache(cfg.Index.MaxCachedIndexes, p.cacheLayer)
-	p.flattenOff.Store(cfg.Index.DisableFlattenedReads)
 	return p
 }
 
@@ -512,17 +509,50 @@ func (p *FS) seedClock(path string) error {
 	if done {
 		return nil
 	}
-	entries, err := p.readAllEntries(path)
+	droppings, err := p.listIndexDroppings(path)
 	if err != nil {
 		return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
 	}
-	for _, e := range entries {
-		p.bumpClock(e.Timestamp)
+	errs := make([]error, len(droppings))
+	runParallel(len(droppings), p.workers, func(i int) {
+		var newest uint64
+		newest, errs[i] = p.newestInDropping(droppings[i])
+		p.bumpClock(newest)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
+		}
 	}
 	p.smu.Lock()
 	p.seeded[path] = true
 	p.smu.Unlock()
 	return nil
+}
+
+// newestInDropping streams one index dropping, validating every record
+// as a slurp would but holding one chunk of them at a time, and returns
+// the largest timestamp it carries (0 for none).
+func (p *FS) newestInDropping(path string) (uint64, error) {
+	s, err := idx.OpenDroppingStream(p.backend, path, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer s.Close()
+	var newest uint64
+	for {
+		e, ok, err := s.Next()
+		if errors.Is(err, idx.ErrUnsorted) {
+			// Only a hand-built dropping defies timestamp order; the
+			// slurp handles any order.
+			entries, err := idx.ReadDropping(p.backend, path)
+			return newestTimestamp(entries), err
+		}
+		if err != nil || !ok {
+			return newest, err
+		}
+		newest = max(newest, e.Timestamp)
+	}
 }
 
 // writer is the per-pid append state of an open container. Each writer
@@ -1224,15 +1254,10 @@ func (p *FS) consolidate(path string, clip int64) error {
 	if err != nil {
 		return err
 	}
-	entries, err := p.loadDroppings(sources)
+	global, newest, err := p.mergeIndex(sources)
 	if err != nil {
 		return err
 	}
-	var newest uint64
-	for _, e := range entries {
-		newest = max(newest, e.Timestamp)
-	}
-	global := idx.Build(entries)
 	if clip >= 0 {
 		global.Truncate(clip)
 	}

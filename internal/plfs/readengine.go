@@ -24,7 +24,7 @@ import (
 	"ldplfs/internal/posix"
 )
 
-// defaultWorkerCap bounds the default fan-out: beyond ~8 concurrent
+// defaultWorkerCap bounds the engines' fan-out: beyond ~8 concurrent
 // preads the backends in this repository stop scaling (MemFS serializes
 // internally; OSFS saturates the page cache's memcpy bandwidth).
 const defaultWorkerCap = 8
@@ -38,26 +38,6 @@ func defaultWorkers() int {
 		n = 1
 	}
 	return n
-}
-
-// readWorkers resolves the scatter-gather fan-out: the runtime
-// override (the autotune controller / SetReadWorkers) wins over the
-// static EngineOptions value.
-func (p *FS) readWorkers() int {
-	if n := p.knobReadWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	if p.cfg.Engine.ReadWorkers > 0 {
-		return p.cfg.Engine.ReadWorkers
-	}
-	return defaultWorkers()
-}
-
-func (p *FS) indexWorkers() int {
-	if p.cfg.Engine.IndexWorkers > 0 {
-		return p.cfg.Engine.IndexWorkers
-	}
-	return defaultWorkers()
 }
 
 // runParallel invokes fn(0..n-1) on a bounded pool of workers and waits
@@ -93,7 +73,7 @@ func runParallel(n, workers int, fn func(i int)) {
 // listIndexState walks the container once, returning every index
 // dropping path in deterministic (hostdir, name) order plus the
 // generations of any flattened global index records at the container
-// root. The per-hostdir listings fan out across the index worker pool.
+// root. The per-hostdir listings fan out across the worker pool.
 func (p *FS) listIndexState(path string) ([]string, []uint64, error) {
 	dirs, err := p.backend.Readdir(path)
 	if err != nil {
@@ -112,7 +92,7 @@ func (p *FS) listIndexState(path string) ([]string, []uint64, error) {
 	}
 	lists := make([][]string, len(hostdirs))
 	errs := make([]error, len(hostdirs))
-	runParallel(len(hostdirs), p.indexWorkers(), func(i int) {
+	runParallel(len(hostdirs), p.workers, func(i int) {
 		files, err := p.backend.Readdir(hostdirs[i])
 		if err != nil {
 			errs[i] = err
@@ -140,21 +120,14 @@ func (p *FS) listIndexDroppings(path string) ([]string, error) {
 	return droppings, err
 }
 
-// readAllEntries loads every index dropping in the container, fanning
-// the loads out across the index worker pool. Entry order across
-// droppings is unspecified; idx.Build resolves by timestamp.
-func (p *FS) readAllEntries(path string) ([]idx.Entry, error) {
-	droppings, err := p.listIndexDroppings(path)
-	if err != nil {
-		return nil, err
-	}
-	return p.loadDroppings(droppings)
-}
-
+// loadDroppings slurps every listed index dropping whole, fanning the
+// loads out across the worker pool — the any-order fallback behind
+// mergeIndex. Entry order across droppings is unspecified; idx.Build
+// resolves by timestamp.
 func (p *FS) loadDroppings(droppings []string) ([]idx.Entry, error) {
 	results := make([][]idx.Entry, len(droppings))
 	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.indexWorkers(), func(i int) {
+	runParallel(len(droppings), p.workers, func(i int) {
 		results[i], errs[i] = idx.ReadDropping(p.backend, droppings[i])
 	})
 	total := 0
@@ -192,7 +165,7 @@ func (p *FS) indexSignature(path string) (readcache.Signature, error) {
 func (p *FS) statDroppings(droppings []string) ([]posix.Stat, error) {
 	stats := make([]posix.Stat, len(droppings))
 	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.indexWorkers(), func(i int) {
+	runParallel(len(droppings), p.workers, func(i int) {
 		stats[i], errs[i] = p.backend.Stat(droppings[i])
 	})
 	for i := range droppings {
@@ -221,17 +194,18 @@ func signatureFrom(droppings []string, stats []posix.Stat) readcache.Signature {
 
 // mergeIndex reconstructs the merged index from raw droppings with the
 // memory-bounded streaming merge: each dropping is read in bounded
-// chunks (stream open + first-chunk prefetch fanned across the index
-// worker pool) and overlaid in global timestamp order through a k-way
+// chunks (stream open + first-chunk prefetch fanned across the worker
+// pool) and overlaid in global timestamp order through a k-way
 // heap, instead of slurping every record into one slice and sorting it.
 // A dropping whose records defy timestamp order (only adversarial inputs
 // do) demotes the whole reconstruction to the slurp-and-sort path, which
-// handles any order.
-func (p *FS) mergeIndex(droppings []string) (*idx.Index, error) {
+// handles any order. The merge sees every record, so it also returns the
+// newest timestamp among them (0 for none).
+func (p *FS) mergeIndex(droppings []string) (*idx.Index, uint64, error) {
 	streams := make([]*idx.DroppingStream, len(droppings))
 	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.indexWorkers(), func(i int) {
-		s, err := idx.OpenDroppingStream(p.backend, droppings[i], p.cfg.Index.MergeChunkRecords)
+	runParallel(len(droppings), p.workers, func(i int) {
+		s, err := idx.OpenDroppingStream(p.backend, droppings[i], 0)
 		if err != nil {
 			errs[i] = err
 			return
@@ -249,22 +223,27 @@ func (p *FS) mergeIndex(droppings []string) (*idx.Index, error) {
 	for i := range droppings {
 		if errs[i] != nil {
 			closeAll()
-			return nil, errs[i]
+			return nil, 0, errs[i]
 		}
 	}
-	merged, err := idx.MergeStreams(streams...)
+	merged, newest, err := idx.MergeStreams(streams...)
 	closeAll()
-	if err != nil {
-		if errors.Is(err, idx.ErrUnsorted) {
-			entries, lerr := p.loadDroppings(droppings)
-			if lerr != nil {
-				return nil, lerr
-			}
-			return idx.Build(entries), nil
+	if errors.Is(err, idx.ErrUnsorted) {
+		entries, lerr := p.loadDroppings(droppings)
+		if lerr != nil {
+			return nil, 0, lerr
 		}
-		return nil, err
+		return idx.Build(entries), newestTimestamp(entries), nil
 	}
-	return merged, nil
+	return merged, newest, err
+}
+
+func newestTimestamp(entries []idx.Entry) uint64 {
+	var newest uint64
+	for _, e := range entries {
+		newest = max(newest, e.Timestamp)
+	}
+	return newest
 }
 
 // buildIndex is the cache loader: one full reconstruction. It lists and
@@ -281,31 +260,18 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 		return nil, "", readcache.BuildMerge, err
 	}
 	sig := signatureFrom(droppings, stats)
-	if p.FlattenedReads() && len(flatGens) > 0 {
+	if len(flatGens) > 0 {
 		if _, fl, trusted, _ := p.newestFlattened(path, flatGens, droppings, stats); trusted {
 			if index, err := idx.FromExtents(fl.Extents, fl.Size); err == nil {
 				return index, sig, readcache.BuildFlattened, nil
 			}
 		}
 	}
-	index, err := p.mergeIndex(droppings)
+	index, _, err := p.mergeIndex(droppings)
 	if err != nil {
 		return nil, "", readcache.BuildMerge, err
 	}
 	return index, sig, readcache.BuildMerge, nil
-}
-
-// batchDepth resolves the vectored-submission bound: the runtime
-// override (autotune / SetBatchDepth) wins over the static
-// EngineOptions value. 1 disables coalescing.
-func (p *FS) batchDepth() int {
-	if n := p.knobBatchDepth.Load(); n > 0 {
-		return int(n)
-	}
-	if p.cfg.Engine.BatchDepth > 0 {
-		return p.cfg.Engine.BatchDepth
-	}
-	return DefaultBatchDepth
 }
 
 // readJob is one non-hole extent of a scatter-gather and the slice of
@@ -445,13 +411,12 @@ func (p *FS) scatterGather(f *File, segs []ReadSeg, index *idx.Index) (int64, er
 	p.planBatches(plan)
 
 	nb := len(plan.batches)
-	workers := p.readWorkers()
-	if workers <= 1 || nb == 1 {
+	if p.workers <= 1 || nb == 1 {
 		for bi := range plan.batches {
 			p.readBatch(f, plan, bi)
 		}
 	} else {
-		runParallel(nb, workers, func(bi int) { p.readBatch(f, plan, bi) })
+		runParallel(nb, p.workers, func(bi int) { p.readBatch(f, plan, bi) })
 	}
 
 	first := -1
@@ -488,7 +453,7 @@ func (p *FS) scatterGather(f *File, segs []ReadSeg, index *idx.Index) (int64, er
 // contiguously in the shared buffer vector so every batch's slice is
 // ready for one Preadv.
 func (p *FS) planBatches(plan *readPlan) {
-	depth := p.batchDepth()
+	depth := p.batchDepth
 	if plan.open == nil {
 		plan.open = make(map[uint32]int, 16)
 	}

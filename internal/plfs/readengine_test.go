@@ -42,7 +42,8 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			mem := posix.NewMemFS()
 			mem.Mkdir("/backend", 0o755)
-			p := New(mem, EngineOptions{NumHostdirs: 4, ReadWorkers: workers, IndexWorkers: workers})
+			p := New(mem, EngineOptions{NumHostdirs: 4})
+			p.workers = workers
 			want := writeN1(t, p, "/backend/n1", 16, 8, 512)
 
 			f, err := p.Open("/backend/n1", posix.O_RDONLY, 99, 0)
@@ -350,7 +351,8 @@ func TestShortReadOnMidExtentError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ffs.Clear()
-			p := New(ffs, EngineOptions{NumHostdirs: 4, ReadWorkers: workers})
+			p := New(ffs, EngineOptions{NumHostdirs: 4})
+			p.workers = workers
 			path := fmt.Sprintf("/backend/short%d", workers)
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
@@ -398,7 +400,8 @@ func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	mem.Mkdir("/backend", 0o755)
 	// 64 writers, fd cache capped at 8: the gather must succeed while
 	// never holding more than cap descriptors (plus in-flight pins).
-	p := New(mem, EngineOptions{NumHostdirs: 8, ReadWorkers: 4}, IndexOptions{MaxReadFDs: 8})
+	p := New(mem, EngineOptions{NumHostdirs: 8}, IndexOptions{MaxReadFDs: 8})
+	p.workers = 4
 	want := writeN1(t, p, "/backend/wide", 64, 2, 64)
 	f, err := p.Open("/backend/wide", posix.O_RDONLY, 999, 0)
 	if err != nil {

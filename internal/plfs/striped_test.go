@@ -270,8 +270,8 @@ func TestStripedDifferentialScript(t *testing.T) {
 
 			// Flatten-mode differential: after the script, every backend
 			// configuration must read the exact final bytes in all three
-			// index regimes — flattened record trusted, flattened reads
-			// disabled, and a deliberately stale record present.
+			// index regimes — flattened record trusted, the record
+			// dropped, and a deliberately stale record present.
 			for _, in := range insts {
 				checkFlattenModes(t, in.name, in.p.Backend(), "/backend/diff", 5, want)
 			}
@@ -281,7 +281,7 @@ func TestStripedDifferentialScript(t *testing.T) {
 
 // checkFlattenModes reads the container through three fresh instances —
 // flattened forced on (record refreshed, trust asserted via cache
-// stats), flattened reads disabled (pure streaming merge), and with a
+// stats), the record dropped (pure streaming merge), and with a
 // deliberately stale record (newer raw droppings staged behind it,
 // fallback asserted) — and demands byte-identical content each time.
 // The staging write extends the file deterministically, so callers pass
@@ -322,13 +322,20 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 		t.Fatalf("[%s] flattened-on read did not load the record: %+v", name, s)
 	}
 
-	// Forced off: pure streaming merge.
-	offP := New(backend, EngineOptions{NumHostdirs: hostdirs}, IndexOptions{DisableFlattenedReads: true})
-	if got := readVia(offP, int64(len(want))); !bytes.Equal(got, want) {
-		t.Fatalf("[%s] flattened-off read diverged", name)
+	// Record dropped: pure streaming merge, through a fresh instance.
+	if n, err := freshP.DropFlattenedIndex(path); err != nil || n == 0 {
+		t.Fatalf("[%s] drop flattened = %d, %v", name, n, err)
 	}
-	if s := cacheStats(offP); s.FlattenedBuilds != 0 {
-		t.Fatalf("[%s] disabled instance loaded the record: %+v", name, s)
+	offP := New(backend, EngineOptions{NumHostdirs: hostdirs})
+	if got := readVia(offP, int64(len(want))); !bytes.Equal(got, want) {
+		t.Fatalf("[%s] record-dropped read diverged", name)
+	}
+	if s := cacheStats(offP); s.Builds == 0 || s.FlattenedBuilds != 0 {
+		t.Fatalf("[%s] record-dropped read did not run the merge: %+v", name, s)
+	}
+	// Put the record back for the stale stage to leave behind.
+	if _, err := freshP.WriteFlattenedIndex(path); err != nil {
+		t.Fatalf("[%s] re-flatten: %v", name, err)
 	}
 
 	// Deliberately stale: append past EOF without refreshing the record.
@@ -491,4 +498,92 @@ func TestStripedOpenHostsDoctor(t *testing.T) {
 	}
 	f.Close(1)
 	f.Close(2)
+}
+
+// TestBatchDepthDifferential drives the randomized striped workload
+// scripts at several batch depths — coalescing disabled, an odd depth
+// that fragments batches mid-run, the default, and four times it —
+// and demands byte-identical results everywhere: batching is a
+// syscall-count optimisation, never a semantics change.
+func TestBatchDepthDifferential(t *testing.T) {
+	depths := []int{1, 3, DefaultBatchDepth, 256}
+	for seed := int64(1); seed <= 3; seed++ {
+		var refFinal []byte
+		for _, d := range depths {
+			p := New(nil,
+				EngineOptions{NumHostdirs: 4},
+				WithBackends(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()),
+			)
+			p.batchDepth, p.indexBatch = d, 8
+			final := driveStridedScript(t, p, seed)
+			if refFinal == nil {
+				refFinal = final
+				continue
+			}
+			if string(final) != string(refFinal) {
+				t.Fatalf("seed %d: batch depth %d diverges from batch depth %d", seed, d, depths[0])
+			}
+		}
+	}
+}
+
+// driveStridedScript runs one deterministic strided workload (writes
+// via WriteV from several pids, interleaved reads, a truncate) and
+// returns the final container bytes.
+func driveStridedScript(t *testing.T, p *FS, seed int64) []byte {
+	t.Helper()
+	f, err := p.Open("/script", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 512
+	rnd := seed*2654435761 + 1
+	next := func(n int64) int64 {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		v := rnd % n
+		if v < 0 {
+			v += n
+		}
+		return v
+	}
+	for round := 0; round < 6; round++ {
+		for pid := uint32(0); pid < 4; pid++ {
+			segs := make([]WriteSeg, 0, 8)
+			for s := 0; s < 8; s++ {
+				off := (int64(s)*4 + int64(pid)) * block
+				data := make([]byte, block)
+				for j := range data {
+					data[j] = byte(int64(j) + off + next(251))
+				}
+				segs = append(segs, WriteSeg{Off: off, Data: data})
+			}
+			if _, err := f.WriteV(segs, pid); err != nil {
+				t.Fatalf("seed %d round %d pid %d: %v", seed, round, pid, err)
+			}
+		}
+		if round == 3 {
+			if err := f.Trunc(next(8192) + 1024); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pid := uint32(0); pid < 4; pid++ {
+		if err := f.Close(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := p.Open("/script", posix.O_RDONLY, 99, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close(99)
+	size, err := r.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := make([]byte, size)
+	if n, err := r.Read(final, 0); err != nil || int64(n) != size {
+		t.Fatalf("final read: n=%d err=%v", n, err)
+	}
+	return final
 }

@@ -7,11 +7,11 @@
 // Write/Sync hold the container lock *shared* and serialize only on the
 // owning writer's lock, so N pids writing one container stream N
 // droppings fully in parallel; the logical clock is a lone atomic; and
-// index records group-flush per EngineOptions.IndexBatch instead of hitting
-// the backend per record. WriteV goes further: it reserves one physical
-// range in the dropping up front and fans the per-segment pwrites out
-// across EngineOptions.WriteWorkers (positional writes carry no file pointer —
-// posix.FS requires concurrent-pwrite safety).
+// index records group-flush every DefaultIndexBatch records instead of
+// hitting the backend per record. WriteV goes further: it reserves one
+// physical range in the dropping up front and fans the per-chunk
+// pwrites out across the worker pool (positional writes carry no file
+// pointer — posix.FS requires concurrent-pwrite safety).
 package plfs
 
 import (
@@ -22,35 +22,6 @@ import (
 	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 )
-
-// writeWorkers resolves the vectored-write fan-out: the runtime
-// override (the autotune controller / SetWriteWorkers) wins over the
-// static EngineOptions value.
-func (p *FS) writeWorkers() int {
-	if n := p.knobWriteWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	if p.cfg.Engine.WriteWorkers > 0 {
-		return p.cfg.Engine.WriteWorkers
-	}
-	return defaultWorkers()
-}
-
-// indexBatchRecords returns the group-flush threshold in records, or 0
-// when auto-flushing is disabled (EngineOptions.IndexBatch < 0). The runtime
-// override (autotune / SetIndexBatch) wins over the static value.
-func (p *FS) indexBatchRecords() int {
-	if n := p.knobIndexBatch.Load(); n > 0 {
-		return int(n)
-	}
-	switch {
-	case p.cfg.Engine.IndexBatch > 0:
-		return p.cfg.Engine.IndexBatch
-	case p.cfg.Engine.IndexBatch < 0:
-		return 0
-	}
-	return DefaultIndexBatch
-}
 
 // lockWriter returns pid's writer with the container lock held shared
 // and the writer's own lock held, creating the writer on first use.
@@ -135,8 +106,7 @@ func (f *File) recordExtentLocked(w *writer, off, n int64, pid uint32) {
 // records are on the backend, so the shared index generation is bumped —
 // readers of other handles see them, exactly as after a Sync.
 func (f *File) maybeFlushIndexLocked(w *writer) {
-	batch := f.fs.indexBatchRecords()
-	if batch <= 0 || w.idxW.BufferedRecords() < batch {
+	if w.idxW.BufferedRecords() < f.fs.indexBatch {
 		return
 	}
 	// Invalidate whenever bytes reached the backend, error or not: a
@@ -157,19 +127,18 @@ type WriteSeg struct {
 // buffers one index record per segment — a vectored plfs_write for
 // strided access patterns (one MPI-IO flattened datatype = one WriteV).
 // The physical range for the whole vector is reserved up front, so the
-// per-segment pwrites land at precomputed dropping offsets concurrently
-// (EngineOptions.WriteWorkers) while the writer's lock is held once for the
-// whole vector rather than once per segment.
+// per-chunk pwrites land at precomputed dropping offsets concurrently
+// while the writer's lock is held once for the whole vector rather than
+// once per segment.
 //
 // Partial-failure semantics mirror Read's short-read contract: every
 // byte that reached the dropping is indexed — including a failing
 // chunk's durable prefix and any chunks past the failure — so the
 // logical file always reflects exactly the durable data. The returned
 // count is the length of the contiguous error-free prefix of the vector,
-// and the error describes the first failing segment. A chunk that fails
-// mid-vector leaves its remaining segments unwritten and unindexed;
-// EngineOptions.BatchDepth = 1 restores the pre-vectored engine's fully
-// independent per-segment durability.
+// and the error describes the first failing segment. A chunk (up to
+// DefaultBatchDepth consecutive segments, one pwritev) that fails
+// mid-vector leaves its remaining segments unwritten and unindexed.
 func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	start := f.fs.opStart()
 	n, err := f.writeV(segs, pid)
@@ -222,10 +191,7 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 	}
 	defer unlock()
 
-	depth := f.fs.batchDepth()
-	if depth <= 0 {
-		depth = 1
-	}
+	depth := f.fs.batchDepth
 	nchunks := (len(segs) + depth - 1) / depth
 
 	plan := writePlanPool.Get().(*writePlan)
@@ -240,7 +206,7 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 
 	// Reserve [base, base+total) in the dropping: each segment's
 	// physical home is fixed before any byte moves, which is what makes
-	// the fan-out safe — and what makes each chunk of BatchDepth
+	// the fan-out safe — and what makes each chunk of depth
 	// consecutive segments physically contiguous, i.e. one pwritev. The
 	// cursor advances by the full reservation even on error — a failed
 	// chunk leaves an unreferenced gap, never a desynchronized cursor.
@@ -259,8 +225,8 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 			hi = len(segs)
 		}
 		if hi-lo == 1 {
-			// A lone segment goes through the scalar path — op-identical
-			// to the pre-vectored engine (BatchDepth 1 is the baseline).
+			// A lone segment goes through the scalar path, as a scalar
+			// Write does.
 			plan.ns[lo], plan.errs[ci] = pwriteAll(f.fs.backend, w.dataFD, segs[lo].Data, plan.offs[lo])
 			return
 		}
@@ -282,13 +248,7 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		}
 		plan.errs[ci] = err
 	}
-	if wk := f.fs.writeWorkers(); wk <= 1 || nchunks == 1 {
-		for ci := 0; ci < nchunks; ci++ {
-			issue(ci)
-		}
-	} else {
-		runParallel(nchunks, wk, issue)
-	}
+	runParallel(nchunks, f.fs.workers, issue)
 
 	for i, s := range segs {
 		if plan.ns[i] == 0 {

@@ -4,22 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 )
 
-func writePLFS(t *testing.T, opts EngineOptions) (*FS, *posix.MemFS) {
+func writePLFS(t *testing.T) (*FS, *posix.MemFS) {
 	t.Helper()
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if opts.NumHostdirs == 0 {
-		opts.NumHostdirs = 4
-	}
-	return New(mem, opts), mem
+	return New(mem, EngineOptions{NumHostdirs: 4}), mem
 }
 
 // TestConcurrentWritersStress is the race-detector stress test of the
@@ -28,7 +27,8 @@ func writePLFS(t *testing.T, opts EngineOptions) (*FS, *posix.MemFS) {
 // exactly the strided pattern. Run with -race in CI.
 func TestConcurrentWritersStress(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
-		p, _ := writePLFS(t, EngineOptions{IndexBatch: 8})
+		p, _ := writePLFS(t)
+		p.indexBatch = 8
 		const (
 			writers   = 8
 			blocks    = 32
@@ -102,7 +102,8 @@ func TestConcurrentWritersStress(t *testing.T) {
 func TestWriteVRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			p, _ := writePLFS(t, EngineOptions{WriteWorkers: workers})
+			p, _ := writePLFS(t)
+			p.workers = workers
 			f, err := p.Open("/backend/vec", posix.O_CREAT|posix.O_RDWR, 7, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -155,11 +156,11 @@ func TestWriteVPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	// BatchDepth 1 pins the pre-vectored per-segment engine: this test
-	// asserts the independent-segment durability contract that
-	// coalescing intentionally trades away (see TestWriteVChunkFailure
-	// for the vectored contract).
-	p := New(ffs, EngineOptions{NumHostdirs: 2, WriteWorkers: 1, BatchDepth: 1})
+	// Batch depth 1 makes every segment its own chunk: this test asserts
+	// the independence of chunks — a failed one costs its neighbours
+	// nothing (see TestWriteVChunkFailure for the contract inside one).
+	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p.workers, p.batchDepth = 1, 1
 	f, err := p.Open("/backend/vfail", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestWriteVPartialFailure(t *testing.T) {
 }
 
 // TestWriteVChunkFailure pins the coalesced vector's failure contract:
-// with the default BatchDepth the whole vector is one pwritev, a
+// at the default batch depth the whole vector is one pwritev, a
 // partial backend failure leaves a durable prefix that can end
 // mid-segment, exactly that prefix is indexed, and the cursor still
 // advances by the full reservation.
@@ -217,7 +218,8 @@ func TestWriteVChunkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, EngineOptions{NumHostdirs: 2, WriteWorkers: 1})
+	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p.workers = 1
 	f, err := p.Open("/backend/vchunk", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +280,8 @@ func TestShortIndexFlushHealsOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, EngineOptions{NumHostdirs: 2, IndexBatch: 2})
+	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p.indexBatch = 2
 	f, err := p.Open("/backend/shortflush", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +327,8 @@ func TestShortIndexFlushHealsOnRetry(t *testing.T) {
 // batches: the on-backend dropping grows only at multiples of the batch
 // threshold until a Sync drains the remainder.
 func TestIndexBatchGroupFlush(t *testing.T) {
-	p, mem := writePLFS(t, EngineOptions{IndexBatch: 4})
+	p, mem := writePLFS(t)
+	p.indexBatch = 4
 	f, err := p.Open("/backend/batched", posix.O_CREAT|posix.O_WRONLY, 3, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +375,7 @@ func TestIndexBatchGroupFlush(t *testing.T) {
 // hasOpenWriters reports true forever, Stat permanently takes the slow
 // merged path and CompactIndex refuses the container.
 func TestTruncZeroClearsOpenHosts(t *testing.T) {
-	p, _ := writePLFS(t, EngineOptions{})
+	p, _ := writePLFS(t)
 	f, err := p.Open("/backend/leak", posix.O_CREAT|posix.O_RDWR, 5, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +411,7 @@ func TestTruncZeroClearsOpenHosts(t *testing.T) {
 // every index dropping, so surviving writers must be rebound to fresh
 // droppings or all their post-truncate writes are invisible.
 func TestTruncRebindsLiveIndexWriters(t *testing.T) {
-	p, _ := writePLFS(t, EngineOptions{})
+	p, _ := writePLFS(t)
 	f, err := p.Open("/backend/shrink", posix.O_CREAT|posix.O_RDWR, 9, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +472,7 @@ func TestTruncAcrossHandlesRebindsAllWriters(t *testing.T) {
 			name = "via-path"
 		}
 		t.Run(name, func(t *testing.T) {
-			p, _ := writePLFS(t, EngineOptions{})
+			p, _ := writePLFS(t)
 			a, err := p.Open("/backend/xh", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -518,7 +522,7 @@ func TestTruncAcrossHandlesRebindsAllWriters(t *testing.T) {
 // existing handle's writers (their droppings are gone), so their
 // subsequent writes start fresh instead of resurrecting stale state.
 func TestOpenTruncRetiresOtherHandles(t *testing.T) {
-	p, _ := writePLFS(t, EngineOptions{})
+	p, _ := writePLFS(t)
 	a, err := p.Open("/backend/ot", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +557,7 @@ func TestOpenTruncRetiresOtherHandles(t *testing.T) {
 // pre-fix damage: an openhosts record whose pid has no data dropping is
 // stale, and scrubbing removes exactly those.
 func TestDoctorFlagsStaleOpenHosts(t *testing.T) {
-	p, mem := writePLFS(t, EngineOptions{})
+	p, mem := writePLFS(t)
 	f, err := p.Open("/backend/sick", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -636,5 +640,61 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 			t.Fatalf("round %d (pid %d): overwrite lost the timestamp race against the previous run", round, pid)
 		}
 		r.Close(100)
+	}
+}
+
+// TestClockSeedStreamsHistory holds the first write into an existing
+// container to the bound the index merge advertises: seeding the clock
+// from a long history (64 droppings of 4096 records) must allocate less
+// than the droppings hold — it streams them a chunk at a time and keeps
+// one number. Slurping each dropping and parsing it into a slice cost
+// about 2.7 times their size.
+func TestClockSeedStreamsHistory(t *testing.T) {
+	const (
+		droppings = 64
+		records   = 4096
+		path      = "/backend/history"
+	)
+	p, mem := writePLFS(t)
+	if err := p.CreateContainer(path, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]idx.Entry, records)
+	for d := 0; d < droppings; d++ {
+		for i := range entries {
+			entries[i] = idx.Entry{
+				LogicalOffset: int64(i*droppings + d),
+				Length:        1,
+				Timestamp:     uint64(i*droppings + d + 1),
+				Pid:           uint32(d),
+			}
+		}
+		hostdir := p.hostdir(path, uint32(d))
+		if err := mem.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
+			t.Fatal(err)
+		}
+		if err := idx.WriteDropping(mem, indexDropping(hostdir, uint32(d)), entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const held = droppings * records * idx.EntrySize
+
+	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	f, err := fresh.Open(path, posix.O_WRONLY, 1000, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := f.Write([]byte("x"), 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := fresh.clock.Load(); got <= droppings*records {
+		t.Fatalf("clock after the seed = %d, want past the history's newest stamp %d", got, droppings*records)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= held {
+		t.Fatalf("first write allocated %d bytes over index droppings holding %d: the seed is not streaming", alloc, held)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/plfs"
-	"ldplfs/internal/plfs/tune"
+	"ldplfs/internal/tune"
 )
 
 // TokenBucket is a byte/op rate limiter with borrowable tokens: a

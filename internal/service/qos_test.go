@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"ldplfs/internal/plfs/tune"
+	"ldplfs/internal/tune"
 )
 
 // TestTokenBucketNeverExceedsRate is the bucket's core property: a

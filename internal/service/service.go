@@ -8,8 +8,8 @@ import (
 	"ldplfs/internal/core"
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/plfs"
-	"ldplfs/internal/plfs/tune"
 	"ldplfs/internal/posix"
+	"ldplfs/internal/tune"
 )
 
 // Config configures a Gateway.

@@ -10,8 +10,8 @@ import (
 
 	"ldplfs/internal/core"
 	"ldplfs/internal/iostats"
-	"ldplfs/internal/plfs/tune"
 	"ldplfs/internal/posix"
+	"ldplfs/internal/tune"
 )
 
 // newTestGateway builds a gateway over a fresh MemFS with a gold

@@ -8,7 +8,7 @@
 // scopes per-tenant telemetry through the iostats plane (layer
 // "tenant:<name>"), enforces token-bucket rate limits and priority
 // admission before any byte reaches the PLFS engines, and actuates
-// background tenants' rates with the internal/plfs/tune controller.
+// background tenants' rates with the internal/tune controller.
 package service
 
 import (

@@ -164,16 +164,21 @@ func diffAcrossStores(t *testing.T, outputs []string, run func(store posix.FS)) 
 				t.Fatalf("[%s] %s flattened-on read did not use the record", cfg, out)
 			}
 
-			// Forced off: streaming merge only.
+			// Record dropped: a fresh instance has the streaming merge
+			// only. Then put the record back for the stale stage.
+			if n, err := plfs.New(store).DropFlattenedIndex(path); err != nil || n == 0 {
+				t.Fatalf("[%s] drop flattened %s = %d, %v", cfg, out, n, err)
+			}
 			offPlane := iostats.NewPlane()
-			offP := plfs.New(store,
-				plfs.IndexOptions{DisableFlattenedReads: true},
-				plfs.WithStats(offPlane))
+			offP := plfs.New(store, plfs.WithStats(offPlane))
 			if size, sum, statSize := digestVia(t, offP, path); size != w.size || statSize != w.statSize || sum != w.sum {
-				t.Fatalf("[%s] %s flattened-off read diverged", cfg, out)
+				t.Fatalf("[%s] %s record-dropped read diverged", cfg, out)
 			}
 			if n := offPlane.Layer("readcache").Counter("flattened_builds").Load(); n != 0 {
-				t.Fatalf("[%s] %s disabled reads loaded the record", cfg, out)
+				t.Fatalf("[%s] %s read loaded a dropped record", cfg, out)
+			}
+			if _, err := plfs.New(store).WriteFlattenedIndex(path); err != nil {
+				t.Fatalf("[%s] re-flatten %s: %v", cfg, out, err)
 			}
 
 			// Deliberately stale: append a deterministic tail behind the
@@ -200,9 +205,12 @@ func diffAcrossStores(t *testing.T, outputs []string, run func(store posix.FS)) 
 			if n := stalePlane.Layer("readcache").Counter("flattened_builds").Load(); n != 0 {
 				t.Fatalf("[%s] %s stale record was trusted", cfg, out)
 			}
-			// And the merge path agrees byte-for-byte on the extended file.
-			off2 := plfs.New(store, plfs.IndexOptions{DisableFlattenedReads: true})
-			if s2, sum2, _ := digestVia(t, off2, path); s2 != size || sum2 != sum {
+			// And with the stale record gone the merge agrees
+			// byte-for-byte on the extended file.
+			if n, err := plfs.New(store).DropFlattenedIndex(path); err != nil || n == 0 {
+				t.Fatalf("[%s] drop stale record %s = %d, %v", cfg, out, n, err)
+			}
+			if s2, sum2, _ := digestVia(t, plfs.New(store), path); s2 != size || sum2 != sum {
 				t.Fatalf("[%s] %s stale-vs-merge digest diverged", cfg, out)
 			}
 		}
