@@ -54,13 +54,13 @@
 // sharded-atomic counters and fixed-bucket histograms — nil-safe, so an
 // uninstrumented stack pays one branch per call. The PLFS engines take
 // no tuning — their fan-out, batch depth and index batch are constants
-// a sweep over the benchmark's workloads settled — and an
+// a sweep over the benchmark's workloads settled — the MPI-IO cb_*
+// hints are static and agreed across the communicator at open, and an
 // IOPathTune-style feedback controller (internal/tune) hill-climbs,
-// within hard ladder bounds, the parameters that do trade: the MPI-IO
-// cb_* hints (mpiio.Hints.AutoTune, -cb-autotune) and the gateway's
-// per-tenant rate caps. `plfsctl stats` dumps a four-layer snapshot; the
-// workload CLIs take -stats. See README.md ("The telemetry plane and
-// online tuning").
+// within hard ladder bounds, the one parameter set that does trade
+// online: the gateway's per-tenant rate caps. `plfsctl stats` dumps a
+// four-layer snapshot; the workload CLIs take -stats. See README.md
+// ("The telemetry plane and online tuning").
 //
 // The on-disk format is guarded by golden container fixtures for both
 // format versions (internal/plfs/testdata/golden), native fuzz targets

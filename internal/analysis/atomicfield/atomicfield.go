@@ -2,7 +2,7 @@
 // are accessed through sync/atomic functions elsewhere in the same
 // package.
 //
-// The PR 5 runtime knob overrides (mpiio's SetCB* are the ones left) made
+// The PR 5 runtime knob overrides (all since removed) made
 // "field written atomically, read from the data path" a standing
 // pattern in this codebase. The engines migrated to atomic.Int32
 // wrapper types, which make mixed access inexpressible — but

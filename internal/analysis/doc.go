@@ -75,7 +75,7 @@
 // History: the PR 5 runtime knob overrides made "written atomically,
 // read on the data path" a standing pattern; the engines migrated to
 // atomic.Int32 wrapper types, which make mixed access inexpressible,
-// and plfs's own overrides went in PR 20 (mpiio's cb_* ones remain) —
+// and the overrides themselves went in PRs 20 (plfs) and 21 (mpiio) —
 // this analyzer covers the function-style atomics that remain. Mutex-guarded mixed use (atomic
 // write, read under the lock all writers hold) is the legitimate
 // exception; suppress it inline.

@@ -52,19 +52,15 @@ func (p *Plfs) NewPlane() *iostats.Plane {
 // knobs of the mpiio layer's two-phase collective path.
 type MPIIO struct {
 	CBBufferSize  int
-	CBRounds      int
 	CBAggregators int
 	SieveBuffer   int
-	CBAutoTune    bool
 }
 
 // Register installs the group's flags on fl.
 func (m *MPIIO) Register(fl *flag.FlagSet) {
 	fl.IntVar(&m.CBBufferSize, "cb-buffer-size", 0, "collective-buffering staging size per aggregator round in bytes (0 = ROMIO default 16 MiB)")
-	fl.IntVar(&m.CBRounds, "cb-rounds", 0, "pipelined collective rounds per aggregator domain (0 = derive from cb-buffer-size)")
 	fl.IntVar(&m.CBAggregators, "cb-aggregators", 0, "aggregators per compute node (0 = the paper's default of 1)")
 	fl.IntVar(&m.SieveBuffer, "sieve-buffer-size", 0, "data-sieving block size for independent strided access (0 = default 4 MiB)")
-	fl.BoolVar(&m.CBAutoTune, "cb-autotune", false, "hill-climb cb-buffer-size/cb-rounds/cb-aggregators online")
 }
 
 // Hints renders the group over the ROMIO defaults.
@@ -73,16 +69,12 @@ func (m *MPIIO) Hints() mpiio.Hints {
 	if m.CBBufferSize > 0 {
 		h.CBBufferSize = m.CBBufferSize
 	}
-	if m.CBRounds > 0 {
-		h.CBRounds = m.CBRounds
-	}
 	if m.CBAggregators > 0 {
 		h.CBAggregators = m.CBAggregators
 	}
 	if m.SieveBuffer > 0 {
 		h.SieveBufferSize = m.SieveBuffer
 	}
-	h.AutoTune = m.CBAutoTune
 	return h
 }
 

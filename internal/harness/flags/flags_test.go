@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ldplfs/internal/core"
+	"ldplfs/internal/mpiio"
 	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/service"
@@ -53,6 +54,30 @@ func TestPlfsGroup(t *testing.T) {
 	var off Plfs
 	if off.NewPlane() != nil {
 		t.Fatal("plane without -stats")
+	}
+}
+
+func TestMPIIOGroup(t *testing.T) {
+	var m MPIIO
+	fl := flag.NewFlagSet("test", flag.ContinueOnError)
+	m.Register(fl)
+	// The group is the whole mpiio surface of the workload CLIs: ROMIO's
+	// static cb_* and sieving hints, nothing that steers them at runtime.
+	var names []string
+	fl.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := []string{"cb-aggregators", "cb-buffer-size", "sieve-buffer-size"}; !slices.Equal(names, want) {
+		t.Fatalf("MPIIO registers %v, want exactly %v", names, want)
+	}
+	if h, d := m.Hints(), mpiio.DefaultHints(); h != d {
+		t.Fatalf("unset flags render %+v, want the defaults %+v", h, d)
+	}
+	if err := fl.Parse([]string{"-cb-buffer-size", "65536", "-cb-aggregators", "2", "-sieve-buffer-size", "1024"}); err != nil {
+		t.Fatal(err)
+	}
+	want := mpiio.DefaultHints()
+	want.CBBufferSize, want.CBAggregators, want.SieveBufferSize = 65536, 2, 1024
+	if h := m.Hints(); h != want {
+		t.Fatalf("hints = %+v, want %+v", h, want)
 	}
 }
 

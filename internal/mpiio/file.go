@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"slices"
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
-	"ldplfs/internal/tune"
 )
 
 // Hints mirror the ROMIO info keys the paper leans on.
@@ -18,7 +17,10 @@ type Hints struct {
 	// its default configuration".
 	CollectiveBuffering bool
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
-	// ROMIO default 16 MiB). Aggregator writes are chunked at this size.
+	// ROMIO default 16 MiB). Aggregator writes are chunked at this size,
+	// and an aggregator's file domain takes one pipeline round per
+	// staging buffer's worth. Like every cb_* hint it must agree across
+	// the communicator: Open adopts rank 0's value on every rank.
 	CBBufferSize int
 	// DataSieving enables read-modify-write for independent strided
 	// access (romio_ds_write).
@@ -26,19 +28,12 @@ type Hints struct {
 	// SieveBufferSize is the sieving block (ind_rd_buffer_size, 4 MiB
 	// default).
 	SieveBufferSize int
-	// CBRounds pins the pipelined collective path's round count per
-	// aggregator domain. 0 (the default) derives the count from
-	// CBBufferSize: one round per staging-buffer's worth of domain.
-	CBRounds int
 	// CBAggregators is the number of aggregators per compute node
 	// (cb_nodes-style). 0 or 1 keeps the paper's default of one
 	// aggregator per distinct node; higher values fan aggregator I/O
-	// out across more ranks (capped at the node's PPN).
+	// out across more ranks (capped at the node's PPN). Rank 0's value
+	// is adopted by every rank at Open.
 	CBAggregators int
-	// AutoTune hill-climbs CBBufferSize/CBRounds/CBAggregators on the
-	// throughput ladder (rank 0 drives; committed values are broadcast
-	// with each collective).
-	AutoTune bool
 	// Collector attaches the MPI-IO layer to a telemetry plane: every
 	// collective and independent call reports count/bytes/latency to
 	// layer "mpiio" (plus collective_calls/independent_calls counters).
@@ -89,14 +84,11 @@ type File struct {
 	// ranges of this handle (disjoint spans proceed concurrently).
 	srl rangeLock
 
-	// Runtime knob overrides (SetCB*, or the autotune controller on
-	// rank 0). Zero means "use the hint"; only rank 0's committed
-	// values matter — they are broadcast with every collective.
-	knobStaging atomic.Int64
-	knobRounds  atomic.Int64
-	knobAggs    atomic.Int64
-	tuneBytes   atomic.Int64
-	tuner       *tune.Controller
+	// The collective shape, fixed at Open from rank 0's cb_* hints: the
+	// aggregator ranks (ascending, identical on every rank) and whether
+	// this rank is one of them.
+	aggs  []int
+	isAgg bool
 }
 
 // Layer is the handle's telemetry layer, shared by the whole
@@ -133,23 +125,36 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	}
 	amode &^= ModeExcl // rank 0 already arbitrated exclusive creation
 	df, err := driver.Open(path, amode, r.Rank())
-	if err != nil {
+	// All ranks open or none do: a rank returning alone would leave the
+	// others waiting for it in the broadcast below, forever.
+	if err := funnel(r, err, "open"); err != nil {
+		if df != nil {
+			df.Close()
+		}
 		return nil, err
 	}
-	f := &File{rank: r, df: df, hints: hints, path: path}
+	// Rank 0's cb_* hints become the communicator's: every collective's
+	// exchange schedule is derived from them, so ranks that disagreed
+	// would deadlock (MPI requires cb_* hints to match for that reason).
+	// The same broadcast shares rank 0's standalone telemetry layer when
+	// no plane is attached, so per-handle tallies aggregate across ranks.
+	type shape struct {
+		staging, aggsPerNode int
+		ls                   *iostats.LayerStats
+	}
+	mine := shape{staging: hints.CBBufferSize, aggsPerNode: hints.CBAggregators}
+	if hints.Collector == nil && r.Rank() == 0 {
+		mine.ls = iostats.NewLayerStats("mpiio")
+	}
+	agreed := r.Bcast(0, mine).(shape)
+	hints.CBBufferSize, hints.CBAggregators = agreed.staging, agreed.aggsPerNode
+	f := &File{rank: r, df: df, hints: hints, path: path, ls: agreed.ls}
+	f.aggs = aggregators(r.Size(), r.PPN(), hints.CBAggregators)
+	f.isAgg = slices.Contains(f.aggs, r.Rank())
 	if hints.Collector != nil {
 		// Every rank asks for the same layer name, so the whole
 		// communicator aggregates into one view of the plane.
 		f.ls = hints.Collector.Layer("mpiio")
-	} else {
-		// No plane attached: the communicator still shares one
-		// standalone layer (rank 0's, via bcast), so per-handle tallies
-		// aggregate across ranks.
-		ls := iostats.NewLayerStats("mpiio")
-		if s := r.Bcast(0, ls); s != nil {
-			ls = s.(*iostats.LayerStats)
-		}
-		f.ls = ls
 	}
 	f.ccol = f.ls.Counter("collective_calls")
 	f.cind = f.ls.Counter("independent_calls")
@@ -162,8 +167,20 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	f.cshp = f.ls.Counter("shuffle_pieces")
 	f.cago = f.ls.Counter("agg_flush_ops")
 	f.covl = f.ls.Counter("round_overlap_ns")
-	f.initTuner()
 	return f, nil
+}
+
+// aggregators lists the collective-buffering aggregator ranks of a job,
+// ascending: the first min(max(perNode, 1), ppn) ranks of each node.
+func aggregators(size, ppn, perNode int) []int {
+	perNode = min(max(perNode, 1), ppn)
+	var aggs []int
+	for first := 0; first < size; first += ppn {
+		for r := first; r < min(first+perNode, size); r++ {
+			aggs = append(aggs, r)
+		}
+	}
+	return aggs
 }
 
 // Close closes the handle collectively — MPI_File_close.
@@ -251,27 +268,8 @@ func (f *File) writeStrided(segs []Segment, buf []byte) (int, error) {
 		span <= int64(f.hints.SieveBufferSize) && span < 2*total
 
 	if !useSieve {
-		// Vector-capable drivers (PLFS) take the whole flattened access
-		// in one call instead of a pwrite per segment.
-		if vw, ok := f.df.(VectorWriter); ok && len(segs) > 1 {
-			f.cdw.Add(1)
-			n, err := vw.PwritevAt(segs, buf[:total])
-			f.cbw.Add(int64(n))
-			return n, err
-		}
-		written := 0
-		cursor := 0
-		for _, s := range segs {
-			f.cdw.Add(1)
-			n, err := f.df.PwriteAt(buf[cursor:cursor+int(s.Len)], s.Off)
-			written += n
-			if err != nil {
-				return written, err
-			}
-			cursor += int(s.Len)
-		}
-		f.cbw.Add(int64(written))
-		return written, nil
+		n, _, err := f.writeRuns(segs, buf[:total])
+		return n, err
 	}
 
 	// Data sieving: read [lo,hi), overlay the segments, write back once.
@@ -353,19 +351,67 @@ func (f *File) readStrided(segs []Segment, buf []byte) (int, error) {
 		return got, nil
 	}
 
-	got := 0
-	cursor := 0
-	for _, s := range segs {
-		f.cdr.Add(1)
-		n, err := f.df.PreadAt(buf[cursor:cursor+int(s.Len)], s.Off)
-		got += n
-		if err != nil && !errors.Is(err, io.EOF) {
-			return got, err
-		}
-		cursor += int(s.Len)
+	n, _, err := f.readRuns(segs, buf[:total])
+	return n, err
+}
+
+// writeRuns states the write-side driver-call rule once, for sparse
+// independent access and for an aggregator's staged round alike: a
+// vector-capable driver takes two or more runs in one call (the PLFS
+// driver turns it into one WriteV, whose engine batches physically-
+// contiguous pwrites), any other gets a pwrite per run. buf holds the
+// runs' bytes back to back. Returns bytes written and driver calls made.
+func (f *File) writeRuns(runs []Segment, buf []byte) (n int, calls int64, err error) {
+	if vw, ok := f.df.(VectorWriter); ok && len(runs) > 1 {
+		f.cdw.Add(1)
+		n, err = vw.PwritevAt(runs, buf)
+		f.cbw.Add(int64(n))
+		return n, 1, err
 	}
-	f.cbr.Add(int64(got))
-	return got, nil
+	cursor := int64(0)
+	for _, run := range runs {
+		calls++
+		w, werr := f.df.PwriteAt(buf[cursor:cursor+run.Len], run.Off)
+		n += w
+		if werr != nil {
+			err = werr
+			break
+		}
+		cursor += run.Len
+	}
+	f.cdw.Add(calls)
+	f.cbw.Add(int64(n))
+	return n, calls, err
+}
+
+// readRuns is the read-side twin: one PreadvAt for two or more runs on a
+// vector-capable driver (PLFS resolves the index once and batches
+// contiguous extents across runs), otherwise a pread per run. EOF is not
+// an error and bytes past it are zero-filled either way; n counts the
+// bytes below EOF.
+func (f *File) readRuns(runs []Segment, buf []byte) (n int, calls int64, err error) {
+	if vr, ok := f.df.(VectorReader); ok && len(runs) > 1 {
+		f.cdr.Add(1)
+		n, err = vr.PreadvAt(runs, buf)
+		f.cbr.Add(int64(n))
+		return n, 1, err
+	}
+	cursor := int64(0)
+	for _, run := range runs {
+		calls++
+		dst := buf[cursor : cursor+run.Len]
+		r, rerr := f.df.PreadAt(dst, run.Off)
+		n += r
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
+			err = rerr
+			break
+		}
+		clear(dst[r:])
+		cursor += run.Len
+	}
+	f.cdr.Add(calls)
+	f.cbr.Add(int64(n))
+	return n, calls, err
 }
 
 func validateSegs(segs []Segment, buf []byte) error {

@@ -20,24 +20,34 @@
 package mpiio
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"ldplfs/internal/mpi"
 )
 
 // colGeom is the per-collective geometry every rank derives from the
-// same allgathered plan, so round counts and boundaries agree
-// everywhere (divergence would deadlock the exchanges).
+// same allgathered extent and the shape agreed at Open, so round counts
+// and boundaries agree everywhere (divergence would deadlock the
+// exchanges).
 type colGeom struct {
 	lo, hi  int64
 	domain  int64 // contiguous file region per aggregator
-	span    int64 // round span within a domain
-	rounds  int
-	staging int64 // effective cb buffer size (run cap)
-	aggs    []int // aggregator rank ids, ascending
+	staging int64 // cb buffer size: the width of a round and the run cap
+	rounds  int   // ceil(domain / staging)
+	aggs    []int // aggregator rank ids, ascending (the File's)
+}
+
+// newGeom splits [lo, hi) evenly over the aggregators and each domain
+// into staging-sized rounds.
+func newGeom(lo, hi, staging int64, aggs []int) colGeom {
+	g := colGeom{lo: lo, hi: hi, staging: staging, aggs: aggs}
+	if hi > lo {
+		n := int64(len(aggs))
+		g.domain = (hi - lo + n - 1) / n
+		g.rounds = int((g.domain + staging - 1) / staging)
+	}
+	return g
 }
 
 // locate maps a file offset to its (aggregator, round) bucket and the
@@ -49,72 +59,21 @@ func (g *colGeom) locate(off int64) (agg, round int, end int64) {
 		a = len(g.aggs) - 1
 	}
 	inDom := rel - int64(a)*g.domain
-	r := int(inDom / g.span)
+	r := int(inDom / g.staging)
 	if r >= g.rounds {
 		r = g.rounds - 1
 	}
-	end = g.lo + int64(a)*g.domain + int64(r+1)*g.span
+	end = g.lo + int64(a)*g.domain + int64(r+1)*g.staging
 	if domEnd := g.lo + int64(a+1)*g.domain; end > domEnd {
 		end = domEnd
 	}
 	return a, r, end
 }
 
-// colKnobs are the collective-buffering knob values committed on rank 0
-// (hints, runtime Set* overrides, or the autotune controller) and
-// broadcast with the extent exchange, so every rank computes identical
-// round geometry whatever its local hints say.
-type colKnobs struct {
-	staging int
-	rounds  int
-	aggsPer int
-}
-
-// committedKnobs resolves this handle's effective knob values: runtime
-// overrides win over hints.
-func (f *File) committedKnobs() colKnobs {
-	k := colKnobs{
-		staging: f.hints.CBBufferSize,
-		rounds:  f.hints.CBRounds,
-		aggsPer: f.hints.CBAggregators,
-	}
-	if v := f.knobStaging.Load(); v > 0 {
-		k.staging = int(v)
-	}
-	if v := f.knobRounds.Load(); v > 0 {
-		k.rounds = int(v)
-	}
-	if v := f.knobAggs.Load(); v > 0 {
-		k.aggsPer = int(v)
-	}
-	if k.staging <= 0 {
-		k.staging = 16 << 20
-	}
-	if k.aggsPer <= 0 {
-		k.aggsPer = 1
-	}
-	return k
-}
-
-// SetCBBufferSize overrides the staging size at runtime (autotune's
-// actuator). Only rank 0's committed value matters: it is broadcast at
-// each collective.
-func (f *File) SetCBBufferSize(n int) { f.knobStaging.Store(int64(n)) }
-
-// SetCBRounds overrides the pipeline round count (0 = derive from the
-// staging size).
-func (f *File) SetCBRounds(n int) { f.knobRounds.Store(int64(n)) }
-
-// SetCBAggregators overrides the aggregators-per-node count.
-func (f *File) SetCBAggregators(n int) { f.knobAggs.Store(int64(n)) }
-
-// exchangePlan allgathers every rank's extent plus rank 0's committed
-// knobs and derives the shared collective geometry.
+// exchangePlan allgathers every rank's extent and derives the shared
+// collective geometry.
 func (f *File) exchangePlan(segs []Segment) colGeom {
-	type colExtent struct {
-		lo, hi int64
-		k      colKnobs // meaningful on rank 0's entry only
-	}
+	type colExtent struct{ lo, hi int64 }
 	mine := colExtent{lo: 1 << 62, hi: 0}
 	for _, s := range segs {
 		if s.Off < mine.lo {
@@ -124,64 +83,17 @@ func (f *File) exchangePlan(segs []Segment) colGeom {
 			mine.hi = end
 		}
 	}
-	if f.rank.Rank() == 0 {
-		mine.k = f.committedKnobs()
-	}
-	all := f.rank.Allgather(mine)
-	g := colGeom{lo: 1 << 62, hi: 0}
-	for _, v := range all {
+	all := mine
+	for _, v := range f.rank.Allgather(mine) {
 		e := v.(colExtent)
-		if e.lo < g.lo {
-			g.lo = e.lo
+		if e.lo < all.lo {
+			all.lo = e.lo
 		}
-		if e.hi > g.hi {
-			g.hi = e.hi
-		}
-	}
-	k := all[0].(colExtent).k
-	g.staging = int64(k.staging)
-
-	// Aggregators: the first min(aggsPer, ppn) ranks of each node.
-	ppn := f.rank.PPN()
-	per := k.aggsPer
-	if per > ppn {
-		per = ppn
-	}
-	for n := 0; n < f.rank.Nodes(); n++ {
-		for i := 0; i < per; i++ {
-			if r := n*ppn + i; r < f.rank.Size() {
-				g.aggs = append(g.aggs, r)
-			}
+		if e.hi > all.hi {
+			all.hi = e.hi
 		}
 	}
-	if g.hi <= g.lo {
-		return g
-	}
-	g.domain = (g.hi - g.lo + int64(len(g.aggs)) - 1) / int64(len(g.aggs))
-	if k.rounds > 0 {
-		g.rounds = k.rounds
-		g.span = (g.domain + int64(g.rounds) - 1) / int64(g.rounds)
-	} else {
-		g.span = g.staging
-		g.rounds = int((g.domain + g.span - 1) / g.span)
-	}
-	if g.rounds < 1 {
-		g.rounds = 1
-	}
-	if g.span < 1 {
-		g.span = 1
-	}
-	return g
-}
-
-// aggIndexOf returns this rank's position in the aggregator list, or -1.
-func aggIndexOf(rank int, g *colGeom) int {
-	for i, r := range g.aggs {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
+	return newGeom(all.lo, all.hi, int64(f.hints.CBBufferSize), f.aggs)
 }
 
 // aggWorker is the background half of one aggregator's double-buffered
@@ -292,66 +204,20 @@ func (w *aggWorker) close() (error, int64) {
 	return w.err, overlap
 }
 
-// flushArena issues one staged round: vector-capable drivers take every
-// run in a single call (the PLFS driver turns it into one WriteV, whose
-// engine batches physically-contiguous pwrites), others get a pwrite
-// per run — still coalesced.
+// flushArena issues one staged round's runs, still coalesced, and
+// counts the driver calls it took.
 func (f *File) flushArena(a *arena) error {
-	if len(a.runs) == 0 {
-		return nil
-	}
-	if vw, ok := f.df.(VectorWriter); ok && len(a.runs) > 1 {
-		f.cdw.Add(1)
-		f.cago.Add(1)
-		n, err := vw.PwritevAt(a.runs, a.buf)
-		f.cbw.Add(int64(n))
-		return err
-	}
-	cursor := int64(0)
-	for _, run := range a.runs {
-		f.cdw.Add(1)
-		f.cago.Add(1)
-		n, err := f.df.PwriteAt(a.buf[cursor:cursor+run.Len], run.Off)
-		f.cbw.Add(int64(n))
-		if err != nil {
-			return err
-		}
-		cursor += run.Len
-	}
-	return nil
+	_, calls, err := f.writeRuns(a.runs, a.buf)
+	f.cago.Add(calls)
+	return err
 }
 
-// fetchArena reads one round's covering runs into the arena:
-// vector-capable drivers in one call (PLFS resolves the index once and
-// batches contiguous extents across runs), others a pread per run.
-// Bytes past EOF are zero-filled either way.
+// fetchArena reads one round's covering runs into the arena, zero-
+// filling past EOF.
 func (f *File) fetchArena(a *arena) error {
-	if len(a.runs) == 0 {
-		return nil
-	}
-	if vr, ok := f.df.(VectorReader); ok && len(a.runs) > 1 {
-		f.cdr.Add(1)
-		f.cago.Add(1)
-		n, err := vr.PreadvAt(a.runs, a.buf)
-		f.cbr.Add(int64(n))
-		return err
-	}
-	cursor := int64(0)
-	for _, run := range a.runs {
-		f.cdr.Add(1)
-		f.cago.Add(1)
-		dst := a.buf[cursor : cursor+run.Len]
-		n, err := f.df.PreadAt(dst, run.Off)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return err
-		}
-		for i := n; i < len(dst); i++ {
-			dst[i] = 0
-		}
-		f.cbr.Add(int64(n))
-		cursor += run.Len
-	}
-	return nil
+	_, calls, err := f.readRuns(a.runs, a.buf)
+	f.cago.Add(calls)
+	return err
 }
 
 // writeAllPipelined is the pipelined collective write. Phase 1 of round
@@ -368,7 +234,7 @@ func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
 	rp.route(segs, buf, &g, f.rank.Size())
 
 	var fl *aggWorker
-	if aggIndexOf(f.rank.Rank(), &g) >= 0 {
+	if f.isAgg {
 		fl = f.newAggWorker(f.flushArena, false)
 	}
 	for k := 0; k < g.rounds; k++ {
@@ -387,12 +253,10 @@ func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
 		aggErr, overlap = fl.close()
 		f.covl.Add(overlap)
 	}
-	if err := f.funnel(aggErr, nil, "write"); err != nil {
+	if err := funnel(f.rank, aggErr, "write"); err != nil {
 		return 0, err
 	}
-	n := int(segsBytes(segs))
-	f.observeTune(int64(n))
-	return n, nil
+	return int(segsBytes(segs)), nil
 }
 
 // readAllPipelined is the pipelined collective read. Requests carry the
@@ -410,7 +274,7 @@ func (f *File) readAllPipelined(segs []Segment, buf []byte) (int, error) {
 	rp.route(segs, buf, &g, f.rank.Size())
 
 	var pf *aggWorker
-	if aggIndexOf(f.rank.Rank(), &g) >= 0 {
+	if f.isAgg {
 		pf = f.newAggWorker(f.fetchArena, true)
 	}
 	inFlight := 0
@@ -448,30 +312,22 @@ func (f *File) readAllPipelined(segs []Segment, buf []byte) (int, error) {
 		aggErr, overlap = pf.close()
 		f.covl.Add(overlap)
 	}
-	if err := f.funnel(aggErr, nil, "read"); err != nil {
+	if err := funnel(f.rank, aggErr, "read"); err != nil {
 		return 0, err
 	}
-	n := int(segsBytes(segs))
-	f.observeTune(int64(n))
-	return n, nil
+	return int(segsBytes(segs)), nil
 }
 
-// funnel runs the closing allreduce every rank must reach and turns the
-// reduced flag into this rank's error.
-func (f *File) funnel(aggErr, localErr error, op string) error {
+// funnel runs the closing allreduce every rank must reach: the
+// collective op succeeded everywhere or failed everywhere. A rank that
+// failed keeps its own error; the others learn that one did.
+func funnel(r *mpi.Rank, err error, op string) error {
 	var flag int64
-	if aggErr != nil || localErr != nil {
+	if err != nil {
 		flag = 1
 	}
-	if f.rank.AllreduceInt64(flag, mpi.OpMax) != 0 {
-		switch {
-		case aggErr != nil:
-			return aggErr
-		case localErr != nil:
-			return localErr
-		default:
-			return fmt.Errorf("mpiio: collective %s failed on another rank", op)
-		}
+	if r.AllreduceInt64(flag, mpi.OpMax) != 0 && err == nil {
+		return fmt.Errorf("mpiio: collective %s failed on another rank", op)
 	}
-	return nil
+	return err
 }

@@ -263,7 +263,7 @@ func TestPipelinedAggregatorFaultNoDeadlock(t *testing.T) {
 	var allow atomic.Int64
 	allow.Store(1) // round 0 flushes, round 1 faults
 	hints := DefaultHints()
-	hints.CBRounds = 4
+	hints.CBBufferSize = block // 4 rounds over the 16 KiB extent
 	errs := make([]error, ranks)
 	err := mpi.Run(ranks, ppn, func(r *mpi.Rank) {
 		fh, err := Open(r, faultDriver{NewUFS(posix.NewDispatch(mem)), &allow},
@@ -335,7 +335,7 @@ func TestReadAllAggregatorFaultNoDeadlock(t *testing.T) {
 		t.Fatal(seedErr)
 	}
 	hints := DefaultHints()
-	hints.CBRounds = 4
+	hints.CBBufferSize = block // 4 rounds over the 16 KiB extent
 	errs := make([]error, ranks)
 	err := mpi.Run(ranks, ppn, func(r *mpi.Rank) {
 		fh, err := Open(r, readFaultDriver{NewUFS(posix.NewDispatch(mem))},
@@ -391,7 +391,7 @@ func TestCollectivePathDifferential(t *testing.T) {
 		tune func(*Hints)
 	}{
 		{"pipelined", func(h *Hints) {}},
-		{"pipelined-r3-a2", func(h *Hints) { h.CBRounds = 3; h.CBAggregators = 2 }},
+		{"pipelined-odd-cb-a2", func(h *Hints) { h.CBBufferSize = 3*block + 7; h.CBAggregators = 2 }},
 		{"pipelined-small-cb", func(h *Hints) { h.CBBufferSize = 2 * block }},
 		{"independent", func(h *Hints) { h.CollectiveBuffering = false }},
 	}

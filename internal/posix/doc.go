@@ -15,8 +15,8 @@
 // is decided by a Layout — a pure function of (path, N), so every
 // instance over the same backend list agrees on placement without any
 // coordination, exactly as PLFS mounts agree on hostdir placement.
-// Layouts are registered by name (RegisterLayout) and selected by
-// descriptor string, the form persisted inside a container:
+// There are two layouts, selected by descriptor string, the form
+// persisted inside a container:
 //
 //   - "mod-n" (default): hostdir.K lives on backend K mod N; canonical
 //     paths (container markers, meta/, openhosts/) live on backend 0.

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Layout decides which backends hold each path of a striped container.
@@ -102,77 +100,32 @@ func (l ReplicaLayout) Replicas(path string, n int) []int {
 	return out
 }
 
-// layoutBuilder constructs a layout from the descriptor's argument
-// part ("" when the descriptor is the bare registered name).
-type layoutBuilder func(arg string) (Layout, error)
-
-var (
-	layoutMu       sync.Mutex
-	layoutRegistry = map[string]layoutBuilder{}
-)
-
-// RegisterLayout adds a layout family to the registry under name. A
-// descriptor "name" or "name-ARG" resolves to build("") or build(ARG).
-// Registering a duplicate name panics — layouts are part of the on-disk
-// container identity, so two packages silently fighting over one name
-// would corrupt placement.
-func RegisterLayout(name string, build layoutBuilder) {
-	layoutMu.Lock()
-	defer layoutMu.Unlock()
-	if _, dup := layoutRegistry[name]; dup {
-		panic("posix: duplicate layout " + name)
+// ParseLayout resolves a descriptor string, "NAME" or "NAME-ARG", to one
+// of the two layouts. The empty descriptor means the default mod-N
+// layout. The argument is what follows the last dash, unless the whole
+// string is itself a name ("mod-n" contains one).
+func ParseLayout(desc string) (Layout, error) {
+	if desc == "" {
+		return ModNLayout{}, nil
 	}
-	layoutRegistry[name] = build
-}
-
-func init() {
-	RegisterLayout("mod-n", func(arg string) (Layout, error) {
+	name, arg := desc, ""
+	if i := strings.LastIndex(desc, "-"); i > 0 && desc != "mod-n" {
+		name, arg = desc[:i], desc[i+1:]
+	}
+	switch name {
+	case "mod-n":
 		if arg != "" {
 			return nil, fmt.Errorf("layout mod-n takes no argument, got %q", arg)
 		}
 		return ModNLayout{}, nil
-	})
-	RegisterLayout("replica", func(arg string) (Layout, error) {
+	case "replica":
 		r, err := strconv.Atoi(arg)
 		if err != nil || r < 1 {
 			return nil, fmt.Errorf("layout replica-R needs a positive replica count, got %q", arg)
 		}
 		return ReplicaLayout{R: r}, nil
-	})
-}
-
-// ParseLayout resolves a descriptor string against the registry. The
-// empty descriptor means the default mod-N layout. "name-ARG" splits at
-// the last dash when the bare string is not itself a registered name.
-func ParseLayout(desc string) (Layout, error) {
-	if desc == "" {
-		return ModNLayout{}, nil
 	}
-	layoutMu.Lock()
-	build, ok := layoutRegistry[desc]
-	if !ok {
-		if i := strings.LastIndex(desc, "-"); i > 0 {
-			if b, ok2 := layoutRegistry[desc[:i]]; ok2 {
-				layoutMu.Unlock()
-				return b(desc[i+1:])
-			}
-		}
-		layoutMu.Unlock()
-		return nil, fmt.Errorf("unknown layout %q (registered: %s)", desc, layoutNames())
-	}
-	layoutMu.Unlock()
-	return build("")
-}
-
-// layoutNames returns the sorted registered names for error messages.
-// Caller holds layoutMu.
-func layoutNames() string {
-	names := make([]string, 0, len(layoutRegistry))
-	for n := range layoutRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return nil, fmt.Errorf("unknown layout %q (known: mod-n, replica-R)", desc)
 }
 
 // LayoutFor parses desc and validates it against a backend count: a

@@ -120,7 +120,7 @@ func TestLayoutParseRejections(t *testing.T) {
 		{"replica-3", 3, ""},
 		{"replica-4", 3, "needs 4 backends, have 3"},
 		{"replica-0", 3, "positive replica count"},
-		{"replica--1", 3, "unknown layout"}, // splits at the last dash: family "replica-" is unregistered
+		{"replica--1", 3, "unknown layout"}, // splits at the last dash: "replica-" is not a layout name
 		{"replica-x", 3, "positive replica count"},
 		{"replica-", 3, "positive replica count"},
 		{"mod-n-2", 3, "takes no argument"},

@@ -7,9 +7,8 @@
 // The controller is deliberately generic: a knob is a name, an
 // ascending ladder of candidate values (whose ends are the hard
 // bounds) and an Apply function; the throughput signal is a cumulative
-// byte counter. Two users in this repository: mpiio steers its cb_*
-// collective-buffering knobs with it when Hints.AutoTune is set, and
-// the service's QoS governor steers background tenants' rate caps.
+// byte counter. One user in this repository: the service's QoS governor
+// steers background tenants' rate caps with it.
 //
 // Operation: the data path calls Tick after each operation (a nil-ish
 // fast path — two atomic loads — until a window's worth of bytes has
