@@ -43,8 +43,9 @@ func (o EngineOptions) applyOption(c *Config) { c.Engine = o }
 // caches and the flattened-record lifecycle.
 type IndexOptions struct {
 	// MaxReadFDs caps the shared cache of read-only data-dropping
-	// descriptors (0 = readcache.DefaultMaxFDs). Wide containers with
-	// thousands of historical writers stay bounded.
+	// descriptors (0 = readcache.DefaultMaxFDs), pinned by reads in
+	// flight and idle together: a read of a container with thousands of
+	// historical writers holds no more than this at once.
 	MaxReadFDs int
 
 	// MaxCachedIndexes caps how many containers keep a cached merged

@@ -33,7 +33,21 @@
 // (lockWriter), lands payload with positional writes and buffers index
 // records per writer. Their fan-out, batch depth and index group-flush
 // threshold are fixed when the instance is built (FS.workers,
-// batchDepth, indexBatch); nothing selects a different path.
+// batchDepth, indexBatch); nothing selects a different path. Whether a
+// gather's batches run inline or across the pool is not a setting
+// either: the instance keeps a running mean of what a batch costs on
+// its backend and fans out only where a batch outlasts the hand-off
+// (runBatches).
+//
+// The read descriptors follow one rule: a plan pins what it reads; the
+// cache evicts only idle descriptors, oldest plan first. So a gather
+// reads a dropping through one descriptor held from that dropping's
+// first pread to its last and never closes one it has yet to read
+// through; a plan wider than the shared cache's cap
+// (readcache.FDCache, IndexOptions.MaxReadFDs) goes a round at a time,
+// cached droppings first, so the cap bounds what a read holds however
+// wide the container, and a scan reopens only what it is over the cap
+// by.
 //
 // # Handles
 //
@@ -98,6 +112,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ldplfs/internal/iostats"
 	idx "ldplfs/internal/plfs/index"
@@ -164,6 +179,10 @@ type FS struct {
 	batchDepth int
 	indexBatch int
 
+	// gather is what the read engine has observed of this backend's
+	// per-batch latency — what decides inline or pooled (runBatches).
+	gather gatherState
+
 	// stats is the instance's engine telemetry layer (nil = off).
 	stats *iostats.LayerStats
 }
@@ -207,6 +226,11 @@ func New(backend posix.FS, opts ...Option) *FS {
 	}
 	p.initTelemetry()
 	p.cache = readcache.NewIndexCache(cfg.Index.MaxCachedIndexes, p.cacheLayer)
+	p.gather = gatherState{
+		now:    time.Now,
+		serial: p.cacheLayer.Counter("gathers_serial"),
+		pooled: p.cacheLayer.Counter("gathers_pooled"),
+	}
 	return p
 }
 

@@ -1,22 +1,37 @@
 package readcache
 
 import (
+	"errors"
 	"sync"
 
 	"ldplfs/internal/posix"
 )
 
-// DefaultMaxFDs bounds the number of cached read descriptors. Wide
-// containers (thousands of historical writers) would otherwise pin one
-// fd per data dropping for as long as any reader exists.
+// DefaultMaxFDs bounds the number of open read descriptors, in use and
+// cached. Wide containers (thousands of historical writers) would
+// otherwise hold one fd per data dropping, during a read and for as
+// long as any reader exists.
 const DefaultMaxFDs = 128
 
-// FDCache is a size-capped, reference-counted cache of read-only file
-// descriptors keyed by backend path. Concurrent readers of one data
-// dropping share a single descriptor (positional Pread carries no file
-// pointer, so sharing is safe — see posix.FS); eviction of a descriptor
-// that is still mid-pread is deferred until its last reference is
-// released. All methods are safe for concurrent use.
+// FDCache is a size-capped cache of read-only file descriptors keyed by
+// backend path, pinned a plan at a time: a scatter-gather hands Pin the
+// distinct droppings it is about to read, preads through the
+// descriptors it gets back and hands them all to Unpin when it is done.
+// Concurrent plans over one dropping share its descriptor (positional
+// Pread carries no file pointer, so sharing is safe — see posix.FS).
+//
+// Only idle descriptors — pinned by no plan — are ever evicted, least
+// recently unpinned first, so recency is per plan and a plan never
+// closes one of its own droppings to admit another. The cap bounds what
+// is open, pinned and idle together: a plan wider than the room the cap
+// leaves it is pinned a round at a time (Pin reports that there is
+// more), cached droppings first, so a cyclic scan of N > cap droppings
+// still opens only N - cap a pass. The one excess is for progress: a
+// round that finds every slot pinned by other plans opens a single
+// descriptor over the cap, so the cache holds at most cap + plans in
+// flight - 1. A descriptor dropped (DropPrefix) while pinned stays
+// open, and counted, until its last Unpin. All methods are safe for
+// concurrent use.
 //
 // Multi-backend instances hand the cache their striped composite
 // (posix.StripedFS): a dropping's path names exactly one backend under
@@ -28,16 +43,21 @@ type FDCache struct {
 	max int
 
 	mu      sync.Mutex
-	entries map[string]*fdEntry
-	tick    uint64
+	entries map[string]*fdEntry // live descriptors, pinned and idle
+	idle    fdEntry             // sentinel of the idle ring: idle.next is the LRU
+	nidle   int                 // descriptors on the idle ring
+	held    int                 // descriptors pinned by plans, plus slots reserved for opens under way
 }
 
 type fdEntry struct {
-	path    string
-	fd      int
-	refs    int
-	lastUse uint64
-	dead    bool // evicted or dropped; close when refs reaches zero
+	path string
+	fd   int
+	refs int  // plans holding the descriptor; 0 = on the idle ring
+	dead bool // dropped while pinned; closes when refs reaches zero
+
+	// Idle-ring links, nil while pinned; next alone chains entries that
+	// have left the cache on their way to Close.
+	prev, next *fdEntry
 }
 
 // NewFDCache returns a cache over fs holding at most max descriptors
@@ -46,133 +66,190 @@ func NewFDCache(fs posix.FS, max int) *FDCache {
 	if max <= 0 {
 		max = DefaultMaxFDs
 	}
-	return &FDCache{fs: fs, max: max, entries: make(map[string]*fdEntry)}
+	c := &FDCache{fs: fs, max: max, entries: make(map[string]*fdEntry)}
+	c.idle.prev, c.idle.next = &c.idle, &c.idle
+	return c
 }
 
-// Ref is an outstanding reference to a cached descriptor, returned by
-// AcquireRef. It is a plain value — acquiring and releasing through it
-// allocates nothing, which is why the read engine's warm path uses it
-// instead of Acquire's closure. Release exactly once; the zero Ref
-// releases as a no-op.
-type Ref struct {
-	c *FDCache
-	e *fdEntry
+// Pin is one dropping of a plan. While Live, FD is valid until the
+// Unpin that returns it, whatever the cache evicts or drops meanwhile —
+// or Err says why the dropping could not be opened. Neither Live nor
+// done, it waits for a later round.
+type Pin struct {
+	FD   int
+	Err  error
+	e    *fdEntry
+	done bool // read in an earlier round of its plan
 }
 
-// Release drops the reference. Unlike Acquire's closure it is not
-// idempotent: releasing the same Ref twice corrupts the refcount.
-func (r Ref) Release() {
-	if r.c == nil {
-		return
-	}
-	c := r.c
+// Live reports whether the last Pin call settled this dropping, with a
+// descriptor or with an error: its batches are this round's to run.
+func (p *Pin) Live() bool { return p.e != nil || p.Err != nil }
+
+// Pin starts a round of a plan over paths (distinct, len(pins) ==
+// len(paths), pins zeroed before the first round). Every cached
+// descriptor the plan has not read through yet is taken first, under one
+// lock hold; then as many of the others are opened as the cap has room
+// for — one at least when nothing was cached, so every round reads
+// something. A failed open is reported in its Pin alone, except that a
+// process out of descriptors (EMFILE with every idle one given back)
+// only ends a round that already holds something to read through. more
+// reports droppings left for another round: hand the pins to Unpin,
+// errors included, and call Pin again.
+func (c *FDCache) Pin(paths []string, pins []Pin) (more bool) {
+	got, misses := 0, 0
 	c.mu.Lock()
-	r.e.refs--
-	var victims []int
-	if r.e.refs == 0 {
-		if r.e.dead {
-			victims = append(victims, r.e.fd)
+	for i, path := range paths {
+		if pins[i].done {
+			continue
 		}
-		if len(c.entries) > c.max {
-			// The cache was pushed over its cap while every entry was
-			// pinned; this release may be the one that frees a slot.
-			victims = append(victims, c.evictLocked()...)
+		if e := c.entries[path]; e != nil {
+			pins[i] = Pin{FD: c.pinLocked(e), e: e}
+			got++
+		} else {
+			misses++
 		}
 	}
+	room := c.max - c.held
+	if got == 0 {
+		room = max(room, 1)
+	}
+	take := max(min(misses, room), 0)
+	c.held += take // reserved: the idle descriptors make way before the opens
+	victims := c.evictLocked(c.max, nil)
 	c.mu.Unlock()
-	for _, fd := range victims {
-		c.fs.Close(fd)
-	}
-}
+	c.closeAll(victims)
 
-// Acquire returns a read-only descriptor for path, opening it on first
-// use, and a release function that must be called when the caller's
-// pread is done. The descriptor stays valid until release is called even
-// if the entry is evicted or dropped concurrently. The release closure
-// is idempotent; callers on an allocation-sensitive path should use
-// AcquireRef instead.
-func (c *FDCache) Acquire(path string) (int, func(), error) {
-	fd, ref, err := c.AcquireRef(path)
-	if err != nil {
-		return -1, nil, err
-	}
-	var once sync.Once
-	return fd, func() { once.Do(ref.Release) }, nil
-}
-
-// AcquireRef is Acquire returning a value-type reference instead of a
-// release closure — zero allocations on a cache hit.
-func (c *FDCache) AcquireRef(path string) (int, Ref, error) {
-	c.mu.Lock()
-	if e := c.entries[path]; e != nil && !e.dead {
-		c.tick++
-		e.refs++
-		e.lastUse = c.tick
+	more = misses > take
+	for i := 0; take > 0; i++ {
+		if pins[i].done || pins[i].e != nil {
+			continue
+		}
+		fd, err := c.open(paths[i])
+		c.mu.Lock()
+		if got > 0 && errors.Is(err, posix.EMFILE) {
+			c.held -= take
+			c.mu.Unlock()
+			return true
+		}
+		take--
+		c.held-- // the reservation: pinLocked counts the descriptor itself
+		if err != nil {
+			pins[i].Err = err
+			c.mu.Unlock()
+			continue
+		}
+		e := c.entries[paths[i]]
+		if e == nil {
+			e = &fdEntry{path: paths[i], fd: fd}
+			c.entries[paths[i]] = e
+		}
+		pins[i] = Pin{FD: c.pinLocked(e), e: e}
+		got++
 		c.mu.Unlock()
-		return e.fd, Ref{c, e}, nil
+		if e.fd != fd {
+			// Another plan opened the same dropping while we did; share
+			// its descriptor and discard ours.
+			c.fs.Close(fd)
+		}
 	}
-	c.mu.Unlock()
-
-	fd, err := c.fs.Open(path, posix.O_RDONLY, 0)
-	if err != nil {
-		return -1, Ref{}, err
-	}
-
-	c.mu.Lock()
-	if e := c.entries[path]; e != nil && !e.dead {
-		// Another goroutine opened the same dropping while we did; use
-		// the cached descriptor and discard ours.
-		c.tick++
-		e.refs++
-		e.lastUse = c.tick
-		c.mu.Unlock()
-		c.fs.Close(fd)
-		return e.fd, Ref{c, e}, nil
-	}
-	c.tick++
-	e := &fdEntry{path: path, fd: fd, refs: 1, lastUse: c.tick}
-	c.entries[path] = e
-	victims := c.evictLocked()
-	c.mu.Unlock()
-
-	for _, v := range victims {
-		c.fs.Close(v)
-	}
-	return e.fd, Ref{c, e}, nil
+	return more
 }
 
-// evictLocked enforces the cap: unreferenced entries are removed
-// oldest-first and their fds returned for closing. Entries pinned by
-// in-flight preads cannot be evicted, so the cache may transiently
-// exceed its cap under extreme fan-out; the release that unpins one
-// re-runs eviction. Caller holds c.mu.
-func (c *FDCache) evictLocked() []int {
-	var victims []int
-	for len(c.entries) > c.max {
-		var victim *fdEntry
-		for _, e := range c.entries {
-			if e.refs > 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim = e
-			}
+// Unpin ends a round: it releases every descriptor the Pin call
+// returned and marks those droppings done. Descriptors no other plan
+// holds go idle in pin order, behind those of every round that finished
+// earlier, and the cache is within its cap again.
+func (c *FDCache) Unpin(pins []Pin) {
+	var victims *fdEntry
+	c.mu.Lock()
+	for i := range pins {
+		e := pins[i].e
+		if !pins[i].Live() {
+			continue
 		}
-		if victim == nil {
-			break // every entry is pinned
+		pins[i] = Pin{done: true}
+		if e == nil {
+			continue
 		}
-		delete(c.entries, victim.path)
-		victims = append(victims, victim.fd)
+		if e.refs--; e.refs > 0 {
+			continue
+		}
+		c.held--
+		if e.dead {
+			e.next, victims = victims, e
+			continue
+		}
+		e.prev, e.next = c.idle.prev, &c.idle
+		e.prev.next, c.idle.prev = e, e
+		c.nidle++
+	}
+	victims = c.evictLocked(c.max, victims)
+	c.mu.Unlock()
+	c.closeAll(victims)
+}
+
+// pinLocked takes a reference on e, lifting it off the idle ring if it
+// was there. Caller holds c.mu.
+func (c *FDCache) pinLocked(e *fdEntry) int {
+	if e.next != nil {
+		c.unlinkLocked(e)
+	}
+	if e.refs == 0 {
+		c.held++
+	}
+	e.refs++
+	return e.fd
+}
+
+func (c *FDCache) unlinkLocked(e *fdEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	c.nidle--
+}
+
+// evictLocked removes idle entries, least recently unpinned first,
+// until at most keep descriptors are open or spoken for, or nothing is
+// idle, and returns them chained ahead of victims, for closeAll. Caller
+// holds c.mu.
+func (c *FDCache) evictLocked(keep int, victims *fdEntry) *fdEntry {
+	for c.held+c.nidle > keep && c.nidle > 0 {
+		e := c.idle.next
+		c.unlinkLocked(e)
+		delete(c.entries, e.path)
+		e.next, victims = victims, e
 	}
 	return victims
 }
 
+// closeAll closes a chain of entries that have left the cache.
+func (c *FDCache) closeAll(victims *fdEntry) {
+	for e := victims; e != nil; e = e.next {
+		c.fs.Close(e.fd)
+	}
+}
+
+// open opens path read-only. EMFILE means the process is out of
+// descriptors, not that the dropping is out of reach: every idle
+// descriptor is given back and the open tried once more.
+func (c *FDCache) open(path string) (int, error) {
+	fd, err := c.fs.Open(path, posix.O_RDONLY, 0)
+	if errors.Is(err, posix.EMFILE) {
+		c.mu.Lock()
+		victims := c.evictLocked(0, nil)
+		c.mu.Unlock()
+		c.closeAll(victims)
+		fd, err = c.fs.Open(path, posix.O_RDONLY, 0)
+	}
+	return fd, err
+}
+
 // DropPrefix invalidates every entry whose path starts with prefix —
 // called when a container's droppings are deleted (truncate-to-zero,
-// unlink, rename) or its last open handle closes. Unpinned descriptors
-// close immediately; pinned ones close on their final release.
+// unlink, rename) or its last open handle closes. Idle descriptors
+// close immediately; pinned ones close on their final Unpin.
 func (c *FDCache) DropPrefix(prefix string) {
-	var toClose []int
+	var victims *fdEntry
 	c.mu.Lock()
 	for p, e := range c.entries {
 		if len(p) < len(prefix) || p[:len(prefix)] != prefix {
@@ -181,13 +258,12 @@ func (c *FDCache) DropPrefix(prefix string) {
 		delete(c.entries, p)
 		e.dead = true
 		if e.refs == 0 {
-			toClose = append(toClose, e.fd)
+			c.unlinkLocked(e)
+			e.next, victims = victims, e
 		}
 	}
 	c.mu.Unlock()
-	for _, fd := range toClose {
-		c.fs.Close(fd)
-	}
+	c.closeAll(victims)
 }
 
 // Len returns the number of cached (live) descriptors.

@@ -18,16 +18,45 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"ldplfs/internal/iostats"
 	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/plfs/readcache"
 	"ldplfs/internal/posix"
 )
 
-// defaultWorkerCap bounds the engines' fan-out: beyond ~8 concurrent
-// preads the backends in this repository stop scaling (MemFS serializes
-// internally; OSFS saturates the page cache's memcpy bandwidth).
+// defaultWorkerCap bounds the engines' fan-out. A pool overlaps waits,
+// so what it buys depends on the backend: OSFS stops scaling near 8
+// concurrent preads, where the page cache's memcpy bandwidth saturates,
+// and a service-limited backend scales with its service slots. MemFS
+// copies under one mutex and never scales at all — fan-out over it is
+// pure hand-off cost, which is why the gather measures before it fans
+// out (serialBelow).
 const defaultWorkerCap = 8
+
+// serialBelow is the mean per-batch latency under which a gather runs
+// its batches inline instead of through the pool: handing a batch to a
+// worker costs a few microseconds, so a pool only pays when a batch
+// outlasts that. Measured: about 1.5 us on cold_open_wide (MemFS
+// copying a few records), 37-40 us on n1_strided_shim (a 128 KiB
+// preadv), 400 us and up on the service-limited rig — the one place the
+// pool pays; 10 us parts the first from the rest. gateway_mixed's 1 KiB
+// preads read 11-18 us from inside a busy process, and measure the
+// same either way.
+const serialBelow = 10 * time.Microsecond
+
+// gatherState is what an instance has learnt about its backend's read
+// latency, and how its gathers ran as a result.
+type gatherState struct {
+	// batchNs is the running mean (1/8 per round) of one batch's latency;
+	// 0 = nothing observed yet. Load, then Store: concurrent plans may
+	// overwrite each other's sample, which costs the mean one observation.
+	batchNs atomic.Int64
+	now     func() time.Time // time.Now; tests inject a clock their backend advances
+	serial  *iostats.Counter // multi-batch rounds run inline
+	pooled  *iostats.Counter // multi-batch rounds run through the pool
+}
 
 func defaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)
@@ -290,24 +319,30 @@ type readBatch struct {
 	total int64 // byte span of the batch
 	off   int   // first slot in plan.bufs / plan.slotJob
 	n     int   // segment count
+	pin   int   // the dropping's slot in plan.pins
 }
 
 // readPlan is the reusable scratch of one scatter-gather: extents,
-// jobs, batch layout and per-batch error state. Plans are pooled so a
-// warm read allocates nothing; every slice keeps its capacity across
-// uses and buffer references are cleared on release so pooled plans
-// never pin caller memory.
+// jobs, batch layout, the plan's pinned descriptors and per-batch error
+// state. Plans are pooled so a warm read allocates nothing; every slice
+// keeps its capacity across uses, and buffer, path and descriptor
+// references are cleared on release so pooled plans pin neither caller
+// memory nor descriptors.
 type readPlan struct {
 	extents  []idx.Extent
 	jobs     []readJob
 	jobBatch []int // batch index per job
 	batches  []readBatch
-	bufs     [][]byte // batch-contiguous segment buffers
-	slotJob  []int    // job index per buffer slot
-	fill     []int    // per-batch slot cursor during layout
-	errs     []error  // per-batch error (nil = batch succeeded)
-	errOffs  []int64  // per-batch lowest failing logical offset
-	open     map[uint32]int
+	bufs     [][]byte        // batch-contiguous segment buffers
+	slotJob  []int           // job index per buffer slot
+	fill     []int           // per-batch slot cursor during layout
+	errs     []error         // per-batch error (nil = batch succeeded)
+	errOffs  []int64         // per-batch lowest failing logical offset
+	open     map[uint32]int  // newest batch per dropping during layout
+	paths    []string        // distinct droppings the plan reads...
+	pins     []readcache.Pin // ...and the descriptors it holds on them
+	round    []int           // the batches whose droppings are pinned now
+	seen     time.Duration   // the batch latency this plan observed (runBatches)
 }
 
 var readPlanPool = sync.Pool{New: func() any { return new(readPlan) }}
@@ -324,6 +359,8 @@ func (plan *readPlan) release() {
 	for i := range plan.errs {
 		plan.errs[i] = nil
 	}
+	clear(plan.paths)
+	plan.paths = plan.paths[:0]
 	plan.extents = plan.extents[:0]
 	plan.jobs = plan.jobs[:0]
 	plan.jobBatch = plan.jobBatch[:0]
@@ -333,39 +370,13 @@ func (plan *readPlan) release() {
 	readPlanPool.Put(plan)
 }
 
-// growInts resizes s to n zeroed elements, reusing its capacity.
-func growInts(s []int, n int) []int {
+// grow resizes s to n zeroed elements, reusing its capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growInt64s resizes s to n zeroed elements, reusing its capacity.
-func growInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growErrs resizes s to n nil elements, reusing its capacity.
-func growErrs(s []error, n int) []error {
-	if cap(s) < n {
-		return make([]error, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
+	clear(s)
 	return s
 }
 
@@ -408,15 +419,20 @@ func (p *FS) scatterGather(f *File, segs []ReadSeg, index *idx.Index) (int64, er
 		return covered, nil
 	}
 
-	p.planBatches(plan)
-
-	nb := len(plan.batches)
-	if p.workers <= 1 || nb == 1 {
+	p.planBatches(f, plan)
+	plan.pins = grow(plan.pins, len(plan.paths))
+	for more := true; more; {
+		// One round unless the plan is wider than the descriptor cap has
+		// room for: then the cached droppings first, the rest as they fit.
+		more = p.fds.Pin(plan.paths, plan.pins)
+		plan.round = plan.round[:0]
 		for bi := range plan.batches {
-			p.readBatch(f, plan, bi)
+			if plan.pins[plan.batches[bi].pin].Live() {
+				plan.round = append(plan.round, bi)
+			}
 		}
-	} else {
-		runParallel(nb, p.workers, func(bi int) { p.readBatch(f, plan, bi) })
+		p.runBatches(plan)
+		p.fds.Unpin(plan.pins)
 	}
 
 	first := -1
@@ -446,31 +462,89 @@ func (p *FS) scatterGather(f *File, segs []ReadSeg, index *idx.Index) (int64, er
 	return prefix, plan.errs[first]
 }
 
+// runBatches issues the batches of one round, inline or through the
+// worker pool. Fan-out pays only when a batch outlasts the hand-off to a
+// worker, which depends on the backend and not on the plan, so every
+// round that has the choice feeds the instance's running per-batch mean
+// (two clock reads) and runs inline once that mean is known to be under
+// serialBelow. Nothing observed yet means pooled: a slow backend never
+// pays for a serial first plan. An inline round observes its wall clock
+// over its batches; a pooled round's wall clock says as much about the
+// pool as about the backend, so it times its first batch where it runs —
+// unless that batch failed: one that never reached the backend (its
+// open failed) says nothing about it.
+func (p *FS) runBatches(plan *readPlan) {
+	nb := len(plan.round)
+	if nb == 1 || p.workers <= 1 {
+		for _, bi := range plan.round {
+			p.readBatch(plan, bi)
+		}
+		return
+	}
+	g := &p.gather
+	mean := g.batchNs.Load()
+	if mean != 0 && mean < int64(serialBelow) {
+		g.serial.Add(1)
+		start := g.now()
+		for _, bi := range plan.round {
+			p.readBatch(plan, bi)
+		}
+		plan.seen = g.now().Sub(start) / time.Duration(nb)
+	} else {
+		g.pooled.Add(1)
+		runParallel(nb, p.workers, func(i int) {
+			if i != 0 {
+				p.readBatch(plan, plan.round[i])
+				return
+			}
+			start := g.now()
+			p.readBatch(plan, plan.round[0])
+			plan.seen = g.now().Sub(start)
+		})
+		if plan.errs[plan.round[0]] != nil {
+			return
+		}
+	}
+	sample := max(int64(plan.seen), 1)
+	if mean != 0 {
+		sample = mean + (sample-mean)/8
+	}
+	g.batchNs.Store(sample)
+}
+
 // planBatches groups the plan's jobs into coalesced submissions: a
 // job extends a dropping's open batch while it continues that batch's
 // physical run and the batch is under the depth bound, and starts a
-// fresh batch otherwise. A second pass lays the segments out batch-
-// contiguously in the shared buffer vector so every batch's slice is
-// ready for one Preadv.
-func (p *FS) planBatches(plan *readPlan) {
+// fresh batch otherwise — on the pin slot of the dropping's earlier
+// batches, or on a new one for a dropping the plan has not met. A
+// second pass lays the segments out batch-contiguously in the shared
+// buffer vector so every batch's slice is ready for one Preadv.
+func (p *FS) planBatches(f *File, plan *readPlan) {
 	depth := p.batchDepth
 	if plan.open == nil {
 		plan.open = make(map[uint32]int, 16)
 	}
 	clear(plan.open)
 	for _, j := range plan.jobs {
-		if bi, ok := plan.open[j.x.Pid]; ok && depth > 1 {
-			b := &plan.batches[bi]
+		prev, seen := plan.open[j.x.Pid]
+		if seen && depth > 1 {
+			b := &plan.batches[prev]
 			if b.n < depth && b.phys+b.total == j.x.PhysicalOffset {
 				b.n++
 				b.total += j.x.Length
-				plan.jobBatch = append(plan.jobBatch, bi)
+				plan.jobBatch = append(plan.jobBatch, prev)
 				continue
 			}
 		}
+		pin := len(plan.paths)
+		if seen {
+			pin = plan.batches[prev].pin
+		} else {
+			plan.paths = append(plan.paths, f.dataPath(j.x.Pid))
+		}
 		bi := len(plan.batches)
 		plan.batches = append(plan.batches, readBatch{
-			pid: j.x.Pid, phys: j.x.PhysicalOffset, total: j.x.Length, n: 1,
+			pid: j.x.Pid, phys: j.x.PhysicalOffset, total: j.x.Length, n: 1, pin: pin,
 		})
 		plan.open[j.x.Pid] = bi
 		plan.jobBatch = append(plan.jobBatch, bi)
@@ -485,10 +559,10 @@ func (p *FS) planBatches(plan *readPlan) {
 		plan.bufs = make([][]byte, slots)
 	}
 	plan.bufs = plan.bufs[:slots]
-	plan.slotJob = growInts(plan.slotJob, slots)
-	plan.fill = growInts(plan.fill, len(plan.batches))
-	plan.errs = growErrs(plan.errs, len(plan.batches))
-	plan.errOffs = growInt64s(plan.errOffs, len(plan.batches))
+	plan.slotJob = grow(plan.slotJob, slots)
+	plan.fill = grow(plan.fill, len(plan.batches))
+	plan.errs = grow(plan.errs, len(plan.batches))
+	plan.errOffs = grow(plan.errOffs, len(plan.batches))
 	for ji, j := range plan.jobs {
 		bi := plan.jobBatch[ji]
 		slot := plan.batches[bi].off + plan.fill[bi]
@@ -498,26 +572,23 @@ func (p *FS) planBatches(plan *readPlan) {
 	}
 }
 
-// readBatch issues one batch through the shared read-fd cache: a lone
-// segment as a scalar pread (byte- and op-identical to the pre-batch
-// engine), a multi-segment batch as one vectored pread.
-func (p *FS) readBatch(f *File, plan *readPlan, bi int) {
+// readBatch issues one batch through the descriptor the plan holds on
+// its dropping: a lone segment as a scalar pread (byte- and op-identical
+// to the pre-batch engine), a multi-segment batch as one vectored pread.
+func (p *FS) readBatch(plan *readPlan, bi int) {
 	b := plan.batches[bi]
-	fd, ref, err := p.fds.AcquireRef(f.dataPath(b.pid))
-	if err != nil {
-		plan.failBatch(bi, 0, fmt.Errorf("plfs: open data dropping for read: %w", err))
+	pin := &plan.pins[b.pin]
+	if pin.Err != nil {
+		plan.failBatch(bi, 0, fmt.Errorf("plfs: open data dropping for read: %w", pin.Err))
 		return
 	}
 	if b.n == 1 {
-		err = posix.ReadFull(p.backend, fd, plan.bufs[b.off], b.phys)
-		ref.Release()
-		if err != nil {
+		if err := posix.ReadFull(p.backend, pin.FD, plan.bufs[b.off], b.phys); err != nil {
 			plan.failBatch(bi, 0, fmt.Errorf("plfs: read dropping (pid %d): %w", b.pid, err))
 		}
 		return
 	}
-	n, err := posix.Preadv(p.backend, fd, plan.bufs[b.off:b.off+b.n], b.phys)
-	ref.Release()
+	n, err := posix.Preadv(p.backend, pin.FD, plan.bufs[b.off:b.off+b.n], b.phys)
 	if err == nil && n < b.total {
 		err = fmt.Errorf("short read: want %d got %d", b.total, n)
 	}

@@ -398,8 +398,8 @@ func TestShortReadOnMidExtentError(t *testing.T) {
 func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	// 64 writers, fd cache capped at 8: the gather must succeed while
-	// never holding more than cap descriptors (plus in-flight pins).
+	// 64 writers, fd cache capped at 8: the gather succeeds eight
+	// droppings at a time and never holds more than the cap.
 	p := New(mem, EngineOptions{NumHostdirs: 8}, IndexOptions{MaxReadFDs: 8})
 	p.workers = 4
 	want := writeN1(t, p, "/backend/wide", 64, 2, 64)
@@ -411,8 +411,8 @@ func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	if n, err := f.Read(got, 0); err != nil || n != len(want) || !bytes.Equal(got, want) {
 		t.Fatalf("wide read = %d, %v", n, err)
 	}
-	if fds := p.CachedReadFDs(); fds > 8+4 {
-		t.Fatalf("cached read fds = %d, want bounded near cap 8", fds)
+	if fds := p.CachedReadFDs(); fds > 8 {
+		t.Fatalf("cached read fds = %d, want <= cap 8", fds)
 	}
 	f.Close(999)
 	// Last handle gone: the container's read fds are drained (plfs_close

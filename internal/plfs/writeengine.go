@@ -196,9 +196,9 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 
 	plan := writePlanPool.Get().(*writePlan)
 	defer plan.release()
-	plan.offs = growInt64s(plan.offs, len(segs))
-	plan.ns = growInts(plan.ns, len(segs))
-	plan.errs = growErrs(plan.errs, nchunks)
+	plan.offs = grow(plan.offs, len(segs))
+	plan.ns = grow(plan.ns, len(segs))
+	plan.errs = grow(plan.errs, nchunks)
 	if cap(plan.bufs) < len(segs) {
 		plan.bufs = make([][]byte, len(segs))
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // OSFS exposes a directory of the real operating-system file system through
@@ -112,6 +113,10 @@ func mapOSError(err error) error {
 		return EEXIST
 	case errors.Is(err, fs.ErrPermission):
 		return EACCES
+	case errors.Is(err, syscall.EMFILE):
+		// Recoverable, and the read-fd cache recovers from it by giving
+		// descriptors back — which it can only do if it can tell.
+		return EMFILE
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -88,6 +89,11 @@ func TestOSFSErrnoMapping(t *testing.T) {
 	fs.Close(fd)
 	if err := fs.Rmdir("/d"); !errors.Is(err, ENOTEMPTY) {
 		t.Fatalf("rmdir nonempty = %v", err)
+	}
+	// Out of descriptors is not provoked here (it would starve the test
+	// binary); what the OS would hand back must map.
+	if err := mapOSError(&os.PathError{Op: "open", Path: "/x", Err: syscall.EMFILE}); !errors.Is(err, EMFILE) {
+		t.Fatalf("EMFILE = %v", err)
 	}
 }
 
