@@ -1,7 +1,8 @@
 // Package bufpool enforces the PR 9 hot-path memory discipline in the
-// engine package: pooled buffers must go back to their pool, and the
-// scatter-gather/vectored-write hot functions must not allocate byte
-// slices per call.
+// engine package, the collective shuffle and the gateway wire: pooled
+// buffers must go back to their pool, and the scatter-gather,
+// vectored-write and frame hot functions must not allocate byte slices
+// per call.
 //
 // Two checks:
 //
@@ -33,9 +34,10 @@ import (
 	"ldplfs/internal/analysis"
 )
 
-// HotFuncs names the engine functions on the warm read/write path
-// whose per-call byte-slice allocations the alloc budgets forbid.
-// Additions to the hot path belong here too.
+// HotFuncs names the functions on the warm read/write path — the plfs
+// engines', the mpiio shuffle's and the gateway wire's — whose per-call
+// byte-slice allocations the alloc budgets forbid. Additions to the hot
+// path belong here too.
 var HotFuncs = map[string]bool{
 	"scatterGather": true,
 	"planBatches":   true,
@@ -52,6 +54,18 @@ var HotFuncs = map[string]bool{
 	"sortRefs":      true,
 	"flushArena":    true,
 	"fetchArena":    true,
+	// gateway wire: every frame of a data op crosses these, on buffers
+	// their connection owns (frameBuf.sized is the one grow-on-demand,
+	// and is deliberately not in this set).
+	"ReadHeader":  true,
+	"ReadInto":    true,
+	"ReadRest":    true,
+	"ReadFrame":   true,
+	"WriteFrame":  true,
+	"handleFrame": true,
+	"roundTrip":   true,
+	"Pread":       true,
+	"Pwrite":      true,
 }
 
 // Analyzer is the production instance.

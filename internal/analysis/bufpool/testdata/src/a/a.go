@@ -77,3 +77,27 @@ func coldSetup(n int) []byte {
 func planBatches(n int) [][]byte {
 	return make([][]byte, n)
 }
+
+// The gateway wire's shape. frameBuf is memory one connection reuses
+// frame after frame; sized is its grow-on-demand and the one place the
+// frame path may allocate — it is not in the hot set, so it passes.
+type frameBuf struct{ b []byte }
+
+func (f *frameBuf) sized(n int) []byte {
+	if n > cap(f.b) {
+		f.b = make([]byte, n)
+	}
+	return f.b[:n]
+}
+
+// A reply rendered in the connection's scratch: no finding.
+func ReadRest(in *frameBuf, n int) []byte {
+	return in.sized(n)
+}
+
+// Regression: the per-op reply buffer the gateway used to allocate —
+// four of these per 64 KiB op were 255 KB of garbage per round trip.
+func handleFrame(n int) []byte {
+	buf := make([]byte, n) // want `make\(\[\]byte, \.\.\.\) in engine hot-path handleFrame`
+	return buf
+}

@@ -82,11 +82,14 @@
 //
 // # bufpool — pooled buffers return to their pool; hot paths don't allocate
 //
-// Invariant: in ldplfs/internal/plfs, every (*sync.Pool).Get is paired
-// in the same function with a Put — deferred directly or through a
-// releasing helper that contains the Put (the plan.release idiom) —
-// and the engine's hot functions (scatterGather, planBatches,
-// readBatch, failBatch, writeV, writeData, pwriteAll) never
+// Invariant: in ldplfs/internal/plfs, ldplfs/internal/mpiio and
+// ldplfs/internal/service/..., every (*sync.Pool).Get is paired in the
+// same function with a Put — deferred directly or through a releasing
+// helper that contains the Put (the plan.release idiom) — and the hot
+// functions (bufpool.HotFuncs: the engine's scatterGather, planBatches,
+// readBatch, failBatch, writeV, writeData, pwriteAll; the collective
+// shuffle's per-round loop; the gateway wire's frame reads and writes,
+// handleFrame, and the client's roundTrip, Pread and Pwrite) never
 // make([]byte, ...) per call.
 //
 // History: the PR 9 zero-alloc rework moved the warm read/write paths
@@ -94,7 +97,11 @@
 // CI. Those budgets only watch the benchmarked paths; a leaked Get or
 // a fresh buffer on an unbenchmarked branch silently degrades pooling
 // back to per-call heap churn. The analyzer is the rule's durable
-// form; the alloc budget is its spot check.
+// form; the alloc budget is its spot check. The gateway wire joined in
+// PR 24: it had allocated four 64 KiB buffers per data op since it was
+// written, and now reads and renders frames in buffers each connection
+// owns — frameBuf.sized is the one grow-on-demand and stays outside
+// the hot set.
 //
 // # Running and suppressing
 //

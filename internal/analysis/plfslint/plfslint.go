@@ -9,8 +9,9 @@
 //     posix layer whose errnos it transports, and the daemon),
 //   - clockinject: the autotune controller and the QoS/gateway stage,
 //     which promise deterministic tests via injectable clocks,
-//   - bufpool: the engine package, whose warm read/write paths carry
-//     a zero-alloc budget and pooled-buffer hygiene rules.
+//   - bufpool: the engine package, the collective shuffle and the
+//     gateway wire (service and its client), whose warm read/write
+//     paths carry an alloc budget and pooled-buffer hygiene rules.
 package plfslint
 
 import (
@@ -48,6 +49,7 @@ func Checks() []analysis.Check {
 		{Analyzer: bufpool.Analyzer, Packages: []string{
 			"ldplfs/internal/plfs",
 			"ldplfs/internal/mpiio",
+			"ldplfs/internal/service/...",
 		}},
 	}
 }

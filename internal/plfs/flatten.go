@@ -8,8 +8,11 @@
 // record's embedded raw-dropping signature must match the droppings as
 // they are now and no writer may hold the container open — any newer raw
 // dropping or live writer silently demotes the read to the streaming
-// merge. The record is written atomically (temp + rename), so a crashed
-// flatten leaves at worst a dead temp file, never a half-record.
+// merge. The record is written atomically (temp + rename, under a temp
+// name no other flattener can share — see flattenedTemp), so a crashed
+// flatten leaves at worst a dead temp file that goes with the container,
+// and two last closers racing each other publish one whole record after
+// the other, never a half-record.
 package plfs
 
 import (
@@ -29,6 +32,19 @@ const flattenedPrefix = "index.flattened."
 
 func flattenedPath(container string, gen uint64) string {
 	return fmt.Sprintf("%s/%s%d", container, flattenedPrefix, gen)
+}
+
+// flattenedTemp names the temp file one flatten writes its record to
+// before renaming it over flattenedPath(container, gen). Ranks that
+// close at once each see no writer left and each flatten, to the same
+// generation; under a shared temp name the second's O_TRUNC open empties
+// what the first then renames into place. So the name carries the pid
+// whose close (or 0: whose command) started the flatten, this instance's
+// nonce, and a count of this instance's flattens: ranks differ in the
+// first, instances that share a pid in the second, one instance's
+// concurrent flattens in the third. parseFlattenedGen rejects it.
+func (p *FS) flattenedTemp(container string, gen uint64, pid uint32) string {
+	return fmt.Sprintf("%s.tmp.%d.%x.%d", flattenedPath(container, gen), pid, p.flattenNonce, p.flattens.Add(1))
 }
 
 // parseFlattenedGen extracts the generation from a flattened record file
@@ -151,12 +167,13 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 	if p.hasOpenWriters(path) {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: container has active writers", path)
 	}
-	return p.writeFlattened(path)
+	return p.writeFlattened(path, 0)
 }
 
 // writeFlattened performs the flatten: one streaming merge, one atomic
-// record write, old generations retired best-effort.
-func (p *FS) writeFlattened(path string) (FlattenedInfo, error) {
+// record write, old generations retired best-effort. pid is the closer
+// on whose behalf it runs (0 for a command).
+func (p *FS) writeFlattened(path string, pid uint32) (FlattenedInfo, error) {
 	droppings, flatGens, err := p.listIndexState(path)
 	if err != nil {
 		return FlattenedInfo{}, err
@@ -183,7 +200,7 @@ func (p *FS) writeFlattened(path string) (FlattenedInfo, error) {
 		Size:       global.Size(),
 		Extents:    global.Extents(),
 	}
-	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), fl); err != nil {
+	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), p.flattenedTemp(path, gen, pid), fl); err != nil {
 		return FlattenedInfo{}, err
 	}
 	for _, g := range flatGens {
@@ -195,14 +212,14 @@ func (p *FS) writeFlattened(path string) (FlattenedInfo, error) {
 // maybeAutoFlatten writes a flattened record when the container's last
 // writer has closed. Best-effort, like the meta size hints: a failed
 // flatten costs the next cold open a streaming merge, nothing more.
-func (p *FS) maybeAutoFlatten(path string) {
+func (p *FS) maybeAutoFlatten(path string, pid uint32) {
 	if p.cfg.Index.DisableAutoFlatten {
 		return
 	}
 	if p.hasOpenWriters(path) {
 		return
 	}
-	p.writeFlattened(path)
+	p.writeFlattened(path, pid)
 }
 
 // DropFlattenedIndex removes the container's flattened records (all

@@ -2,6 +2,8 @@ package plfs
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -548,5 +550,112 @@ func TestColdOpenDroppingReadCost(t *testing.T) {
 	merge := countReads(true)
 	if flat >= merge {
 		t.Fatalf("flattened cold open opened %d files, merge path %d — no metadata saving", flat, merge)
+	}
+}
+
+// TestConcurrentLastClosers enumerates the window two last closers in
+// different instances open on one container. Ranks that close at once
+// each clear their openhosts record before either looks, so both see no
+// writer left and both flatten, to the same generation. FaultFS gates
+// hold each closer at its look, then A between writing its temp file and
+// renaming it, and B before its k-th backend op on the record's files,
+// for every k; A's rename then lands at each point of B's flatten in
+// turn. At every step the published name either does not exist or holds
+// a whole record. (Under a temp name both share, B's O_TRUNC open empties
+// the file A then renames into place.)
+func TestConcurrentLastClosers(t *testing.T) {
+	const path = "/backend/race"
+	const final = path + "/index.flattened.1"
+	// B's ops on the record's files: open, write, fsync and rename of its
+	// temp (close is never gated). One step more lets B run to the end
+	// while A is still held.
+	const steps = 4
+	for k := 0; k <= steps; k++ {
+		mem := posix.NewMemFS()
+		if err := mem.Mkdir("/backend", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		published := func(when string) {
+			t.Helper()
+			if _, err := idx.ReadFlattened(mem, final); err != nil && !errors.Is(err, posix.ENOENT) {
+				t.Fatalf("k=%d, %s: the published record is not whole: %v", k, when, err)
+			}
+		}
+
+		type closer struct {
+			ffs        *posix.FaultFS
+			look, held chan struct{} // gates: before hasOpenWriters, inside the flatten
+			done       chan error
+		}
+		var a, b closer
+		for i, c := range []*closer{&a, &b} {
+			pid := uint32(i + 1)
+			c.ffs = posix.NewFaultFS(mem)
+			c.look, c.held, c.done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			f, err := New(c.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(bytes.Repeat([]byte{'a' + byte(i)}, 4), int64(4*i), pid); err != nil {
+				t.Fatal(err)
+			}
+			// A close touches openhosts twice: it unlinks its own record,
+			// then lists the directory to see who is left.
+			c.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: "/" + openhostsDir, After: 1, Times: 1, Gate: c.look})
+			go func() { c.done <- f.Close(pid) }()
+		}
+		// parked waits until c's next gate holds it (or, for a gate its
+		// flatten never reaches, until its close returns).
+		parked := func(c *closer, fired int) {
+			t.Helper()
+			for c.ffs.Fired() < fired {
+				select {
+				case err := <-c.done:
+					c.done <- err
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+		parked(&a, 1)
+		parked(&b, 1) // both records are gone; neither closer has looked
+
+		a.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: flattenedPrefix, Times: 1, Gate: a.held})
+		close(a.look)
+		parked(&a, 2) // A's temp is written, synced and closed; its rename waits
+		published("A held before its rename")
+
+		b.ffs.Inject(&posix.FaultRule{Op: posix.FaultAny, PathContains: flattenedPrefix, After: k, Times: 1, Gate: b.held})
+		close(b.look)
+		parked(&b, 2)
+		if held := b.ffs.Fired() == 2; held != (k < steps) {
+			t.Fatalf("k=%d: B held inside its flatten = %v: the flatten no longer makes the %d ops enumerated here", k, held, steps)
+		}
+		published("B held at its step")
+
+		close(a.held)
+		if err := <-a.done; err != nil {
+			t.Fatalf("k=%d: A's close: %v", k, err)
+		}
+		published("A renamed")
+
+		close(b.held)
+		if err := <-b.done; err != nil {
+			t.Fatalf("k=%d: B's close: %v", k, err)
+		}
+		if _, err := idx.ReadFlattened(mem, final); err != nil {
+			t.Fatalf("k=%d: both closed, no whole record published: %v", k, err)
+		}
+		cold := New(mem, EngineOptions{NumHostdirs: 2})
+		if names := flattenedNames(t, cold, path); len(names) != 1 {
+			t.Fatalf("k=%d: container root holds %v, want the one record and no temp file", k, names)
+		}
+		if got := readAllBytes(t, cold, path); string(got) != "aaaabbbb" {
+			t.Fatalf("k=%d: content = %q", k, got)
+		}
+		if s := cacheStats(cold); s.FlattenedBuilds != 1 {
+			t.Fatalf("k=%d: cold open did not trust the record: %+v", k, s)
+		}
 	}
 }

@@ -185,10 +185,14 @@ func UnmarshalFlattened(data []byte) (*Flattened, error) {
 }
 
 // WriteFlattened persists a flattened record at path atomically: the
-// bytes land in a temp file which is fsynced and renamed over the final
-// name, so readers only ever observe a complete record or none at all.
-func WriteFlattened(fs posix.FS, path string, f *Flattened) error {
-	tmp := path + ".tmp"
+// bytes land in the temp file tmp, which is fsynced and renamed over
+// the final name, so readers only ever observe a complete record or
+// none at all. That holds only while tmp is this writer's alone: two
+// writers sharing one temp name truncate each other's bytes, and the
+// one that renames publishes whatever the other has written so far. The
+// caller picks tmp, beside path, so that no concurrent writer of path —
+// in this process or another — can pick the same.
+func WriteFlattened(fs posix.FS, path, tmp string, f *Flattened) error {
 	fd, err := fs.Open(tmp, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("index: create flattened temp %s: %w", tmp, err)

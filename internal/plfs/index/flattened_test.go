@@ -24,7 +24,7 @@ func sampleFlattened() *Flattened {
 func TestFlattenedRoundTrip(t *testing.T) {
 	fs := posix.NewMemFS()
 	want := sampleFlattened()
-	if err := WriteFlattened(fs, "/flat", want); err != nil {
+	if err := WriteFlattened(fs, "/flat", "/flat.tmp", want); err != nil {
 		t.Fatal(err)
 	}
 	// The temp file must not survive a successful publish.
@@ -127,7 +127,7 @@ func TestWriteFlattenedFailureLeavesNoFinalFile(t *testing.T) {
 	mem := posix.NewMemFS()
 	ffs := posix.NewFaultFS(mem)
 	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: ".tmp", Err: posix.ENOSPC})
-	if err := WriteFlattened(ffs, "/flat", sampleFlattened()); err == nil {
+	if err := WriteFlattened(ffs, "/flat", "/flat.tmp", sampleFlattened()); err == nil {
 		t.Fatal("write succeeded on full device")
 	}
 	if _, err := mem.Stat("/flat"); err == nil {
@@ -137,7 +137,7 @@ func TestWriteFlattenedFailureLeavesNoFinalFile(t *testing.T) {
 		t.Fatal("temp file left behind after failed write")
 	}
 	ffs.Clear()
-	if err := WriteFlattened(ffs, "/flat", sampleFlattened()); err != nil {
+	if err := WriteFlattened(ffs, "/flat", "/flat.tmp", sampleFlattened()); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.OpenFDs(); got != 0 {

@@ -108,6 +108,7 @@ package plfs
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -183,6 +184,11 @@ type FS struct {
 	// per-batch latency — what decides inline or pooled (runBatches).
 	gather gatherState
 
+	// flattenNonce and flattens make this instance's flattened-record
+	// temp names its own (see flattenedTemp).
+	flattenNonce uint64
+	flattens     atomic.Uint64
+
 	// stats is the instance's engine telemetry layer (nil = off).
 	stats *iostats.LayerStats
 }
@@ -223,6 +229,8 @@ func New(backend posix.FS, opts ...Option) *FS {
 		workers:    defaultWorkers(),
 		batchDepth: DefaultBatchDepth,
 		indexBatch: DefaultIndexBatch,
+
+		flattenNonce: rand.Uint64(),
 	}
 	p.initTelemetry()
 	p.cache = readcache.NewIndexCache(cfg.Index.MaxCachedIndexes, p.cacheLayer)
@@ -1027,7 +1035,7 @@ func (f *File) Close(pid uint32) error {
 		return err
 	}
 	if hadWriter {
-		p.maybeAutoFlatten(c.path)
+		p.maybeAutoFlatten(c.path, pid)
 	}
 	return nil
 }
@@ -1384,7 +1392,7 @@ func (p *FS) CompactIndex(path string) error {
 	// record just went stale; refresh it from the consolidated state
 	// (best effort — compaction itself succeeded either way). plfsctl
 	// compact reports the outcome via IndexHealth.
-	p.writeFlattened(path)
+	p.writeFlattened(path, 0)
 	return nil
 }
 

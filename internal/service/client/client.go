@@ -8,7 +8,7 @@
 package client
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -21,11 +21,20 @@ import (
 // concurrent use; requests on one connection serialize (the protocol
 // is one frame in flight), so parallelism across ranks comes from one
 // Conn per rank — exactly one gateway session each.
+//
+// mu is held for a whole round trip, and that is what makes the
+// connection's buffers safe to reuse: the request under construction
+// (w) and the reply payload (fc's buffer) both live until the next
+// frame only, so every method decodes or copies out what it returns
+// before it lets go of mu. Pread and Pwrite keep nothing of the wire at
+// all: the data frame is written from, and read into, the caller's
+// slice.
 type Conn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	fc   *service.FrameConn
+	w    service.WireWriter // the request's fixed fields
+	u32  [4]byte            // scratch a reply's status, then a write's count, is read into
 }
 
 // Dial connects to a gateway at addr and performs the Hello handshake
@@ -46,10 +55,11 @@ func Dial(addr, tenant string) (*Conn, error) {
 // New performs the Hello handshake over an existing connection (tests
 // use net.Pipe).
 func New(nc net.Conn, tenant string) (*Conn, error) {
-	c := &Conn{conn: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	var w service.WireWriter
-	w.String(tenant)
-	r, err := c.roundTrip(service.OpHello, w.Payload())
+	c := &Conn{conn: nc, fc: service.NewFrameConn(nc)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().String(tenant)
+	r, err := c.control(service.OpHello)
 	if err != nil {
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
@@ -67,41 +77,64 @@ func (c *Conn) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends one request frame and decodes the response status.
-// The returned reader is positioned after the status field.
-func (c *Conn) roundTrip(op byte, payload []byte) (service.WireReader, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := service.WriteFrame(c.bw, op, payload); err != nil {
+// request empties the connection's field encoder for the next request.
+// Caller holds c.mu, as for everything below that touches the wire.
+func (c *Conn) request() *service.WireWriter {
+	c.w.Reset()
+	return &c.w
+}
+
+// roundTrip sends the request c.w holds, followed by data, and reads
+// the reply as far as its status. It returns how many payload bytes
+// follow the status, still on the wire for the caller to take. A field
+// the encoder refused (a path too long for the wire) fails the call
+// with EINVAL before anything is sent.
+func (c *Conn) roundTrip(op byte, data []byte) (rest int, err error) {
+	if err := c.w.Err(); err != nil {
+		return 0, err
+	}
+	if err := c.fc.WriteFrame(op, c.w.Payload(), data); err != nil {
+		return 0, err
+	}
+	rop, n, err := c.fc.ReadHeader()
+	if err != nil {
+		return 0, err
+	}
+	if rop != op {
+		return 0, fmt.Errorf("client: response op %d to request %d", rop, op)
+	}
+	if err := c.fc.ReadInto(c.u32[:]); err != nil {
+		return 0, err
+	}
+	if status := int32(binary.LittleEndian.Uint32(c.u32[:])); status != 0 {
+		return 0, service.ErrnoErr(status)
+	}
+	return n - len(c.u32), nil
+}
+
+// control is roundTrip for the ops whose reply is fields or text: the
+// returned reader is positioned after the status, over the connection's
+// buffer — decode it before releasing c.mu.
+func (c *Conn) control(op byte) (service.WireReader, error) {
+	if _, err := c.roundTrip(op, nil); err != nil {
 		return service.WireReader{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return service.WireReader{}, err
-	}
-	f, err := service.ReadFrame(c.br)
+	payload, err := c.fc.ReadRest()
 	if err != nil {
 		return service.WireReader{}, err
 	}
-	if f.Op != op {
-		return service.WireReader{}, fmt.Errorf("client: response op %d to request %d", f.Op, op)
-	}
-	r := service.NewWireReader(f.Payload)
-	if status := r.I32(); status != 0 {
-		return service.WireReader{}, service.ErrnoErr(status)
-	}
-	if err := r.Err(); err != nil {
-		return service.WireReader{}, err
-	}
-	return r, nil
+	return service.NewWireReader(payload), nil
 }
 
 // Open opens a path on the gateway (POSIX flags/mode).
 func (c *Conn) Open(path string, flags int, mode uint32) (int, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.request()
 	w.String(path)
 	w.U32(uint32(flags))
 	w.U32(mode)
-	r, err := c.roundTrip(service.OpOpen, w.Payload())
+	r, err := c.control(service.OpOpen)
 	if err != nil {
 		return -1, err
 	}
@@ -113,20 +146,30 @@ func (c *Conn) Open(path string, flags int, mode uint32) (int, error) {
 const maxIO = service.MaxFramePayload - 64
 
 // Pread reads up to len(p) bytes at off into p, one frame per maxIO
-// bytes. A short frame is EOF and ends the read like a local pread.
+// bytes. A short frame is EOF and ends the read like a local pread. The
+// reply's data is read off the connection straight into p; a reply that
+// carries more than was asked for is a protocol error and fails the
+// call — it is neither cut to fit nor let past the end of p.
 func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	total := 0
 	for {
 		chunk := p[total:min(len(p), total+maxIO)]
-		var w service.WireWriter
+		w := c.request()
 		w.U32(uint32(fd))
 		w.U64(uint64(off + int64(total)))
 		w.U32(uint32(len(chunk)))
-		r, err := c.roundTrip(service.OpRead, w.Payload())
+		n, err := c.roundTrip(service.OpRead, nil)
 		if err != nil {
 			return total, err
 		}
-		n := copy(chunk, r.Rest())
+		if n > len(chunk) {
+			return total, fmt.Errorf("client: read reply carries %d bytes, asked for %d", n, len(chunk))
+		}
+		if err := c.fc.ReadInto(chunk[:n]); err != nil {
+			return total, err
+		}
 		total += n
 		if n < len(chunk) || total == len(p) {
 			return total, nil
@@ -134,23 +177,24 @@ func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
 	}
 }
 
-// Pwrite writes p at off, one frame per maxIO bytes.
+// Pwrite writes p at off, one frame per maxIO bytes, each sent from p
+// itself.
 func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	total := 0
 	for {
 		chunk := p[total:min(len(p), total+maxIO)]
-		var w service.WireWriter
+		w := c.request()
 		w.U32(uint32(fd))
 		w.U64(uint64(off + int64(total)))
-		w.Bytes(chunk)
-		r, err := c.roundTrip(service.OpWrite, w.Payload())
-		if err != nil {
+		if _, err := c.roundTrip(service.OpWrite, chunk); err != nil {
 			return total, err
 		}
-		n := int(r.U32())
-		if err := r.Err(); err != nil {
+		if err := c.fc.ReadInto(c.u32[:]); err != nil {
 			return total, err
 		}
+		n := int(binary.LittleEndian.Uint32(c.u32[:]))
 		total += n
 		if n < len(chunk) || total == len(p) {
 			return total, nil
@@ -160,43 +204,44 @@ func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
 
 // Sync flushes the fd's droppings on the gateway.
 func (c *Conn) Sync(fd int) error {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	_, err := c.roundTrip(service.OpSync, w.Payload())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().U32(uint32(fd))
+	_, err := c.roundTrip(service.OpSync, nil)
 	return err
 }
 
 // CloseFd closes a remote fd.
 func (c *Conn) CloseFd(fd int) error {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	_, err := c.roundTrip(service.OpClose, w.Payload())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().U32(uint32(fd))
+	_, err := c.roundTrip(service.OpClose, nil)
 	return err
 }
 
 // Stat stats a remote path.
 func (c *Conn) Stat(path string) (posix.Stat, error) {
-	var w service.WireWriter
-	w.String(path)
-	r, err := c.roundTrip(service.OpStat, w.Payload())
-	if err != nil {
-		return posix.Stat{}, err
-	}
-	return decodeStat(&r)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().String(path)
+	return c.stat(service.OpStat)
 }
 
 // Fstat stats a remote fd.
 func (c *Conn) Fstat(fd int) (posix.Stat, error) {
-	var w service.WireWriter
-	w.U32(uint32(fd))
-	r, err := c.roundTrip(service.OpFstat, w.Payload())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().U32(uint32(fd))
+	return c.stat(service.OpFstat)
+}
+
+// stat sends the stat request c.w holds and decodes the reply.
+func (c *Conn) stat(op byte) (posix.Stat, error) {
+	r, err := c.control(op)
 	if err != nil {
 		return posix.Stat{}, err
 	}
-	return decodeStat(&r)
-}
-
-func decodeStat(r *service.WireReader) (posix.Stat, error) {
 	size := r.U64()
 	mode := r.U32()
 	if err := r.Err(); err != nil {
@@ -207,41 +252,51 @@ func decodeStat(r *service.WireReader) (posix.Stat, error) {
 
 // Truncate truncates a remote path.
 func (c *Conn) Truncate(path string, size int64) error {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.request()
 	w.String(path)
 	w.U64(uint64(size))
-	_, err := c.roundTrip(service.OpTrunc, w.Payload())
+	_, err := c.roundTrip(service.OpTrunc, nil)
 	return err
 }
 
 // Unlink removes a remote path.
 func (c *Conn) Unlink(path string) error {
-	var w service.WireWriter
-	w.String(path)
-	_, err := c.roundTrip(service.OpUnlink, w.Payload())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request().String(path)
+	_, err := c.roundTrip(service.OpUnlink, nil)
 	return err
 }
 
 // Stats fetches the gateway's telemetry-plane snapshot, rendered.
 func (c *Conn) Stats() (string, error) {
-	r, err := c.roundTrip(service.OpStats, nil)
-	if err != nil {
-		return "", err
-	}
-	return string(r.Rest()), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.request()
+	return c.text(service.OpStats)
 }
 
 // Doctor runs the container health report for a mount path on the
 // gateway, optionally fixing what it finds.
 func (c *Conn) Doctor(path string, fix bool) (string, error) {
-	var w service.WireWriter
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.request()
 	w.String(path)
 	if fix {
 		w.U8(1)
 	} else {
 		w.U8(0)
 	}
-	r, err := c.roundTrip(service.OpDoctor, w.Payload())
+	return c.text(service.OpDoctor)
+}
+
+// text sends the request c.w holds and returns the reply's text — a
+// copy: the payload it is read from is the connection's.
+func (c *Conn) text(op byte) (string, error) {
+	r, err := c.control(op)
 	if err != nil {
 		return "", err
 	}

@@ -1,8 +1,7 @@
 package service
 
 import (
-	"bufio"
-	"io"
+	"encoding/binary"
 	"net"
 	"sync"
 
@@ -79,68 +78,67 @@ func (s *Server) Close() error {
 
 // handleConn speaks the frame protocol on one connection: a Hello
 // first, then a request/response loop until EOF or a protocol error.
+// The connection's two buffers live here: the one its FrameConn reads
+// requests into and the scratch every reply is rendered in. Both follow
+// the package's lifetime rule — a request is dead once its reply is
+// rendered, a reply once it is flushed.
 func (s *Server) handleConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	fc := NewFrameConn(conn)
+	var reply frameBuf
 
 	// Hello: tenant string. Anything else (or an undeclared tenant) is
 	// answered with the errno and the connection dropped.
-	f, err := ReadFrame(br)
+	f, err := fc.ReadFrame()
 	if err != nil {
 		return
 	}
+	w := WireWriter{buf: reply.sized(replyFields)[:0]}
 	if f.Op != OpHello {
-		replyErr(bw, f.Op, posix.EINVAL)
-		bw.Flush()
+		w.I32(int32(posix.EINVAL))
+		fc.WriteFrame(f.Op, w.buf, nil)
 		return
 	}
 	r := WireReader{buf: f.Payload}
 	tenant := r.String()
 	sess, err := s.g.NewSession(tenant)
 	if err != nil {
-		replyErr(bw, OpHello, posix.EPERM)
-		bw.Flush()
+		w.I32(int32(posix.EPERM))
+		fc.WriteFrame(OpHello, w.buf, nil)
 		return
 	}
 	defer sess.End()
-	var w WireWriter
 	w.I32(0)
 	w.String(tenant)
-	if err := writeReply(bw, OpHello, w.buf); err != nil {
+	if err := fc.WriteFrame(OpHello, w.buf, nil); err != nil {
 		return
 	}
 
 	for {
-		f, err := ReadFrame(br)
+		f, err := fc.ReadFrame()
 		if err != nil {
 			return // EOF or corrupt stream: session ends, fds released
 		}
-		reply := s.handleFrame(sess, f)
-		if err := writeReply(bw, f.Op, reply); err != nil {
+		if err := fc.WriteFrame(f.Op, s.handleFrame(sess, f, &reply), nil); err != nil {
 			return
 		}
 	}
 }
 
-func writeReply(bw *bufio.Writer, op byte, payload []byte) error {
-	if err := WriteFrame(bw, op, payload); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+// replyFields is room for any reply's fixed fields, so that rendering
+// them never allocates: only a read reply sizes the scratch past this
+// (a text reply outgrows it into memory of its own).
+const replyFields = 64
 
-func replyErr(w io.Writer, op byte, errno posix.Errno) {
-	var b WireWriter
-	b.I32(int32(errno))
-	WriteFrame(w, op, b.buf)
-}
-
-// handleFrame executes one request and renders the response payload.
+// handleFrame executes one request and renders the response payload in
+// the connection's reply scratch (the result is valid until the next
+// call with that scratch). A read lands its bytes there directly, behind
+// the status, and the reply is cut to what the read returned: the
+// scratch is reused, so whatever lies past that is an older reply's.
 // Malformed payloads answer EINVAL rather than killing the connection:
 // the framing layer is still intact, so the stream stays usable.
-func (s *Server) handleFrame(sess *Session, f Frame) []byte {
+func (s *Server) handleFrame(sess *Session, f Frame, reply *frameBuf) []byte {
 	r := WireReader{buf: f.Payload}
-	var w WireWriter
+	w := WireWriter{buf: reply.sized(replyFields)[:0]}
 	switch f.Op {
 	case OpOpen:
 		path := r.String()
@@ -165,12 +163,13 @@ func (s *Server) handleFrame(sess *Session, f Frame) []byte {
 			w.I32(int32(posix.EINVAL))
 			return w.buf
 		}
-		buf := make([]byte, n)
-		got, err := sess.Pread(int(fd), buf, int64(off))
-		w.I32(ErrnoOf(err))
-		if err == nil {
-			w.Bytes(buf[:got])
+		buf := reply.sized(4 + int(n))
+		got, err := sess.Pread(int(fd), buf[4:], int64(off))
+		binary.LittleEndian.PutUint32(buf, uint32(ErrnoOf(err)))
+		if err != nil {
+			return buf[:4]
 		}
+		return buf[:4+got]
 	case OpWrite:
 		fd := r.U32()
 		off := r.U64()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -206,6 +207,77 @@ func TestServerProtocolEdges(t *testing.T) {
 	}
 }
 
+// TestReplyCarriesOnlyWhatWasRead pins what reusing the reply scratch
+// must never do: after a full 64 KiB read has filled it, a read that
+// hits EOF after 10 bytes and a read that fails answer with exactly
+// 4+10 and 4 bytes — none of the earlier reply rides along.
+func TestReplyCarriesOnlyWhatWasRead(t *testing.T) {
+	_, addr := startServer(t)
+	c := dialRaw(t, addr)
+	c.send(t, OpHello, helloPayload("gold"))
+
+	var w WireWriter
+	w.String("/mnt/plfs/tail")
+	w.U32(uint32(posix.O_CREAT | posix.O_RDWR))
+	w.U32(0o644)
+	r := NewWireReader(c.send(t, OpOpen, w.Payload()).Payload)
+	if status := r.I32(); status != 0 {
+		t.Fatalf("open status %d", status)
+	}
+	fd := r.U32()
+
+	const block = 64 << 10
+	data := make([]byte, block+10)
+	for i := range data {
+		data[i] = byte(i*7 + 1) // never zero for long: a leak would show
+	}
+	w = WireWriter{}
+	w.U32(fd)
+	w.U64(0)
+	w.Bytes(data)
+	if status := statusOf(c.send(t, OpWrite, w.Payload()).Payload); status != 0 {
+		t.Fatalf("write status %d", status)
+	}
+
+	read := func(fd uint32, off uint64) []byte {
+		var w WireWriter
+		w.U32(fd)
+		w.U64(off)
+		w.U32(block)
+		return c.send(t, OpRead, w.Payload()).Payload
+	}
+	if full := read(fd, 0); len(full) != 4+block || statusOf(full) != 0 || !bytes.Equal(full[4:], data[:block]) {
+		t.Fatalf("full read: %d bytes, status %d", len(full), statusOf(full))
+	}
+	if tail := read(fd, block); len(tail) != 4+10 || statusOf(tail) != 0 || !bytes.Equal(tail[4:], data[block:]) {
+		t.Fatalf("read ending at EOF after 10 bytes: reply is %d bytes, status %d", len(tail), statusOf(tail))
+	}
+	if failed := read(fd+1000, 0); len(failed) != 4 || statusOf(failed) != int32(posix.EBADF) {
+		t.Fatalf("read on a bad fd: reply is %d bytes, status %d", len(failed), statusOf(failed))
+	}
+}
+
+// TestServerRefusesStringFillingItsPrefix: a path of 0xffff bytes on the
+// wire is what a truncating client would have sent for any longer path,
+// so every op that takes one answers EINVAL rather than act on it.
+func TestServerRefusesStringFillingItsPrefix(t *testing.T) {
+	g := newTestGateway(t, nil)
+	srv := NewServer(g)
+	sess, err := g.NewSession("gold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.End()
+	cut := append([]byte{0xff, 0xff}, bytes.Repeat([]byte("p"), 0xffff)...)
+	cut = append(cut, make([]byte, 16)...) // room for any op's trailing fields
+	for _, op := range []byte{OpOpen, OpStat, OpTrunc, OpUnlink, OpDoctor} {
+		reply := srv.handleFrame(sess, Frame{Op: op, Payload: cut}, &frameBuf{})
+		if len(reply) != 4 || statusOf(reply) != int32(posix.EINVAL) {
+			t.Fatalf("op %d: %d-byte reply, status %d, want EINVAL", op, len(reply), statusOf(reply))
+		}
+	}
+}
+
 // TestHandleFrameDecodeErrors drives every op's malformed-payload
 // branch directly.
 func TestHandleFrameDecodeErrors(t *testing.T) {
@@ -217,7 +289,7 @@ func TestHandleFrameDecodeErrors(t *testing.T) {
 	}
 	defer sess.End()
 	for _, op := range []byte{OpOpen, OpRead, OpWrite, OpSync, OpClose, OpStat, OpFstat, OpTrunc, OpUnlink, OpDoctor} {
-		reply := srv.handleFrame(sess, Frame{Op: op, Payload: []byte{0xff}})
+		reply := srv.handleFrame(sess, Frame{Op: op, Payload: []byte{0xff}}, &frameBuf{})
 		if status := statusOf(reply); status != int32(posix.EINVAL) {
 			t.Fatalf("op %d malformed payload: status %d", op, status)
 		}

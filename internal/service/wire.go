@@ -9,9 +9,19 @@
 // "tenant:<name>"), enforces token-bucket rate limits and priority
 // admission before any byte reaches the PLFS engines, and actuates
 // background tenants' rates with the internal/tune controller.
+//
+// One rule governs every buffer on the wire: a frame's payload belongs
+// to its connection and is valid until that connection's next frame;
+// nothing below the session may keep it. Both ends are one frame in
+// flight (the server loop is serial, client.Conn holds its lock for a
+// round trip), so each connection reads into one buffer of its own and
+// the server renders every reply into one scratch — a data op crosses
+// the package without a user-space copy or an allocation. Whatever must
+// outlive the next frame is copied out by whoever wants it.
 package service
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,8 +63,9 @@ type Frame struct {
 }
 
 var (
-	errFrameShort = errors.New("service: short frame")
-	errFrameSize  = fmt.Errorf("service: frame exceeds %d bytes", MaxFramePayload)
+	errFrameShort  = errors.New("service: short frame")
+	errFrameString = errors.New("service: string field fills its length prefix")
+	errFrameSize   = fmt.Errorf("service: frame exceeds %d bytes", MaxFramePayload)
 )
 
 // ParseFrame decodes one frame from the front of buf, returning the
@@ -84,45 +95,171 @@ func AppendFrame(dst []byte, op byte, payload []byte) []byte {
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// ReadFrame reads one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+// maxRetained is the most buffer a connection keeps between frames.
+// The traffic is 64 KiB ops; a frame above this gets memory of its own
+// that goes with it, so a client that once sent MaxFramePayload does not
+// park 8 MiB on its idle connection for as long as it stays open.
+const maxRetained = 1 << 20
+
+// frameBuf is memory one connection reuses frame after frame. It is
+// never shared between connections, so no tenant's bytes can surface in
+// another's frame.
+type frameBuf struct{ b []byte }
+
+// sized returns n bytes for one frame, valid until the next call: the
+// connection's own buffer, grown on demand, or for a frame above
+// maxRetained a one-off. This is the only allocation on the frame path
+// (the bufpool lint holds the functions around it to that).
+func (f *frameBuf) sized(n int) []byte {
+	if n <= cap(f.b) {
+		return f.b[:n]
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFramePayload {
-		return Frame{}, errFrameSize
+	if n > maxRetained {
+		return make([]byte, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	f.b = make([]byte, n, min(max(n, 2*cap(f.b)), maxRetained))
+	return f.b
+}
+
+// FrameConn is one end of a connection: frames are written to it as
+// header, fixed fields and data with one flush and no concatenation,
+// and read off it into a buffer the connection owns. It is one frame in
+// flight, like both of its users, and not safe for concurrent use.
+//
+// The lifetime rule of the package lives here: a payload returned by
+// ReadRest or ReadFrame is valid until the next read on this FrameConn.
+type FrameConn struct {
+	r    io.Reader
+	bw   *bufio.Writer
+	in   frameBuf
+	left int // payload bytes of the current frame not yet taken
+	// Header scratch lives here, not on the stack: a slice handed to an
+	// io.Reader or io.Writer escapes, and would be an allocation a frame.
+	rhdr, whdr [frameHeaderSize]byte
+}
+
+// NewFrameConn frames rw, buffering both directions.
+func NewFrameConn(rw io.ReadWriter) *FrameConn {
+	return &FrameConn{r: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
+}
+
+// ReadHeader starts the next frame and reports its op and payload
+// length. Whatever the caller left unread of the previous payload is
+// skipped first, so the stream stays framed whatever a caller took. A
+// length over the ceiling is refused before any memory is sized by it.
+func (c *FrameConn) ReadHeader() (op byte, n int, err error) {
+	if c.left > 0 {
+		if _, err := io.CopyN(io.Discard, c.r, int64(c.left)); err != nil {
+			return 0, 0, err
+		}
+		c.left = 0
+	}
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
+		return 0, 0, err
+	}
+	size := binary.LittleEndian.Uint32(c.rhdr[:])
+	if size > MaxFramePayload {
+		return 0, 0, errFrameSize
+	}
+	c.left = int(size)
+	return c.rhdr[4], c.left, nil
+}
+
+// ReadInto takes the next len(p) bytes of the current payload into p —
+// memory of the caller's choosing, which is how a read reply lands in
+// the application's buffer. Asking for more than the frame has left is
+// errFrameShort and takes nothing.
+func (c *FrameConn) ReadInto(p []byte) error {
+	if len(p) > c.left {
+		return errFrameShort
+	}
+	if _, err := io.ReadFull(c.r, p); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return err
 	}
-	return Frame{Op: hdr[4], Payload: payload}, nil
+	c.left -= len(p)
+	return nil
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	if len(payload) > MaxFramePayload {
+// ReadRest takes what is left of the current payload into the
+// connection's buffer.
+func (c *FrameConn) ReadRest() ([]byte, error) {
+	p := c.in.sized(c.left)
+	return p, c.ReadInto(p)
+}
+
+// ReadFrame reads one whole frame; its payload is the connection's
+// buffer.
+func (c *FrameConn) ReadFrame() (Frame, error) {
+	op, _, err := c.ReadHeader()
+	if err != nil {
+		return Frame{}, err
+	}
+	payload, err := c.ReadRest()
+	if err != nil {
+		return Frame{}, err
+	}
+	return Frame{Op: op, Payload: payload}, nil
+}
+
+// WriteFrame sends one frame whose payload is fields followed by data,
+// and flushes. Neither slice is copied into a frame first: small ones
+// ride the write buffer, a large data goes to the connection as it is.
+func (c *FrameConn) WriteFrame(op byte, fields, data []byte) error {
+	n := len(fields) + len(data)
+	if n > MaxFramePayload {
 		return errFrameSize
 	}
-	_, err := w.Write(AppendFrame(nil, op, payload))
-	return err
+	binary.LittleEndian.PutUint32(c.whdr[:], uint32(n))
+	c.whdr[4] = op
+	c.bw.Write(c.whdr[:])
+	c.bw.Write(fields)
+	c.bw.Write(data)
+	return c.bw.Flush() // a bufio.Writer's first error sticks: Flush reports it
+}
+
+// ReadFrame reads one frame from r into memory of its own — the one-shot
+// form, for tools and tests that hold no FrameConn. It reads exactly the
+// frame's bytes, so r need not be buffered.
+func ReadFrame(r io.Reader) (Frame, error) {
+	return (&FrameConn{r: r}).ReadFrame()
+}
+
+// WriteFrame writes one frame to w, one-shot like ReadFrame.
+func WriteFrame(w io.Writer, op byte, payload []byte) error {
+	return (&FrameConn{bw: bufio.NewWriter(w)}).WriteFrame(op, payload, nil)
 }
 
 // --- payload encoding -----------------------------------------------------
 //
 // Payload fields are little-endian fixed-width integers; strings are
-// u16 length + bytes. The decoder is sticky-error so handlers can chain
-// reads and check once.
+// u16 length + bytes, at most maxString of them. Encoder and decoder
+// are both sticky-error, so callers chain fields and check once.
 
-type WireWriter struct{ buf []byte }
+// maxString is the longest string a field carries. The u16's last value
+// is not a length: encoders used to cut a longer string to fit it
+// silently, so a path of 0xffff bytes on the wire may be the front of
+// some other path, and opening, truncating or unlinking it would hit the
+// wrong file. The encoder refuses longer strings; the decoder refuses
+// the full u16.
+const maxString = 0xffff - 1
+
+type WireWriter struct {
+	buf []byte
+	err error
+}
 
 // Payload returns the encoded bytes accumulated so far.
 func (w *WireWriter) Payload() []byte { return w.buf }
+
+// Err reports the sticky encode error: EINVAL once a string field was
+// too long to carry. A payload with an error must not be sent.
+func (w *WireWriter) Err() error { return w.err }
+
+// Reset empties the writer for the next payload, keeping its memory.
+func (w *WireWriter) Reset() { w.buf, w.err = w.buf[:0], nil }
 
 func (w *WireWriter) U8(v byte)      { w.buf = append(w.buf, v) }
 func (w *WireWriter) U32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
@@ -130,8 +267,9 @@ func (w *WireWriter) U64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(
 func (w *WireWriter) I32(v int32)    { w.U32(uint32(v)) }
 func (w *WireWriter) Bytes(p []byte) { w.buf = append(w.buf, p...) }
 func (w *WireWriter) String(s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
+	if len(s) > maxString {
+		w.err = posix.EINVAL
+		return
 	}
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(s)))
 	w.buf = append(w.buf, s...)
@@ -193,7 +331,12 @@ func (r *WireReader) String() string {
 	if b == nil {
 		return ""
 	}
-	return string(r.take(int(binary.LittleEndian.Uint16(b))))
+	n := int(binary.LittleEndian.Uint16(b))
+	if n > maxString {
+		r.err = errFrameString
+		return ""
+	}
+	return string(r.take(n))
 }
 
 // Rest returns whatever trails the fixed fields (bulk data).
