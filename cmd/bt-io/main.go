@@ -35,7 +35,7 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends)
+	store := harness.NewStoreN(job.Backends, plane)
 	cfg := workload.BTIOConfig{Grid: *grid, Steps: *steps, EPIO: *epio, Hints: mio.Hints()}
 	if plane != nil {
 		store = harness.Instrument(store, plane)

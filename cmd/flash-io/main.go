@@ -36,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends)
+	store := harness.NewStoreN(job.Backends, plane)
 	cfg := workload.FlashIOConfig{NXB: *nxb, NBlocks: *nblocks, NVars: *nvars, SplitFiles: *split, Hints: mio.Hints()}
 	fmt.Printf("flash-io: ~%.1f MB per process\n", float64(cfg.BytesPerProcess())/1e6)
 	if plane != nil {

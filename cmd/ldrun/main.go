@@ -61,11 +61,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("ldrun: root %s: %v", *root, err)
 		}
-		fs, err := posix.NewStripedRootsLayout(osfs, *backends, *layoutDesc)
+		// The plane comes first so the striped composite's replica
+		// counters land on it too.
+		plane = ptune.NewPlane()
+		var stats iostats.Collector
+		if plane != nil {
+			stats = plane
+		}
+		fs, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, stats)
 		if err != nil {
 			log.Fatalf("ldrun: %v", err)
 		}
-		plane = ptune.NewPlane()
 		if plane != nil {
 			fs = posix.NewInstrumentFS(fs, plane)
 		}

@@ -38,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends)
+	store := harness.NewStoreN(job.Backends, plane)
 	cfg := workload.MPIIOTestConfig{
 		BytesPerProc: *size,
 		BlockSize:    *block,

@@ -101,7 +101,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("root %s: %v", *root, err)
 	}
-	fs, err := posix.NewStripedRootsLayout(osfs, *backends, *layoutDesc)
+	fs, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, nil)
 	if err != nil {
 		return fail("%v", err)
 	}

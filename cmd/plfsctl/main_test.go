@@ -67,7 +67,7 @@ func TestDoctorAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(nil, plfs.EngineOptions{NumHostdirs: 6}, plfs.WithBackends(stores...))
+	p := plfs.New(posix.NewStripedFS(stores...), plfs.EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestCtlCommandsAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(nil, plfs.EngineOptions{NumHostdirs: 6}, plfs.WithBackends(stores...))
+	p := plfs.New(posix.NewStripedFS(stores...), plfs.EngineOptions{NumHostdirs: 6})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)

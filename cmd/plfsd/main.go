@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"ldplfs/internal/core"
+	"ldplfs/internal/iostats"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/service"
 )
@@ -59,7 +60,11 @@ func runNotify(argv []string, stdout, stderr io.Writer, ready chan<- string) int
 		return 1
 	}
 
-	store, err := buildStore(*root, *backends)
+	// One plane for the gateway and the striped composite under it, so
+	// `plfsctl -remote stats` shows the replica counters beside the
+	// tenants'.
+	plane := iostats.NewPlane()
+	store, err := buildStore(*root, *backends, plane)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -77,6 +82,7 @@ func runNotify(argv []string, stdout, stderr io.Writer, ready chan<- string) int
 		Mounts:      mounts,
 		Tenants:     tcs,
 		MaxInflight: *inflight,
+		Plane:       plane,
 		Governor:    service.GovernorConfig{Enable: *governor},
 	})
 	if err != nil {
@@ -101,8 +107,9 @@ func runNotify(argv []string, stdout, stderr io.Writer, ready chan<- string) int
 }
 
 // buildStore assembles the backing FS: OS-backed (optionally striped
-// over extra roots) or a fresh in-memory store for demos and tests.
-func buildStore(root, backends string) (posix.FS, error) {
+// over extra roots, the composite counting on stats) or a fresh
+// in-memory store for demos and tests.
+func buildStore(root, backends string, stats iostats.Collector) (posix.FS, error) {
 	if root == "" {
 		mem := posix.NewMemFS()
 		if err := mem.Mkdir("/backend", 0o755); err != nil {
@@ -114,7 +121,7 @@ func buildStore(root, backends string) (posix.FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("root %s: %w", root, err)
 	}
-	return posix.NewStripedRoots(osfs, backends)
+	return posix.NewStripedRoots(osfs, backends, "", stats)
 }
 
 // parseTenants decodes the -tenants spec.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +88,66 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "listening on") {
 		t.Fatalf("banner missing: %q", stdout.String())
+	}
+}
+
+// TestDaemonStripedStats boots plfsd over real directory trees striped
+// with -backends and reads a container back through it: the striped
+// composite's replica counters must be on the gateway plane the Stats
+// op serves, beside the tenants'.
+func TestDaemonStripedStats(t *testing.T) {
+	root, b1, b2 := t.TempDir(), t.TempDir(), t.TempDir()
+	if err := os.Mkdir(filepath.Join(root, "backend"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan string, 1)
+	var stdout, stderr bytes.Buffer
+	go runNotify([]string{
+		"-listen", "127.0.0.1:0",
+		"-root", root,
+		"-backends", b1 + "," + b2,
+	}, &stdout, &stderr, ready)
+	addr := <-ready
+
+	c, err := client.Dial(addr, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := bytes.Repeat([]byte{0x42}, 4096)
+	fd, err := c.Open("/mnt/plfs/striped", posix.O_CREAT|posix.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Pwrite(fd, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseFd(fd); err != nil {
+		t.Fatal(err)
+	}
+	fd, err = c.Open("/mnt/plfs/striped", posix.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if _, err := c.Pread(fd, got, 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read-back mismatch: %v", err)
+	}
+	if err := c.CloseFd(fd); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"tenant:default", "replica_read_primary"} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("stats missing %q:\n%s", want, stats)
+		}
+	}
+	if strings.Contains(stats, "replica_read_primary = 0\n") {
+		t.Fatalf("the read-back was not counted:\n%s", stats)
 	}
 }
 

@@ -27,12 +27,12 @@
 // range up front and fan chunk pwrites out concurrently. Partial writes are always indexed to exactly the
 // durable prefix. See README.md ("The write engine").
 //
-// Containers can be striped over multiple backends
-// (posix.StripedFS / plfs.WithBackends, the -backends CLI flags):
-// canonical metadata lives on backend 0 while hostdirs — and so data
-// and index droppings — distribute across all backends by hostdir
-// number, letting both engines aggregate bandwidth over independent
-// stores.
+// Containers can be striped over multiple backends by composing a
+// posix.StripedFS and handing it to plfs.New as the backend (the
+// -backends CLI flags do exactly that): canonical metadata lives on
+// backend 0 while hostdirs — and so data and index droppings —
+// distribute across all backends by hostdir number, letting both
+// engines aggregate bandwidth over independent stores.
 //
 // The metadata path answers PLFS's cold-open wall with a flattened
 // global index: the container's resolved extent table persists as a

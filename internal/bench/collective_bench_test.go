@@ -44,7 +44,7 @@ func colSegs(rank int) ([]mpiio.Segment, []byte) {
 // backends. Service time starts off; callers toggle it around setup.
 func colRig(n int) (*plfs.FS, []*posix.FaultFS) {
 	opts, faults := stripedOpts(n)
-	return plfs.New(nil, opts), faults
+	return opts.instance(), faults
 }
 
 func colHints(plane iostats.Collector) mpiio.Hints {

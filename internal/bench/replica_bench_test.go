@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 )
 
@@ -25,22 +24,26 @@ import (
 // backend), not the shared legacy slot, so the backends behave like
 // independent saturated servers.
 
-// replicaOpts builds a replica-2 PLFS configuration over n service-
+// replicaOpts builds the rig under a replica-2 layout over n service-
 // limited backends.
-func replicaOpts(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS) {
+func replicaOpts(tb testing.TB, n int) (stripedSet, []*posix.FaultFS) {
 	tb.Helper()
 	opts, faults := stripedOpts(n)
-	opts.Layout.Layout = "replica-2"
+	layout, err := posix.LayoutFor("replica-2", n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.layout = layout
 	return opts, faults
 }
 
 // setupReplicaN1 writes the canonical N-1 container through a replica-2
 // layout (service time off during setup) and returns the options for
 // cold re-opens plus the expected bytes.
-func setupReplicaN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte) {
+func setupReplicaN1(tb testing.TB, n int) (stripedSet, []*posix.FaultFS, []byte) {
 	tb.Helper()
 	opts, faults := replicaOpts(tb, n)
-	p := plfs.New(nil, opts)
+	p := opts.instance()
 	want := make([]byte, stWriters*stBlocksPer*stBlock)
 	f, err := p.Open("/n1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {

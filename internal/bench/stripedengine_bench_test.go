@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -28,18 +29,32 @@ const (
 	stService   = 400 * time.Microsecond // per-op backend service time
 )
 
-// stripedOpts builds a PLFS configuration over n service-limited
-// backends, returning the FaultFS handles so service time can be toggled
-// around the setup phase.
-func stripedOpts(n int) (plfs.Config, []*posix.FaultFS) {
+// stripedSet is the rig's backends under one placement layout (nil =
+// mod-N). Each instance composes them afresh, as a new process would.
+type stripedSet struct {
+	layout   posix.Layout
+	backends []posix.FS
+}
+
+// instance returns a plfs instance over a fresh composite of the set, at
+// the rig's container geometry.
+func (s stripedSet) instance() *plfs.FS { return s.instanceAt(runtime.GOMAXPROCS(0)) }
+
+// instanceAt is instance built under GOMAXPROCS procs (see newPLFSAt).
+func (s stripedSet) instanceAt(procs int) *plfs.FS {
+	return newPLFSAt(procs, posix.NewLayoutFS(s.layout, posix.ReplicaOptions{}, s.backends...),
+		plfs.EngineOptions{NumHostdirs: stWriters})
+}
+
+// stripedOpts builds the rig over n service-limited backends, returning
+// the FaultFS handles so service time can be toggled around the setup
+// phase.
+func stripedOpts(n int) (stripedSet, []*posix.FaultFS) {
 	faults := make([]*posix.FaultFS, n)
-	opts := plfs.Config{
-		Engine:   plfs.EngineOptions{NumHostdirs: stWriters},
-		Backends: make([]posix.FS, n),
-	}
+	opts := stripedSet{backends: make([]posix.FS, n)}
 	for i := range faults {
 		faults[i] = posix.NewFaultFS(posix.NewMemFS())
-		opts.Backends[i] = faults[i]
+		opts.backends[i] = faults[i]
 	}
 	return opts, faults
 }
@@ -47,12 +62,12 @@ func stripedOpts(n int) (plfs.Config, []*posix.FaultFS) {
 // newStriped builds the rig's instance at the full fan-out of 8 whatever
 // the machine: these backends sleep rather than compute, so overlapping
 // their waits needs goroutines, not cores.
-func newStriped(opts plfs.Config) *plfs.FS { return newPLFSAt(8, nil, opts) }
+func newStriped(opts stripedSet) *plfs.FS { return opts.instanceAt(8) }
 
 // setupStripedN1 writes the canonical N-1 container (service time off,
 // so setup cost does not pollute the measurement) and returns a fresh
 // cold-cache instance for the read phase plus the expected bytes.
-func setupStripedN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte) {
+func setupStripedN1(tb testing.TB, n int) (stripedSet, []*posix.FaultFS, []byte) {
 	tb.Helper()
 	opts, faults := stripedOpts(n)
 	p := newStriped(opts)
@@ -82,7 +97,7 @@ func setupStripedN1(tb testing.TB, n int) (plfs.Config, []*posix.FaultFS, []byte
 // readStripedN1 opens the container cold and streams it end to end,
 // returning the wall time of open+read+close under the configured
 // service times.
-func readStripedN1(tb testing.TB, opts plfs.Config, want []byte) time.Duration {
+func readStripedN1(tb testing.TB, opts stripedSet, want []byte) time.Duration {
 	tb.Helper()
 	p := newStriped(opts) // cold caches: index reconstruction included
 	start := time.Now()
@@ -120,7 +135,7 @@ func BenchmarkStripedN1Read_3Backends(b *testing.B) { benchStripedN1Read(b, 3) }
 
 // writeStripedN1 runs one N-1 checkpoint pass with stWriters concurrent
 // writer goroutines and returns its wall time.
-func writeStripedN1(tb testing.TB, opts plfs.Config) time.Duration {
+func writeStripedN1(tb testing.TB, opts stripedSet) time.Duration {
 	tb.Helper()
 	p := newStriped(opts)
 	f, err := p.Open("/w1", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)

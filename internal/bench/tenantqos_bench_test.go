@@ -8,7 +8,6 @@ import (
 
 	"ldplfs/internal/core"
 	"ldplfs/internal/iostats"
-	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/service"
 )
@@ -28,9 +27,9 @@ const (
 	tqReads     = 60                     // foreground reads measured
 )
 
-// tqGateway assembles the gateway: three FaultFS-backed stores striped
-// under every tenant's PLFS instance, the foreground container
-// pre-written while service time is off. Returns the gateway and the
+// tqGateway assembles the gateway over one store striped across three
+// FaultFS-backed backends and shared by every tenant, the foreground
+// container pre-written while service time is off. Returns the gateway and the
 // fault handles (service time still off — callers arm it around the
 // measured phase).
 func tqGateway(tb testing.TB, policed bool) (*service.Gateway, []*posix.FaultFS) {
@@ -49,7 +48,6 @@ func tqGateway(tb testing.TB, policed bool) (*service.Gateway, []*posix.FaultFS)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pcfg := plfs.Config{Backends: backends}
 	hostilePri, batchPri := 1, 1
 	if !policed {
 		// The baseline erases the policy: everyone is foreground, so
@@ -57,12 +55,12 @@ func tqGateway(tb testing.TB, policed bool) (*service.Gateway, []*posix.FaultFS)
 		hostilePri, batchPri = 0, 0
 	}
 	g, err := service.NewGateway(service.Config{
-		Backend: backends[0],
+		Backend: posix.NewStripedFS(backends...),
 		Mounts:  mounts,
 		Tenants: []service.TenantConfig{
-			{Name: "gold", Priority: 0, Plfs: pcfg},
-			{Name: "hostile", Priority: hostilePri, Plfs: pcfg},
-			{Name: "batch", Priority: batchPri, Plfs: pcfg},
+			{Name: "gold", Priority: 0},
+			{Name: "hostile", Priority: hostilePri},
+			{Name: "batch", Priority: batchPri},
 		},
 		MaxInflight: 4, // small pool: admission arbitration is the story
 	})

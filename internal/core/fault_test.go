@@ -19,9 +19,9 @@ func faultEnv(t *testing.T) (*posix.Dispatch, *posix.FaultFS) {
 	ffs := posix.NewFaultFS(mem)
 	d := posix.NewDispatch(ffs)
 	if _, err := Preload(d, Config{
-		Mounts:      []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-		Pid:         1,
-		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 2}},
+		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+		Pid:    1,
+		Plfs:   plfs.New(ffs, plfs.EngineOptions{NumHostdirs: 2}),
 	}); err != nil {
 		t.Fatal(err)
 	}

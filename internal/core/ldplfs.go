@@ -74,17 +74,16 @@ type Config struct {
 	// Pid identifies this "process" to PLFS (selects droppings); the paper
 	// passes getpid(). MPI ranks use their rank id.
 	Pid uint32
-	// Plfs optionally supplies a shared PLFS library instance (as when
-	// several ranks in one simulated node share state). Nil means a fresh
-	// instance over the dispatch's previous symbols.
+	// Plfs supplies the PLFS library instance: built by the caller over
+	// the store it composed, and shared when several ranks in one
+	// simulated node share state. Nil means a default instance over the
+	// dispatch's previous symbols.
 	Plfs *plfs.FS
-	// PlfsOptions configures the instance created when Plfs is nil.
-	PlfsOptions plfs.Config
-	// ShadowPath is the file opened to obtain shadow descriptors; the
-	// paper uses /dev/random. Defaults to "/.ldplfs.shadow" on the
-	// underlying FS, created on demand.
-	ShadowPath string
 }
+
+// shadowPath is the file opened to obtain shadow descriptors — the
+// paper uses /dev/random — created on demand on the underlying FS.
+const shadowPath = "/.ldplfs.shadow"
 
 // Stats counts shim activity; exercised by tests and the overhead benches.
 type Stats struct {
@@ -133,9 +132,6 @@ func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
 		}
 	}
 	cfg.Mounts = mounts
-	if cfg.ShadowPath == "" {
-		cfg.ShadowPath = "/.ldplfs.shadow"
-	}
 	l := &LDPLFS{
 		real:  d.Snapshot(),
 		table: d,
@@ -145,11 +141,11 @@ func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
 	if cfg.Plfs != nil {
 		l.plfs = cfg.Plfs
 	} else {
-		l.plfs = plfs.New(&l.real, cfg.PlfsOptions)
+		l.plfs = plfs.New(&l.real)
 	}
 	// Ensure the shadow file exists (the analogue of /dev/random: any
 	// always-openable file works; we only need its descriptors).
-	fd, err := l.real.Open(cfg.ShadowPath, posix.O_CREAT|posix.O_RDWR, 0o600)
+	fd, err := l.real.Open(shadowPath, posix.O_CREAT|posix.O_RDWR, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("ldplfs: create shadow file: %w", err)
 	}
@@ -243,7 +239,7 @@ func (l *LDPLFS) open(path string, flags int, mode uint32) (int, error) {
 	}
 	// Obtain a genuine descriptor for the application by opening the
 	// shadow file — the paper's /dev/random trick.
-	fd, err := l.real.Open(l.cfg.ShadowPath, posix.O_RDONLY, 0)
+	fd, err := l.real.Open(shadowPath, posix.O_RDONLY, 0)
 	if err != nil {
 		pf.Close(l.cfg.Pid)
 		return -1, fmt.Errorf("ldplfs: open shadow fd: %w", err)

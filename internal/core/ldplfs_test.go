@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ldplfs/internal/plfs"
@@ -22,14 +24,29 @@ func newEnv(t *testing.T) (*posix.Dispatch, *LDPLFS, *posix.MemFS) {
 	}
 	d := posix.NewDispatch(mem)
 	l, err := Preload(d, Config{
-		Mounts:      []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-		Pid:         42,
-		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
+		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+		Pid:    42,
+		Plfs:   plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, l, mem
+}
+
+// TestConfigSurface pins what a preload can be given: where the mounts
+// are, who the process is, and the PLFS instance to retarget onto. How
+// that instance is built — over which store, with which options — is
+// the caller's one decision, not a second copy of it here.
+func TestConfigSurface(t *testing.T) {
+	var got []string
+	cfg := reflect.TypeOf(Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		got = append(got, cfg.Field(i).Name)
+	}
+	if want := []string{"Mounts", "Pid", "Plfs"}; !slices.Equal(got, want) {
+		t.Fatalf("core.Config fields = %v, want %v", got, want)
+	}
 }
 
 func TestOpenUnderMountCreatesContainer(t *testing.T) {

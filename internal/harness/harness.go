@@ -44,31 +44,24 @@ func NewStore() *posix.MemFS {
 // NewStoreN prepares a backing store striped over n in-memory backends
 // (the -backends flag of the workload CLIs): PLFS containers created
 // under it spread their hostdirs — and so their droppings — across all
-// n, while backend 0 holds the canonical metadata. n <= 1 degenerates to
-// a single plain MemFS.
-func NewStoreN(n int) posix.FS {
-	return NewStoreLayout(n, "")
-}
-
-// NewStoreLayout prepares a backing store striped over n in-memory
-// backends under the named placement layout ("" or "mod-n" for classic
-// striping, "replica-R" for R-way replicated droppings — the -layout
-// flag of the workload CLIs). n <= 1 with the default layout degenerates
-// to a single plain MemFS. An invalid descriptor panics: the CLIs
-// validate flags before building stores.
-func NewStoreLayout(n int, desc string) posix.FS {
-	if n <= 1 && desc == "" {
+// n, while backend 0 holds the canonical metadata. The composite's
+// replica counters register on plane's "posix" layer; plane may be nil
+// (no telemetry). n <= 1 degenerates to a single plain MemFS.
+func NewStoreN(n int, plane *iostats.Plane) posix.FS {
+	if n <= 1 {
 		return NewStore()
-	}
-	layout, err := posix.LayoutFor(desc, n)
-	if err != nil {
-		panic("harness: " + err.Error())
 	}
 	backends := make([]posix.FS, n)
 	for i := range backends {
 		backends[i] = posix.NewMemFS()
 	}
-	striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
+	// Taking the concrete plane and storing it only when non-nil keeps a
+	// typed-nil plane out of the Collector interface.
+	var ropts posix.ReplicaOptions
+	if plane != nil {
+		ropts.Stats = plane
+	}
+	striped := posix.NewLayoutFS(posix.ModNLayout{}, ropts, backends...)
 	if err := PrepareStore(striped); err != nil {
 		panic(err.Error())
 	}
@@ -99,9 +92,9 @@ func PrepareStore(fs posix.FS) error {
 
 // DriverFor builds the per-rank ADIO driver for a named method over fs,
 // and returns the application-visible path for the given file name.
-// opts — any mix of grouped option structs (plfs.IndexOptions{...}) or a
-// whole plfs.Config — configure the instance of whichever methods run
-// over PLFS.
+// opts — grouped option structs (plfs.IndexOptions{...}) or
+// plfs.WithStats — configure the instance of whichever methods run over
+// PLFS.
 func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {
 	case "mpiio":

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"testing"
 
+	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
 	"ldplfs/internal/mpiio"
 	"ldplfs/internal/posix"
 )
 
+// TestNewStoreLayout checks the standard directories and that a striped
+// store counts its replica reads on the plane it was handed.
 func TestNewStoreLayout(t *testing.T) {
 	store := NewStore()
 	for _, d := range []string{ScratchDir, BackendDir} {
@@ -17,13 +20,30 @@ func TestNewStoreLayout(t *testing.T) {
 			t.Fatalf("%s: %+v, %v", d, st, err)
 		}
 	}
+
+	plane := iostats.NewPlane()
+	striped := NewStoreN(3, plane)
+	fd, err := striped.Open(BackendDir+"/f", posix.O_CREAT|posix.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := striped.Pwrite(fd, []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := striped.Pread(fd, make([]byte, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	striped.Close(fd)
+	if got := plane.Layer("posix").Counter("replica_read_primary").Load(); got != 1 {
+		t.Fatalf("replica_read_primary = %d on the plane handed to NewStoreN, want 1", got)
+	}
 }
 
 func TestNewStoreNStripes(t *testing.T) {
-	store := NewStoreN(3)
+	store := NewStoreN(3, nil)
 	striped, ok := store.(*posix.StripedFS)
 	if !ok {
-		t.Fatalf("NewStoreN(3) = %T, want *posix.StripedFS", store)
+		t.Fatalf("NewStoreN(3, nil) = %T, want *posix.StripedFS", store)
 	}
 	if striped.NumBackends() != 3 {
 		t.Fatalf("NumBackends = %d, want 3", striped.NumBackends())
@@ -61,8 +81,8 @@ func TestNewStoreNStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NewStoreN(1).(*posix.MemFS) == nil {
-		t.Fatal("NewStoreN(1) should degenerate to a plain MemFS")
+	if NewStoreN(1, nil).(*posix.MemFS) == nil {
+		t.Fatal("NewStoreN(1, nil) should degenerate to a plain MemFS")
 	}
 }
 

@@ -118,9 +118,9 @@ func TestLDPLFSCreatesScaleWithRanks(t *testing.T) {
 			if usePLFS {
 				d := posix.NewDispatch(rec)
 				if _, err := core.Preload(d, core.Config{
-					Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-					Pid:         uint32(r.Rank()),
-					PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
+					Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+					Pid:    uint32(r.Rank()),
+					Plfs:   plfs.New(rec, plfs.EngineOptions{NumHostdirs: 4}),
 				}); err != nil {
 					panic(err)
 				}

@@ -49,9 +49,9 @@ func methods(t *testing.T) []methodUnderTest {
 			driver: func(t *testing.T, mem *posix.MemFS, rank int) Driver {
 				d := posix.NewDispatch(mem)
 				_, err := core.Preload(d, core.Config{
-					Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-					Pid:         uint32(rank),
-					PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
+					Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+					Pid:    uint32(rank),
+					Plfs:   plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4}),
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -24,6 +24,12 @@ type replicaRig struct {
 // below the op counters and every attempt (including ones the fault
 // layer rejects) is counted.
 func newReplicaRig(t *testing.T, n int, desc string, opts ...Option) *replicaRig {
+	return newHedgedRig(t, n, desc, posix.ReplicaOptions{}, opts...)
+}
+
+// newHedgedRig is newReplicaRig with the composite's replica read path
+// tuned by ropts; its counters always land on the rig's plane.
+func newHedgedRig(t *testing.T, n int, desc string, ropts posix.ReplicaOptions, opts ...Option) *replicaRig {
 	t.Helper()
 	r := &replicaRig{plane: iostats.NewPlane()}
 	backends := make([]posix.FS, n)
@@ -34,7 +40,12 @@ func newReplicaRig(t *testing.T, n int, desc string, opts ...Option) *replicaRig
 		r.faults = append(r.faults, ff)
 		backends[i] = posix.NewInstrumentFS(ff, r.plane, posix.WithLayerName(fmt.Sprintf("b%d", i)))
 	}
-	r.p = New(nil, append(opts, WithLayout(desc), WithStats(r.plane), WithBackends(backends...))...)
+	layout, err := posix.LayoutFor(desc, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropts.Stats = r.plane
+	r.p = New(posix.NewLayoutFS(layout, ropts, backends...), append(opts, WithStats(r.plane))...)
 	if err := r.p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +150,9 @@ func TestChaosHedgedReadAtPlfsLayer(t *testing.T) {
 		ch <- time.Time{}
 		return ch
 	}
-	rig := newReplicaRig(t, 3, "replica-2",
+	rig := newHedgedRig(t, 3, "replica-2",
+		posix.ReplicaOptions{HedgeDeadline: time.Millisecond, HedgeTimer: hedgeNow},
 		EngineOptions{NumHostdirs: 6},
-		LayoutOptions{HedgeDeadline: time.Millisecond, HedgeTimer: hedgeNow},
 	)
 	hedgeWant := writeN1(t, rig.p, "/backend/f", 2, 4, 256)
 

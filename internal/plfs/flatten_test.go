@@ -391,7 +391,7 @@ func TestStripedFlattenedPlacement(t *testing.T) {
 			t.Fatalf("flattened record leaked onto shadow backend %d", bi)
 		}
 	}
-	cold := New(nil, EngineOptions{NumHostdirs: 6}, WithBackends(mems[0], mems[1], mems[2]))
+	cold := New(posix.NewStripedFS(mems[0], mems[1], mems[2]), EngineOptions{NumHostdirs: 6})
 	if got := readAllBytes(t, cold, "/backend/fplace"); !bytes.Equal(got, want) {
 		t.Fatal("striped flattened read diverged")
 	}

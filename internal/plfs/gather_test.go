@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ldplfs/internal/plfs/readcache"
 	"ldplfs/internal/posix"
 )
 
@@ -118,7 +119,8 @@ func TestFDCacheScanWindow(t *testing.T) {
 				t.Run(fmt.Sprintf("cap%d/width%d/workers%d", c, n, workers), func(t *testing.T) {
 					mem := posix.NewMemFS()
 					m := newMeterFS(mem)
-					p := New(m, EngineOptions{NumHostdirs: 4}, IndexOptions{MaxReadFDs: c})
+					p := New(m, EngineOptions{NumHostdirs: 4})
+					p.fds = readcache.NewFDCache(m, c)
 					p.workers = workers
 					want := writeN1(t, p, "/scan", n, 2, 64)
 					f, err := p.Open("/scan", posix.O_RDONLY, 999, 0)
@@ -173,7 +175,8 @@ func TestReadSurvivesEMFILE(t *testing.T) {
 		for k := 0; k < opens; k++ {
 			mem := posix.NewMemFS()
 			flt := posix.NewFaultFS(mem)
-			p := New(flt, EngineOptions{NumHostdirs: 4}, IndexOptions{MaxReadFDs: fdCap})
+			p := New(flt, EngineOptions{NumHostdirs: 4})
+			p.fds = readcache.NewFDCache(flt, fdCap)
 			want := writeN1(t, p, "/wide", writers, 2, 64)
 			f, err := p.Open("/wide", posix.O_RDONLY, 999, 0)
 			if err != nil {
@@ -213,7 +216,8 @@ func TestReadWiderThanDescriptorLimit(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			mem := posix.NewMemFS()
 			m := newMeterFS(mem)
-			p := New(m, EngineOptions{NumHostdirs: 4}, IndexOptions{MaxReadFDs: fdCap})
+			p := New(m, EngineOptions{NumHostdirs: 4})
+			p.fds = readcache.NewFDCache(m, fdCap)
 			p.workers = workers
 			want := writeN1(t, p, "/wide", writers, 2, 64)
 			f, err := p.Open("/wide", posix.O_RDONLY, 999, 0)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ldplfs/internal/iostats"
 	"ldplfs/internal/posix"
 )
 
@@ -34,21 +35,27 @@ func cacheStats(p *FS) cacheCounters {
 // a group literal passed to New replaces that whole group, later options
 // win, and functional helpers touch only their own field.
 func TestOptionsGroupReplacement(t *testing.T) {
+	plane := iostats.NewPlane()
 	p := New(posix.NewMemFS(),
-		IndexOptions{MaxReadFDs: 2, MaxCachedIndexes: 10},
-		EngineOptions{NumHostdirs: 5},
-		IndexOptions{MaxReadFDs: 6}, // replaces the whole Index group
-		WithLayout("mod-n"),
+		EngineOptions{NumHostdirs: 3},
+		IndexOptions{DisableAutoFlatten: true},
+		TelemetryOptions{Stats: plane},
+		EngineOptions{NumHostdirs: 5}, // replaces the whole Engine group
+		IndexOptions{},                // and the whole Index group
 	)
-	cfg := p.Config()
-	if cfg.Index.MaxReadFDs != 6 || cfg.Index.MaxCachedIndexes != 0 {
-		t.Fatalf("later IndexOptions did not replace the group: %+v", cfg.Index)
+	if p.cfg.Engine.NumHostdirs != 5 {
+		t.Fatalf("later EngineOptions did not replace the group: %+v", p.cfg.Engine)
 	}
-	if cfg.Engine.NumHostdirs != 5 {
-		t.Fatalf("EngineOptions lost: %+v", cfg.Engine)
+	if p.cfg.Index.DisableAutoFlatten {
+		t.Fatalf("later IndexOptions did not replace the group: %+v", p.cfg.Index)
 	}
-	if cfg.Layout.Layout != "mod-n" || cfg.Layout.HedgeDeadline != 0 {
-		t.Fatalf("WithLayout touched more than its field: %+v", cfg.Layout)
+	if p.cfg.Telemetry.Stats != plane {
+		t.Fatalf("TelemetryOptions lost: %+v", p.cfg.Telemetry)
+	}
+
+	q := New(posix.NewMemFS(), IndexOptions{DisableAutoFlatten: true}, WithStats(plane))
+	if !q.cfg.Index.DisableAutoFlatten || q.cfg.Telemetry.Stats != plane {
+		t.Fatalf("WithStats touched more than its field: %+v", q.cfg)
 	}
 }
 
@@ -60,16 +67,10 @@ func TestOptionsGroupReplacement(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	dataPath := []string{
 		"Engine.NumHostdirs",
-		"Index.MaxReadFDs",
-		"Index.MaxCachedIndexes",
 		"Index.DisableAutoFlatten",
 	}
 	wiring := []string{
 		"Telemetry.Stats",
-		"Layout.Layout",
-		"Layout.HedgeDeadline",
-		"Layout.HedgeTimer",
-		"Backends",
 	}
 	want := append(slices.Clone(dataPath), wiring...)
 	slices.Sort(want)

@@ -44,7 +44,7 @@
 // reads a dropping through one descriptor held from that dropping's
 // first pread to its last and never closes one it has yet to read
 // through; a plan wider than the shared cache's cap
-// (readcache.FDCache, IndexOptions.MaxReadFDs) goes a round at a time,
+// (readcache.FDCache, readcache.DefaultMaxFDs) goes a round at a time,
 // cached droppings first, so the cap bounds what a read holds however
 // wide the container, and a scan reopens only what it is over the cap
 // by.
@@ -156,7 +156,9 @@ type FS struct {
 	// cache is the shared per-container merged-index cache and fds the
 	// shared read-descriptor cache: the read-engine state shared by
 	// every File. cacheLayer is where the index cache counts: the
-	// collector's "readcache" layer, or a standalone one without.
+	// collector's "readcache" layer, or a standalone one without. Both
+	// run at their package defaults; in-package tests swap in a smaller
+	// fds on a fresh instance to pin the descriptor cap.
 	cache      *readcache.IndexCache
 	cacheLayer *iostats.LayerStats
 	fds        *readcache.FDCache
@@ -195,9 +197,8 @@ type FS struct {
 
 // New returns a PLFS instance over backend, configured by the supplied
 // options (see Option; later options override earlier ones, group by
-// group). With Backends set (WithBackends or Config.Backends), backend
-// is ignored (and may be nil) and the instance stripes its containers
-// across the listed stores.
+// group). To run over several stores, pass their composite: a
+// posix.StripedFS places every container's droppings by its layout.
 func New(backend posix.FS, opts ...Option) *FS {
 	var cfg Config
 	for _, o := range opts {
@@ -206,24 +207,10 @@ func New(backend posix.FS, opts ...Option) *FS {
 	if cfg.Engine.NumHostdirs <= 0 {
 		cfg.Engine.NumHostdirs = 32
 	}
-	if len(cfg.Backends) > 0 {
-		layout, err := posix.LayoutFor(cfg.Layout.Layout, len(cfg.Backends))
-		if err != nil {
-			// The layout is part of the container's on-disk identity;
-			// silently degrading a misconfigured one would scatter data
-			// under the wrong placement rule.
-			panic("plfs: " + err.Error())
-		}
-		backend = posix.NewLayoutFS(layout, posix.ReplicaOptions{
-			HedgeDeadline: cfg.Layout.HedgeDeadline,
-			HedgeTimer:    cfg.Layout.HedgeTimer,
-			Stats:         cfg.Telemetry.Stats,
-		}, cfg.Backends...)
-	}
 	p := &FS{
 		backend:    backend,
 		cfg:        cfg,
-		fds:        readcache.NewFDCache(backend, cfg.Index.MaxReadFDs),
+		fds:        readcache.NewFDCache(backend, readcache.DefaultMaxFDs),
 		containers: make(map[string]*container),
 		seeded:     make(map[string]bool),
 		workers:    defaultWorkers(),
@@ -233,7 +220,7 @@ func New(backend posix.FS, opts ...Option) *FS {
 		flattenNonce: rand.Uint64(),
 	}
 	p.initTelemetry()
-	p.cache = readcache.NewIndexCache(cfg.Index.MaxCachedIndexes, p.cacheLayer)
+	p.cache = readcache.NewIndexCache(readcache.DefaultMaxContainers, p.cacheLayer)
 	p.gather = gatherState{
 		now:    time.Now,
 		serial: p.cacheLayer.Counter("gathers_serial"),
@@ -241,9 +228,6 @@ func New(backend posix.FS, opts ...Option) *FS {
 	}
 	return p
 }
-
-// Config returns the instance's resolved configuration.
-func (p *FS) Config() Config { return p.cfg }
 
 // CachedReadFDs returns the number of read descriptors currently cached.
 func (p *FS) CachedReadFDs() int { return p.fds.Len() }

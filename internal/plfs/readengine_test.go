@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ldplfs/internal/plfs/readcache"
 	"ldplfs/internal/posix"
 )
 
@@ -262,7 +263,8 @@ func TestConcurrentReadersDuringActiveWriter(t *testing.T) {
 func TestReadEngineRaceHammer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{MaxReadFDs: 8})
+	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p.fds = readcache.NewFDCache(mem, 8)
 	const (
 		writers = 4
 		readers = 8
@@ -400,7 +402,8 @@ func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	mem.Mkdir("/backend", 0o755)
 	// 64 writers, fd cache capped at 8: the gather succeeds eight
 	// droppings at a time and never holds more than the cap.
-	p := New(mem, EngineOptions{NumHostdirs: 8}, IndexOptions{MaxReadFDs: 8})
+	p := New(mem, EngineOptions{NumHostdirs: 8})
+	p.fds = readcache.NewFDCache(mem, 8)
 	p.workers = 4
 	want := writeN1(t, p, "/backend/wide", 64, 2, 64)
 	f, err := p.Open("/backend/wide", posix.O_RDONLY, 999, 0)

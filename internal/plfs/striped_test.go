@@ -13,6 +13,11 @@ import (
 // (each optionally wrapped in a FaultFS), returning the raw MemFS stores
 // for physical inspection.
 func newStripedFS(t *testing.T, n int, faulty bool, opts ...Option) (*FS, []*posix.MemFS) {
+	return newLayoutPLFS(t, n, faulty, "", opts...)
+}
+
+// newLayoutPLFS is newStripedFS under the named placement layout.
+func newLayoutPLFS(t *testing.T, n int, faulty bool, desc string, opts ...Option) (*FS, []*posix.MemFS) {
 	t.Helper()
 	mems := make([]*posix.MemFS, n)
 	backends := make([]posix.FS, n)
@@ -24,7 +29,11 @@ func newStripedFS(t *testing.T, n int, faulty bool, opts ...Option) (*FS, []*pos
 			backends[i] = mems[i]
 		}
 	}
-	p := New(nil, append(opts, WithBackends(backends...))...)
+	layout, err := posix.LayoutFor(desc, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...), opts...)
 	if err := p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestStripedDifferentialScript(t *testing.T) {
 				{"replica3", 3, false, "replica-3"},
 				{"replica3-fault", 3, true, "replica-3"},
 			} {
-				p, _ := newStripedFS(t, cfg.n, cfg.faulty, opts, WithLayout(cfg.layout))
+				p, _ := newLayoutPLFS(t, cfg.n, cfg.faulty, cfg.layout, opts)
 				f, err := p.Open("/backend/diff", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 				if err != nil {
 					t.Fatal(err)
@@ -510,9 +519,8 @@ func TestBatchDepthDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var refFinal []byte
 		for _, d := range depths {
-			p := New(nil,
+			p := New(posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()),
 				EngineOptions{NumHostdirs: 4},
-				WithBackends(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()),
 			)
 			p.batchDepth, p.indexBatch = d, 8
 			final := driveStridedScript(t, p, seed)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+
+	"ldplfs/internal/iostats"
 )
 
 // OSFS exposes a directory of the real operating-system file system through
@@ -51,19 +53,16 @@ func NewOSFS(dir string) (*OSFS, error) {
 func (o *OSFS) Root() string { return o.root }
 
 // NewStripedRoots composes the canonical backend with OSFS shadow
-// backends opened from a comma-separated list of host directories — the
-// parser behind the CLIs' -backends flag, shared so every tool
-// interprets a backend list identically (the list is part of a striped
-// container's identity). An empty spec returns canonical unchanged.
-func NewStripedRoots(canonical FS, shadowSpec string) (FS, error) {
-	return NewStripedRootsLayout(canonical, shadowSpec, "")
-}
-
-// NewStripedRootsLayout is NewStripedRoots under a named placement
-// layout ("" or "mod-n" for classic striping, "replica-R" for R-way
-// replicated droppings). A replica layout needs the shadow spec: with no
-// shadow backends there is nowhere to put a second copy.
-func NewStripedRootsLayout(canonical FS, shadowSpec, layoutDesc string) (FS, error) {
+// backends opened from a comma-separated list of host directories, under
+// a named placement layout ("" or "mod-n" for classic striping,
+// "replica-R" for R-way replicated droppings). It is the parser behind
+// the CLIs' -backends and -layout flags, shared so every tool interprets
+// a backend list identically (the list is part of a striped container's
+// identity). The composite's replica counters register on stats (nil
+// keeps them standalone). An empty spec returns canonical unchanged; a
+// replica layout then has nowhere to put a second copy and is refused,
+// as is a spec with an empty entry.
+func NewStripedRoots(canonical FS, shadowSpec, layoutDesc string, stats iostats.Collector) (FS, error) {
 	if shadowSpec == "" {
 		if _, err := LayoutFor(layoutDesc, 1); err != nil {
 			return nil, err
@@ -72,7 +71,12 @@ func NewStripedRootsLayout(canonical FS, shadowSpec, layoutDesc string) (FS, err
 	}
 	all := []FS{canonical}
 	for _, dir := range strings.Split(shadowSpec, ",") {
-		shadow, err := NewOSFS(strings.TrimSpace(dir))
+		dir = strings.TrimSpace(dir)
+		if dir == "" {
+			// NewOSFS("") would root a backend at the working directory.
+			return nil, fmt.Errorf("shadow backends %q: empty entry", shadowSpec)
+		}
+		shadow, err := NewOSFS(dir)
 		if err != nil {
 			return nil, fmt.Errorf("shadow backend %s: %w", dir, err)
 		}
@@ -82,7 +86,7 @@ func NewStripedRootsLayout(canonical FS, shadowSpec, layoutDesc string) (FS, err
 	if err != nil {
 		return nil, err
 	}
-	return NewLayoutFS(layout, ReplicaOptions{}, all...), nil
+	return NewLayoutFS(layout, ReplicaOptions{Stats: stats}, all...), nil
 }
 
 func (o *OSFS) host(path string) string {

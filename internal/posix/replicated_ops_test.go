@@ -3,9 +3,13 @@ package posix
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ldplfs/internal/iostats"
 )
 
 // opsSurface drives the full FS interface through one composite — the
@@ -195,15 +199,17 @@ func TestLiveVerdictOutranksDeadEIO(t *testing.T) {
 
 // TestNewStripedRootsLayout pins the CLI composition root: host
 // directory trees composed under a replica layout serve replicated
-// droppings, the empty spec returns the canonical backend, and layout
-// errors surface before any I/O.
+// droppings and count them on the collector handed over, the empty spec
+// returns the canonical backend, and spec and layout errors surface
+// before any I/O.
 func TestNewStripedRootsLayout(t *testing.T) {
 	roots := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	canonical, err := NewOSFS(roots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := NewStripedRootsLayout(canonical, roots[1]+","+roots[2], "replica-2")
+	plane := iostats.NewPlane()
+	fs, err := NewStripedRoots(canonical, roots[1]+","+roots[2], "replica-2", plane)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +235,9 @@ func TestNewStripedRootsLayout(t *testing.T) {
 	if got := mustReadFile(t, s, "/hostdir.1/d"); string(got) != "payload" {
 		t.Fatalf("read back %q", got)
 	}
+	if got := plane.Layer("posix").Counter("replica_read_primary").Load(); got == 0 {
+		t.Fatal("primary read not counted on the collector handed to NewStripedRoots")
+	}
 
 	// The full ops surface must hold over real directory trees too —
 	// same sequence, same observable results as the MemFS rigs.
@@ -237,15 +246,31 @@ func TestNewStripedRootsLayout(t *testing.T) {
 	}
 
 	// Empty shadow spec: the canonical backend itself, valid layouts only.
-	plain, err := NewStripedRoots(canonical, "")
+	plain, err := NewStripedRoots(canonical, "", "", nil)
 	if err != nil || plain != canonical {
 		t.Fatalf("empty spec = %T, %v", plain, err)
 	}
-	if _, err := NewStripedRootsLayout(canonical, "", "replica-2"); err == nil {
+	if _, err := NewStripedRoots(canonical, "", "replica-2", nil); err == nil {
 		t.Fatal("replica layout with no shadow backends accepted")
 	}
-	if _, err := NewStripedRootsLayout(canonical, roots[1], "bogus"); err == nil {
+	if _, err := NewStripedRoots(canonical, roots[1], "bogus", nil); err == nil {
 		t.Fatal("bogus layout accepted")
+	}
+
+	// An empty entry would open the working directory as a backend:
+	// droppings would land there and a later run without it would read
+	// an empty file. Every such spec is refused, naming the spec.
+	t.Chdir(t.TempDir())
+	for _, spec := range []string{"b1,", ",b1", "b1,,b2", " "} {
+		for _, b := range []string{"b1", "b2"} {
+			if err := os.MkdirAll(b, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := NewStripedRoots(canonical, spec, "", nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", spec)) {
+			t.Fatalf("spec %q: err = %v, want a refusal naming the spec", spec, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ldplfs/internal/iostats"
-	"ldplfs/internal/plfs"
 	"ldplfs/internal/tune"
 )
 
@@ -178,10 +177,9 @@ func admissionLess(x, y *waiter) bool {
 	return x.seq < y.seq
 }
 
-// TenantConfig is the per-tenant policy half of the gateway config. The
-// PLFS configuration reuses the grouped option types of the redesigned
-// client API (plfs.Config), so a tenant's engine/index/telemetry knobs
-// read exactly like a local instance's.
+// TenantConfig is the per-tenant policy half of the gateway config. A
+// tenant's PLFS instance is not configured here: every tenant runs a
+// default instance over the gateway's one store (Config.Backend).
 type TenantConfig struct {
 	// Name identifies the tenant on the wire (Hello) and in telemetry
 	// (layer "tenant:<name>").
@@ -209,12 +207,6 @@ type TenantConfig struct {
 
 	// Burst overrides the buckets' burst capacity in bytes/ops.
 	Burst int64
-
-	// Plfs configures the tenant's PLFS instance using the same grouped
-	// option types as the local client API (zero = defaults).
-	// Telemetry.Stats is overridden by the gateway's plane so every
-	// tenant scopes through one collector.
-	Plfs plfs.Config
 }
 
 // Tenant is one admitted tenant's live policy state: its buckets, its

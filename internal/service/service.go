@@ -14,9 +14,11 @@ import (
 
 // Config configures a Gateway.
 type Config struct {
-	// Backend is the store the gateway serves (stripe it with
-	// posix.NewStripedFS before handing it over, as a local client
-	// would).
+	// Backend is the store the gateway serves: every tenant's PLFS
+	// instance and every session's non-PLFS paths run over it. To
+	// stripe or replicate, compose a posix.StripedFS before handing it
+	// over, as a local client would, with Plane as the composite's
+	// collector so its replica counters share the gateway's snapshot.
 	Backend posix.FS
 
 	// Mounts maps client-visible path prefixes onto backend container
@@ -114,14 +116,9 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		// Every rank of a tenant shares one PLFS instance — index
 		// caches, read engines and flatten state pool across the
 		// tenant's sessions, as ranks on one node share the preloaded
-		// library. The tenant's grouped config is taken as-is except
-		// that telemetry scopes through the gateway plane unless the
-		// tenant wired its own collector.
-		fsCfg := tc.Plfs
-		if fsCfg.Telemetry.Stats == nil && g.plane != nil {
-			fsCfg.Telemetry.Stats = g.plane
-		}
-		g.fss[tc.Name] = plfs.New(cfg.Backend, fsCfg)
+		// library — over the one store the gateway serves, reporting to
+		// the gateway plane.
+		g.fss[tc.Name] = plfs.New(cfg.Backend, plfs.WithStats(cfg.Plane))
 		g.tenantIdx[tc.Name] = uint32(i)
 	}
 	if cfg.Governor.Enable {

@@ -25,9 +25,9 @@ func env(t *testing.T) (*posix.Dispatch, *posix.MemFS) {
 	}
 	d := posix.NewDispatch(mem)
 	if _, err := core.Preload(d, core.Config{
-		Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-		Pid:         7,
-		PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
+		Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+		Pid:    7,
+		Plfs:   plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4}),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -14,40 +14,42 @@ import (
 )
 
 // stripedStores builds the backend configurations the differential runs
-// over: a single MemFS, striped MemFS pairs/triples, and a striped
-// triple of FaultFS-wrapped backends (transparent, but exercising the
-// fault layer's fd bookkeeping under striping).
+// over: a single MemFS, striped MemFS pairs/triples, replicated triples,
+// and triples of FaultFS-wrapped backends (transparent, but exercising
+// the fault layer's fd bookkeeping under striping and replication).
 func stripedStores(t *testing.T) map[string]posix.FS {
 	t.Helper()
-	faulty := make([]posix.FS, 3)
-	for i := range faulty {
-		faulty[i] = posix.NewFaultFS(posix.NewMemFS())
+	return map[string]posix.FS{
+		"single":         harness.NewStore(),
+		"striped2":       harness.NewStoreN(2, nil),
+		"striped3":       harness.NewStoreN(3, nil),
+		"striped3-fault": layoutStore(t, "mod-n", true),
+		"replica2":       layoutStore(t, "replica-2", false),
+		"replica3":       layoutStore(t, "replica-3", false),
+		"replica2-fault": layoutStore(t, "replica-2", true),
 	}
-	stripedFault := posix.NewStripedFS(faulty...)
-	if err := harness.PrepareStore(stripedFault); err != nil {
-		t.Fatal(err)
+}
+
+// layoutStore composes three in-memory backends, each behind a FaultFS
+// when faulty, under the named layout, with the standard directories.
+func layoutStore(t *testing.T, desc string, faulty bool) posix.FS {
+	t.Helper()
+	backends := make([]posix.FS, 3)
+	for i := range backends {
+		backends[i] = posix.NewMemFS()
+		if faulty {
+			backends[i] = posix.NewFaultFS(backends[i])
+		}
 	}
-	replicaFaulty := make([]posix.FS, 3)
-	for i := range replicaFaulty {
-		replicaFaulty[i] = posix.NewFaultFS(posix.NewMemFS())
-	}
-	r2, err := posix.LayoutFor("replica-2", 3)
+	layout, err := posix.LayoutFor(desc, len(backends))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replicaFault := posix.NewLayoutFS(r2, posix.ReplicaOptions{}, replicaFaulty...)
-	if err := harness.PrepareStore(replicaFault); err != nil {
+	store := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
+	if err := harness.PrepareStore(store); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]posix.FS{
-		"single":         harness.NewStore(),
-		"striped2":       harness.NewStoreN(2),
-		"striped3":       harness.NewStoreN(3),
-		"striped3-fault": stripedFault,
-		"replica2":       harness.NewStoreLayout(3, "replica-2"),
-		"replica3":       harness.NewStoreLayout(3, "replica-3"),
-		"replica2-fault": replicaFault,
-	}
+	return store
 }
 
 // containerDigest reads the full logical contents of the container the

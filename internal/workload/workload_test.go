@@ -26,9 +26,9 @@ func driverFor(t *testing.T, method string, mem *posix.MemFS, rank int) (mpiio.D
 	case "ldplfs":
 		d := posix.NewDispatch(mem)
 		if _, err := core.Preload(d, core.Config{
-			Mounts:      []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-			Pid:         uint32(rank),
-			PlfsOptions: plfs.Config{Engine: plfs.EngineOptions{NumHostdirs: 4}},
+			Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+			Pid:    uint32(rank),
+			Plfs:   plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4}),
 		}); err != nil {
 			t.Fatal(err)
 		}
