@@ -41,10 +41,12 @@
 // metadata on backend 0), which a cold Open/Stat loads in O(extents)
 // after revalidating the record's embedded raw-dropping signature —
 // any newer dropping or live writer silently demotes the build to a
-// memory-bounded streaming merge (chunked dropping streams k-way-merged
-// into a chunked interval map, replacing slurp-then-sort). See
-// README.md ("The flattened global index") and
-// internal/plfs/index/flattened.go for the lifecycle and trust rules.
+// memory-bounded streaming merge (dropping streams whose chunks are
+// read and decoded on the worker pool, merged through a loser tree into
+// a chunked interval map, replacing slurp-then-sort). Of the ranks that
+// close a container at once, one flattens: the flatten's temp name is
+// an O_EXCL claim. See README.md ("The flattened global index") and
+// internal/plfs/flatten.go for the lifecycle and trust rules.
 //
 // Telemetry is a single cross-cutting plane (internal/iostats): the
 // posix backends (via the composable posix.InstrumentFS wrapper), the

@@ -8,11 +8,26 @@
 // record's embedded raw-dropping signature must match the droppings as
 // they are now and no writer may hold the container open — any newer raw
 // dropping or live writer silently demotes the read to the streaming
-// merge. The record is written atomically (temp + rename, under a temp
-// name no other flattener can share — see flattenedTemp), so a crashed
-// flatten leaves at worst a dead temp file that goes with the container,
-// and two last closers racing each other publish one whole record after
-// the other, never a half-record.
+// merge. The record is written atomically (temp + rename, the temp file
+// created O_EXCL), so a crashed flatten leaves at worst a dead temp file
+// that goes with the container, and flattens racing each other publish
+// one whole record after the other, never a half-record.
+//
+// One flatten per set of last closers. Ranks that close at once each
+// clear their openhosts record before any of them looks, so each finds
+// no writer left. Their temp name is therefore a claim, keyed by the
+// generation they would write and the raw signature of the droppings
+// they would merge (flattenClaim): the one whose O_EXCL create succeeds
+// merges and publishes; the others return before merging. (A closer
+// that looks only once the record is published writes the next
+// generation, as any later last close does: a repaired torn tail can
+// bring a dropping back to its old size, so a matching signature does
+// not prove a record current to a closer.) A claim left by a crash
+// blocks only a flatten of that identical dropping set at that
+// generation — a write that grows a dropping changes the signature —
+// and goes when the container is unlinked. A command's flatten (plfsctl
+// compact) claims nothing: its temp name is its own (flattenedTemp), so
+// it may race a closer, and each publishes a whole record.
 package plfs
 
 import (
@@ -34,17 +49,21 @@ func flattenedPath(container string, gen uint64) string {
 	return fmt.Sprintf("%s/%s%d", container, flattenedPrefix, gen)
 }
 
-// flattenedTemp names the temp file one flatten writes its record to
-// before renaming it over flattenedPath(container, gen). Ranks that
-// close at once each see no writer left and each flatten, to the same
-// generation; under a shared temp name the second's O_TRUNC open empties
-// what the first then renames into place. So the name carries the pid
-// whose close (or 0: whose command) started the flatten, this instance's
-// nonce, and a count of this instance's flattens: ranks differ in the
-// first, instances that share a pid in the second, one instance's
-// concurrent flattens in the third. parseFlattenedGen rejects it.
-func (p *FS) flattenedTemp(container string, gen uint64, pid uint32) string {
-	return fmt.Sprintf("%s.tmp.%d.%x.%d", flattenedPath(container, gen), pid, p.flattenNonce, p.flattens.Add(1))
+// flattenedTemp names the temp file a command's flatten writes its
+// record to before renaming it over flattenedPath(container, gen): it
+// carries this instance's nonce and a count of its flattens, so no other
+// flatten, in this instance or another, shares it. parseFlattenedGen
+// rejects it.
+func (p *FS) flattenedTemp(container string, gen uint64) string {
+	return fmt.Sprintf("%s.tmp.%x.%d", flattenedPath(container, gen), p.flattenNonce, p.flattens.Add(1))
+}
+
+// flattenClaim names the temp file of a last closer's flatten: the same
+// for every closer about to write generation gen from droppings with raw
+// signature raw, so creating it O_EXCL elects one of them (see the
+// package doc). parseFlattenedGen rejects it.
+func flattenClaim(container string, gen, raw uint64) string {
+	return fmt.Sprintf("%s.tmp.%016x", flattenedPath(container, gen), raw)
 }
 
 // parseFlattenedGen extracts the generation from a flattened record file
@@ -167,13 +186,14 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 	if p.hasOpenWriters(path) {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: container has active writers", path)
 	}
-	return p.writeFlattened(path, 0)
+	return p.writeFlattened(path, false)
 }
 
 // writeFlattened performs the flatten: one streaming merge, one atomic
-// record write, old generations retired best-effort. pid is the closer
-// on whose behalf it runs (0 for a command).
-func (p *FS) writeFlattened(path string, pid uint32) (FlattenedInfo, error) {
+// record write, old generations retired best-effort. A last closer's
+// flatten (claim) writes under flattenClaim and, per the package doc,
+// returns a zero FlattenedInfo before any merge when the claim is taken.
+func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	droppings, flatGens, err := p.listIndexState(path)
 	if err != nil {
 		return FlattenedInfo{}, err
@@ -186,13 +206,26 @@ func (p *FS) writeFlattened(path string, pid uint32) (FlattenedInfo, error) {
 		return FlattenedInfo{}, err
 	}
 	raw := rawSignature(path, droppings, stats)
-	global, _, err := p.mergeIndex(droppings)
-	if err != nil {
-		return FlattenedInfo{}, err
-	}
 	gen := uint64(1)
 	if len(flatGens) > 0 {
 		gen = slices.Max(flatGens) + 1
+	}
+	tmp := flattenClaim(path, gen, raw)
+	if !claim {
+		tmp = p.flattenedTemp(path, gen)
+	}
+	fd, err := p.backend.Open(tmp, posix.O_CREAT|posix.O_EXCL|posix.O_WRONLY, 0o644)
+	if claim && errors.Is(err, posix.EEXIST) {
+		return FlattenedInfo{}, nil
+	}
+	if err != nil {
+		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: create %s: %w", path, tmp, err)
+	}
+	global, _, err := p.mergeIndex(droppings)
+	if err != nil {
+		p.backend.Close(fd)
+		p.backend.Unlink(tmp)
+		return FlattenedInfo{}, err
 	}
 	fl := &idx.Flattened{
 		Generation: gen,
@@ -200,7 +233,7 @@ func (p *FS) writeFlattened(path string, pid uint32) (FlattenedInfo, error) {
 		Size:       global.Size(),
 		Extents:    global.Extents(),
 	}
-	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), p.flattenedTemp(path, gen, pid), fl); err != nil {
+	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), tmp, fd, fl); err != nil {
 		return FlattenedInfo{}, err
 	}
 	for _, g := range flatGens {
@@ -212,14 +245,14 @@ func (p *FS) writeFlattened(path string, pid uint32) (FlattenedInfo, error) {
 // maybeAutoFlatten writes a flattened record when the container's last
 // writer has closed. Best-effort, like the meta size hints: a failed
 // flatten costs the next cold open a streaming merge, nothing more.
-func (p *FS) maybeAutoFlatten(path string, pid uint32) {
+func (p *FS) maybeAutoFlatten(path string) {
 	if p.cfg.Index.DisableAutoFlatten {
 		return
 	}
 	if p.hasOpenWriters(path) {
 		return
 	}
-	p.writeFlattened(path, pid)
+	p.writeFlattened(path, true)
 }
 
 // DropFlattenedIndex removes the container's flattened records (all

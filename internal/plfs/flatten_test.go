@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ldplfs/internal/iostats"
@@ -553,19 +554,133 @@ func TestColdOpenDroppingReadCost(t *testing.T) {
 	}
 }
 
-// TestConcurrentLastClosers enumerates the window two last closers in
-// different instances open on one container. Ranks that close at once
-// each clear their openhosts record before either looks, so both see no
-// writer left and both flatten, to the same generation. FaultFS gates
-// hold each closer at its look, then A between writing its temp file and
-// renaming it, and B before its k-th backend op on the record's files,
-// for every k; A's rename then lands at each point of B's flatten in
-// turn. At every step the published name either does not exist or holds
-// a whole record. (Under a temp name both share, B's O_TRUNC open empties
-// the file A then renames into place.)
+// dropOpens counts opens of index droppings: each merge opens every
+// dropping of the container once.
+type dropOpens struct {
+	posix.FS
+	n atomic.Int64
+}
+
+func (d *dropOpens) Open(path string, flags int, mode uint32) (int, error) {
+	if strings.Contains(path, "/dropping.index.") {
+		d.n.Add(1)
+	}
+	return d.FS.Open(path, flags, mode)
+}
+
+// gatedCloser is one instance's close, run on its own goroutine over a
+// FaultFS whose gates hold it at chosen backend ops.
+type gatedCloser struct {
+	ffs        *posix.FaultFS
+	look, held chan struct{} // gates: before hasOpenWriters, inside the flatten
+	done       chan error
+}
+
+// park waits until c's fired-th gate holds it (or, for a gate its close
+// never reaches, until the close returns).
+func (c *gatedCloser) park(t *testing.T, fired int) {
+	t.Helper()
+	for c.ffs.Fired() < fired {
+		select {
+		case err := <-c.done:
+			c.done <- err
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// checkPublished fails unless the container's gen-1 record is whole, or
+// (unless want) absent.
+func checkPublished(t *testing.T, fs posix.FS, path string, want bool, when string) {
+	t.Helper()
+	_, err := idx.ReadFlattened(fs, flattenedPath(path, 1))
+	if err != nil && (want || !errors.Is(err, posix.ENOENT)) {
+		t.Fatalf("%s: the published record is not whole: %v", when, err)
+	}
+}
+
+// checkOneFreshRecord fails unless the container's root holds exactly one
+// flattened record and no temp file, a cold reader trusts it, and the
+// bytes read back are want.
+func checkOneFreshRecord(t *testing.T, fs posix.FS, path, want string) {
+	t.Helper()
+	checkPublished(t, fs, path, true, "all closed")
+	cold := New(fs, EngineOptions{NumHostdirs: 2})
+	if names := flattenedNames(t, cold, path); len(names) != 1 {
+		t.Fatalf("container root holds %v, want the one record and no temp file", names)
+	}
+	if got := readAllBytes(t, cold, path); string(got) != want {
+		t.Fatalf("content = %q, want %q", got, want)
+	}
+	if s := cacheStats(cold); s.FlattenedBuilds != 1 {
+		t.Fatalf("cold open did not trust the record: %+v", s)
+	}
+}
+
+// TestConcurrentLastClosers: ranks that close at once each clear their
+// openhosts record before either looks, so both find no writer left and
+// both set out to flatten the same droppings to the same generation.
+// Gates hold each closer at its look; then A runs to just before its
+// rename, and B's whole close runs while A is held. Exactly one of them
+// may merge, and what it publishes is whole and trusted.
 func TestConcurrentLastClosers(t *testing.T) {
 	const path = "/backend/race"
-	const final = path + "/index.flattened.1"
+	mem := posix.NewMemFS()
+	if err := mem.Mkdir("/backend", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	opens := &dropOpens{FS: mem}
+	var a, b gatedCloser
+	for i, c := range []*gatedCloser{&a, &b} {
+		pid := uint32(i + 1)
+		c.ffs = posix.NewFaultFS(opens)
+		c.look, c.held, c.done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		f, err := New(c.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{'a' + byte(i)}, 4), int64(4*i), pid); err != nil {
+			t.Fatal(err)
+		}
+		// A close touches openhosts twice: it unlinks its own record,
+		// then lists the directory to see who is left.
+		c.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: "/" + openhostsDir, After: 1, Times: 1, Gate: c.look})
+		go func() { c.done <- f.Close(pid) }()
+	}
+	a.park(t, 1)
+	b.park(t, 1) // both records are gone; neither closer has looked
+	opens.n.Store(0)
+
+	a.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: flattenedPrefix, Times: 1, Gate: a.held})
+	close(a.look)
+	a.park(t, 2) // A's record is written and synced; its rename waits
+	close(b.look)
+	if err := <-b.done; err != nil {
+		t.Fatalf("B's close: %v", err)
+	}
+	checkPublished(t, mem, path, false, "B closed, A held before its rename")
+	close(a.held)
+	if err := <-a.done; err != nil {
+		t.Fatalf("A's close: %v", err)
+	}
+	if n := opens.n.Load(); n != 2 {
+		t.Fatalf("the two closers opened index droppings %d times: %d merges of the 2 droppings, want 1", n, n/2)
+	}
+	checkOneFreshRecord(t, mem, path, "aaaabbbb")
+}
+
+// TestCompactRacesLastCloser enumerates the publish window a command's
+// flatten (plfsctl compact, under a temp name of its own) opens against
+// a last closer's flatten of the same droppings to the same generation.
+// The closer A is held between writing its record and renaming it, and
+// the compact B before its k-th backend op on the record's files, for
+// every k; A's rename then lands at each point of B's flatten in turn.
+// At every step the published name either does not exist or holds a
+// whole record.
+func TestCompactRacesLastCloser(t *testing.T) {
+	const path = "/backend/race"
 	// B's ops on the record's files: open, write, fsync and rename of its
 	// temp (close is never gated). One step more lets B run to the end
 	// while A is still held.
@@ -575,87 +690,108 @@ func TestConcurrentLastClosers(t *testing.T) {
 		if err := mem.Mkdir("/backend", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		published := func(when string) {
-			t.Helper()
-			if _, err := idx.ReadFlattened(mem, final); err != nil && !errors.Is(err, posix.ENOENT) {
-				t.Fatalf("k=%d, %s: the published record is not whole: %v", k, when, err)
-			}
+		a := gatedCloser{ffs: posix.NewFaultFS(mem), held: make(chan struct{}), done: make(chan error, 1)}
+		f, err := New(a.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		type closer struct {
-			ffs        *posix.FaultFS
-			look, held chan struct{} // gates: before hasOpenWriters, inside the flatten
-			done       chan error
+		if _, err := f.Write([]byte("aaaabbbb"), 0, 1); err != nil {
+			t.Fatal(err)
 		}
-		var a, b closer
-		for i, c := range []*closer{&a, &b} {
-			pid := uint32(i + 1)
-			c.ffs = posix.NewFaultFS(mem)
-			c.look, c.held, c.done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
-			f, err := New(c.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(bytes.Repeat([]byte{'a' + byte(i)}, 4), int64(4*i), pid); err != nil {
-				t.Fatal(err)
-			}
-			// A close touches openhosts twice: it unlinks its own record,
-			// then lists the directory to see who is left.
-			c.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: "/" + openhostsDir, After: 1, Times: 1, Gate: c.look})
-			go func() { c.done <- f.Close(pid) }()
-		}
-		// parked waits until c's next gate holds it (or, for a gate its
-		// flatten never reaches, until its close returns).
-		parked := func(c *closer, fired int) {
-			t.Helper()
-			for c.ffs.Fired() < fired {
-				select {
-				case err := <-c.done:
-					c.done <- err
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
-		parked(&a, 1)
-		parked(&b, 1) // both records are gone; neither closer has looked
-
 		a.ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: flattenedPrefix, Times: 1, Gate: a.held})
-		close(a.look)
-		parked(&a, 2) // A's temp is written, synced and closed; its rename waits
-		published("A held before its rename")
+		go func() { a.done <- f.Close(1) }()
+		a.park(t, 1) // A's record is written and synced; its rename waits
+		checkPublished(t, mem, path, false, "A held before its rename")
 
+		b := gatedCloser{ffs: posix.NewFaultFS(mem), held: make(chan struct{}), done: make(chan error, 1)}
 		b.ffs.Inject(&posix.FaultRule{Op: posix.FaultAny, PathContains: flattenedPrefix, After: k, Times: 1, Gate: b.held})
-		close(b.look)
-		parked(&b, 2)
-		if held := b.ffs.Fired() == 2; held != (k < steps) {
+		go func() {
+			_, err := New(b.ffs, EngineOptions{NumHostdirs: 2}).WriteFlattenedIndex(path)
+			b.done <- err
+		}()
+		b.park(t, 1)
+		if held := b.ffs.Fired() == 1; held != (k < steps) {
 			t.Fatalf("k=%d: B held inside its flatten = %v: the flatten no longer makes the %d ops enumerated here", k, held, steps)
 		}
-		published("B held at its step")
+		checkPublished(t, mem, path, false, "B held at its step")
 
 		close(a.held)
 		if err := <-a.done; err != nil {
 			t.Fatalf("k=%d: A's close: %v", k, err)
 		}
-		published("A renamed")
+		checkPublished(t, mem, path, true, "A renamed")
 
 		close(b.held)
 		if err := <-b.done; err != nil {
-			t.Fatalf("k=%d: B's close: %v", k, err)
+			t.Fatalf("k=%d: B's compact: %v", k, err)
 		}
-		if _, err := idx.ReadFlattened(mem, final); err != nil {
-			t.Fatalf("k=%d: both closed, no whole record published: %v", k, err)
-		}
-		cold := New(mem, EngineOptions{NumHostdirs: 2})
-		if names := flattenedNames(t, cold, path); len(names) != 1 {
-			t.Fatalf("k=%d: container root holds %v, want the one record and no temp file", k, names)
-		}
-		if got := readAllBytes(t, cold, path); string(got) != "aaaabbbb" {
-			t.Fatalf("k=%d: content = %q", k, got)
-		}
-		if s := cacheStats(cold); s.FlattenedBuilds != 1 {
-			t.Fatalf("k=%d: cold open did not trust the record: %+v", k, s)
-		}
+		checkOneFreshRecord(t, mem, path, "aaaabbbb")
+	}
+}
+
+// TestDeadFlattenClaim: a claim a crashed closer left behind blocks a
+// later closer's flatten of the identical dropping set — nothing else —
+// and goes with the container.
+func TestDeadFlattenClaim(t *testing.T) {
+	const path = "/backend/dead"
+	p, mem := newTestFS(t)
+	f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("one"), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.DropFlattenedIndex(path); err != nil || n != 1 {
+		t.Fatalf("drop = %d, %v; want the close's one record", n, err)
+	}
+	droppings, _, err := p.listIndexState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := p.statDroppings(droppings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := flattenClaim(path, 1, rawSignature(path, droppings, stats))
+	fd, err := mem.Open(dead, posix.O_CREAT|posix.O_EXCL|posix.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Write(fd, []byte("half a record")); err != nil {
+		t.Fatal(err)
+	}
+	mem.Close(fd)
+
+	p.maybeAutoFlatten(path)
+	if names := flattenedNames(t, p, path); len(names) != 1 || path+"/"+names[0] != dead {
+		t.Fatalf("a close over the dead claim's droppings flattened: root holds %v", names)
+	}
+
+	f, err = p.Open(path, posix.O_RDWR, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("two"), 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.ReadFlattened(mem, flattenedPath(path, 1)); err != nil {
+		t.Fatalf("a close over new droppings did not flatten past the dead claim: %v", err)
+	}
+	if got := readAllBytes(t, New(mem, EngineOptions{NumHostdirs: 4}), path); string(got) != "onetwo" {
+		t.Fatalf("content = %q", got)
+	}
+
+	if err := p.Unlink(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Stat(dead); !errors.Is(err, posix.ENOENT) {
+		t.Fatalf("dead claim outlived its container: %v", err)
 	}
 }

@@ -185,18 +185,16 @@ func UnmarshalFlattened(data []byte) (*Flattened, error) {
 }
 
 // WriteFlattened persists a flattened record at path atomically: the
-// bytes land in the temp file tmp, which is fsynced and renamed over
-// the final name, so readers only ever observe a complete record or
-// none at all. That holds only while tmp is this writer's alone: two
-// writers sharing one temp name truncate each other's bytes, and the
-// one that renames publishes whatever the other has written so far. The
-// caller picks tmp, beside path, so that no concurrent writer of path —
-// in this process or another — can pick the same.
-func WriteFlattened(fs posix.FS, path, tmp string, f *Flattened) error {
-	fd, err := fs.Open(tmp, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("index: create flattened temp %s: %w", tmp, err)
-	}
+// bytes go to fd, the caller's descriptor on the temp file tmp beside
+// path, which is fsynced, closed and renamed over the final name, so
+// readers only ever observe a complete record or none at all. That
+// holds only while tmp is this writer's alone: two writers sharing one
+// temp file write over each other's bytes, and the one that renames
+// publishes whatever the other has written so far. So the caller
+// creates tmp with O_EXCL, under a name no concurrent writer of path —
+// in this process or another — means to share. fd is closed on every
+// path, and tmp removed on failure.
+func WriteFlattened(fs posix.FS, path, tmp string, fd int, f *Flattened) error {
 	data := MarshalFlattened(f)
 	if err := posix.WriteFull(fs, fd, data, 0); err != nil {
 		fs.Close(fd)

@@ -24,7 +24,7 @@ func sampleFlattened() *Flattened {
 func TestFlattenedRoundTrip(t *testing.T) {
 	fs := posix.NewMemFS()
 	want := sampleFlattened()
-	if err := WriteFlattened(fs, "/flat", "/flat.tmp", want); err != nil {
+	if err := writeFlattenedFile(fs, "/flat", "/flat.tmp", want); err != nil {
 		t.Fatal(err)
 	}
 	// The temp file must not survive a successful publish.
@@ -104,6 +104,15 @@ func TestFlattenedRejectsDamage(t *testing.T) {
 	}
 }
 
+// writeFlattenedFile creates tmp exclusively and publishes f through it.
+func writeFlattenedFile(fs posix.FS, path, tmp string, f *Flattened) error {
+	fd, err := fs.Open(tmp, posix.O_CREAT|posix.O_EXCL|posix.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	return WriteFlattened(fs, path, tmp, fd, f)
+}
+
 func TestRawSignatureProperties(t *testing.T) {
 	a := RawSignature([]string{"hostdir.0/dropping.index.1"}, []int64{480})
 	if b := RawSignature([]string{"hostdir.0/dropping.index.1"}, []int64{480}); b != a {
@@ -127,7 +136,7 @@ func TestWriteFlattenedFailureLeavesNoFinalFile(t *testing.T) {
 	mem := posix.NewMemFS()
 	ffs := posix.NewFaultFS(mem)
 	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: ".tmp", Err: posix.ENOSPC})
-	if err := WriteFlattened(ffs, "/flat", "/flat.tmp", sampleFlattened()); err == nil {
+	if err := writeFlattenedFile(ffs, "/flat", "/flat.tmp", sampleFlattened()); err == nil {
 		t.Fatal("write succeeded on full device")
 	}
 	if _, err := mem.Stat("/flat"); err == nil {
@@ -137,7 +146,7 @@ func TestWriteFlattenedFailureLeavesNoFinalFile(t *testing.T) {
 		t.Fatal("temp file left behind after failed write")
 	}
 	ffs.Clear()
-	if err := WriteFlattened(ffs, "/flat", "/flat.tmp", sampleFlattened()); err != nil {
+	if err := writeFlattenedFile(ffs, "/flat", "/flat.tmp", sampleFlattened()); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.OpenFDs(); got != 0 {

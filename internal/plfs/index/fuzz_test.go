@@ -2,8 +2,11 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ldplfs/internal/posix"
@@ -131,12 +134,15 @@ type modelByte struct {
 	phys     int64
 }
 
-// FuzzIndexMerge decodes arbitrary bytes into a write history, merges it
-// through Build, and checks the result against a byte-granular replay
-// oracle: every logical byte must resolve to exactly the write the
-// last-writer-wins rule says, holes exactly where nothing wrote, size
-// exactly the high-water mark — plus structural invariants (sorted,
-// non-overlapping, gap-free coverage) and Truncate consistency.
+// FuzzIndexMerge decodes arbitrary bytes into a write history and
+// merges it twice — through Build, and through MergeStreams over the
+// history split into per-pid, timestamp-sorted droppings streamed a
+// fuzzed number of records at a time — checking each result against a
+// byte-granular replay oracle: every logical byte must resolve to
+// exactly the write the last-writer-wins rule says, holes exactly where
+// nothing wrote, size exactly the high-water mark — plus structural
+// invariants (sorted, non-overlapping, gap-free coverage) and Truncate
+// consistency.
 func FuzzIndexMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -171,8 +177,6 @@ func FuzzIndexMerge(f *testing.F) {
 			})
 		}
 
-		idx := Build(entries)
-
 		// Oracle: replay byte-by-byte in Build's resolution order.
 		model := map[int64]modelByte{}
 		ordered := append([]Entry(nil), entries...)
@@ -189,6 +193,7 @@ func FuzzIndexMerge(f *testing.F) {
 			}
 		}
 		var wantSize int64
+		var newest uint64
 		for _, e := range ordered {
 			for b := int64(0); b < e.Length; b++ {
 				model[e.LogicalOffset+b] = modelByte{e.Pid, e.Dropping, e.PhysicalOffset + b}
@@ -196,57 +201,108 @@ func FuzzIndexMerge(f *testing.F) {
 			if end := e.LogicalOffset + e.Length; end > wantSize {
 				wantSize = end
 			}
+			newest = max(newest, e.Timestamp)
 		}
 
-		if idx.Size() != wantSize {
-			t.Fatalf("Size = %d, oracle %d", idx.Size(), wantSize)
-		}
-		if wantSize == 0 {
-			return
-		}
-		extents := idx.Query(0, wantSize)
-		var cur int64
-		for _, x := range extents {
-			if x.LogicalOffset != cur {
-				t.Fatalf("coverage gap: extent at %d, expected %d", x.LogicalOffset, cur)
-			}
-			if x.Length <= 0 {
-				t.Fatalf("non-positive extent length: %+v", x)
-			}
-			for b := int64(0); b < x.Length; b++ {
-				m, written := model[x.LogicalOffset+b]
-				if x.Hole {
-					if written {
-						t.Fatalf("byte %d resolved as hole but oracle has %+v", x.LogicalOffset+b, m)
-					}
-					continue
-				}
-				if !written {
-					t.Fatalf("byte %d resolved to pid %d but oracle has a hole", x.LogicalOffset+b, x.Pid)
-				}
-				if m.pid != x.Pid || m.dropping != x.Dropping || m.phys != x.PhysicalOffset+b {
-					t.Fatalf("byte %d resolved to (pid %d, dropping %d, phys %d), oracle (pid %d, dropping %d, phys %d)",
-						x.LogicalOffset+b, x.Pid, x.Dropping, x.PhysicalOffset+b, m.pid, m.dropping, m.phys)
-				}
-			}
-			cur += x.Length
-		}
-		if cur != wantSize {
-			t.Fatalf("extents cover %d bytes, want %d", cur, wantSize)
-		}
+		checkOracle(t, "Build", Build(entries), model, wantSize)
 
-		// Truncate agrees with a truncated oracle.
-		tsize := wantSize / 2
-		idx.Truncate(tsize)
-		if idx.Size() != tsize {
-			t.Fatalf("post-truncate Size = %d, want %d", idx.Size(), tsize)
+		// The streaming merge: each pid's writes split several ways into
+		// droppings, each dropping sorted as a writer's clock sorts it
+		// (Dropping breaks timestamp ties as Build does), streamed chunk
+		// records at a time. Both split and chunk come from the first byte.
+		split, chunk := 1, 1
+		if len(data) > 0 {
+			split, chunk = 1+int(data[0]>>5), 1+int(data[0]&0x1f)
 		}
-		for _, x := range idx.Extents() {
-			if x.LogicalOffset+x.Length > tsize {
-				t.Fatalf("extent %+v beyond truncation %d", x, tsize)
+		byDropping := make([][]Entry, 4*split)
+		for i, e := range entries {
+			d := int(e.Pid)*split + i%split
+			byDropping[d] = append(byDropping[d], e)
+		}
+		mem := posix.NewMemFS()
+		var streams []*DroppingStream
+		for d, es := range byDropping {
+			if len(es) == 0 {
+				continue
 			}
+			slices.SortFunc(es, func(a, b Entry) int {
+				return cmp.Or(cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.Dropping, b.Dropping))
+			})
+			path := fmt.Sprintf("/d%d", d)
+			if err := WriteDropping(mem, path, es); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenDroppingStream(mem, path, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			streams = append(streams, s)
 		}
+		merged, gotNewest, err := MergeStreams(streams...)
+		if err != nil {
+			t.Fatalf("MergeStreams over %d droppings, chunk %d: %v", len(streams), chunk, err)
+		}
+		if gotNewest != newest {
+			t.Fatalf("MergeStreams newest timestamp %d, oracle %d", gotNewest, newest)
+		}
+		checkOracle(t, fmt.Sprintf("MergeStreams (%d droppings, chunk %d)", len(streams), chunk), merged, model, wantSize)
 	})
+}
+
+// checkOracle checks idx, built by the named merge, against the
+// byte-replay oracle model and its size, then truncates idx to half and
+// checks that too.
+func checkOracle(t *testing.T, name string, idx *Index, model map[int64]modelByte, wantSize int64) {
+	t.Helper()
+	if idx.Size() != wantSize {
+		t.Fatalf("%s: Size = %d, oracle %d", name, idx.Size(), wantSize)
+	}
+	if wantSize == 0 {
+		return
+	}
+	extents := idx.Query(0, wantSize)
+	var cur int64
+	for _, x := range extents {
+		if x.LogicalOffset != cur {
+			t.Fatalf("%s: coverage gap: extent at %d, expected %d", name, x.LogicalOffset, cur)
+		}
+		if x.Length <= 0 {
+			t.Fatalf("%s: non-positive extent length: %+v", name, x)
+		}
+		for b := int64(0); b < x.Length; b++ {
+			m, written := model[x.LogicalOffset+b]
+			if x.Hole {
+				if written {
+					t.Fatalf("%s: byte %d resolved as hole but oracle has %+v", name, x.LogicalOffset+b, m)
+				}
+				continue
+			}
+			if !written {
+				t.Fatalf("%s: byte %d resolved to pid %d but oracle has a hole", name, x.LogicalOffset+b, x.Pid)
+			}
+			if m.pid != x.Pid || m.dropping != x.Dropping || m.phys != x.PhysicalOffset+b {
+				t.Fatalf("%s: byte %d resolved to (pid %d, dropping %d, phys %d), oracle (pid %d, dropping %d, phys %d)",
+					name, x.LogicalOffset+b, x.Pid, x.Dropping, x.PhysicalOffset+b, m.pid, m.dropping, m.phys)
+			}
+		}
+		cur += x.Length
+	}
+	if cur != wantSize {
+		t.Fatalf("%s: extents cover %d bytes, want %d", name, cur, wantSize)
+	}
+
+	// Truncate agrees with a truncated oracle.
+	tsize := wantSize / 2
+	idx.Truncate(tsize)
+	if idx.Size() != tsize {
+		t.Fatalf("%s: post-truncate Size = %d, want %d", name, idx.Size(), tsize)
+	}
+	for _, x := range idx.Extents() {
+		if x.LogicalOffset+x.Length > tsize {
+			t.Fatalf("%s: extent %+v beyond truncation %d", name, x, tsize)
+		}
+	}
 }
 
 func writeFile(tb testing.TB, fs posix.FS, path string, data []byte) {

@@ -385,6 +385,52 @@ func TestMergeStreamsMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestMergeStreamsTreeShapes merges k streams for k on both sides of
+// powers of two — the loser tree's leaves need not fill a level — and
+// checks the result against Build. Every stream's j-th record carries
+// timestamp j+1, so ties across streams are the rule and the (pid,
+// dropping) tiebreak decides them; pids repeat across streams, streams
+// run out at different lengths, and some are empty.
+func TestMergeStreamsTreeShapes(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5, 8, 160, 161, 255, 256, 257} {
+		fs := newStreamFixtureFS(t)
+		streams := make([]*DroppingStream, k)
+		var all []Entry
+		for i := range streams {
+			es := make([]Entry, (i+1)%6)
+			for j := range es {
+				es[j] = Entry{
+					LogicalOffset:  int64((i*5+j*3)%40) * 8,
+					Length:         12,
+					PhysicalOffset: int64(j) * 12,
+					Timestamp:      uint64(j + 1),
+					Pid:            uint32(i % 7),
+					Dropping:       uint32(i / 7),
+				}
+			}
+			if err := WriteDropping(fs, pathFor(i), es); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, es...)
+			s, err := OpenDroppingStream(fs, pathFor(i), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			streams[i] = s
+		}
+		got, newest, err := MergeStreams(streams...)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		want := Build(all)
+		if got.Size() != want.Size() || newest != min(uint64(k), 5) {
+			t.Fatalf("k=%d: size %d/%d, newest %d", k, got.Size(), want.Size(), newest)
+		}
+		sameExtents(t, fmt.Sprintf("k=%d", k), got.Extents(), want.Extents())
+	}
+}
+
 // TestMergeStreamsRejectsUnsorted: a dropping whose timestamps go
 // backwards cannot stream; the caller must get ErrUnsorted to trigger
 // the slurp fallback (never a silently wrong merge).

@@ -175,19 +175,21 @@ type FS struct {
 
 	// workers bounds every engine fan-out (index reconstruction, the
 	// read scatter-gather, WriteV); batchDepth and indexBatch are the
-	// coalescing and group-flush bounds. All three are resolved once in
+	// coalescing and group-flush bounds, streamChunk the records an index
+	// dropping stream decodes per read. All four are resolved once in
 	// New; in-package tests set them on a fresh instance to pin the
-	// serial or the pooled shape.
-	workers    int
-	batchDepth int
-	indexBatch int
+	// serial or the pooled shape, or where chunk boundaries fall.
+	workers     int
+	batchDepth  int
+	indexBatch  int
+	streamChunk int
 
 	// gather is what the read engine has observed of this backend's
 	// per-batch latency — what decides inline or pooled (runBatches).
 	gather gatherState
 
-	// flattenNonce and flattens make this instance's flattened-record
-	// temp names its own (see flattenedTemp).
+	// flattenNonce and flattens make the temp names of this instance's
+	// command flattens its own (see flattenedTemp).
 	flattenNonce uint64
 	flattens     atomic.Uint64
 
@@ -208,14 +210,15 @@ func New(backend posix.FS, opts ...Option) *FS {
 		cfg.Engine.NumHostdirs = 32
 	}
 	p := &FS{
-		backend:    backend,
-		cfg:        cfg,
-		fds:        readcache.NewFDCache(backend, readcache.DefaultMaxFDs),
-		containers: make(map[string]*container),
-		seeded:     make(map[string]bool),
-		workers:    defaultWorkers(),
-		batchDepth: DefaultBatchDepth,
-		indexBatch: DefaultIndexBatch,
+		backend:     backend,
+		cfg:         cfg,
+		fds:         readcache.NewFDCache(backend, readcache.DefaultMaxFDs),
+		containers:  make(map[string]*container),
+		seeded:      make(map[string]bool),
+		workers:     defaultWorkers(),
+		batchDepth:  DefaultBatchDepth,
+		indexBatch:  DefaultIndexBatch,
+		streamChunk: idx.DefaultStreamChunk,
 
 		flattenNonce: rand.Uint64(),
 	}
@@ -550,7 +553,7 @@ func (p *FS) seedClock(path string) error {
 // as a slurp would but holding one chunk of them at a time, and returns
 // the largest timestamp it carries (0 for none).
 func (p *FS) newestInDropping(path string) (uint64, error) {
-	s, err := idx.OpenDroppingStream(p.backend, path, 0)
+	s, err := idx.OpenDroppingStream(p.backend, path, p.streamChunk)
 	if err != nil {
 		return 0, err
 	}
@@ -1019,7 +1022,7 @@ func (f *File) Close(pid uint32) error {
 		return err
 	}
 	if hadWriter {
-		p.maybeAutoFlatten(c.path, pid)
+		p.maybeAutoFlatten(c.path)
 	}
 	return nil
 }
@@ -1376,7 +1379,7 @@ func (p *FS) CompactIndex(path string) error {
 	// record just went stale; refresh it from the consolidated state
 	// (best effort — compaction itself succeeded either way). plfsctl
 	// compact reports the outcome via IndexHealth.
-	p.writeFlattened(path, 0)
+	p.writeFlattened(path, false)
 	return nil
 }
 

@@ -222,19 +222,20 @@ func signatureFrom(droppings []string, stats []posix.Stat) readcache.Signature {
 }
 
 // mergeIndex reconstructs the merged index from raw droppings with the
-// memory-bounded streaming merge: each dropping is read in bounded
-// chunks (stream open + first-chunk prefetch fanned across the worker
-// pool) and overlaid in global timestamp order through a k-way
-// heap, instead of slurping every record into one slice and sorting it.
-// A dropping whose records defy timestamp order (only adversarial inputs
-// do) demotes the whole reconstruction to the slurp-and-sort path, which
-// handles any order. The merge sees every record, so it also returns the
-// newest timestamp among them (0 for none).
+// memory-bounded streaming merge: each dropping is read and decoded in
+// bounded chunks (stream open + first-chunk read and decode fanned
+// across the worker pool) and overlaid in global timestamp order through
+// a k-way loser tree, instead of slurping every record into one slice
+// and sorting it. A dropping whose records defy timestamp order (only
+// adversarial inputs do) demotes the whole reconstruction to the
+// slurp-and-sort path, which handles any order. The merge sees every
+// record, so it also returns the newest timestamp among them (0 for
+// none).
 func (p *FS) mergeIndex(droppings []string) (*idx.Index, uint64, error) {
 	streams := make([]*idx.DroppingStream, len(droppings))
 	errs := make([]error, len(droppings))
 	runParallel(len(droppings), p.workers, func(i int) {
-		s, err := idx.OpenDroppingStream(p.backend, droppings[i], 0)
+		s, err := idx.OpenDroppingStream(p.backend, droppings[i], p.streamChunk)
 		if err != nil {
 			errs[i] = err
 			return
