@@ -14,17 +14,21 @@
 //	plfsctl -root /tmp/store rm /backend/data
 //	plfsctl stats                                   # telemetry-plane snapshot demo
 //
-// compact consolidates the raw index droppings and persists the flattened
-// global index record cold opens load in O(extents). doctor reports per-
-// container index health — raw dropping and entry counts, flattened
-// generation and staleness — and with -fix refreshes or removes a stale
-// flattened record (fresh records are always left alone).
+// Every subcommand reads through the plfs library, as a reader would:
+// info and index show the merged index the read path resolves (through
+// the instance's cache, from a trusted flattened record when there is
+// one), and counts come from plfs.FS.IndexHealth. compact consolidates
+// the raw index droppings and persists the flattened global index record
+// cold opens load in O(extents).
 //
-// With -layout replica-R the backends serve R-way replicated droppings;
-// doctor then also scans every replica set, reports missing copies
-// (under-replication) and disagreeing copies (divergence), re-replicates
-// missing copies under -fix, and rebuilds diverged ones only under
-// -fix -force.
+// doctor prints plfs.FS.Doctor, the one container check-and-repair
+// procedure (plfsd runs the same one for -remote): openhosts records,
+// index health and, with -layout replica-R, every replica set. -fix
+// clears stale openhosts records, refreshes or removes a flattened
+// record that is not fresh (fresh records are always left alone) and
+// re-replicates missing copies; diverged copies are rebuilt only under
+// -fix -force, which is local-only. doctor exits 1 while the container
+// still needs the operator.
 //
 // stats runs one in-memory harness workload (the MPI-IO Test kernel over
 // the direct-PLFS method, 4 ranks) with the unified iostats telemetry
@@ -38,14 +42,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"ldplfs/internal/harness"
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
 	"ldplfs/internal/mpiio"
 	"ldplfs/internal/plfs"
-	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/service/client"
 	"ldplfs/internal/workload"
@@ -64,7 +66,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	backends := fl.String("backends", "", "comma-separated extra host directories the container's droppings are striped across")
 	hostdirs := fl.Int("hostdirs", 32, "hostdir buckets (must match the writer's setting)")
 	layoutDesc := fl.String("layout", "", "placement layout across the backends: mod-n (default) or replica-R")
-	fix := fl.Bool("fix", false, "doctor: remove the stale openhosts records it finds and re-replicate missing copies")
+	fix := fl.Bool("fix", false, "doctor: repair what it finds (stale openhosts records, a flattened index record that is not fresh, missing replica copies)")
 	force := fl.Bool("force", false, "doctor -fix: also rebuild diverged replica copies from the longest copy")
 	lint := fl.Bool("lint", false, "doctor: also note how to run the repository's static-analysis gate")
 	remote := fl.String("remote", "", "plfsd gateway address; stats and doctor run against the live daemon")
@@ -119,14 +121,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "container:    %s\n", path)
 		fmt.Fprintf(stdout, "logical size: %d bytes\n", st.Size)
-		entries, droppings, err := loadIndex(fs, path)
+		h, err := p.IndexHealth(path)
 		if err != nil {
 			return fail("%v", err)
 		}
-		global := idx.Build(entries)
+		index, err := p.MergedIndex(path)
+		if err != nil {
+			return fail("%v", err)
+		}
 		fmt.Fprintf(stdout, "droppings:    %d index, %d entries, %d resolved extents\n",
-			droppings, len(entries), global.NumExtents())
-		if h, err := p.IndexHealth(path); err == nil && h.Flattened != nil {
+			h.IndexDroppings, h.RawEntries, index.NumExtents())
+		if h.Flattened != nil {
 			state := "stale"
 			if h.Flattened.Fresh {
 				state = "fresh"
@@ -143,13 +148,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "layout:       %s\n", desc)
 		}
 	case "index":
-		entries, _, err := loadIndex(fs, path)
+		index, err := p.MergedIndex(path)
 		if err != nil {
 			return fail("%v", err)
 		}
-		global := idx.Build(entries)
 		fmt.Fprintf(stdout, "%-12s %-10s %-12s %-6s\n", "logical", "length", "physical", "pid")
-		for _, x := range global.Extents() {
+		for _, x := range index.Extents() {
 			fmt.Fprintf(stdout, "%-12d %-10d %-12d %-6d\n", x.LogicalOffset, x.Length, x.PhysicalOffset, x.Pid)
 		}
 	case "flatten":
@@ -162,25 +166,26 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		st, _ := fs.Stat(args[2])
 		fmt.Fprintf(stdout, "flattened %s -> %s (%d bytes)\n", path, args[2], st.Size)
 	case "compact":
-		before, err := p.IndexDroppings(path)
+		before, err := p.IndexHealth(path)
 		if err != nil {
 			return fail("%v", err)
 		}
 		if err := p.CompactIndex(path); err != nil {
 			return fail("%v", err)
 		}
-		after, _ := p.IndexDroppings(path)
-		fmt.Fprintf(stdout, "compacted %s: %d -> %d index droppings\n", path, before, after)
 		// CompactIndex refreshes the flattened global index as it goes;
 		// report what cold readers will now load (or that the flatten
 		// failed and they will merge).
-		if h, err := p.IndexHealth(path); err == nil {
-			if h.Flattened != nil && h.Flattened.Fresh {
-				fmt.Fprintf(stdout, "flattened index: gen %d, %d extents (cold opens load it directly)\n",
-					h.Flattened.Generation, h.Flattened.Extents)
-			} else {
-				fmt.Fprintln(stdout, "flattened index: none (cold opens run the streaming merge)")
-			}
+		after, err := p.IndexHealth(path)
+		if err != nil {
+			return fail("%v", err)
+		}
+		fmt.Fprintf(stdout, "compacted %s: %d -> %d index droppings\n", path, before.IndexDroppings, after.IndexDroppings)
+		if after.Flattened != nil && after.Flattened.Fresh {
+			fmt.Fprintf(stdout, "flattened index: gen %d, %d extents (cold opens load it directly)\n",
+				after.Flattened.Generation, after.Flattened.Extents)
+		} else {
+			fmt.Fprintln(stdout, "flattened index: none (cold opens run the streaming merge)")
 		}
 	case "doctor":
 		// -lint: doctor diagnoses containers; the invariants of the code
@@ -189,147 +194,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if *lint {
 			fmt.Fprintln(stdout, "lint: container checks below cover on-disk state; for the data-path invariants run `go run ./cmd/plfslint ./...` (catalogue: internal/analysis/doc.go)")
 		}
-		// Stale openhosts records are the symptom of a writer that never
-		// cleanly closed (a crash, or the historical Trunc(0) leak):
-		// they pin Stat on the slow merged-index path and make compact
-		// refuse the container, so operators want them surfaced. The
-		// liveness check consults whichever backend owns each writer's
-		// dropping, so records for writers on shadow backends are
-		// diagnosed correctly.
-		recs, err := p.OpenHosts(path)
+		healthy, err := p.Doctor(stdout, path, *fix, *force)
 		if err != nil {
 			return fail("%v", err)
 		}
-		live, stale := 0, 0
-		for _, r := range recs {
-			if r.Stale {
-				stale++
-				fmt.Fprintf(stdout, "stale openhosts record: pid %d (no data dropping — writer state lost)\n", r.Pid)
-			} else {
-				live++
-			}
-		}
-		fmt.Fprintf(stdout, "doctor %s: %d openhosts records (%d live, %d stale)\n", path, len(recs), live, stale)
-		if spread, err := p.ContainerSpread(path); err == nil && len(spread) > 1 {
-			fmt.Fprintf(stdout, "backends: %d (droppings per backend: %v)\n", len(spread), spread)
-		}
-		// Index health: what a cold open costs today. A fresh flattened
-		// record is left strictly alone, fixed or not; a stale one is
-		// refreshed (no live writers) or removed (it can never become
-		// fresh again) only under -fix.
-		h, err := p.IndexHealth(path)
-		if err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(stdout, "index: %d droppings, %d raw entries\n", h.IndexDroppings, h.RawEntries)
-		switch {
-		case h.Flattened == nil:
-			fmt.Fprintln(stdout, "flattened index: none (cold opens run the streaming merge)")
-		case h.Flattened.Err != nil:
-			fmt.Fprintf(stdout, "flattened index: gen %d DAMAGED (%v); readers fall back to the merge\n",
-				h.Flattened.Generation, h.Flattened.Err)
-		case h.Flattened.Fresh:
-			fmt.Fprintf(stdout, "flattened index: gen %d, %d extents, fresh\n",
-				h.Flattened.Generation, h.Flattened.Extents)
-		default:
-			fmt.Fprintf(stdout, "flattened index: gen %d STALE (raw droppings or live writers are newer); readers fall back to the merge\n",
-				h.Flattened.Generation)
-		}
-		if stale > 0 {
-			if *fix {
-				removed, err := p.ScrubOpenHosts(path)
-				if err != nil {
-					return fail("%v", err)
-				}
-				fmt.Fprintf(stdout, "removed %d stale records; stat fast path and compact restored\n", removed)
-			} else {
-				fmt.Fprintln(stdout, "container degraded: stat takes the slow merged-index path and compact is refused")
-				fmt.Fprintln(stdout, "re-run with -fix to clear the stale records")
-				return 1
-			}
-		}
-		// Flattened repair runs after the openhosts scrub, against a
-		// re-taken health snapshot: a record that looked stale only
-		// because dead writers' openhosts records pinned OpenWriters may
-		// now be fresh again (nothing to do), and a genuinely stale one
-		// can be refreshed rather than dropped.
-		if *fix {
-			if stale > 0 {
-				if h, err = p.IndexHealth(path); err != nil {
-					return fail("%v", err)
-				}
-			}
-			if h.Flattened != nil && !h.Flattened.Fresh {
-				if h.OpenWriters == 0 {
-					info, err := p.WriteFlattenedIndex(path)
-					if err != nil {
-						return fail("refresh flattened index: %v", err)
-					}
-					fmt.Fprintf(stdout, "refreshed flattened index to gen %d (%d extents)\n", info.Generation, info.Extents)
-				} else {
-					removed, err := p.DropFlattenedIndex(path)
-					if err != nil {
-						return fail("remove stale flattened records: %v", err)
-					}
-					fmt.Fprintf(stdout, "removed %d stale flattened record(s); writers are live, re-run compact after they close\n", removed)
-				}
-			}
-		}
-		// Replication health: only meaningful when this invocation runs a
-		// replica layout over the backends (-layout replica-R). Missing
-		// copies re-replicate under -fix; diverged copies — replicas that
-		// disagree, a backend death mid-write — are refused without
-		// -force, because overwriting one destroys forensic state.
-		rh, err := p.ReplicationHealth(path)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if rh.Width > 1 {
-			fmt.Fprintf(stdout, "replication: %s, %d files, %d under-replicated, %d diverged\n",
-				rh.Configured, rh.Files, rh.UnderReplicated, rh.Diverged)
-			if rh.DescriptorErr != "" {
-				fmt.Fprintf(stdout, "layout descriptor DAMAGED: %s\n", rh.DescriptorErr)
-			} else if rh.Descriptor != "" && rh.Descriptor != rh.Configured {
-				fmt.Fprintf(stdout, "layout descriptor mismatch: container records %s, running %s\n",
-					rh.Descriptor, rh.Configured)
-			}
-			for _, prob := range rh.Problems {
-				state := "under-replicated"
-				if prob.Diverged {
-					state = "DIVERGED"
-				}
-				fmt.Fprintf(stdout, "  %s: %s (want %d copies:", prob.Path, state, prob.Want)
-				for _, c := range prob.Copies {
-					if c.Missing {
-						fmt.Fprintf(stdout, " b%d=missing", c.Backend)
-					} else {
-						fmt.Fprintf(stdout, " b%d=%d", c.Backend, c.Size)
-					}
-				}
-				fmt.Fprintln(stdout, ")")
-			}
-			if !rh.Clean() {
-				if !*fix {
-					fmt.Fprintln(stdout, "re-run with -fix to re-replicate missing copies")
-					return 1
-				}
-				rep, err := p.RepairReplication(path, *force)
-				if err != nil {
-					return fail("re-replicate: %v", err)
-				}
-				fmt.Fprintf(stdout, "re-replicated %d cop(ies), skipped %d diverged file(s)\n", rep.Repaired, rep.Skipped)
-				if rep.Skipped > 0 {
-					fmt.Fprintln(stdout, "diverged copies left untouched; re-run with -fix -force to rebuild them from the longest copy")
-					return 1
-				}
-				if rh, err = p.ReplicationHealth(path); err != nil {
-					return fail("%v", err)
-				}
-				if !rh.Clean() {
-					return fail("container still unhealthy after repair")
-				}
-				fmt.Fprintln(stdout, "replication restored: every file at full copy count")
-			}
+		if !healthy {
+			return 1
 		}
 	case "rm":
 		if err := p.Unlink(path); err != nil {
@@ -409,36 +279,4 @@ func runStats(stdout io.Writer, fail func(string, ...any) int) int {
 	fmt.Fprintln(stdout)
 	plane.Snapshot().Format(stdout)
 	return 0
-}
-
-// loadIndex reads every index dropping in the container; through a
-// striped fs the container listing merges hostdirs from all backends.
-func loadIndex(fs posix.FS, path string) ([]idx.Entry, int, error) {
-	var entries []idx.Entry
-	droppings := 0
-	dirs, err := fs.Readdir(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, d := range dirs {
-		if !d.IsDir || !strings.HasPrefix(d.Name, "hostdir.") {
-			continue
-		}
-		hostdir := path + "/" + d.Name
-		files, err := fs.Readdir(hostdir)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, fe := range files {
-			if strings.HasPrefix(fe.Name, "dropping.index.") {
-				es, err := idx.ReadDropping(fs, hostdir+"/"+fe.Name)
-				if err != nil {
-					return nil, 0, err
-				}
-				entries = append(entries, es...)
-				droppings++
-			}
-		}
-	}
-	return entries, droppings, nil
 }

@@ -29,8 +29,8 @@ const (
 	stService   = 400 * time.Microsecond // per-op backend service time
 )
 
-// stripedSet is the rig's backends under one placement layout (nil =
-// mod-N). Each instance composes them afresh, as a new process would.
+// stripedSet is the rig's backends under one placement layout (the zero
+// Layout is mod-N). Each instance composes them afresh, as a new process would.
 type stripedSet struct {
 	layout   posix.Layout
 	backends []posix.FS

@@ -61,7 +61,7 @@ func NewStoreN(n int, plane *iostats.Plane) posix.FS {
 	if plane != nil {
 		ropts.Stats = plane
 	}
-	striped := posix.NewLayoutFS(posix.ModNLayout{}, ropts, backends...)
+	striped := posix.NewLayoutFS(posix.Layout{}, ropts, backends...)
 	if err := PrepareStore(striped); err != nil {
 		panic(err.Error())
 	}

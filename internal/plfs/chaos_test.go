@@ -205,7 +205,7 @@ func TestChaosHealCycle(t *testing.T) {
 	}
 
 	rig.faults[2].Revive()
-	h, err := rig.p.ReplicationHealth("/backend/f")
+	h, err := rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +216,14 @@ func TestChaosHealCycle(t *testing.T) {
 		t.Fatalf("doctor missed the under-replication: %+v", h)
 	}
 
-	rep, err := rig.p.RepairReplication("/backend/f", false)
+	rep, err := rig.p.repairReplication("/backend/f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Repaired == 0 || rep.Skipped != 0 {
 		t.Fatalf("repair did nothing: %+v", rep)
 	}
-	h2, err := rig.p.ReplicationHealth("/backend/f")
+	h2, err := rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestChaosHealCycle(t *testing.T) {
 		t.Fatalf("container still unhealthy after repair: %+v", h2)
 	}
 	// Idempotence: a second repair finds nothing to do.
-	rep2, err := rig.p.RepairReplication("/backend/f", false)
+	rep2, err := rig.p.repairReplication("/backend/f", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 			h.RawEntries += n
 		}
 	}
-	recs, err := p.OpenHosts(path)
+	recs, err := p.openHosts(path)
 	if err != nil {
 		return IndexHealth{}, err
 	}

@@ -461,7 +461,7 @@ func TestGoldenContainerV3(t *testing.T) {
 	if desc, err := p.ContainerLayout("/" + goldenContainerV3); err != nil || desc != "replica-2" {
 		t.Fatalf("v3 ContainerLayout = %q, %v", desc, err)
 	}
-	h, err := p.ReplicationHealth("/" + goldenContainerV3)
+	h, err := p.replicationHealth("/" + goldenContainerV3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,26 +264,23 @@ func (p *FS) stripedBackend() *posix.StripedFS {
 	return nil
 }
 
-// NumBackends reports how many stores this instance stripes over (1 for
-// a plain single-backend instance).
-func (p *FS) NumBackends() int {
-	if s := p.stripedBackend(); s != nil {
-		return s.NumBackends()
-	}
-	return 1
-}
-
-// ContainerSpread counts the dropping files (data + index) per backend
-// for the container at path — the observability hook behind `plfsctl
-// info`/`doctor` and the proof, in tests, that striping actually fans
-// out. For a single-backend instance the single bucket holds every
-// dropping.
+// ContainerSpread counts the dropping files (data + index) each backend
+// holds for the container at path — the observability hook behind
+// `plfsctl info`/`doctor` and the proof, in tests, that striping
+// actually fans out. Each hostdir is listed on every backend of its
+// replica set, so a replicated dropping counts once per copy and a
+// missing copy not at all. For a single-backend instance the single
+// bucket holds every dropping.
 func (p *FS) ContainerSpread(path string) ([]int, error) {
 	if !p.IsContainer(path) {
 		return nil, posix.ENOENT
 	}
-	striped := p.stripedBackend()
-	spread := make([]int, p.NumBackends())
+	backends := []posix.FS{p.backend}
+	owners := func(string) []int { return []int{0} }
+	if s := p.stripedBackend(); s != nil {
+		backends, owners = s.Backends(), s.ReplicasFor
+	}
+	spread := make([]int, len(backends))
 	dirs, err := p.backend.Readdir(path)
 	if err != nil {
 		return nil, err
@@ -293,21 +290,20 @@ func (p *FS) ContainerSpread(path string) ([]int, error) {
 			continue
 		}
 		hostdir := path + "/" + d.Name
-		files, err := p.backend.Readdir(hostdir)
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		for _, fe := range files {
-			if strings.HasPrefix(fe.Name, "dropping.") {
-				n++
+		for _, b := range owners(hostdir) {
+			files, err := backends[b].Readdir(hostdir)
+			if errors.Is(err, posix.ENOENT) {
+				continue // a copy the doctor has yet to re-replicate
+			}
+			if err != nil {
+				return nil, err
+			}
+			for _, fe := range files {
+				if strings.HasPrefix(fe.Name, "dropping.") {
+					spread[b]++
+				}
 			}
 		}
-		bi := 0
-		if striped != nil {
-			bi = striped.BackendFor(hostdir)
-		}
-		spread[bi] += n
 	}
 	return spread, nil
 }
@@ -430,77 +426,6 @@ func (p *FS) clearOpen(path string, pid uint32) {
 func (p *FS) hasOpenWriters(path string) bool {
 	entries, err := p.backend.Readdir(path + "/" + openhostsDir)
 	return err == nil && len(entries) > 0
-}
-
-// OpenHostRecord describes one openhosts entry — the marker an active
-// writer drops at open and clears at close.
-type OpenHostRecord struct {
-	Pid uint32
-	// Stale marks a record whose pid has no data dropping: the writer's
-	// state is gone (a pre-fix Trunc(0) leak, or a crash between
-	// container truncation and close), so nothing can still be writing
-	// under it. Stale records pin Stat on the slow merged-index path and
-	// make CompactIndex refuse the container.
-	Stale bool
-}
-
-// OpenHosts lists the container's openhosts records and diagnoses stale
-// ones — the check behind `plfsctl doctor`.
-func (p *FS) OpenHosts(path string) ([]OpenHostRecord, error) {
-	if !p.IsContainer(path) {
-		return nil, posix.ENOENT
-	}
-	entries, err := p.backend.Readdir(path + "/" + openhostsDir)
-	if err != nil {
-		if errors.Is(err, posix.ENOENT) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []OpenHostRecord
-	for _, e := range entries {
-		var pid uint32
-		if e.IsDir {
-			continue
-		}
-		if _, err := fmt.Sscanf(e.Name, "host.%d", &pid); err != nil {
-			continue
-		}
-		rec := OpenHostRecord{Pid: pid}
-		if _, err := p.backend.Stat(dataDropping(p.hostdir(path, pid), pid)); errors.Is(err, posix.ENOENT) {
-			rec.Stale = true
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// ScrubOpenHosts removes the container's stale openhosts records (see
-// OpenHostRecord.Stale), returning how many were actually unlinked.
-// Live records are left alone; a record that cannot be removed is not
-// counted and the first failure is reported, so a repair tool never
-// claims success over a still-degraded container.
-func (p *FS) ScrubOpenHosts(path string) (int, error) {
-	recs, err := p.OpenHosts(path)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	var ferr error
-	for _, r := range recs {
-		if !r.Stale {
-			continue
-		}
-		name := fmt.Sprintf("%s/%s/host.%d", path, openhostsDir, r.Pid)
-		if err := p.backend.Unlink(name); err != nil {
-			if ferr == nil {
-				ferr = fmt.Errorf("plfs: scrub %s: %w", name, err)
-			}
-			continue
-		}
-		removed++
-	}
-	return removed, ferr
 }
 
 // bumpClock raises the logical clock to at least min, so entries written
@@ -1072,7 +997,7 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 	if p.hasOpenWriters(path) {
 		// Active writers: the hints are stale by construction; merge the
 		// on-disk index droppings for a live answer.
-		index, err := p.mergedIndex(path)
+		index, err := p.MergedIndex(path)
 		if err != nil {
 			return posix.Stat{}, err
 		}
@@ -1085,7 +1010,7 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 			return posix.Stat{}, err
 		}
 		if !ok {
-			index, err := p.mergedIndex(path)
+			index, err := p.MergedIndex(path)
 			if err != nil {
 				return posix.Stat{}, err
 			}
@@ -1096,10 +1021,11 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 	return out, nil
 }
 
-// mergedIndex returns the container's merged index through the shared
-// cache (revalidated against the backend, since no handle tracks
-// freshness for path-level operations).
-func (p *FS) mergedIndex(path string) (*idx.Index, error) {
+// MergedIndex returns the container's merged index as reads resolve it:
+// through the shared cache, revalidated against the backend (no handle
+// tracks freshness for path-level operations), and built from a trusted
+// flattened record or the streaming merge on a miss.
+func (p *FS) MergedIndex(path string) (*idx.Index, error) {
 	index, _, err := p.cache.Get(path, true,
 		func() (readcache.Signature, error) { return p.indexSignature(path) },
 		func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(path) })
@@ -1381,15 +1307,6 @@ func (p *FS) CompactIndex(path string) error {
 	// compact reports the outcome via IndexHealth.
 	p.writeFlattened(path, false)
 	return nil
-}
-
-// IndexDroppings counts the index dropping files in a container.
-func (p *FS) IndexDroppings(path string) (int, error) {
-	droppings, err := p.listIndexDroppings(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(droppings), nil
 }
 
 // Flatten materialises the container's logical contents as a plain file at

@@ -177,7 +177,7 @@ func TestCacheInvalidatedByCompactIndex(t *testing.T) {
 	if err := p.CompactIndex("/backend/c"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.IndexDroppings("/backend/c"); err != nil || n != 1 {
+	if n, err := indexDroppings(p, "/backend/c"); err != nil || n != 1 {
 		t.Fatalf("droppings after compact = %d, %v", n, err)
 	}
 	for i := range got {

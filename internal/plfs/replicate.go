@@ -16,24 +16,24 @@ import (
 	"ldplfs/internal/posix"
 )
 
-// ReplicaCopy is one backend's view of a replicated file.
-type ReplicaCopy struct {
+// replicaCopy is one backend's view of a replicated file.
+type replicaCopy struct {
 	Backend int   // backend index
 	Size    int64 // size on that backend (0 when missing)
 	Missing bool
 }
 
-// ReplicaProblem is one file whose copy set is unhealthy.
-type ReplicaProblem struct {
+// replicaProblem is one file whose copy set is unhealthy.
+type replicaProblem struct {
 	Path     string // container-relative path
 	Want     int    // expected copies (layout width)
-	Copies   []ReplicaCopy
+	Copies   []replicaCopy
 	Diverged bool // present copies disagree in size
 }
 
-// ReplicationHealth is the result of scanning one container's replica
+// replicaHealth is the result of scanning one container's replica
 // sets.
-type ReplicationHealth struct {
+type replicaHealth struct {
 	// Width is the expected number of copies per file (1 = replication
 	// off; the scan is then trivially clean).
 	Width int
@@ -52,18 +52,20 @@ type ReplicationHealth struct {
 	// Diverged counts files whose present copies disagree in size.
 	Diverged int
 	// Problems lists every unhealthy file.
-	Problems []ReplicaProblem
+	Problems []replicaProblem
 }
 
 // Clean reports whether every replica set is complete and consistent
-// and the persisted descriptor (if any) matches the running layout.
-func (h ReplicationHealth) Clean() bool {
-	return h.UnderReplicated == 0 && h.Diverged == 0 && h.DescriptorErr == "" &&
-		(h.Descriptor == "" || h.Descriptor == h.Configured)
+// and the container records the running layout. Only a width-1 (mod-N)
+// container may record none: CreateContainer persists the descriptor of
+// every wider layout, so a replicated container without one lost it.
+func (h replicaHealth) Clean() bool {
+	recorded := h.Descriptor == h.Configured || h.Width <= 1 && h.Descriptor == ""
+	return h.UnderReplicated == 0 && h.Diverged == 0 && h.DescriptorErr == "" && recorded
 }
 
-// RepairReport summarises one RepairReplication pass.
-type RepairReport struct {
+// repairReport summarises one repairReplication pass.
+type repairReport struct {
 	// Repaired counts copies rewritten or created.
 	Repaired int
 	// Skipped counts diverged files left untouched (run with force to
@@ -139,15 +141,15 @@ func viewSignature(view map[string]int64) uint64 {
 	return idx.RawSignature(names, sizes)
 }
 
-// ReplicationHealth scans the container at path: for every file that
+// replicationHealth scans the container at path: for every file that
 // the layout says should exist in R copies, it compares the copies
 // across the owner backends. A missing copy is under-replication (a
 // backend was dark while the file was written); present copies of
 // different sizes are divergence (a backend died mid-write). Logical
 // correctness is unaffected either way — reads serve from the healthy
 // replicas — but the container has lost redundancy until repaired.
-func (p *FS) ReplicationHealth(path string) (ReplicationHealth, error) {
-	h := ReplicationHealth{Width: 1}
+func (p *FS) replicationHealth(path string) (replicaHealth, error) {
+	h := replicaHealth{Width: 1}
 	s := p.stripedBackend()
 	if s != nil {
 		h.Width = s.LayoutWidth()
@@ -201,7 +203,7 @@ func (p *FS) ReplicationHealth(path string) (ReplicationHealth, error) {
 			continue
 		}
 		for _, name := range names {
-			prob := ReplicaProblem{Path: rel + name, Want: len(owners)}
+			prob := replicaProblem{Path: rel + name, Want: len(owners)}
 			missing, diverged := false, false
 			var present []int64
 			for _, b := range owners {
@@ -210,7 +212,7 @@ func (p *FS) ReplicationHealth(path string) (ReplicationHealth, error) {
 				if view != nil {
 					size, ok = view[name]
 				}
-				prob.Copies = append(prob.Copies, ReplicaCopy{Backend: b, Size: size, Missing: !ok})
+				prob.Copies = append(prob.Copies, replicaCopy{Backend: b, Size: size, Missing: !ok})
 				if !ok {
 					missing = true
 				} else {
@@ -274,21 +276,21 @@ func copyReplica(backends []posix.FS, from, to int, path string) error {
 	}
 }
 
-// RepairReplication re-replicates the container at path: every missing
+// repairReplication re-replicates the container at path: every missing
 // copy is rebuilt from the largest surviving replica (droppings are
 // append-only, so the largest copy strictly contains every shorter
 // one). Diverged files — present copies that disagree — are refused
 // unless force is set, because overwriting a copy destroys forensic
 // state; with force the longest copy wins and the shorter ones are
-// rewritten. A second ReplicationHealth pass after a successful repair
+// rewritten. A second replicationHealth pass after a successful repair
 // reports clean.
-func (p *FS) RepairReplication(path string, force bool) (RepairReport, error) {
-	var rep RepairReport
+func (p *FS) repairReplication(path string, force bool) (repairReport, error) {
+	var rep repairReport
 	s := p.stripedBackend()
 	if s == nil || s.LayoutWidth() <= 1 {
 		return rep, nil
 	}
-	h, err := p.ReplicationHealth(path)
+	h, err := p.replicationHealth(path)
 	if err != nil {
 		return rep, err
 	}

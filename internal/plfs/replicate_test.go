@@ -56,7 +56,7 @@ func TestReplicationHealthDetectsDivergence(t *testing.T) {
 	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 4})
 	want := writeN1(t, rig.p, "/backend/f", 4, 6, 128)
 
-	h, err := rig.p.ReplicationHealth("/backend/f")
+	h, err := rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestReplicationHealthDetectsDivergence(t *testing.T) {
 	}
 
 	rel, damagedBackend := damageReplica(t, rig, "/backend/f")
-	h, err = rig.p.ReplicationHealth("/backend/f")
+	h, err = rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestReplicationHealthDetectsDivergence(t *testing.T) {
 	}
 
 	// Plain repair refuses diverged files: forensic state is preserved.
-	rep, err := rig.p.RepairReplication("/backend/f", false)
+	rep, err := rig.p.repairReplication("/backend/f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Repaired != 0 || rep.Skipped != 1 {
 		t.Fatalf("unforced repair touched a diverged file: %+v", rep)
 	}
-	h, err = rig.p.ReplicationHealth("/backend/f")
+	h, err = rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,14 @@ func TestReplicationHealthDetectsDivergence(t *testing.T) {
 	}
 
 	// Forced repair rebuilds the short copy from the longest one.
-	rep, err = rig.p.RepairReplication("/backend/f", true)
+	rep, err = rig.p.repairReplication("/backend/f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Repaired != 1 || rep.Skipped != 0 {
 		t.Fatalf("forced repair: %+v", rep)
 	}
-	h, err = rig.p.ReplicationHealth("/backend/f")
+	h, err = rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReplicationDescriptorRepair(t *testing.T) {
 	if _, err := rig.p.ContainerLayout("/backend/f"); err == nil {
 		t.Fatal("corrupt descriptor went undetected")
 	}
-	h, err := rig.p.ReplicationHealth("/backend/f")
+	h, err := rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestReplicationDescriptorRepair(t *testing.T) {
 		t.Fatal("descriptor corruption affected data reads")
 	}
 
-	rep, err := rig.p.RepairReplication("/backend/f", false)
+	rep, err := rig.p.repairReplication("/backend/f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReplicationDescriptorRepair(t *testing.T) {
 	if desc, err := rig.p.ContainerLayout("/backend/f"); err != nil || desc != "replica-2" {
 		t.Fatalf("descriptor after repair = %q, %v", desc, err)
 	}
-	h, err = rig.p.ReplicationHealth("/backend/f")
+	h, err = rig.p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +198,14 @@ func TestReplicationDescriptorRepair(t *testing.T) {
 func TestReplicationHealthModNTrivial(t *testing.T) {
 	p, _ := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 4})
 	writeN1(t, p, "/backend/f", 2, 2, 64)
-	h, err := p.ReplicationHealth("/backend/f")
+	h, err := p.replicationHealth("/backend/f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Width != 1 || !h.Clean() {
 		t.Fatalf("mod-N health: %+v", h)
 	}
-	rep, err := p.RepairReplication("/backend/f", true)
+	rep, err := p.repairReplication("/backend/f", true)
 	if err != nil {
 		t.Fatal(err)
 	}

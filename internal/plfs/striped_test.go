@@ -100,9 +100,6 @@ func TestStripedContainerPlacement(t *testing.T) {
 			t.Errorf("backend %d holds %d droppings, want 4 (spread %v)", bi, n, spread)
 		}
 	}
-	if got := p.NumBackends(); got != 3 {
-		t.Fatalf("NumBackends = %d, want 3", got)
-	}
 }
 
 // stripedScriptInstance is one configuration under the differential
@@ -395,14 +392,14 @@ func TestStripedContainerOps(t *testing.T) {
 	}
 
 	// Compact: six index droppings on three backends merge into one.
-	before, err := p.IndexDroppings("/backend/ops")
+	before, err := indexDroppings(p, "/backend/ops")
 	if err != nil || before != 6 {
 		t.Fatalf("index droppings before compact = %d, %v (want 6)", before, err)
 	}
 	if err := p.CompactIndex("/backend/ops"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := p.IndexDroppings("/backend/ops")
+	after, err := indexDroppings(p, "/backend/ops")
 	if err != nil || after != 1 {
 		t.Fatalf("index droppings after compact = %d, %v (want 1)", after, err)
 	}
@@ -480,7 +477,7 @@ func TestStripedOpenHostsDoctor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := p.OpenHosts("/backend/doc")
+	recs, err := p.openHosts("/backend/doc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,11 +491,11 @@ func TestStripedOpenHostsDoctor(t *testing.T) {
 	if stale, ok := byPid[2]; !ok || !stale {
 		t.Fatalf("pid 2 (lost dropping) not flagged stale: records %+v", recs)
 	}
-	removed, err := p.ScrubOpenHosts("/backend/doc")
+	removed, err := p.scrubOpenHosts("/backend/doc")
 	if err != nil || removed != 1 {
 		t.Fatalf("scrub removed %d, %v (want 1)", removed, err)
 	}
-	recs, err = p.OpenHosts("/backend/doc")
+	recs, err = p.openHosts("/backend/doc")
 	if err != nil {
 		t.Fatal(err)
 	}

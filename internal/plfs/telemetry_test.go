@@ -71,8 +71,8 @@ func TestStripedIntrospectionSeesThroughInstrumentation(t *testing.T) {
 	striped := posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS())
 	p := New(posix.NewInstrumentFS(striped, plane), EngineOptions{NumHostdirs: 6})
 
-	if got := p.NumBackends(); got != 3 {
-		t.Fatalf("NumBackends through InstrumentFS = %d, want 3", got)
+	if s := p.stripedBackend(); s != striped {
+		t.Fatalf("striped backend through InstrumentFS = %p, want %p", s, striped)
 	}
 	f, err := p.Open("/c", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {

@@ -386,7 +386,7 @@ func TestTruncZeroClearsOpenHosts(t *testing.T) {
 	if err := f.Trunc(0); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := p.OpenHosts("/backend/leak")
+	recs, err := p.openHosts("/backend/leak")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestDoctorFlagsStaleOpenHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.Close(fd)
-	recs, err := p.OpenHosts("/backend/sick")
+	recs, err := p.openHosts("/backend/sick")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,11 +583,11 @@ func TestDoctorFlagsStaleOpenHosts(t *testing.T) {
 	if len(recs) != 2 || staleByPid[42] != true || staleByPid[1] != false {
 		t.Fatalf("doctor diagnosis = %+v, want pid 42 stale and pid 1 live", recs)
 	}
-	removed, err := p.ScrubOpenHosts("/backend/sick")
+	removed, err := p.scrubOpenHosts("/backend/sick")
 	if err != nil || removed != 1 {
 		t.Fatalf("scrub = %d, %v (want 1 removed)", removed, err)
 	}
-	recs, err = p.OpenHosts("/backend/sick")
+	recs, err = p.openHosts("/backend/sick")
 	if err != nil || len(recs) != 1 || recs[0].Pid != 1 {
 		t.Fatalf("records after scrub = %+v, %v (want only live pid 1)", recs, err)
 	}

@@ -15,12 +15,13 @@
 // is decided by a Layout — a pure function of (path, N), so every
 // instance over the same backend list agrees on placement without any
 // coordination, exactly as PLFS mounts agree on hostdir placement.
-// There are two layouts, selected by descriptor string, the form
-// persisted inside a container:
+// A Layout is one value, its replica count R, named by a descriptor
+// string, the form persisted inside a container:
 //
-//   - "mod-n" (default): hostdir.K lives on backend K mod N; canonical
-//     paths (container markers, meta/, openhosts/) live on backend 0.
-//     One copy of everything — the bandwidth-aggregation layout.
+//   - "mod-n" (R = 1, the default): hostdir.K lives on backend K mod N;
+//     canonical paths (container markers, meta/, openhosts/) live on
+//     backend 0. One copy of everything — the bandwidth-aggregation
+//     layout.
 //   - "replica-R": each path lives on R consecutive backends starting
 //     at its mod-N primary; canonical paths live on backends 0..R-1.
 //     Writes fan out to every live replica, reads serve from the

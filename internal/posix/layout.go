@@ -8,10 +8,14 @@ import (
 	"strings"
 )
 
-// Layout decides which backends hold each path of a striped container.
-// Implementations must be pure functions of (path, nbackends): every
-// instance over the same backend list must agree on placement without
-// coordination, exactly as the mod-N rule always has.
+// Layout decides which backends hold each path of a striped container:
+// R copies on consecutive backends starting at the classic mod-N owner,
+// so hostdir.K lands on K mod n, (K+1) mod n, ... and canonical paths
+// (container metadata) on backends 0..R-1, where the markers and
+// flattened records survive the canonical backend dying. R = 1 is mod-N,
+// the default and the zero value. Placement is a pure function of
+// (path, nbackends): every instance over the same backend list agrees
+// on it without coordination.
 //
 // The contract (pinned by the table-driven tests in layout_test.go):
 //
@@ -22,16 +26,31 @@ import (
 //     layout and vice versa — migration never moves the primary copy.
 //   - Placement is deterministic and stable: the same path always maps
 //     to the same replica set, and paths inside one hostdir share it.
-type Layout interface {
-	// Descriptor returns the canonical descriptor string, e.g. "mod-n"
-	// or "replica-2" — the form persisted in the container.
-	Descriptor() string
-	// Width returns the maximum number of replicas per path (1 for
-	// mod-N).
-	Width() int
-	// Replicas returns the ordered backend indices holding path, given
-	// n composed backends. The primary copy is first.
-	Replicas(path string, n int) []int
+type Layout struct {
+	r int // copies per path; 0 and 1 both mean mod-N
+}
+
+// Descriptor returns the canonical descriptor string, "mod-n" or
+// "replica-R" — the form persisted in the container.
+func (l Layout) Descriptor() string {
+	if l.Width() == 1 {
+		return "mod-n"
+	}
+	return fmt.Sprintf("replica-%d", l.r)
+}
+
+// Width returns the number of copies per path (1 for mod-N).
+func (l Layout) Width() int { return max(l.r, 1) }
+
+// Replicas returns the ordered backend indices holding path, given n
+// composed backends. The primary copy is first.
+func (l Layout) Replicas(path string, n int) []int {
+	out := make([]int, min(l.Width(), n))
+	p := primaryIndex(path, n)
+	for i := range out {
+		out[i] = (p + i) % n
+	}
+	return out
 }
 
 // primaryIndex is the classic placement rule shared by every layout:
@@ -58,55 +77,13 @@ func primaryIndex(path string, n int) int {
 	return int(h % uint64(n))
 }
 
-// ModNLayout is the single-copy placement: each path lives on exactly
-// its primary backend. It is the default layout, the width-1 case of
-// StripedFS's replica loop.
-type ModNLayout struct{}
-
-// Descriptor implements Layout.
-func (ModNLayout) Descriptor() string { return "mod-n" }
-
-// Width implements Layout.
-func (ModNLayout) Width() int { return 1 }
-
-// Replicas implements Layout.
-func (ModNLayout) Replicas(path string, n int) []int {
-	return []int{primaryIndex(path, n)}
-}
-
-// ReplicaLayout places R copies of each path on consecutive backends
-// starting at the primary: hostdir.K lands on K mod n, (K+1) mod n, ...
-// Canonical paths (container metadata) land on backends 0..R-1, so the
-// markers and flattened records survive the canonical backend dying.
-type ReplicaLayout struct{ R int }
-
-// Descriptor implements Layout.
-func (l ReplicaLayout) Descriptor() string { return fmt.Sprintf("replica-%d", l.R) }
-
-// Width implements Layout.
-func (l ReplicaLayout) Width() int { return l.R }
-
-// Replicas implements Layout.
-func (l ReplicaLayout) Replicas(path string, n int) []int {
-	r := l.R
-	if r > n {
-		r = n
-	}
-	out := make([]int, r)
-	p := primaryIndex(path, n)
-	for i := range out {
-		out[i] = (p + i) % n
-	}
-	return out
-}
-
-// ParseLayout resolves a descriptor string, "NAME" or "NAME-ARG", to one
-// of the two layouts. The empty descriptor means the default mod-N
-// layout. The argument is what follows the last dash, unless the whole
-// string is itself a name ("mod-n" contains one).
+// ParseLayout resolves a descriptor string, "NAME" or "NAME-ARG", to a
+// layout. The empty descriptor means the default mod-N layout, as does
+// "replica-1". The argument is what follows the last dash, unless the
+// whole string is itself a name ("mod-n" contains one).
 func ParseLayout(desc string) (Layout, error) {
 	if desc == "" {
-		return ModNLayout{}, nil
+		return Layout{}, nil
 	}
 	name, arg := desc, ""
 	if i := strings.LastIndex(desc, "-"); i > 0 && desc != "mod-n" {
@@ -115,17 +92,17 @@ func ParseLayout(desc string) (Layout, error) {
 	switch name {
 	case "mod-n":
 		if arg != "" {
-			return nil, fmt.Errorf("layout mod-n takes no argument, got %q", arg)
+			return Layout{}, fmt.Errorf("layout mod-n takes no argument, got %q", arg)
 		}
-		return ModNLayout{}, nil
+		return Layout{}, nil
 	case "replica":
 		r, err := strconv.Atoi(arg)
 		if err != nil || r < 1 {
-			return nil, fmt.Errorf("layout replica-R needs a positive replica count, got %q", arg)
+			return Layout{}, fmt.Errorf("layout replica-R needs a positive replica count, got %q", arg)
 		}
-		return ReplicaLayout{R: r}, nil
+		return Layout{r: r}, nil
 	}
-	return nil, fmt.Errorf("unknown layout %q (known: mod-n, replica-R)", desc)
+	return Layout{}, fmt.Errorf("unknown layout %q (known: mod-n, replica-R)", desc)
 }
 
 // LayoutFor parses desc and validates it against a backend count: a
@@ -134,10 +111,10 @@ func ParseLayout(desc string) (Layout, error) {
 func LayoutFor(desc string, nbackends int) (Layout, error) {
 	l, err := ParseLayout(desc)
 	if err != nil {
-		return nil, err
+		return Layout{}, err
 	}
 	if nbackends > 0 && l.Width() > nbackends {
-		return nil, fmt.Errorf("layout %s needs %d backends, have %d", l.Descriptor(), l.Width(), nbackends)
+		return Layout{}, fmt.Errorf("layout %s needs %d backends, have %d", l.Descriptor(), l.Width(), nbackends)
 	}
 	return l, nil
 }

@@ -12,12 +12,12 @@ import (
 // for every path inside one hostdir.
 func TestLayoutContract(t *testing.T) {
 	layouts := []struct {
-		desc string
+		desc, canonical string
 	}{
-		{"mod-n"},
-		{"replica-1"},
-		{"replica-2"},
-		{"replica-3"},
+		{"mod-n", "mod-n"},
+		{"replica-1", "mod-n"}, // one copy is mod-N
+		{"replica-2", "replica-2"},
+		{"replica-3", "replica-3"},
 	}
 	paths := []string{
 		"/c/.plfsaccess",
@@ -38,8 +38,8 @@ func TestLayoutContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LayoutFor(%q, %d): %v", tc.desc, n, err)
 			}
-			if got := l.Descriptor(); got != tc.desc {
-				t.Errorf("%s: Descriptor() = %q", tc.desc, got)
+			if got := l.Descriptor(); got != tc.canonical {
+				t.Errorf("%s: Descriptor() = %q, want %q", tc.desc, got, tc.canonical)
 			}
 			if w := l.Width(); w < 1 || w > n {
 				t.Errorf("%s/n=%d: Width() = %d out of range", tc.desc, n, w)
@@ -90,8 +90,8 @@ func TestLayoutRebalanceStability(t *testing.T) {
 	const n = 5
 	paths := []string{"/c/hostdir.0/d", "/c/hostdir.3/d", "/c/hostdir.7/d", "/c/meta/size.1"}
 	for r := 1; r < n; r++ {
-		narrow := ReplicaLayout{R: r}
-		wide := ReplicaLayout{R: r + 1}
+		narrow := Layout{r: r}
+		wide := Layout{r: r + 1}
 		for _, p := range paths {
 			a, b := narrow.Replicas(p, n), wide.Replicas(p, n)
 			if len(b) != len(a)+1 {
@@ -132,8 +132,6 @@ func TestLayoutParseRejections(t *testing.T) {
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("LayoutFor(%q, %d): unexpected error %v", tc.desc, tc.n, err)
-			} else if l == nil {
-				t.Errorf("LayoutFor(%q, %d): nil layout", tc.desc, tc.n)
 			}
 			continue
 		}

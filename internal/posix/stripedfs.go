@@ -134,17 +134,14 @@ func (e *stripedFD) retire(i int) (n int64) {
 // layout. Backend 0 is the canonical backend. At least one backend is
 // required; with exactly one, the composite is a pass-through.
 func NewStripedFS(backends ...FS) *StripedFS {
-	return NewLayoutFS(ModNLayout{}, ReplicaOptions{}, backends...)
+	return NewLayoutFS(Layout{}, ReplicaOptions{}, backends...)
 }
 
-// NewLayoutFS composes backends under an explicit layout (nil means
-// ModNLayout); ropts governs the replica data path.
+// NewLayoutFS composes backends under an explicit layout (the zero
+// Layout is mod-N); ropts governs the replica data path.
 func NewLayoutFS(layout Layout, ropts ReplicaOptions, backends ...FS) *StripedFS {
 	if len(backends) == 0 {
 		panic("posix: NewStripedFS needs at least one backend")
-	}
-	if layout == nil {
-		layout = ModNLayout{}
 	}
 	s := &StripedFS{
 		backends: slices.Clone(backends),
@@ -192,14 +189,6 @@ func hostdirComponent(path string) string {
 		}
 	}
 	return ""
-}
-
-// BackendFor returns the index of the backend holding the primary copy
-// of path: hostdir.K routes to K mod N, everything else to 0 —
-// identical across layouts, so every instance agrees on where the
-// authoritative copy lives.
-func (s *StripedFS) BackendFor(path string) int {
-	return primaryIndex(path, len(s.backends))
 }
 
 // routed reports whether path is owned by the hostdir placement rule

@@ -107,14 +107,14 @@ func TestStripedBackendFor(t *testing.T) {
 		{"/backend/data/hostdir.31", 1}, // 31 % 3
 	}
 	for _, c := range cases {
-		if got := s.BackendFor(c.path); got != c.want {
-			t.Errorf("BackendFor(%s) = %d, want %d", c.path, got, c.want)
+		if got := s.ReplicasFor(c.path)[0]; got != c.want {
+			t.Errorf("primary of %s = %d, want %d", c.path, got, c.want)
 		}
 	}
 	// Non-numeric hostdir suffixes still route deterministically and
 	// consistently between calls.
-	a := s.BackendFor("/x/hostdir.trunc/f")
-	if b := s.BackendFor("/x/hostdir.trunc/f"); a != b || a < 0 || a >= 3 {
+	a := s.ReplicasFor("/x/hostdir.trunc/f")[0]
+	if b := s.ReplicasFor("/x/hostdir.trunc/f")[0]; a != b || a < 0 || a >= 3 {
 		t.Fatalf("non-numeric hostdir routing unstable: %d vs %d", a, b)
 	}
 }
@@ -201,7 +201,7 @@ func TestStripedReaddirMerge(t *testing.T) {
 			t.Fatalf("container dir not mirrored on backend %d: %v", bi, err)
 		}
 		for _, e := range es {
-			if got := s.BackendFor("/c/" + e.Name); got != bi {
+			if got := s.ReplicasFor("/c/" + e.Name)[0]; got != bi {
 				t.Fatalf("backend %d holds %s, which routes to %d", bi, e.Name, got)
 			}
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"ldplfs/internal/core"
@@ -339,71 +340,20 @@ func (g *Gateway) StatsText() string {
 	return g.plane.Snapshot().String()
 }
 
-// Doctor reports (and with fix, repairs) container health for a mount
-// path through the tenant's PLFS instance — the remote face of plfsctl
-// doctor. The report format mirrors the CLI's.
+// Doctor runs the container doctor (plfs.FS.Doctor) on the tenant's
+// PLFS instance for a mount path and returns its report — the remote
+// face of plfsctl doctor, byte for byte the text the local tool prints.
+// The wire carries no force flag, so diverged replicas are only ever
+// rebuilt locally.
 func (s *Session) Doctor(path string, fix bool) (string, error) {
 	backendPath, ok := s.ld.Resolve(path)
 	if !ok {
 		return "", posix.ENOENT
 	}
-	var report string
+	var report strings.Builder
 	err := s.do(iostats.Meta, 0, func() error {
-		r, err := doctorReport(s.ld.Plfs(), backendPath, fix)
-		report = r
+		_, err := s.ld.Plfs().Doctor(&report, backendPath, fix, false)
 		return err
 	})
-	return report, err
-}
-
-// doctorReport is the service-side doctor: openhosts liveness plus
-// index health, optionally scrubbing stale records and refreshing the
-// flattened index.
-func doctorReport(p *plfs.FS, path string, fix bool) (string, error) {
-	recs, err := p.OpenHosts(path)
-	if err != nil {
-		return "", err
-	}
-	live, stale := 0, 0
-	for _, r := range recs {
-		if r.Stale {
-			stale++
-		} else {
-			live++
-		}
-	}
-	out := fmt.Sprintf("doctor %s: %d openhosts records (%d live, %d stale)\n", path, len(recs), live, stale)
-	h, err := p.IndexHealth(path)
-	if err != nil {
-		return "", err
-	}
-	out += fmt.Sprintf("index: %d droppings, %d raw entries\n", h.IndexDroppings, h.RawEntries)
-	switch {
-	case h.Flattened == nil:
-		out += "flattened index: none\n"
-	case h.Flattened.Fresh:
-		out += fmt.Sprintf("flattened index: gen %d, %d extents, fresh\n", h.Flattened.Generation, h.Flattened.Extents)
-	default:
-		out += fmt.Sprintf("flattened index: gen %d, stale\n", h.Flattened.Generation)
-	}
-	if fix && stale > 0 {
-		removed, err := p.ScrubOpenHosts(path)
-		if err != nil {
-			return "", err
-		}
-		out += fmt.Sprintf("removed %d stale records\n", removed)
-	}
-	if fix {
-		if h, err = p.IndexHealth(path); err != nil {
-			return "", err
-		}
-		if h.Flattened != nil && !h.Flattened.Fresh && h.OpenWriters == 0 {
-			info, err := p.WriteFlattenedIndex(path)
-			if err != nil {
-				return "", err
-			}
-			out += fmt.Sprintf("refreshed flattened index to gen %d (%d extents)\n", info.Generation, info.Extents)
-		}
-	}
-	return out, nil
+	return report.String(), err
 }

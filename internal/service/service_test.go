@@ -10,6 +10,7 @@ import (
 
 	"ldplfs/internal/core"
 	"ldplfs/internal/iostats"
+	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 	"ldplfs/internal/tune"
 )
@@ -343,6 +344,79 @@ func TestDoctorOverSession(t *testing.T) {
 	}
 	if _, err := s.Doctor("/not/mounted", false); err == nil {
 		t.Fatal("doctor outside the mounts succeeded")
+	}
+}
+
+// doctorFixture builds, on a fresh store, the two containers a remote
+// doctor used to misreport: "damaged", whose flattened record fails
+// validation, and "live", whose record is stale because a writer still
+// holds the container open. The writer stays open until the test ends.
+func doctorFixture(t *testing.T) posix.FS {
+	t.Helper()
+	mem := posix.NewMemFS()
+	if err := mem.Mkdir("/backend", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p := plfs.New(mem)
+	for _, name := range []string{"damaged", "live"} {
+		f, err := p.Open("/backend/"+name, posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("droppings"), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fd, err := mem.Open("/backend/damaged/index.flattened.1", posix.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Pwrite(fd, []byte{0xff, 0xff}, 8); err != nil {
+		t.Fatal(err)
+	}
+	mem.Close(fd)
+	w, err := plfs.New(mem).Open("/backend/live", posix.O_WRONLY, 7, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("newer"), 9, 7); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close(7) })
+	return mem
+}
+
+// TestRemoteDoctorMatchesLocal runs the gateway's doctor and plfsctl's
+// (plfs.FS.Doctor on a local instance) side by side on twin stores, a
+// plain pass and then a fix pass per container: the two must print the
+// same text, so the remote report neither calls a damaged record stale
+// nor leaves behind a stale record that the local fix drops.
+func TestRemoteDoctorMatchesLocal(t *testing.T) {
+	remoteStore := doctorFixture(t)
+	local := plfs.New(doctorFixture(t))
+	g := newTestGateway(t, func(cfg *Config) { cfg.Backend = remoteStore })
+	s, err := g.NewSession("gold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.End()
+	for _, name := range []string{"damaged", "live"} {
+		for _, fix := range []bool{false, true} {
+			remote, err := s.Doctor("/mnt/plfs/"+name, fix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			if _, err := local.Doctor(&want, "/backend/"+name, fix, false); err != nil {
+				t.Fatal(err)
+			}
+			if remote != want.String() {
+				t.Fatalf("%s fix=%v: remote doctor differs from local\n-- remote --\n%s-- local --\n%s", name, fix, remote, want.String())
+			}
+		}
 	}
 }
 
