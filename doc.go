@@ -49,9 +49,11 @@
 // internal/plfs/flatten.go for the lifecycle and trust rules.
 //
 // Telemetry is a single cross-cutting plane (internal/iostats): the
-// posix backends (via the composable posix.InstrumentFS wrapper), the
-// PLFS engines and read caches (plfs.WithStats), the MPI-IO
-// collective path (mpiio.Hints.Collector) and the iotrace recorder all
+// posix backends (via posix.InstrumentFS, a hook set on the one
+// posix.Interpose forwarding table that FaultFS and the iotrace
+// recorder hook into too), the PLFS engines and read caches
+// (plfs.WithStats), the MPI-IO collective path (mpiio.Hints.Collector)
+// and the iotrace recorder all
 // report per-op counts, bytes and latency through one Collector of
 // sharded-atomic counters and fixed-bucket histograms — nil-safe, so an
 // uninstrumented stack pays one branch per call. The PLFS engines take

@@ -4,14 +4,12 @@
 // write streams (OSS object management), bytes moved, and the write-size
 // distribution (cache-absorbability).
 //
-// Since the unified telemetry plane landed, the recorder is a consumer
-// of it rather than a parallel implementation: the Recorder is a thin
-// event sink over posix.InstrumentFS — the same wrapper every layer
-// uses for counters — keeping only what the plane deliberately does
-// not: the per-path event stream that the per-file aggregation
-// (Summarize) needs. Wrapping with a Collector therefore gives both
-// views from one pass: aggregate layer stats on the plane ("iotrace"
-// layer) and the semantic event stream here.
+// The Recorder is one hook on a posix.Interposer, the same forwarding
+// table FaultFS and InstrumentFS hook into. It keeps only what the
+// telemetry plane deliberately does not: the per-path event stream the
+// per-file aggregation (Summarize) needs. WrapWith adds an InstrumentFS
+// inside it, so one pass gives both views: aggregate layer stats on the
+// plane ("iotrace" layer) and the semantic event stream here.
 //
 // Wrapping the shared backend under a full experiment makes the paper's
 // mechanisms *measurable* on the functional stack: e.g. FLASH-IO through
@@ -37,25 +35,8 @@ const (
 	OpOpen                 // open of an existing path
 	OpRead
 	OpWrite
-	OpMeta // stat/unlink/mkdir/readdir/rename/truncate/access
+	OpMeta // stat/unlink/readdir/rename/truncate/access/sync
 )
-
-// String implements fmt.Stringer.
-func (k OpKind) String() string {
-	switch k {
-	case OpCreate:
-		return "create"
-	case OpOpen:
-		return "open"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpMeta:
-		return "meta"
-	}
-	return "?"
-}
 
 // Event is one recorded operation.
 type Event struct {
@@ -66,11 +47,14 @@ type Event struct {
 }
 
 // Recorder wraps a posix.FS and records every operation. It is safe for
-// concurrent use (ranks share one backend). All posix.FS methods come
-// from the embedded InstrumentFS; the recorder only collects the event
-// stream the instrument observes.
+// concurrent use (ranks share one backend). Its FS methods are the
+// Interposer's; the recorder is one hook on it. The stream keeps the
+// tracer's conventions: meta ops are recorded before the call, opens
+// and directory creates only on success, reads and writes only when
+// bytes moved, and Close not at all.
 type Recorder struct {
-	*posix.InstrumentFS
+	*posix.Interposer
+	inner posix.FS // probed to classify creates, outside the count
 
 	mu     sync.Mutex
 	events []Event
@@ -80,40 +64,58 @@ type Recorder struct {
 // Wrap returns a recording view of inner.
 func Wrap(inner posix.FS) *Recorder { return WrapWith(inner, nil) }
 
-// WrapWith is Wrap with the instrument's counters registered on a
-// telemetry plane (layer "iotrace"), so one wrapped backend feeds both
-// the event stream and the plane.
+// WrapWith is Wrap with an InstrumentFS inside the recorder reporting
+// to a telemetry plane (layer "iotrace"), so one wrapped backend feeds
+// both the event stream and the plane.
 func WrapWith(inner posix.FS, c iostats.Collector) *Recorder {
-	r := &Recorder{}
-	r.InstrumentFS = posix.NewInstrumentFS(inner, c,
-		posix.WithLayerName("iotrace"), posix.WithObserver(r.observe))
+	r := &Recorder{inner: inner}
+	fs := inner
+	if c != nil {
+		fs = posix.NewInstrumentFS(inner, c, posix.WithLayerName("iotrace"))
+	}
+	r.Interposer = posix.Interpose(fs, recorderHook{r})
 	return r
 }
 
-// observe converts the instrument's event into the recorder's
-// vocabulary, preserving the conventions the aggregation was built on
-// (directory creates marked by a trailing slash).
-func (r *Recorder) observe(ev posix.OpEvent) {
-	var kind OpKind
-	path := ev.Path
+// recorderHook is the Recorder's hook on its Interposer.
+type recorderHook struct{ r *Recorder }
+
+// Before records a meta op, and classifies an O_CREAT open of a
+// previously absent path as a create.
+func (h recorderHook) Before(op posix.Op) (posix.Op, error) {
 	switch {
-	case ev.Op == iostats.Open && ev.Created:
-		kind = OpCreate
-		if ev.Dir {
-			path += "/"
-		}
-	case ev.Op == iostats.Open:
-		kind = OpOpen
-	case ev.Op == iostats.Read:
-		kind = OpRead
-	case ev.Op == iostats.Write:
-		kind = OpWrite
-	default:
-		kind = OpMeta
+	case op.Call == posix.CallOpen && op.Flags&posix.O_CREAT != 0:
+		_, err := h.r.inner.Stat(op.Path)
+		op.Created = err != nil
+	case op.Call != posix.CallMkdir && (op.Class == iostats.Meta || op.Class == iostats.Sync):
+		h.r.record(OpMeta, op.Path, 0)
 	}
+	return op, nil
+}
+
+// After records moved bytes, a successful open, and a successful Mkdir
+// as a directory create (marked by a trailing slash).
+func (h recorderHook) After(op posix.Op, n int64, err error) {
+	switch {
+	case op.Class == iostats.Read && n > 0:
+		h.r.record(OpRead, op.Path, n)
+	case op.Class == iostats.Write && n > 0:
+		h.r.record(OpWrite, op.Path, n)
+	case err != nil:
+	case op.Call == posix.CallOpen && op.Created:
+		h.r.record(OpCreate, op.Path, 0)
+	case op.Call == posix.CallOpen:
+		h.r.record(OpOpen, op.Path, 0)
+	case op.Call == posix.CallMkdir:
+		h.r.record(OpCreate, op.Path+"/", 0)
+	}
+}
+
+// record appends one event to the stream, in global order.
+func (r *Recorder) record(kind OpKind, path string, bytes int64) {
 	r.mu.Lock()
 	r.seq++
-	r.events = append(r.events, Event{Kind: kind, Path: path, Bytes: ev.Bytes, Seq: r.seq})
+	r.events = append(r.events, Event{Kind: kind, Path: path, Bytes: bytes, Seq: r.seq})
 	r.mu.Unlock()
 }
 
@@ -126,7 +128,7 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Reset discards the recorded stream (not the fd map).
+// Reset discards the recorded stream.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.events = nil
@@ -168,13 +170,11 @@ func Summarize(events []Event) Summary {
 			if strings.Contains(e.Path, "dropping.") {
 				s.DroppingFiles++
 			}
-			// Mkdir records OpCreate too; distinguish by a heuristic: the
-			// recorder only calls Mkdir for directories.
 			if created[e.Path] {
 				continue
 			}
 			created[e.Path] = true
-			if strings.HasSuffix(e.Path, "/") {
+			if strings.HasSuffix(e.Path, "/") { // a directory create
 				s.DirCreates++
 			} else {
 				s.FileCreates++

@@ -59,6 +59,35 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
+// TestRecorderObserver pins the stream's conventions event by event:
+// an O_CREAT open of an absent path is a create, a reopen is an open,
+// Close is not recorded, and a successful Mkdir is a directory create.
+func TestRecorderObserver(t *testing.T) {
+	rec := Wrap(posix.NewMemFS())
+	fd, _ := rec.Open("/f", posix.O_CREAT|posix.O_WRONLY, 0o644)
+	rec.Write(fd, make([]byte, 10))
+	rec.Close(fd)
+	fd, _ = rec.Open("/f", posix.O_RDONLY, 0) // reopen: not a create
+	rec.Close(fd)
+	rec.Mkdir("/d", 0o755)
+
+	want := []Event{
+		{Kind: OpCreate, Path: "/f", Seq: 1},
+		{Kind: OpWrite, Path: "/f", Bytes: 10, Seq: 2},
+		{Kind: OpOpen, Path: "/f", Seq: 3},
+		{Kind: OpCreate, Path: "/d/", Seq: 4},
+	}
+	events := rec.Events()
+	if len(events) != len(want) {
+		t.Fatalf("events = %+v, want %+v", events, want)
+	}
+	for i := range want {
+		if events[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, events[i], want[i])
+		}
+	}
+}
+
 // TestRecorderFeedsPlane checks the rebuilt recorder is a true consumer
 // of the telemetry plane: one WrapWith gives the event stream here and
 // the aggregate counters on the plane's "iotrace" layer.

@@ -109,7 +109,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// creation, well inside the workload) and stays dark through the
 	// read phase.
 	chaos := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
-	chaos.faults[1].Schedule(nil, &posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
+	chaos.faults[1].Schedule(&posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, chaos.p, "/backend/f", pids, recs, recSize)
 	if !chaos.faults[1].Killed() {
 		t.Fatal("schedule never fired: backend 1 still alive")
@@ -132,7 +132,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// Determinism: the same schedule on a fresh rig reproduces the same
 	// degraded-write count.
 	again := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
-	again.faults[1].Schedule(nil, &posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
+	again.faults[1].Schedule(&posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, again.p, "/backend/f", pids, recs, recSize)
 	if a, b := again.counter("replica_write_degraded"), chaos.counter("replica_write_degraded"); a != b {
 		t.Fatalf("chaos schedule not deterministic: %d vs %d degraded writes", a, b)

@@ -127,7 +127,7 @@ func TestConsolidationWindow(t *testing.T) {
 					if mode == "error" {
 						sched = append(sched, &posix.FaultStep{AfterOps: k + 1, Revive: true})
 					}
-					ff.Schedule(nil, sched...)
+					ff.Schedule(sched...)
 
 					p := newWindowFS(ff)
 					failed := -1

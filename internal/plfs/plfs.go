@@ -247,8 +247,9 @@ func (p *FS) dropIndex(path string) { p.cache.Drop(path) }
 func (p *FS) Backend() posix.FS { return p.backend }
 
 // stripedBackend finds the striped composite this instance runs over,
-// seeing through instrumentation (or other Unwrap-able wrappers) the
-// backend may be dressed in. Nil for a plain single store.
+// seeing through every wrapper the backend may be dressed in: each
+// posix.Interposer (FaultFS, InstrumentFS, the iotrace recorder) and
+// any other FS with an Unwrap. Nil for a plain single store.
 func (p *FS) stripedBackend() *posix.StripedFS {
 	fs := p.backend
 	for fs != nil {

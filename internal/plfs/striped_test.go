@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ldplfs/internal/iostats"
+	"ldplfs/internal/iotrace"
 	"ldplfs/internal/posix"
 )
 
@@ -38,6 +41,56 @@ func newLayoutPLFS(t *testing.T, n int, faulty bool, desc string, opts ...Option
 		t.Fatal(err)
 	}
 	return p, mems
+}
+
+// TestWrappedStripedBackend pins that no wrapper hides a StripedFS from
+// plfs: over each one, a replica-2 container on 3 backends writes its
+// layout descriptor and reports its true spread, and the doctor over
+// the bare composite finds it healthy.
+func TestWrappedStripedBackend(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		wrap func(posix.FS) posix.FS
+	}{
+		{"instrument", func(fs posix.FS) posix.FS { return posix.NewInstrumentFS(fs, iostats.NewPlane()) }},
+		{"fault", func(fs posix.FS) posix.FS { return posix.NewFaultFS(fs) }},
+		{"iotrace", func(fs posix.FS) posix.FS { return iotrace.Wrap(fs) }},
+		{"fault-in-instrument", func(fs posix.FS) posix.FS {
+			return posix.NewInstrumentFS(posix.NewFaultFS(fs), iostats.NewPlane())
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			layout, err := posix.LayoutFor("replica-2", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS())
+			if err := striped.Mkdir("/backend", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			const path = "/backend/data"
+			p := New(w.wrap(striped), EngineOptions{NumHostdirs: 6})
+			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pid := uint32(0); pid < 6; pid++ {
+				if _, err := f.Write([]byte{byte(pid)}, int64(pid), pid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for pid := uint32(0); pid < 6; pid++ {
+				f.Close(pid)
+			}
+			if spread, err := p.ContainerSpread(path); err != nil || fmt.Sprint(spread) != "[8 8 8]" {
+				t.Fatalf("spread through %s = %v, %v; want [8 8 8]", w.name, spread, err)
+			}
+			var report strings.Builder
+			if healthy, err := New(striped).Doctor(&report, path, false, false); !healthy || err != nil {
+				t.Fatalf("doctor over the bare composite: healthy=%v, %v\n%s", healthy, err, report.String())
+			}
+		})
+	}
 }
 
 // Droppings of a striped container must physically land on the backend

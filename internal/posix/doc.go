@@ -63,10 +63,23 @@
 // path below one hostdir shares that hostdir's replica set. LayoutFor
 // rejects a descriptor whose Width exceeds the backend count.
 //
-// FaultFS wraps any FS with programmable fault injection — per-op error
-// rules, service-time modelling (global and per-path slots), whole-
-// backend Kill/Revive, and deterministic fault schedules driven by
-// operation counts or an injected clock — the substrate for the chaos
+// # One interposer
+//
+// Interpose(inner, hooks...) is the package's one hand-written
+// forwarder: one table over the FS methods and Preadv/Pwritev, one
+// fd→path map, one Unwrap. Each call becomes an Op value that hooks
+// see twice. Befores run outermost first and may refuse the op (a
+// refused write may keep a byte prefix) or delay it; a refusal skips
+// the inner call and every hook inside the refusing one. Afters run
+// innermost first, to count, time and observe, so a hook outside a
+// refusal still sees it, as an error. The exemptions are stated there
+// once: a whole vector is one op, Close never runs Before (no fault,
+// service time or kill reaches it), and Lseek reaches no hook.
+//
+// FaultFS and InstrumentFS are hook sets on it, and so is the iotrace
+// recorder. FaultFS injects per-op error rules (Partial short writes,
+// Gate stalls), a service slot (SetServiceTime), whole-backend
+// Kill/Revive, and op-count schedules: the substrate for the chaos
 // tests that prove the replica data path survives a backend dying
-// mid-write.
+// mid-write. InstrumentFS reports every op to an iostats layer.
 package posix

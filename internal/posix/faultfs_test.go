@@ -257,7 +257,7 @@ func TestFaultFSScheduleOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Schedule(nil,
+		f.Schedule(
 			&FaultStep{AfterOps: 3, Op: FaultWrite, Kill: true},
 			&FaultStep{AfterOps: 5, Op: FaultWrite, Revive: true},
 		)
@@ -287,125 +287,12 @@ func TestFaultFSScheduleOps(t *testing.T) {
 	}
 }
 
-// TestFaultFSScheduleClock pins clock-triggered steps: with an injected
-// manual clock, a kill fires only once the clock passes the deadline —
-// no wall-clock sleeps anywhere.
-func TestFaultFSScheduleClock(t *testing.T) {
-	clk := &manualClock{}
-	f := NewFaultFS(NewMemFS())
-	fd, err := f.Open("/x", O_CREAT|O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Schedule(clk, &FaultStep{After: 10 * time.Second, Kill: true})
-	if _, err := f.Pwrite(fd, []byte("a"), 0); err != nil {
-		t.Fatalf("write before deadline: %v", err)
-	}
-	clk.advance(9 * time.Second)
-	if _, err := f.Pwrite(fd, []byte("b"), 1); err != nil {
-		t.Fatalf("write at t=9s: %v", err)
-	}
-	clk.advance(2 * time.Second)
-	if _, err := f.Pwrite(fd, []byte("c"), 2); !errors.Is(err, EIO) {
-		t.Fatalf("write at t=11s = %v, want EIO", err)
-	}
-	f.Close(fd)
-}
-
-// manualClock is a test clock (tune.ManualClock lives above posix in
-// the dependency order, so the test carries its own).
-type manualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *manualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *manualClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-// TestFaultFSServiceSlotsCompose pins the straggler fix: scoped service
-// rules get their own slots, so a long operation in one path family
-// does not serialize operations in another — while two operations in
-// the same family still queue behind each other.
-func TestFaultFSServiceSlotsCompose(t *testing.T) {
-	f := NewFaultFS(NewMemFS())
-	if err := f.Mkdir("/a", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Mkdir("/b", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	fda, err := f.Open("/a/f", O_CREAT|O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fdb, err := f.Open("/b/f", O_CREAT|O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Pwrite(fda, []byte("x"), 0)
-	f.Pwrite(fdb, []byte("x"), 0)
-
-	// Same slot serializes: two concurrent /a reads take >= 2d. A lower
-	// bound cannot flake on a slow machine.
-	f.SetServiceTimeRule(FaultRead, "/a/", 30*time.Millisecond)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.Pread(fda, make([]byte, 1), 0)
-		}()
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("same-family ops did not serialize: %v", elapsed)
-	}
-
-	// Different slots compose: while a long /a operation holds its slot,
-	// a burst of /b operations drains without waiting for it.
-	f.Clear()
-	f.SetServiceTimeRule(FaultRead, "/a/", 300*time.Millisecond)
-	f.SetServiceTimeRule(FaultRead, "/b/", time.Millisecond)
-	slowDone := make(chan struct{})
-	go func() {
-		f.Pread(fda, make([]byte, 1), 0) // occupies the /a slot for 300ms
-		close(slowDone)
-	}()
-	// Wait until the slow op is in service (its slot is held), then time
-	// the /b burst.
-	time.Sleep(20 * time.Millisecond)
-	start = time.Now()
-	for i := 0; i < 5; i++ {
-		if _, err := f.Pread(fdb, make([]byte, 1), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	burst := time.Since(start)
-	<-slowDone
-	if burst >= 250*time.Millisecond {
-		t.Fatalf("/b burst waited for the /a slot: %v", burst)
-	}
-	f.Close(fda)
-	f.Close(fdb)
-}
-
-// TestFaultFSClearRevives pins that Clear resets kill state, schedules
-// and scoped service rules.
+// TestFaultFSClearRevives pins that Clear resets kill state and
+// schedules.
 func TestFaultFSClearRevives(t *testing.T) {
 	f := NewFaultFS(NewMemFS())
 	f.Kill()
-	f.Schedule(nil, &FaultStep{AfterOps: 1, Kill: true})
-	f.SetServiceTimeRule(FaultAny, "", time.Hour)
+	f.Schedule(&FaultStep{AfterOps: 1, Kill: true})
 	f.Clear()
 	if f.Killed() {
 		t.Fatal("Clear did not revive")

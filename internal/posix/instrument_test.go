@@ -112,35 +112,6 @@ func TestInstrumentFSMetaSurface(t *testing.T) {
 	}
 }
 
-func TestInstrumentFSObserver(t *testing.T) {
-	var events []OpEvent
-	fs := NewInstrumentFS(NewMemFS(), nil, WithObserver(func(ev OpEvent) {
-		events = append(events, ev)
-	}))
-
-	fd, _ := fs.Open("/f", O_CREAT|O_WRONLY, 0o644)
-	fs.Write(fd, make([]byte, 10))
-	fs.Close(fd)
-	fd, _ = fs.Open("/f", O_RDONLY, 0) // reopen: not a create
-	fs.Close(fd)
-	fs.Mkdir("/d", 0o755)
-
-	want := []OpEvent{
-		{Op: iostats.Open, Path: "/f", Created: true},
-		{Op: iostats.Write, Path: "/f", Bytes: 10},
-		{Op: iostats.Open, Path: "/f"},
-		{Op: iostats.Open, Path: "/d", Created: true, Dir: true},
-	}
-	if len(events) != len(want) {
-		t.Fatalf("events = %+v, want %+v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-}
-
 func TestInstrumentFSLayerName(t *testing.T) {
 	plane := iostats.NewPlane()
 	fs := NewInstrumentFS(NewMemFS(), plane, WithLayerName("backend0"))
