@@ -38,8 +38,12 @@
 // global index: the container's resolved extent table persists as a
 // checksummed index.flattened.<gen> record (written atomically at
 // last-writer close and by plfsctl compact, living with the canonical
-// metadata on backend 0), which a cold Open/Stat loads in O(extents)
-// after revalidating the record's embedded raw-dropping signature —
+// metadata on backend 0) that spells strided patterns as runs — an N-1
+// checkpoint's 65 536 extents are 8 (offset, length, stride, count)
+// records, the rest single extents — and that a cold Open/Stat expands
+// in O(extents), refusing any record whose table would exceed twice the
+// raw entries of the droppings beside it, after revalidating the
+// record's embedded raw-dropping signature —
 // any newer dropping or live writer silently demotes the build to a
 // memory-bounded streaming merge (dropping streams whose chunks are
 // read and decoded on the worker pool, merged through a loser tree into
@@ -66,8 +70,8 @@
 // four-layer snapshot; the workload CLIs take -stats. See README.md
 // ("The telemetry plane and online tuning").
 //
-// The on-disk format is guarded by golden container fixtures for both
-// format versions (internal/plfs/testdata/golden), native fuzz targets
+// The on-disk format is guarded by golden container fixtures for every
+// format version (internal/plfs/testdata/golden), native fuzz targets
 // over the dropping parser, index merge and flattened record
 // (internal/plfs/index), and differential tests proving single- and
 // multi-backend instances — with the flattened record trusted, dropped,

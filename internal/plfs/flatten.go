@@ -93,8 +93,12 @@ func rawSignature(container string, droppings []string, stats []posix.Stat) uint
 // FlattenedInfo describes one container's newest flattened record.
 type FlattenedInfo struct {
 	Generation uint64
-	Extents    int
+	Extents    int // the table's extents, expanded
 	Size       int64
+	// Version is the record's format version; Runs and Singles are how
+	// it spells the table (a version 1 record has no runs).
+	Version       uint64
+	Runs, Singles int
 	// Fresh reports whether the record would currently be trusted by a
 	// reader: structurally valid, raw signature matching the droppings
 	// now, and no live writers.
@@ -129,12 +133,7 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 	if err != nil {
 		return IndexHealth{}, err
 	}
-	h := IndexHealth{IndexDroppings: len(droppings)}
-	for _, st := range stats {
-		if n := (st.Size - idx.DroppingHeaderSize) / idx.EntrySize; n > 0 {
-			h.RawEntries += n
-		}
-	}
+	h := IndexHealth{IndexDroppings: len(droppings), RawEntries: rawEntries(stats)}
 	recs, err := p.openHosts(path)
 	if err != nil {
 		return IndexHealth{}, err
@@ -146,8 +145,8 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 	gen, fl, trusted, err := p.newestFlattened(path, flatGens, droppings, stats)
 	info := &FlattenedInfo{Generation: gen, Fresh: trusted, Err: err}
 	if fl != nil {
-		info.Extents = len(fl.Extents)
-		info.Size = fl.Size
+		info.Extents, info.Size = fl.Index.NumExtents(), fl.Index.Size()
+		info.Version, info.Runs, info.Singles = fl.Version, fl.Runs, fl.Singles
 	}
 	h.Flattened = info
 	h.StaleRecords = len(flatGens) - 1
@@ -157,15 +156,26 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 	return h, nil
 }
 
+// rawEntries counts the whole records in droppings of the given stats.
+func rawEntries(stats []posix.Stat) int64 {
+	var n int64
+	for _, st := range stats {
+		n += max((st.Size-idx.DroppingHeaderSize)/idx.EntrySize, 0)
+	}
+	return n
+}
+
 // newestFlattened reads the newest of the container's flattened records
 // (flatGens must be non-empty) and reports whether a reader would trust
 // it — the one statement of the package doc's third tolerance rule:
 // the record is the generation its name says, its embedded signature
 // matches the raw droppings as listed and statted just now, and no
-// writer holds the container open.
+// writer holds the container open. The record is read only as far as
+// the droppings statted allow (idx.FlattenedBound): one too large for
+// them cannot have been built from them.
 func (p *FS) newestFlattened(path string, flatGens []uint64, droppings []string, stats []posix.Stat) (gen uint64, fl *idx.Flattened, trusted bool, err error) {
 	gen = slices.Max(flatGens)
-	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen))
+	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen), idx.FlattenedBound(rawEntries(stats)))
 	if err != nil {
 		return gen, nil, false, err
 	}
@@ -227,19 +237,15 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 		p.backend.Unlink(tmp)
 		return FlattenedInfo{}, err
 	}
-	fl := &idx.Flattened{
-		Generation: gen,
-		RawSig:     raw,
-		Size:       global.Size(),
-		Extents:    global.Extents(),
-	}
+	fl := &idx.Flattened{Generation: gen, RawSig: raw, Index: global}
 	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), tmp, fd, fl); err != nil {
 		return FlattenedInfo{}, err
 	}
 	for _, g := range flatGens {
 		p.backend.Unlink(flattenedPath(path, g))
 	}
-	return FlattenedInfo{Generation: gen, Extents: len(fl.Extents), Size: fl.Size, Fresh: true}, nil
+	return FlattenedInfo{Generation: gen, Extents: global.NumExtents(), Size: global.Size(), Fresh: true,
+		Version: fl.Version, Runs: fl.Runs, Singles: fl.Singles}, nil
 }
 
 // maybeAutoFlatten writes a flattened record when the container's last

@@ -3,6 +3,7 @@ package plfs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -595,7 +596,7 @@ func (c *gatedCloser) park(t *testing.T, fired int) {
 // (unless want) absent.
 func checkPublished(t *testing.T, fs posix.FS, path string, want bool, when string) {
 	t.Helper()
-	_, err := idx.ReadFlattened(fs, flattenedPath(path, 1))
+	_, err := idx.ReadFlattened(fs, flattenedPath(path, 1), math.MaxInt64)
 	if err != nil && (want || !errors.Is(err, posix.ENOENT)) {
 		t.Fatalf("%s: the published record is not whole: %v", when, err)
 	}
@@ -781,7 +782,7 @@ func TestDeadFlattenClaim(t *testing.T) {
 	if err := f.Close(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.ReadFlattened(mem, flattenedPath(path, 1)); err != nil {
+	if _, err := idx.ReadFlattened(mem, flattenedPath(path, 1), math.MaxInt64); err != nil {
 		t.Fatalf("a close over new droppings did not flatten past the dead claim: %v", err)
 	}
 	if got := readAllBytes(t, New(mem, EngineOptions{NumHostdirs: 4}), path); string(got) != "onetwo" {

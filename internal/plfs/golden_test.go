@@ -2,10 +2,12 @@ package plfs
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/md5"
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +34,8 @@ const (
 	goldenExpectV2    = "expect.v2.txt"
 	goldenContainerV3 = "container.v3"
 	goldenExpectV3    = "expect.v3.txt"
+	goldenContainerV4 = "container.v4"
+	goldenExpectV4    = "expect.v4.txt"
 )
 
 // goldenV3Rig builds the v3 fixture's store: a replica-2 layout over
@@ -134,14 +138,18 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 		fmt.Fprintf(&sb, "dropping %s %d\n", strings.TrimPrefix(d, path+"/"), dst.Size)
 	}
 	// v2 containers carry a flattened global index; freeze its observable
-	// contract too (a v1 container emits no line here).
+	// contract too (a v1 container emits no line here). A record of
+	// format version 2 adds how it spells the table.
 	h, err := p.IndexHealth(path)
 	if err != nil {
 		tb.Fatalf("IndexHealth(%s): %v", path, err)
 	}
-	if h.Flattened != nil {
-		fmt.Fprintf(&sb, "flattened gen %d extents %d size %d fresh %v\n",
-			h.Flattened.Generation, h.Flattened.Extents, h.Flattened.Size, h.Flattened.Fresh)
+	if fl := h.Flattened; fl != nil {
+		fmt.Fprintf(&sb, "flattened gen %d extents %d size %d fresh %v", fl.Generation, fl.Extents, fl.Size, fl.Fresh)
+		if fl.Version >= 2 {
+			fmt.Fprintf(&sb, " runs %d singles %d", fl.Runs, fl.Singles)
+		}
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }
@@ -183,54 +191,24 @@ func dumpTree(tb testing.TB, fs posix.FS, from, to string) {
 	}
 }
 
+// regenerateGolden rewrites the fixture of the current format,
+// container.v4. The older fixtures are frozen history: container.v1
+// (droppings only) is what the replay in TestGoldenContainerFormat still
+// reproduces, and container.v2 and .v3 carry version 1 flattened records,
+// which no current code writes.
 func regenerateGolden(t *testing.T) {
-	if err := os.RemoveAll(goldenDir); err != nil {
+	if err := os.RemoveAll(filepath.Join(goldenDir, goldenContainerV4)); err != nil {
 		t.Fatal(err)
 	}
-	// container.v1 predates the flattened global index: regenerate it
-	// with auto-flatten off, exactly the bytes the v1 code produced.
 	mem := posix.NewMemFS()
-	p := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
-	goldenWriteScript(t, p, goldenContainer)
-	dumpTree(t, mem, "/"+goldenContainer, filepath.Join(goldenDir, goldenContainer))
-	expect := describeContainer(t, p, "/"+goldenContainer)
-	if err := os.WriteFile(filepath.Join(goldenDir, "expect.txt"), []byte(expect), 0o644); err != nil {
+	p := New(mem, EngineOptions{NumHostdirs: 4})
+	goldenWriteScript(t, p, goldenContainerV4)
+	dumpTree(t, mem, "/"+goldenContainerV4, filepath.Join(goldenDir, goldenContainerV4))
+	expect := describeContainer(t, p, "/"+goldenContainerV4)
+	if err := os.WriteFile(filepath.Join(goldenDir, goldenExpectV4), []byte(expect), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// container.v2 is the same write history under the current format:
-	// identical droppings plus the flattened record the last close
-	// persists.
-	mem2 := posix.NewMemFS()
-	p2 := New(mem2, EngineOptions{NumHostdirs: 4})
-	goldenWriteScript(t, p2, goldenContainerV2)
-	dumpTree(t, mem2, "/"+goldenContainerV2, filepath.Join(goldenDir, goldenContainerV2))
-	expect2 := describeContainer(t, p2, "/"+goldenContainerV2)
-	if err := os.WriteFile(filepath.Join(goldenDir, goldenExpectV2), []byte(expect2), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// container.v3 is the same write history under a replica-2 layout
-	// over three backends: the fixture checks in each backend's physical
-	// tree (b0/b1/b2) so the replicated placement itself is frozen.
-	mems3 := make([]posix.FS, 3)
-	for i := range mems3 {
-		mems3[i] = posix.NewMemFS()
-	}
-	p3 := goldenV3Rig(t, mems3...)
-	goldenWriteScript(t, p3, goldenContainerV3)
-	for i, m := range mems3 {
-		if _, err := m.Stat("/" + goldenContainerV3); err != nil {
-			continue // a backend owning nothing has no tree to dump
-		}
-		// Each b<i> directory is that backend's root: the container dir
-		// sits inside it, exactly as OSFS will serve it back.
-		dumpTree(t, m, "/"+goldenContainerV3,
-			filepath.Join(goldenDir, goldenContainerV3, fmt.Sprintf("b%d", i), goldenContainerV3))
-	}
-	expect3 := describeContainer(t, p3, "/"+goldenContainerV3)
-	if err := os.WriteFile(filepath.Join(goldenDir, goldenExpectV3), []byte(expect3), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("regenerated %s:\nv1:\n%s\nv2:\n%s\nv3:\n%s", goldenDir, expect, expect2, expect3)
+	t.Logf("regenerated %s:\n%s", filepath.Join(goldenDir, goldenContainerV4), expect)
 }
 
 // TestGoldenContainerFormat reads the checked-in fixture through the
@@ -248,6 +226,15 @@ func TestGoldenContainerFormat(t *testing.T) {
 	}
 	if idx.Magic != 0x504c465349445831 {
 		t.Fatalf("index magic changed to %#x", idx.Magic)
+	}
+	// And those of the flattened record the write path produces now
+	// (container.v4): version 2, with 48-byte runs beside 32-byte singles.
+	if idx.FlattenedVersion != 2 || idx.FlattenedHeaderSize != 56 || idx.FlattenedRunSize != 48 || idx.FlattenedExtentSize != 32 {
+		t.Fatalf("flattened format changed (version %d, header %d, run %d, single %d): the on-disk format is frozen",
+			idx.FlattenedVersion, idx.FlattenedHeaderSize, idx.FlattenedRunSize, idx.FlattenedExtentSize)
+	}
+	if idx.FlattenedMagic != 0x504c4653464c5431 {
+		t.Fatalf("flattened magic changed to %#x", idx.FlattenedMagic)
 	}
 
 	// Work on a copy so the checked-in bytes cannot be mutated.
@@ -319,27 +306,76 @@ func TestGoldenContainerFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenContainerV2 freezes the current container format: the same
-// write history as v1 plus the flattened global index record the last
-// close persists. It proves cross-version compatibility in both
-// directions — the v2 fixture must read via its flattened record AND
-// byte-identically with flattened reads disabled (the v1 read path),
-// while TestGoldenContainerFormat above proves v1 containers (no record)
-// still read unchanged.
+// TestGoldenContainerV2 freezes the first flattened format: the same
+// write history as v1 plus the version 1 flattened record the last close
+// persisted then — one 32-byte record per extent. A reader of today must
+// still trust and load it, and read the same bytes with it dropped.
 func TestGoldenContainerV2(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixtures regenerated by TestGoldenContainerFormat")
 	}
-
-	// Pin the flattened on-disk format constants the fixture embodies.
-	if idx.FlattenedHeaderSize != 48 || idx.FlattenedExtentSize != 32 {
-		t.Fatalf("flattened format geometry changed (%d/%d): the on-disk format is frozen",
-			idx.FlattenedHeaderSize, idx.FlattenedExtentSize)
+	raw := checkFlattenedFixture(t, goldenContainerV2, goldenExpectV2, 1)
+	// Version 1 geometry: a 48-byte header with one count, then 32-byte
+	// extents and the checksum.
+	const v1Header = 48
+	if (len(raw)-v1Header-8)%idx.FlattenedExtentSize != 0 {
+		t.Fatalf("v1 flattened record not extent-aligned: %d bytes", len(raw))
 	}
-	if idx.FlattenedMagic != 0x504c4653464c5431 {
-		t.Fatalf("flattened magic changed to %#x", idx.FlattenedMagic)
+	if n := binary.LittleEndian.Uint64(raw[40:]); uint64(len(raw)) != v1Header+n*idx.FlattenedExtentSize+8 {
+		t.Fatalf("v1 flattened record of %d bytes claims %d extents", len(raw), n)
+	}
+}
+
+// TestGoldenContainerV4 freezes the current container format: the v1
+// write history plus the version 2 flattened record — its vectored pair
+// of equal writes folded into one run, the rest singles. It must read
+// through the record and with the record dropped, and the write path
+// must reproduce it today byte for byte, record included.
+func TestGoldenContainerV4(t *testing.T) {
+	if *updateGolden {
+		t.Skip("fixtures regenerated by TestGoldenContainerFormat")
+	}
+	raw := checkFlattenedFixture(t, goldenContainerV4, goldenExpectV4, idx.FlattenedVersion)
+	fl, err := idx.UnmarshalFlattened(raw, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl.Runs == 0 || fl.Singles == 0 {
+		t.Fatalf("v4 record has %d runs and %d singles; the fixture should show both", fl.Runs, fl.Singles)
+	}
+	if want := idx.FlattenedHeaderSize + fl.Runs*idx.FlattenedRunSize + fl.Singles*idx.FlattenedExtentSize + 8; len(raw) != want {
+		t.Fatalf("v4 flattened record is %d bytes, want %d", len(raw), want)
 	}
 
+	wantBytes, err := os.ReadFile(filepath.Join(goldenDir, goldenExpectV4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := posix.NewMemFS()
+	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	goldenWriteScript(t, fresh, goldenContainerV4)
+	if regen := describeContainer(t, fresh, "/"+goldenContainerV4); regen != string(wantBytes) {
+		t.Fatalf("write path no longer reproduces the v4 container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
+	}
+	fd, err := mem.Open("/"+goldenContainerV4+"/index.flattened.1", posix.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regen := make([]byte, len(raw)+1)
+	n, _ := mem.Pread(fd, regen, 0)
+	mem.Close(fd)
+	if !bytes.Equal(regen[:n], raw) {
+		t.Fatalf("write path no longer reproduces the v4 flattened record:\n%x\n%x", regen[:n], raw)
+	}
+}
+
+// checkFlattenedFixture reads a checked-in container with a flattened
+// record of the given format version: the description must match, the
+// record must be trusted and serve the build, and with the record
+// dropped the streaming merge must read the same bytes. It returns the
+// record's bytes.
+func checkFlattenedFixture(t *testing.T, container, expect string, version uint64) []byte {
+	t.Helper()
 	work := t.TempDir()
 	if err := os.CopyFS(work, os.DirFS(goldenDir)); err != nil {
 		t.Fatal(err)
@@ -348,60 +384,49 @@ func TestGoldenContainerV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, err := os.ReadFile(filepath.Join(goldenDir, goldenExpectV2))
+	wantBytes, err := os.ReadFile(filepath.Join(goldenDir, expect))
 	if err != nil {
-		t.Fatalf("missing v2 expectations (run: go test ./internal/plfs -run Golden -update-golden): %v", err)
+		t.Fatalf("missing %s expectations (run: go test ./internal/plfs -run Golden -update-golden): %v", container, err)
 	}
 
 	// Default read path: the fixture's flattened record must be fresh
 	// after a checkout (its raw signature is path- and mtime-invariant)
 	// and actually serve the build.
 	p := New(osfs, EngineOptions{NumHostdirs: 4})
-	got := describeContainer(t, p, "/"+goldenContainerV2)
+	got := describeContainer(t, p, "/"+container)
 	if got != string(wantBytes) {
-		t.Fatalf("v2 container no longer reads identically.\n-- want --\n%s\n-- got --\n%s", wantBytes, got)
+		t.Fatalf("%s no longer reads identically.\n-- want --\n%s\n-- got --\n%s", container, wantBytes, got)
 	}
 	if s := cacheStats(p); s.FlattenedBuilds == 0 {
-		t.Fatalf("v2 fixture read did not load its flattened record: %+v", s)
+		t.Fatalf("%s read did not load its flattened record: %+v", container, s)
 	}
 
-	// Raw flattened file checks: name, geometry, magic, generation.
-	raw, err := os.ReadFile(filepath.Join(work, goldenContainerV2, "index.flattened.1"))
+	// Raw flattened file checks: name, magic, version, generation.
+	raw, err := os.ReadFile(filepath.Join(work, container, "index.flattened.1"))
 	if err != nil {
 		t.Fatalf("fixture lacks its flattened record: %v", err)
 	}
-	if (len(raw)-idx.FlattenedHeaderSize-8)%idx.FlattenedExtentSize != 0 {
-		t.Fatalf("flattened record not extent-aligned: %d bytes", len(raw))
-	}
-	fl, err := idx.UnmarshalFlattened(raw)
+	fl, err := idx.UnmarshalFlattened(raw, math.MaxInt64)
 	if err != nil {
 		t.Fatalf("fixture flattened record does not parse: %v", err)
 	}
-	if fl.Generation != 1 {
-		t.Fatalf("fixture flattened generation = %d", fl.Generation)
+	if fl.Generation != 1 || fl.Version != version {
+		t.Fatalf("fixture flattened record: generation %d version %d, want 1 and %d", fl.Generation, fl.Version, version)
 	}
 
-	// The v1 read regime (no record: dropped from the work-tree copy,
+	// The raw read regime (no record: dropped from the work-tree copy,
 	// read by a fresh instance) must resolve the same bytes — the record
 	// is an accelerator, never a semantic fork. The description then
 	// lacks exactly the record's own line.
-	if n, err := p.DropFlattenedIndex("/" + goldenContainerV2); err != nil || n != 1 {
+	if n, err := p.DropFlattenedIndex("/" + container); err != nil || n != 1 {
 		t.Fatalf("drop the fixture's record = %d, %v; want 1", n, err)
 	}
 	wantOff, _, _ := strings.Cut(string(wantBytes), "flattened gen ")
 	pOff := New(osfs, EngineOptions{NumHostdirs: 4})
-	if gotOff := describeContainer(t, pOff, "/"+goldenContainerV2); gotOff != wantOff {
-		t.Fatalf("v2 container reads differently with its flattened record dropped.\n-- want --\n%s\n-- got --\n%s", wantOff, gotOff)
+	if gotOff := describeContainer(t, pOff, "/"+container); gotOff != wantOff {
+		t.Fatalf("%s reads differently with its flattened record dropped.\n-- want --\n%s\n-- got --\n%s", container, wantOff, gotOff)
 	}
-
-	// Replay determinism for the current format: the write script must
-	// reproduce the v2 description (flattened line included) today.
-	mem := posix.NewMemFS()
-	fresh := New(mem, EngineOptions{NumHostdirs: 4})
-	goldenWriteScript(t, fresh, goldenContainerV2)
-	if regen := describeContainer(t, fresh, "/"+goldenContainerV2); regen != string(wantBytes) {
-		t.Fatalf("write path no longer reproduces the v2 container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
-	}
+	return raw
 }
 
 // TestGoldenContainerV3 freezes the replicated container format: the
@@ -458,6 +483,9 @@ func TestGoldenContainerV3(t *testing.T) {
 	if got := describeContainer(t, p, "/"+goldenContainerV3); got != string(wantBytes) {
 		t.Fatalf("v3 container no longer reads identically.\n-- want --\n%s\n-- got --\n%s", wantBytes, got)
 	}
+	if s := cacheStats(p); s.FlattenedBuilds == 0 {
+		t.Fatalf("v3 fixture read did not load its version 1 flattened record: %+v", s)
+	}
 	if desc, err := p.ContainerLayout("/" + goldenContainerV3); err != nil || desc != "replica-2" {
 		t.Fatalf("v3 ContainerLayout = %q, %v", desc, err)
 	}
@@ -505,14 +533,21 @@ func TestGoldenContainerV3(t *testing.T) {
 	}
 
 	// Replay determinism: the write script on a fresh replica-2 rig must
-	// reproduce the recorded description today.
+	// reproduce the description of the current format today — v4's, as
+	// replication changes nothing logical and the record written now is
+	// version 2.
+	wantV4, err := os.ReadFile(filepath.Join(goldenDir, goldenExpectV4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNow := strings.ReplaceAll(string(wantV4), goldenContainerV4, goldenContainerV3)
 	mems := make([]posix.FS, 3)
 	for i := range mems {
 		mems[i] = posix.NewMemFS()
 	}
 	fresh := goldenV3Rig(t, mems...)
 	goldenWriteScript(t, fresh, goldenContainerV3)
-	if regen := describeContainer(t, fresh, "/"+goldenContainerV3); regen != string(wantBytes) {
-		t.Fatalf("write path no longer reproduces the v3 container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
+	if regen := describeContainer(t, fresh, "/"+goldenContainerV3); regen != wantNow {
+		t.Fatalf("write path no longer reproduces the v3 container.\n-- want --\n%s\n-- got --\n%s", wantNow, regen)
 	}
 }

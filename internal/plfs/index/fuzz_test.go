@@ -142,7 +142,8 @@ type modelByte struct {
 // exactly the write the last-writer-wins rule says, holes exactly where
 // nothing wrote, size exactly the high-water mark — plus structural
 // invariants (sorted, non-overlapping, gap-free coverage) and Truncate
-// consistency.
+// consistency. The resolved table also goes through the flattened record
+// — marshal, parse, expand — and must come back as the oracle's.
 func FuzzIndexMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -247,6 +248,15 @@ func FuzzIndexMerge(f *testing.F) {
 			t.Fatalf("MergeStreams newest timestamp %d, oracle %d", gotNewest, newest)
 		}
 		checkOracle(t, fmt.Sprintf("MergeStreams (%d droppings, chunk %d)", len(streams), chunk), merged, model, wantSize)
+
+		// The flattened record: the resolved table marshalled, parsed and
+		// expanded again must still be the oracle's.
+		rec := MarshalFlattened(&Flattened{Generation: 1, Index: Build(entries)})
+		fl, err := UnmarshalFlattened(rec, FlattenedBound(int64(len(entries))))
+		if err != nil {
+			t.Fatalf("flattened record of the resolved table rejected: %v", err)
+		}
+		checkOracle(t, "flattened record", fl.Index, model, wantSize)
 	})
 }
 

@@ -21,7 +21,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -153,52 +152,6 @@ func Build(entries []Entry) *Index {
 		idx.insert(e)
 	}
 	return idx
-}
-
-// FromExtents builds an index directly from an already-resolved extent
-// table — sorted by logical offset, non-overlapping, no holes — plus the
-// logical size (which may exceed the last extent's end when a truncate
-// extended the file). This is the O(extents) load path a flattened
-// on-disk record enables: no sort, no overlay merge. The table is
-// validated; a malformed table (out of order, overlapping, non-positive
-// length, hole marker, size below the data) is rejected so a corrupt
-// flattened record can never resolve reads.
-func FromExtents(extents []Extent, size int64) (*Index, error) {
-	idx := &Index{size: size}
-	var prevEnd int64
-	for i, x := range extents {
-		if x.Length <= 0 {
-			return nil, fmt.Errorf("index: extent %d has non-positive length %d", i, x.Length)
-		}
-		if x.Hole {
-			return nil, fmt.Errorf("index: extent %d is a hole (holes are implicit)", i)
-		}
-		if x.LogicalOffset < prevEnd {
-			return nil, fmt.Errorf("index: extent %d at %d overlaps previous end %d", i, x.LogicalOffset, prevEnd)
-		}
-		if x.LogicalOffset > math.MaxInt64-x.Length {
-			return nil, fmt.Errorf("index: extent %d end overflows (%+v)", i, x)
-		}
-		prevEnd = x.LogicalOffset + x.Length
-	}
-	if len(extents) > 0 && size < prevEnd {
-		return nil, fmt.Errorf("index: size %d below last extent end %d", size, prevEnd)
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("index: negative size %d", size)
-	}
-	for len(extents) > 0 {
-		n := chunkTarget
-		if n > len(extents) {
-			n = len(extents)
-		}
-		c := &chunk{ext: make([]Extent, n)}
-		copy(c.ext, extents[:n])
-		idx.chunks = append(idx.chunks, c)
-		idx.n += n
-		extents = extents[n:]
-	}
-	return idx, nil
 }
 
 // findChunk returns the index of the first chunk whose end is after off

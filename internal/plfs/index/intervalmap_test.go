@@ -282,62 +282,6 @@ func at(xs []Extent, i int) any {
 	return "missing"
 }
 
-// TestFromExtentsRoundTrip proves the O(extents) load path reproduces a
-// built index exactly, and that malformed tables are rejected.
-func TestFromExtentsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var entries []Entry
-	for i := 0; i < 3000; i++ {
-		entries = append(entries, Entry{
-			LogicalOffset:  int64(rng.Intn(1 << 18)),
-			Length:         int64(1 + rng.Intn(512)),
-			PhysicalOffset: int64(i) * 512,
-			Timestamp:      uint64(i + 1),
-			Pid:            uint32(rng.Intn(4)),
-		})
-	}
-	built := Build(entries)
-	loaded, err := FromExtents(built.Extents(), built.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Size() != built.Size() || loaded.NumExtents() != built.NumExtents() {
-		t.Fatalf("round trip: size %d/%d extents %d/%d",
-			loaded.Size(), built.Size(), loaded.NumExtents(), built.NumExtents())
-	}
-	sameExtents(t, "from-extents", loaded.Extents(), built.Extents())
-	for q := 0; q < 100; q++ {
-		off := int64(rng.Intn(1 << 18))
-		length := int64(1 + rng.Intn(1<<14))
-		g1, g2 := built.Query(off, length), loaded.Query(off, length)
-		if len(g1) != len(g2) {
-			t.Fatalf("query diverged: %d vs %d extents", len(g1), len(g2))
-		}
-		for i := range g1 {
-			if g1[i] != g2[i] {
-				t.Fatalf("query extent %d: %+v vs %+v", i, g1[i], g2[i])
-			}
-		}
-	}
-
-	for _, bad := range []struct {
-		name string
-		ext  []Extent
-		size int64
-	}{
-		{"overlap", []Extent{{LogicalOffset: 0, Length: 10}, {LogicalOffset: 5, Length: 10}}, 20},
-		{"zero-length", []Extent{{LogicalOffset: 0, Length: 0}}, 10},
-		{"negative-length", []Extent{{LogicalOffset: 0, Length: -4}}, 10},
-		{"hole-marker", []Extent{{LogicalOffset: 0, Length: 4, Hole: true}}, 4},
-		{"size-below-data", []Extent{{LogicalOffset: 0, Length: 10}}, 5},
-		{"negative-size", nil, -1},
-	} {
-		if _, err := FromExtents(bad.ext, bad.size); err == nil {
-			t.Errorf("FromExtents accepted %s table", bad.name)
-		}
-	}
-}
-
 // TestMergeStreamsMatchesBuild proves the memory-bounded k-way streaming
 // merge resolves identically to the slurp-and-sort Build over real
 // droppings, across chunk sizes that force many refills.

@@ -278,8 +278,9 @@ func newestTimestamp(entries []idx.Entry) uint64 {
 
 // buildIndex is the cache loader: one full reconstruction. It lists and
 // stats the container once, then takes the cheapest trustworthy path —
-// the newest flattened record when newestFlattened trusts it (an
-// O(extents) load), the streaming merge otherwise.
+// the newest flattened record when newestFlattened trusts it (its runs
+// expanded straight into the index, O(extents)), the streaming merge
+// otherwise.
 func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache.BuildKind, error) {
 	droppings, flatGens, err := p.listIndexState(path)
 	if err != nil {
@@ -292,9 +293,7 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 	sig := signatureFrom(droppings, stats)
 	if len(flatGens) > 0 {
 		if _, fl, trusted, _ := p.newestFlattened(path, flatGens, droppings, stats); trusted {
-			if index, err := idx.FromExtents(fl.Extents, fl.Size); err == nil {
-				return index, sig, readcache.BuildFlattened, nil
-			}
+			return fl.Index, sig, readcache.BuildFlattened, nil
 		}
 	}
 	index, _, err := p.mergeIndex(droppings)
