@@ -12,6 +12,13 @@
 //	ROMIO   : plfs driver (direct PLFS calls, one Plfs_fd per rank)
 //	LDPLFS  : ufs driver over a dispatch with internal/core preloaded
 //	remote  : ufs driver over a client.Conn dispatch
+//
+// A read-only collective open of one path through the plfs driver
+// builds the index once: rank 0 opens the container and builds it, and
+// the other ranks open from its bytes with no metadata op of their own
+// (see openDriverFile). The shared index is exactly as fresh as rank 0's
+// open — MPI's collective-open semantics: every rank sees the file as it
+// was when the communicator opened it.
 package mpiio
 
 import (
@@ -97,6 +104,21 @@ type VectorReader interface {
 	// exactly len(buf) bytes), zero-filling past EOF, and returns the
 	// bytes that lie below EOF.
 	PreadvAt(segs []Segment, buf []byte) (int, error)
+}
+
+// indexSharer is an optional Driver capability: a driver that can build
+// a file's index on one rank and open the others from it. Open uses it
+// for a read-only collective open of one path — rank 0 calls
+// OpenSharing, the other ranks OpenShared with what it returned — so the
+// metadata walk runs once per communicator instead of once per rank. A
+// wrapping driver forwards it by implementing both methods.
+type indexSharer interface {
+	// OpenSharing opens path read-only for rank and builds its index,
+	// returning it for the other ranks. On error it holds nothing open.
+	OpenSharing(path string, rank int) (DriverFile, plfs.SharedIndex, error)
+	// OpenShared opens path read-only for rank from rank 0's index,
+	// with no metadata op of its own.
+	OpenShared(path string, rank int, shared plfs.SharedIndex) (DriverFile, error)
 }
 
 // --- ufs: the POSIX ADIO driver -----------------------------------------
@@ -191,6 +213,35 @@ func (d *PLFSDriver) Open(path string, amode int, rank int) (DriverFile, error) 
 		return nil, err
 	}
 	pf, err := d.p.Open(bpath, flags, uint32(rank), 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &plfsFile{f: pf, pid: uint32(rank)}, nil
+}
+
+// OpenSharing implements indexSharer: a read-only open whose index is
+// built at once, through the normal validated path, and returned as
+// bytes.
+func (d *PLFSDriver) OpenSharing(path string, rank int) (DriverFile, plfs.SharedIndex, error) {
+	df, err := d.Open(path, ModeRdonly, rank)
+	if err != nil {
+		return nil, plfs.SharedIndex{}, err
+	}
+	shared, err := df.(*plfsFile).f.ShareIndex()
+	if err != nil {
+		df.Close()
+		return nil, plfs.SharedIndex{}, err
+	}
+	return df, shared, nil
+}
+
+// OpenShared implements indexSharer over plfs.FS.OpenShared.
+func (d *PLFSDriver) OpenShared(path string, rank int, shared plfs.SharedIndex) (DriverFile, error) {
+	bpath, err := d.path(path)
+	if err != nil {
+		return nil, err
+	}
+	pf, err := d.p.OpenShared(bpath, uint32(rank), shared)
 	if err != nil {
 		return nil, err
 	}

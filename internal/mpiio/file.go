@@ -8,6 +8,7 @@ import (
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
+	"ldplfs/internal/plfs"
 )
 
 // Hints mirror the ROMIO info keys the paper leans on.
@@ -110,27 +111,8 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	if hints.SieveBufferSize <= 0 {
 		hints.SieveBufferSize = 4 << 20
 	}
-	// Rank 0 creates first (avoiding O_EXCL races), then everyone opens.
-	var createErr error
-	if r.Rank() == 0 {
-		df, err := driver.Open(path, amode, 0)
-		if err != nil {
-			createErr = err
-		} else {
-			df.Close()
-		}
-	}
-	if errv := r.Bcast(0, createErr); errv != nil {
-		return nil, errv.(error)
-	}
-	amode &^= ModeExcl // rank 0 already arbitrated exclusive creation
-	df, err := driver.Open(path, amode, r.Rank())
-	// All ranks open or none do: a rank returning alone would leave the
-	// others waiting for it in the broadcast below, forever.
-	if err := funnel(r, err, "open"); err != nil {
-		if df != nil {
-			df.Close()
-		}
+	df, err := openDriverFile(r, driver, path, amode)
+	if err != nil {
 		return nil, err
 	}
 	// Rank 0's cb_* hints become the communicator's: every collective's
@@ -168,6 +150,89 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	f.cago = f.ls.Counter("agg_flush_ops")
 	f.covl = f.ls.Counter("round_overlap_ns")
 	return f, nil
+}
+
+// openDriverFile opens every rank's driver file, or none: a rank
+// returning alone would leave the others waiting for it in their next
+// collective, forever.
+//
+// A read-only open of one path through a driver that can share an index
+// builds it once: rank 0 opens and builds, and the other ranks open from
+// its index without a metadata op (indexSharer). Whether the ranks agree
+// on the path — and on the capability — is decided collectively, so they
+// all take the same branch; a communicator whose ranks open files of
+// their own takes the per-rank path.
+func openDriverFile(r *mpi.Rank, driver Driver, path string, amode int) (DriverFile, error) {
+	if amode == ModeRdonly {
+		sharer, ok := driver.(indexSharer)
+		root := r.Bcast(0, path).(string)
+		var apart int64
+		if !ok || root != path {
+			apart = 1
+		}
+		if r.AllreduceInt64(apart, mpi.OpMax) == 0 {
+			return openSharedIndex(r, sharer, path)
+		}
+	}
+	if amode&ModeCreate != 0 {
+		// Rank 0 creates first (avoiding O_EXCL races), then everyone opens.
+		var createErr error
+		if r.Rank() == 0 {
+			df, err := driver.Open(path, amode, 0)
+			if err != nil {
+				createErr = err
+			} else {
+				df.Close()
+			}
+		}
+		if errv := r.Bcast(0, createErr); errv != nil {
+			return nil, errv.(error)
+		}
+		amode &^= ModeExcl // rank 0 already arbitrated exclusive creation
+	}
+	df, err := driver.Open(path, amode, r.Rank())
+	if err := funnel(r, err, "open"); err != nil {
+		if df != nil {
+			df.Close()
+		}
+		return nil, err
+	}
+	return df, nil
+}
+
+// sharedOpen is what rank 0 broadcasts in a shared-index open: its index,
+// or the error that left it with none.
+type sharedOpen struct {
+	index plfs.SharedIndex
+	err   error
+}
+
+// openSharedIndex is openDriverFile's shared path. Rank 0's failure
+// reaches every rank in the broadcast, so none waits for it.
+func openSharedIndex(r *mpi.Rank, sharer indexSharer, path string) (DriverFile, error) {
+	var df DriverFile
+	var mine sharedOpen
+	if r.Rank() == 0 {
+		df, mine.index, mine.err = sharer.OpenSharing(path, 0)
+	}
+	got := r.Bcast(0, mine).(sharedOpen)
+	if got.err != nil {
+		if r.Rank() == 0 {
+			return nil, got.err
+		}
+		return nil, fmt.Errorf("mpiio: collective open failed on another rank: %w", got.err)
+	}
+	var err error
+	if r.Rank() != 0 {
+		df, err = sharer.OpenShared(path, r.Rank(), got.index)
+	}
+	if err := funnel(r, err, "open"); err != nil {
+		if df != nil {
+			df.Close()
+		}
+		return nil, err
+	}
+	return df, nil
 }
 
 // aggregators lists the collective-buffering aggregator ranks of a job,

@@ -76,6 +76,15 @@
 // Handles held by other FS instances over the same backend are out of
 // reach, exactly as other processes are for PLFS proper.
 //
+// A fresh handle is close-to-open consistent: its first read
+// revalidates the cached index against the droppings. A handle from
+// OpenShared is the exception by design: its index was built and
+// validated by another instance (File.ShareIndex), so it is exactly as
+// fresh as that instance's open — MPI's semantics for a collective
+// open, where every rank sees the file as of the open. The index
+// arrives as bytes with the signature it was built under; a later Open
+// in this instance revalidates against that signature like any other.
+//
 // # Tolerance rules
 //
 // Four degraded states are recoverable by rule, each stated and
@@ -589,6 +598,12 @@ func (p *FS) open(path string, flags int, pid uint32, mode uint32) (*File, error
 			return nil, err
 		}
 	}
+	return p.handle(path, flags), nil
+}
+
+// handle registers one more handle on path's container record, creating
+// the record if this instance has none.
+func (p *FS) handle(path string, flags int) *File {
 	p.hmu.Lock()
 	c := p.containers[path]
 	if c == nil {
@@ -599,7 +614,66 @@ func (p *FS) open(path string, flags int, pid uint32, mode uint32) (*File, error
 	}
 	c.handles++
 	p.hmu.Unlock()
-	return &File{container: c, flags: flags}, nil
+	return &File{container: c, flags: flags}
+}
+
+// SharedIndex is a container's merged index as one instance hands it to
+// another — bytes only, so it crosses a process boundary as it is: the
+// index as a flattened record (idx.MarshalFlattened), the extents that
+// record expands to, and the cache Signature the index was built under.
+type SharedIndex struct {
+	Record  []byte
+	Extents int64
+	Sig     readcache.Signature
+}
+
+// ShareIndex resolves the handle's index as a read would — flushing
+// this instance's buffered records, revalidating a fresh handle — and
+// returns it for OpenShared in another instance.
+func (f *File) ShareIndex() (SharedIndex, error) {
+	index, sig, err := f.readIndexSigned()
+	if err != nil {
+		return SharedIndex{}, err
+	}
+	rec := idx.MarshalFlattened(&idx.Flattened{Index: index})
+	return SharedIndex{Record: rec, Extents: int64(index.NumExtents()), Sig: sig}, nil
+}
+
+// OpenShared opens path read-only from an index another instance shared
+// (File.ShareIndex), with no backend op: the record is parsed with every
+// check UnmarshalFlattened makes, bounded by the extents the sharer
+// reported, and installed in this instance's cache under the sharer's
+// signature. The handle is as fresh as the sharer's open, so its first
+// read does not revalidate — unless this instance holds writers on the
+// container, whose records the sharer may not have seen. A later Open
+// revalidates against the sharer's signature as against any other. pid
+// is the caller's writer id, as for Open.
+func (p *FS) OpenShared(path string, pid uint32, shared SharedIndex) (*File, error) {
+	start := p.opStart()
+	f, err := p.openShared(path, shared)
+	p.observeOp(iostats.Open, 0, start, err)
+	return f, err
+}
+
+func (p *FS) openShared(path string, shared SharedIndex) (*File, error) {
+	fl, err := idx.UnmarshalFlattened(shared.Record, shared.Extents)
+	if err != nil {
+		return nil, fmt.Errorf("plfs: shared index of %s: %w", path, err)
+	}
+	p.cache.Install(path, fl.Index, shared.Sig)
+	f := p.handle(path, posix.O_RDONLY)
+	f.mu.RLock()
+	f.validated.Store(len(f.writers) == 0)
+	f.mu.RUnlock()
+	return f, nil
+}
+
+// OpenContainers returns the number of containers this instance holds
+// open handles on.
+func (p *FS) OpenContainers() int {
+	p.hmu.Lock()
+	defer p.hmu.Unlock()
+	return len(p.containers)
 }
 
 // Path returns the container path this handle refers to.
@@ -743,15 +817,22 @@ func (c *container) flushIndex() error {
 // revalidates the cached index against the backend (close-to-open
 // consistency); after that, same-instance generation tracking suffices.
 func (f *File) readIndex() (*idx.Index, error) {
+	index, _, err := f.readIndexSigned()
+	return index, err
+}
+
+// readIndexSigned is readIndex that also returns the Signature the index
+// was built under.
+func (f *File) readIndexSigned() (*idx.Index, readcache.Signature, error) {
 	if err := f.flushIndex(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	index, _, err := f.fs.cache.Get(f.path, !f.validated.Load(), f.sigFn, f.loadFn)
+	index, sig, _, err := f.fs.cache.Get(f.path, !f.validated.Load(), f.sigFn, f.loadFn)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	f.validated.Store(true)
-	return index, nil
+	return index, sig, nil
 }
 
 // Read fills buf from logical offset off — plfs_read. It scatter-gathers
@@ -1027,7 +1108,7 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 // tracks freshness for path-level operations), and built from a trusted
 // flattened record or the streaming merge on a miss.
 func (p *FS) MergedIndex(path string) (*idx.Index, error) {
-	index, _, err := p.cache.Get(path, true,
+	index, _, _, err := p.cache.Get(path, true,
 		func() (readcache.Signature, error) { return p.indexSignature(path) },
 		func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(path) })
 	return index, err

@@ -18,6 +18,10 @@
 //     was built from, and rebuilds on mismatch. This makes a new open
 //     exactly as fresh as rebuilding from scratch — at the cost of a
 //     metadata scan rather than a full dropping parse.
+//   - An index a peer built (Install) arrives with the Signature it was
+//     built under and is exactly as fresh as the peer's build: the entry
+//     takes both, so a later revalidating Get compares against the
+//     peer's state and rebuilds only if the droppings moved since.
 package readcache
 
 import (
@@ -45,6 +49,8 @@ const (
 	BuildMerge BuildKind = iota
 	// BuildFlattened is a direct load of a trusted flattened record.
 	BuildFlattened
+	// BuildShared is an index a peer built and handed over (Install).
+	BuildShared
 )
 
 // Loader builds a fresh index, reporting the Signature of the state it
@@ -71,6 +77,7 @@ type IndexCache struct {
 	builds          *iostats.Counter // Get ran the loader successfully (misses)
 	loadErrors      *iostats.Counter // Get ran the loader and it failed
 	flattenedBuilds *iostats.Counter // of builds, how many loaded a flattened record
+	sharedBuilds    *iostats.Counter // of builds, how many a peer built (Install)
 	revalidations   *iostats.Counter // signature checks performed
 	invalidations   *iostats.Counter // generation bumps
 }
@@ -86,12 +93,13 @@ type cacheEntry struct {
 }
 
 // NewIndexCache returns a cache holding at most max container indexes
-// (DefaultMaxContainers if max <= 0). Its seven counters — lookups,
-// hits, builds, load_errors, flattened_builds, revalidations,
-// invalidations — register on ls (typically the owning plfs.FS's
-// "readcache" layer), which is where callers read them; a nil layer
-// leaves them unobservable. Every Get is exactly one of a hit, a build
-// or a load error, so hits+builds+load_errors == lookups always.
+// (DefaultMaxContainers if max <= 0). Its eight counters — lookups,
+// hits, builds, load_errors, flattened_builds, shared_builds,
+// revalidations, invalidations — register on ls (typically the owning
+// plfs.FS's "readcache" layer), which is where callers read them; a nil
+// layer leaves them unobservable. Every Get and Install is exactly one
+// of a hit, a build or a load error, so hits+builds+load_errors ==
+// lookups always.
 func NewIndexCache(max int, ls *iostats.LayerStats) *IndexCache {
 	if max <= 0 {
 		max = DefaultMaxContainers
@@ -104,6 +112,7 @@ func NewIndexCache(max int, ls *iostats.LayerStats) *IndexCache {
 		builds:          ls.Counter("builds"),
 		loadErrors:      ls.Counter("load_errors"),
 		flattenedBuilds: ls.Counter("flattened_builds"),
+		sharedBuilds:    ls.Counter("shared_builds"),
 		revalidations:   ls.Counter("revalidations"),
 		invalidations:   ls.Counter("invalidations"),
 	}
@@ -146,12 +155,13 @@ func (c *IndexCache) evictLocked(keep string) {
 	}
 }
 
-// Get returns the cached index for path, running load to (re)build it
-// when the cache is empty, the generation moved, or — with revalidate —
-// the current signature no longer matches. built reports whether load
-// ran. Concurrent Gets for one container serialize on its entry, so a
-// build happens once however many readers race for it.
-func (c *IndexCache) Get(path string, revalidate bool, sig SigFunc, load Loader) (index *idx.Index, built bool, err error) {
+// Get returns the cached index for path and the Signature it was built
+// under, running load to (re)build it when the cache is empty, the
+// generation moved, or — with revalidate — the current signature no
+// longer matches. built reports whether load ran. Concurrent Gets for
+// one container serialize on its entry, so a build happens once however
+// many readers race for it.
+func (c *IndexCache) Get(path string, revalidate bool, sig SigFunc, load Loader) (index *idx.Index, s Signature, built bool, err error) {
 	c.lookups.Add(1)
 	e := c.entry(path)
 	e.mu.Lock()
@@ -169,24 +179,49 @@ func (c *IndexCache) Get(path string, revalidate bool, sig SigFunc, load Loader)
 		}
 		if fresh {
 			c.hits.Add(1)
-			return e.index, false, nil
+			return e.index, e.sig, false, nil
 		}
 	}
 
 	index, s, kind, err := load()
 	if err != nil {
 		c.loadErrors.Add(1)
-		return nil, false, err
+		return nil, "", false, err
 	}
-	c.builds.Add(1)
-	if kind == BuildFlattened {
-		c.flattenedBuilds.Add(1)
-	}
+	c.countBuild(kind)
 	// builtGen is the generation observed *before* the load: an
 	// invalidation racing with the build marks the result stale, and the
 	// next Get rebuilds.
 	e.index, e.sig, e.builtGen = index, s, gen
-	return index, true, nil
+	return index, s, true, nil
+}
+
+// Install puts index, which a peer built under sig, in path's entry. An
+// entry already holding sig at the current generation is a hit and keeps
+// its own index; anything else takes the peer's as a build of kind
+// BuildShared.
+func (c *IndexCache) Install(path string, index *idx.Index, sig Signature) {
+	c.lookups.Add(1)
+	e := c.entry(path)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	gen := e.gen.Load()
+	if e.index != nil && e.builtGen == gen && e.sig == sig {
+		c.hits.Add(1)
+		return
+	}
+	c.countBuild(BuildShared)
+	e.index, e.sig, e.builtGen = index, sig, gen
+}
+
+func (c *IndexCache) countBuild(kind BuildKind) {
+	c.builds.Add(1)
+	switch kind {
+	case BuildFlattened:
+		c.flattenedBuilds.Add(1)
+	case BuildShared:
+		c.sharedBuilds.Add(1)
+	}
 }
 
 // Invalidate marks path's cached index stale. It never creates entries:

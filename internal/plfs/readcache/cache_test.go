@@ -48,7 +48,7 @@ func TestGetBuildsOnceAndHits(t *testing.T) {
 	c, stats := newCounted(0)
 	var builds atomic.Int64
 	for i := 0; i < 5; i++ {
-		index, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
+		index, _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 		if err != nil || index == nil {
 			t.Fatalf("Get: %v", err)
 		}
@@ -69,7 +69,7 @@ func TestInvalidateForcesRebuild(t *testing.T) {
 	var builds atomic.Int64
 	c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 	c.Invalidate("/c")
-	_, built, _ := c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
+	_, _, built, _ := c.Get("/c", false, sigFn("s"), loader(&builds, "s"))
 	if !built || builds.Load() != 2 {
 		t.Fatalf("built=%v builds=%d after invalidation", built, builds.Load())
 	}
@@ -92,16 +92,16 @@ func TestRevalidationDetectsBackendChange(t *testing.T) {
 
 	c.Get("/c", true, sig, load)
 	// Unchanged backend: revalidation hits.
-	if _, built, _ := c.Get("/c", true, sig, load); built {
+	if _, _, built, _ := c.Get("/c", true, sig, load); built {
 		t.Fatal("rebuilt with unchanged signature")
 	}
 	// Generation untouched but the backend moved (another process wrote):
 	// a revalidating Get rebuilds, a trusting Get does not.
 	cur = "v2"
-	if _, built, _ := c.Get("/c", false, sig, load); built {
+	if _, _, built, _ := c.Get("/c", false, sig, load); built {
 		t.Fatal("non-revalidating Get rebuilt")
 	}
-	if _, built, _ := c.Get("/c", true, sig, load); !built {
+	if _, _, built, _ := c.Get("/c", true, sig, load); !built {
 		t.Fatal("revalidating Get served a stale index")
 	}
 	if builds.Load() != 2 {
@@ -113,11 +113,11 @@ func TestLoadErrorNotCached(t *testing.T) {
 	c := NewIndexCache(0, nil)
 	boom := errors.New("boom")
 	fail := func() (*idx.Index, Signature, BuildKind, error) { return nil, "", BuildMerge, boom }
-	if _, _, err := c.Get("/c", false, sigFn("s"), fail); !errors.Is(err, boom) {
+	if _, _, _, err := c.Get("/c", false, sigFn("s"), fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	var builds atomic.Int64
-	if _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s")); err != nil || !built {
+	if _, _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s")); err != nil || !built {
 		t.Fatalf("recovery Get: built=%v err=%v", built, err)
 	}
 }
@@ -147,7 +147,7 @@ func TestLRUEvictionBoundsContainers(t *testing.T) {
 		t.Fatalf("Len = %d, want <= 4", c.Len())
 	}
 	// The most recent container is still cached.
-	if _, built, _ := c.Get("/c9", false, sigFn("s"), loader(&builds, "s")); built {
+	if _, _, built, _ := c.Get("/c9", false, sigFn("s"), loader(&builds, "s")); built {
 		t.Fatal("most recent entry was evicted")
 	}
 }
@@ -173,7 +173,7 @@ func TestConcurrentGetSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.Get("/c", false, sigFn("s"), load); err != nil {
+			if _, _, _, err := c.Get("/c", false, sigFn("s"), load); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -222,7 +222,7 @@ func TestStatsCoherenceUnderRaces(t *testing.T) {
 					c.Drop(path)
 				default:
 					revalidate := next(2) == 0
-					if _, _, err := c.Get(path, revalidate, sigFn("s"), loader(&builds, "s")); err != nil {
+					if _, _, _, err := c.Get(path, revalidate, sigFn("s"), loader(&builds, "s")); err != nil {
 						t.Error(err)
 					}
 				}
@@ -266,16 +266,54 @@ func TestFlattenedBuildsCounted(t *testing.T) {
 	flat := func() (*idx.Index, Signature, BuildKind, error) {
 		return idx.Build(nil), "s", BuildFlattened, nil
 	}
-	if _, built, err := c.Get("/c", false, sigFn("s"), flat); err != nil || !built {
+	if _, _, built, err := c.Get("/c", false, sigFn("s"), flat); err != nil || !built {
 		t.Fatalf("Get: built=%v err=%v", built, err)
 	}
 	c.Invalidate("/c")
 	var builds atomic.Int64
-	if _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s")); err != nil || !built {
+	if _, _, built, err := c.Get("/c", false, sigFn("s"), loader(&builds, "s")); err != nil || !built {
 		t.Fatalf("rebuild: built=%v err=%v", built, err)
 	}
 	s := stats()
 	if s.Builds != 2 || s.FlattenedBuilds != 1 {
 		t.Fatalf("stats = %+v, want 2 builds of which 1 flattened", s)
+	}
+}
+
+// TestInstall pins Install's rule: a peer's index is a build of kind
+// BuildShared, unless the entry already holds its signature at the
+// current generation — then a hit that keeps the entry's own index. A
+// revalidating Get afterwards compares against the installed signature.
+func TestInstall(t *testing.T) {
+	c, stats := newCounted(0)
+	var builds atomic.Int64
+	holds := func(want *idx.Index, sig Signature) bool {
+		index, s, built, err := c.Get("/c", false, sigFn(sig), loader(&builds, sig))
+		return err == nil && !built && index == want && s == sig
+	}
+	shared := func() int64 { return c.sharedBuilds.Load() }
+	a, b := idx.Build(nil), idx.Build(nil)
+	c.Install("/c", a, "s1")
+	if !holds(a, "s1") || stats().Builds != 1 || shared() != 1 {
+		t.Fatalf("first install: %+v", stats())
+	}
+	c.Install("/c", b, "s1")
+	if !holds(a, "s1") || stats().Builds != 1 {
+		t.Fatalf("same signature: the entry's index was replaced, %+v", stats())
+	}
+	if index, _, built, _ := c.Get("/c", true, sigFn("s1"), loader(&builds, "s1")); index != a || built {
+		t.Fatal("a revalidating Get under the installed signature rebuilt")
+	}
+	c.Invalidate("/c")
+	c.Install("/c", b, "s1")
+	if !holds(b, "s1") || shared() != 2 {
+		t.Fatalf("after Invalidate: kept the stale index, %+v", stats())
+	}
+	c.Install("/c", a, "s2")
+	if !holds(a, "s2") || shared() != 3 {
+		t.Fatalf("new signature: %+v", stats())
+	}
+	if s := stats(); s.Lookups != s.Hits+s.Builds+s.LoadErrors || s.FlattenedBuilds != 0 || builds.Load() != 0 {
+		t.Fatalf("counters: %+v, loader ran %d times", s, builds.Load())
 	}
 }
