@@ -80,12 +80,12 @@ func parseFlattenedGen(name string) (uint64, bool) {
 // the freshness token embedded in flattened records. It is rename- and
 // copy-invariant (no mtimes, no absolute paths) while still changing
 // whenever any dropping grows, shrinks, appears or disappears.
-func rawSignature(container string, droppings []string, stats []posix.Stat) uint64 {
-	rel := make([]string, len(droppings))
-	sizes := make([]int64, len(droppings))
-	for i, d := range droppings {
+func (st indexState) rawSignature(container string) uint64 {
+	rel := make([]string, len(st.droppings))
+	sizes := make([]int64, len(st.droppings))
+	for i, d := range st.droppings {
 		rel[i] = strings.TrimPrefix(d, container+"/")
-		sizes[i] = stats[i].Size
+		sizes[i] = st.stats[i].Size
 	}
 	return idx.RawSignature(rel, sizes)
 }
@@ -125,31 +125,27 @@ func (p *FS) IndexHealth(path string) (IndexHealth, error) {
 	if !p.IsContainer(path) {
 		return IndexHealth{}, posix.ENOENT
 	}
-	droppings, flatGens, err := p.listIndexState(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return IndexHealth{}, err
 	}
-	stats, err := p.statDroppings(droppings)
-	if err != nil {
-		return IndexHealth{}, err
-	}
-	h := IndexHealth{IndexDroppings: len(droppings), RawEntries: rawEntries(stats)}
+	h := IndexHealth{IndexDroppings: len(st.droppings), RawEntries: rawEntries(st.stats)}
 	recs, err := p.openHosts(path)
 	if err != nil {
 		return IndexHealth{}, err
 	}
 	h.OpenWriters = len(recs)
-	if len(flatGens) == 0 {
+	if len(st.flatGens) == 0 {
 		return h, nil
 	}
-	gen, fl, trusted, err := p.newestFlattened(path, flatGens, droppings, stats)
+	gen, fl, trusted, err := p.newestFlattened(path, st)
 	info := &FlattenedInfo{Generation: gen, Fresh: trusted, Err: err}
 	if fl != nil {
 		info.Extents, info.Size = fl.Index.NumExtents(), fl.Index.Size()
 		info.Version, info.Runs, info.Singles = fl.Version, fl.Runs, fl.Singles
 	}
 	h.Flattened = info
-	h.StaleRecords = len(flatGens) - 1
+	h.StaleRecords = len(st.flatGens) - 1
 	if !info.Fresh {
 		h.StaleRecords++
 	}
@@ -166,20 +162,20 @@ func rawEntries(stats []posix.Stat) int64 {
 }
 
 // newestFlattened reads the newest of the container's flattened records
-// (flatGens must be non-empty) and reports whether a reader would trust
-// it — the one statement of the package doc's third tolerance rule:
-// the record is the generation its name says, its embedded signature
-// matches the raw droppings as listed and statted just now, and no
+// (st.flatGens must be non-empty) and reports whether a reader would
+// trust it — the one statement of the package doc's third tolerance
+// rule: the record is the generation its name says, its embedded
+// signature matches the raw droppings as walked just now, and no
 // writer holds the container open. The record is read only as far as
-// the droppings statted allow (idx.FlattenedBound): one too large for
-// them cannot have been built from them.
-func (p *FS) newestFlattened(path string, flatGens []uint64, droppings []string, stats []posix.Stat) (gen uint64, fl *idx.Flattened, trusted bool, err error) {
-	gen = slices.Max(flatGens)
-	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen), idx.FlattenedBound(rawEntries(stats)))
+// the droppings' listed sizes allow (idx.FlattenedBound): one too large
+// for them cannot have been built from them.
+func (p *FS) newestFlattened(path string, st indexState) (gen uint64, fl *idx.Flattened, trusted bool, err error) {
+	gen = slices.Max(st.flatGens)
+	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen), idx.FlattenedBound(rawEntries(st.stats)))
 	if err != nil {
 		return gen, nil, false, err
 	}
-	trusted = fl.Generation == gen && fl.RawSig == rawSignature(path, droppings, stats) && !p.hasOpenWriters(path)
+	trusted = fl.Generation == gen && fl.RawSig == st.rawSignature(path) && !p.hasOpenWriters(path)
 	return gen, fl, trusted, nil
 }
 
@@ -204,21 +200,17 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 // flatten (claim) writes under flattenClaim and, per the package doc,
 // returns a zero FlattenedInfo before any merge when the claim is taken.
 func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
-	droppings, flatGens, err := p.listIndexState(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return FlattenedInfo{}, err
 	}
-	if len(droppings) == 0 {
+	if len(st.droppings) == 0 {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: container has no index droppings", path)
 	}
-	stats, err := p.statDroppings(droppings)
-	if err != nil {
-		return FlattenedInfo{}, err
-	}
-	raw := rawSignature(path, droppings, stats)
+	raw := st.rawSignature(path)
 	gen := uint64(1)
-	if len(flatGens) > 0 {
-		gen = slices.Max(flatGens) + 1
+	if len(st.flatGens) > 0 {
+		gen = slices.Max(st.flatGens) + 1
 	}
 	tmp := flattenClaim(path, gen, raw)
 	if !claim {
@@ -231,7 +223,7 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	if err != nil {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: create %s: %w", path, tmp, err)
 	}
-	global, _, err := p.mergeIndex(droppings)
+	global, _, err := p.mergeIndex(st.droppings)
 	if err != nil {
 		p.backend.Close(fd)
 		p.backend.Unlink(tmp)
@@ -241,7 +233,7 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	if err := idx.WriteFlattened(p.backend, flattenedPath(path, gen), tmp, fd, fl); err != nil {
 		return FlattenedInfo{}, err
 	}
-	for _, g := range flatGens {
+	for _, g := range st.flatGens {
 		p.backend.Unlink(flattenedPath(path, g))
 	}
 	return FlattenedInfo{Generation: gen, Extents: global.NumExtents(), Size: global.Size(), Fresh: true,
@@ -270,13 +262,13 @@ func (p *FS) DropFlattenedIndex(path string) (int, error) {
 	if !p.IsContainer(path) {
 		return 0, posix.ENOENT
 	}
-	_, flatGens, err := p.listIndexState(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return 0, err
 	}
 	removed := 0
 	var ferr error
-	for _, g := range flatGens {
+	for _, g := range st.flatGens {
 		if err := p.backend.Unlink(flattenedPath(path, g)); err != nil {
 			if ferr == nil && !errors.Is(err, posix.ENOENT) {
 				ferr = err

@@ -228,11 +228,7 @@ func TestForgedRecordClaimsHugeTable(t *testing.T) {
 	}
 	base := forgedReadAllocs(t, mem, path, want)
 
-	droppings, _, err := p.listIndexState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := p.statDroppings(droppings)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +236,7 @@ func TestForgedRecordClaimsHugeTable(t *testing.T) {
 	binary.LittleEndian.PutUint64(rec[0:], idx.FlattenedMagic)
 	binary.LittleEndian.PutUint64(rec[8:], idx.FlattenedVersion)
 	binary.LittleEndian.PutUint64(rec[16:], 1)
-	binary.LittleEndian.PutUint64(rec[24:], rawSignature(path, droppings, stats))
+	binary.LittleEndian.PutUint64(rec[24:], st.rawSignature(path))
 	binary.LittleEndian.PutUint64(rec[32:], 1<<40)
 	binary.LittleEndian.PutUint64(rec[40:], 1)   // runs
 	r := rec[idx.FlattenedHeaderSize:]           // logical 0, physical 0

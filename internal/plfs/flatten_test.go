@@ -749,15 +749,11 @@ func TestDeadFlattenClaim(t *testing.T) {
 	if n, err := p.DropFlattenedIndex(path); err != nil || n != 1 {
 		t.Fatalf("drop = %d, %v; want the close's one record", n, err)
 	}
-	droppings, _, err := p.listIndexState(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := p.statDroppings(droppings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := flattenClaim(path, 1, rawSignature(path, droppings, stats))
+	dead := flattenClaim(path, 1, st.rawSignature(path))
 	fd, err := mem.Open(dead, posix.O_CREAT|posix.O_EXCL|posix.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

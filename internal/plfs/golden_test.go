@@ -117,11 +117,11 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 	}
 	fmt.Fprintf(&sb, "md5 %x\n", md5.Sum(content))
 
-	droppings, err := p.listIndexDroppings(path)
+	walk, err := p.listIndexState(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	entries, err := p.loadDroppings(droppings)
+	entries, err := p.loadDroppings(walk.droppings)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 		fmt.Fprintf(&sb, "extent %d %d %d %d\n", x.LogicalOffset, x.Length, x.PhysicalOffset, x.Pid)
 	}
 
-	for _, d := range droppings {
+	for _, d := range walk.droppings {
 		dst, err := p.backend.Stat(d)
 		if err != nil {
 			tb.Fatal(err)

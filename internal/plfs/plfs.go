@@ -330,13 +330,11 @@ func indexDropping(hostdir string, pid uint32) string {
 	return fmt.Sprintf("%s/dropping.index.%d", hostdir, pid)
 }
 
-// IsContainer reports whether path names a PLFS container.
+// IsContainer reports whether path names a PLFS container: one Stat of
+// its access file, since on a tree file system a child exists only
+// under a directory.
 func (p *FS) IsContainer(path string) bool {
-	st, err := p.backend.Stat(path)
-	if err != nil || !st.IsDir() {
-		return false
-	}
-	_, err = p.backend.Stat(path + "/" + accessFile)
+	_, err := p.backend.Stat(path + "/" + accessFile)
 	return err == nil
 }
 
@@ -463,10 +461,11 @@ func (p *FS) seedClock(path string) error {
 	if done {
 		return nil
 	}
-	droppings, err := p.listIndexDroppings(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
 	}
+	droppings := st.droppings
 	errs := make([]error, len(droppings))
 	runParallel(len(droppings), p.workers, func(i int) {
 		var newest uint64
@@ -1277,10 +1276,11 @@ func (p *FS) truncateContainer(path string, size int64) error {
 // of either are sources like any other when the operation runs again.
 func (p *FS) consolidate(path string, clip int64) error {
 	defer p.invalidateIndex(path)
-	sources, err := p.listIndexDroppings(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return err
 	}
+	sources := st.droppings
 	global, newest, err := p.mergeIndex(sources)
 	if err != nil {
 		return err

@@ -99,54 +99,59 @@ func runParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// listIndexState walks the container once, returning every index
-// dropping path in deterministic (hostdir, name) order plus the
-// generations of any flattened global index records at the container
-// root. The per-hostdir listings fan out across the worker pool.
-func (p *FS) listIndexState(path string) ([]string, []uint64, error) {
+// indexState is one walk of a container's index metadata: every index
+// dropping in deterministic (hostdir, name) order with the attributes
+// its hostdir's listing gave it, and the generations of the flattened
+// global index records at the container root.
+type indexState struct {
+	droppings []string
+	stats     []posix.Stat
+	flatGens  []uint64
+}
+
+// listIndexState walks the container once: the root listing, then one
+// listing with attributes per hostdir, fanned out across the worker
+// pool. The droppings' sizes and mtimes come with their names, so the
+// walk costs H + 1 listings whatever the number of droppings.
+func (p *FS) listIndexState(path string) (indexState, error) {
 	dirs, err := p.backend.Readdir(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("plfs: list container: %w", err)
+		return indexState{}, fmt.Errorf("plfs: list container: %w", err)
 	}
+	var st indexState
 	var hostdirs []string
-	var flatGens []uint64
 	for _, d := range dirs {
 		if d.IsDir && strings.HasPrefix(d.Name, "hostdir.") {
 			hostdirs = append(hostdirs, path+"/"+d.Name)
 		} else if !d.IsDir {
 			if gen, ok := parseFlattenedGen(d.Name); ok {
-				flatGens = append(flatGens, gen)
+				st.flatGens = append(st.flatGens, gen)
 			}
 		}
 	}
-	lists := make([][]string, len(hostdirs))
+	lists := make([][]posix.DirEntryStat, len(hostdirs))
 	errs := make([]error, len(hostdirs))
 	runParallel(len(hostdirs), p.workers, func(i int) {
-		files, err := p.backend.Readdir(hostdirs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for _, fe := range files {
-			if strings.HasPrefix(fe.Name, "dropping.index.") {
-				lists[i] = append(lists[i], hostdirs[i]+"/"+fe.Name)
-			}
-		}
+		lists[i], errs[i] = posix.ReaddirStat(p.backend, hostdirs[i])
 	})
-	var droppings []string
+	entries := 0
 	for i := range hostdirs {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return indexState{}, errs[i]
 		}
-		droppings = append(droppings, lists[i]...)
+		entries += len(lists[i])
 	}
-	return droppings, flatGens, nil
-}
-
-// listIndexDroppings returns the container's index dropping paths.
-func (p *FS) listIndexDroppings(path string) ([]string, error) {
-	droppings, _, err := p.listIndexState(path)
-	return droppings, err
+	st.droppings = make([]string, 0, entries)
+	st.stats = make([]posix.Stat, 0, entries)
+	for i, hostdir := range hostdirs {
+		for _, fe := range lists[i] {
+			if strings.HasPrefix(fe.Name, "dropping.index.") {
+				st.droppings = append(st.droppings, hostdir+"/"+fe.Name)
+				st.stats = append(st.stats, fe.Stat)
+			}
+		}
+	}
+	return st, nil
 }
 
 // loadDroppings slurps every listed index dropping whole, fanning the
@@ -179,44 +184,18 @@ func (p *FS) loadDroppings(droppings []string) ([]idx.Entry, error) {
 // mtime per dropping) without parsing them — the cheap freshness check
 // behind the cache's close-to-open revalidation.
 func (p *FS) indexSignature(path string) (readcache.Signature, error) {
-	droppings, err := p.listIndexDroppings(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return "", err
 	}
-	sig, err := p.signatureOf(droppings)
-	if err != nil {
-		return "", err
-	}
-	return sig, nil
+	return st.signature(), nil
 }
 
-// statDroppings stats every dropping in parallel, in list order.
-func (p *FS) statDroppings(droppings []string) ([]posix.Stat, error) {
-	stats := make([]posix.Stat, len(droppings))
-	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.workers, func(i int) {
-		stats[i], errs[i] = p.backend.Stat(droppings[i])
-	})
-	for i := range droppings {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-	return stats, nil
-}
-
-func (p *FS) signatureOf(droppings []string) (readcache.Signature, error) {
-	stats, err := p.statDroppings(droppings)
-	if err != nil {
-		return "", err
-	}
-	return signatureFrom(droppings, stats), nil
-}
-
-func signatureFrom(droppings []string, stats []posix.Stat) readcache.Signature {
+// signature is the cache Signature of the walked droppings.
+func (st indexState) signature() readcache.Signature {
 	var sb strings.Builder
-	for i, d := range droppings {
-		fmt.Fprintf(&sb, "%s|%d|%d\n", d, stats[i].Size, stats[i].Mtime)
+	for i, d := range st.droppings {
+		fmt.Fprintf(&sb, "%s|%d|%d\n", d, st.stats[i].Size, st.stats[i].Mtime)
 	}
 	return readcache.Signature(sb.String())
 }
@@ -276,27 +255,22 @@ func newestTimestamp(entries []idx.Entry) uint64 {
 	return newest
 }
 
-// buildIndex is the cache loader: one full reconstruction. It lists and
-// stats the container once, then takes the cheapest trustworthy path —
-// the newest flattened record when newestFlattened trusts it (its runs
-// expanded straight into the index, O(extents)), the streaming merge
-// otherwise.
+// buildIndex is the cache loader: one full reconstruction. It walks the
+// container once, then takes the cheapest trustworthy path — the newest
+// flattened record when newestFlattened trusts it (its runs expanded
+// straight into the index, O(extents)), the streaming merge otherwise.
 func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache.BuildKind, error) {
-	droppings, flatGens, err := p.listIndexState(path)
+	st, err := p.listIndexState(path)
 	if err != nil {
 		return nil, "", readcache.BuildMerge, err
 	}
-	stats, err := p.statDroppings(droppings)
-	if err != nil {
-		return nil, "", readcache.BuildMerge, err
-	}
-	sig := signatureFrom(droppings, stats)
-	if len(flatGens) > 0 {
-		if _, fl, trusted, _ := p.newestFlattened(path, flatGens, droppings, stats); trusted {
+	sig := st.signature()
+	if len(st.flatGens) > 0 {
+		if _, fl, trusted, _ := p.newestFlattened(path, st); trusted {
 			return fl.Index, sig, readcache.BuildFlattened, nil
 		}
 	}
-	index, _, err := p.mergeIndex(droppings)
+	index, _, err := p.mergeIndex(st.droppings)
 	if err != nil {
 		return nil, "", readcache.BuildMerge, err
 	}

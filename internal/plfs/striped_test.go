@@ -45,8 +45,9 @@ func newLayoutPLFS(t *testing.T, n int, faulty bool, desc string, opts ...Option
 
 // TestWrappedStripedBackend pins that no wrapper hides a StripedFS from
 // plfs: over each one, a replica-2 container on 3 backends writes its
-// layout descriptor and reports its true spread, and the doctor over
-// the bare composite finds it healthy.
+// layout descriptor and reports its true spread, the doctor over the
+// bare composite finds it healthy, and a listing with attributes
+// reaches the composite's own (no Stat per entry on the backends).
 func TestWrappedStripedBackend(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -64,12 +65,18 @@ func TestWrappedStripedBackend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS())
+			calls := &callCount{}
+			var mems [3]posix.FS
+			for i := range mems {
+				mems[i] = posix.Interpose(posix.NewMemFS(), calls)
+			}
+			striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, mems[:]...)
 			if err := striped.Mkdir("/backend", 0o755); err != nil {
 				t.Fatal(err)
 			}
 			const path = "/backend/data"
-			p := New(w.wrap(striped), EngineOptions{NumHostdirs: 6})
+			store := w.wrap(striped)
+			p := New(store, EngineOptions{NumHostdirs: 6})
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -88,6 +95,16 @@ func TestWrappedStripedBackend(t *testing.T) {
 			var report strings.Builder
 			if healthy, err := New(striped).Doctor(&report, path, false, false); !healthy || err != nil {
 				t.Fatalf("doctor over the bare composite: healthy=%v, %v\n%s", healthy, err, report.String())
+			}
+			if _, ok := store.(posix.StatDirFS); !ok {
+				t.Fatalf("%s hides the listing with attributes", w.name)
+			}
+			before := calls.stats.Load()
+			if ents, err := posix.ReaddirStat(store, path+"/hostdir.1"); err != nil || len(ents) != 2 {
+				t.Fatalf("listing hostdir.1 through %s = %v, %v; want its two droppings", w.name, ents, err)
+			}
+			if n := calls.stats.Load() - before; n != 0 {
+				t.Fatalf("listing through %s made %d Stats on the backends: the composite's own listing was hidden", w.name, n)
 			}
 		})
 	}

@@ -66,15 +66,16 @@
 // # One interposer
 //
 // Interpose(inner, hooks...) is the package's one hand-written
-// forwarder: one table over the FS methods and Preadv/Pwritev, one
-// fd→path map, one Unwrap. Each call becomes an Op value that hooks
-// see twice. Befores run outermost first and may refuse the op (a
-// refused write may keep a byte prefix) or delay it; a refusal skips
-// the inner call and every hook inside the refusing one. Afters run
-// innermost first, to count, time and observe, so a hook outside a
-// refusal still sees it, as an error. The exemptions are stated there
-// once: a whole vector is one op, Close never runs Before (no fault,
-// service time or kill reaches it), and Lseek reaches no hook.
+// forwarder: one table over the FS methods, Preadv/Pwritev and
+// ReaddirStat, one fd→path map, one Unwrap. Each call becomes an Op
+// value that hooks see twice. Befores run outermost first and may
+// refuse the op (a refused write may keep a byte prefix) or delay it;
+// a refusal skips the inner call and every hook inside the refusing
+// one. Afters run innermost first, to count, time and observe, so a
+// hook outside a refusal still sees it, as an error. The exemptions
+// are stated there once: a whole vector is one op, and so is a listing
+// with attributes; Close never runs Before (no fault, service time or
+// kill reaches it), and Lseek reaches no hook.
 //
 // FaultFS and InstrumentFS are hook sets on it, and so is the iotrace
 // recorder. FaultFS injects per-op error rules (Partial short writes,

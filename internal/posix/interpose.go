@@ -32,6 +32,7 @@ const (
 	CallReaddir
 	CallRename
 	CallAccess
+	CallReaddirStat
 )
 
 // classOf is the iostats class a call is counted under.
@@ -85,10 +86,10 @@ type Hook interface {
 }
 
 // Interposer is the one forwarding table over an inner FS: every FS
-// call, and Preadv/Pwritev, becomes an Op that runs through the hooks.
-// Its rules are stated here once. A whole vector is one op. Close never
-// runs Before, so it cannot be refused or delayed. Lseek reaches no
-// hook at all.
+// call, Preadv/Pwritev and ReaddirStat, becomes an Op that runs through
+// the hooks. Its rules are stated here once. A whole vector is one op,
+// and so is a listing with attributes. Close never runs Before, so it
+// cannot be refused or delayed. Lseek reaches no hook at all.
 type Interposer struct {
 	inner FS
 	hooks []Hook
@@ -290,6 +291,13 @@ func (x *Interposer) Readdir(path string) (ents []DirEntry, err error) {
 	return ents, err
 }
 
+// ReaddirStat implements StatDirFS: one meta op, whether or not the
+// inner FS lists with attributes itself.
+func (x *Interposer) ReaddirStat(path string) (ents []DirEntryStat, err error) {
+	err = x.meta(pathOp(CallReaddirStat, path), func() (err error) { ents, err = ReaddirStat(x.inner, path); return err })
+	return ents, err
+}
+
 // Rename implements FS.
 func (x *Interposer) Rename(oldpath, newpath string) error {
 	return x.meta(pathOp(CallRename, oldpath), func() error { return x.inner.Rename(oldpath, newpath) })
@@ -302,3 +310,4 @@ func (x *Interposer) Access(path string, mode int) error {
 
 var _ FS = (*Interposer)(nil)
 var _ VectorFS = (*Interposer)(nil)
+var _ StatDirFS = (*Interposer)(nil)

@@ -57,7 +57,12 @@ func (l Layout) Replicas(path string, n int) []int {
 // hostdir.K maps to K mod n (FNV-1a of the component for non-numeric
 // suffixes) and everything else to backend 0.
 func primaryIndex(path string, n int) int {
-	comp := hostdirComponent(path)
+	return hostdirPrimary(hostdirComponent(path), n)
+}
+
+// hostdirPrimary is primaryIndex of a path whose first hostdir
+// component is comp ("" for a canonical path).
+func hostdirPrimary(comp string, n int) int {
 	if comp == "" {
 		return 0
 	}

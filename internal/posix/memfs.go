@@ -2,6 +2,7 @@ package posix
 
 import (
 	gopath "path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -627,6 +628,26 @@ func (fs *MemFS) Readdir(path string) ([]DirEntry, error) {
 	return out, nil
 }
 
+// ReaddirStat implements StatDirFS: the listing and every entry's
+// attributes under one lock acquisition.
+func (fs *MemFS) ReaddirStat(path string) ([]DirEntryStat, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	if n.children == nil {
+		return nil, ENOTDIR
+	}
+	out := make([]DirEntryStat, 0, len(n.children))
+	for name, c := range n.children {
+		out = append(out, DirEntryStat{Name: name, Stat: fs.statOf(c)})
+	}
+	slices.SortFunc(out, func(a, b DirEntryStat) int { return strings.Compare(a.Name, b.Name) })
+	return out, nil
+}
+
 // Rename implements FS.
 func (fs *MemFS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
@@ -682,3 +703,4 @@ func (fs *MemFS) OpenFDs() int {
 
 var _ FS = (*MemFS)(nil)
 var _ VectorFS = (*MemFS)(nil)
+var _ StatDirFS = (*MemFS)(nil)

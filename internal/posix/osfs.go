@@ -353,3 +353,4 @@ func (o *OSFS) Access(path string, mode int) error {
 }
 
 var _ FS = (*OSFS)(nil)
+var _ StatDirFS = (*OSFS)(nil)

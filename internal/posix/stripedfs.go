@@ -1,6 +1,7 @@
 package posix
 
 import (
+	"cmp"
 	"errors"
 	gopath "path"
 	"slices"
@@ -181,12 +182,18 @@ func (s *StripedFS) ReplicasFor(path string) []int {
 	return s.layout.Replicas(path, len(s.backends))
 }
 
-// hostdirComponent returns the first "hostdir.*" component of path, or "".
+// hostdirComponent returns the first "hostdir.*" component of path, or
+// "". Every op asks, so it allocates nothing for a clean absolute path.
 func hostdirComponent(path string) string {
-	for _, comp := range strings.Split(gopath.Clean("/"+path), "/") {
+	if !strings.HasPrefix(path, "/") {
+		path = "/" + path
+	}
+	for rest := gopath.Clean(path)[1:]; rest != ""; {
+		comp, tail, _ := strings.Cut(rest, "/")
 		if strings.HasPrefix(comp, "hostdir.") {
 			return comp
 		}
+		rest = tail
 	}
 	return ""
 }
@@ -660,17 +667,17 @@ func liveVerdict(cur, err error) error {
 
 // across applies op to the backends in scan, in order, on behalf of a
 // path owned by owners (a subset of scan) — the one loop behind every
-// mutating path op and Readdir. It succeeds when at least one owner
-// did, and is the one statement of the failure budget: a layout of
-// width W keeps a survivor in every replica set while fewer than W
-// backends have failed, so W-1 dead backends (EIO) are ridden out and
-// the next one aborts — mod-N tolerates none and fails fast on its
-// primary. ENOENT is never a failure: a shadow may never have held the
-// path and an owner may have missed it while degraded, though once no
-// owner is left to serve, the owners' liveVerdict is returned without
-// touching what remains of scan. Any other error is a live backend's
-// refusal (ENOTEMPTY, EEXIST, EACCES): a verdict, returned at once, not
-// a failure to ride out.
+// mutating path op and, as listing's fold, every listing. It succeeds
+// when at least one owner did, and is the one statement of the failure
+// budget: a layout of width W keeps a survivor in every replica set
+// while fewer than W backends have failed, so W-1 dead backends (EIO)
+// are ridden out and the next one aborts — mod-N tolerates none and
+// fails fast on its primary. ENOENT is never a failure: a shadow may
+// never have held the path and an owner may have missed it while
+// degraded, though once no owner is left to serve, the owners'
+// liveVerdict is returned without touching what remains of scan. Any
+// other error is a live backend's refusal (ENOTEMPTY, EEXIST, EACCES):
+// a verdict, returned at once, not a failure to ride out.
 func (s *StripedFS) across(scan, owners []int, op func(i int) error) error {
 	budget := len(owners) - 1
 	pending := len(owners)
@@ -795,34 +802,121 @@ func (s *StripedFS) Rmdir(path string) error {
 	return s.across(order, owners, func(i int) error { return s.backends[i].Rmdir(path) })
 }
 
+// answer is one backend's listing of a directory.
+type answer[E any] struct {
+	b    int // the backend
+	list []E
+	err  error
+}
+
+// listing lists path on every backend of its scan at once — every
+// backend for a canonical directory, the owners for a routed one — and
+// then folds the answers through across in scan order. It returns the
+// answers the fold used, in scan order: the ones the serial loop would
+// have asked for. The fold, and so the failure budget and liveVerdict,
+// is the serial loop's; the one difference is that a listing is in
+// flight on a backend whose answer the fold then ignores, which a
+// read-only op can afford.
+func listing[E any](s *StripedFS, path string, list func(b FS, path string) ([]E, error)) ([]answer[E], error) {
+	owners := s.ReplicasFor(path)
+	scan := owners
+	if !routed(path) {
+		scan = s.mirrored(owners)
+	}
+	answers := make([]answer[E], len(scan))
+	for k, b := range scan {
+		answers[k].b = b
+	}
+	if len(scan) == 1 {
+		answers[0].list, answers[0].err = list(s.backends[scan[0]], path)
+	} else {
+		var wg sync.WaitGroup
+		for k, b := range scan[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				answers[k+1].list, answers[k+1].err = list(s.backends[b], path)
+			}()
+		}
+		answers[0].list, answers[0].err = list(s.backends[scan[0]], path)
+		wg.Wait()
+	}
+	used := 0
+	err := s.across(scan, owners, func(int) error {
+		used++
+		return answers[used-1].err
+	})
+	return answers[:used], err
+}
+
 // Readdir implements FS. A directory's listing is the name-ordered,
 // name-deduplicated union across the backends that may hold entries —
 // every backend for a canonical directory, which is how a container
 // walk discovers hostdirs wherever they live. Under the failure budget
 // a listing is either complete or an error, never silently short.
 func (s *StripedFS) Readdir(path string) ([]DirEntry, error) {
-	owners := s.ReplicasFor(path)
-	scan := owners
-	if !routed(path) {
-		scan = s.mirrored(owners)
-	}
-	var entries []DirEntry
-	err := s.across(scan, owners, func(i int) error {
-		list, err := s.backends[i].Readdir(path)
-		if entries == nil {
-			entries = list
-		} else {
-			entries = append(entries, list...)
-		}
-		return err
-	})
+	answers, err := listing(s, path, FS.Readdir)
 	if err != nil {
 		return nil, err
+	}
+	entries := answers[0].list
+	for _, a := range answers[1:] {
+		entries = append(entries, a.list...)
 	}
 	// Map-free merge: the stable sort keeps the primary-most copy of a
 	// name first, and that is the one CompactFunc keeps.
 	slices.SortStableFunc(entries, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return slices.CompactFunc(entries, func(a, b DirEntry) bool { return a.Name == b.Name }), nil
+}
+
+// ReaddirStat implements StatDirFS: Readdir's union, from one listing
+// with attributes per backend, all in flight at once. Of a name listed
+// by several backends it keeps the copy Stat of that entry would
+// return: the one of the entry's primary-most owner — or, when no owner
+// listed it, the first in the order the listing visits the backends.
+func (s *StripedFS) ReaddirStat(path string) ([]DirEntryStat, error) {
+	answers, err := listing(s, path, ReaddirStat)
+	if err != nil {
+		return nil, err
+	}
+	var only []DirEntryStat
+	nonEmpty := 0
+	for _, a := range answers {
+		if len(a.list) > 0 {
+			only, nonEmpty = a.list, nonEmpty+1
+		}
+	}
+	if nonEmpty < 2 {
+		return only, nil
+	}
+	type listed struct {
+		DirEntryStat
+		rank int // owners in replica order, then the rest in scan order
+	}
+	var copies []listed
+	n, width := len(s.backends), s.LayoutWidth()
+	dirPrimary, canonical := primaryIndex(path, n), !routed(path)
+	for k, a := range answers {
+		for _, e := range a.list {
+			p := dirPrimary // a routed entry shares its directory's replica set
+			if canonical && strings.HasPrefix(e.Name, "hostdir.") {
+				p = hostdirPrimary(e.Name, n)
+			}
+			rank := (a.b - p + n) % n // replicas are consecutive from the primary
+			if rank >= width {
+				rank = width + k
+			}
+			copies = append(copies, listed{e, rank})
+		}
+	}
+	slices.SortFunc(copies, func(a, b listed) int { return cmp.Or(strings.Compare(a.Name, b.Name), a.rank-b.rank) })
+	out := make([]DirEntryStat, 0, len(copies))
+	for i, c := range copies {
+		if i == 0 || c.Name != copies[i-1].Name {
+			out = append(out, c.DirEntryStat)
+		}
+	}
+	return out, nil
 }
 
 // Rename implements FS. Routed paths rename within their owning replica
@@ -852,3 +946,4 @@ func (s *StripedFS) Access(path string, mode int) error {
 
 var _ FS = (*StripedFS)(nil)
 var _ VectorFS = (*StripedFS)(nil)
+var _ StatDirFS = (*StripedFS)(nil)

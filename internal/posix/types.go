@@ -142,6 +142,16 @@ type DirEntry struct {
 // and Pwritev, which fall back to a scalar loop, so the capability is
 // purely a syscall-count optimisation — the bytes are identical either
 // way.
+//
+// Beside it sits the optional StatDirFS capability (ReaddirStat): a
+// directory's entries with their sizes, mtimes and modes in one
+// operation, the readdirplus shape. Callers list through the package
+// helper ReaddirStat, which falls back to Readdir plus one Stat per
+// entry, so it too changes only the operation count. MemFS answers
+// under one lock, StripedFS with one concurrent listing per backend,
+// and an Interposer forwards it as one op. OSFS answers with a
+// directory read plus one fstatat(2) per entry: one op at this layer,
+// but its system calls do not drop.
 type FS interface {
 	// Open opens path, honouring O_CREAT, O_EXCL, O_TRUNC, O_APPEND and the
 	// access mode, and returns a new file descriptor.
