@@ -36,12 +36,13 @@ func TestStatSeesLiveWritesViaOpenhosts(t *testing.T) {
 	f, _ := p.Open("/backend/live", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	f.Write(make([]byte, 100), 0, 1)
 	f.Close(1)
-	// Stat from the hint: 100.
+	// Stat after the close: 100, also in the flattened record it wrote.
 	if st, _ := p.Stat("/backend/live"); st.Size != 100 {
-		t.Fatalf("hinted size = %d", st.Size)
+		t.Fatalf("closed size = %d", st.Size)
 	}
-	// A new writer extends the file but has not closed: the stale hint
-	// says 100; openhosts forces the index merge which sees 500.
+	// A new writer extends the file but has not closed: the record still
+	// says 100, but the writer's openhosts record (and its droppings)
+	// distrust it, so the index merge sees 500.
 	g, _ := p.Open("/backend/live", posix.O_WRONLY, 2, 0o644)
 	g.Write(make([]byte, 400), 100, 2)
 	g.Sync(2)
@@ -50,7 +51,7 @@ func TestStatSeesLiveWritesViaOpenhosts(t *testing.T) {
 		t.Fatalf("live stat = %d, %v; want 500 (index merge)", st.Size, err)
 	}
 	g.Close(2)
-	// After close, the refreshed hint also says 500.
+	// After close, the refreshed record also says 500.
 	st, _ = p.Stat("/backend/live")
 	if st.Size != 500 {
 		t.Fatalf("post-close stat = %d", st.Size)

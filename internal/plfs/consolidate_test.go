@@ -3,34 +3,31 @@ package plfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ldplfs/internal/posix"
 )
-
-// windowState is what a fresh instance can observe of the container: the
-// bytes a whole-file read returns and the size Stat reports. They differ
-// after a truncate upward, which only the meta hint carries (the index
-// holds no trailing hole).
-type windowState struct {
-	data []byte
-	stat int64
-}
 
 // windowStep is one operator action of a consolidation script and the
 // flat-[]byte oracle of what it does to the file.
 type windowStep struct {
 	name string
 	run  func(p *FS, path string) error
-	next func(s windowState) windowState
+	next func(data []byte) []byte
 }
 
+// truncStep truncates to size: the oracle is cut, or zero-extended by
+// the trailing hole an upward truncate leaves.
 func truncStep(size int) windowStep {
 	return windowStep{
 		name: fmt.Sprintf("truncate(%d)", size),
 		run:  func(p *FS, path string) error { return p.Truncate(path, int64(size)) },
-		next: func(s windowState) windowState {
-			return windowState{data: s.data[:min(size, len(s.data))], stat: int64(size)}
+		next: func(data []byte) []byte {
+			if size <= len(data) {
+				return data[:size]
+			}
+			return append(slices.Clip(data), make([]byte, size-len(data))...)
 		},
 	}
 }
@@ -38,7 +35,7 @@ func truncStep(size int) windowStep {
 var compactStep = windowStep{
 	name: "compact",
 	run:  func(p *FS, path string) error { return p.CompactIndex(path) },
-	next: func(s windowState) windowState { return s },
+	next: func(data []byte) []byte { return data },
 }
 
 // newWindowFS pins the worker pool to one so the k-th backend op is
@@ -53,7 +50,7 @@ func newWindowFS(backend posix.FS) *FS {
 // from: interleaved blocks, then two overwrites whose order only the
 // timestamps record — so a consolidation that lets a stale source
 // outrank its replacement shows up as wrong bytes, not just a wrong size.
-func buildWindowFile(t *testing.T, backend posix.FS, path string) windowState {
+func buildWindowFile(t *testing.T, backend posix.FS, path string) []byte {
 	t.Helper()
 	p := newWindowFS(backend)
 	f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
@@ -78,18 +75,24 @@ func buildWindowFile(t *testing.T, backend posix.FS, path string) windowState {
 			t.Fatal(err)
 		}
 	}
-	return windowState{data: oracle, stat: int64(len(oracle))}
+	return oracle
 }
 
-// observe reads the container's state through a fresh instance.
-func observe(t *testing.T, backend posix.FS, path string) windowState {
+// observe reads the container's bytes through a fresh instance, whose
+// Stat must report exactly their length: the index is the one source
+// of size, mid-operation too.
+func observe(t *testing.T, where string, backend posix.FS, path string) []byte {
 	t.Helper()
 	p := newWindowFS(backend)
 	st, err := p.Stat(path)
 	if err != nil {
-		t.Fatalf("stat: %v", err)
+		t.Fatalf("%s: stat: %v", where, err)
 	}
-	return windowState{data: readBack(t, p, path), stat: st.Size}
+	data := readBack(t, p, path)
+	if st.Size != int64(len(data)) {
+		t.Fatalf("%s: Stat size = %d, but a whole-file read returns %d bytes", where, st.Size, len(data))
+	}
+	return data
 }
 
 // TestConsolidationWindow enumerates the window of every operation that
@@ -98,8 +101,9 @@ func observe(t *testing.T, backend posix.FS, path string) windowState {
 // revived — and checks the fourth tolerance rule through a fresh
 // instance: an interrupted compaction changes no byte and no size; an
 // interrupted truncate keeps every byte below the smaller of the two
-// sizes and reports a size between them; and running the interrupted
-// operation again reaches exactly the state an undisturbed run does.
+// sizes and reports a size between them; Stat agrees with the read; and
+// running the interrupted operation again reaches exactly the state an
+// undisturbed run does.
 func TestConsolidationWindow(t *testing.T) {
 	const path = "/backend/f"
 	scripts := []struct {
@@ -111,6 +115,7 @@ func TestConsolidationWindow(t *testing.T) {
 		{"compact", []windowStep{compactStep}},
 		{"compact-twice", []windowStep{compactStep, compactStep}},
 		{"truncate-after-compact", []windowStep{compactStep, truncStep(3000)}},
+		{"compact-after-truncate-up", []windowStep{truncStep(10000), compactStep}},
 	}
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
@@ -143,7 +148,8 @@ func TestConsolidationWindow(t *testing.T) {
 					where := fmt.Sprintf("%s at op %d", mode, k)
 					if failed >= 0 {
 						after := sc.steps[failed].next(state)
-						checkBetween(t, where+", interrupted "+sc.steps[failed].name, observe(t, ff, path), state, after)
+						where := where + ", interrupted " + sc.steps[failed].name
+						checkBetween(t, where, observe(t, where, ff, path), state, after)
 						retry := newWindowFS(ff)
 						for _, st := range sc.steps[failed:] {
 							if err := st.run(retry, path); err != nil {
@@ -152,7 +158,8 @@ func TestConsolidationWindow(t *testing.T) {
 							state = st.next(state)
 						}
 					}
-					checkBetween(t, where+", script complete", observe(t, ff, path), state, state)
+					where += ", script complete"
+					checkBetween(t, where, observe(t, where, ff, path), state, state)
 				}
 				if !reached {
 					if k < 10 {
@@ -166,19 +173,16 @@ func TestConsolidationWindow(t *testing.T) {
 }
 
 // checkBetween asserts got lies between the states before and after one
-// step: sizes within the two, and every byte below the smaller size —
+// step: its size within the two, and every byte below the smaller size —
 // which both oracles agree on — intact. (Above it a half-truncated file
 // may read old bytes or zeros.)
-func checkBetween(t *testing.T, where string, got, before, after windowState) {
+func checkBetween(t *testing.T, where string, got, before, after []byte) {
 	t.Helper()
-	lo, hi := min(len(before.data), len(after.data)), max(len(before.data), len(after.data))
-	if n := len(got.data); n < lo || n > hi {
+	lo, hi := min(len(before), len(after)), max(len(before), len(after))
+	if n := len(got); n < lo || n > hi {
 		t.Fatalf("%s: Size() = %d, want within [%d, %d]", where, n, lo, hi)
 	}
-	if !bytes.Equal(got.data[:lo], before.data[:lo]) {
+	if !bytes.Equal(got[:lo], before[:lo]) {
 		t.Fatalf("%s: bytes differ from the oracle below %d", where, lo)
-	}
-	if lo, hi := min(before.stat, after.stat), max(before.stat, after.stat); got.stat < lo || got.stat > hi {
-		t.Fatalf("%s: Stat size = %d, want within [%d, %d]", where, got.stat, lo, hi)
 	}
 }

@@ -21,8 +21,8 @@ type openHostRecord struct {
 	// Stale marks a record whose pid has no data dropping: the writer's
 	// state is gone (a pre-fix Trunc(0) leak, or a crash between
 	// container truncation and close), so nothing can still be writing
-	// under it. Stale records pin Stat on the slow merged-index path and
-	// make CompactIndex refuse the container.
+	// under it. Stale records distrust every flattened record and make
+	// CompactIndex refuse the container.
 	Stale bool
 }
 

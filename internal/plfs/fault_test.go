@@ -209,24 +209,6 @@ func TestFlakyBackendReadRetries(t *testing.T) {
 	f.Close(1)
 }
 
-func TestMetaHintWriteFailureIsNotFatal(t *testing.T) {
-	// Dropping the size hint at close is best-effort in PLFS; a failure
-	// there must not fail the close, and stat must still work via the
-	// index merge.
-	p, ffs, _ := faultPLFS(t)
-	f, _ := p.Open("/backend/hintless", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
-	f.Write(make([]byte, 512), 0, 1)
-	ffs.Inject(&posix.FaultRule{Op: posix.FaultOpen, PathContains: "meta/size", Err: posix.EACCES})
-	if err := f.Close(1); err != nil {
-		t.Fatalf("close failed on best-effort hint: %v", err)
-	}
-	ffs.Clear()
-	st, err := p.Stat("/backend/hintless")
-	if err != nil || st.Size != 512 {
-		t.Fatalf("stat without hint = %+v, %v", st, err)
-	}
-}
-
 // TestIndexDroppingHeaderWindow holds writer 1 between creating its
 // index dropping and writing the header (a gate on the header write) —
 // the window a sibling rank's first write or a reader's cold open can

@@ -241,8 +241,8 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 }
 
 // maybeAutoFlatten writes a flattened record when the container's last
-// writer has closed. Best-effort, like the meta size hints: a failed
-// flatten costs the next cold open a streaming merge, nothing more.
+// writer has closed. Best-effort: a failed flatten costs the next cold
+// open a streaming merge, nothing more.
 func (p *FS) maybeAutoFlatten(path string) {
 	if p.cfg.Index.DisableAutoFlatten {
 		return

@@ -54,7 +54,7 @@ func goldenV3Rig(tb testing.TB, backends ...posix.FS) *FS {
 
 // goldenWriteScript produces the fixture container: multiple writers on
 // colliding hostdirs, overlapping rewrites (last-writer-wins), a
-// vectored strided write, a hole, and clean closes (meta size hints).
+// vectored strided write, a hole, and clean closes.
 // It must stay byte-deterministic — single goroutine, fixed pids.
 func goldenWriteScript(tb testing.TB, p *FS, container string) {
 	tb.Helper()

@@ -12,15 +12,14 @@ import (
 )
 
 // sampleIndex is a three-extent table over two droppings, its size past
-// the last extent's end (an upward truncate).
+// the last extent's end (an upward truncate's size record).
 func sampleIndex() *Index {
-	ix := Build([]Entry{
+	return Build([]Entry{
 		{LogicalOffset: 0, Length: 1000, PhysicalOffset: 0, Timestamp: 1, Pid: 1},
 		{LogicalOffset: 1000, Length: 500, PhysicalOffset: 4096, Timestamp: 2, Pid: 2, Dropping: 1},
 		{LogicalOffset: 2000, Length: 2500, PhysicalOffset: 1000, Timestamp: 3, Pid: 1},
+		{LogicalOffset: 5000, Timestamp: 4, Pid: 1},
 	})
-	ix.Extend(5000)
-	return ix
 }
 
 func sampleFlattened() *Flattened {

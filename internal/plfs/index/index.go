@@ -28,7 +28,7 @@ import (
 // on-disk index record.
 type Entry struct {
 	LogicalOffset  int64  // offset within the PLFS file the application wrote
-	Length         int64  // number of bytes written
+	Length         int64  // number of bytes written; 0 marks a size record (see insert)
 	PhysicalOffset int64  // offset within the data dropping
 	Timestamp      uint64 // logical timestamp; later overwrites earlier
 	Pid            uint32 // writer id, selects the data dropping
@@ -127,7 +127,6 @@ type Index struct {
 	chunks []*chunk // globally sorted, non-overlapping; every chunk non-empty
 	n      int      // total extent count across chunks
 	size   int64    // logical EOF: max(offset+length) over all entries
-	trunc  bool     // whether an explicit truncation capped size
 }
 
 // Build merges entries (from any number of index droppings, in any order)
@@ -199,9 +198,14 @@ func chunkify(extents []Extent) []*chunk {
 }
 
 // insert overlays one entry onto the index; the entry wins every overlap
-// (callers insert in ascending timestamp order).
+// (callers insert in ascending timestamp order). A size record — Length
+// zero at LogicalOffset S — maps no bytes and only raises the size to S:
+// the trailing hole a truncate leaves past the last extent.
 func (idx *Index) insert(e Entry) {
 	if e.Length <= 0 {
+		if e.Length == 0 && e.LogicalOffset > idx.size {
+			idx.size = e.LogicalOffset
+		}
 		return
 	}
 	if end := e.LogicalOffset + e.Length; end > idx.size {
@@ -324,11 +328,13 @@ walk:
 }
 
 // Size returns the logical size of the file: the highest written offset
-// plus one (or the truncated size if a truncate capped it).
+// plus one, or the largest size record's, or the truncated size if a
+// truncate capped it.
 func (idx *Index) Size() int64 { return idx.size }
 
 // Truncate drops every extent at or beyond size and clips extents that
-// straddle it, mirroring plfs_trunc.
+// straddle it, mirroring plfs_trunc; a size past the last extent's end
+// leaves a trailing hole.
 func (idx *Index) Truncate(size int64) {
 	if size < 0 {
 		size = 0
@@ -360,14 +366,6 @@ func (idx *Index) Truncate(size int64) {
 		idx.n -= dropped
 	}
 	idx.size = size
-	idx.trunc = true
-}
-
-// Extend grows the logical size (a truncate upward), zero-filling.
-func (idx *Index) Extend(size int64) {
-	if size > idx.size {
-		idx.size = size
-	}
 }
 
 // Query resolves the logical range [off, off+length) into a minimal

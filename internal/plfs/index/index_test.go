@@ -142,13 +142,29 @@ func TestTruncate(t *testing.T) {
 	if total != 75 {
 		t.Fatalf("total = %d, want 75", total)
 	}
-	idx.Extend(200)
+	idx.insert(Entry{LogicalOffset: 200, Timestamp: 3, Pid: 1})
 	if idx.Size() != 200 {
-		t.Fatalf("Size after Extend = %d", idx.Size())
+		t.Fatalf("Size after a size record = %d", idx.Size())
 	}
 	ext = idx.Query(75, 125)
 	if len(ext) != 1 || !ext[0].Hole {
 		t.Fatalf("extended region = %+v, want one hole", ext)
+	}
+}
+
+// TestSizeRecord pins the size record: Length zero at S raises the size
+// to S and maps no bytes; one below the size changes nothing.
+func TestSizeRecord(t *testing.T) {
+	idx := Build([]Entry{
+		{LogicalOffset: 0, Length: 100, Timestamp: 1, Pid: 1},
+		{LogicalOffset: 300, Timestamp: 2, Pid: 1},
+		{LogicalOffset: 50, Timestamp: 3, Pid: 2},
+	})
+	if idx.Size() != 300 || idx.NumExtents() != 1 {
+		t.Fatalf("Size = %d, extents = %d; want 300, 1", idx.Size(), idx.NumExtents())
+	}
+	if ext := idx.Query(100, 500); len(ext) != 1 || !ext[0].Hole || ext[0].Length != 200 {
+		t.Fatalf("trailing region = %+v, want one 200-byte hole", ext)
 	}
 }
 

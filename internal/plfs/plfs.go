@@ -7,7 +7,6 @@
 //	file/                      <- the path the application sees
 //	  .plfsaccess              <- marker distinguishing containers from dirs
 //	  version
-//	  meta/                    <- per-writer size hints dropped at close
 //	  hostdir.K/               <- one bucket per host (hash of writer id)
 //	    dropping.data.<pid>    <- log-structured payload, append-only
 //	    dropping.index.<pid>   <- index records mapping logical->physical
@@ -25,7 +24,7 @@
 //
 // # One read path, one write path
 //
-// Every read — Read, ReadV, Size, Stat's slow path — resolves the
+// Every read — Read, ReadV, Size, Stat — resolves the
 // container's merged index through the instance's shared cache
 // (internal/plfs/readcache) and, for data, runs the one scatter-gather
 // in readengine.go; Read is its one-segment case. Every write — Write,
@@ -67,7 +66,11 @@
 //     racing the last Close never inherits half-retired writers.
 //  2. A read sees every write the instance has accepted: readIndex
 //     flushes each writer holding buffered index records, whichever
-//     handle they arrived through.
+//     handle they arrived through, and MergedIndex (behind path Stat)
+//     does the same. The index is a container's one source of size: a
+//     trailing hole left by a truncate is a size record in it (an
+//     index record of length zero at the size), so Stat, Size, SEEK_END
+//     and a read all agree.
 //  3. Trunc, path Truncate and an O_TRUNC open take exactly one lock:
 //     truncateShared holds the record's lock exclusive from the flush to
 //     the rebind.
@@ -108,10 +111,12 @@
 //   - An operation that replaces index droppings — CompactIndex, a
 //     partial truncate — may stop at any backend op: the replacement
 //     dropping is complete, under a name no source uses, before any
-//     source is unlinked, and out-stamps them all. A fresh reader
-//     therefore finds a compaction's bytes and size unchanged and a
-//     truncate's bytes intact below the smaller size, and running the
-//     operation again completes it. (consolidate)
+//     source is unlinked, and out-stamps them all; a trailing hole is
+//     carried by its size record, which a torn replacement or a
+//     surviving source contributes exactly as it would an extent. A
+//     fresh reader therefore finds a compaction's bytes and size
+//     unchanged and a truncate's bytes intact below the smaller size,
+//     and running the operation again completes it. (consolidate)
 package plfs
 
 import (
@@ -133,7 +138,6 @@ import (
 const (
 	accessFile   = ".plfsaccess"
 	versionFile  = "version"
-	metaDir      = "meta"
 	openhostsDir = "openhosts"
 	layoutFile   = "layout.desc"
 	versionText  = "ldplfs-go plfs container v1\n"
@@ -356,9 +360,6 @@ func (p *FS) CreateContainer(path string, mode uint32) error {
 		p.backend.Write(fd, []byte(versionText))
 		p.backend.Close(fd)
 	}
-	if err := p.backend.Mkdir(path+"/"+metaDir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
-		return fmt.Errorf("plfs: create meta dir: %w", err)
-	}
 	if err := p.backend.Mkdir(path+"/"+openhostsDir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
 		return fmt.Errorf("plfs: create openhosts dir: %w", err)
 	}
@@ -413,9 +414,10 @@ func (p *FS) ContainerLayout(path string) (string, error) {
 }
 
 // markOpen drops an openhosts record for pid — PLFS's signal that a
-// writer is active, so stat must not trust the meta size hints.
+// writer is active, so no flattened record may be trusted or written.
 func (p *FS) markOpen(path string, pid uint32) {
-	// Best effort, like PLFS: a missing record only makes stat cheaper.
+	// Best effort, like PLFS: a missing record only lets a reader trust
+	// a flattened record that the writer's droppings already outdate.
 	if err := p.backend.Mkdir(path+"/"+openhostsDir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
 		return
 	}
@@ -521,7 +523,6 @@ type writer struct {
 	dataFD  int
 	idxW    *idx.Writer
 	physOff int64
-	maxEnd  int64 // highest logical offset+len this writer produced
 }
 
 // container is one instance's state for one container it has open: the
@@ -965,8 +966,8 @@ func (p *FS) truncateShared(path string, size int64) error {
 // is visited regardless. A truncate to zero removed the data droppings
 // too, so every writer is retired. Retiring clears the pid's openhosts
 // record — left behind, it would make hasOpenWriters report true for
-// the container's remaining lifetime, pinning Stat on the slow
-// merged-index path and making CompactIndex refuse the container.
+// the container's remaining lifetime, distrusting every flattened
+// record and making CompactIndex refuse the container.
 func (c *container) rebindWritersLocked(size int64) error {
 	p := c.fs
 	var rerr error
@@ -976,9 +977,6 @@ func (c *container) rebindWritersLocked(size int64) error {
 			iw, err := openIndexWriter(p, indexDropping(p.hostdir(c.path, pid), pid))
 			if err == nil {
 				w.idxW = iw
-				// Clamp the close-time size hint: this writer's extents
-				// beyond size were just clipped away.
-				w.maxEnd = min(w.maxEnd, size)
 				continue
 			}
 			if rerr == nil {
@@ -993,13 +991,12 @@ func (c *container) rebindWritersLocked(size int64) error {
 }
 
 // Close closes the handle and retires pid's writer — plfs_close: its
-// size hint is dropped into meta/ so later stats can avoid a full index
-// merge, and its openhosts record is cleared. The container's last
-// handle out retires every remaining writer the same way and drains the
-// read-fd cache. A close that retires the container's last writer also
-// persists the flattened global index (best effort), so the next cold
-// open loads O(extents) instead of re-merging every dropping. Closing a
-// closed handle is a no-op.
+// index records are flushed and its openhosts record is cleared. The
+// container's last handle out retires every remaining writer the same
+// way and drains the read-fd cache. A close that retires the container's
+// last writer also persists the flattened global index (best effort), so
+// the next cold open loads O(extents) instead of re-merging every
+// dropping. Closing a closed handle is a no-op.
 func (f *File) Close(pid uint32) error {
 	c, p := f.container, f.fs
 	p.hmu.Lock()
@@ -1033,8 +1030,8 @@ func (f *File) Close(pid uint32) error {
 	return nil
 }
 
-// teardownWriterLocked closes one pid's writer, drops its size hint and
-// clears its openhosts record. Caller holds c.mu exclusive.
+// teardownWriterLocked closes one pid's writer and clears its openhosts
+// record. Caller holds c.mu exclusive.
 func (c *container) teardownWriterLocked(pid uint32) error {
 	w, ok := c.writers[pid]
 	if !ok {
@@ -1050,20 +1047,13 @@ func (c *container) teardownWriterLocked(pid uint32) error {
 	if err := p.backend.Close(w.dataFD); err != nil {
 		return err
 	}
-	// Drop a metadata hint: max logical extent this writer saw.
-	metaPath := fmt.Sprintf("%s/%s/size.%d", c.path, metaDir, pid)
-	if fd, err := p.backend.Open(metaPath, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644); err == nil {
-		p.backend.Write(fd, []byte(fmt.Sprintf("%d\n", w.maxEnd)))
-		p.backend.Close(fd)
-	}
 	p.clearOpen(c.path, pid)
 	delete(c.writers, pid)
 	return nil
 }
 
-// Stat describes a container without opening it — plfs_getattr. It prefers
-// the meta/ size hints and falls back to a full index merge when none
-// exist (e.g. the container was never cleanly closed).
+// Stat describes a container without opening it — plfs_getattr. Its
+// size is the merged index's, as every read resolves it.
 func (p *FS) Stat(path string) (posix.Stat, error) {
 	if !p.IsContainer(path) {
 		return posix.Stat{}, posix.ENOENT
@@ -1072,82 +1062,31 @@ func (p *FS) Stat(path string) (posix.Stat, error) {
 	if err != nil {
 		return posix.Stat{}, err
 	}
-	out := posix.Stat{Mode: 0o644, Nlink: 1, Ino: st.Ino, Mtime: st.Mtime}
-
-	var size int64
-	if p.hasOpenWriters(path) {
-		// Active writers: the hints are stale by construction; merge the
-		// on-disk index droppings for a live answer.
-		index, err := p.MergedIndex(path)
-		if err != nil {
-			return posix.Stat{}, err
-		}
-		size = index.Size()
-	} else {
-		var ok bool
-		var err error
-		size, ok, err = p.metaSize(path)
-		if err != nil {
-			return posix.Stat{}, err
-		}
-		if !ok {
-			index, err := p.MergedIndex(path)
-			if err != nil {
-				return posix.Stat{}, err
-			}
-			size = index.Size()
-		}
+	index, err := p.MergedIndex(path)
+	if err != nil {
+		return posix.Stat{}, err
 	}
-	out.Size = size
-	return out, nil
+	return posix.Stat{Mode: 0o644, Nlink: 1, Ino: st.Ino, Mtime: st.Mtime, Size: index.Size()}, nil
 }
 
 // MergedIndex returns the container's merged index as reads resolve it:
+// this instance's buffered records for the container flushed first, then
 // through the shared cache, revalidated against the backend (no handle
 // tracks freshness for path-level operations), and built from a trusted
 // flattened record or the streaming merge on a miss.
 func (p *FS) MergedIndex(path string) (*idx.Index, error) {
+	p.hmu.Lock()
+	c := p.containers[path]
+	p.hmu.Unlock()
+	if c != nil {
+		if err := c.flushIndex(); err != nil {
+			return nil, err
+		}
+	}
 	index, _, _, err := p.cache.Get(path, true,
 		func() (readcache.Signature, error) { return p.indexSignature(path) },
 		func() (*idx.Index, readcache.Signature, readcache.BuildKind, error) { return p.buildIndex(path) })
 	return index, err
-}
-
-// metaSize returns the size recorded by cleanly closed writers. ok is
-// false when no hints exist.
-func (p *FS) metaSize(path string) (int64, bool, error) {
-	entries, err := p.backend.Readdir(path + "/" + metaDir)
-	if err != nil {
-		if errors.Is(err, posix.ENOENT) {
-			return 0, false, nil
-		}
-		return 0, false, err
-	}
-	var size int64
-	found := false
-	for _, e := range entries {
-		if e.IsDir {
-			continue
-		}
-		fd, err := p.backend.Open(path+"/"+metaDir+"/"+e.Name, posix.O_RDONLY, 0)
-		if err != nil {
-			continue
-		}
-		buf := make([]byte, 32)
-		n, _ := p.backend.Read(fd, buf)
-		p.backend.Close(fd)
-		var v int64
-		if _, err := fmt.Sscanf(string(buf[:n]), "%d", &v); err == nil {
-			found = true
-			if v > size {
-				size = v
-			}
-		}
-	}
-	// Meta hints under-report if a writer died before close; a writer that
-	// is still active has no hint at all. Cross-check against index
-	// droppings only when nothing was found.
-	return size, found, nil
 }
 
 // Unlink removes a container and all its droppings — plfs_unlink.
@@ -1244,7 +1183,7 @@ func (p *FS) truncateContainer(path string, size int64) error {
 		// index — between the first drop and the unlinks.
 		p.fds.DropPrefix(path + "/")
 		p.invalidateIndex(path)
-		return p.clearMeta(path, 0)
+		return nil
 	}
 
 	if err := p.consolidate(path, size); err != nil {
@@ -1259,9 +1198,7 @@ func (p *FS) truncateContainer(path string, size int64) error {
 			}
 		}
 	}
-	// The index cannot hold a trailing hole, so a truncate upward is
-	// carried by the meta hint alone.
-	return p.clearMeta(path, size)
+	return nil
 }
 
 // consolidate replaces every index dropping of the container with one
@@ -1315,10 +1252,12 @@ func (p *FS) consolidate(path string, clip int64) error {
 }
 
 // restamp turns a resolved index back into raw records: one entry per
-// data extent, re-timestamped in resolved order above base — the
-// contents of the dropping consolidate writes.
+// data extent, re-timestamped in resolved order above base, and a size
+// record when the size lies past the last extent's end — the contents of
+// the dropping consolidate writes.
 func restamp(global *idx.Index, base uint64) []idx.Entry {
 	var out []idx.Entry
+	var end int64
 	for _, x := range global.Extents() {
 		if x.Hole {
 			continue
@@ -1330,42 +1269,12 @@ func restamp(global *idx.Index, base uint64) []idx.Entry {
 			Timestamp:      base + uint64(len(out)+1),
 			Pid:            x.Pid,
 		})
+		end = x.LogicalOffset + x.Length
+	}
+	if size := global.Size(); size > end {
+		out = append(out, idx.Entry{LogicalOffset: size, Timestamp: base + uint64(len(out)+1)})
 	}
 	return out
-}
-
-// clearMeta resets the meta hints to a single authoritative size. The
-// new hint lands before the stale ones go, so Stat (which takes the
-// largest) never reports less than both sizes in between; and a failure
-// fails the truncate, because a stale hint left behind would outvote
-// the index.
-func (p *FS) clearMeta(path string, size int64) error {
-	const hint = "size.trunc"
-	metaPath := path + "/" + metaDir
-	fd, err := p.backend.Open(metaPath+"/"+hint, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = p.backend.Write(fd, []byte(fmt.Sprintf("%d\n", size)))
-	if cerr := p.backend.Close(fd); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	entries, err := p.backend.Readdir(metaPath)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.Name == hint {
-			continue
-		}
-		if err := p.backend.Unlink(metaPath + "/" + e.Name); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CompactIndex merges every index dropping in the container into one

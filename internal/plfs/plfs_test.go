@@ -53,16 +53,20 @@ func TestContainerStructureOnDisk(t *testing.T) {
 	f.Write([]byte("data"), 0, 7)
 	f.Close(7)
 
-	// The "file" is a directory containing the marker, version, meta and
-	// one hostdir with a data and an index dropping — Figure 1 structure.
+	// The "file" is a directory containing the marker, version and one
+	// hostdir with a data and an index dropping — Figure 1 structure. No
+	// meta/ of size hints: the index is the one source of size.
 	st, err := mem.Stat("/backend/out")
 	if err != nil || !st.IsDir() {
 		t.Fatalf("container is not a directory: %v", err)
 	}
-	for _, want := range []string{".plfsaccess", "version", "meta"} {
+	for _, want := range []string{".plfsaccess", "version"} {
 		if _, err := mem.Stat("/backend/out/" + want); err != nil {
 			t.Fatalf("missing %s: %v", want, err)
 		}
+	}
+	if _, err := mem.Stat("/backend/out/meta"); !errors.Is(err, posix.ENOENT) {
+		t.Fatalf("meta/ created: %v", err)
 	}
 	hostdir := fmt.Sprintf("/backend/out/hostdir.%d", 7%4)
 	entries, err := mem.Readdir(hostdir)
@@ -236,7 +240,7 @@ func TestOpenSemantics(t *testing.T) {
 	f.Close(3)
 }
 
-func TestStatUsesMetaHints(t *testing.T) {
+func TestStatReportsIndexSize(t *testing.T) {
 	p, _ := newTestFS(t)
 	f, _ := p.Open("/backend/st", posix.O_CREAT|posix.O_WRONLY, 9, 0o644)
 	f.Write(make([]byte, 12345), 0, 9)
@@ -250,17 +254,14 @@ func TestStatUsesMetaHints(t *testing.T) {
 	}
 }
 
-func TestStatWithoutMetaFallsBackToIndex(t *testing.T) {
+// TestStatOfUnclosedWriter stats a container whose only writer synced
+// and never closed — a crashed writer, seen by a fresh instance.
+func TestStatOfUnclosedWriter(t *testing.T) {
 	p, mem := newTestFS(t)
 	f, _ := p.Open("/backend/nm", posix.O_CREAT|posix.O_WRONLY, 9, 0o644)
 	f.Write(make([]byte, 777), 0, 9)
 	f.Sync(9)
-	// Simulate a crashed writer: remove meta dir contents, never close.
-	entries, _ := mem.Readdir("/backend/nm/meta")
-	for _, e := range entries {
-		mem.Unlink("/backend/nm/meta/" + e.Name)
-	}
-	st, err := p.Stat("/backend/nm")
+	st, err := New(mem, EngineOptions{NumHostdirs: 4}).Stat("/backend/nm")
 	if err != nil || st.Size != 777 {
 		t.Fatalf("Stat = %+v, %v; want 777 via index merge", st, err)
 	}

@@ -74,7 +74,7 @@ type repairReport struct {
 }
 
 // replicaDirs returns the container-relative directories that may hold
-// replicated files: the root, meta/, openhosts/ and every hostdir.
+// replicated files: the root, openhosts/ and every hostdir.
 func (p *FS) replicaDirs(path string) ([]string, error) {
 	entries, err := p.backend.Readdir(path)
 	if err != nil {

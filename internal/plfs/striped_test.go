@@ -123,10 +123,10 @@ func TestStripedContainerPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Canonical files live only on backend 0 (directories like meta/ and
+	// Canonical files live only on backend 0 (directories like
 	// openhosts/ are mirrored as empty skeleton, but their contents are
-	// not). host.5 exists while writer 5 is still open; the meta size
-	// hints appear at close.
+	// not). host.5 exists while writer 5 is still open; version stays
+	// after every writer closes.
 	checkCanonical := func(name string) {
 		t.Helper()
 		if _, err := mems[0].Stat("/backend/data/" + name); err != nil {
@@ -144,7 +144,7 @@ func TestStripedContainerPlacement(t *testing.T) {
 	for pid := uint32(0); pid < 6; pid++ {
 		f.Close(pid)
 	}
-	checkCanonical("meta/size.0")
+	checkCanonical("version")
 	for pid := 0; pid < 6; pid++ {
 		want := pid % 3 // hostdir k = pid % 6 hostdirs; backend = k % 3
 		path := fmt.Sprintf("/backend/data/hostdir.%d/dropping.data.%d", pid, pid)

@@ -73,9 +73,8 @@ func (w *writer) writeData(backend posix.FS, buf []byte) (int, error) {
 }
 
 // appendEntryLocked buffers one index record for n bytes at logical
-// offset off whose payload landed at physOff, stamping the clock and
-// the writer's size hint. Caller holds the writer's lock (or the
-// container lock exclusive).
+// offset off whose payload landed at physOff, stamping the clock. Caller
+// holds the writer's lock (or the container lock exclusive).
 func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 	w.idxW.Append(idx.Entry{
 		LogicalOffset:  off,
@@ -84,9 +83,6 @@ func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 		Timestamp:      f.fs.clock.Add(1),
 		Pid:            pid,
 	})
-	if end := off + n; end > w.maxEnd {
-		w.maxEnd = end
-	}
 }
 
 // recordExtentLocked buffers one index record for n bytes at logical

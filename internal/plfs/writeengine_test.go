@@ -372,8 +372,8 @@ func TestIndexBatchGroupFlush(t *testing.T) {
 
 // TestTruncZeroClearsOpenHosts is the regression test for the openhosts
 // leak: Trunc(0) retires every writer and must clear their records, or
-// hasOpenWriters reports true forever, Stat permanently takes the slow
-// merged path and CompactIndex refuses the container.
+// hasOpenWriters reports true forever, no flattened record is ever
+// trusted again and CompactIndex refuses the container.
 func TestTruncZeroClearsOpenHosts(t *testing.T) {
 	p, _ := writePLFS(t)
 	f, err := p.Open("/backend/leak", posix.O_CREAT|posix.O_RDWR, 5, 0o644)
@@ -450,8 +450,8 @@ func TestTruncRebindsLiveIndexWriters(t *testing.T) {
 		t.Fatal("post-truncate write invisible to fresh reader")
 	}
 	g.Close(10)
-	// The size hint a clamped writer drops at close must not resurrect
-	// the pre-truncate size.
+	// Closing the rebound writer must not resurrect the pre-truncate
+	// size.
 	if err := f.Close(9); err != nil {
 		t.Fatal(err)
 	}

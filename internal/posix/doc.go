@@ -19,7 +19,7 @@
 // string, the form persisted inside a container:
 //
 //   - "mod-n" (R = 1, the default): hostdir.K lives on backend K mod N;
-//     canonical paths (container markers, meta/, openhosts/) live on
+//     canonical paths (container markers, openhosts/) live on
 //     backend 0. One copy of everything — the bandwidth-aggregation
 //     layout.
 //   - "replica-R": each path lives on R consecutive backends starting

@@ -15,9 +15,9 @@ import (
 //
 // A MemFS created by NewNullFS is "dataless": it tracks file sizes and
 // metadata exactly, stores real bytes only while a file stays small (so
-// PLFS's own index droppings and size hints still read back), and spills
-// to size-only tracking once a file outgrows the keep threshold (reads of
-// spilled files return zeros). This is what lets paper-scale workloads
+// PLFS's own index droppings and flattened records still read back), and
+// spills to size-only tracking once a file outgrows the keep threshold
+// (reads of spilled files return zeros). This is what lets paper-scale workloads
 // (136 GB BT class D, 630 GB FLASH-IO) run with exact op streams on a
 // laptop.
 type MemFS struct {

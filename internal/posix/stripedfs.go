@@ -26,7 +26,7 @@ import (
 //   - A path containing a hostdir component ("hostdir.K") has primary
 //     K mod N — hostdirs, and hence data and index droppings, spread
 //     deterministically across all backends.
-//   - Every other path (container marker, version, meta/, openhosts/,
+//   - Every other path (container marker, version, openhosts/,
 //     plain files and directories) has primary 0, the canonical
 //     backend.
 //
