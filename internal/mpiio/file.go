@@ -248,9 +248,21 @@ func aggregators(size, ppn, perNode int) []int {
 	return aggs
 }
 
-// Close closes the handle collectively — MPI_File_close.
+// Close closes the handle collectively — MPI_File_close. Ranks other
+// than 0 close first, then rank 0, so a container the ranks wrote has
+// one last closer: rank 0 alone finds no writer left and flattens, and
+// the others neither list its droppings nor race it for the claim (see
+// plfs's flatten.go). The second barrier keeps MPI's rule that the file
+// is closed on every rank once any rank's Close returns.
 func (f *File) Close() error {
-	err := f.df.Close()
+	var err error
+	if f.rank.Rank() != 0 {
+		err = f.df.Close()
+	}
+	f.rank.Barrier()
+	if f.rank.Rank() == 0 {
+		err = f.df.Close()
+	}
 	f.rank.Barrier()
 	return err
 }

@@ -13,9 +13,18 @@
 // that goes with the container, and flattens racing each other publish
 // one whole record after the other, never a half-record.
 //
-// One flatten per set of last closers. Ranks that close at once each
-// clear their openhosts record before any of them looks, so each finds
-// no writer left. Their temp name is therefore a claim, keyed by the
+// One flatten per set of last closers. A close first asks its own
+// instance: while the instance still holds another writer on the
+// container, the close neither lists openhosts nor flattens, since that
+// writer's close will (File.Close). Only an instance's last writer lists
+// openhosts, because other instances' writers are visible only there;
+// a writer whose openhosts record never landed still holds its own
+// instance's closes back. A collective close (mpiio's File.Close) closes
+// ranks other than 0 first and rank 0 after a barrier, so of a
+// communicator's instances only rank 0's finds no writer left.
+// Instances whose last writers close at once each clear their openhosts
+// record before any of them looks, so each finds no writer left. Their
+// temp name is therefore a claim, keyed by the
 // generation they would write and the raw signature of the droppings
 // they would merge (flattenClaim): the one whose O_EXCL create succeeds
 // merges and publishes; the others return before merging. (A closer
@@ -195,8 +204,10 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 	return p.writeFlattened(path, false)
 }
 
-// writeFlattened performs the flatten: one streaming merge, one atomic
-// record write, old generations retired best-effort. A last closer's
+// writeFlattened performs the flatten: one streaming merge of the
+// droppings as its walk listed them (mergeListed, so the record holds
+// exactly what its signature describes), one atomic record write, old
+// generations retired best-effort. A last closer's
 // flatten (claim) writes under flattenClaim and, per the package doc,
 // returns a zero FlattenedInfo before any merge when the claim is taken.
 func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
@@ -223,7 +234,7 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	if err != nil {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: create %s: %w", path, tmp, err)
 	}
-	global, _, err := p.mergeIndex(st.droppings)
+	global, err := p.mergeListed(st)
 	if err != nil {
 		p.backend.Close(fd)
 		p.backend.Unlink(tmp)
@@ -240,9 +251,10 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 		Version: fl.Version, Runs: fl.Runs, Singles: fl.Singles}, nil
 }
 
-// maybeAutoFlatten writes a flattened record when the container's last
-// writer has closed. Best-effort: a failed flatten costs the next cold
-// open a streaming merge, nothing more.
+// maybeAutoFlatten writes a flattened record when no writer holds the
+// container open any more; File.Close calls it for an instance's last
+// writer. Best-effort: a failed flatten costs the next cold open a
+// streaming merge, nothing more.
 func (p *FS) maybeAutoFlatten(path string) {
 	if p.cfg.Index.DisableAutoFlatten {
 		return

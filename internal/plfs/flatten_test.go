@@ -792,3 +792,49 @@ func TestDeadFlattenClaim(t *testing.T) {
 		t.Fatalf("dead claim outlived its container: %v", err)
 	}
 }
+
+// TestCloseAsksInstanceFirst: a close that leaves another of the
+// instance's writers open does not flatten, even when that writer's
+// openhosts record never landed (markOpen is best effort) and a listing
+// of openhosts would find no writer left. The instance's last writer
+// flattens, and a cold reader trusts what it wrote.
+func TestCloseAsksInstanceFirst(t *testing.T) {
+	const path = "/backend/c"
+	mem := posix.NewMemFS()
+	if err := mem.Mkdir("/backend", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ffs := posix.NewFaultFS(mem)
+	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	var handles [2]*File
+	for i := range handles {
+		pid := uint32(i + 1)
+		if i == 1 {
+			ffs.Inject(&posix.FaultRule{Op: posix.FaultOpen, PathContains: "/openhosts/host.2", Times: 1, Err: posix.EIO})
+		}
+		f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{'a' + byte(i), 'a' + byte(i)}, int64(2*i), pid); err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = f
+	}
+	if h, err := p.IndexHealth(path); err != nil || h.OpenWriters != 1 {
+		t.Fatalf("openhosts holds %d records, %v; want pid 1's alone", h.OpenWriters, err)
+	}
+	if err := handles[0].Close(1); err != nil {
+		t.Fatal(err)
+	}
+	if names := flattenedNames(t, p, path); len(names) != 0 {
+		t.Fatalf("a close under the instance's open writer flattened: root holds %v", names)
+	}
+	if _, err := handles[1].Write([]byte("cc"), 4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := handles[1].Close(2); err != nil {
+		t.Fatal(err)
+	}
+	checkOneFreshRecord(t, mem, path, "aabbcc")
+}

@@ -135,9 +135,10 @@ type modelByte struct {
 }
 
 // FuzzIndexMerge decodes arbitrary bytes into a write history and
-// merges it twice — through Build, and through MergeStreams over the
-// history split into per-pid, timestamp-sorted droppings streamed a
-// fuzzed number of records at a time — checking each result against a
+// merges it — through Build, and through MergeStreams over the history
+// split into per-pid, timestamp-sorted droppings streamed a fuzzed
+// number of records at a time, opened with an Fstat and from their
+// listed sizes — checking each result against a
 // byte-granular replay oracle: every logical byte must resolve to
 // exactly the write the last-writer-wins rule says, holes exactly where
 // nothing wrote, size exactly the high-water mark — plus structural
@@ -145,38 +146,12 @@ type modelByte struct {
 // consistency. The resolved table also goes through the flattened record
 // — marshal, parse, expand — and must come back as the oracle's.
 func FuzzIndexMerge(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	// Overlap-heavy seed: same region rewritten with colliding timestamps.
-	f.Add(bytes.Repeat([]byte{0x40, 0x01, 0x20, 0x02, 0x00}, 12))
-	seed := make([]byte, 0, 64)
-	for i := 0; i < 12; i++ {
-		seed = append(seed, byte(i*37), byte(i*11), byte(i), byte(255-i), byte(i*3))
+	for _, seed := range indexMergeSeeds() {
+		f.Add(seed)
 	}
-	f.Add(seed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxEntries = 64
-		var entries []Entry
-		for i := 0; i+5 <= len(data) && len(entries) < maxEntries; i += 5 {
-			// 5 bytes per write: offset (12 bits), length (6 bits, 1-64),
-			// timestamp (8 bits, collisions welcome), pid (2 bits).
-			off := int64(binary.LittleEndian.Uint16(data[i:])) & 0xfff
-			length := int64(data[i+2]&0x3f) + 1
-			ts := uint64(data[i+3])
-			pid := uint32(data[i+4] & 0x3)
-			entries = append(entries, Entry{
-				LogicalOffset:  off,
-				Length:         length,
-				PhysicalOffset: int64(i) * 100,
-				Timestamp:      ts,
-				// Unique Dropping id per entry keeps the resolution order
-				// fully deterministic while still exercising the
-				// timestamp and pid tiebreaks.
-				Dropping: uint32(len(entries)),
-				Pid:      pid,
-			})
-		}
+		entries := writeHistory(data)
 
 		// Oracle: replay byte-by-byte in Build's resolution order.
 		model := map[int64]modelByte{}
@@ -211,28 +186,10 @@ func FuzzIndexMerge(f *testing.F) {
 		// droppings, each dropping sorted as a writer's clock sorts it
 		// (Dropping breaks timestamp ties as Build does), streamed chunk
 		// records at a time. Both split and chunk come from the first byte.
-		split, chunk := 1, 1
-		if len(data) > 0 {
-			split, chunk = 1+int(data[0]>>5), 1+int(data[0]&0x1f)
-		}
-		byDropping := make([][]Entry, 4*split)
-		for i, e := range entries {
-			d := int(e.Pid)*split + i%split
-			byDropping[d] = append(byDropping[d], e)
-		}
 		mem := posix.NewMemFS()
+		paths, chunk := writeHistoryDroppings(t, mem, data, entries)
 		var streams []*DroppingStream
-		for d, es := range byDropping {
-			if len(es) == 0 {
-				continue
-			}
-			slices.SortFunc(es, func(a, b Entry) int {
-				return cmp.Or(cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.Dropping, b.Dropping))
-			})
-			path := fmt.Sprintf("/d%d", d)
-			if err := WriteDropping(mem, path, es); err != nil {
-				t.Fatal(err)
-			}
+		for _, path := range paths {
 			s, err := OpenDroppingStream(mem, path, chunk)
 			if err != nil {
 				t.Fatal(err)
@@ -249,6 +206,24 @@ func FuzzIndexMerge(f *testing.F) {
 		}
 		checkOracle(t, fmt.Sprintf("MergeStreams (%d droppings, chunk %d)", len(streams), chunk), merged, model, wantSize)
 
+		// The same droppings opened from their listed sizes.
+		listed := make([]*DroppingStream, len(paths))
+		for i, path := range paths {
+			st, err := mem.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if listed[i], err = OpenDroppingStreamListed(mem, path, st.Size, chunk); err != nil {
+				t.Fatal(err)
+			}
+			defer listed[i].Close()
+		}
+		merged, _, err = MergeStreams(listed...)
+		if err != nil {
+			t.Fatalf("MergeStreams over %d listed droppings, chunk %d: %v", len(listed), chunk, err)
+		}
+		checkOracle(t, fmt.Sprintf("MergeStreams, listed (%d droppings, chunk %d)", len(listed), chunk), merged, model, wantSize)
+
 		// The flattened record: the resolved table marshalled, parsed and
 		// expanded again must still be the oracle's.
 		rec := MarshalFlattened(&Flattened{Generation: 1, Index: Build(entries)})
@@ -258,6 +233,81 @@ func FuzzIndexMerge(f *testing.F) {
 		}
 		checkOracle(t, "flattened record", fl.Index, model, wantSize)
 	})
+}
+
+// indexMergeSeeds is FuzzIndexMerge's seed corpus.
+func indexMergeSeeds() [][]byte {
+	seed := make([]byte, 0, 64)
+	for i := 0; i < 12; i++ {
+		seed = append(seed, byte(i*37), byte(i*11), byte(i), byte(255-i), byte(i*3))
+	}
+	return [][]byte{
+		{},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		// Overlap-heavy seed: same region rewritten with colliding timestamps.
+		bytes.Repeat([]byte{0x40, 0x01, 0x20, 0x02, 0x00}, 12),
+		seed,
+	}
+}
+
+// writeHistory decodes fuzz bytes into a write history of at most 64
+// records.
+func writeHistory(data []byte) []Entry {
+	const maxEntries = 64
+	var entries []Entry
+	for i := 0; i+5 <= len(data) && len(entries) < maxEntries; i += 5 {
+		// 5 bytes per write: offset (12 bits), length (6 bits, 1-64),
+		// timestamp (8 bits, collisions welcome), pid (2 bits).
+		off := int64(binary.LittleEndian.Uint16(data[i:])) & 0xfff
+		length := int64(data[i+2]&0x3f) + 1
+		ts := uint64(data[i+3])
+		pid := uint32(data[i+4] & 0x3)
+		entries = append(entries, Entry{
+			LogicalOffset:  off,
+			Length:         length,
+			PhysicalOffset: int64(i) * 100,
+			Timestamp:      ts,
+			// Unique Dropping id per entry keeps the resolution order
+			// fully deterministic while still exercising the
+			// timestamp and pid tiebreaks.
+			Dropping: uint32(len(entries)),
+			Pid:      pid,
+		})
+	}
+	return entries
+}
+
+// writeHistoryDroppings writes entries as droppings on fs: each pid's
+// writes split several ways, each dropping sorted as a writer's clock
+// sorts it (Dropping breaks timestamp ties as Build does). Both the
+// split and the records per stream chunk come from data's first byte.
+// It returns the non-empty droppings' paths and the chunk.
+func writeHistoryDroppings(tb testing.TB, fs posix.FS, data []byte, entries []Entry) ([]string, int) {
+	tb.Helper()
+	split, chunk := 1, 1
+	if len(data) > 0 {
+		split, chunk = 1+int(data[0]>>5), 1+int(data[0]&0x1f)
+	}
+	byDropping := make([][]Entry, 4*split)
+	for i, e := range entries {
+		d := int(e.Pid)*split + i%split
+		byDropping[d] = append(byDropping[d], e)
+	}
+	var paths []string
+	for d, es := range byDropping {
+		if len(es) == 0 {
+			continue
+		}
+		slices.SortFunc(es, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.Dropping, b.Dropping))
+		})
+		path := fmt.Sprintf("/d%d", d)
+		if err := WriteDropping(fs, path, es); err != nil {
+			tb.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths, chunk
 }
 
 // checkOracle checks idx, built by the named merge, against the

@@ -32,13 +32,18 @@ var _ [EntrySize - unsafe.Sizeof(Entry{})]byte
 // then fixed-size chunks of records on demand, each decoded and checked
 // (checksum, in-stream timestamp order) as it is read. It is the
 // memory-bounded replacement for slurping whole droppings before a merge.
+//
+// A stream yields the whole records up to the size it was opened with,
+// and no further. A dropping that turns out shorter yields the whole
+// records that arrived: a short read is the end of the stream, never an
+// error.
 type DroppingStream struct {
 	fs   posix.FS
 	fd   int
 	path string
 
 	off   int64 // next unread byte (record-aligned)
-	end   int64 // last whole-record boundary at open time
+	end   int64 // last whole-record boundary to read to
 	chunk int
 
 	buf  []byte  // the current chunk as read
@@ -52,9 +57,50 @@ type DroppingStream struct {
 
 // OpenDroppingStream opens the index dropping at path for streaming,
 // validating its header. chunkRecords bounds the records buffered per
-// read (0 = DefaultStreamChunk). In-flight states are read past exactly
-// as ReadDropping reads past them (see wholeRecords).
+// read (0 = DefaultStreamChunk). The stream reads every whole record the
+// dropping holds when it is opened: an Fstat, then the header.
+// In-flight states are read past exactly as ReadDropping reads past
+// them (see wholeRecords).
 func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
+	s, err := openStream(fs, path, chunkRecords)
+	if err != nil {
+		return nil, err
+	}
+	_, n, err := probeDropping(fs, s.fd, path)
+	if err != nil {
+		fs.Close(s.fd)
+		return nil, err
+	}
+	s.end = headerSize + n*EntrySize
+	return s, nil
+}
+
+// OpenDroppingStreamListed opens the index dropping at path as a
+// listing saw it, size bytes long: one read brings the header and the
+// first chunk, with no Fstat and no read of the header alone, and the
+// stream ends at the last whole record within size — a merge then holds
+// exactly the records its walk's signature describes. The in-flight
+// rule of wholeRecords applies to size and to what the read returns:
+// under a header's length is zero records, a full header with a bad
+// magic or version is fatal.
+func OpenDroppingStreamListed(fs posix.FS, path string, size int64, chunkRecords int) (*DroppingStream, error) {
+	s, err := openStream(fs, path, chunkRecords)
+	if err != nil {
+		return nil, err
+	}
+	if size < headerSize {
+		return s, nil
+	}
+	s.end = headerSize + (size-headerSize)/EntrySize*EntrySize
+	if err := s.fill(0); err != nil {
+		fs.Close(s.fd)
+		return nil, err
+	}
+	return s, nil
+}
+
+// openStream opens path read-only as a stream with no records yet.
+func openStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
 	if chunkRecords <= 0 {
 		chunkRecords = DefaultStreamChunk
 	}
@@ -62,51 +108,58 @@ func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingSt
 	if err != nil {
 		return nil, fmt.Errorf("index: open dropping %s: %w", path, err)
 	}
-	_, n, err := probeDropping(fs, fd, path)
-	if err != nil {
-		fs.Close(fd)
-		return nil, err
-	}
-	return &DroppingStream{
-		fs:    fs,
-		fd:    fd,
-		path:  path,
-		off:   headerSize,
-		end:   headerSize + n*EntrySize,
-		chunk: chunkRecords,
-	}, nil
+	return &DroppingStream{fs: fs, fd: fd, path: path, off: headerSize, end: headerSize, chunk: chunkRecords}, nil
 }
 
-// Len returns the number of whole records the stream will yield in total.
+// Len returns the number of whole records the stream will yield in
+// total, as far as it knows: a short read lowers it.
 func (s *DroppingStream) Len() int { return int((s.end - headerSize) / EntrySize) }
 
-// fill reads the next chunk into buf and decodes it, in place, into
-// ents: Entry i (in memory, 40 bytes at 40i) ends at or before raw record
-// i+1 (on disk, EntrySize bytes at EntrySize*(i+1)), so storing it
-// overwrites only records already decoded, and a stream holds one raw
-// chunk, decoded or not, with no buffer beside it. Decoding stops at the
-// first record that fails its checksum or goes back in time; that
-// failure is held in bad, behind the good records before it, so it
-// surfaces exactly when a reader reaches it. Only a failed read is
-// returned.
-func (s *DroppingStream) fill() error {
+// fill reads the next chunk into buf, from byte from — s.off, or 0 for
+// a listed stream's first read, which brings the header along and
+// checks it — and decodes the chunk's records, in place, into ents:
+// Entry i (in memory, 40 bytes at 40i) ends at or before raw record i+1
+// (on disk, EntrySize bytes at lead+EntrySize*(i+1)), so storing it
+// overwrites only bytes already decoded, and a stream holds one raw
+// chunk, decoded or not, with no buffer beside it. A read that comes up
+// short ends the stream at the last whole record it brought. Decoding
+// stops at the first record that fails its checksum or goes back in
+// time; that failure is held in bad, behind the good records before it,
+// so it surfaces exactly when a reader reaches it. Only a failed read
+// or a bad header is returned.
+func (s *DroppingStream) fill(from int64) error {
+	lead := int(s.off - from)
 	n := int(min(int64(s.chunk), (s.end-s.off)/EntrySize))
-	if cap(s.buf) < n*EntrySize {
-		s.buf = make([]byte, n*EntrySize)
+	want := lead + n*EntrySize
+	if cap(s.buf) < want {
+		s.buf = make([]byte, want)
 	}
-	raw := s.buf[:n*EntrySize]
+	raw := s.buf[:want]
 	s.ents, s.pos = nil, 0
-	if err := posix.ReadFull(s.fs, s.fd, raw, s.off); err != nil {
+	got, err := readUpTo(s.fs, s.fd, raw, from)
+	if err != nil {
 		return fmt.Errorf("index: read dropping %s: %w", s.path, err)
 	}
+	if lead > 0 {
+		if _, err := wholeRecords(s.path, int64(got), raw); err != nil {
+			return err
+		}
+	}
+	if got < want {
+		n = max(got-lead, 0) / EntrySize
+		s.end = s.off + int64(n)*EntrySize
+	}
+	if n == 0 {
+		return nil
+	}
 	first := (s.off - headerSize) / EntrySize
-	s.off += int64(len(raw))
+	s.off += int64(n) * EntrySize
 	// Entry holds no pointers and fits its raw record, and a heap
 	// allocation of 48 bytes or more is 8-byte aligned, as Entry needs.
 	ents := unsafe.Slice((*Entry)(unsafe.Pointer(&raw[0])), n)
 	for i := range ents {
 		var e Entry
-		if err := e.Unmarshal(raw[i*EntrySize:]); err != nil {
+		if err := e.Unmarshal(raw[lead+i*EntrySize:]); err != nil {
 			ents, s.bad = ents[:i], fmt.Errorf("index: dropping %s record %d: %w", s.path, first+int64(i), err)
 			break
 		}
@@ -120,15 +173,33 @@ func (s *DroppingStream) fill() error {
 	return nil
 }
 
+// readUpTo reads p at off until p is full or the file ends, returning
+// how many bytes arrived.
+func readUpTo(fs posix.FS, fd int, p []byte, off int64) (int, error) {
+	got := 0
+	for got < len(p) {
+		n, err := fs.Pread(fd, p[got:], off+int64(got))
+		if err != nil {
+			return got, err
+		}
+		if n <= 0 {
+			break
+		}
+		got += n
+	}
+	return got, nil
+}
+
 // Prefetch reads and decodes the stream's first chunk; the merge's
 // caller fans prefetches out in parallel before the (serial) merge
 // starts. A bad record in the chunk is not a prefetch failure: the
-// stream yields the records before it and then reports it from Next.
+// stream yields the records before it and then reports it from Next. A
+// listed stream read its first chunk when it opened.
 func (s *DroppingStream) Prefetch() error {
 	if s.off != headerSize || s.off == s.end {
 		return nil
 	}
-	return s.fill()
+	return s.fill(s.off)
 }
 
 // head returns the stream's next record in place, without consuming it:
@@ -137,7 +208,7 @@ func (s *DroppingStream) Prefetch() error {
 // chunk.
 func (s *DroppingStream) head() (*Entry, error) {
 	if s.pos == len(s.ents) && s.bad == nil && s.off < s.end {
-		if err := s.fill(); err != nil {
+		if err := s.fill(s.off); err != nil {
 			return nil, err
 		}
 	}

@@ -17,13 +17,17 @@ func (b budget) at(h, d int) int64 { return b.base + b.perH*int64(h) + b.perD*in
 func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.base, b.perH, b.perD) }
 
 // TestOpBudget pins the backend ops of a read-only open and its first
-// index lookup (Open + Size on a fresh handle), of a path Stat and of a
-// writer's close, counted by an InstrumentFS on every backend, over one
-// MemFS and over a mod-3 StripedFS, for several (H, D). The listing
-// side — one Stat to find the container, the root listing (one per
-// backend striped) and one listing with attributes per hostdir — has no
-// D term; only reading raw droppings does (5 ops each: open, fstat, two
-// preads, close, of which fstat and close are meta). The rows:
+// index lookup (Open + Size on a fresh handle), of a path Stat, of a
+// writer's first write and of a writer's close, counted by an
+// InstrumentFS on every backend, over one MemFS and over a mod-3
+// StripedFS, for several (H, D). The listing side — one Stat to find the
+// container, the root listing (one per backend striped) and one listing
+// with attributes per hostdir — has no D term; only reading raw
+// droppings does. A merge reads each dropping from the size its walk
+// listed: 3 ops (open, one pread of header and first chunk, close, of
+// which close is meta). seedClock reads each to its Fstat: 5 ops (open,
+// fstat, two preads, close, of which fstat and close are meta). The
+// rows:
 //
 //   - trusted: a fresh instance over a trusted flattened record: the
 //     walk, the record (open, fstat, pread, close) and the openhosts
@@ -36,13 +40,36 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 //     4 + 3·D ops on MemFS and 8 + 3·D on mod-3: an open, a read and a
 //     close per closed writer's hint.)
 //   - raw: a fresh instance with the record dropped: the walk and the
-//     streaming merge;
-//   - writer close: one of two writers, each on its own handle, closes:
-//     its index flush (write, fsync) and close, its data dropping's
-//     close, its openhosts record's unlink and the openhosts listing
-//     that finds the other writer still open. (A writer that also
-//     dropped a size hint — an open, a write and a close — cost 9 ops on
-//     MemFS and 11 on mod-3.)
+//     streaming merge. (While a merge's streams opened with an Fstat
+//     and read the header alone, it cost 2 + H + 5·D ops, 2 + H + 2·D
+//     meta, on MemFS and 4 + H + 5·D, 4 + H + 2·D on mod-3.)
+//   - first write, fresh instance: pid 100's first write, in an
+//     instance that has not yet written the container: seedClock's walk
+//     and its read of every dropping, then the writer's creation — its
+//     hostdir's Mkdir, its data dropping's open and fstat, its index
+//     dropping's Stat, open and header write, its openhosts record
+//     (Mkdir, open, close) — and the data pwrite;
+//   - first write by a new pid: pid 101's first write in that
+//     instance, whose clock is seeded: the writer's creation and the
+//     pwrite;
+//   - writer close: pid 100 closes while pid 101 is open in the same
+//     instance: its index flush (write, fsync) and close, its data
+//     dropping's close and its openhosts record's unlink. The instance's
+//     own writer table says a writer is left, so the close lists
+//     nothing. (While every close listed openhosts, it cost 6 ops, 4
+//     meta, on MemFS and 8, 6 on mod-3; a writer that also dropped a
+//     size hint — an open, a write and a close — cost 9 and 11.)
+//   - writer close, the other writer in another instance: pid 101, the
+//     instance's last writer, closes while pid 102 is open in another
+//     instance: the writer close plus the openhosts listing that finds
+//     pid 102 (one listing per backend striped);
+//   - last close: pid 102 closes and finds no writer left, so it
+//     flattens: the listing, then the walk, the claim's O_EXCL create,
+//     the merge of the D + 3 droppings (the fixture's and the three
+//     writers') and the record's write, fsync, close and rename (one
+//     rename per backend striped) — 12 + H + 3·(D + 3) ops,
+//     7 + H + (D + 3) meta, on MemFS and 18 + H + 3·(D + 3),
+//     13 + H + (D + 3) on mod-3. The listings are the listing rows'.
 func TestOpBudget(t *testing.T) {
 	type row struct{ total, meta budget }
 	stores := []struct {
@@ -54,15 +81,23 @@ func TestOpBudget(t *testing.T) {
 			"trusted":      {budget{7, 1, 0}, budget{5, 1, 0}},
 			"revalidating": {budget{2, 1, 0}, budget{2, 1, 0}},
 			"stat":         {budget{8, 1, 0}, budget{6, 1, 0}},
-			"raw":          {budget{2, 1, 5}, budget{2, 1, 2}},
-			"writer close": {budget{6, 0, 0}, budget{4, 0, 0}},
+			"raw":          {budget{2, 1, 3}, budget{2, 1, 1}},
+			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
+			"writer close, the other writer in another instance": {budget{6, 0, 0}, budget{4, 0, 0}},
+			"first write, fresh instance":                        {budget{11, 1, 5}, budget{6, 1, 2}},
+			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
+			"last close":                                         {budget{21, 1, 3}, budget{10, 1, 1}},
 		}},
 		{"mod-3", 3, map[string]row{
 			"trusted":      {budget{11, 1, 0}, budget{9, 1, 0}},
 			"revalidating": {budget{4, 1, 0}, budget{4, 1, 0}},
 			"stat":         {budget{12, 1, 0}, budget{10, 1, 0}},
-			"raw":          {budget{4, 1, 5}, budget{4, 1, 2}},
-			"writer close": {budget{8, 0, 0}, budget{6, 0, 0}},
+			"raw":          {budget{4, 1, 3}, budget{4, 1, 1}},
+			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
+			"writer close, the other writer in another instance": {budget{8, 0, 0}, budget{6, 0, 0}},
+			"first write, fresh instance":                        {budget{13, 1, 5}, budget{8, 1, 2}},
+			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
+			"last close":                                         {budget{27, 1, 3}, budget{16, 1, 1}},
 		}},
 	}
 	const path = "/backend/c"
@@ -134,23 +169,31 @@ func TestOpBudget(t *testing.T) {
 				}
 				check("raw", open(New(store, EngineOptions{NumHostdirs: h})))
 
-				w := New(store, EngineOptions{NumHostdirs: h})
-				var handles [2]*File
-				for i := range handles {
-					pid := uint32(100 + i)
-					f, err := w.Open(path, posix.O_WRONLY, pid, 0)
+				// Three writers, pids 100..102, each on its own handle: the
+				// first two in one instance, the third in another.
+				w, other := New(store, EngineOptions{NumHostdirs: h}), New(store, EngineOptions{NumHostdirs: h})
+				var handles [3]*File
+				for i, in := range []*FS{w, w, other} {
+					f, err := in.Open(path, posix.O_WRONLY, uint32(100+i), 0)
 					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := f.Write([]byte("tail"), int64(i*4), pid); err != nil {
 						t.Fatal(err)
 					}
 					handles[i] = f
 				}
-				check("writer close", func() error { return handles[0].Close(100) })
-				if err := handles[1].Close(101); err != nil {
+				write := func(i int) func() error {
+					return func() error {
+						_, err := handles[i].Write([]byte("tail"), int64(i*4), uint32(100+i))
+						return err
+					}
+				}
+				check("first write, fresh instance", write(0))
+				check("first write by a new pid", write(1))
+				if err := write(2)(); err != nil {
 					t.Fatal(err)
 				}
+				check("writer close", func() error { return handles[0].Close(100) })
+				check("writer close, the other writer in another instance", func() error { return handles[1].Close(101) })
+				check("last close", func() error { return handles[2].Close(102) })
 			})
 		}
 	}

@@ -96,7 +96,9 @@
 //   - An index dropping whose tail is a partial record, or that is still
 //     shorter than its header, is in flight, not corrupt: readers see its
 //     whole records (possibly none) and a resuming writer repairs it.
-//     Neither state was ever covered by a successful sync. A full header
+//     Neither state was ever covered by a successful sync. A dropping
+//     that a merge finds shorter than its walk listed yields the whole
+//     records that arrived; a short read is never an error. A full header
 //     with a bad magic or version, or a whole record with a bad checksum,
 //     is corruption and fails the open. (index.wholeRecords)
 //   - Under a replicated layout, a live backend's verdict (ENOENT,
@@ -996,7 +998,12 @@ func (c *container) rebindWritersLocked(size int64) error {
 // way and drains the read-fd cache. A close that retires the container's
 // last writer also persists the flattened global index (best effort), so
 // the next cold open loads O(extents) instead of re-merging every
-// dropping. Closing a closed handle is a no-op.
+// dropping. Whether a writer is left is asked of this instance first: a
+// close that leaves one of the instance's own writers open neither lists
+// openhosts nor flattens — that writer's close will. Only the instance's
+// last writer lists openhosts, for the writers of other instances (see
+// "One flatten per set of last closers" in flatten.go). Closing a closed
+// handle is a no-op.
 func (f *File) Close(pid uint32) error {
 	c, p := f.container, f.fs
 	p.hmu.Lock()
@@ -1019,12 +1026,13 @@ func (f *File) Close(pid uint32) error {
 			p.fds.DropPrefix(c.path + "/")
 		}
 	}
+	lastHere := len(c.writers) == 0
 	c.mu.Unlock()
 	p.hmu.Unlock()
 	if err != nil {
 		return err
 	}
-	if hadWriter {
+	if hadWriter && lastHere {
 		p.maybeAutoFlatten(c.path)
 	}
 	return nil

@@ -154,15 +154,19 @@ func (p *FS) listIndexState(path string) (indexState, error) {
 	return st, nil
 }
 
-// loadDroppings slurps every listed index dropping whole, fanning the
-// loads out across the worker pool — the any-order fallback behind
-// mergeIndex. Entry order across droppings is unspecified; idx.Build
-// resolves by timestamp.
-func (p *FS) loadDroppings(droppings []string) ([]idx.Entry, error) {
+// loadDroppings slurps every index dropping whole, fanning the loads
+// out across the worker pool — the any-order fallback behind merge. With
+// stats, a dropping's records past its listed size are dropped, as its
+// listed stream would not have read them. Entry order across droppings
+// is unspecified; idx.Build resolves by timestamp.
+func (p *FS) loadDroppings(droppings []string, stats []posix.Stat) ([]idx.Entry, error) {
 	results := make([][]idx.Entry, len(droppings))
 	errs := make([]error, len(droppings))
 	runParallel(len(droppings), p.workers, func(i int) {
 		results[i], errs[i] = idx.ReadDropping(p.backend, droppings[i])
+		if stats != nil {
+			results[i] = results[i][:min(int64(len(results[i])), rawEntries(stats[i:i+1]))]
+		}
 	})
 	total := 0
 	for i := range droppings {
@@ -201,19 +205,40 @@ func (st indexState) signature() readcache.Signature {
 }
 
 // mergeIndex reconstructs the merged index from raw droppings with the
-// memory-bounded streaming merge: each dropping is read and decoded in
-// bounded chunks (stream open + first-chunk read and decode fanned
-// across the worker pool) and overlaid in global timestamp order through
-// a k-way loser tree, instead of slurping every record into one slice
-// and sorting it. A dropping whose records defy timestamp order (only
-// adversarial inputs do) demotes the whole reconstruction to the
-// slurp-and-sort path, which handles any order. The merge sees every
-// record, so it also returns the newest timestamp among them (0 for
-// none).
+// memory-bounded streaming merge, each dropping read to the size its
+// Fstat reports when its stream opens — the merge behind consolidate,
+// which must carry every record on disk into its replacement. It
+// returns the newest timestamp among the records (0 for none).
 func (p *FS) mergeIndex(droppings []string) (*idx.Index, uint64, error) {
+	return p.merge(droppings, nil)
+}
+
+// mergeListed merges the index droppings of one walk, each read only as
+// far as the walk listed its size: no Fstat, and one read for a
+// dropping's header and first chunk. The index holds exactly the records
+// the walk's signature describes.
+func (p *FS) mergeListed(st indexState) (*idx.Index, error) {
+	index, _, err := p.merge(st.droppings, st.stats)
+	return index, err
+}
+
+// merge is the streaming merge behind mergeIndex (stats nil) and
+// mergeListed: each dropping is read and decoded in bounded chunks
+// (stream open + first-chunk read and decode fanned across the worker
+// pool) and overlaid in global timestamp order through a k-way loser
+// tree, instead of slurping every record into one slice and sorting it.
+// A dropping whose records defy timestamp order (only adversarial inputs
+// do) demotes the whole reconstruction to the slurp-and-sort path, which
+// handles any order. The merge sees every record, so it also returns the
+// newest timestamp among them (0 for none).
+func (p *FS) merge(droppings []string, stats []posix.Stat) (*idx.Index, uint64, error) {
 	streams := make([]*idx.DroppingStream, len(droppings))
 	errs := make([]error, len(droppings))
 	runParallel(len(droppings), p.workers, func(i int) {
+		if stats != nil {
+			streams[i], errs[i] = idx.OpenDroppingStreamListed(p.backend, droppings[i], stats[i].Size, p.streamChunk)
+			return
+		}
 		s, err := idx.OpenDroppingStream(p.backend, droppings[i], p.streamChunk)
 		if err != nil {
 			errs[i] = err
@@ -238,7 +263,7 @@ func (p *FS) mergeIndex(droppings []string) (*idx.Index, uint64, error) {
 	merged, newest, err := idx.MergeStreams(streams...)
 	closeAll()
 	if errors.Is(err, idx.ErrUnsorted) {
-		entries, lerr := p.loadDroppings(droppings)
+		entries, lerr := p.loadDroppings(droppings, stats)
 		if lerr != nil {
 			return nil, 0, lerr
 		}
@@ -270,7 +295,7 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 			return fl.Index, sig, readcache.BuildFlattened, nil
 		}
 	}
-	index, _, err := p.mergeIndex(st.droppings)
+	index, err := p.mergeListed(st)
 	if err != nil {
 		return nil, "", readcache.BuildMerge, err
 	}
