@@ -179,8 +179,9 @@ func rawEntries(stats []posix.Stat) int64 {
 // the droppings' listed sizes allow (idx.FlattenedBound): one too large
 // for them cannot have been built from them.
 func (p *FS) newestFlattened(path string, st indexState) (gen uint64, fl *idx.Flattened, trusted bool, err error) {
-	gen = slices.Max(st.flatGens)
-	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen), idx.FlattenedBound(rawEntries(st.stats)))
+	i := slices.Index(st.flatGens, slices.Max(st.flatGens))
+	gen = st.flatGens[i]
+	fl, err = idx.ReadFlattened(p.backend, flattenedPath(path, gen), st.flatSizes[i], idx.FlattenedBound(rawEntries(st.stats)))
 	if err != nil {
 		return gen, nil, false, err
 	}
@@ -205,7 +206,7 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 }
 
 // writeFlattened performs the flatten: one streaming merge of the
-// droppings as its walk listed them (mergeListed, so the record holds
+// droppings as its walk listed them (merge, so the record holds
 // exactly what its signature describes), one atomic record write, old
 // generations retired best-effort. A last closer's
 // flatten (claim) writes under flattenClaim and, per the package doc,
@@ -234,7 +235,7 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	if err != nil {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: create %s: %w", path, tmp, err)
 	}
-	global, err := p.mergeListed(st)
+	global, _, err := p.merge(st)
 	if err != nil {
 		p.backend.Close(fd)
 		p.backend.Unlink(tmp)

@@ -596,10 +596,20 @@ func (c *gatedCloser) park(t *testing.T, fired int) {
 // (unless want) absent.
 func checkPublished(t *testing.T, fs posix.FS, path string, want bool, when string) {
 	t.Helper()
-	_, err := idx.ReadFlattened(fs, flattenedPath(path, 1), math.MaxInt64)
+	_, err := readRecord(fs, flattenedPath(path, 1))
 	if err != nil && (want || !errors.Is(err, posix.ENOENT)) {
 		t.Fatalf("%s: the published record is not whole: %v", when, err)
 	}
+}
+
+// readRecord reads the flattened record at rec at the size a Stat of it
+// reports, as a walk would list it.
+func readRecord(fs posix.FS, rec string) (*idx.Flattened, error) {
+	st, err := fs.Stat(rec)
+	if err != nil {
+		return nil, err
+	}
+	return idx.ReadFlattened(fs, rec, st.Size, math.MaxInt64)
 }
 
 // checkOneFreshRecord fails unless the container's root holds exactly one
@@ -778,7 +788,7 @@ func TestDeadFlattenClaim(t *testing.T) {
 	if err := f.Close(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.ReadFlattened(mem, flattenedPath(path, 1), math.MaxInt64); err != nil {
+	if _, err := readRecord(mem, flattenedPath(path, 1)); err != nil {
 		t.Fatalf("a close over new droppings did not flatten past the dead claim: %v", err)
 	}
 	if got := readAllBytes(t, New(mem, EngineOptions{NumHostdirs: 4}), path); string(got) != "onetwo" {
@@ -790,6 +800,48 @@ func TestDeadFlattenClaim(t *testing.T) {
 	}
 	if _, err := mem.Stat(dead); !errors.Is(err, posix.ENOENT) {
 		t.Fatalf("dead claim outlived its container: %v", err)
+	}
+}
+
+// skewedListing lists every flattened record skew bytes off its size on
+// disk, as a listing taken while the record was being replaced would.
+type skewedListing struct {
+	posix.FS
+	skew int64
+}
+
+func (s skewedListing) ReaddirStat(path string) ([]posix.DirEntryStat, error) {
+	ents, err := posix.ReaddirStat(s.FS, path)
+	for i := range ents {
+		if _, ok := parseFlattenedGen(ents[i].Name); ok {
+			ents[i].Size += s.skew
+		}
+	}
+	return ents, err
+}
+
+// TestFlattenedListedSizeDisagrees: a flattened record read at a listed
+// size its file disagrees with — the file longer than listed or shorter
+// — fails its parse, and the open falls back to the merge: the right
+// bytes, no error, no build served by the record.
+func TestFlattenedListedSizeDisagrees(t *testing.T) {
+	const path = "/backend/c"
+	for _, skew := range []int64{-1, -idx.FlattenedRunSize, 1, idx.FlattenedRunSize} {
+		mem := posix.NewMemFS()
+		if err := mem.Mkdir("/backend", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		want := writeN1(t, New(mem, EngineOptions{NumHostdirs: 2}), path, 4, 8, 64)
+		if n := len(flattenedNames(t, New(mem), path)); n != 1 {
+			t.Fatalf("the close left %d flattened records, want 1", n)
+		}
+		p := New(skewedListing{mem, skew}, EngineOptions{NumHostdirs: 2})
+		if got := readAllBytes(t, p, path); !bytes.Equal(got, want) {
+			t.Fatalf("listed %+d bytes off: content differs", skew)
+		}
+		if s := cacheStats(p); s.FlattenedBuilds != 0 || s.LoadErrors != 0 || s.Builds != 1 {
+			t.Fatalf("listed %+d bytes off: %+v, want one build by the merge", skew, s)
+		}
 	}
 }
 

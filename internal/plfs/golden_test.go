@@ -121,7 +121,7 @@ func describeContainer(tb testing.TB, p *FS, path string) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	entries, err := p.loadDroppings(walk.droppings, nil)
+	entries, err := p.loadDroppings(walk.droppings, walk.stats)
 	if err != nil {
 		tb.Fatal(err)
 	}

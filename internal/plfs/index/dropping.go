@@ -30,9 +30,10 @@ func writeHeader(fs posix.FS, fd int) error {
 }
 
 // wholeRecords is the one size/header rule of an index dropping, shared
-// by every opener (ReadDropping directly; OpenDroppingStream and
-// OpenWriter via probeDropping): given the file's size and its leading
-// bytes it returns how many whole records follow the header. Two states are in-flight, not corrupt, and
+// by every opener (ReadDropping directly, OpenDroppingStream on its
+// listed size and first read, OpenWriter via probeDropping): given the
+// file's size and its leading bytes it returns how many whole records
+// follow the header. Two states are in-flight, not corrupt, and
 // read as "no more records": a trailing partial record (a group flush
 // or crash mid-append) and a file still shorter than its header (created,
 // header not yet written). Neither was ever covered by a successful

@@ -649,24 +649,23 @@ func WriteFlattened(fs posix.FS, path, tmp string, fd int, f *Flattened) error {
 }
 
 // ReadFlattened loads, validates and expands the flattened record at
-// path, for a container whose droppings can produce at most maxExtents
-// extents (FlattenedBound). A file longer than any record of that many
-// extents is refused before it is read.
-func ReadFlattened(fs posix.FS, path string, maxExtents int64) (*Flattened, error) {
+// path as a listing saw it, size bytes long, for a container whose
+// droppings can produce at most maxExtents extents (FlattenedBound). A
+// size longer than any record of that many extents is refused before
+// the file is opened. Exactly size bytes are read: a file that turns
+// out shorter fails the read, and one that turns out longer fails the
+// parse, since a record's length is fixed by its header.
+func ReadFlattened(fs posix.FS, path string, size, maxExtents int64) (*Flattened, error) {
+	if limit := maxFlattenedBytes(maxExtents); size > limit {
+		return nil, fmt.Errorf("index: flattened %s: %d bytes, longer than the %d a record of its droppings' %d extents can need",
+			path, size, limit, maxExtents)
+	}
 	fd, err := fs.Open(path, posix.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("index: open flattened %s: %w", path, err)
 	}
 	defer fs.Close(fd)
-	st, err := fs.Fstat(fd)
-	if err != nil {
-		return nil, err
-	}
-	if limit := maxFlattenedBytes(maxExtents); st.Size > limit {
-		return nil, fmt.Errorf("index: flattened %s: %d bytes, longer than the %d a record of its droppings' %d extents can need",
-			path, st.Size, limit, maxExtents)
-	}
-	data := make([]byte, st.Size)
+	data := make([]byte, size)
 	if err := posix.ReadFull(fs, fd, data, 0); err != nil {
 		return nil, fmt.Errorf("index: read flattened %s: %w", path, err)
 	}

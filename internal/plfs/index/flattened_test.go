@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ldplfs/internal/iostats"
 	"ldplfs/internal/posix"
 )
 
@@ -106,9 +107,17 @@ func TestFlattenedRoundTrip(t *testing.T) {
 	if _, err := fs.Stat("/flat.tmp"); err == nil {
 		t.Fatal("temp file left behind after publish")
 	}
-	got, err := ReadFlattened(fs, "/flat", 6)
+	size := listedSize(t, fs, "/flat")
+	got, err := ReadFlattened(fs, "/flat", size, 6)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A listed size the file disagrees with fails: read short, or cut
+	// before the record's end.
+	for _, listed := range []int64{size - 1, size + 1} {
+		if _, err := ReadFlattened(fs, "/flat", listed, 6); err == nil {
+			t.Fatalf("a %d-byte record read at a listed %d bytes was accepted", size, listed)
+		}
 	}
 	if got.Generation != want.Generation || got.RawSig != want.RawSig || got.Version != FlattenedVersion {
 		t.Fatalf("header round trip: %+v vs %+v", got, want)
@@ -270,10 +279,19 @@ func TestFlattenedBound(t *testing.T) {
 		t.Fatal("3-extent v1 record accepted under a bound of 2")
 	}
 
-	fs := posix.NewMemFS()
-	writeFile(t, fs, "/junk", make([]byte, maxFlattenedBytes(4)+1))
-	if _, err := ReadFlattened(fs, "/junk", 4); err == nil || !bytes.Contains([]byte(err.Error()), []byte("longer than")) {
+	// A listed size too long for the bound is refused before the file is
+	// opened: no backend op at all.
+	mem := posix.NewMemFS()
+	writeFile(t, mem, "/junk", make([]byte, maxFlattenedBytes(4)+1))
+	plane := iostats.NewPlane()
+	fs := posix.NewInstrumentFS(mem, plane, posix.WithLayerName("b"))
+	if _, err := ReadFlattened(fs, "/junk", listedSize(t, mem, "/junk"), 4); err == nil || !bytes.Contains([]byte(err.Error()), []byte("longer than")) {
 		t.Fatalf("oversized file: %v", err)
+	}
+	for op := iostats.Op(0); op < iostats.NumOps; op++ {
+		if n := plane.Layer("b").OpCount(op); n != 0 {
+			t.Fatalf("refusing an oversized listing made %d backend ops of kind %v", n, op)
+		}
 	}
 	if got := FlattenedBound(10); got != 20 {
 		t.Fatalf("FlattenedBound(10) = %d", got)

@@ -184,13 +184,14 @@ func FuzzIndexMerge(f *testing.F) {
 
 		// The streaming merge: each pid's writes split several ways into
 		// droppings, each dropping sorted as a writer's clock sorts it
-		// (Dropping breaks timestamp ties as Build does), streamed chunk
-		// records at a time. Both split and chunk come from the first byte.
+		// (Dropping breaks timestamp ties as Build does), opened from its
+		// listed size and streamed chunk records at a time. Both split
+		// and chunk come from the first byte.
 		mem := posix.NewMemFS()
 		paths, chunk := writeHistoryDroppings(t, mem, data, entries)
 		var streams []*DroppingStream
 		for _, path := range paths {
-			s, err := OpenDroppingStream(mem, path, chunk)
+			s, err := OpenDroppingStream(mem, path, listedSize(t, mem, path), chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,24 +206,6 @@ func FuzzIndexMerge(f *testing.F) {
 			t.Fatalf("MergeStreams newest timestamp %d, oracle %d", gotNewest, newest)
 		}
 		checkOracle(t, fmt.Sprintf("MergeStreams (%d droppings, chunk %d)", len(streams), chunk), merged, model, wantSize)
-
-		// The same droppings opened from their listed sizes.
-		listed := make([]*DroppingStream, len(paths))
-		for i, path := range paths {
-			st, err := mem.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if listed[i], err = OpenDroppingStreamListed(mem, path, st.Size, chunk); err != nil {
-				t.Fatal(err)
-			}
-			defer listed[i].Close()
-		}
-		merged, _, err = MergeStreams(listed...)
-		if err != nil {
-			t.Fatalf("MergeStreams over %d listed droppings, chunk %d: %v", len(listed), chunk, err)
-		}
-		checkOracle(t, fmt.Sprintf("MergeStreams, listed (%d droppings, chunk %d)", len(listed), chunk), merged, model, wantSize)
 
 		// The flattened record: the resolved table marshalled, parsed and
 		// expanded again must still be the oracle's.

@@ -343,8 +343,8 @@ func TestDroppingHeaderRule(t *testing.T) {
 		if got, err := ReadDropping(fs, "/sub"); err != nil || len(got) != 0 {
 			t.Fatalf("%d-byte dropping: ReadDropping = %v, %v", n, got, err)
 		}
-		s, err := OpenDroppingStream(fs, "/sub", 0)
-		if err != nil || s.Len() != 0 {
+		s, err := OpenDroppingStream(fs, "/sub", listedSize(t, fs, "/sub"), 0)
+		if err != nil {
 			t.Fatalf("%d-byte dropping: OpenDroppingStream = %v", n, err)
 		}
 		if _, ok, err := s.Next(); ok || err != nil {
@@ -371,7 +371,7 @@ func TestDroppingHeaderRule(t *testing.T) {
 		if _, err := ReadDropping(fs, "/bad"); err == nil {
 			t.Fatalf("bad %s: ReadDropping accepted", name)
 		}
-		if _, err := OpenDroppingStream(fs, "/bad", 0); err == nil {
+		if _, err := OpenDroppingStream(fs, "/bad", listedSize(t, fs, "/bad"), 0); err == nil {
 			t.Fatalf("bad %s: OpenDroppingStream accepted", name)
 		}
 		if _, err := OpenWriter(fs, "/bad"); err == nil {

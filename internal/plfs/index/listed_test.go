@@ -65,7 +65,7 @@ func TestListedStreamShrank(t *testing.T) {
 			if got := listedSize(t, fs, "/d"); got != whole {
 				t.Fatalf("resume left %d bytes, want %d", got, whole)
 			}
-			s, err := OpenDroppingStreamListed(fs, "/d", size, chunk)
+			s, err := OpenDroppingStream(fs, "/d", size, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,16 +85,13 @@ func TestListedStreamShrank(t *testing.T) {
 				if err := fs.Truncate("/d", headerSize+int64(cut)*EntrySize+EntrySize/2); err != nil {
 					t.Fatal(err)
 				}
-				s, err := OpenDroppingStreamListed(fs, "/d", size, chunk)
+				s, err := OpenDroppingStream(fs, "/d", size, chunk)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
 				if got, err := drain(s); err != nil || !slices.Equal(got, es[:cut]) {
 					t.Fatalf("stream = %d records, %v; want the %d that arrived whole", len(got), err, cut)
-				}
-				if s.Len() != cut {
-					t.Fatalf("Len = %d after the short read, want %d", s.Len(), cut)
 				}
 			})
 		}
@@ -122,12 +119,9 @@ func TestListedStreamGrew(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, listed := range []int64{size, size + EntrySize/2} {
-			s, err := OpenDroppingStreamListed(fs, "/d", listed, chunk)
+			s, err := OpenDroppingStream(fs, "/d", listed, chunk)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if s.Len() != 5 {
-				t.Fatalf("chunk %d, listed %d: Len = %d, want 5", chunk, listed, s.Len())
 			}
 			if got, err := drain(s); err != nil || !slices.Equal(got, es[:5]) {
 				t.Fatalf("chunk %d, listed %d: stream = %d records, %v; want the 5 listed", chunk, listed, len(got), err)
@@ -147,11 +141,11 @@ func TestListedStreamUnderHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	for listed := int64(0); listed < headerSize; listed++ {
-		s, err := OpenDroppingStreamListed(fs, "/full", listed, 0)
+		s, err := OpenDroppingStream(fs, "/full", listed, 0)
 		if err != nil {
 			t.Fatalf("listed %d: %v", listed, err)
 		}
-		if got, err := drain(s); err != nil || len(got) != 0 || s.Len() != 0 {
+		if got, err := drain(s); err != nil || len(got) != 0 {
 			t.Fatalf("listed %d: stream = %d records, %v; want none", listed, len(got), err)
 		}
 		s.Close()
@@ -164,7 +158,7 @@ func TestListedStreamUnderHeader(t *testing.T) {
 		if err := fs.Truncate("/cut", n); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenDroppingStreamListed(fs, "/cut", full, 0)
+		s, err := OpenDroppingStream(fs, "/cut", full, 0)
 		if err != nil {
 			t.Fatalf("%d bytes read: %v", n, err)
 		}
@@ -199,7 +193,7 @@ func TestListedStreamBadHeader(t *testing.T) {
 			}
 			mem.Close(fd)
 			for _, listed := range []int64{headerSize, listedSize(t, mem, "/d")} {
-				if _, err := OpenDroppingStreamListed(mem, "/d", listed, 0); err == nil {
+				if _, err := OpenDroppingStream(mem, "/d", listed, 0); err == nil {
 					t.Fatalf("bad %s, %d records, listed %d: accepted", name, records, listed)
 				}
 			}
@@ -230,7 +224,7 @@ func TestListedStreamDifferential(t *testing.T) {
 		for _, chunk := range []int{1, 2, 5, 0} {
 			streams := make([]*DroppingStream, len(paths))
 			for j, p := range paths {
-				s, err := OpenDroppingStreamListed(mem, p, listedSize(t, mem, p), chunk)
+				s, err := OpenDroppingStream(mem, p, listedSize(t, mem, p), chunk)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,37 +243,38 @@ func TestListedStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestListedStreamAllocs: a listed stream allocates no more than a
-// stream that opens with an Fstat, read to its end at the default chunk
-// and at a chunk that takes several reads.
+// TestListedStreamAllocs: a stream read to its end allocates what
+// opening and closing the dropping's descriptor allocates, plus the
+// stream and its one chunk buffer, at the default chunk and at a chunk
+// that takes several reads — the later reads reuse the buffer.
 func TestListedStreamAllocs(t *testing.T) {
 	mem := posix.NewMemFS()
 	if err := WriteDropping(mem, "/d", listedEntries(64)); err != nil {
 		t.Fatal(err)
 	}
 	size := listedSize(t, mem, "/d")
+	fd := testing.AllocsPerRun(50, func() {
+		fd, err := mem.Open("/d", posix.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Close(fd)
+	})
 	for _, chunk := range []int{0, 16} {
-		run := func(open func() (*DroppingStream, error)) float64 {
-			return testing.AllocsPerRun(50, func() {
-				s, err := open()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Prefetch(); err != nil {
-					t.Fatal(err)
-				}
-				if got, err := drainCount(s); err != nil || got != 64 {
-					t.Fatalf("%d records, %v", got, err)
-				}
-				s.Close()
-			})
+		allocs := testing.AllocsPerRun(50, func() {
+			s, err := OpenDroppingStream(mem, "/d", size, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := drainCount(s); err != nil || got != 64 {
+				t.Fatalf("%d records, %v", got, err)
+			}
+			s.Close()
+		})
+		if allocs > fd+2 {
+			t.Fatalf("chunk %d: a stream makes %.0f allocations, want at most %.0f (its descriptor's %.0f, the stream, the buffer)",
+				chunk, allocs, fd+2, fd)
 		}
-		fstat := run(func() (*DroppingStream, error) { return OpenDroppingStream(mem, "/d", chunk) })
-		listed := run(func() (*DroppingStream, error) { return OpenDroppingStreamListed(mem, "/d", size, chunk) })
-		if listed > fstat {
-			t.Fatalf("chunk %d: a listed stream makes %.0f allocations, one opened with an Fstat %.0f", chunk, listed, fstat)
-		}
-		t.Logf("chunk %d: %.0f allocations listed, %.0f with an Fstat", chunk, listed, fstat)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // timestamp order, so it cannot participate in a streaming merge. Real
 // droppings are always timestamp-sorted (each writer stamps records from
 // a monotonic clock), but a hand-built or adversarial dropping may not
-// be; callers fall back to the slurp-and-sort path, which handles any
+// be; the merge and the clock seed then fall back to the slurp-and-sort
+// path (ReadDropping, clipped at the listed size), which handles any
 // order.
 var ErrUnsorted = errors.New("index: dropping records out of timestamp order")
 
@@ -46,61 +47,27 @@ type DroppingStream struct {
 	end   int64 // last whole-record boundary to read to
 	chunk int
 
-	buf  []byte  // the current chunk as read
-	ents []Entry // its records, decoded and checked, over buf's memory
-	pos  int     // next record of ents to yield
+	hdr  [headerSize]byte // the header, read with the first chunk
+	vec  [2][]byte        // the first read's vector, held here so it does not escape
+	buf  []byte           // the current chunk as read
+	ents []Entry          // its records, decoded and checked, over buf's memory
+	pos  int              // next record of ents to yield
 	// bad is the failure of the record just past ents — a corrupt record
 	// or one out of timestamp order — held until the reader gets there.
 	bad    error
 	lastTS uint64
 }
 
-// OpenDroppingStream opens the index dropping at path for streaming,
-// validating its header. chunkRecords bounds the records buffered per
-// read (0 = DefaultStreamChunk). The stream reads every whole record the
-// dropping holds when it is opened: an Fstat, then the header.
-// In-flight states are read past exactly as ReadDropping reads past
-// them (see wholeRecords).
-func OpenDroppingStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
-	s, err := openStream(fs, path, chunkRecords)
-	if err != nil {
-		return nil, err
-	}
-	_, n, err := probeDropping(fs, s.fd, path)
-	if err != nil {
-		fs.Close(s.fd)
-		return nil, err
-	}
-	s.end = headerSize + n*EntrySize
-	return s, nil
-}
-
-// OpenDroppingStreamListed opens the index dropping at path as a
-// listing saw it, size bytes long: one read brings the header and the
-// first chunk, with no Fstat and no read of the header alone, and the
-// stream ends at the last whole record within size — a merge then holds
-// exactly the records its walk's signature describes. The in-flight
-// rule of wholeRecords applies to size and to what the read returns:
-// under a header's length is zero records, a full header with a bad
-// magic or version is fatal.
-func OpenDroppingStreamListed(fs posix.FS, path string, size int64, chunkRecords int) (*DroppingStream, error) {
-	s, err := openStream(fs, path, chunkRecords)
-	if err != nil {
-		return nil, err
-	}
-	if size < headerSize {
-		return s, nil
-	}
-	s.end = headerSize + (size-headerSize)/EntrySize*EntrySize
-	if err := s.fill(0); err != nil {
-		fs.Close(s.fd)
-		return nil, err
-	}
-	return s, nil
-}
-
-// openStream opens path read-only as a stream with no records yet.
-func openStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, error) {
+// OpenDroppingStream opens the index dropping at path as a listing saw
+// it, size bytes long: one read brings the header and the first chunk,
+// with no Fstat and no read of the header alone, and the stream ends at
+// the last whole record within size — a merge then holds exactly the
+// records its walk's signature describes. chunkRecords bounds the
+// records buffered per read (0 = DefaultStreamChunk). The in-flight rule
+// of wholeRecords applies to size and to what the read returns: under a
+// header's length is zero records, a full header with a bad magic or
+// version is fatal.
+func OpenDroppingStream(fs posix.FS, path string, size int64, chunkRecords int) (*DroppingStream, error) {
 	if chunkRecords <= 0 {
 		chunkRecords = DefaultStreamChunk
 	}
@@ -108,45 +75,58 @@ func openStream(fs posix.FS, path string, chunkRecords int) (*DroppingStream, er
 	if err != nil {
 		return nil, fmt.Errorf("index: open dropping %s: %w", path, err)
 	}
-	return &DroppingStream{fs: fs, fd: fd, path: path, off: headerSize, end: headerSize, chunk: chunkRecords}, nil
+	s := &DroppingStream{fs: fs, fd: fd, path: path, off: headerSize, end: headerSize, chunk: chunkRecords}
+	if size < headerSize {
+		return s, nil
+	}
+	s.end = headerSize + (size-headerSize)/EntrySize*EntrySize
+	if err := s.fill(); err != nil {
+		fs.Close(fd)
+		return nil, err
+	}
+	return s, nil
 }
 
-// Len returns the number of whole records the stream will yield in
-// total, as far as it knows: a short read lowers it.
-func (s *DroppingStream) Len() int { return int((s.end - headerSize) / EntrySize) }
-
-// fill reads the next chunk into buf, from byte from — s.off, or 0 for
-// a listed stream's first read, which brings the header along and
-// checks it — and decodes the chunk's records, in place, into ents:
-// Entry i (in memory, 40 bytes at 40i) ends at or before raw record i+1
-// (on disk, EntrySize bytes at lead+EntrySize*(i+1)), so storing it
-// overwrites only bytes already decoded, and a stream holds one raw
-// chunk, decoded or not, with no buffer beside it. A read that comes up
-// short ends the stream at the last whole record it brought. Decoding
-// stops at the first record that fails its checksum or goes back in
-// time; that failure is held in bad, behind the good records before it,
-// so it surfaces exactly when a reader reaches it. Only a failed read
-// or a bad header is returned.
-func (s *DroppingStream) fill(from int64) error {
-	lead := int(s.off - from)
+// fill reads the next chunk into buf and decodes the chunk's records,
+// in place, into ents: Entry i (in memory, 40 bytes at 40i) ends before
+// raw record i+1 (on disk, EntrySize bytes at EntrySize*(i+1)), so
+// storing it overwrites only bytes already decoded, and a stream holds
+// one raw chunk, decoded or not, with no buffer beside it. The first
+// fill reads from byte 0 as one vectored read, the header into hdr and
+// the records into buf, and checks the header; buf then holds records
+// alone, and its size is the chunk's. A read that comes up short ends
+// the stream at the last whole record it brought. Decoding stops at the
+// first record that fails its checksum or goes back in time; that
+// failure is held in bad, behind the good records before it, so it
+// surfaces exactly when a reader reaches it. Only a failed read or a bad
+// header is returned.
+func (s *DroppingStream) fill() error {
 	n := int(min(int64(s.chunk), (s.end-s.off)/EntrySize))
-	want := lead + n*EntrySize
+	want := n * EntrySize
 	if cap(s.buf) < want {
 		s.buf = make([]byte, want)
 	}
 	raw := s.buf[:want]
 	s.ents, s.pos = nil, 0
-	got, err := readUpTo(s.fs, s.fd, raw, from)
+	var got int
+	var err error
+	if s.off == headerSize {
+		s.vec = [2][]byte{s.hdr[:], raw}
+		var m int64
+		if m, err = posix.Preadv(s.fs, s.fd, s.vec[:], 0); err == nil {
+			if _, err := wholeRecords(s.path, m, s.hdr[:]); err != nil {
+				return err
+			}
+		}
+		got = int(m) - headerSize
+	} else {
+		got, err = readUpTo(s.fs, s.fd, raw, s.off)
+	}
 	if err != nil {
 		return fmt.Errorf("index: read dropping %s: %w", s.path, err)
 	}
-	if lead > 0 {
-		if _, err := wholeRecords(s.path, int64(got), raw); err != nil {
-			return err
-		}
-	}
 	if got < want {
-		n = max(got-lead, 0) / EntrySize
+		n = max(got, 0) / EntrySize
 		s.end = s.off + int64(n)*EntrySize
 	}
 	if n == 0 {
@@ -159,7 +139,7 @@ func (s *DroppingStream) fill(from int64) error {
 	ents := unsafe.Slice((*Entry)(unsafe.Pointer(&raw[0])), n)
 	for i := range ents {
 		var e Entry
-		if err := e.Unmarshal(raw[lead+i*EntrySize:]); err != nil {
+		if err := e.Unmarshal(raw[i*EntrySize:]); err != nil {
 			ents, s.bad = ents[:i], fmt.Errorf("index: dropping %s record %d: %w", s.path, first+int64(i), err)
 			break
 		}
@@ -190,25 +170,13 @@ func readUpTo(fs posix.FS, fd int, p []byte, off int64) (int, error) {
 	return got, nil
 }
 
-// Prefetch reads and decodes the stream's first chunk; the merge's
-// caller fans prefetches out in parallel before the (serial) merge
-// starts. A bad record in the chunk is not a prefetch failure: the
-// stream yields the records before it and then reports it from Next. A
-// listed stream read its first chunk when it opened.
-func (s *DroppingStream) Prefetch() error {
-	if s.off != headerSize || s.off == s.end {
-		return nil
-	}
-	return s.fill(s.off)
-}
-
 // head returns the stream's next record in place, without consuming it:
 // nil at end of stream, or the held failure once the records before it
 // are consumed. The pointer is valid until the stream reads its next
 // chunk.
 func (s *DroppingStream) head() (*Entry, error) {
 	if s.pos == len(s.ents) && s.bad == nil && s.off < s.end {
-		if err := s.fill(s.off); err != nil {
+		if err := s.fill(); err != nil {
 			return nil, err
 		}
 	}

@@ -50,11 +50,11 @@ func TestListedMergeGolden(t *testing.T) {
 		}
 		for _, chunk := range []int{1, 2, idx.DefaultStreamChunk} {
 			c.p.streamChunk = chunk
-			got, err := c.p.mergeListed(st)
+			got, _, err := c.p.merge(st)
 			if err != nil {
 				t.Fatalf("%s, chunk %d: %v", c.name, chunk, err)
 			}
-			entries, err := c.p.loadDroppings(st.droppings, nil)
+			entries, err := c.p.loadDroppings(st.droppings, st.stats)
 			if err != nil {
 				t.Fatal(err)
 			}

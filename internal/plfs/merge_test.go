@@ -20,6 +20,20 @@ func writeDropping(t *testing.T, fs posix.FS, path string, entries []idx.Entry) 
 	}
 }
 
+// listedState is a walk's view of the droppings at paths, each with
+// the size a Stat of it reports.
+func listedState(t *testing.T, fs posix.FS, paths []string) indexState {
+	t.Helper()
+	st := indexState{droppings: paths, stats: make([]posix.Stat, len(paths))}
+	for i, path := range paths {
+		var err error
+		if st.stats[i], err = fs.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
 // overlappingEntries is dropping d's records: their timestamps tie with
 // every other dropping's record for record (pid breaks the tie), and
 // their extents overlap each other's, so that merge order shows.
@@ -42,10 +56,10 @@ func overlappingEntries(d, records int) []idx.Entry {
 // last chunk — for a record out of timestamp order and, separately, a
 // record failing its checksum; the bad dropping sits at each position k
 // of the dropping list, and the streams decode 1, 7 or the default
-// number of records per chunk. Through mergeIndex and newestInDropping
+// number of records per chunk. Through merge and newestInDropping
 // alike, an unsorted dropping must resolve by the slurp fallback to
 // exactly Build's index and newest timestamp, wherever the stream meets
-// it (prefetch or a later chunk); a corrupt one must fail with the
+// it (its first read or a later chunk); a corrupt one must fail with the
 // slurp's error text, which names the dropping and the record.
 func TestBadRecordPositions(t *testing.T) {
 	const droppings = 3
@@ -81,7 +95,8 @@ func TestBadRecordPositions(t *testing.T) {
 					}
 					p := New(mem)
 					p.streamChunk = chunk
-					got, gotNewest, err := p.mergeIndex(paths)
+					st := listedState(t, mem, paths)
+					got, gotNewest, err := p.merge(st)
 
 					if kind == "corrupt" {
 						_, want := idx.ReadDropping(mem, paths[k])
@@ -89,15 +104,15 @@ func TestBadRecordPositions(t *testing.T) {
 							t.Fatalf("%s: the slurp accepted the corrupt record", name)
 						}
 						if err == nil || err.Error() != want.Error() {
-							t.Fatalf("%s: mergeIndex = %v, want %v", name, err, want)
+							t.Fatalf("%s: merge = %v, want %v", name, err, want)
 						}
-						if _, err := p.newestInDropping(paths[k]); err == nil || err.Error() != want.Error() {
+						if _, err := p.newestInDropping(st, k); err == nil || err.Error() != want.Error() {
 							t.Fatalf("%s: newestInDropping = %v, want %v", name, err, want)
 						}
 						continue
 					}
 					if err != nil {
-						t.Fatalf("%s: mergeIndex: %v", name, err)
+						t.Fatalf("%s: merge: %v", name, err)
 					}
 					want := idx.Build(all)
 					if got.Size() != want.Size() || !slices.Equal(got.Extents(), want.Extents()) {
@@ -106,8 +121,8 @@ func TestBadRecordPositions(t *testing.T) {
 					if wantNewest := slices.Max(newest); gotNewest != wantNewest {
 						t.Fatalf("%s: newest %d, want %d", name, gotNewest, wantNewest)
 					}
-					for d, path := range paths {
-						if n, err := p.newestInDropping(path); err != nil || n != newest[d] {
+					for d := range paths {
+						if n, err := p.newestInDropping(st, d); err != nil || n != newest[d] {
 							t.Fatalf("%s: newestInDropping(%d) = %d, %v; want %d", name, d, n, err, newest[d])
 						}
 					}
@@ -153,7 +168,7 @@ func allocated(fn func()) uint64 {
 
 // TestMergeMemoryBound checks the streaming merge's memory bound (README,
 // "The flattened global index") on cold_open_wide's shape, 160 droppings
-// of 512 strided records: mergeIndex allocates at most one raw chunk per
+// of 512 strided records: merge allocates at most one raw chunk per
 // stream (records are decoded where they were read), what building the
 // index allocates on its own, and a small fixed cost per stream — so a
 // decoded chunk kept per stream beside its raw one (20 KiB each here)
@@ -184,14 +199,15 @@ func TestMergeMemoryBound(t *testing.T) {
 	chunks := uint64(droppings * min(records, p.streamChunk) * idx.EntrySize)
 	bound := chunks + index + droppings*perStream
 
+	st := listedState(t, mem, paths)
 	var err error
-	got := allocated(func() { _, _, err = p.mergeIndex(paths) })
+	got := allocated(func() { _, _, err = p.merge(st) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got > bound {
-		t.Fatalf("mergeIndex allocated %d B, over the bound %d B (chunks %d + index %d + %d per stream)",
+		t.Fatalf("merge allocated %d B, over the bound %d B (chunks %d + index %d + %d per stream)",
 			got, bound, chunks, index, perStream)
 	}
-	t.Logf("mergeIndex allocated %d B of the %d B bound (chunks %d, index %d)", got, bound, chunks, index)
+	t.Logf("merge allocated %d B of the %d B bound (chunks %d, index %d)", got, bound, chunks, index)
 }

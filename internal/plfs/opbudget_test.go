@@ -23,19 +23,21 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 // StripedFS, for several (H, D). The listing side — one Stat to find the
 // container, the root listing (one per backend striped) and one listing
 // with attributes per hostdir — has no D term; only reading raw
-// droppings does. A merge reads each dropping from the size its walk
-// listed: 3 ops (open, one pread of header and first chunk, close, of
-// which close is meta). seedClock reads each to its Fstat: 5 ops (open,
-// fstat, two preads, close, of which fstat and close are meta). The
-// rows:
+// droppings does. Every read of a dropping — a merge's and seedClock's
+// — reads it from the size its walk listed: 3 ops (open, one read of
+// header and first chunk, close, of which close is meta). The rows:
 //
 //   - trusted: a fresh instance over a trusted flattened record: the
-//     walk, the record (open, fstat, pread, close) and the openhosts
-//     listing behind its trust;
+//     walk, the record read at its listed size (open, pread, close) and
+//     the openhosts listing behind its trust. (While the record was
+//     read to its Fstat, it cost 7 + H ops, 5 + H meta, on MemFS and
+//     11 + H, 9 + H on mod-3.)
 //   - revalidating: a second handle in that instance (close-to-open):
 //     the walk alone, whose signature matches the cached index;
 //   - stat: path Stat from a fresh instance over the trusted record:
-//     the trusted row plus one Stat of the container directory. (When
+//     the trusted row plus one Stat of the container directory (8 + H
+//     ops, 6 + H meta, on MemFS and 12 + H, 10 + H on mod-3 while the
+//     record was read to its Fstat). (When
 //     Stat read per-writer size hints instead of the index, it cost
 //     4 + 3·D ops on MemFS and 8 + 3·D on mod-3: an open, a read and a
 //     close per closed writer's hint.)
@@ -48,7 +50,10 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 //     and its read of every dropping, then the writer's creation — its
 //     hostdir's Mkdir, its data dropping's open and fstat, its index
 //     dropping's Stat, open and header write, its openhosts record
-//     (Mkdir, open, close) — and the data pwrite;
+//     (Mkdir, open, close) — and the data pwrite. (While seedClock read
+//     each dropping to its Fstat — open, fstat, two preads, close — it
+//     cost 11 + H + 5·D ops, 6 + H + 2·D meta, on MemFS and
+//     13 + H + 5·D, 8 + H + 2·D on mod-3.)
 //   - first write by a new pid: pid 101's first write in that
 //     instance, whose clock is seeded: the writer's creation and the
 //     pwrite;
@@ -78,24 +83,24 @@ func TestOpBudget(t *testing.T) {
 		rows     map[string]row
 	}{
 		{"memfs", 1, map[string]row{
-			"trusted":      {budget{7, 1, 0}, budget{5, 1, 0}},
+			"trusted":      {budget{6, 1, 0}, budget{4, 1, 0}},
 			"revalidating": {budget{2, 1, 0}, budget{2, 1, 0}},
-			"stat":         {budget{8, 1, 0}, budget{6, 1, 0}},
+			"stat":         {budget{7, 1, 0}, budget{5, 1, 0}},
 			"raw":          {budget{2, 1, 3}, budget{2, 1, 1}},
 			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
 			"writer close, the other writer in another instance": {budget{6, 0, 0}, budget{4, 0, 0}},
-			"first write, fresh instance":                        {budget{11, 1, 5}, budget{6, 1, 2}},
+			"first write, fresh instance":                        {budget{11, 1, 3}, budget{6, 1, 1}},
 			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
 			"last close":                                         {budget{21, 1, 3}, budget{10, 1, 1}},
 		}},
 		{"mod-3", 3, map[string]row{
-			"trusted":      {budget{11, 1, 0}, budget{9, 1, 0}},
+			"trusted":      {budget{10, 1, 0}, budget{8, 1, 0}},
 			"revalidating": {budget{4, 1, 0}, budget{4, 1, 0}},
-			"stat":         {budget{12, 1, 0}, budget{10, 1, 0}},
+			"stat":         {budget{11, 1, 0}, budget{9, 1, 0}},
 			"raw":          {budget{4, 1, 3}, budget{4, 1, 1}},
 			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
 			"writer close, the other writer in another instance": {budget{8, 0, 0}, budget{6, 0, 0}},
-			"first write, fresh instance":                        {budget{13, 1, 5}, budget{8, 1, 2}},
+			"first write, fresh instance":                        {budget{13, 1, 3}, budget{8, 1, 1}},
 			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
 			"last close":                                         {budget{27, 1, 3}, budget{16, 1, 1}},
 		}},

@@ -469,11 +469,10 @@ func (p *FS) seedClock(path string) error {
 	if err != nil {
 		return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
 	}
-	droppings := st.droppings
-	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.workers, func(i int) {
+	errs := make([]error, len(st.droppings))
+	runParallel(len(st.droppings), p.workers, func(i int) {
 		var newest uint64
-		newest, errs[i] = p.newestInDropping(droppings[i])
+		newest, errs[i] = p.newestInDropping(st, i)
 		p.bumpClock(newest)
 	})
 	for _, err := range errs {
@@ -487,11 +486,12 @@ func (p *FS) seedClock(path string) error {
 	return nil
 }
 
-// newestInDropping streams one index dropping, validating every record
-// as a slurp would but holding one chunk of them at a time, and returns
-// the largest timestamp it carries (0 for none).
-func (p *FS) newestInDropping(path string) (uint64, error) {
-	s, err := idx.OpenDroppingStream(p.backend, path, p.streamChunk)
+// newestInDropping streams the walk's i-th index dropping to its listed
+// size, validating every record as a slurp would but holding one chunk
+// of them at a time, and returns the largest timestamp it carries (0
+// for none).
+func (p *FS) newestInDropping(st indexState, i int) (uint64, error) {
+	s, err := idx.OpenDroppingStream(p.backend, st.droppings[i], st.stats[i].Size, p.streamChunk)
 	if err != nil {
 		return 0, err
 	}
@@ -502,7 +502,7 @@ func (p *FS) newestInDropping(path string) (uint64, error) {
 		if errors.Is(err, idx.ErrUnsorted) {
 			// Only a hand-built dropping defies timestamp order; the
 			// slurp handles any order.
-			entries, err := idx.ReadDropping(p.backend, path)
+			entries, err := p.loadDroppings(st.droppings[i:i+1], st.stats[i:i+1])
 			return newestTimestamp(entries), err
 		}
 		if err != nil || !ok {
@@ -1219,6 +1219,10 @@ func (p *FS) truncateContainer(path string, size int64) error {
 // records they already resolve to; a failure after it leaves the whole
 // replacement overriding whichever sources survive; and the leftovers
 // of either are sources like any other when the operation runs again.
+// It merges the sources as its walk listed them: a record appended after
+// the listing would go with its unlinked source, so its callers quiesce
+// writers first — a truncate syncs its own instance's writers under the
+// container lock, and CompactIndex refuses a container with live ones.
 func (p *FS) consolidate(path string, clip int64) error {
 	defer p.invalidateIndex(path)
 	st, err := p.listIndexState(path)
@@ -1226,7 +1230,7 @@ func (p *FS) consolidate(path string, clip int64) error {
 		return err
 	}
 	sources := st.droppings
-	global, newest, err := p.mergeIndex(sources)
+	global, newest, err := p.merge(st)
 	if err != nil {
 		return err
 	}

@@ -102,30 +102,34 @@ func runParallel(n, workers int, fn func(i int)) {
 // indexState is one walk of a container's index metadata: every index
 // dropping in deterministic (hostdir, name) order with the attributes
 // its hostdir's listing gave it, and the generations of the flattened
-// global index records at the container root.
+// global index records at the container root with their listed sizes.
 type indexState struct {
 	droppings []string
 	stats     []posix.Stat
 	flatGens  []uint64
+	flatSizes []int64
 }
 
 // listIndexState walks the container once: the root listing, then one
-// listing with attributes per hostdir, fanned out across the worker
-// pool. The droppings' sizes and mtimes come with their names, so the
-// walk costs H + 1 listings whatever the number of droppings.
+// listing per hostdir fanned out across the worker pool, every listing
+// with attributes. The droppings' and the flattened records' sizes and
+// mtimes come with their names, so the walk costs H + 1 listings
+// whatever the number of droppings, and every read of what it lists
+// reads at the listed size.
 func (p *FS) listIndexState(path string) (indexState, error) {
-	dirs, err := p.backend.Readdir(path)
+	dirs, err := posix.ReaddirStat(p.backend, path)
 	if err != nil {
 		return indexState{}, fmt.Errorf("plfs: list container: %w", err)
 	}
 	var st indexState
 	var hostdirs []string
 	for _, d := range dirs {
-		if d.IsDir && strings.HasPrefix(d.Name, "hostdir.") {
+		if d.IsDir() && strings.HasPrefix(d.Name, "hostdir.") {
 			hostdirs = append(hostdirs, path+"/"+d.Name)
-		} else if !d.IsDir {
+		} else if !d.IsDir() {
 			if gen, ok := parseFlattenedGen(d.Name); ok {
 				st.flatGens = append(st.flatGens, gen)
+				st.flatSizes = append(st.flatSizes, d.Size)
 			}
 		}
 	}
@@ -155,18 +159,16 @@ func (p *FS) listIndexState(path string) (indexState, error) {
 }
 
 // loadDroppings slurps every index dropping whole, fanning the loads
-// out across the worker pool — the any-order fallback behind merge. With
-// stats, a dropping's records past its listed size are dropped, as its
-// listed stream would not have read them. Entry order across droppings
-// is unspecified; idx.Build resolves by timestamp.
+// out across the worker pool — the any-order fallback behind merge. A
+// dropping's records past its listed size are dropped, as its stream
+// would not have read them. Entry order across droppings is
+// unspecified; idx.Build resolves by timestamp.
 func (p *FS) loadDroppings(droppings []string, stats []posix.Stat) ([]idx.Entry, error) {
 	results := make([][]idx.Entry, len(droppings))
 	errs := make([]error, len(droppings))
 	runParallel(len(droppings), p.workers, func(i int) {
 		results[i], errs[i] = idx.ReadDropping(p.backend, droppings[i])
-		if stats != nil {
-			results[i] = results[i][:min(int64(len(results[i])), rawEntries(stats[i:i+1]))]
-		}
+		results[i] = results[i][:min(int64(len(results[i])), rawEntries(stats[i:i+1]))]
 	})
 	total := 0
 	for i := range droppings {
@@ -204,48 +206,21 @@ func (st indexState) signature() readcache.Signature {
 	return readcache.Signature(sb.String())
 }
 
-// mergeIndex reconstructs the merged index from raw droppings with the
-// memory-bounded streaming merge, each dropping read to the size its
-// Fstat reports when its stream opens — the merge behind consolidate,
-// which must carry every record on disk into its replacement. It
-// returns the newest timestamp among the records (0 for none).
-func (p *FS) mergeIndex(droppings []string) (*idx.Index, uint64, error) {
-	return p.merge(droppings, nil)
-}
-
-// mergeListed merges the index droppings of one walk, each read only as
-// far as the walk listed its size: no Fstat, and one read for a
-// dropping's header and first chunk. The index holds exactly the records
-// the walk's signature describes.
-func (p *FS) mergeListed(st indexState) (*idx.Index, error) {
-	index, _, err := p.merge(st.droppings, st.stats)
-	return index, err
-}
-
-// merge is the streaming merge behind mergeIndex (stats nil) and
-// mergeListed: each dropping is read and decoded in bounded chunks
-// (stream open + first-chunk read and decode fanned across the worker
-// pool) and overlaid in global timestamp order through a k-way loser
-// tree, instead of slurping every record into one slice and sorting it.
-// A dropping whose records defy timestamp order (only adversarial inputs
-// do) demotes the whole reconstruction to the slurp-and-sort path, which
-// handles any order. The merge sees every record, so it also returns the
-// newest timestamp among them (0 for none).
-func (p *FS) merge(droppings []string, stats []posix.Stat) (*idx.Index, uint64, error) {
-	streams := make([]*idx.DroppingStream, len(droppings))
-	errs := make([]error, len(droppings))
-	runParallel(len(droppings), p.workers, func(i int) {
-		if stats != nil {
-			streams[i], errs[i] = idx.OpenDroppingStreamListed(p.backend, droppings[i], stats[i].Size, p.streamChunk)
-			return
-		}
-		s, err := idx.OpenDroppingStream(p.backend, droppings[i], p.streamChunk)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		streams[i] = s
-		errs[i] = s.Prefetch()
+// merge reconstructs the merged index of one walk with the
+// memory-bounded streaming merge: each dropping is read only as far as
+// the walk listed its size, in bounded chunks (stream open and
+// first-chunk read and decode fanned across the worker pool), and
+// overlaid in global timestamp order through a k-way loser tree. The
+// index holds exactly the records the walk's signature describes. A
+// dropping whose records defy timestamp order (only adversarial inputs
+// do) demotes the whole reconstruction to the slurp-and-sort path,
+// which handles any order. The merge sees every record, so it also
+// returns the newest timestamp among them (0 for none).
+func (p *FS) merge(st indexState) (*idx.Index, uint64, error) {
+	streams := make([]*idx.DroppingStream, len(st.droppings))
+	errs := make([]error, len(st.droppings))
+	runParallel(len(st.droppings), p.workers, func(i int) {
+		streams[i], errs[i] = idx.OpenDroppingStream(p.backend, st.droppings[i], st.stats[i].Size, p.streamChunk)
 	})
 	closeAll := func() {
 		for _, s := range streams {
@@ -254,7 +229,7 @@ func (p *FS) merge(droppings []string, stats []posix.Stat) (*idx.Index, uint64, 
 			}
 		}
 	}
-	for i := range droppings {
+	for i := range st.droppings {
 		if errs[i] != nil {
 			closeAll()
 			return nil, 0, errs[i]
@@ -263,7 +238,7 @@ func (p *FS) merge(droppings []string, stats []posix.Stat) (*idx.Index, uint64, 
 	merged, newest, err := idx.MergeStreams(streams...)
 	closeAll()
 	if errors.Is(err, idx.ErrUnsorted) {
-		entries, lerr := p.loadDroppings(droppings, stats)
+		entries, lerr := p.loadDroppings(st.droppings, st.stats)
 		if lerr != nil {
 			return nil, 0, lerr
 		}
@@ -295,7 +270,7 @@ func (p *FS) buildIndex(path string) (*idx.Index, readcache.Signature, readcache
 			return fl.Index, sig, readcache.BuildFlattened, nil
 		}
 	}
-	index, err := p.mergeListed(st)
+	index, _, err := p.merge(st)
 	if err != nil {
 		return nil, "", readcache.BuildMerge, err
 	}
