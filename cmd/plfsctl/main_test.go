@@ -264,8 +264,9 @@ func TestDoctorIndexHealth(t *testing.T) {
 		t.Fatalf("fresh flattened record mutated by -fix: %v", err)
 	}
 
-	// Stage staleness: newer raw droppings behind the record's back.
-	stale := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4}, plfs.IndexOptions{DisableAutoFlatten: true})
+	// Stage staleness: newer raw droppings behind the record's back. The
+	// close publishes gen 2; drop it and put gen 1's bytes back.
+	stale := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
 	g, err := stale.Open("/data", posix.O_WRONLY, 7, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +275,12 @@ func TestDoctorIndexHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := g.Close(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.DropFlattenedIndex("/data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recordPath, before, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, out = exec(t, append(flags, "doctor", "/data")...)
@@ -305,7 +312,7 @@ func TestCompactWritesFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4}, plfs.IndexOptions{DisableAutoFlatten: true})
+	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +324,10 @@ func TestCompactWritesFlattened(t *testing.T) {
 	}
 	for pid := uint32(0); pid < 4; pid++ {
 		f.Close(pid)
+	}
+	// The last close published a record; compact must publish its own.
+	if _, err := p.DropFlattenedIndex("/data"); err != nil {
+		t.Fatal(err)
 	}
 	flags := []string{"-root", root, "-hostdirs", "4"}
 	code, out := exec(t, append(flags, "compact", "/data")...)
@@ -397,7 +408,7 @@ func replicaPlfs(t *testing.T, roots []string) *plfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
+	striped := posix.NewLayoutFS(layout, nil, backends...)
 	return plfs.New(striped, plfs.EngineOptions{NumHostdirs: 6})
 }
 

@@ -83,7 +83,7 @@ func runNotify(argv []string, stdout, stderr io.Writer, ready chan<- string) int
 		Tenants:     tcs,
 		MaxInflight: *inflight,
 		Plane:       plane,
-		Governor:    service.GovernorConfig{Enable: *governor},
+		Governor:    *governor,
 	})
 	if err != nil {
 		return fail("%v", err)

@@ -42,7 +42,7 @@ func (s stripedSet) instance() *plfs.FS { return s.instanceAt(runtime.GOMAXPROCS
 
 // instanceAt is instance built under GOMAXPROCS procs (see newPLFSAt).
 func (s stripedSet) instanceAt(procs int) *plfs.FS {
-	return newPLFSAt(procs, posix.NewLayoutFS(s.layout, posix.ReplicaOptions{}, s.backends...),
+	return newPLFSAt(procs, posix.NewLayoutFS(s.layout, nil, s.backends...),
 		plfs.EngineOptions{NumHostdirs: stWriters})
 }
 

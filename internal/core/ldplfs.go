@@ -244,19 +244,6 @@ func (l *LDPLFS) open(path string, flags int, mode uint32) (int, error) {
 		pf.Close(l.cfg.Pid)
 		return -1, fmt.Errorf("ldplfs: open shadow fd: %w", err)
 	}
-	if flags&posix.O_APPEND != 0 {
-		size, serr := pf.Size()
-		if serr != nil {
-			pf.Close(l.cfg.Pid)
-			l.real.Close(fd)
-			return -1, serr
-		}
-		if _, serr := l.real.Lseek(fd, size, posix.SEEK_SET); serr != nil {
-			pf.Close(l.cfg.Pid)
-			l.real.Close(fd)
-			return -1, serr
-		}
-	}
 	l.mu.Lock()
 	l.files[fd] = &openFile{file: pf, flags: flags, pid: l.cfg.Pid}
 	l.mu.Unlock()

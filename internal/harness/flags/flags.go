@@ -18,13 +18,11 @@ import (
 // Plfs is the flag group shared by every tool that can run over PLFS.
 // The engines themselves take no tuning (see plfs/options.go).
 type Plfs struct {
-	NoAutoFlatten bool
-	Stats         bool
+	Stats bool
 }
 
 // Register installs the group's flags on fl.
 func (p *Plfs) Register(fl *flag.FlagSet) {
-	fl.BoolVar(&p.NoAutoFlatten, "no-auto-flatten", false, "do not persist a flattened global index when a container's last writer closes")
 	fl.BoolVar(&p.Stats, "stats", false, "attach the iostats telemetry plane to every layer and dump a snapshot at exit")
 }
 
@@ -37,7 +35,7 @@ func (p *Plfs) Options(plane *iostats.Plane) []plfs.Option {
 	if plane != nil {
 		tel.Stats = plane
 	}
-	return []plfs.Option{plfs.IndexOptions{DisableAutoFlatten: p.NoAutoFlatten}, tel}
+	return []plfs.Option{tel}
 }
 
 // NewPlane returns the telemetry plane the flags ask for, or nil.

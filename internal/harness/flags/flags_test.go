@@ -21,10 +21,10 @@ func TestPlfsGroup(t *testing.T) {
 	// added here is a knob added everywhere.
 	var names []string
 	fl.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if want := []string{"no-auto-flatten", "stats"}; !slices.Equal(names, want) {
+	if want := []string{"stats"}; !slices.Equal(names, want) {
 		t.Fatalf("Plfs registers %v, want exactly %v", names, want)
 	}
-	if err := fl.Parse([]string{"-no-auto-flatten", "-stats"}); err != nil {
+	if err := fl.Parse([]string{"-stats"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,20 +32,14 @@ func TestPlfsGroup(t *testing.T) {
 	if plane == nil {
 		t.Fatal("-stats must build a plane")
 	}
-	var idx plfs.IndexOptions
 	var tel plfs.TelemetryOptions
 	for _, o := range p.Options(plane) {
 		switch v := o.(type) {
-		case plfs.IndexOptions:
-			idx = v
 		case plfs.TelemetryOptions:
 			tel = v
 		default:
 			t.Fatalf("unexpected option type %T", o)
 		}
-	}
-	if want := (plfs.IndexOptions{DisableAutoFlatten: true}); idx != want {
-		t.Fatalf("index group = %+v", idx)
 	}
 	if tel.Stats != plane {
 		t.Fatal("telemetry group not rendered")

@@ -57,11 +57,11 @@ func NewStoreN(n int, plane *iostats.Plane) posix.FS {
 	}
 	// Taking the concrete plane and storing it only when non-nil keeps a
 	// typed-nil plane out of the Collector interface.
-	var ropts posix.ReplicaOptions
+	var stats iostats.Collector
 	if plane != nil {
-		ropts.Stats = plane
+		stats = plane
 	}
-	striped := posix.NewLayoutFS(posix.Layout{}, ropts, backends...)
+	striped := posix.NewLayoutFS(posix.Layout{}, stats, backends...)
 	if err := PrepareStore(striped); err != nil {
 		panic(err.Error())
 	}
@@ -92,7 +92,7 @@ func PrepareStore(fs posix.FS) error {
 
 // DriverFor builds the per-rank ADIO driver for a named method over fs,
 // and returns the application-visible path for the given file name.
-// opts — grouped option structs (plfs.IndexOptions{...}) or
+// opts — grouped option structs (plfs.EngineOptions{...}) or
 // plfs.WithStats — configure the instance of whichever methods run over
 // PLFS.
 func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {

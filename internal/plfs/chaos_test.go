@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/posix"
@@ -24,12 +23,6 @@ type replicaRig struct {
 // below the op counters and every attempt (including ones the fault
 // layer rejects) is counted.
 func newReplicaRig(t *testing.T, n int, desc string, opts ...Option) *replicaRig {
-	return newHedgedRig(t, n, desc, posix.ReplicaOptions{}, opts...)
-}
-
-// newHedgedRig is newReplicaRig with the composite's replica read path
-// tuned by ropts; its counters always land on the rig's plane.
-func newHedgedRig(t *testing.T, n int, desc string, ropts posix.ReplicaOptions, opts ...Option) *replicaRig {
 	t.Helper()
 	r := &replicaRig{plane: iostats.NewPlane()}
 	backends := make([]posix.FS, n)
@@ -44,8 +37,7 @@ func newHedgedRig(t *testing.T, n int, desc string, ropts posix.ReplicaOptions, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ropts.Stats = r.plane
-	r.p = New(posix.NewLayoutFS(layout, ropts, backends...), append(opts, WithStats(r.plane))...)
+	r.p = New(posix.NewLayoutFS(layout, r.plane, backends...), append(opts, WithStats(r.plane))...)
 	if err := r.p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -136,56 +128,6 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	writeN1(t, again.p, "/backend/f", pids, recs, recSize)
 	if a, b := again.counter("replica_write_degraded"), chaos.counter("replica_write_degraded"); a != b {
 		t.Fatalf("chaos schedule not deterministic: %d vs %d degraded writes", a, b)
-	}
-}
-
-// TestChaosHedgedReadAtPlfsLayer pins the hedged-read path end to end:
-// with the dropping's primary replica stalled behind a fault gate and
-// an injected hedge timer that fires immediately, a plfs-level read is
-// served by the secondary and the hedged counter ticks — no wall-clock
-// dependence, the stall is released only after the read returns.
-func TestChaosHedgedReadAtPlfsLayer(t *testing.T) {
-	hedgeNow := func(time.Duration) <-chan time.Time {
-		ch := make(chan time.Time, 1)
-		ch <- time.Time{}
-		return ch
-	}
-	rig := newHedgedRig(t, 3, "replica-2",
-		posix.ReplicaOptions{HedgeDeadline: time.Millisecond, HedgeTimer: hedgeNow},
-		EngineOptions{NumHostdirs: 6},
-	)
-	hedgeWant := writeN1(t, rig.p, "/backend/f", 2, 4, 256)
-
-	// Find the hostdir the droppings landed in and gate reads on its
-	// primary owner: mod-3 of the hostdir number.
-	entries, err := rig.p.Backend().Readdir("/backend/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := -1
-	for _, e := range entries {
-		var k int
-		if _, err := fmt.Sscanf(e.Name, "hostdir.%d", &k); err == nil {
-			primary = k % 3
-			break
-		}
-	}
-	if primary < 0 {
-		t.Fatal("no hostdir found in container")
-	}
-	gate := make(chan struct{})
-	rig.faults[primary].Inject(&posix.FaultRule{
-		Op:           posix.FaultRead,
-		PathContains: "hostdir.",
-		Gate:         gate,
-	})
-	got := readBack(t, rig.p, "/backend/f")
-	close(gate)
-	if !bytes.Equal(got, hedgeWant) {
-		t.Fatal("hedged read returned wrong bytes")
-	}
-	if rig.counter("replica_read_hedged") == 0 {
-		t.Fatal("no hedged reads recorded with a gated primary")
 	}
 }
 

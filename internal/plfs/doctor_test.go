@@ -82,17 +82,7 @@ func TestDoctorFixWindow(t *testing.T) {
 		{
 			name: "stale flattened record, no writers",
 			stage: func(t *testing.T, rig *replicaRig) {
-				q := New(rig.p.Backend(), EngineOptions{NumHostdirs: 6}, IndexOptions{DisableAutoFlatten: true})
-				f, err := q.Open(c, posix.O_WRONLY, 7, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write([]byte("newer"), 10, 7); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(7); err != nil {
-					t.Fatal(err)
-				}
+				stageStale(t, New(rig.p.Backend(), EngineOptions{NumHostdirs: 6}), c, 7, []byte("newer"), 10)
 			},
 			symptom: "STALE",
 		},

@@ -257,9 +257,6 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 // writer. Best-effort: a failed flatten costs the next cold open a
 // streaming merge, nothing more.
 func (p *FS) maybeAutoFlatten(path string) {
-	if p.cfg.Index.DisableAutoFlatten {
-		return
-	}
 	if p.hasOpenWriters(path) {
 		return
 	}

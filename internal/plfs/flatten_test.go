@@ -94,6 +94,35 @@ func flattenedNames(t *testing.T, p *FS, path string) []string {
 	return out
 }
 
+// stageStale writes data at off as pid through q and leaves container
+// path's one flattened record behind that write, stale: it saves the
+// record, writes and closes (the close publishes the next generation),
+// drops what the close published and writes the saved bytes back under
+// their old name.
+func stageStale(t *testing.T, q *FS, path string, pid uint32, data []byte, off int64) {
+	t.Helper()
+	names := flattenedNames(t, q, path)
+	if len(names) != 1 {
+		t.Fatalf("stale staging: records = %v, want one", names)
+	}
+	rec := path + "/" + names[0]
+	saved := readFile(t, q.backend, rec)
+	f, err := q.Open(path, posix.O_WRONLY, pid, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data, off, pid); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(pid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.DropFlattenedIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	writeFileBytes(t, q.backend, rec, saved)
+}
+
 func TestAutoFlattenOnLastWriterClose(t *testing.T) {
 	p, _ := newTestFS(t)
 	want := writeN1(t, p, "/backend/af", 6, 8, 128)
@@ -129,20 +158,11 @@ func TestFlattenedStaleAfterNewWrites(t *testing.T) {
 	p, _ := newTestFS(t)
 	writeN1(t, p, "/backend/stale", 4, 4, 64)
 
-	// A later writer (auto-flatten disabled, so the gen-1 record stays
-	// behind, now stale) appends more data.
-	noflat := New(p.backend, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
-	g, err := noflat.Open("/backend/stale", posix.O_WRONLY, 9, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A later writer appends more data, and the gen-1 record stays
+	// behind it, now stale.
+	later := New(p.backend, EngineOptions{NumHostdirs: 4})
 	tail := []byte("fresh bytes the flattened record knows nothing about")
-	if _, err := g.Write(tail, 4*4*64, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Close(9); err != nil {
-		t.Fatal(err)
-	}
+	stageStale(t, later, "/backend/stale", 9, tail, 4*4*64)
 	if names := flattenedNames(t, p, "/backend/stale"); len(names) != 1 {
 		t.Fatalf("stale staging: records = %v, want the old gen-1 only", names)
 	}

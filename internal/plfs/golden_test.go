@@ -48,7 +48,7 @@ func goldenV3Rig(tb testing.TB, backends ...posix.FS) *FS {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
+	striped := posix.NewLayoutFS(layout, nil, backends...)
 	return New(striped, EngineOptions{NumHostdirs: 4})
 }
 
@@ -297,10 +297,14 @@ func TestGoldenContainerFormat(t *testing.T) {
 	// Regeneration determinism: replaying the write script today must
 	// still produce byte-identical droppings (physical layout included),
 	// not merely the same logical file. v1 containers are what the
-	// pre-flatten code wrote, so the replay disables auto-flatten.
+	// pre-flatten code wrote, so the replay drops the record its last
+	// close published.
 	mem := posix.NewMemFS()
-	fresh := New(mem, EngineOptions{NumHostdirs: 4}, IndexOptions{DisableAutoFlatten: true})
+	fresh := New(mem, EngineOptions{NumHostdirs: 4})
 	goldenWriteScript(t, fresh, goldenContainer)
+	if _, err := fresh.DropFlattenedIndex("/" + goldenContainer); err != nil {
+		t.Fatal(err)
+	}
 	if regen := describeContainer(t, fresh, "/"+goldenContainer); regen != string(wantBytes) {
 		t.Fatalf("write path no longer reproduces the golden container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
 	}

@@ -295,3 +295,64 @@ func runWindow(nh int, samePid bool, script []int) error {
 	}
 	return nil
 }
+
+// TestWriteAfterCloseEBADF: a closed handle writes nothing. Write,
+// WriteV and Trunc through it return EBADF whether or not the container
+// is still open through another handle, no writer is re-created (so no
+// openhosts record outlives the close), and another instance sees the
+// container exactly as the close left it.
+func TestWriteAfterCloseEBADF(t *testing.T) {
+	p, _ := newTestFS(t)
+	const path = "/backend/closed"
+	f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := p.Open(path, posix.O_WRONLY, 2, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("01234"), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Write([]byte("56789"), 5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(1); err != nil {
+		t.Fatal(err)
+	}
+
+	// While live is open, pid 2's writer exists on the shared record.
+	// Then with the record gone: the closed handle was its last but one.
+	for stage, pid := range []uint32{2, 1} {
+		if n, err := f.Write([]byte("after"), 10, pid); n != 0 || err != posix.EBADF {
+			t.Fatalf("stage %d: Write after Close = %d, %v; want 0, EBADF", stage, n, err)
+		}
+		if n, err := f.WriteV([]WriteSeg{{Off: 10, Data: []byte("after")}}, pid); n != 0 || err != posix.EBADF {
+			t.Fatalf("stage %d: WriteV after Close = %d, %v; want 0, EBADF", stage, n, err)
+		}
+		if err := f.Trunc(3); err != posix.EBADF {
+			t.Fatalf("stage %d: Trunc after Close = %v; want EBADF", stage, err)
+		}
+		if stage == 0 {
+			if err := live.Close(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	h, err := p.IndexHealth(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.OpenWriters != 0 || h.Flattened == nil || !h.Flattened.Fresh {
+		t.Fatalf("health after writes through a closed handle = %+v (flattened %+v)", h, h.Flattened)
+	}
+	other := New(p.Backend(), EngineOptions{NumHostdirs: 4})
+	if st, err := other.Stat(path); err != nil || st.Size != 10 {
+		t.Fatalf("another instance's Stat = %+v, %v; want size 10", st, err)
+	}
+	if got := readAllBytes(t, other, path); string(got) != "0123456789" {
+		t.Fatalf("another instance reads %q", got)
+	}
+}

@@ -61,7 +61,7 @@ func faultedLayout(t *testing.T, desc string, dark int) (posix.FS, func()) {
 	if dark >= 0 {
 		after = faults[dark].Kill
 	}
-	return posix.NewLayoutFS(l, posix.ReplicaOptions{}, backends...), after
+	return posix.NewLayoutFS(l, nil, backends...), after
 }
 
 // TestIsContainerOneStat pins IsContainer as one Stat of the access

@@ -1,8 +1,8 @@
 // Configuration surface of a PLFS instance.
 //
-// The public API is a functional-options constructor over three cohesive
-// groups — container geometry (EngineOptions), flattened-record
-// lifecycle (IndexOptions) and telemetry (TelemetryOptions):
+// The public API is a functional-options constructor over two cohesive
+// groups — container geometry (EngineOptions) and telemetry
+// (TelemetryOptions):
 //
 //	p := plfs.New(backend,
 //	        plfs.EngineOptions{NumHostdirs: 16},
@@ -21,7 +21,8 @@
 // each decided by a sweep of its values over every plfsbench workload,
 // and the read caches run at readcache.DefaultMaxFDs and
 // readcache.DefaultMaxContainers — README "Constants, and why" carries
-// the numbers.
+// the numbers. An instance's last writer to close a container always
+// persists a flattened record.
 package plfs
 
 import "ldplfs/internal/iostats"
@@ -37,19 +38,6 @@ type EngineOptions struct {
 // applyOption implements Option: the literal replaces the whole group.
 func (o EngineOptions) applyOption(c *Config) { c.Engine = o }
 
-// IndexOptions groups the flattened-record lifecycle.
-type IndexOptions struct {
-	// DisableAutoFlatten stops the instance from persisting a flattened
-	// global index record when a container's last writer closes. Reads
-	// still trust records written by other instances or plfsctl
-	// compact. It trades close cost against the next cold open, and is
-	// how tests stage deliberately stale records.
-	DisableAutoFlatten bool
-}
-
-// applyOption implements Option.
-func (o IndexOptions) applyOption(c *Config) { c.Index = o }
-
 // TelemetryOptions groups the observability wiring.
 type TelemetryOptions struct {
 	// Stats attaches the instance to a telemetry plane: the engines
@@ -63,16 +51,14 @@ type TelemetryOptions struct {
 // applyOption implements Option.
 func (o TelemetryOptions) applyOption(c *Config) { c.Telemetry = o }
 
-// Config is the resolved configuration of an instance: the three
-// groups.
+// Config is the resolved configuration of an instance: the two groups.
 type Config struct {
 	Engine    EngineOptions
-	Index     IndexOptions
 	Telemetry TelemetryOptions
 }
 
 // Option is one configuration item accepted by New: the group structs
-// (EngineOptions, IndexOptions, TelemetryOptions) and WithStats.
+// (EngineOptions, TelemetryOptions) and WithStats.
 type Option interface {
 	applyOption(*Config)
 }

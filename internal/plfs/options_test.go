@@ -38,23 +38,18 @@ func TestOptionsGroupReplacement(t *testing.T) {
 	plane := iostats.NewPlane()
 	p := New(posix.NewMemFS(),
 		EngineOptions{NumHostdirs: 3},
-		IndexOptions{DisableAutoFlatten: true},
 		TelemetryOptions{Stats: plane},
 		EngineOptions{NumHostdirs: 5}, // replaces the whole Engine group
-		IndexOptions{},                // and the whole Index group
 	)
 	if p.cfg.Engine.NumHostdirs != 5 {
 		t.Fatalf("later EngineOptions did not replace the group: %+v", p.cfg.Engine)
-	}
-	if p.cfg.Index.DisableAutoFlatten {
-		t.Fatalf("later IndexOptions did not replace the group: %+v", p.cfg.Index)
 	}
 	if p.cfg.Telemetry.Stats != plane {
 		t.Fatalf("TelemetryOptions lost: %+v", p.cfg.Telemetry)
 	}
 
-	q := New(posix.NewMemFS(), IndexOptions{DisableAutoFlatten: true}, WithStats(plane))
-	if !q.cfg.Index.DisableAutoFlatten || q.cfg.Telemetry.Stats != plane {
+	q := New(posix.NewMemFS(), EngineOptions{NumHostdirs: 3}, WithStats(plane))
+	if q.cfg.Engine.NumHostdirs != 3 || q.cfg.Telemetry.Stats != plane {
 		t.Fatalf("WithStats touched more than its field: %+v", q.cfg)
 	}
 }
@@ -67,7 +62,6 @@ func TestOptionsGroupReplacement(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	dataPath := []string{
 		"Engine.NumHostdirs",
-		"Index.DisableAutoFlatten",
 	}
 	wiring := []string{
 		"Telemetry.Stats",

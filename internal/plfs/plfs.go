@@ -568,7 +568,8 @@ type File struct {
 	// first read of a fresh handle checks the dropping signature).
 	validated atomic.Bool
 
-	closed bool // guarded by FS.hmu
+	// closed is set by Close under FS.hmu and the record's mu.
+	closed atomic.Bool
 }
 
 // Open opens (and with O_CREAT, creates) the container at path, returning
@@ -595,7 +596,7 @@ func (p *FS) open(path string, flags int, pid uint32, mode uint32) (*File, error
 	} else if flags&posix.O_CREAT != 0 && flags&posix.O_EXCL != 0 {
 		return nil, posix.EEXIST
 	}
-	if flags&posix.O_TRUNC != 0 && flags&posix.O_ACCMODE != posix.O_RDONLY {
+	if flags&posix.O_TRUNC != 0 {
 		if err := p.truncateShared(path, 0); err != nil {
 			return nil, err
 		}
@@ -923,7 +924,7 @@ func (c *container) sync(pid uint32) error {
 // truncate is container-level: every writer this instance holds on the
 // container is retired or rebound, whichever handle opened it.
 func (f *File) Trunc(size int64) error {
-	if f.flags&posix.O_ACCMODE == posix.O_RDONLY {
+	if f.flags&posix.O_ACCMODE == posix.O_RDONLY || f.closed.Load() {
 		return posix.EBADF
 	}
 	return f.fs.truncateShared(f.path, size)
@@ -1007,7 +1008,7 @@ func (c *container) rebindWritersLocked(size int64) error {
 func (f *File) Close(pid uint32) error {
 	c, p := f.container, f.fs
 	p.hmu.Lock()
-	if f.closed {
+	if f.closed.Load() {
 		p.hmu.Unlock()
 		return nil
 	}
@@ -1015,7 +1016,7 @@ func (f *File) Close(pid uint32) error {
 	_, hadWriter := c.writers[pid]
 	err := c.teardownWriterLocked(pid)
 	if err == nil {
-		f.closed = true
+		f.closed.Store(true)
 		c.handles--
 		if c.handles == 0 {
 			hadWriter = hadWriter || len(c.writers) > 0

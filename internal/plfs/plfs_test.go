@@ -329,8 +329,9 @@ func TestTruncatePartial(t *testing.T) {
 	p, _ := newTestFS(t)
 	f, _ := p.Open("/backend/tp", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	f.Write(bytes.Repeat([]byte{'a'}, 100), 0, 1)
-	f.Write(bytes.Repeat([]byte{'b'}, 100), 100, 2)
-	f.Close(2)
+	g, _ := p.Open("/backend/tp", posix.O_WRONLY, 2, 0o644)
+	g.Write(bytes.Repeat([]byte{'b'}, 100), 100, 2)
+	g.Close(2)
 	if err := f.Trunc(150); err != nil {
 		t.Fatal(err)
 	}

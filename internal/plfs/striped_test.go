@@ -36,7 +36,7 @@ func newLayoutPLFS(t *testing.T, n int, faulty bool, desc string, opts ...Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...), opts...)
+	p := New(posix.NewLayoutFS(layout, nil, backends...), opts...)
 	if err := p.Backend().Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWrappedStripedBackend(t *testing.T) {
 			for i := range mems {
 				mems[i] = posix.Interpose(posix.NewMemFS(), calls)
 			}
-			striped := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, mems[:]...)
+			striped := posix.NewLayoutFS(layout, nil, mems[:]...)
 			if err := striped.Mkdir("/backend", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -416,17 +416,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 
 	// Deliberately stale: append past EOF without refreshing the record.
 	staleTail := []byte("stale-mode differential tail")
-	wP := New(backend, EngineOptions{NumHostdirs: hostdirs}, IndexOptions{DisableAutoFlatten: true})
-	wf, err := wP.Open(path, posix.O_WRONLY, 31338, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wf.Write(staleTail, int64(len(want)), 31338); err != nil {
-		t.Fatal(err)
-	}
-	if err := wf.Close(31338); err != nil {
-		t.Fatal(err)
-	}
+	stageStale(t, New(backend, EngineOptions{NumHostdirs: hostdirs}), path, 31338, staleTail, int64(len(want)))
 	wantStale := append(append([]byte(nil), want...), staleTail...)
 	staleP := New(backend, EngineOptions{NumHostdirs: hostdirs})
 	if got := readVia(staleP, int64(len(wantStale))); !bytes.Equal(got, wantStale) {

@@ -25,11 +25,13 @@ import (
 
 // lockWriter returns pid's writer with the container lock held shared
 // and the writer's own lock held, creating the writer on first use.
-// unlock releases both.
-func (c *container) lockWriter(pid uint32) (*writer, func(), error) {
+// unlock releases both. A closed handle gets EBADF: Close sets the flag
+// under the container lock, so no writer is created after it.
+func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
+	c := f.container
 	for {
 		c.mu.RLock()
-		if w, ok := c.writers[pid]; ok {
+		if w, ok := c.writers[pid]; ok && !f.closed.Load() {
 			w.mu.Lock()
 			return w, func() { w.mu.Unlock(); c.mu.RUnlock() }, nil
 		}
@@ -38,7 +40,10 @@ func (c *container) lockWriter(pid uint32) (*writer, func(), error) {
 		// exclusive lock, then loop back to the shared fast path (a
 		// concurrent Trunc/Close may retire it before we re-acquire).
 		c.mu.Lock()
-		_, err := c.getWriterLocked(pid)
+		var err error = posix.EBADF
+		if !f.closed.Load() {
+			_, err = c.getWriterLocked(pid)
+		}
 		c.mu.Unlock()
 		if err != nil {
 			return nil, nil, err

@@ -25,9 +25,8 @@
 //   - "replica-R": each path lives on R consecutive backends starting
 //     at its mod-N primary; canonical paths live on backends 0..R-1.
 //     Writes fan out to every live replica, reads serve from the
-//     primary and fail over on error — or race a second replica after
-//     a hedge deadline (ReplicaOptions) — and plfsctl doctor re-
-//     replicates whatever a dead backend missed.
+//     primary and fail over on error, and plfsctl doctor re-replicates
+//     whatever a dead backend missed.
 //
 // Mod-N is not a separate code path: it is the width-1 case of the one
 // replica loop, under three rules each stated once in stripedfs.go and

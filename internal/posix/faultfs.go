@@ -77,9 +77,9 @@ type FaultRule struct {
 	// error shape (e.g. ENOSPC after a page). Zero fails the whole op.
 	Partial int
 	// Gate, when non-nil, blocks a firing operation until the channel
-	// is closed (or receives) — a deterministic stall, used to hold a
-	// replica's read in flight while a hedged read races past it. A
-	// rule with a Gate and a nil Err stalls and then proceeds normally.
+	// is closed (or receives) — a deterministic stall, used to hold one
+	// operation in flight while others race past it. A rule with a Gate
+	// and a nil Err stalls and then proceeds normally.
 	Gate <-chan struct{}
 
 	matched int

@@ -86,7 +86,7 @@ func NewStripedRoots(canonical FS, shadowSpec, layoutDesc string, stats iostats.
 	if err != nil {
 		return nil, err
 	}
-	return NewLayoutFS(layout, ReplicaOptions{Stats: stats}, all...), nil
+	return NewLayoutFS(layout, stats, all...), nil
 }
 
 func (o *OSFS) host(path string) string {

@@ -97,7 +97,7 @@ func opsSurface(t *testing.T, s *StripedFS) []byte {
 func TestReplicatedOpsSurface(t *testing.T) {
 	var want []byte
 	for i, r := range []int{1, 2, 3} {
-		s, _ := newReplicaFS(t, 3, r, nil, 0, nil)
+		s, _ := newReplicaFS(t, 3, r, nil)
 		if got := s.NumBackends(); got != 3 {
 			t.Fatalf("replica-%d: NumBackends = %d", r, got)
 		}
@@ -126,7 +126,7 @@ func TestReplicatedOpsSurface(t *testing.T) {
 // survivors (writes degrade, reads fail over, directory ops tolerate
 // the dark mirror).
 func TestReplicatedOpsSurfaceDegraded(t *testing.T) {
-	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, nil)
 	faults[1].Kill()
 	if got := opsSurface(t, s); string(got) != "alpha-beta-" {
 		t.Fatalf("degraded surface read = %q", got)
@@ -171,7 +171,7 @@ func TestLiveVerdictOutranksDeadEIO(t *testing.T) {
 		for _, sc := range scenarios {
 			for _, op := range ops {
 				t.Run(dir.path[3:]+"/"+sc.name+"/"+op.name, func(t *testing.T) {
-					s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+					s, faults := newReplicaFS(t, 3, 2, nil)
 					if err := s.Mkdir("/c", 0o755); err != nil {
 						t.Fatal(err)
 					}
@@ -279,7 +279,7 @@ func TestNewStripedRootsLayout(t *testing.T) {
 // interposition layer must be layout-oblivious, and a snapshot/restore
 // cycle must unload a shim cleanly.
 func TestDispatchOverReplicatedStore(t *testing.T) {
-	s, _ := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, _ := newReplicaFS(t, 3, 2, nil)
 	d := NewDispatch(s)
 
 	// Interpose a counting shim on Open, the dlsym(RTLD_NEXT) idiom.

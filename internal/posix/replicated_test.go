@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"ldplfs/internal/iostats"
 )
 
 // newReplicaFS builds a replica-r composite over n MemFS backends, each
 // wrapped in a FaultFS so tests can kill or stall individual backends.
-func newReplicaFS(t *testing.T, n, r int, stats iostats.Collector, hedge time.Duration, timer func(time.Duration) <-chan time.Time) (*StripedFS, []*FaultFS) {
+func newReplicaFS(t *testing.T, n, r int, stats iostats.Collector) (*StripedFS, []*FaultFS) {
 	t.Helper()
 	faults := make([]*FaultFS, n)
 	backends := make([]FS, n)
@@ -23,11 +22,7 @@ func newReplicaFS(t *testing.T, n, r int, stats iostats.Collector, hedge time.Du
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLayoutFS(layout, ReplicaOptions{
-		HedgeDeadline: hedge,
-		HedgeTimer:    timer,
-		Stats:         stats,
-	}, backends...), faults
+	return NewLayoutFS(layout, stats, backends...), faults
 }
 
 func replicaDesc(r int) string {
@@ -75,7 +70,7 @@ func mustReadFile(t *testing.T, fs FS, path string) []byte {
 // write lands byte-identically on every owner backend, and a canonical
 // write lands on backends 0..R-1.
 func TestReplicaWriteFansOut(t *testing.T) {
-	s, _ := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, _ := newReplicaFS(t, 3, 2, nil)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +105,7 @@ func TestReplicaWriteFansOut(t *testing.T) {
 // replica and the failover counter ticks.
 func TestReplicaReadFailover(t *testing.T) {
 	plane := iostats.NewPlane()
-	s, faults := newReplicaFS(t, 3, 2, plane, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, plane)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +138,7 @@ func TestReplicaReadFailover(t *testing.T) {
 // the doctor) rather than failing the write.
 func TestReplicaWriteDegraded(t *testing.T) {
 	plane := iostats.NewPlane()
-	s, faults := newReplicaFS(t, 3, 2, plane, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, plane)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +162,7 @@ func TestReplicaWriteDegraded(t *testing.T) {
 // TestReplicaAllOwnersDead pins the total-loss error path: with every
 // owner dark, reads and writes fail rather than hanging or lying.
 func TestReplicaAllOwnersDead(t *testing.T) {
-	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, nil)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -189,43 +184,10 @@ func TestReplicaAllOwnersDead(t *testing.T) {
 	}
 }
 
-// TestReplicaHedgedRead pins the hedge path deterministically: the
-// primary's read stalls behind a gate, the injected hedge timer fires
-// immediately, and the read completes byte-correct from the secondary
-// while the primary is still stuck. No wall-clock sleeps.
-func TestReplicaHedgedRead(t *testing.T) {
-	plane := iostats.NewPlane()
-	hedgeNow := make(chan time.Time, 1)
-	hedgeNow <- time.Time{} // the hedge timer fires as soon as selected
-	timer := func(time.Duration) <-chan time.Time { return hedgeNow }
-	s, faults := newReplicaFS(t, 3, 2, plane, time.Millisecond, timer)
-	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("hedged read wins on the secondary")
-	mustWriteFile(t, s, "/c/hostdir.1/dropping.data.1", payload)
-
-	gate := make(chan struct{})
-	faults[1].Inject(&FaultRule{Op: FaultRead, PathContains: "dropping.data.1", Gate: gate})
-
-	got := mustReadFile(t, s, "/c/hostdir.1/dropping.data.1")
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("hedged read diverges: %q", got)
-	}
-	close(gate) // release the stalled primary read
-	layer := plane.Layer("posix")
-	if n := layer.Counter("replica_read_hedged").Load(); n == 0 {
-		t.Fatal("hedge launches not counted")
-	}
-	if n := layer.Counter("replica_read_failover").Load(); n == 0 {
-		t.Fatal("hedge win not counted as a non-primary serve")
-	}
-}
-
 // TestReplicaPointerIO pins that multi-replica pointer reads/writes and
 // lseek keep the replica descriptors interchangeable.
 func TestReplicaPointerIO(t *testing.T) {
-	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, nil)
 	if err := MkdirAll(s, "/c/hostdir.2", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +236,7 @@ func TestReplicaPointerIO(t *testing.T) {
 // paths are replicated to backends 0..R-1: container metadata stays
 // readable after the canonical backend dies.
 func TestReplicaCanonicalMetaSurvivesBackend0(t *testing.T) {
-	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, nil)
 	if err := s.Mkdir("/c", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +263,7 @@ func TestModNUnchangedByLayoutFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends := []FS{NewMemFS(), NewMemFS(), NewMemFS()}
-	s := NewLayoutFS(layout, ReplicaOptions{}, backends...)
+	s := NewLayoutFS(layout, nil, backends...)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +291,7 @@ func TestModNUnchangedByLayoutFS(t *testing.T) {
 // TestReplicaRenameWithinSet pins that renames inside one replica set
 // apply to every owner, and renames across sets are refused.
 func TestReplicaRenameWithinSet(t *testing.T) {
-	s, _ := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, _ := newReplicaFS(t, 3, 2, nil)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}

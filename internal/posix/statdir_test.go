@@ -117,7 +117,7 @@ func TestListingMatchesSerialFold(t *testing.T) {
 					}
 				}
 				t.Run(fmt.Sprintf("w=%d%s/%s", w, dir, strings.Join(name[:], ",")), func(t *testing.T) {
-					s, faults := newReplicaFS(t, 3, w, nil, 0, nil)
+					s, faults := newReplicaFS(t, 3, w, nil)
 					inner := make([]FS, 3)
 					for i, f := range faults {
 						inner[i] = f.Unwrap()
@@ -192,7 +192,7 @@ func TestListingsInFlightTogether(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := NewLayoutFS(layout, ReplicaOptions{}, backends...)
+				s := NewLayoutFS(layout, nil, backends...)
 				listingTree(t, s, inner)
 				if call == "Readdir" {
 					_, err = s.Readdir(c.dir)
@@ -217,7 +217,7 @@ func TestListingsInFlightTogether(t *testing.T) {
 func TestReaddirStatIdentity(t *testing.T) {
 	striped := func(r, dark int) func(t *testing.T) (FS, func()) {
 		return func(t *testing.T) (FS, func()) {
-			s, faults := newReplicaFS(t, 3, r, nil, 0, nil)
+			s, faults := newReplicaFS(t, 3, r, nil)
 			if dark < 0 {
 				return s, func() {}
 			}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ldplfs/internal/iostats"
 )
@@ -31,9 +30,8 @@ import (
 //     backend.
 //
 // One replica loop serves every width: writes fan out to every live
-// replica, reads serve from the primary and fail over in replica order
-// — or are hedged against the next replica after a deadline — and a
-// backend failure degrades the file to its surviving replicas.
+// replica, reads serve from the primary and fail over in replica order,
+// and a backend failure degrades the file to its surviving replicas.
 // Divergence introduced by degraded writes is repaired offline by
 // plfsctl doctor (see internal/plfs's replication scanner). Mod-N is the
 // width-1 case: its sole owner has nothing to fail over to, so the loop
@@ -56,40 +54,16 @@ import (
 type StripedFS struct {
 	backends []FS
 	layout   Layout
-	ropts    ReplicaOptions
 
 	// Replica data-path counters, registered on layer "posix" when a
 	// collector is wired (standalone otherwise — Counter is nil-safe).
 	readPrimary   *iostats.Counter
 	readFailover  *iostats.Counter
-	readHedged    *iostats.Counter
 	writeDegraded *iostats.Counter
 
 	mu     sync.Mutex
 	fds    map[int]*stripedFD
 	nextFD int
-}
-
-// ReplicaOptions tunes the replica data path of a StripedFS. The zero
-// value disables hedging and telemetry.
-type ReplicaOptions struct {
-	// HedgeDeadline races a read against the next replica when the
-	// primary has not answered within the deadline — the classic
-	// tail-latency hedge against a straggling backend. Zero disables
-	// hedging; reads then fail over only on error. Callers typically
-	// derive the deadline from the backends' known service time (e.g.
-	// a small multiple of the FaultFS per-op service time). A width-1
-	// layout has no second replica to race, so the deadline is ignored.
-	HedgeDeadline time.Duration
-
-	// HedgeTimer injects the hedge trigger for deterministic tests:
-	// given the deadline it returns the channel whose receipt launches
-	// the hedge. Nil uses the wall clock (time.After).
-	HedgeTimer func(time.Duration) <-chan time.Time
-
-	// Stats registers the replica read/write counters on layer "posix"
-	// of the collector. Nil keeps standalone (invisible) counters.
-	Stats iostats.Collector
 }
 
 // stripedFD is one composite descriptor: the path it was opened under
@@ -135,32 +109,28 @@ func (e *stripedFD) retire(i int) (n int64) {
 // layout. Backend 0 is the canonical backend. At least one backend is
 // required; with exactly one, the composite is a pass-through.
 func NewStripedFS(backends ...FS) *StripedFS {
-	return NewLayoutFS(Layout{}, ReplicaOptions{}, backends...)
+	return NewLayoutFS(Layout{}, nil, backends...)
 }
 
 // NewLayoutFS composes backends under an explicit layout (the zero
-// Layout is mod-N); ropts governs the replica data path.
-func NewLayoutFS(layout Layout, ropts ReplicaOptions, backends ...FS) *StripedFS {
+// Layout is mod-N). stats registers the replica read/write counters on
+// its layer "posix"; nil keeps standalone (invisible) counters.
+func NewLayoutFS(layout Layout, stats iostats.Collector, backends ...FS) *StripedFS {
 	if len(backends) == 0 {
 		panic("posix: NewStripedFS needs at least one backend")
 	}
 	s := &StripedFS{
 		backends: slices.Clone(backends),
 		layout:   layout,
-		ropts:    ropts,
 		fds:      make(map[int]*stripedFD),
 		nextFD:   3,
 	}
-	if s.LayoutWidth() == 1 {
-		s.ropts.HedgeDeadline = 0 // no second replica to race
-	}
 	var layer *iostats.LayerStats
-	if ropts.Stats != nil {
-		layer = ropts.Stats.Layer("posix")
+	if stats != nil {
+		layer = stats.Layer("posix")
 	}
 	s.readPrimary = layer.Counter("replica_read_primary")
 	s.readFailover = layer.Counter("replica_read_failover")
-	s.readHedged = layer.Counter("replica_read_hedged")
 	s.writeDegraded = layer.Counter("replica_write_degraded")
 	return s
 }
@@ -462,15 +432,11 @@ func (s *StripedFS) Write(fd int, p []byte) (int, error) {
 }
 
 // Pread implements FS: served from the primary, failing over in replica
-// order; with a hedge deadline configured, a slow primary is raced
-// against the next replica and the first answer wins.
+// order.
 func (s *StripedFS) Pread(fd int, p []byte, off int64) (int, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
-	}
-	if s.ropts.HedgeDeadline > 0 {
-		return s.hedgedPread(e, p, off)
 	}
 	n, i, err := serve(s, e, true, func(b FS, bfd int) (int, error) { return b.Pread(bfd, p, off) })
 	s.countRead(i)
@@ -478,118 +444,15 @@ func (s *StripedFS) Pread(fd int, p []byte, off int64) (int, error) {
 }
 
 // Preadv implements VectorFS: the whole vector is served by one replica,
-// failing over exactly like Pread. Under a hedge deadline the vector
-// degrades to per-buffer hedged reads — the hedge races private buffers
-// per request, and its deterministic tests count those requests, so
-// hedging keeps the scalar shape.
+// failing over exactly like Pread.
 func (s *StripedFS) Preadv(fd int, bufs [][]byte, off int64) (int64, error) {
 	e, err := s.entry(fd)
 	if err != nil {
 		return 0, err
 	}
-	if s.ropts.HedgeDeadline > 0 {
-		var total int64
-		for _, b := range bufs {
-			n, err := s.hedgedPread(e, b, off+total)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-			if n < len(b) {
-				return total, nil // EOF
-			}
-		}
-		return total, nil
-	}
 	n, i, err := serve(s, e, true, func(b FS, bfd int) (int64, error) { return Preadv(b, bfd, bufs, off) })
 	s.countRead(i)
 	return n, err
-}
-
-// hedgeTimer returns the channel that triggers a hedge after d.
-func (s *StripedFS) hedgeTimer(d time.Duration) <-chan time.Time {
-	if s.ropts.HedgeTimer != nil {
-		return s.ropts.HedgeTimer(d)
-	}
-	return time.After(d)
-}
-
-// hedgedPread races replicas: the primary read is launched, and if it
-// has not answered by the hedge deadline the next replica is launched
-// too; the first successful answer wins. Each racer reads into a
-// private buffer so a late loser never scribbles on the caller's
-// buffer. Errors fail over to further replicas immediately, and — as in
-// serve — the replicas that failed are disabled only once another has
-// answered.
-func (s *StripedFS) hedgedPread(e *stripedFD, p []byte, off int64) (int, error) {
-	type result struct {
-		idx int
-		n   int
-		err error
-		buf []byte
-	}
-	ch := make(chan result, len(e.reps))
-	var firstErr error
-	var failed []int
-	next := 0
-	inflight := 0
-	launch := func() {
-		for next < len(e.reps) {
-			i := next
-			next++
-			r := &e.reps[i]
-			if r.dead.Load() {
-				continue
-			}
-			bfd, err := s.readable(e, r)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				failed = append(failed, i)
-				continue
-			}
-			inflight++
-			go func() {
-				buf := make([]byte, len(p))
-				n, err := s.backends[r.b].Pread(bfd, buf, off)
-				ch <- result{idx: i, n: n, err: err, buf: buf}
-			}()
-			return
-		}
-	}
-	launch()
-	timer := s.hedgeTimer(s.ropts.HedgeDeadline)
-	for inflight > 0 {
-		select {
-		case r := <-ch:
-			inflight--
-			if r.err == nil {
-				copy(p, r.buf[:r.n])
-				for _, j := range failed {
-					e.reps[j].dead.Store(true)
-				}
-				s.countRead(r.idx)
-				return r.n, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			failed = append(failed, r.idx)
-			launch()
-		case <-timer:
-			timer = nil // fire at most once; nil channel never selects
-			before := inflight
-			launch()
-			if inflight > before {
-				s.readHedged.Add(1)
-			}
-		}
-	}
-	if firstErr == nil {
-		firstErr = EIO // no replica left to ask
-	}
-	return 0, firstErr
 }
 
 // Pwrite implements FS.

@@ -13,7 +13,7 @@ import (
 // shadows' ENOTEMPTY is a live backend's refusal and aborts the Rmdir
 // before any owner is touched — ignoring it orphaned the hostdir.
 func TestRmdirRefusedByLiveShadow(t *testing.T) {
-	s, _ := newReplicaFS(t, 4, 2, nil, 0, nil)
+	s, _ := newReplicaFS(t, 4, 2, nil)
 	if err := s.Mkdir("/c", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRmdirRefusedByLiveShadow(t *testing.T) {
 // the container walk must fail rather than list the container without
 // it — unrecoverable loss is EIO, not a hole.
 func TestReaddirNeverSilentlyShort(t *testing.T) {
-	s, faults := newReplicaFS(t, 4, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 4, 2, nil)
 	if err := s.Mkdir("/c", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFailureBudgetWindow(t *testing.T) {
 				for _, dead := range subsets(n, w) {
 					name := fmt.Sprintf("w=%d/%s/%s/dead=%v", w, tg.kind, op.name, dead)
 					t.Run(name, func(t *testing.T) {
-						s, faults := newReplicaFS(t, n, w, nil, 0, nil)
+						s, faults := newReplicaFS(t, n, w, nil)
 						for _, dir := range []string{"/c", "/c/openhosts", "/c/hostdir.0", "/c/hostdir.1", "/c/hostdir.2", "/c/hostdir.3"} {
 							if err := s.Mkdir(dir, 0o755); err != nil {
 								t.Fatal(err)
@@ -238,7 +238,7 @@ func TestSoleOwnerIsPassThrough(t *testing.T) {
 	})
 
 	t.Run("errors", func(t *testing.T) {
-		s, faults := newReplicaFS(t, 3, 1, nil, 0, nil)
+		s, faults := newReplicaFS(t, 3, 1, nil)
 		if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestStripedFSMatchesMemFS(t *testing.T) {
 					for i := range backends {
 						backends[i] = NewMemFS()
 					}
-					s := NewLayoutFS(layout, ReplicaOptions{}, backends...)
+					s := NewLayoutFS(layout, nil, backends...)
 					runDifferential(t, rand.New(rand.NewSource(seed)), s, NewMemFS(), 400)
 				})
 			}

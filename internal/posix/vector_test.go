@@ -308,7 +308,7 @@ func TestFaultFSPwritevPartial(t *testing.T) {
 // counter.
 func TestStripedPreadvFailover(t *testing.T) {
 	plane := iostats.NewPlane()
-	s, faults := newReplicaFS(t, 3, 2, plane, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, plane)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestStripedPreadvFailover(t *testing.T) {
 // TestStripedPwritevReplicated pins the vectored replica write: one
 // Pwritev lands the whole vector on every replica.
 func TestStripedPwritevReplicated(t *testing.T) {
-	s, faults := newReplicaFS(t, 3, 2, nil, 0, nil)
+	s, faults := newReplicaFS(t, 3, 2, nil)
 	if err := MkdirAll(s, "/c/hostdir.1", 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -235,6 +235,28 @@ var conformanceRows = []struct {
 		s.close(fd)
 		s.contents(path, "aaaabbcc")
 	}},
+	{"append-cursor", func(s script, path string) {
+		fd := s.open(path, posix.O_CREAT|posix.O_WRONLY)
+		s.write(fd, "0123456789")
+		s.close(fd)
+		fd = s.open(path, posix.O_RDWR|posix.O_APPEND)
+		s.lseek(fd, 0, posix.SEEK_CUR, 0) // the open leaves the pointer at 0
+		s.read(fd, 4, "0123")
+		s.write(fd, "ab") // the write lands at EOF and moves the pointer there
+		s.lseek(fd, 0, posix.SEEK_CUR, 12)
+		s.close(fd)
+		s.contents(path, "0123456789ab")
+	}},
+	{"rdonly-trunc", func(s script, path string) {
+		fd := s.open(path, posix.O_CREAT|posix.O_WRONLY)
+		s.write(fd, "hello")
+		s.close(fd)
+		fd = s.open(path, posix.O_RDONLY|posix.O_TRUNC) // truncates, as Linux does
+		s.sizes(fd, path, 0)
+		s.read(fd, 4, "")
+		s.close(fd)
+		s.contents(path, "")
+	}},
 	{"truncate", func(s script, path string) {
 		fd := s.open(path, posix.O_CREAT|posix.O_RDWR)
 		s.write(fd, "0123456789abcdef")

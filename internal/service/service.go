@@ -42,33 +42,22 @@ type Config struct {
 	// Clock drives the token buckets and the governor (nil = wall time).
 	Clock tune.Clock
 
-	// Governor enables the feedback loop that throttles background
-	// tenants when foreground demand rises.
-	Governor GovernorConfig
+	// Governor enables the per-tenant policy actuator: a tune controller
+	// whose throughput signal is the priority-0 tenants' delivered bytes
+	// and whose knobs are the background tenants' rate caps. When
+	// foreground demand is being starved, stepping a background tenant's
+	// cap down raises the signal and the controller keeps the step; when
+	// the foreground is idle, throttling buys nothing, the trial shows no
+	// improvement, and background tenants keep their full rates —
+	// work-conserving both ways. Its window is tune.DefaultWindowBytes
+	// of foreground traffic and its ladder governorLadder.
+	Governor bool
 }
 
-// GovernorConfig configures the per-tenant policy actuator: a tune
-// controller whose throughput signal is the priority-0 tenants'
-// delivered bytes and whose knobs are the background tenants' rate
-// caps. When foreground demand is being starved, stepping a background
-// tenant's cap down raises the signal and the controller keeps the
-// step; when the foreground is idle, throttling buys nothing, the
-// trial shows no improvement, and background tenants keep their full
-// rates — work-conserving both ways.
-type GovernorConfig struct {
-	Enable bool
-
-	// WindowBytes sizes the measurement window over foreground bytes
-	// (0 = tune.DefaultWindowBytes).
-	WindowBytes int64
-
-	// Ladder is the percent-of-configured-rate positions the governor
-	// may set a background tenant's byte caps to, ascending (default
-	// 12, 25, 50, 100). The ends are hard bounds.
-	Ladder []int
-}
-
-var defaultGovernorLadder = []int{12, 25, 50, 100}
+// governorLadder is the percent-of-configured-rate positions the
+// governor may set a background tenant's byte caps to, ascending. The
+// ends are hard bounds.
+var governorLadder = []int{12, 25, 50, 100}
 
 // Gateway is the plfsd service core: tenant policy, per-tenant PLFS
 // instances, and session minting. It is transport-agnostic — Serve
@@ -122,8 +111,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		g.fss[tc.Name] = plfs.New(cfg.Backend, plfs.WithStats(cfg.Plane))
 		g.tenantIdx[tc.Name] = uint32(i)
 	}
-	if cfg.Governor.Enable {
-		g.gov = newGovernor(cfg.Governor, g.qos, cfg.Clock)
+	if cfg.Governor {
+		g.gov = newGovernor(g.qos, cfg.Clock)
 	}
 	return g, nil
 }
@@ -132,11 +121,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 // (priority-0) tenants' delivered bytes, knobs = background tenants'
 // byte-rate caps as a percent ladder. Background tenants with no
 // configured byte cap have nothing to actuate and get no knob.
-func newGovernor(cfg GovernorConfig, q *qos, clock tune.Clock) *tune.Controller {
-	ladder := cfg.Ladder
-	if len(ladder) == 0 {
-		ladder = defaultGovernorLadder
-	}
+func newGovernor(q *qos, clock tune.Clock) *tune.Controller {
 	var fg []*Tenant
 	var knobs []tune.Knob
 	for _, t := range q.Tenants() {
@@ -152,8 +137,8 @@ func newGovernor(cfg GovernorConfig, q *qos, clock tune.Clock) *tune.Controller 
 		}
 		knobs = append(knobs, tune.Knob{
 			Name:   "rate:" + t.Name,
-			Ladder: ladder,
-			Start:  ladder[len(ladder)-1],
+			Ladder: governorLadder,
+			Start:  governorLadder[len(governorLadder)-1],
 			Apply: func(pct int) {
 				if baseR > 0 {
 					t.readBucket.SetRate(baseR * int64(pct) / 100)
@@ -174,7 +159,7 @@ func newGovernor(cfg GovernorConfig, q *qos, clock tune.Clock) *tune.Controller 
 		}
 		return n
 	}
-	return tune.New(tune.Config{WindowBytes: cfg.WindowBytes, Clock: clock}, source, knobs...)
+	return tune.New(tune.Config{Clock: clock}, source, knobs...)
 }
 
 // Plane exposes the gateway's telemetry plane (plfsctl stats reads it

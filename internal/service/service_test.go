@@ -272,7 +272,7 @@ func TestGovernorActuates(t *testing.T) {
 			{Name: "gold", Priority: 0},
 			{Name: "batch", Priority: 1, ReadBytesPerSec: batchBase, WriteBytesPerSec: batchBase},
 		}
-		c.Governor = GovernorConfig{Enable: true, WindowBytes: 64 << 10}
+		c.Governor = true
 	})
 	if g.Governor() == nil {
 		t.Fatal("governor not armed")
@@ -287,8 +287,10 @@ func TestGovernorActuates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 32<<10)
-	for i := 0; i < 40; i++ {
+	// 20 MiB of foreground writes: about twenty of the governor's
+	// tune.DefaultWindowBytes windows.
+	buf := make([]byte, 256<<10)
+	for i := 0; i < 80; i++ {
 		if _, err := s.Pwrite(fd, buf, int64(i*len(buf))); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +305,7 @@ func TestGovernorActuates(t *testing.T) {
 	}
 	rate := g.Tenant("batch").ReadRate()
 	valid := false
-	for _, pct := range defaultGovernorLadder {
+	for _, pct := range governorLadder {
 		if rate == batchBase*int64(pct)/100 {
 			valid = true
 		}

@@ -45,7 +45,7 @@ func layoutStore(t *testing.T, desc string, faulty bool) posix.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := posix.NewLayoutFS(layout, posix.ReplicaOptions{}, backends...)
+	store := posix.NewLayoutFS(layout, nil, backends...)
 	if err := harness.PrepareStore(store); err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +179,21 @@ func diffAcrossStores(t *testing.T, outputs []string, run func(store posix.FS)) 
 			if n := offPlane.Layer("readcache").Counter("flattened_builds").Load(); n != 0 {
 				t.Fatalf("[%s] %s read loaded a dropped record", cfg, out)
 			}
-			if _, err := plfs.New(store).WriteFlattenedIndex(path); err != nil {
+			info, err := plfs.New(store).WriteFlattenedIndex(path)
+			if err != nil {
 				t.Fatalf("[%s] re-flatten %s: %v", cfg, out, err)
 			}
 
 			// Deliberately stale: append a deterministic tail behind the
-			// record's back; a cold default instance must fall back and
+			// record's back (set it aside, drop what the close publishes,
+			// put it back); a cold default instance must fall back and
 			// serve the extended bytes.
+			record := fmt.Sprintf("%s/index.flattened.%d", path, info.Generation)
+			if err := store.Rename(record, path+".record"); err != nil {
+				t.Fatal(err)
+			}
 			tail := []byte("kernel-differential stale tail: " + out)
-			wP := plfs.New(store, plfs.IndexOptions{DisableAutoFlatten: true})
+			wP := plfs.New(store)
 			f, err := wP.Open(path, posix.O_WRONLY, 424242, 0o644)
 			if err != nil {
 				t.Fatalf("[%s] stale staging open %s: %v", cfg, out, err)
@@ -196,6 +202,12 @@ func diffAcrossStores(t *testing.T, outputs []string, run func(store posix.FS)) 
 				t.Fatal(err)
 			}
 			if err := f.Close(424242); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wP.DropFlattenedIndex(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Rename(path+".record", record); err != nil {
 				t.Fatal(err)
 			}
 			stalePlane := iostats.NewPlane()
