@@ -18,8 +18,8 @@ import (
 // has unlinked its own openhosts record, or for closeHold at most — so if
 // the ranks close at once, every rank finds no writer left — and
 // counts flatten claims (the O_EXCL create of a last closer's temp
-// record) and the hostdir listings ranks other than 0 make while they
-// close.
+// record), the hostdir listings ranks other than 0 make while they
+// close, and the index droppings rank 0 opens while it closes.
 type closeProbe struct {
 	rank    int
 	closing *atomic.Bool
@@ -28,10 +28,11 @@ type closeProbe struct {
 
 // closeTally is what every rank's probes share.
 type closeTally struct {
-	rank0Gone     chan struct{}
-	once          sync.Once
-	claims        atomic.Int64
-	peerHostdirLs atomic.Int64
+	rank0Gone      chan struct{}
+	once           sync.Once
+	claims         atomic.Int64
+	peerHostdirLs  atomic.Int64
+	rank0IndexOpen atomic.Int64
 }
 
 const closeHold = 500 * time.Millisecond
@@ -54,6 +55,8 @@ func (p *closeProbe) After(op posix.Op, _ int64, _ error) {
 		p.shared.claims.Add(1)
 	case (op.Call == posix.CallReaddir || op.Call == posix.CallReaddirStat) && p.rank > 0 && p.closing.Load() && strings.Contains(op.Path, "/hostdir."):
 		p.shared.peerHostdirLs.Add(1)
+	case op.Call == posix.CallOpen && p.rank == 0 && p.closing.Load() && strings.Contains(op.Path, "/dropping.index."):
+		p.shared.rank0IndexOpen.Add(1)
 	}
 }
 
@@ -63,7 +66,9 @@ func (p *closeProbe) After(op posix.Op, _ int64, _ error) {
 // record. Ranks that closed at once would each find no writer left, list
 // every hostdir and try to claim the flatten; a collective close has one
 // last closer, rank 0: exactly one claim, no hostdir listing by ranks 1
-// to 3, and one fresh flattened record that reads back the bytes.
+// to 3, and one fresh flattened record that reads back the bytes. Rank
+// 0 flattens from its own fold and the folds ranks 1 to 3 gathered to
+// it, so it opens no index dropping while it closes.
 func TestCollectiveCloseOneLastCloser(t *testing.T) {
 	backends := [3]posix.FS{posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()}
 	tally := &closeTally{rank0Gone: make(chan struct{})}
@@ -101,6 +106,9 @@ func TestCollectiveCloseOneLastCloser(t *testing.T) {
 	}
 	if n := tally.peerHostdirLs.Load(); n != 0 {
 		t.Errorf("ranks 1-3 listed hostdirs %d times while closing, want 0", n)
+	}
+	if n := tally.rank0IndexOpen.Load(); n != 0 {
+		t.Errorf("rank 0 opened index droppings %d times while closing, want 0: it read back what the folds hold", n)
 	}
 
 	cold := plfs.New(posix.NewStripedFS(backends[:]...))

@@ -106,6 +106,20 @@ type VectorReader interface {
 	PreadvAt(segs []Segment, buf []byte) (int, error)
 }
 
+// foldCloser is an optional DriverFile capability: a file whose close
+// can hand the index records its rank wrote, folded in memory, to the
+// rank that closes last, and close last with what the others handed
+// it. File.Close uses it so that the communicator's last closer (rank 0)
+// reads no index dropping back to flatten the file. A wrapping
+// DriverFile forwards it by implementing both methods.
+type foldCloser interface {
+	// CloseSending closes as Close does and returns the rank's folds,
+	// encoded (nil if it has none to hand on).
+	CloseSending() ([]byte, error)
+	// CloseGathered closes as Close does, with the other ranks' folds.
+	CloseGathered(peers [][]byte) error
+}
+
 // indexSharer is an optional Driver capability: a driver that can build
 // a file's index on one rank and open the others from it. Open uses it
 // for a read-only collective open of one path — rank 0 calls
@@ -296,3 +310,9 @@ func (f *plfsFile) Truncate(size int64) error { return f.f.Trunc(size) }
 func (f *plfsFile) Sync() error               { return f.f.Sync(f.pid) }
 func (f *plfsFile) Close() error              { return f.f.Close(f.pid) }
 func (f *plfsFile) Size() (int64, error)      { return f.f.Size() }
+
+// CloseSending implements foldCloser over plfs.File.CloseSending.
+func (f *plfsFile) CloseSending() ([]byte, error) { return f.f.CloseSending(f.pid) }
+
+// CloseGathered implements foldCloser over plfs.File.CloseGathered.
+func (f *plfsFile) CloseGathered(peers [][]byte) error { return f.f.CloseGathered(f.pid, peers) }

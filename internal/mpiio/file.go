@@ -252,16 +252,36 @@ func aggregators(size, ppn, perNode int) []int {
 // than 0 close first, then rank 0, so a container the ranks wrote has
 // one last closer: rank 0 alone finds no writer left and flattens, and
 // the others neither list its droppings nor race it for the claim (see
-// plfs's flatten.go). The second barrier keeps MPI's rule that the file
-// is closed on every rank once any rank's Close returns.
+// plfs's flatten.go). Through a driver whose files can hand on their
+// folded index records (foldCloser), the gather between the two steps
+// brings rank 0 the other ranks' folds, so its flatten reads no dropping
+// back; through any other, it carries nothing. The closing barrier
+// keeps MPI's rule that the file is closed on every rank once any
+// rank's Close returns.
 func (f *File) Close() error {
+	fc, canFold := f.df.(foldCloser)
 	var err error
+	var mine []byte
 	if f.rank.Rank() != 0 {
-		err = f.df.Close()
+		if canFold {
+			mine, err = fc.CloseSending()
+		} else {
+			err = f.df.Close()
+		}
 	}
-	f.rank.Barrier()
+	got := f.rank.Gather(0, mine)
 	if f.rank.Rank() == 0 {
-		err = f.df.Close()
+		if canFold {
+			var peers [][]byte
+			for _, v := range got[1:] {
+				if b := v.([]byte); b != nil {
+					peers = append(peers, b)
+				}
+			}
+			err = fc.CloseGathered(peers)
+		} else {
+			err = f.df.Close()
+		}
 	}
 	f.rank.Barrier()
 	return err

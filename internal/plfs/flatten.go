@@ -37,11 +37,33 @@
 // and goes when the container is unlinked. A command's flatten (plfsctl
 // compact) claims nothing: its temp name is its own (flattenedTemp), so
 // it may race a closer, and each publishes a whole record.
+//
+// Where a flatten reads a dropping from. Every writer folds the records
+// it appends into timestamped runs (idx.Fold) — one run for an N-1
+// writer, a streaming appender or each writer of a round-robin wide
+// write. A writer that resumed an existing dropping, or that a truncate
+// rebound, has no fold, and a fold that would pass idx.MaxFoldRuns runs
+// is dropped. A retired writer's fold stays on its container record
+// until the instance's last writer closes and hands every fold to the
+// flatten; a truncate, a compaction, an unlink or a rename through the
+// instance forgets them. A collective close adds the folds its other
+// ranks gathered to it as bytes (File.CloseSending, CloseGathered). The
+// flatten still lists the container first, and its raw signature still
+// comes from that listing. A listed dropping can be read from a fold
+// only if the fold describes its path and its listed size is exactly
+// the header plus one record per record folded — the evidence the raw
+// signature trusts. If every listed dropping can, the flatten reads
+// none of them back; otherwise it streams them all from their listed
+// sizes, as a command's flatten does: sourcing only some would save
+// their backend ops but not the merge's wait on the rest. Either way
+// the record holds the same bytes, since a fold's stream yields the
+// records its dropping's stream would.
 package plfs
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -202,16 +224,64 @@ func (p *FS) WriteFlattenedIndex(path string) (FlattenedInfo, error) {
 	if p.hasOpenWriters(path) {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: container has active writers", path)
 	}
-	return p.writeFlattened(path, false)
+	return p.writeFlattened(path, false, foldSources{})
+}
+
+// foldSources is what a last close brings its flatten besides the
+// listing: the folds of the droppings its instance wrote, by path, and
+// the fold encodings a collective close gathered from its peers.
+type foldSources struct {
+	own   map[string]*idx.Fold
+	peers [][]byte
+}
+
+// pick returns, per dropping of the walk, the fold the merge reads it
+// from: the instance's own, or else a peer's, listed at exactly the
+// size of its records (idx.Fold.Holds). It returns nil — stream every
+// dropping — unless every dropping has one. A peer's encoding that
+// fails to decode contributes nothing.
+func (src foldSources) pick(st indexState) []*idx.Fold {
+	if len(src.own) == 0 && len(src.peers) == 0 {
+		return nil
+	}
+	var peer map[string]*idx.Fold
+	if len(src.peers) > 0 {
+		listed := make(map[string]int64, len(st.droppings))
+		for i, d := range st.droppings {
+			listed[d] = st.stats[i].Size
+		}
+		peer = make(map[string]*idx.Fold)
+		for _, enc := range src.peers {
+			got, err := idx.DecodeFolds(enc, func(path string) (int64, bool) {
+				size, ok := listed[path]
+				return size, ok
+			})
+			if err == nil {
+				maps.Copy(peer, got)
+			}
+		}
+	}
+	folds := make([]*idx.Fold, len(st.droppings))
+	for i, d := range st.droppings {
+		if f := src.own[d]; f != nil && f.Holds(st.stats[i].Size) {
+			folds[i] = f
+		} else if f := peer[d]; f != nil {
+			folds[i] = f
+		} else {
+			return nil
+		}
+	}
+	return folds
 }
 
 // writeFlattened performs the flatten: one streaming merge of the
 // droppings as its walk listed them (merge, so the record holds
-// exactly what its signature describes), one atomic record write, old
-// generations retired best-effort. A last closer's
-// flatten (claim) writes under flattenClaim and, per the package doc,
-// returns a zero FlattenedInfo before any merge when the claim is taken.
-func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
+// exactly what its signature describes) — each from the fold src picks
+// for it, if any — one atomic record write, old generations retired
+// best-effort. A last closer's flatten (claim) writes under
+// flattenClaim and, per the package doc, returns a zero FlattenedInfo
+// before any merge when the claim is taken.
+func (p *FS) writeFlattened(path string, claim bool, src foldSources) (FlattenedInfo, error) {
 	st, err := p.listIndexState(path)
 	if err != nil {
 		return FlattenedInfo{}, err
@@ -235,7 +305,7 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 	if err != nil {
 		return FlattenedInfo{}, fmt.Errorf("plfs: flatten %s: create %s: %w", path, tmp, err)
 	}
-	global, _, err := p.merge(st)
+	global, _, err := p.mergeFrom(st, src.pick(st))
 	if err != nil {
 		p.backend.Close(fd)
 		p.backend.Unlink(tmp)
@@ -252,16 +322,21 @@ func (p *FS) writeFlattened(path string, claim bool) (FlattenedInfo, error) {
 		Version: fl.Version, Runs: fl.Runs, Singles: fl.Singles}, nil
 }
 
-// maybeAutoFlatten writes a flattened record when no writer holds the
-// container open any more; File.Close calls it for an instance's last
-// writer. Best-effort: a failed flatten costs the next cold open a
-// streaming merge, nothing more.
-func (p *FS) maybeAutoFlatten(path string) {
+// flattenAtClose writes a flattened record when no writer holds the
+// container open any more, reading droppings from src's folds where it
+// can; File.Close calls it for an instance's last writer. Best-effort: a
+// failed flatten costs the next cold open a streaming merge, nothing
+// more.
+func (p *FS) flattenAtClose(path string, src foldSources) {
 	if p.hasOpenWriters(path) {
 		return
 	}
-	p.writeFlattened(path, true)
+	p.writeFlattened(path, true, src)
 }
+
+// maybeAutoFlatten is flattenAtClose for a close that brings no fold:
+// every dropping is streamed.
+func (p *FS) maybeAutoFlatten(path string) { p.flattenAtClose(path, foldSources{}) }
 
 // DropFlattenedIndex removes the container's flattened records (all
 // generations), returning how many were unlinked. Raw droppings are

@@ -56,6 +56,13 @@ type DroppingStream struct {
 	// or one out of timestamp order — held until the reader gets there.
 	bad    error
 	lastTS uint64
+
+	// fold, for a Fold's stream, is where the records come from instead
+	// of a backend: run and k are the next record's run and its ordinal
+	// in it (see fillFold).
+	fold *Fold
+	run  int
+	k    int64
 }
 
 // OpenDroppingStream opens the index dropping at path as a listing saw
@@ -101,6 +108,10 @@ func OpenDroppingStream(fs posix.FS, path string, size int64, chunkRecords int) 
 // surfaces exactly when a reader reaches it. Only a failed read or a bad
 // header is returned.
 func (s *DroppingStream) fill() error {
+	if s.fold != nil {
+		s.fillFold()
+		return nil
+	}
 	n := int(min(int64(s.chunk), (s.end-s.off)/EntrySize))
 	want := n * EntrySize
 	if cap(s.buf) < want {
@@ -198,8 +209,13 @@ func (s *DroppingStream) Next() (e Entry, ok bool, err error) {
 	return *h, true, nil
 }
 
-// Close releases the stream's descriptor.
-func (s *DroppingStream) Close() error { return s.fs.Close(s.fd) }
+// Close releases the stream's descriptor, if it has one.
+func (s *DroppingStream) Close() error {
+	if s.fold != nil {
+		return nil
+	}
+	return s.fs.Close(s.fd)
+}
 
 // mergeKey is what the loser tree orders a stream's head record by:
 // (timestamp, pid, dropping, stream), with pid and dropping packed into

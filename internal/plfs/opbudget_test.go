@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldplfs/internal/iostats"
+	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 )
 
@@ -75,6 +76,22 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 //     rename per backend striped) — 12 + H + 3·(D + 3) ops,
 //     7 + H + (D + 3) meta, on MemFS and 18 + H + 3·(D + 3),
 //     13 + H + (D + 3) on mod-3. The listings are the listing rows'.
+//     The closing instance wrote one of those droppings and holds its
+//     fold, but a flatten reads droppings from folds only when every
+//     dropping has one, so all D + 3 are read back.
+//   - last close, every dropping its own: one instance's D + 1 writers,
+//     pids 200.., each on its own handle, wrote a fresh container, and
+//     the last of them closes: the last close's row with every dropping
+//     read from its writer's fold — no D term, 12 + H ops, 7 + H meta,
+//     on MemFS and 18 + H, 13 + H on mod-3.
+//   - last close, a size that disagrees / a resumed writer / a spilled
+//     fold: the same, with one dropping its fold cannot vouch for — a
+//     partial record appended behind the writer's back, a writer that
+//     resumed the dropping its pid closed earlier, or a writer whose
+//     records folded into more than idx.MaxFoldRuns runs — so every
+//     dropping is read back as the last close's row reads them:
+//     12 + H + 3·(D + 1) ops, 7 + H + (D + 1) meta, on MemFS and
+//     18 + H + 3·(D + 1), 13 + H + (D + 1) on mod-3.
 func TestOpBudget(t *testing.T) {
 	type row struct{ total, meta budget }
 	stores := []struct {
@@ -92,6 +109,10 @@ func TestOpBudget(t *testing.T) {
 			"first write, fresh instance":                        {budget{11, 1, 3}, budget{6, 1, 1}},
 			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
 			"last close":                                         {budget{21, 1, 3}, budget{10, 1, 1}},
+			"last close, every dropping its own":                 {budget{12, 1, 0}, budget{7, 1, 0}},
+			"last close, a size that disagrees":                  {budget{15, 1, 3}, budget{8, 1, 1}},
+			"last close, a resumed writer":                       {budget{15, 1, 3}, budget{8, 1, 1}},
+			"last close, a spilled fold":                         {budget{15, 1, 3}, budget{8, 1, 1}},
 		}},
 		{"mod-3", 3, map[string]row{
 			"trusted":      {budget{10, 1, 0}, budget{8, 1, 0}},
@@ -103,6 +124,10 @@ func TestOpBudget(t *testing.T) {
 			"first write, fresh instance":                        {budget{13, 1, 3}, budget{8, 1, 1}},
 			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
 			"last close":                                         {budget{27, 1, 3}, budget{16, 1, 1}},
+			"last close, every dropping its own":                 {budget{18, 1, 0}, budget{13, 1, 0}},
+			"last close, a size that disagrees":                  {budget{21, 1, 3}, budget{14, 1, 1}},
+			"last close, a resumed writer":                       {budget{21, 1, 3}, budget{14, 1, 1}},
+			"last close, a spilled fold":                         {budget{21, 1, 3}, budget{14, 1, 1}},
 		}},
 	}
 	const path = "/backend/c"
@@ -199,6 +224,70 @@ func TestOpBudget(t *testing.T) {
 				check("writer close", func() error { return handles[0].Close(100) })
 				check("writer close, the other writer in another instance", func() error { return handles[1].Close(101) })
 				check("last close", func() error { return handles[2].Close(102) })
+
+				// One instance's writers, pids 200..200+D, on a fresh
+				// container; spoil may leave pid 200's dropping one its
+				// fold cannot vouch for before the first D close.
+				ownClose := func(name, c string, spoil func(in *FS, c string, hs []*File) error) {
+					t.Helper()
+					in := New(store, EngineOptions{NumHostdirs: h})
+					hs := make([]*File, d+1)
+					for i := range hs {
+						f, err := in.Open(c, posix.O_CREAT|posix.O_WRONLY, uint32(200+i), 0o644)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := f.Write([]byte("tail"), int64(4*i), uint32(200+i)); err != nil {
+							t.Fatal(err)
+						}
+						hs[i] = f
+					}
+					if spoil != nil {
+						if err := spoil(in, c, hs); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := 0; i < d; i++ {
+						if err := hs[i].Close(uint32(200 + i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					check(name, func() error { return hs[d].Close(uint32(200 + d)) })
+				}
+				ownClose("last close, every dropping its own", "/backend/own", nil)
+				ownClose("last close, a size that disagrees", "/backend/torn", func(in *FS, c string, hs []*File) error {
+					if err := hs[0].Sync(200); err != nil {
+						return err
+					}
+					fd, err := bare.Open(indexDropping(in.hostdir(c, 200), 200), posix.O_WRONLY|posix.O_APPEND, 0)
+					if err != nil {
+						return err
+					}
+					defer bare.Close(fd)
+					_, err = bare.Write(fd, []byte("torn tail"))
+					return err
+				})
+				ownClose("last close, a resumed writer", "/backend/resumed", func(in *FS, c string, hs []*File) error {
+					if err := hs[0].Close(200); err != nil {
+						return err
+					}
+					f, err := in.Open(c, posix.O_WRONLY, 200, 0)
+					if err != nil {
+						return err
+					}
+					hs[0] = f
+					_, err = f.Write([]byte("more"), 1<<20, 200)
+					return err
+				})
+				ownClose("last close, a spilled fold", "/backend/spilled", func(in *FS, c string, hs []*File) error {
+					// Lengths 1 and 2 in turn: no record continues a run.
+					for i := 0; i <= idx.MaxFoldRuns; i++ {
+						if _, err := hs[0].Write([]byte("ab")[:1+i%2], int64(1<<20+4*i), 200); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
 			})
 		}
 	}

@@ -434,10 +434,16 @@ func (p *FS) clearOpen(path string, pid uint32) {
 	p.backend.Unlink(fmt.Sprintf("%s/%s/host.%d", path, openhostsDir, pid))
 }
 
-// hasOpenWriters reports whether any writer holds the container open.
+// hasOpenWriters reports whether any writer may hold the container
+// open: the openhosts listing holds a record, or it failed for any
+// reason but the directory's absence — a listing that cannot be read
+// proves no writer gone.
 func (p *FS) hasOpenWriters(path string) bool {
 	entries, err := p.backend.Readdir(path + "/" + openhostsDir)
-	return err == nil && len(entries) > 0
+	if errors.Is(err, posix.ENOENT) {
+		return false
+	}
+	return err != nil || len(entries) > 0
 }
 
 // bumpClock raises the logical clock to at least min, so entries written
@@ -524,7 +530,13 @@ type writer struct {
 	mu      sync.Mutex
 	dataFD  int
 	idxW    *idx.Writer
+	idxPath string
 	physOff int64
+	// fold holds every record the writer appended, for the flatten of
+	// its instance's last close (see flatten.go); nil for a writer that
+	// resumed a dropping or was rebound by a truncate, and once the
+	// fold spills past idx.MaxFoldRuns.
+	fold *idx.Fold
 }
 
 // container is one instance's state for one container it has open: the
@@ -542,6 +554,10 @@ type container struct {
 
 	mu      sync.RWMutex
 	writers map[uint32]*writer
+	// folds holds the folds of retired writers, by index dropping path,
+	// until the instance's last writer closes and hands them to its
+	// flatten. Guarded by mu.
+	folds map[string]*idx.Fold
 
 	// dpaths caches pid → data-dropping path so warm reads skip the
 	// two per-batch Sprintf calls. Guarded by dmu, not mu: path
@@ -726,24 +742,33 @@ func (c *container) getWriterLocked(pid uint32) (*writer, error) {
 		p.backend.Close(fd)
 		return nil, err
 	}
-	iw, err := openIndexWriter(p, indexDropping(hostdir, pid))
+	idxPath := indexDropping(hostdir, pid)
+	iw, fresh, err := openIndexWriter(p, idxPath)
 	if err != nil {
 		p.backend.Close(fd)
 		return nil, err
 	}
-	w := &writer{dataFD: fd, idxW: iw, physOff: st.Size}
+	w := &writer{dataFD: fd, idxW: iw, idxPath: idxPath, physOff: st.Size}
+	if fresh {
+		w.fold = &idx.Fold{}
+	} else {
+		delete(c.folds, idxPath)
+	}
 	c.writers[pid] = w
 	p.markOpen(c.path, pid)
 	return w, nil
 }
 
 // openIndexWriter opens an index dropping for appending, creating it if
-// necessary; re-opening an existing dropping resumes after its records.
-func openIndexWriter(p *FS, path string) (*idx.Writer, error) {
+// necessary (fresh); re-opening an existing dropping resumes after its
+// records.
+func openIndexWriter(p *FS, path string) (w *idx.Writer, fresh bool, err error) {
 	if _, err := p.backend.Stat(path); err == nil {
-		return idx.OpenWriter(p.backend, path)
+		w, err = idx.OpenWriter(p.backend, path)
+		return w, false, err
 	}
-	return idx.NewWriter(p.backend, path)
+	w, err = idx.NewWriter(p.backend, path)
+	return w, true, err
 }
 
 // Write appends count bytes at logical offset off on behalf of pid —
@@ -950,6 +975,7 @@ func (p *FS) truncateShared(path string, size int64) error {
 			return err
 		}
 	}
+	c.folds = nil
 	if err := p.truncateContainer(path, size); err != nil {
 		return err
 	}
@@ -976,8 +1002,9 @@ func (c *container) rebindWritersLocked(size int64) error {
 	var rerr error
 	for pid, w := range c.writers {
 		w.idxW.Close()
+		w.fold = nil
 		if size > 0 {
-			iw, err := openIndexWriter(p, indexDropping(p.hostdir(c.path, pid), pid))
+			iw, _, err := openIndexWriter(p, w.idxPath)
 			if err == nil {
 				w.idxW = iw
 				continue
@@ -1003,14 +1030,40 @@ func (c *container) rebindWritersLocked(size int64) error {
 // close that leaves one of the instance's own writers open neither lists
 // openhosts nor flattens — that writer's close will. Only the instance's
 // last writer lists openhosts, for the writers of other instances (see
-// "One flatten per set of last closers" in flatten.go). Closing a closed
-// handle is a no-op.
+// "One flatten per set of last closers" in flatten.go). That flatten
+// hands the merge its instance's writers' folds (see "Where a flatten
+// reads a dropping from" in flatten.go). Closing a closed handle is a
+// no-op. Close is CloseGathered with no peers.
 func (f *File) Close(pid uint32) error {
+	_, err := f.close(pid, nil, false)
+	return err
+}
+
+// CloseSending is Close for a rank of a collective close that is not
+// the one expected to close last: it closes as Close does, and when
+// this is its instance's last writer it also returns the folds of the
+// droppings the instance wrote, encoded (idx.EncodeFolds), for the last
+// closer's CloseGathered. Otherwise the bytes are nil.
+func (f *File) CloseSending(pid uint32) ([]byte, error) {
+	return f.close(pid, nil, true)
+}
+
+// CloseGathered is Close for the rank of a collective close that closes
+// last, with the encodings its peers' CloseSending returned: a flatten
+// by this close may read the droppings their folds describe from the
+// folds instead of the backend. Peers change where the flatten reads
+// from, never whether it runs.
+func (f *File) CloseGathered(pid uint32, peers [][]byte) error {
+	_, err := f.close(pid, peers, false)
+	return err
+}
+
+func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 	c, p := f.container, f.fs
 	p.hmu.Lock()
 	if f.closed.Load() {
 		p.hmu.Unlock()
-		return nil
+		return nil, nil
 	}
 	c.mu.Lock()
 	_, hadWriter := c.writers[pid]
@@ -1027,16 +1080,24 @@ func (f *File) Close(pid uint32) error {
 			p.fds.DropPrefix(c.path + "/")
 		}
 	}
-	lastHere := len(c.writers) == 0
+	last := hadWriter && len(c.writers) == 0
+	var folds map[string]*idx.Fold
+	if last {
+		folds, c.folds = c.folds, nil
+	}
 	c.mu.Unlock()
 	p.hmu.Unlock()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if hadWriter && lastHere {
-		p.maybeAutoFlatten(c.path)
+	if !last {
+		return nil, nil
 	}
-	return nil
+	p.flattenAtClose(c.path, foldSources{own: folds, peers: peers})
+	if send && len(folds) > 0 {
+		return idx.EncodeFolds(folds), nil
+	}
+	return nil, nil
 }
 
 // teardownWriterLocked closes one pid's writer and clears its openhosts
@@ -1058,7 +1119,27 @@ func (c *container) teardownWriterLocked(pid uint32) error {
 	}
 	p.clearOpen(c.path, pid)
 	delete(c.writers, pid)
+	if w.fold != nil {
+		if c.folds == nil {
+			c.folds = make(map[string]*idx.Fold)
+		}
+		c.folds[w.idxPath] = w.fold
+	}
 	return nil
+}
+
+// dropFolds forgets the folds of path's retired writers: the operation
+// about to run replaces or removes the droppings they describe, and a
+// later dropping at the same path and size would not be theirs.
+func (p *FS) dropFolds(path string) {
+	p.hmu.Lock()
+	c := p.containers[path]
+	p.hmu.Unlock()
+	if c != nil {
+		c.mu.Lock()
+		c.folds = nil
+		c.mu.Unlock()
+	}
 }
 
 // Stat describes a container without opening it — plfs_getattr. Its
@@ -1103,6 +1184,7 @@ func (p *FS) Unlink(path string) error {
 	if !p.IsContainer(path) {
 		return posix.ENOENT
 	}
+	p.dropFolds(path)
 	p.dropIndex(path)
 	p.fds.DropPrefix(path + "/")
 	err := p.removeTree(path)
@@ -1141,6 +1223,7 @@ func (p *FS) Rename(oldpath, newpath string) error {
 			return err
 		}
 	}
+	p.dropFolds(oldpath)
 	p.dropIndex(oldpath)
 	p.dropIndex(newpath)
 	p.fds.DropPrefix(oldpath + "/")
@@ -1302,6 +1385,7 @@ func (p *FS) CompactIndex(path string) error {
 	if p.hasOpenWriters(path) {
 		return fmt.Errorf("plfs: compact %s: container has active writers", path)
 	}
+	p.dropFolds(path)
 	if err := p.consolidate(path, -1); err != nil {
 		return err
 	}
@@ -1309,7 +1393,7 @@ func (p *FS) CompactIndex(path string) error {
 	// record just went stale; refresh it from the consolidated state
 	// (best effort — compaction itself succeeded either way). plfsctl
 	// compact reports the outcome via IndexHealth.
-	p.writeFlattened(path, false)
+	p.writeFlattened(path, false, foldSources{})
 	return nil
 }
 

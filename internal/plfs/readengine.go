@@ -216,12 +216,23 @@ func (st indexState) signature() readcache.Signature {
 // do) demotes the whole reconstruction to the slurp-and-sort path,
 // which handles any order. The merge sees every record, so it also
 // returns the newest timestamp among them (0 for none).
-func (p *FS) merge(st indexState) (*idx.Index, uint64, error) {
+func (p *FS) merge(st indexState) (*idx.Index, uint64, error) { return p.mergeFrom(st, nil) }
+
+// mergeFrom is merge with the records of dropping i taken from folds[i]
+// instead of the backend when folds is not nil (a last close's flatten;
+// see flatten.go): the same records in the same order, so the same
+// index, and no backend op.
+func (p *FS) mergeFrom(st indexState, folds []*idx.Fold) (*idx.Index, uint64, error) {
 	streams := make([]*idx.DroppingStream, len(st.droppings))
 	errs := make([]error, len(st.droppings))
-	runParallel(len(st.droppings), p.workers, func(i int) {
-		streams[i], errs[i] = idx.OpenDroppingStream(p.backend, st.droppings[i], st.stats[i].Size, p.streamChunk)
-	})
+	for i, f := range folds {
+		streams[i] = f.Stream(p.streamChunk)
+	}
+	if folds == nil {
+		runParallel(len(st.droppings), p.workers, func(i int) {
+			streams[i], errs[i] = idx.OpenDroppingStream(p.backend, st.droppings[i], st.stats[i].Size, p.streamChunk)
+		})
+	}
 	closeAll := func() {
 		for _, s := range streams {
 			if s != nil {

@@ -78,16 +78,21 @@ func (w *writer) writeData(backend posix.FS, buf []byte) (int, error) {
 }
 
 // appendEntryLocked buffers one index record for n bytes at logical
-// offset off whose payload landed at physOff, stamping the clock. Caller
+// offset off whose payload landed at physOff, stamping the clock, and
+// folds it into the writer's fold; a fold that spills is dropped. Caller
 // holds the writer's lock (or the container lock exclusive).
 func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
-	w.idxW.Append(idx.Entry{
+	e := idx.Entry{
 		LogicalOffset:  off,
 		Length:         n,
 		PhysicalOffset: physOff,
 		Timestamp:      f.fs.clock.Add(1),
 		Pid:            pid,
-	})
+	}
+	w.idxW.Append(e)
+	if w.fold != nil && !w.fold.Append(e) {
+		w.fold = nil
+	}
 }
 
 // recordExtentLocked buffers one index record for n bytes at logical

@@ -250,10 +250,10 @@ func (fs *MemFS) Pread(fd int, p []byte, off int64) (int, error) {
 	return fs.preadLocked(f, p, off)
 }
 
+// preadLocked and pwriteLocked check the descriptor before the length,
+// as Linux does: a zero-length transfer through the wrong access mode,
+// on a directory or at a negative offset fails like any other.
 func (fs *MemFS) preadLocked(f *memFD, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
 	if f.flags&O_ACCMODE == O_WRONLY {
 		return 0, EBADF
 	}
@@ -262,6 +262,9 @@ func (fs *MemFS) preadLocked(f *memFD, p []byte, off int64) (int, error) {
 	}
 	if off < 0 {
 		return 0, EINVAL
+	}
+	if len(p) == 0 {
+		return 0, nil
 	}
 	size := fs.sizeOf(f.node)
 	if off >= size {
@@ -351,9 +354,6 @@ func (fs *MemFS) Pwritev(fd int, bufs [][]byte, off int64) (int64, error) {
 }
 
 func (fs *MemFS) pwriteLocked(f *memFD, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
 	if f.flags&O_ACCMODE == O_RDONLY {
 		return 0, EBADF
 	}
@@ -362,6 +362,9 @@ func (fs *MemFS) pwriteLocked(f *memFD, p []byte, off int64) (int, error) {
 	}
 	if off < 0 {
 		return 0, EINVAL
+	}
+	if len(p) == 0 {
+		return 0, nil
 	}
 	end := off + int64(len(p))
 	if fs.dataless {

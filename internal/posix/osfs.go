@@ -160,6 +160,16 @@ func (o *OSFS) Open(path string, flags int, mode uint32) (int, error) {
 	return fd, nil
 }
 
+// emptyIO answers a zero-length transfer, which os.File returns from
+// without asking the kernel: with the access-mode check Linux makes
+// before it looks at the length.
+func (h *osFD) emptyIO(write bool) error {
+	if mode := h.flags & O_ACCMODE; write && mode == O_RDONLY || !write && mode == O_WRONLY {
+		return EBADF
+	}
+	return nil
+}
+
 func (o *OSFS) fd(fd int) (*osFD, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -190,6 +200,9 @@ func (o *OSFS) Read(fd int, p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if len(p) == 0 {
+		return 0, h.emptyIO(false)
+	}
 	n, rerr := h.f.Read(p)
 	if rerr == io.EOF {
 		rerr = nil
@@ -203,6 +216,9 @@ func (o *OSFS) Write(fd int, p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if len(p) == 0 {
+		return 0, h.emptyIO(true)
+	}
 	n, werr := h.f.Write(p)
 	return n, mapOSError(werr)
 }
@@ -214,6 +230,9 @@ func (o *OSFS) Pread(fd int, p []byte, off int64) (int, error) {
 	h, err := o.fd(fd)
 	if err != nil {
 		return 0, err
+	}
+	if len(p) == 0 && off >= 0 {
+		return 0, h.emptyIO(false)
 	}
 	n, rerr := h.f.ReadAt(p, off)
 	if rerr == io.EOF {
@@ -227,6 +246,9 @@ func (o *OSFS) Pwrite(fd int, p []byte, off int64) (int, error) {
 	h, err := o.fd(fd)
 	if err != nil {
 		return 0, err
+	}
+	if len(p) == 0 && off >= 0 {
+		return 0, h.emptyIO(true)
 	}
 	n, werr := h.f.WriteAt(p, off)
 	return n, mapOSError(werr)
