@@ -191,7 +191,8 @@ func resumeDropping(fs posix.FS, fd int, path string) error {
 // engine group-flushes record batches and creates droppings header-
 // last, and readers racing those windows must see the whole records,
 // not fail the container). Corruption inside whole records is still
-// caught by the per-record checksum.
+// caught by the per-record checksum. The records are decoded in place,
+// over the bytes read (decodeRecords), in any timestamp order.
 func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	fd, err := fs.Open(path, posix.O_RDONLY, 0)
 	if err != nil {
@@ -211,12 +212,12 @@ func ReadDropping(fs posix.FS, path string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Entry, n)
-	for i := range entries {
-		off := headerSize + i*EntrySize
-		if err := entries[i].Unmarshal(data[off : off+EntrySize]); err != nil {
-			return nil, fmt.Errorf("index: dropping %s record %d: %w", path, i, err)
-		}
+	if n == 0 {
+		return nil, nil
+	}
+	entries, err := decodeRecords(data[headerSize:headerSize+n*EntrySize], nil)
+	if err != nil {
+		return nil, recordError(path, int64(len(entries)), err)
 	}
 	return entries, nil
 }

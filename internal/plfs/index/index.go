@@ -71,25 +71,14 @@ func (e *Entry) Unmarshal(buf []byte) error {
 
 // checksum is a cheap integrity word over the record fields (FNV-1a over
 // the packed fields); it catches torn or misaligned index droppings.
+// decodeRecords hashes the same bytes, in the same order, straight from
+// raw records.
 func (e Entry) checksum() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(e.LogicalOffset))
-	mix(uint64(e.Length))
-	mix(uint64(e.PhysicalOffset))
-	mix(e.Timestamp)
-	mix(uint64(e.Pid)<<32 | uint64(e.Dropping))
-	return h
+	h := mix8(fnvOffset64, uint64(e.LogicalOffset))
+	h = mix8(h, uint64(e.Length))
+	h = mix8(h, uint64(e.PhysicalOffset))
+	h = mix8(h, e.Timestamp)
+	return mix8(h, uint64(e.Pid)<<32|uint64(e.Dropping))
 }
 
 // Extent is one contiguous piece of the resolved logical file: Length bytes

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 
 	"ldplfs/internal/posix"
 )
@@ -24,10 +23,6 @@ var ErrUnsorted = errors.New("index: dropping records out of timestamp order")
 // of how many records the droppings hold in total: a stream decodes a
 // chunk in the memory it read it into (see fill).
 const DefaultStreamChunk = 2048
-
-// fill decodes records over their own raw bytes, which needs an Entry
-// no larger in memory than on disk; this fails to compile otherwise.
-var _ [EntrySize - unsafe.Sizeof(Entry{})]byte
 
 // DroppingStream reads an index dropping incrementally: header first,
 // then fixed-size chunks of records on demand, each decoded and checked
@@ -95,9 +90,8 @@ func OpenDroppingStream(fs posix.FS, path string, size int64, chunkRecords int) 
 }
 
 // fill reads the next chunk into buf and decodes the chunk's records,
-// in place, into ents: Entry i (in memory, 40 bytes at 40i) ends before
-// raw record i+1 (on disk, EntrySize bytes at EntrySize*(i+1)), so
-// storing it overwrites only bytes already decoded, and a stream holds
+// in place, into ents (decodeRecords: checksums checked four records at
+// a time, the same FNV-1a values Unmarshal checks), so a stream holds
 // one raw chunk, decoded or not, with no buffer beside it. The first
 // fill reads from byte 0 as one vectored read, the header into hdr and
 // the records into buf, and checks the header; buf then holds records
@@ -145,20 +139,11 @@ func (s *DroppingStream) fill() error {
 	}
 	first := (s.off - headerSize) / EntrySize
 	s.off += int64(n) * EntrySize
-	// Entry holds no pointers and fits its raw record, and a heap
-	// allocation of 48 bytes or more is 8-byte aligned, as Entry needs.
-	ents := unsafe.Slice((*Entry)(unsafe.Pointer(&raw[0])), n)
-	for i := range ents {
-		var e Entry
-		if err := e.Unmarshal(raw[i*EntrySize:]); err != nil {
-			ents, s.bad = ents[:i], fmt.Errorf("index: dropping %s record %d: %w", s.path, first+int64(i), err)
-			break
-		}
-		if e.Timestamp < s.lastTS {
-			ents, s.bad = ents[:i], fmt.Errorf("%w: %s", ErrUnsorted, s.path)
-			break
-		}
-		ents[i], s.lastTS = e, e.Timestamp
+	// A heap allocation of 48 bytes or more is 8-byte aligned, as the
+	// in-place Entry slice needs.
+	ents, err := decodeRecords(raw[:n*EntrySize], &s.lastTS)
+	if err != nil {
+		s.bad = recordError(s.path, first+int64(len(ents)), err)
 	}
 	s.ents = ents
 	return nil

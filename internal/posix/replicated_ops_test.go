@@ -366,3 +366,44 @@ func TestDispatchOverReplicatedStore(t *testing.T) {
 		t.Fatalf("shim fired after Restore: %d opens", opens)
 	}
 }
+
+// TestMkdirMissingParent: a canonical Mkdir under a parent no backend
+// holds fails with ENOENT and creates nothing anywhere, under every
+// layout width, as MemFS does; and under a parent that only the
+// primary holds — replicas and shadows lagging the skeleton — it
+// succeeds and rebuilds the parent on every backend.
+func TestMkdirMissingParent(t *testing.T) {
+	for r := 1; r <= 3; r++ {
+		t.Run(replicaDesc(r), func(t *testing.T) {
+			s, faults := newReplicaFS(t, 3, r, nil)
+			if err := s.Mkdir("/missing/child", 0o755); !errors.Is(err, ENOENT) {
+				t.Fatalf("Mkdir under a missing parent = %v, want ENOENT", err)
+			}
+			for i, f := range faults {
+				if _, err := f.Stat("/missing"); !errors.Is(err, ENOENT) {
+					t.Fatalf("backend %d: Stat(/missing) = %v, want ENOENT", i, err)
+				}
+			}
+
+			if err := s.Mkdir("/p", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			primary := s.ReplicasFor("/p/child")[0]
+			for i, f := range faults {
+				if i != primary {
+					if err := f.Rmdir("/p"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Mkdir("/p/child", 0o755); err != nil {
+				t.Fatalf("Mkdir with the parent on the primary alone = %v", err)
+			}
+			for i, f := range faults {
+				if st, err := f.Stat("/p/child"); err != nil || !st.IsDir() {
+					t.Fatalf("backend %d: Stat(/p/child) = %+v, %v; want the directory", i, st, err)
+				}
+			}
+		})
+	}
+}

@@ -629,7 +629,11 @@ func (s *StripedFS) Unlink(path string) error {
 // owners, rebuilding a missing parent skeleton there. A canonical
 // directory is created on its primary with authoritative error
 // semantics, then mirrored — with parents, EEXIST-tolerant — onto every
-// other backend so later hostdirs have a home there.
+// other backend so later hostdirs have a home there. Parents are
+// rebuilt only once an owner has created the directory: until then
+// (the primary dead or missing the parent) the next owner makes a
+// plain Mkdir, so a parent missing everywhere is ENOENT and creates
+// nothing.
 func (s *StripedFS) Mkdir(path string, mode uint32) error {
 	if routed(path) {
 		return s.pathAll(path, func(b FS) error {
@@ -644,11 +648,14 @@ func (s *StripedFS) Mkdir(path string, mode uint32) error {
 		})
 	}
 	owners := s.ReplicasFor(path)
+	made := false
 	return s.across(s.mirrored(owners), owners, func(i int) error {
-		if i == owners[0] {
-			return s.backends[i].Mkdir(path, mode)
+		if made {
+			return MkdirAll(s.backends[i], path, mode)
 		}
-		return MkdirAll(s.backends[i], path, mode)
+		err := s.backends[i].Mkdir(path, mode)
+		made = err == nil
+		return err
 	})
 }
 
