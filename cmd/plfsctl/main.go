@@ -64,11 +64,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	root := fl.String("root", ".", "host directory backing the tree (canonical backend)")
 	backends := fl.String("backends", "", "comma-separated extra host directories the container's droppings are striped across")
-	hostdirs := fl.Int("hostdirs", 32, "hostdir buckets (must match the writer's setting)")
 	layoutDesc := fl.String("layout", "", "placement layout across the backends: mod-n (default) or replica-R")
 	fix := fl.Bool("fix", false, "doctor: repair what it finds (stale openhosts records, a flattened index record that is not fresh, missing replica copies)")
 	force := fl.Bool("force", false, "doctor -fix: also rebuild diverged replica copies from the longest copy")
-	lint := fl.Bool("lint", false, "doctor: also note how to run the repository's static-analysis gate")
 	remote := fl.String("remote", "", "plfsd gateway address; stats and doctor run against the live daemon")
 	tenant := fl.String("tenant", "default", "tenant name for -remote connections")
 	if err := fl.Parse(argv); err != nil {
@@ -107,7 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	p := plfs.New(fs, plfs.EngineOptions{NumHostdirs: *hostdirs})
+	p := plfs.New(fs)
 	path := args[1]
 
 	switch args[0] {
@@ -188,12 +186,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "flattened index: none (cold opens run the streaming merge)")
 		}
 	case "doctor":
-		// -lint: doctor diagnoses containers; the invariants of the code
-		// that writes them have their own checker. Surface it here because
-		// doctor is where operators already look when something is off.
-		if *lint {
-			fmt.Fprintln(stdout, "lint: container checks below cover on-disk state; for the data-path invariants run `go run ./cmd/plfslint ./...` (catalogue: internal/analysis/doc.go)")
-		}
 		healthy, err := p.Doctor(stdout, path, *fix, *force)
 		if err != nil {
 			return fail("%v", err)

@@ -54,7 +54,6 @@ func TestDoctorAcrossBackends(t *testing.T) {
 	backendFlags := []string{
 		"-root", roots[0],
 		"-backends", roots[1] + "," + roots[2],
-		"-hostdirs", "6",
 	}
 
 	// Write a container through the same striped backend list the tool
@@ -67,7 +66,7 @@ func TestDoctorAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(posix.NewStripedFS(stores...), plfs.EngineOptions{NumHostdirs: 6})
+	p := plfs.New(posix.NewStripedFS(stores...))
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func TestDoctorAcrossBackends(t *testing.T) {
 	// Pointed at the canonical root alone, the tool cannot see shadow
 	// droppings — the live pid-1 record would be misdiagnosed. The
 	// backend list is part of the container's identity.
-	code, out = exec(t, "-root", roots[0], "-hostdirs", "6", "doctor", "/data")
+	code, out = exec(t, "-root", roots[0], "doctor", "/data")
 	if code != 1 || !strings.Contains(out, "stale openhosts record: pid 1") {
 		t.Fatalf("single-root doctor should misdiagnose pid 1 (exit %d):\n%s", code, out)
 	}
@@ -158,7 +157,6 @@ func TestCtlCommandsAcrossBackends(t *testing.T) {
 	backendFlags := []string{
 		"-root", roots[0],
 		"-backends", roots[1] + "," + roots[2],
-		"-hostdirs", "6",
 	}
 	var stores []posix.FS
 	for _, r := range roots {
@@ -168,7 +166,7 @@ func TestCtlCommandsAcrossBackends(t *testing.T) {
 		}
 		stores = append(stores, osfs)
 	}
-	p := plfs.New(posix.NewStripedFS(stores...), plfs.EngineOptions{NumHostdirs: 6})
+	p := plfs.New(posix.NewStripedFS(stores...))
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +224,7 @@ func TestDoctorIndexHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
+	p := plfs.New(osfs)
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +239,7 @@ func TestDoctorIndexHealth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flags := []string{"-root", root, "-hostdirs", "4"}
+	flags := []string{"-root", root}
 
 	// Clean close wrote gen 1; doctor reports it fresh.
 	code, out := exec(t, append(flags, "doctor", "/data")...)
@@ -266,7 +264,7 @@ func TestDoctorIndexHealth(t *testing.T) {
 
 	// Stage staleness: newer raw droppings behind the record's back. The
 	// close publishes gen 2; drop it and put gen 1's bytes back.
-	stale := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
+	stale := plfs.New(osfs)
 	g, err := stale.Open("/data", posix.O_WRONLY, 7, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +310,7 @@ func TestCompactWritesFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
+	p := plfs.New(osfs)
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +327,7 @@ func TestCompactWritesFlattened(t *testing.T) {
 	if _, err := p.DropFlattenedIndex("/data"); err != nil {
 		t.Fatal(err)
 	}
-	flags := []string{"-root", root, "-hostdirs", "4"}
+	flags := []string{"-root", root}
 	code, out := exec(t, append(flags, "compact", "/data")...)
 	if code != 0 || !strings.Contains(out, "4 -> 1 index droppings") || !strings.Contains(out, "flattened index: gen 1, 4 extents") {
 		t.Fatalf("compact exit %d:\n%s", code, out)
@@ -351,7 +349,7 @@ func TestDoctorFixOrdersOpenhostsBeforeFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(osfs, plfs.EngineOptions{NumHostdirs: 4})
+	p := plfs.New(osfs)
 	f, err := p.Open("/data", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +364,7 @@ func TestDoctorFixOrdersOpenhostsBeforeFlattened(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "data", "openhosts", "host.9"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	flags := []string{"-root", root, "-hostdirs", "4"}
+	flags := []string{"-root", root}
 
 	// Without -fix: degraded, and the record reads as stale (pinned by
 	// the forged openhosts record).
@@ -409,7 +407,7 @@ func replicaPlfs(t *testing.T, roots []string) *plfs.FS {
 		t.Fatal(err)
 	}
 	striped := posix.NewLayoutFS(layout, nil, backends...)
-	return plfs.New(striped, plfs.EngineOptions{NumHostdirs: 6})
+	return plfs.New(striped)
 }
 
 // findReplicatedDropping walks the host roots for a data dropping that
@@ -452,7 +450,6 @@ func TestDoctorReplication(t *testing.T) {
 		"-root", roots[0],
 		"-backends", roots[1] + "," + roots[2],
 		"-layout", "replica-2",
-		"-hostdirs", "6",
 	}
 
 	p := replicaPlfs(t, roots)

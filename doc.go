@@ -20,19 +20,23 @@
 // reads through a capped descriptor cache. See README.md ("The read
 // engine") and internal/plfs/readcache.
 //
-// The write path is its twin: per-writer sharded locking (writes and
-// syncs for distinct pids proceed fully in parallel under a shared
+// The write path is its twin, and also one path: File.Write is a
+// one-segment File.WriteV. It has per-writer sharded locking (writes
+// and syncs for distinct pids proceed fully in parallel under a shared
 // container lock), batched index appends (plfs.DefaultIndexBatch), and
-// vectored multi-extent writes (File.WriteV) that reserve a physical
-// range up front and fan chunk pwrites out concurrently. Partial writes are always indexed to exactly the
-// durable prefix. See README.md ("The write engine").
+// vectored multi-extent writes that reserve a physical range up front
+// and fan chunk pwrites out concurrently. Partial writes are always
+// indexed to exactly the durable prefix, and the writer's cursor stops
+// at the last durable byte. See README.md ("The write engine").
 //
 // Containers can be striped over multiple backends by composing a
 // posix.StripedFS and handing it to plfs.New as the backend (the
 // -backends CLI flags do exactly that): canonical metadata lives on
 // backend 0 while hostdirs — and so data and index droppings —
-// distribute across all backends by hostdir number, letting both
-// engines aggregate bandwidth over independent stores.
+// distribute across all backends by hostdir number (a writer's hostdir
+// is its pid mod 32, a constant), letting both engines aggregate
+// bandwidth over independent stores. The one plfs.New option is
+// plfs.WithStats.
 //
 // The metadata path answers PLFS's cold-open wall with a flattened
 // global index: the container's resolved extent table persists as a

@@ -44,7 +44,7 @@ var HotFuncs = map[string]bool{
 	"readBatch":     true,
 	"failBatch":     true,
 	"writeV":        true,
-	"writeData":     true,
+	"issue":         true,
 	"pwriteAll":     true,
 	// mpiio collective shuffle plane: the per-round aggregator loop.
 	"route":         true,

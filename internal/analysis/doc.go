@@ -13,11 +13,12 @@
 // Collector is != nil, so every `if stats != nil` guard downstream
 // passes and the first method call segfaults.
 //
-// History: the PR 6 gateway wired TelemetryOptions.Stats from a
+// History: the PR 6 gateway wired the plfs telemetry collector from a
 // *iostats.Plane that was only allocated when telemetry was enabled;
 // with telemetry off, the daemon crashed on first I/O. This PR's
 // initial run found the same shape again in service.go (an unguarded
-// `fsCfg.Telemetry.Stats = g.plane`), now fixed with a nil guard.
+// store of g.plane into the collector field), now fixed with a nil
+// guard.
 //
 // Allowed forms the checker recognizes: untyped nil, constructor
 // calls, &composite, a dominating `x != nil` guard, an earlier
@@ -87,7 +88,7 @@
 // same function with a Put — deferred directly or through a releasing
 // helper that contains the Put (the plan.release idiom) — and the hot
 // functions (bufpool.HotFuncs: the engine's scatterGather, planBatches,
-// readBatch, failBatch, writeV, writeData, pwriteAll; the collective
+// readBatch, failBatch, writeV, issue, pwriteAll; the collective
 // shuffle's per-round loop; the gateway wire's frame reads and writes,
 // handleFrame, and the client's roundTrip, Pread and Pwrite) never
 // make([]byte, ...) per call.

@@ -34,7 +34,7 @@ func setupColdOpen(tb testing.TB, dropRecord bool) *posix.MemFS {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		tb.Fatal(err)
 	}
-	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16})
+	p := plfs.New(mem)
 	f, err := p.Open("/backend/many", posix.O_CREAT|posix.O_WRONLY, 0, 0o644)
 	if err != nil {
 		tb.Fatal(err)
@@ -67,7 +67,7 @@ func setupColdOpen(tb testing.TB, dropRecord bool) *posix.MemFS {
 // application sees byte 0.
 func coldOpenOnce(tb testing.TB, mem *posix.MemFS) time.Duration {
 	tb.Helper()
-	p := plfs.New(mem, plfs.EngineOptions{NumHostdirs: 16})
+	p := plfs.New(mem)
 	buf := make([]byte, coBlock)
 	start := time.Now()
 	f, err := p.Open("/backend/many", posix.O_RDONLY, 9999, 0)

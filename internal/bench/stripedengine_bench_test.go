@@ -23,7 +23,7 @@ import (
 // Systems"): more servers, more aggregate bandwidth, no application
 // change.
 const (
-	stWriters   = 12 // writer pids = hostdirs (NumHostdirs below)
+	stWriters   = 12 // writer pids 0..11, each its own hostdir (pid mod 32)
 	stBlocksPer = 8  // blocks per writer
 	stBlock     = 4 << 10
 	stService   = 400 * time.Microsecond // per-op backend service time
@@ -36,14 +36,12 @@ type stripedSet struct {
 	backends []posix.FS
 }
 
-// instance returns a plfs instance over a fresh composite of the set, at
-// the rig's container geometry.
+// instance returns a plfs instance over a fresh composite of the set.
 func (s stripedSet) instance() *plfs.FS { return s.instanceAt(runtime.GOMAXPROCS(0)) }
 
 // instanceAt is instance built under GOMAXPROCS procs (see newPLFSAt).
 func (s stripedSet) instanceAt(procs int) *plfs.FS {
-	return newPLFSAt(procs, posix.NewLayoutFS(s.layout, nil, s.backends...),
-		plfs.EngineOptions{NumHostdirs: stWriters})
+	return newPLFSAt(procs, posix.NewLayoutFS(s.layout, nil, s.backends...))
 }
 
 // stripedOpts builds the rig over n service-limited backends, returning

@@ -21,7 +21,7 @@ func faultEnv(t *testing.T) (*posix.Dispatch, *posix.FaultFS) {
 	if _, err := Preload(d, Config{
 		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    1,
-		Plfs:   plfs.New(ffs, plfs.EngineOptions{NumHostdirs: 2}),
+		Plfs:   plfs.New(ffs),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func newEnv(t *testing.T) (*posix.Dispatch, *LDPLFS, *posix.MemFS) {
 	l, err := Preload(d, Config{
 		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    42,
-		Plfs:   plfs.New(mem, plfs.EngineOptions{NumHostdirs: 4}),
+		Plfs:   plfs.New(mem),
 	})
 	if err != nil {
 		t.Fatal(err)

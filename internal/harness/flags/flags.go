@@ -26,16 +26,15 @@ func (p *Plfs) Register(fl *flag.FlagSet) {
 	fl.BoolVar(&p.Stats, "stats", false, "attach the iostats telemetry plane to every layer and dump a snapshot at exit")
 }
 
-// Options renders the group as grouped plfs options. The plane may be
-// nil (no telemetry) — taking the concrete *iostats.Plane rather than
-// the Collector interface keeps a typed-nil plane from turning into a
-// non-nil interface downstream.
+// Options renders the group as plfs options: WithStats over the plane,
+// or none. The plane may be nil (no telemetry) — taking the concrete
+// *iostats.Plane rather than the Collector interface keeps a typed-nil
+// plane from turning into a non-nil interface downstream.
 func (p *Plfs) Options(plane *iostats.Plane) []plfs.Option {
-	var tel plfs.TelemetryOptions
 	if plane != nil {
-		tel.Stats = plane
+		return []plfs.Option{plfs.WithStats(plane)}
 	}
-	return []plfs.Option{tel}
+	return nil
 }
 
 // NewPlane returns the telemetry plane the flags ask for, or nil.

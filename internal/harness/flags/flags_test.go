@@ -32,17 +32,16 @@ func TestPlfsGroup(t *testing.T) {
 	if plane == nil {
 		t.Fatal("-stats must build a plane")
 	}
-	var tel plfs.TelemetryOptions
-	for _, o := range p.Options(plane) {
-		switch v := o.(type) {
-		case plfs.TelemetryOptions:
-			tel = v
-		default:
-			t.Fatalf("unexpected option type %T", o)
-		}
+	plfs.New(posix.NewMemFS(), p.Options(plane)...)
+	var layers []string
+	for _, l := range plane.Snapshot().Layers {
+		layers = append(layers, l.Name)
 	}
-	if tel.Stats != plane {
-		t.Fatal("telemetry group not rendered")
+	if want := []string{"plfs", "readcache"}; !slices.Equal(layers, want) {
+		t.Fatalf("options wired layers %v, want %v", layers, want)
+	}
+	if opts := p.Options(nil); len(opts) != 0 {
+		t.Fatalf("no plane renders %d options, want none", len(opts))
 	}
 
 	var off Plfs

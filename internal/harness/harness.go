@@ -92,9 +92,8 @@ func PrepareStore(fs posix.FS) error {
 
 // DriverFor builds the per-rank ADIO driver for a named method over fs,
 // and returns the application-visible path for the given file name.
-// opts — grouped option structs (plfs.EngineOptions{...}) or
-// plfs.WithStats — configure the instance of whichever methods run over
-// PLFS.
+// opts (plfs.WithStats, the one option) configure the instance of
+// whichever methods run over PLFS.
 func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {
 	case "mpiio":

@@ -149,7 +149,7 @@ func TestLDPLFSCreatesScaleWithRanks(t *testing.T) {
 				if _, err := core.Preload(d, core.Config{
 					Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 					Pid:    uint32(r.Rank()),
-					Plfs:   plfs.New(rec, plfs.EngineOptions{NumHostdirs: 4}),
+					Plfs:   plfs.New(rec),
 				}); err != nil {
 					panic(err)
 				}

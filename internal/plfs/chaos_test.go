@@ -90,7 +90,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// Healthy twin: replica-2, no faults — the latency baseline. The
 	// helper returns the expected logical bytes (the undisturbed
 	// reference: content is a pure function of writer and block).
-	healthy := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+	healthy := newReplicaRig(t, 3, "replica-2")
 	want := writeN1(t, healthy.p, "/backend/f", pids, recs, recSize)
 	if got := readBack(t, healthy.p, "/backend/f"); !bytes.Equal(got, want) {
 		t.Fatalf("healthy replica-2 read diverged from reference (%d vs %d bytes)", len(got), len(want))
@@ -100,7 +100,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 	// Chaos run: backend 1 dies after its 10th write op (past container
 	// creation, well inside the workload) and stays dark through the
 	// read phase.
-	chaos := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+	chaos := newReplicaRig(t, 3, "replica-2")
 	chaos.faults[1].Schedule(&posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, chaos.p, "/backend/f", pids, recs, recSize)
 	if !chaos.faults[1].Killed() {
@@ -123,7 +123,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 
 	// Determinism: the same schedule on a fresh rig reproduces the same
 	// degraded-write count.
-	again := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+	again := newReplicaRig(t, 3, "replica-2")
 	again.faults[1].Schedule(&posix.FaultStep{AfterOps: 10, Op: posix.FaultWrite, Kill: true})
 	writeN1(t, again.p, "/backend/f", pids, recs, recSize)
 	if a, b := again.counter("replica_write_degraded"), chaos.counter("replica_write_degraded"); a != b {
@@ -139,7 +139,7 @@ func TestChaosKillBackendMidWrite(t *testing.T) {
 func TestChaosHealCycle(t *testing.T) {
 	const pids, recs, recSize = 6, 10, 256
 
-	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+	rig := newReplicaRig(t, 3, "replica-2")
 	rig.faults[2].Kill()
 	want := writeN1(t, rig.p, "/backend/f", pids, recs, recSize)
 	if got := readBack(t, rig.p, "/backend/f"); !bytes.Equal(got, want) {

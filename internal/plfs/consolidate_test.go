@@ -41,7 +41,7 @@ var compactStep = windowStep{
 // newWindowFS pins the worker pool to one so the k-th backend op is
 // the same op on every run.
 func newWindowFS(backend posix.FS) *FS {
-	p := New(backend, EngineOptions{NumHostdirs: 2})
+	p := New(backend)
 	p.workers = 1
 	return p
 }

@@ -82,14 +82,14 @@ func TestDoctorFixWindow(t *testing.T) {
 		{
 			name: "stale flattened record, no writers",
 			stage: func(t *testing.T, rig *replicaRig) {
-				stageStale(t, New(rig.p.Backend(), EngineOptions{NumHostdirs: 6}), c, 7, []byte("newer"), 10)
+				stageStale(t, New(rig.p.Backend()), c, 7, []byte("newer"), 10)
 			},
 			symptom: "STALE",
 		},
 		{
 			name: "stale flattened record, live writer",
 			stage: func(t *testing.T, rig *replicaRig) {
-				q := New(rig.p.Backend(), EngineOptions{NumHostdirs: 6})
+				q := New(rig.p.Backend())
 				f, err := q.Open(c, posix.O_WRONLY, 7, 0o644)
 				if err != nil {
 					t.Fatal(err)
@@ -153,7 +153,7 @@ func TestDoctorFixWindow(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+			rig := newReplicaRig(t, 3, "replica-2")
 			writeN1(t, rig.p, c, 4, 4, 128)
 			doctor := func(fix bool) (string, bool) {
 				t.Helper()
@@ -214,7 +214,7 @@ func TestDoctorFixWindow(t *testing.T) {
 // credited to no one.
 func TestContainerSpreadCountsEveryCopy(t *testing.T) {
 	const c = "/backend/f"
-	rig := newReplicaRig(t, 3, "replica-2", EngineOptions{NumHostdirs: 6})
+	rig := newReplicaRig(t, 3, "replica-2")
 	writeN1(t, rig.p, c, 6, 2, 64)
 	listed := func() []int {
 		t.Helper()

@@ -17,7 +17,7 @@ func faultPLFS(t *testing.T) (*FS, *posix.FaultFS, *posix.MemFS) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	return New(ffs, EngineOptions{NumHostdirs: 2}), ffs, mem
+	return New(ffs), ffs, mem
 }
 
 func TestENOSPCDuringDataWrite(t *testing.T) {
@@ -53,7 +53,7 @@ func TestENOSPCDuringDataWrite(t *testing.T) {
 // and the physical cursor advanced — or every subsequent write's index
 // entry points n bytes before its real payload.
 func TestPartialWriteKeepsIndexInSync(t *testing.T) {
-	p, ffs, _ := faultPLFS(t)
+	p, ffs, mem := faultPLFS(t)
 	f, err := p.Open("/backend/torn-write", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +94,11 @@ func TestPartialWriteKeepsIndexInSync(t *testing.T) {
 	if !bytes.Equal(full, want) {
 		t.Fatal("write after partial failure reads back shifted payload (physOff desync)")
 	}
+	// ...and the cursor moved by the 40 durable bytes, not the 100
+	// reserved: the dropping holds both payloads back to back.
+	if st, err := mem.Stat(dataDropping(p.hostdir("/backend/torn-write", 1), 1)); err != nil || st.Size != 100 {
+		t.Fatalf("data dropping after follow-up write = %+v, %v; want 100 bytes, no gap", st, err)
+	}
 	f.Close(1)
 }
 
@@ -116,7 +121,7 @@ func TestIndexDroppingFailureDetectedOnRead(t *testing.T) {
 	f.Sync(3)
 
 	// Corrupt the index dropping on disk: flip a byte in a record.
-	idxPath := "/backend/torn/hostdir.1/dropping.index.3"
+	idxPath := indexDropping(p.hostdir("/backend/torn", 3), 3)
 	fd, err := mem.Open(idxPath, posix.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +222,7 @@ func TestFlakyBackendReadRetries(t *testing.T) {
 // fail the container.
 func TestIndexDroppingHeaderWindow(t *testing.T) {
 	p1, ffs, mem := faultPLFS(t)
-	p2 := New(ffs, EngineOptions{NumHostdirs: 2}) // a sibling rank: its own instance
+	p2 := New(ffs) // a sibling rank: its own instance
 	const path = "/backend/window"
 	if err := p1.CreateContainer(path, 0o644); err != nil {
 		t.Fatal(err)
@@ -268,7 +273,7 @@ func TestIndexDroppingHeaderWindow(t *testing.T) {
 	if err := f2.Close(2); err != nil {
 		t.Fatal(err)
 	}
-	if all := readAllBytes(t, New(ffs, EngineOptions{NumHostdirs: 2}), path); string(all) != "onetwo" {
+	if all := readAllBytes(t, New(ffs), path); string(all) != "onetwo" {
 		t.Fatalf("after the window closed: %q", all)
 	}
 }

@@ -103,7 +103,7 @@ func TestFlattenedRunShapes(t *testing.T) {
 			const path = "/backend/shape"
 			want := writeShape(t, p, path, c.writes)
 
-			trusted := New(mem, EngineOptions{NumHostdirs: 4})
+			trusted := New(mem)
 			if got := readAllBytes(t, trusted, path); !bytes.Equal(got, want) {
 				t.Fatal("read through the flattened record diverged")
 			}
@@ -130,7 +130,7 @@ func TestFlattenedRunShapes(t *testing.T) {
 			if n, err := p.DropFlattenedIndex(path); err != nil || n != 1 {
 				t.Fatalf("drop = %d, %v", n, err)
 			}
-			merged := New(mem, EngineOptions{NumHostdirs: 4})
+			merged := New(mem)
 			if got := readAllBytes(t, merged, path); !bytes.Equal(got, want) {
 				t.Fatal("read through the streaming merge diverged")
 			}
@@ -204,7 +204,7 @@ const forgedSlack = 1 << 20
 func forgedReadAllocs(t *testing.T, mem posix.FS, path string, want []byte) uint64 {
 	t.Helper()
 	return allocated(func() {
-		cold := New(mem, EngineOptions{NumHostdirs: 4})
+		cold := New(mem)
 		if got := readAllBytes(t, cold, path); !bytes.Equal(got, want) {
 			t.Fatal("read beside a forged record diverged")
 		}

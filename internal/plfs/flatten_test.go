@@ -145,7 +145,7 @@ func TestAutoFlattenOnLastWriterClose(t *testing.T) {
 
 	// A cold instance over the same backend serves the first build from
 	// the flattened record — and reads the same bytes.
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	if got := readAllBytes(t, cold, "/backend/af"); !bytes.Equal(got, want) {
 		t.Fatal("flattened-backed read diverged")
 	}
@@ -160,7 +160,7 @@ func TestFlattenedStaleAfterNewWrites(t *testing.T) {
 
 	// A later writer appends more data, and the gen-1 record stays
 	// behind it, now stale.
-	later := New(p.backend, EngineOptions{NumHostdirs: 4})
+	later := New(p.backend)
 	tail := []byte("fresh bytes the flattened record knows nothing about")
 	stageStale(t, later, "/backend/stale", 9, tail, 4*4*64)
 	if names := flattenedNames(t, p, "/backend/stale"); len(names) != 1 {
@@ -169,7 +169,7 @@ func TestFlattenedStaleAfterNewWrites(t *testing.T) {
 
 	// A cold reader must detect the mismatch, ignore the record, and see
 	// the new bytes via the streaming merge.
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	got := readAllBytes(t, cold, "/backend/stale")
 	if int64(len(got)) != 4*4*64+int64(len(tail)) {
 		t.Fatalf("size over stale record = %d", len(got))
@@ -199,7 +199,7 @@ func TestCorruptFlattenedFallsBackSilently(t *testing.T) {
 	}
 	mem.Close(fd)
 
-	cold := New(mem, EngineOptions{NumHostdirs: 4})
+	cold := New(mem)
 	if got := readAllBytes(t, cold, "/backend/corrupt"); !bytes.Equal(got, want) {
 		t.Fatal("corrupt flattened record corrupted reads")
 	}
@@ -211,7 +211,7 @@ func TestCorruptFlattenedFallsBackSilently(t *testing.T) {
 	if err := mem.Truncate("/backend/corrupt/index.flattened.1", st.Size-11); err != nil {
 		t.Fatal(err)
 	}
-	cold2 := New(mem, EngineOptions{NumHostdirs: 4})
+	cold2 := New(mem)
 	if got := readAllBytes(t, cold2, "/backend/corrupt"); !bytes.Equal(got, want) {
 		t.Fatal("torn flattened record corrupted reads")
 	}
@@ -234,7 +234,7 @@ func TestFlattenedDistrustedWhileWriterLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	readAllBytes(t, cold, "/backend/live-w")
 	if s := cacheStats(cold); s.FlattenedBuilds != 0 {
 		t.Fatal("flattened record trusted while a writer is live")
@@ -250,7 +250,7 @@ func TestFlattenedReadMatchesMerge(t *testing.T) {
 	const path = "/backend/two-paths"
 	want := writeN1(t, p, path, 4, 4, 64)
 
-	withRecord := New(p.backend, EngineOptions{NumHostdirs: 4})
+	withRecord := New(p.backend)
 	if got := readAllBytes(t, withRecord, path); !bytes.Equal(got, want) {
 		t.Fatal("flattened-path read diverged")
 	}
@@ -261,7 +261,7 @@ func TestFlattenedReadMatchesMerge(t *testing.T) {
 	if n, err := p.DropFlattenedIndex(path); err != nil || n != 1 {
 		t.Fatalf("drop = %d, %v; want 1", n, err)
 	}
-	dropped := New(p.backend, EngineOptions{NumHostdirs: 4})
+	dropped := New(p.backend)
 	if got := readAllBytes(t, dropped, path); !bytes.Equal(got, want) {
 		t.Fatal("merge-path read diverged")
 	}
@@ -309,7 +309,7 @@ func TestDropFlattenedIndex(t *testing.T) {
 	if names := flattenedNames(t, p, "/backend/dropf"); len(names) != 0 {
 		t.Fatalf("records after drop = %v", names)
 	}
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	if got := readAllBytes(t, cold, "/backend/dropf"); !bytes.Equal(got, want) {
 		t.Fatal("read after drop diverged")
 	}
@@ -358,7 +358,7 @@ func TestCompactIndexRefreshesFlattened(t *testing.T) {
 	if h.Flattened == nil || !h.Flattened.Fresh || h.Flattened.Generation < 2 {
 		t.Fatalf("flattened after compact = %+v, want a fresh refreshed record", h.Flattened)
 	}
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	if got := readAllBytes(t, cold, "/backend/cflat"); !bytes.Equal(got, want) {
 		t.Fatal("read after compact+flatten diverged")
 	}
@@ -375,7 +375,7 @@ func TestFlattenedSurvivesRename(t *testing.T) {
 	if err := p.Rename("/backend/mv-a", "/backend/mv-b"); err != nil {
 		t.Fatal(err)
 	}
-	cold := New(p.backend, EngineOptions{NumHostdirs: 4})
+	cold := New(p.backend)
 	if got := readAllBytes(t, cold, "/backend/mv-b"); !bytes.Equal(got, want) {
 		t.Fatal("read after rename diverged")
 	}
@@ -387,7 +387,7 @@ func TestFlattenedSurvivesRename(t *testing.T) {
 func TestStripedFlattenedPlacement(t *testing.T) {
 	// The flattened record is canonical metadata: it must live on backend
 	// 0 only, while the droppings it summarises spread across all three.
-	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false)
 	f, err := p.Open("/backend/fplace", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestStripedFlattenedPlacement(t *testing.T) {
 			t.Fatalf("flattened record leaked onto shadow backend %d", bi)
 		}
 	}
-	cold := New(posix.NewStripedFS(mems[0], mems[1], mems[2]), EngineOptions{NumHostdirs: 6})
+	cold := New(posix.NewStripedFS(mems[0], mems[1], mems[2]))
 	if got := readAllBytes(t, cold, "/backend/fplace"); !bytes.Equal(got, want) {
 		t.Fatal("striped flattened read diverged")
 	}
@@ -446,7 +446,7 @@ func TestFlattenedStaleGenerationNameMismatch(t *testing.T) {
 	}
 	mem.Close(wfd)
 
-	cold := New(mem, EngineOptions{NumHostdirs: 4})
+	cold := New(mem)
 	if got := readAllBytes(t, cold, "/backend/genm"); !bytes.Equal(got, want) {
 		t.Fatal("gen-mismatched record corrupted reads")
 	}
@@ -550,13 +550,13 @@ func TestColdOpenDroppingReadCost(t *testing.T) {
 		mem2 := posix.NewMemFS()
 		copyTree(t, p.backend, mem2, "/backend")
 		if dropRecord {
-			if n, err := New(mem2, EngineOptions{NumHostdirs: 4}).DropFlattenedIndex("/backend/cost"); err != nil || n != 1 {
+			if n, err := New(mem2).DropFlattenedIndex("/backend/cost"); err != nil || n != 1 {
 				t.Fatalf("drop = %d, %v; want 1", n, err)
 			}
 		}
 		plane := iostats.NewPlane()
 		ins := posix.NewInstrumentFS(mem2, plane, posix.WithLayerName("backend"))
-		cold := New(ins, EngineOptions{NumHostdirs: 4})
+		cold := New(ins)
 		before := plane.Layer("backend").OpCount(iostats.Open)
 		f, err := cold.Open("/backend/cost", posix.O_RDONLY, 50, 0)
 		if err != nil {
@@ -638,7 +638,7 @@ func readRecord(fs posix.FS, rec string) (*idx.Flattened, error) {
 func checkOneFreshRecord(t *testing.T, fs posix.FS, path, want string) {
 	t.Helper()
 	checkPublished(t, fs, path, true, "all closed")
-	cold := New(fs, EngineOptions{NumHostdirs: 2})
+	cold := New(fs)
 	if names := flattenedNames(t, cold, path); len(names) != 1 {
 		t.Fatalf("container root holds %v, want the one record and no temp file", names)
 	}
@@ -668,7 +668,7 @@ func TestConcurrentLastClosers(t *testing.T) {
 		pid := uint32(i + 1)
 		c.ffs = posix.NewFaultFS(opens)
 		c.look, c.held, c.done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
-		f, err := New(c.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
+		f, err := New(c.ffs).Open(path, posix.O_CREAT|posix.O_RDWR, pid, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -722,7 +722,7 @@ func TestCompactRacesLastCloser(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := gatedCloser{ffs: posix.NewFaultFS(mem), held: make(chan struct{}), done: make(chan error, 1)}
-		f, err := New(a.ffs, EngineOptions{NumHostdirs: 2}).Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+		f, err := New(a.ffs).Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,7 +737,7 @@ func TestCompactRacesLastCloser(t *testing.T) {
 		b := gatedCloser{ffs: posix.NewFaultFS(mem), held: make(chan struct{}), done: make(chan error, 1)}
 		b.ffs.Inject(&posix.FaultRule{Op: posix.FaultAny, PathContains: flattenedPrefix, After: k, Times: 1, Gate: b.held})
 		go func() {
-			_, err := New(b.ffs, EngineOptions{NumHostdirs: 2}).WriteFlattenedIndex(path)
+			_, err := New(b.ffs).WriteFlattenedIndex(path)
 			b.done <- err
 		}()
 		b.park(t, 1)
@@ -811,7 +811,7 @@ func TestDeadFlattenClaim(t *testing.T) {
 	if _, err := readRecord(mem, flattenedPath(path, 1)); err != nil {
 		t.Fatalf("a close over new droppings did not flatten past the dead claim: %v", err)
 	}
-	if got := readAllBytes(t, New(mem, EngineOptions{NumHostdirs: 4}), path); string(got) != "onetwo" {
+	if got := readAllBytes(t, New(mem), path); string(got) != "onetwo" {
 		t.Fatalf("content = %q", got)
 	}
 
@@ -851,11 +851,11 @@ func TestFlattenedListedSizeDisagrees(t *testing.T) {
 		if err := mem.Mkdir("/backend", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		want := writeN1(t, New(mem, EngineOptions{NumHostdirs: 2}), path, 4, 8, 64)
+		want := writeN1(t, New(mem), path, 4, 8, 64)
 		if n := len(flattenedNames(t, New(mem), path)); n != 1 {
 			t.Fatalf("the close left %d flattened records, want 1", n)
 		}
-		p := New(skewedListing{mem, skew}, EngineOptions{NumHostdirs: 2})
+		p := New(skewedListing{mem, skew})
 		if got := readAllBytes(t, p, path); !bytes.Equal(got, want) {
 			t.Fatalf("listed %+d bytes off: content differs", skew)
 		}
@@ -877,7 +877,7 @@ func TestCloseAsksInstanceFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p := New(ffs)
 	var handles [2]*File
 	for i := range handles {
 		pid := uint32(i + 1)

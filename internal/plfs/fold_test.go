@@ -61,7 +61,7 @@ func TestFoldedRecordMatchesMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 			opens := &dropOpens{FS: mem}
-			p := New(opens, EngineOptions{NumHostdirs: 3})
+			p := New(opens)
 			p.streamChunk = 7
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
@@ -80,7 +80,7 @@ func TestFoldedRecordMatchesMerge(t *testing.T) {
 			if _, err := p.DropFlattenedIndex(path); err != nil {
 				t.Fatal(err)
 			}
-			q := New(mem, EngineOptions{NumHostdirs: 3})
+			q := New(mem)
 			q.streamChunk = 5
 			if _, err := q.WriteFlattenedIndex(path); err != nil {
 				t.Fatal(err)
@@ -112,7 +112,7 @@ func TestOpenhostsListingFailureMeansWriters(t *testing.T) {
 
 	ffs := posix.NewFaultFS(mem)
 	ffs.Inject(&posix.FaultRule{Op: posix.FaultMeta, PathContains: "/" + openhostsDir, Err: posix.EIO})
-	cold := New(ffs, EngineOptions{NumHostdirs: 4})
+	cold := New(ffs)
 	if got := readAllBytes(t, cold, path); string(got) != "one" {
 		t.Fatalf("content = %q", got)
 	}
@@ -120,7 +120,7 @@ func TestOpenhostsListingFailureMeansWriters(t *testing.T) {
 		t.Fatalf("a reader trusted the record with openhosts unreadable: %+v", s)
 	}
 
-	w := New(ffs, EngineOptions{NumHostdirs: 4})
+	w := New(ffs)
 	f, err = w.Open(path, posix.O_RDWR, 2, 0)
 	if err != nil {
 		t.Fatal(err)

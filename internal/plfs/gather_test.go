@@ -119,7 +119,7 @@ func TestFDCacheScanWindow(t *testing.T) {
 				t.Run(fmt.Sprintf("cap%d/width%d/workers%d", c, n, workers), func(t *testing.T) {
 					mem := posix.NewMemFS()
 					m := newMeterFS(mem)
-					p := New(m, EngineOptions{NumHostdirs: 4})
+					p := New(m)
 					p.fds = readcache.NewFDCache(m, c)
 					p.workers = workers
 					want := writeN1(t, p, "/scan", n, 2, 64)
@@ -175,7 +175,7 @@ func TestReadSurvivesEMFILE(t *testing.T) {
 		for k := 0; k < opens; k++ {
 			mem := posix.NewMemFS()
 			flt := posix.NewFaultFS(mem)
-			p := New(flt, EngineOptions{NumHostdirs: 4})
+			p := New(flt)
 			p.fds = readcache.NewFDCache(flt, fdCap)
 			want := writeN1(t, p, "/wide", writers, 2, 64)
 			f, err := p.Open("/wide", posix.O_RDONLY, 999, 0)
@@ -216,7 +216,7 @@ func TestReadWiderThanDescriptorLimit(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			mem := posix.NewMemFS()
 			m := newMeterFS(mem)
-			p := New(m, EngineOptions{NumHostdirs: 4})
+			p := New(m)
 			p.fds = readcache.NewFDCache(m, fdCap)
 			p.workers = workers
 			want := writeN1(t, p, "/wide", writers, 2, 64)
@@ -272,7 +272,7 @@ func TestGatherModeFollowsBackend(t *testing.T) {
 		r := &rig{flt: posix.NewFaultFS(posix.NewMemFS())}
 		r.m = newMeterFS(r.flt)
 		r.m.cost = cost
-		r.p = New(r.m, EngineOptions{NumHostdirs: 4})
+		r.p = New(r.m)
 		r.p.workers = workers
 		r.p.gather.now = r.m.Now
 		r.want = writeN1(t, r.p, "/g", writers, 1, 64) // one batch per dropping

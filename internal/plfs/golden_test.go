@@ -36,6 +36,11 @@ const (
 	goldenExpectV3    = "expect.v3.txt"
 	goldenContainerV4 = "container.v4"
 	goldenExpectV4    = "expect.v4.txt"
+
+	// goldenHostdirs is the geometry the fixtures were written at (pid
+	// 5 in hostdir.1); every instance that writes or appends to one
+	// stages it.
+	goldenHostdirs = 4
 )
 
 // goldenV3Rig builds the v3 fixture's store: a replica-2 layout over
@@ -49,7 +54,7 @@ func goldenV3Rig(tb testing.TB, backends ...posix.FS) *FS {
 		tb.Fatal(err)
 	}
 	striped := posix.NewLayoutFS(layout, nil, backends...)
-	return New(striped, EngineOptions{NumHostdirs: 4})
+	return newHostdirs(striped, goldenHostdirs)
 }
 
 // goldenWriteScript produces the fixture container: multiple writers on
@@ -201,7 +206,7 @@ func regenerateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := posix.NewMemFS()
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := newHostdirs(mem, goldenHostdirs)
 	goldenWriteScript(t, p, goldenContainerV4)
 	dumpTree(t, mem, "/"+goldenContainerV4, filepath.Join(goldenDir, goldenContainerV4))
 	expect := describeContainer(t, p, "/"+goldenContainerV4)
@@ -246,7 +251,7 @@ func TestGoldenContainerFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(osfs, EngineOptions{NumHostdirs: 4})
+	p := newHostdirs(osfs, goldenHostdirs)
 	if !p.IsContainer("/" + goldenContainer) {
 		t.Fatalf("fixture is not recognised as a container")
 	}
@@ -300,7 +305,7 @@ func TestGoldenContainerFormat(t *testing.T) {
 	// pre-flatten code wrote, so the replay drops the record its last
 	// close published.
 	mem := posix.NewMemFS()
-	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	fresh := newHostdirs(mem, goldenHostdirs)
 	goldenWriteScript(t, fresh, goldenContainer)
 	if _, err := fresh.DropFlattenedIndex("/" + goldenContainer); err != nil {
 		t.Fatal(err)
@@ -356,7 +361,7 @@ func TestGoldenContainerV4(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := posix.NewMemFS()
-	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	fresh := newHostdirs(mem, goldenHostdirs)
 	goldenWriteScript(t, fresh, goldenContainerV4)
 	if regen := describeContainer(t, fresh, "/"+goldenContainerV4); regen != string(wantBytes) {
 		t.Fatalf("write path no longer reproduces the v4 container.\n-- want --\n%s\n-- got --\n%s", wantBytes, regen)
@@ -396,7 +401,7 @@ func checkFlattenedFixture(t *testing.T, container, expect string, version uint6
 	// Default read path: the fixture's flattened record must be fresh
 	// after a checkout (its raw signature is path- and mtime-invariant)
 	// and actually serve the build.
-	p := New(osfs, EngineOptions{NumHostdirs: 4})
+	p := newHostdirs(osfs, goldenHostdirs)
 	got := describeContainer(t, p, "/"+container)
 	if got != string(wantBytes) {
 		t.Fatalf("%s no longer reads identically.\n-- want --\n%s\n-- got --\n%s", container, wantBytes, got)
@@ -426,7 +431,7 @@ func checkFlattenedFixture(t *testing.T, container, expect string, version uint6
 		t.Fatalf("drop the fixture's record = %d, %v; want 1", n, err)
 	}
 	wantOff, _, _ := strings.Cut(string(wantBytes), "flattened gen ")
-	pOff := New(osfs, EngineOptions{NumHostdirs: 4})
+	pOff := newHostdirs(osfs, goldenHostdirs)
 	if gotOff := describeContainer(t, pOff, "/"+container); gotOff != wantOff {
 		t.Fatalf("%s reads differently with its flattened record dropped.\n-- want --\n%s\n-- got --\n%s", container, wantOff, gotOff)
 	}

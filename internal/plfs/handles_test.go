@@ -204,7 +204,7 @@ func runWindow(nh int, samePid bool, script []int) error {
 		return err
 	}
 	r := &windowRun{
-		p:     New(mem, EngineOptions{NumHostdirs: 4}),
+		p:     New(mem),
 		path:  "/backend/w",
 		pids:  make([]uint32, nh),
 		files: make([]*File, nh),
@@ -266,7 +266,7 @@ func runWindow(nh int, samePid bool, script []int) error {
 		}
 	}
 
-	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	fresh := New(mem)
 	f, err := fresh.Open(r.path, posix.O_RDONLY, 99, 0)
 	if err != nil {
 		return err
@@ -348,7 +348,7 @@ func TestWriteAfterCloseEBADF(t *testing.T) {
 	if h.OpenWriters != 0 || h.Flattened == nil || !h.Flattened.Fresh {
 		t.Fatalf("health after writes through a closed handle = %+v (flattened %+v)", h, h.Flattened)
 	}
-	other := New(p.Backend(), EngineOptions{NumHostdirs: 4})
+	other := New(p.Backend())
 	if st, err := other.Stat(path); err != nil || st.Size != 10 {
 		t.Fatalf("another instance's Stat = %+v, %v; want size 10", st, err)
 	}

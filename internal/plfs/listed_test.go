@@ -35,10 +35,10 @@ func TestListedMergeGolden(t *testing.T) {
 		name string
 		p    *FS
 	}{
-		{goldenContainer, New(osfs, EngineOptions{NumHostdirs: 4})},
-		{goldenContainerV2, New(osfs, EngineOptions{NumHostdirs: 4})},
+		{goldenContainer, newHostdirs(osfs, goldenHostdirs)},
+		{goldenContainerV2, newHostdirs(osfs, goldenHostdirs)},
 		{goldenContainerV3, goldenV3Rig(t, v3...)},
-		{goldenContainerV4, New(osfs, EngineOptions{NumHostdirs: 4})},
+		{goldenContainerV4, newHostdirs(osfs, goldenHostdirs)},
 	} {
 		path := "/" + c.name
 		st, err := c.p.listIndexState(path)

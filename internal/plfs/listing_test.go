@@ -128,7 +128,7 @@ func TestSignatureFromListing(t *testing.T) {
 			if err := store.Mkdir("/backend", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			p := New(store, EngineOptions{NumHostdirs: 4})
+			p := New(store)
 			writeN1(t, p, path, 6, 3, 100)
 			after()
 

@@ -149,7 +149,7 @@ func TestOpBudget(t *testing.T) {
 				if err := bare.Mkdir("/backend", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				admin := New(bare, EngineOptions{NumHostdirs: h})
+				admin := newHostdirs(bare, h)
 				writeN1(t, admin, path, d, 2, 64)
 
 				count := func() (total, meta int64) {
@@ -187,21 +187,21 @@ func TestOpBudget(t *testing.T) {
 						return err
 					}
 				}
-				p := New(store, EngineOptions{NumHostdirs: h})
+				p := newHostdirs(store, h)
 				check("trusted", open(p))
 				check("revalidating", open(p))
 				check("stat", func() error {
-					_, err := New(store, EngineOptions{NumHostdirs: h}).Stat(path)
+					_, err := newHostdirs(store, h).Stat(path)
 					return err
 				})
 				if _, err := admin.DropFlattenedIndex(path); err != nil {
 					t.Fatal(err)
 				}
-				check("raw", open(New(store, EngineOptions{NumHostdirs: h})))
+				check("raw", open(newHostdirs(store, h)))
 
 				// Three writers, pids 100..102, each on its own handle: the
 				// first two in one instance, the third in another.
-				w, other := New(store, EngineOptions{NumHostdirs: h}), New(store, EngineOptions{NumHostdirs: h})
+				w, other := newHostdirs(store, h), newHostdirs(store, h)
 				var handles [3]*File
 				for i, in := range []*FS{w, w, other} {
 					f, err := in.Open(path, posix.O_WRONLY, uint32(100+i), 0)
@@ -230,7 +230,7 @@ func TestOpBudget(t *testing.T) {
 				// fold cannot vouch for before the first D close.
 				ownClose := func(name, c string, spoil func(in *FS, c string, hs []*File) error) {
 					t.Helper()
-					in := New(store, EngineOptions{NumHostdirs: h})
+					in := newHostdirs(store, h)
 					hs := make([]*File, d+1)
 					for i := range hs {
 						f, err := in.Open(c, posix.O_CREAT|posix.O_WRONLY, uint32(200+i), 0o644)

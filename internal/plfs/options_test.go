@@ -1,9 +1,13 @@
 package plfs
 
 import (
-	"reflect"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ldplfs/internal/iostats"
@@ -31,65 +35,76 @@ func cacheStats(p *FS) cacheCounters {
 	}
 }
 
-// TestOptionsGroupReplacement checks the documented override semantics:
-// a group literal passed to New replaces that whole group, later options
-// win, and functional helpers touch only their own field.
-func TestOptionsGroupReplacement(t *testing.T) {
-	plane := iostats.NewPlane()
-	p := New(posix.NewMemFS(),
-		EngineOptions{NumHostdirs: 3},
-		TelemetryOptions{Stats: plane},
-		EngineOptions{NumHostdirs: 5}, // replaces the whole Engine group
-	)
-	if p.cfg.Engine.NumHostdirs != 5 {
-		t.Fatalf("later EngineOptions did not replace the group: %+v", p.cfg.Engine)
-	}
-	if p.cfg.Telemetry.Stats != plane {
-		t.Fatalf("TelemetryOptions lost: %+v", p.cfg.Telemetry)
-	}
-
-	q := New(posix.NewMemFS(), EngineOptions{NumHostdirs: 3}, WithStats(plane))
-	if q.cfg.Engine.NumHostdirs != 3 || q.cfg.Telemetry.Stats != plane {
-		t.Fatalf("WithStats touched more than its field: %+v", q.cfg)
-	}
+// newHostdirs returns a fresh instance over backend that files each pid
+// under pid mod h: the seam for tests that stage a geometry other than
+// the constant one (the golden fixtures, the op budget's H).
+func newHostdirs(backend posix.FS, h int) *FS {
+	p := New(backend)
+	p.hostdirs = h
+	return p
 }
 
-// TestConfigSurface pins everything a caller can set on an instance. A
-// field added to Config or one of its groups fails here until it is
-// listed — and listing one under dataPath means it earned its place by
-// trading on some workload (README "The telemetry plane and online
-// tuning"), since every value that did not became a constant.
+// TestConfigSurface pins everything a caller can set on an instance:
+// the option constructors the package exports, and what each touches.
+// A constructor added to the package fails here until it is listed —
+// and listing one means it earned its place by trading on some workload
+// (README "Constants, and why"), since every value that did not became a
+// constant.
 func TestConfigSurface(t *testing.T) {
-	dataPath := []string{
-		"Engine.NumHostdirs",
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wiring := []string{
-		"Telemetry.Stats",
-	}
-	want := append(slices.Clone(dataPath), wiring...)
-	slices.Sort(want)
-
 	var got []string
-	cfg := reflect.TypeOf(Config{})
-	for i := 0; i < cfg.NumField(); i++ {
-		f := cfg.Field(i)
-		if _, isGroup := reflect.Zero(f.Type).Interface().(Option); !isGroup {
-			got = append(got, f.Name)
+	for _, src := range sources {
+		if strings.HasSuffix(src, "_test.go") {
 			continue
 		}
-		for j := 0; j < f.Type.NumField(); j++ {
-			got = append(got, f.Name+"."+f.Type.Field(j).Name)
+		file, err := parser.ParseFile(token.NewFileSet(), src, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			for _, r := range fn.Type.Results.List {
+				if id, ok := r.Type.(*ast.Ident); ok && id.Name == "Option" {
+					got = append(got, fn.Name.Name)
+				}
+			}
 		}
 	}
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("settable Config fields:\n got %v\nwant %v", got, want)
+	if want := []string{"WithStats"}; !slices.Equal(got, want) {
+		t.Fatalf("option constructors = %v, want %v", got, want)
 	}
 
-	// The three engine constants resolve to the same values whatever is
-	// configured.
-	p := New(posix.NewMemFS())
-	if p.workers != min(runtime.GOMAXPROCS(0), 8) || p.batchDepth != 64 || p.indexBatch != 512 {
-		t.Fatalf("engine constants = workers %d, batchDepth %d, indexBatch %d", p.workers, p.batchDepth, p.indexBatch)
+	// The engine constants resolve to the same values whatever is
+	// passed.
+	plane := iostats.NewPlane()
+	for _, p := range []*FS{New(posix.NewMemFS()), New(posix.NewMemFS(), WithStats(plane))} {
+		if p.hostdirs != 32 || p.workers != min(runtime.GOMAXPROCS(0), 8) || p.batchDepth != 64 || p.indexBatch != 512 {
+			t.Fatalf("engine constants = hostdirs %d, workers %d, batchDepth %d, indexBatch %d",
+				p.hostdirs, p.workers, p.batchDepth, p.indexBatch)
+		}
+	}
+
+	// WithStats wires the two layers; without it, or with a nil plane,
+	// the engines report nowhere and the index cache counts on a
+	// standalone layer.
+	p := New(posix.NewMemFS(), WithStats(plane))
+	if p.stats != plane.Layer("plfs") || p.cacheLayer != plane.Layer("readcache") {
+		t.Fatal("WithStats did not wire layers plfs and readcache")
+	}
+	for name, opts := range map[string][]Option{
+		"none":      nil,
+		"nil":       {WithStats(nil)},
+		"typed nil": {WithStats((*iostats.Plane)(nil))},
+	} {
+		p := New(posix.NewMemFS(), opts...)
+		if p.stats != nil || p.cacheLayer == nil {
+			t.Fatalf("%s: stats %v, cacheLayer %v; want telemetry off over a standalone layer", name, p.stats, p.cacheLayer)
+		}
 	}
 }

@@ -27,12 +27,14 @@
 // Every read — Read, ReadV, Size, Stat — resolves the
 // container's merged index through the instance's shared cache
 // (internal/plfs/readcache) and, for data, runs the one scatter-gather
-// in readengine.go; Read is its one-segment case. Every write — Write,
-// WriteV — takes the container lock shared and its pid's writer lock
-// (lockWriter), lands payload with positional writes and buffers index
-// records per writer. Their fan-out, batch depth and index group-flush
-// threshold are fixed when the instance is built (FS.workers,
-// batchDepth, indexBatch); nothing selects a different path. Whether a
+// in readengine.go; Read is its one-segment case. Every write runs the
+// one writeV in writeengine.go; Write is its one-segment case. It takes
+// the container lock shared and its pid's writer lock (lockWriter),
+// lands payload with positional writes and buffers index records per
+// writer. Their fan-out, batch depth and index group-flush threshold
+// are fixed when the instance is built (FS.workers, batchDepth,
+// indexBatch), as is the container geometry (FS.hostdirs: a pid's
+// hostdir is pid mod 32); nothing selects a different path. Whether a
 // gather's batches run inline or across the pool is not a setting
 // either: the instance keeps a running mean of what a batch costs on
 // its backend and fans out only where a batch outlasts the hand-off
@@ -165,7 +167,6 @@ const DefaultBatchDepth = 64
 // concurrent use by multiple goroutines (ranks).
 type FS struct {
 	backend posix.FS
-	cfg     Config
 	clock   atomic.Uint64 // container-wide write ordering
 
 	// cache is the shared per-container merged-index cache and fds the
@@ -188,12 +189,15 @@ type FS struct {
 	smu    sync.Mutex
 	seeded map[string]bool
 
-	// workers bounds every engine fan-out (index reconstruction, the
-	// read scatter-gather, WriteV); batchDepth and indexBatch are the
-	// coalescing and group-flush bounds, streamChunk the records an index
-	// dropping stream decodes per read. All four are resolved once in
-	// New; in-package tests set them on a fresh instance to pin the
-	// serial or the pooled shape, or where chunk boundaries fall.
+	// hostdirs is the container geometry (a pid's bucket is pid mod
+	// hostdirs); workers bounds every engine fan-out (index
+	// reconstruction, the read scatter-gather, writes); batchDepth and
+	// indexBatch are the coalescing and group-flush bounds, streamChunk
+	// the records an index dropping stream decodes per read. All five
+	// are resolved once in New; in-package tests set them on a fresh
+	// instance to stage another geometry, to pin the serial or the
+	// pooled shape, or where chunk boundaries fall.
+	hostdirs    int
 	workers     int
 	batchDepth  int
 	indexBatch  int
@@ -212,24 +216,16 @@ type FS struct {
 	stats *iostats.LayerStats
 }
 
-// New returns a PLFS instance over backend, configured by the supplied
-// options (see Option; later options override earlier ones, group by
-// group). To run over several stores, pass their composite: a
-// posix.StripedFS places every container's droppings by its layout.
+// New returns a PLFS instance over backend; the one option is WithStats.
+// To run over several stores, pass their composite: a posix.StripedFS
+// places every container's droppings by its layout.
 func New(backend posix.FS, opts ...Option) *FS {
-	var cfg Config
-	for _, o := range opts {
-		o.applyOption(&cfg)
-	}
-	if cfg.Engine.NumHostdirs <= 0 {
-		cfg.Engine.NumHostdirs = 32
-	}
 	p := &FS{
 		backend:     backend,
-		cfg:         cfg,
 		fds:         readcache.NewFDCache(backend, readcache.DefaultMaxFDs),
 		containers:  make(map[string]*container),
 		seeded:      make(map[string]bool),
+		hostdirs:    defaultHostdirs,
 		workers:     defaultWorkers(),
 		batchDepth:  DefaultBatchDepth,
 		indexBatch:  DefaultIndexBatch,
@@ -237,7 +233,12 @@ func New(backend posix.FS, opts ...Option) *FS {
 
 		flattenNonce: rand.Uint64(),
 	}
-	p.initTelemetry()
+	for _, o := range opts {
+		o(p)
+	}
+	if p.cacheLayer == nil {
+		p.cacheLayer = iostats.NewLayerStats("readcache")
+	}
 	p.cache = readcache.NewIndexCache(readcache.DefaultMaxContainers, p.cacheLayer)
 	p.gather = gatherState{
 		now:    time.Now,
@@ -325,7 +326,7 @@ func (p *FS) ContainerSpread(path string) ([]int, error) {
 }
 
 func (p *FS) hostdir(path string, pid uint32) string {
-	return fmt.Sprintf("%s/hostdir.%d", path, int(pid)%p.cfg.Engine.NumHostdirs)
+	return fmt.Sprintf("%s/hostdir.%d", path, int(pid)%p.hostdirs)
 }
 
 func dataDropping(hostdir string, pid uint32) string {
@@ -771,48 +772,23 @@ func openIndexWriter(p *FS, path string) (w *idx.Writer, fresh bool, err error) 
 	return w, true, err
 }
 
-// Write appends count bytes at logical offset off on behalf of pid —
-// plfs_write. The payload lands at the end of pid's data dropping and one
-// index record is buffered (group-flushed per EngineOptions.IndexBatch).
-// Writes for distinct pids proceed fully in parallel.
+// Write appends len(buf) bytes at logical offset off on behalf of pid —
+// plfs_write. It is WriteV of one segment: the payload lands at the end
+// of pid's data dropping and one index record is buffered
+// (group-flushed every DefaultIndexBatch records). Writes for distinct
+// pids proceed fully in parallel.
 //
 // Partial-write semantics: n is the number of payload bytes that reached
 // the data dropping. Those n bytes are always indexed — even when err is
-// non-nil — so the logical file reflects exactly the durable prefix and
-// the writer's physical cursor never desynchronizes from the dropping.
+// non-nil — so the logical file reflects exactly the durable prefix, and
+// the writer's physical cursor advances by n, never desynchronizing from
+// the dropping.
 func (f *File) Write(buf []byte, off int64, pid uint32) (int, error) {
 	start := f.fs.opStart()
-	n, err := f.write(buf, off, pid)
-	f.fs.observeOp(iostats.Write, int64(n), start, err)
-	return n, err
-}
-
-func (f *File) write(buf []byte, off int64, pid uint32) (int, error) {
-	if f.flags&posix.O_ACCMODE == posix.O_RDONLY {
-		return 0, posix.EBADF
-	}
-	if off < 0 {
-		return 0, posix.EINVAL
-	}
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	w, unlock, err := f.lockWriter(pid)
-	if err != nil {
-		return 0, err
-	}
-	defer unlock()
-	n, werr := w.writeData(f.fs.backend, buf)
-	if n > 0 {
-		// Record the durable extent even on error: the dropping grew by
-		// n bytes, so skipping the entry would leave physOff pointing n
-		// bytes before the next write's real payload.
-		f.recordExtentLocked(w, off, int64(n), pid)
-	}
-	if werr != nil {
-		return n, fmt.Errorf("plfs: write data dropping: %w", werr)
-	}
-	return n, nil
+	seg := [1]WriteSeg{{Off: off, Data: buf}}
+	n, err := f.writeV(seg[:], pid)
+	f.fs.observeOp(iostats.Write, n, start, err)
+	return int(n), err
 }
 
 // flushIndex puts every index record the instance has buffered for this
@@ -868,7 +844,7 @@ func (f *File) readIndexSigned() (*idx.Index, readcache.Signature, error) {
 // zeros. Reads do not exclude each other: concurrent Reads on one handle
 // (or many handles over one container) proceed in parallel, and the
 // per-extent preads of a single Read are themselves issued concurrently
-// across droppings (EngineOptions.ReadWorkers).
+// across droppings on the instance's worker pool.
 //
 // Short-read semantics: with no error, n is the number of requested
 // bytes that lie below EOF (n < len(buf) only at end of file). On error,

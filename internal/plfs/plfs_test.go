@@ -16,7 +16,7 @@ func newTestFS(t *testing.T) (*FS, *posix.MemFS) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return New(mem, EngineOptions{NumHostdirs: 4}), mem
+	return New(mem), mem
 }
 
 func TestWriteReadSingleWriter(t *testing.T) {
@@ -68,7 +68,7 @@ func TestContainerStructureOnDisk(t *testing.T) {
 	if _, err := mem.Stat("/backend/out/meta"); !errors.Is(err, posix.ENOENT) {
 		t.Fatalf("meta/ created: %v", err)
 	}
-	hostdir := fmt.Sprintf("/backend/out/hostdir.%d", 7%4)
+	hostdir := p.hostdir("/backend/out", 7)
 	entries, err := mem.Readdir(hostdir)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestMultiWriterPartitioning(t *testing.T) {
 	}
 	// Each writer produced its own data dropping.
 	droppings := 0
-	for h := 0; h < 4; h++ {
+	for h := 0; h < p.hostdirs; h++ {
 		entries, err := mem.Readdir(fmt.Sprintf("/backend/shared/hostdir.%d", h))
 		if errors.Is(err, posix.ENOENT) {
 			continue
@@ -261,7 +261,7 @@ func TestStatOfUnclosedWriter(t *testing.T) {
 	f, _ := p.Open("/backend/nm", posix.O_CREAT|posix.O_WRONLY, 9, 0o644)
 	f.Write(make([]byte, 777), 0, 9)
 	f.Sync(9)
-	st, err := New(mem, EngineOptions{NumHostdirs: 4}).Stat("/backend/nm")
+	st, err := New(mem).Stat("/backend/nm")
 	if err != nil || st.Size != 777 {
 		t.Fatalf("Stat = %+v, %v; want 777 via index merge", st, err)
 	}

@@ -43,7 +43,7 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			mem := posix.NewMemFS()
 			mem.Mkdir("/backend", 0o755)
-			p := New(mem, EngineOptions{NumHostdirs: 4})
+			p := New(mem)
 			p.workers = workers
 			want := writeN1(t, p, "/backend/n1", 16, 8, 512)
 
@@ -75,7 +75,7 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 func TestSharedIndexBuildsOncePerContainer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	want := writeN1(t, p, "/backend/shared", 8, 4, 256)
 
 	// N sequential opens + reads: one full build; reopens revalidate by
@@ -104,7 +104,7 @@ func TestSharedIndexBuildsOncePerContainer(t *testing.T) {
 func TestCacheInvalidatedByWrite(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	f, err := p.Open("/backend/w", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestCacheInvalidatedByWrite(t *testing.T) {
 func TestCacheInvalidatedByTrunc(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	f, _ := p.Open("/backend/t", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	defer f.Close(1)
 	f.Write(bytes.Repeat([]byte{7}, 1000), 0, 1)
@@ -159,7 +159,7 @@ func TestCacheInvalidatedByTrunc(t *testing.T) {
 func TestCacheInvalidatedByCompactIndex(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	want := writeN1(t, p, "/backend/c", 8, 4, 128)
 
 	// Prime the cache through a reader, keep the handle open across the
@@ -191,7 +191,7 @@ func TestCacheInvalidatedByCompactIndex(t *testing.T) {
 func TestConcurrentReadersDuringActiveWriter(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	const block = 256
 
 	w, err := p.Open("/backend/live", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
@@ -263,7 +263,7 @@ func TestConcurrentReadersDuringActiveWriter(t *testing.T) {
 func TestReadEngineRaceHammer(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	p.fds = readcache.NewFDCache(mem, 8)
 	const (
 		writers = 4
@@ -353,7 +353,7 @@ func TestShortReadOnMidExtentError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ffs.Clear()
-			p := New(ffs, EngineOptions{NumHostdirs: 4})
+			p := New(ffs)
 			p.workers = workers
 			path := fmt.Sprintf("/backend/short%d", workers)
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
@@ -402,7 +402,7 @@ func TestReadFDsCappedOnWideContainer(t *testing.T) {
 	mem.Mkdir("/backend", 0o755)
 	// 64 writers, fd cache capped at 8: the gather succeeds eight
 	// droppings at a time and never holds more than the cap.
-	p := New(mem, EngineOptions{NumHostdirs: 8})
+	p := New(mem)
 	p.fds = readcache.NewFDCache(mem, 8)
 	p.workers = 4
 	want := writeN1(t, p, "/backend/wide", 64, 2, 64)
@@ -434,8 +434,8 @@ func TestCrossInstanceCloseToOpenConsistency(t *testing.T) {
 	// Two library instances over one backend — two "processes". A reader
 	// instance that cached the index must see a second process's writes
 	// on its next open (close-to-open), via signature revalidation.
-	pA := New(mem, EngineOptions{NumHostdirs: 4})
-	pB := New(mem, EngineOptions{NumHostdirs: 4})
+	pA := New(mem)
+	pB := New(mem)
 
 	fA, _ := pA.Open("/backend/x", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	fA.Write([]byte("first"), 0, 1)

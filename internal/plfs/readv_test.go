@@ -13,7 +13,7 @@ import (
 // below-EOF count, zero-filled past-EOF tails.
 func TestReadVMatchesScalarReads(t *testing.T) {
 	mem := posix.NewMemFS()
-	p := New(mem, EngineOptions{NumHostdirs: 4})
+	p := New(mem)
 	f, err := p.Open("/v", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestReadVMatchesScalarReads(t *testing.T) {
 // TestReadVValidation rejects descending segment vectors.
 func TestReadVValidation(t *testing.T) {
 	mem := posix.NewMemFS()
-	p := New(mem, EngineOptions{NumHostdirs: 2})
+	p := New(mem)
 	f, err := p.Open("/vv", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)

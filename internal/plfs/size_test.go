@@ -20,7 +20,7 @@ type sizeRig struct {
 
 func newSizeRig(t *testing.T, store posix.FS) sizeRig {
 	t.Helper()
-	p := plfs.New(store, plfs.EngineOptions{NumHostdirs: 4})
+	p := plfs.New(store)
 	d := posix.NewDispatch(store)
 	if _, err := core.Preload(d, core.Config{
 		Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
@@ -226,7 +226,7 @@ func TestStatDuringWrites(t *testing.T) {
 	if err := store.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	p := plfs.New(store, plfs.EngineOptions{NumHostdirs: 4})
+	p := plfs.New(store)
 	files := make([]*plfs.File, writers)
 	for w := range files {
 		f, err := p.Open("/backend/f", posix.O_CREAT|posix.O_WRONLY, uint32(w), 0o644)

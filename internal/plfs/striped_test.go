@@ -76,7 +76,7 @@ func TestWrappedStripedBackend(t *testing.T) {
 			}
 			const path = "/backend/data"
 			store := w.wrap(striped)
-			p := New(store, EngineOptions{NumHostdirs: 6})
+			p := New(store)
 			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -113,7 +113,7 @@ func TestWrappedStripedBackend(t *testing.T) {
 // Droppings of a striped container must physically land on the backend
 // the hostdir rule names — canonical metadata stays on backend 0.
 func TestStripedContainerPlacement(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false)
 	f, err := p.Open("/backend/data", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestStripedContainerPlacement(t *testing.T) {
 	}
 	checkCanonical("version")
 	for pid := 0; pid < 6; pid++ {
-		want := pid % 3 // hostdir k = pid % 6 hostdirs; backend = k % 3
+		want := pid % 3 // hostdir k = pid % 32 = pid; backend = k % 3
 		path := fmt.Sprintf("/backend/data/hostdir.%d/dropping.data.%d", pid, pid)
 		for bi, m := range mems {
 			_, err := m.Stat(path)
@@ -188,7 +188,6 @@ type stripedScriptInstance struct {
 func TestStripedDifferentialScript(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opts := EngineOptions{NumHostdirs: 5}
 			var insts []*stripedScriptInstance
 			for _, cfg := range []struct {
 				name   string
@@ -206,7 +205,8 @@ func TestStripedDifferentialScript(t *testing.T) {
 				{"replica3", 3, false, "replica-3"},
 				{"replica3-fault", 3, true, "replica-3"},
 			} {
-				p, _ := newLayoutPLFS(t, cfg.n, cfg.faulty, cfg.layout, opts)
+				p, _ := newLayoutPLFS(t, cfg.n, cfg.faulty, cfg.layout)
+				p.hostdirs = 5 // pids 0..7 share hostdirs
 				f, err := p.Open("/backend/diff", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 				if err != nil {
 					t.Fatal(err)
@@ -386,11 +386,11 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 	}
 
 	// Forced on: refresh the record, then prove a cold instance loads it.
-	freshP := New(backend, EngineOptions{NumHostdirs: hostdirs})
+	freshP := newHostdirs(backend, hostdirs)
 	if _, err := freshP.WriteFlattenedIndex(path); err != nil {
 		t.Fatalf("[%s] flatten: %v", name, err)
 	}
-	onP := New(backend, EngineOptions{NumHostdirs: hostdirs})
+	onP := newHostdirs(backend, hostdirs)
 	if got := readVia(onP, int64(len(want))); !bytes.Equal(got, want) {
 		t.Fatalf("[%s] flattened-on read diverged", name)
 	}
@@ -402,7 +402,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 	if n, err := freshP.DropFlattenedIndex(path); err != nil || n == 0 {
 		t.Fatalf("[%s] drop flattened = %d, %v", name, n, err)
 	}
-	offP := New(backend, EngineOptions{NumHostdirs: hostdirs})
+	offP := newHostdirs(backend, hostdirs)
 	if got := readVia(offP, int64(len(want))); !bytes.Equal(got, want) {
 		t.Fatalf("[%s] record-dropped read diverged", name)
 	}
@@ -416,9 +416,9 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 
 	// Deliberately stale: append past EOF without refreshing the record.
 	staleTail := []byte("stale-mode differential tail")
-	stageStale(t, New(backend, EngineOptions{NumHostdirs: hostdirs}), path, 31338, staleTail, int64(len(want)))
+	stageStale(t, newHostdirs(backend, hostdirs), path, 31338, staleTail, int64(len(want)))
 	wantStale := append(append([]byte(nil), want...), staleTail...)
-	staleP := New(backend, EngineOptions{NumHostdirs: hostdirs})
+	staleP := newHostdirs(backend, hostdirs)
 	if got := readVia(staleP, int64(len(wantStale))); !bytes.Equal(got, wantStale) {
 		t.Fatalf("[%s] stale-record read diverged", name)
 	}
@@ -431,7 +431,7 @@ func checkFlattenModes(t *testing.T, name string, backend posix.FS, path string,
 // partial truncate (index consolidation), CompactIndex, Flatten, Rename,
 // Unlink — must work when droppings span backends.
 func TestStripedContainerOps(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false)
 	f, err := p.Open("/backend/ops", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestStripedContainerOps(t *testing.T) {
 // backend is not stale, and a record whose dropping is gone is — and
 // ScrubOpenHosts repairs it.
 func TestStripedOpenHostsDoctor(t *testing.T) {
-	p, mems := newStripedFS(t, 3, false, EngineOptions{NumHostdirs: 6})
+	p, mems := newStripedFS(t, 3, false)
 	f, err := p.Open("/backend/doc", posix.O_CREAT|posix.O_RDWR, 0, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -576,9 +576,7 @@ func TestBatchDepthDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var refFinal []byte
 		for _, d := range depths {
-			p := New(posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()),
-				EngineOptions{NumHostdirs: 4},
-			)
+			p := New(posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()))
 			p.batchDepth, p.indexBatch = d, 8
 			final := driveStridedScript(t, p, seed)
 			if refFinal == nil {

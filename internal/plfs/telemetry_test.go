@@ -69,7 +69,7 @@ func TestStatsPlaneRecordsEngineOps(t *testing.T) {
 func TestStripedIntrospectionSeesThroughInstrumentation(t *testing.T) {
 	plane := iostats.NewPlane()
 	striped := posix.NewStripedFS(posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS())
-	p := New(posix.NewInstrumentFS(striped, plane), EngineOptions{NumHostdirs: 6})
+	p := New(posix.NewInstrumentFS(striped, plane))
 
 	if s := p.stripedBackend(); s != striped {
 		t.Fatalf("striped backend through InstrumentFS = %p, want %p", s, striped)

@@ -8,10 +8,12 @@
 // owning writer's lock, so N pids writing one container stream N
 // droppings fully in parallel; the logical clock is a lone atomic; and
 // index records group-flush every DefaultIndexBatch records instead of
-// hitting the backend per record. WriteV goes further: it reserves one
-// physical range in the dropping up front and fans the per-chunk
-// pwrites out across the worker pool (positional writes carry no file
-// pointer — posix.FS requires concurrent-pwrite safety).
+// hitting the backend per record. There is one write path, writeV:
+// Write is its one-segment case. It reserves one physical range in the
+// dropping up front and fans the per-chunk pwrites out across the
+// worker pool (positional writes carry no file pointer — posix.FS
+// requires concurrent-pwrite safety); a one-chunk vector, every scalar
+// Write among them, runs inline.
 package plfs
 
 import (
@@ -70,13 +72,6 @@ func pwriteAll(backend posix.FS, fd int, buf []byte, off int64) (int, error) {
 	return put, nil
 }
 
-// writeData lands buf at the writer's physical cursor. Caller holds the
-// writer's lock; the cursor itself is advanced by the caller once the
-// durable extent is recorded.
-func (w *writer) writeData(backend posix.FS, buf []byte) (int, error) {
-	return pwriteAll(backend, w.dataFD, buf, w.physOff)
-}
-
 // appendEntryLocked buffers one index record for n bytes at logical
 // offset off whose payload landed at physOff, stamping the clock, and
 // folds it into the writer's fold; a fold that spills is dropped. Caller
@@ -93,16 +88,6 @@ func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
 	if w.fold != nil && !w.fold.Append(e) {
 		w.fold = nil
 	}
-}
-
-// recordExtentLocked buffers one index record for n bytes at logical
-// offset off, advances the writer's cursor and group-flushes the index
-// buffer at the batch threshold. Caller holds the writer's lock (or the
-// container lock exclusive).
-func (f *File) recordExtentLocked(w *writer, off, n int64, pid uint32) {
-	f.appendEntryLocked(w, off, n, w.physOff, pid)
-	w.physOff += n
-	f.maybeFlushIndexLocked(w)
 }
 
 // maybeFlushIndexLocked group-flushes the writer's buffered index
@@ -144,7 +129,9 @@ type WriteSeg struct {
 // count is the length of the contiguous error-free prefix of the vector,
 // and the error describes the first failing segment. A chunk (up to
 // DefaultBatchDepth consecutive segments, one pwritev) that fails
-// mid-vector leaves its remaining segments unwritten and unindexed.
+// mid-vector leaves its remaining segments unwritten and unindexed. The
+// writer's cursor moves to the end of the furthest durable byte, so a
+// failed tail leaves no gap in the dropping.
 func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	start := f.fs.opStart()
 	n, err := f.writeV(segs, pid)
@@ -154,7 +141,8 @@ func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 
 // writePlan is the reusable scratch of one vectored write: per-segment
 // physical offsets, durable counts and buffer references plus per-chunk
-// errors. Pooled so a warm WriteV allocates only its worker closures.
+// errors. Pooled so a warm WriteV allocates only its worker closure, and
+// a one-chunk write (every scalar Write) not even that.
 type writePlan struct {
 	offs []int64  // per-segment physical offset in the dropping
 	ns   []int    // per-segment durable byte count
@@ -175,6 +163,36 @@ func (plan *writePlan) release() {
 	}
 	plan.bufs = plan.bufs[:0]
 	writePlanPool.Put(plan)
+}
+
+// issue lands chunk ci — up to depth consecutive segments, physically
+// contiguous in the dropping — with one positional write, crediting
+// each segment its durable bytes. It reads payloads from plan.bufs, so
+// the caller's segment slice never reaches a worker.
+func (plan *writePlan) issue(backend posix.FS, fd, depth, ci int) {
+	lo := ci * depth
+	hi := min(lo+depth, len(plan.bufs))
+	if hi-lo == 1 {
+		plan.ns[lo], plan.errs[ci] = pwriteAll(backend, fd, plan.bufs[lo], plan.offs[lo])
+		return
+	}
+	span := plan.offs[hi-1] + int64(len(plan.bufs[hi-1])) - plan.offs[lo]
+	n, err := posix.Pwritev(backend, fd, plan.bufs[lo:hi], plan.offs[lo])
+	if err == nil && n < span {
+		err = fmt.Errorf("short write: want %d got %d", span, n)
+	}
+	// The durable prefix lands in segment order: credit it greedily.
+	rem := n
+	for i := lo; i < hi; i++ {
+		if l := int64(len(plan.bufs[i])); rem >= l {
+			plan.ns[i] = int(l)
+			rem -= l
+		} else {
+			plan.ns[i] = int(rem)
+			rem = 0
+		}
+	}
+	plan.errs[ci] = err
 }
 
 func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
@@ -213,9 +231,7 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 	// Reserve [base, base+total) in the dropping: each segment's
 	// physical home is fixed before any byte moves, which is what makes
 	// the fan-out safe — and what makes each chunk of depth
-	// consecutive segments physically contiguous, i.e. one pwritev. The
-	// cursor advances by the full reservation even on error — a failed
-	// chunk leaves an unreferenced gap, never a desynchronized cursor.
+	// consecutive segments physically contiguous, i.e. one pwritev.
 	base := w.physOff
 	cursor := base
 	for i, s := range segs {
@@ -224,45 +240,26 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		cursor += int64(len(s.Data))
 	}
 
-	issue := func(ci int) {
-		lo := ci * depth
-		hi := lo + depth
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		if hi-lo == 1 {
-			// A lone segment goes through the scalar path, as a scalar
-			// Write does.
-			plan.ns[lo], plan.errs[ci] = pwriteAll(f.fs.backend, w.dataFD, segs[lo].Data, plan.offs[lo])
-			return
-		}
-		span := plan.offs[hi-1] + int64(len(segs[hi-1].Data)) - plan.offs[lo]
-		n, err := posix.Pwritev(f.fs.backend, w.dataFD, plan.bufs[lo:hi], plan.offs[lo])
-		if err == nil && n < span {
-			err = fmt.Errorf("short write: want %d got %d", span, n)
-		}
-		// The durable prefix lands in segment order: credit it greedily.
-		rem := n
-		for i := lo; i < hi; i++ {
-			if l := int64(len(segs[i].Data)); rem >= l {
-				plan.ns[i] = int(l)
-				rem -= l
-			} else {
-				plan.ns[i] = int(rem)
-				rem = 0
-			}
-		}
-		plan.errs[ci] = err
+	backend, fd := f.fs.backend, w.dataFD
+	if nchunks == 1 {
+		plan.issue(backend, fd, depth, 0)
+	} else {
+		runParallel(nchunks, f.fs.workers, func(ci int) { plan.issue(backend, fd, depth, ci) })
 	}
-	runParallel(nchunks, f.fs.workers, issue)
 
+	// Every durable byte is indexed, and the cursor moves to the end of
+	// the furthest one: a failed chunk inside the vector leaves an
+	// unreferenced gap, a failed tail leaves none, and the cursor never
+	// points short of a byte the dropping holds.
+	end := base
 	for i, s := range segs {
 		if plan.ns[i] == 0 {
 			continue
 		}
 		f.appendEntryLocked(w, s.Off, int64(plan.ns[i]), plan.offs[i], pid)
+		end = plan.offs[i] + int64(plan.ns[i])
 	}
-	w.physOff = base + total
+	w.physOff = end
 	f.maybeFlushIndexLocked(w)
 
 	var written int64

@@ -18,7 +18,7 @@ func writePLFS(t *testing.T) (*FS, *posix.MemFS) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return New(mem, EngineOptions{NumHostdirs: 4}), mem
+	return New(mem), mem
 }
 
 // TestConcurrentWritersStress is the race-detector stress test of the
@@ -147,6 +147,36 @@ func TestWriteVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteAllocs is the ceiling on the scalar write: a warm 4 KiB
+// Write is WriteV of one segment, and that path must cost no more than
+// the one allocation it made when it was its own code — no closure for
+// a one-chunk vector, no heap copy of the one-segment array.
+func TestWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the ceiling only holds on plain builds")
+	}
+	p, _ := writePLFS(t)
+	f, err := p.Open("/backend/allocs", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(1)
+	buf := make([]byte, 4096)
+	var off int64
+	write := func() {
+		if _, err := f.Write(buf, off, 1); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(buf))
+	}
+	for i := 0; i < 8; i++ { // create the writer, warm the plan pool
+		write()
+	}
+	if avg := testing.AllocsPerRun(200, write); avg > 1 {
+		t.Fatalf("warm 4 KiB Write allocates %.1f/op, ceiling is 1", avg)
+	}
+}
+
 // TestWriteVPartialFailure checks the vector's failure contract: the
 // returned count is the contiguous error-free prefix, and every durable
 // byte — including segments past the failure — is indexed.
@@ -159,7 +189,7 @@ func TestWriteVPartialFailure(t *testing.T) {
 	// Batch depth 1 makes every segment its own chunk: this test asserts
 	// the independence of chunks — a failed one costs its neighbours
 	// nothing (see TestWriteVChunkFailure for the contract inside one).
-	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p := New(ffs)
 	p.workers, p.batchDepth = 1, 1
 	f, err := p.Open("/backend/vfail", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
@@ -218,7 +248,7 @@ func TestWriteVChunkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p := New(ffs)
 	p.workers = 1
 	f, err := p.Open("/backend/vchunk", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
@@ -280,7 +310,7 @@ func TestShortIndexFlushHealsOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	p := New(ffs, EngineOptions{NumHostdirs: 2})
+	p := New(ffs)
 	p.indexBatch = 2
 	f, err := p.Open("/backend/shortflush", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
@@ -602,7 +632,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	p1 := New(mem, EngineOptions{NumHostdirs: 2})
+	p1 := New(mem)
 	f, err := p1.Open("/backend/resume", posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +647,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 	// that has no dropping of its own: the clock seed must cover both.
 	for round, pid := range []uint32{1, 7} {
 		want := byte('A' + round)
-		p2 := New(mem, EngineOptions{NumHostdirs: 2})
+		p2 := New(mem)
 		g, err := p2.Open("/backend/resume", posix.O_WRONLY, pid, 0o644)
 		if err != nil {
 			t.Fatal(err)
@@ -627,7 +657,7 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 		}
 		g.Close(pid)
 
-		p3 := New(mem, EngineOptions{NumHostdirs: 2})
+		p3 := New(mem)
 		r, err := p3.Open("/backend/resume", posix.O_RDONLY, 100, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -679,7 +709,7 @@ func TestClockSeedStreamsHistory(t *testing.T) {
 	}
 	const held = droppings * records * idx.EntrySize
 
-	fresh := New(mem, EngineOptions{NumHostdirs: 4})
+	fresh := New(mem)
 	f, err := fresh.Open(path, posix.O_WRONLY, 1000, 0o644)
 	if err != nil {
 		t.Fatal(err)

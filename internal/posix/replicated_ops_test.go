@@ -367,43 +367,55 @@ func TestDispatchOverReplicatedStore(t *testing.T) {
 	}
 }
 
-// TestMkdirMissingParent: a canonical Mkdir under a parent no backend
-// holds fails with ENOENT and creates nothing anywhere, under every
-// layout width, as MemFS does; and under a parent that only the
-// primary holds — replicas and shadows lagging the skeleton — it
-// succeeds and rebuilds the parent on every backend.
+// TestMkdirMissingParent: a Mkdir under a parent no backend holds
+// fails with ENOENT and creates nothing anywhere, under every layout
+// width, as MemFS does — a canonical directory and a routed (hostdir)
+// one alike; and under a parent that only the parent's primary holds —
+// replicas and shadows lagging the skeleton — it succeeds, rebuilding
+// the parent on every backend the new directory lives on.
 func TestMkdirMissingParent(t *testing.T) {
-	for r := 1; r <= 3; r++ {
-		t.Run(replicaDesc(r), func(t *testing.T) {
-			s, faults := newReplicaFS(t, 3, r, nil)
-			if err := s.Mkdir("/missing/child", 0o755); !errors.Is(err, ENOENT) {
-				t.Fatalf("Mkdir under a missing parent = %v, want ENOENT", err)
+	for _, child := range []string{"child", "hostdir.1"} {
+		for r := 1; r <= 3; r++ {
+			name := replicaDesc(r)
+			if child != "child" {
+				name = "routed-" + name
 			}
-			for i, f := range faults {
-				if _, err := f.Stat("/missing"); !errors.Is(err, ENOENT) {
-					t.Fatalf("backend %d: Stat(/missing) = %v, want ENOENT", i, err)
+			t.Run(name, func(t *testing.T) {
+				s, faults := newReplicaFS(t, 3, r, nil)
+				if err := s.Mkdir("/missing/"+child, 0o755); !errors.Is(err, ENOENT) {
+					t.Fatalf("Mkdir under a missing parent = %v, want ENOENT", err)
 				}
-			}
-
-			if err := s.Mkdir("/p", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			primary := s.ReplicasFor("/p/child")[0]
-			for i, f := range faults {
-				if i != primary {
-					if err := f.Rmdir("/p"); err != nil {
-						t.Fatal(err)
+				for i, f := range faults {
+					if _, err := f.Stat("/missing"); !errors.Is(err, ENOENT) {
+						t.Fatalf("backend %d: Stat(/missing) = %v, want ENOENT", i, err)
 					}
 				}
-			}
-			if err := s.Mkdir("/p/child", 0o755); err != nil {
-				t.Fatalf("Mkdir with the parent on the primary alone = %v", err)
-			}
-			for i, f := range faults {
-				if st, err := f.Stat("/p/child"); err != nil || !st.IsDir() {
-					t.Fatalf("backend %d: Stat(/p/child) = %+v, %v; want the directory", i, st, err)
+
+				if err := s.Mkdir("/p", 0o755); err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				primary := s.ReplicasFor("/p")[0]
+				for i, f := range faults {
+					if i != primary {
+						if err := f.Rmdir("/p"); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				path := "/p/" + child
+				if err := s.Mkdir(path, 0o755); err != nil {
+					t.Fatalf("Mkdir with the parent on the primary alone = %v", err)
+				}
+				holders := []int{0, 1, 2}
+				if routed(path) {
+					holders = s.ReplicasFor(path)
+				}
+				for _, i := range holders {
+					if st, err := faults[i].Stat(path); err != nil || !st.IsDir() {
+						t.Fatalf("backend %d: Stat(%s) = %+v, %v; want the directory", i, path, st, err)
+					}
+				}
+			})
+		}
 	}
 }

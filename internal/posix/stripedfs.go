@@ -626,20 +626,26 @@ func (s *StripedFS) Unlink(path string) error {
 }
 
 // Mkdir implements FS. A routed (hostdir) directory is created on its
-// owners, rebuilding a missing parent skeleton there. A canonical
-// directory is created on its primary with authoritative error
-// semantics, then mirrored — with parents, EEXIST-tolerant — onto every
-// other backend so later hostdirs have a home there. Parents are
-// rebuilt only once an owner has created the directory: until then
-// (the primary dead or missing the parent) the next owner makes a
-// plain Mkdir, so a parent missing everywhere is ENOENT and creates
-// nothing.
+// owners; an owner lagging behind the canonical tree gets its missing
+// parent skeleton rebuilt first, but only while the canonical backends
+// hold the parent — a parent missing there is ENOENT, as on one store,
+// and creates nothing. A canonical directory is created on its primary
+// with authoritative error semantics, then mirrored — with parents,
+// EEXIST-tolerant — onto every other backend so later hostdirs have a
+// home there. Parents are rebuilt only once an owner has created the
+// directory: until then (the primary dead or missing the parent) the
+// next owner makes a plain Mkdir, so a parent missing everywhere is
+// ENOENT and creates nothing.
 func (s *StripedFS) Mkdir(path string, mode uint32) error {
 	if routed(path) {
+		parent := gopath.Dir(gopath.Clean("/" + path))
 		return s.pathAll(path, func(b FS) error {
 			err := b.Mkdir(path, mode)
 			if errors.Is(err, ENOENT) {
-				if merr := MkdirAll(b, gopath.Dir(gopath.Clean("/"+path)), 0o755); merr != nil {
+				if _, serr := s.Stat(parent); serr != nil {
+					return serr
+				}
+				if merr := MkdirAll(b, parent, 0o755); merr != nil {
 					return merr
 				}
 				err = b.Mkdir(path, mode)
