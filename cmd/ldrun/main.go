@@ -47,7 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var d *posix.Dispatch
+	var fs posix.FS
 	var plane *iostats.Plane
 	if remote.Enabled() {
 		conn, err := remote.Dial()
@@ -55,7 +55,7 @@ func main() {
 			log.Fatalf("ldrun: %v", err)
 		}
 		defer conn.Close()
-		d = conn.Dispatch()
+		fs = conn.Dispatch()
 	} else {
 		osfs, err := posix.NewOSFS(*root)
 		if err != nil {
@@ -68,24 +68,24 @@ func main() {
 		if plane != nil {
 			stats = plane
 		}
-		fs, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, stats)
+		system, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, stats)
 		if err != nil {
 			log.Fatalf("ldrun: %v", err)
 		}
 		if plane != nil {
-			fs = posix.NewInstrumentFS(fs, plane)
+			system = posix.NewInstrumentFS(system, plane)
 		}
-		d = posix.NewDispatch(fs)
+		fs = system
 
 		if *preload {
 			mounts, err := core.ParseMounts(*mnt)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if _, err := core.Preload(d, core.Config{
+			if fs, err = core.New(system, core.Config{
 				Mounts: mounts,
 				Pid:    uint32(*pid),
-				Plfs:   plfs.New(fs, ptune.Options(plane)...),
+				Plfs:   plfs.New(system, ptune.Options(plane)...),
 			}); err != nil {
 				log.Fatalf("ldrun: preload: %v", err)
 			}
@@ -110,7 +110,7 @@ func main() {
 		if len(args) != 3 {
 			fatal("ldrun: cp SRC DST")
 		}
-		n, err := unixtools.Cp(d, args[1], args[2])
+		n, err := unixtools.Cp(fs, args[1], args[2])
 		if err != nil {
 			fatal(err)
 		}
@@ -119,14 +119,14 @@ func main() {
 		if len(args) != 2 {
 			fatal("ldrun: cat FILE")
 		}
-		if _, err := unixtools.Cat(d, args[1], os.Stdout); err != nil {
+		if _, err := unixtools.Cat(fs, args[1], os.Stdout); err != nil {
 			fatal(err)
 		}
 	case "grep":
 		if len(args) != 3 {
 			fatal("ldrun: grep PATTERN FILE")
 		}
-		matches, err := unixtools.Grep(d, args[1], args[2])
+		matches, err := unixtools.Grep(fs, args[1], args[2])
 		if err != nil {
 			fatal(err)
 		}
@@ -137,7 +137,7 @@ func main() {
 		if len(args) != 2 {
 			fatal("ldrun: md5sum FILE")
 		}
-		sum, err := unixtools.Md5sum(d, args[1])
+		sum, err := unixtools.Md5sum(fs, args[1])
 		if err != nil {
 			fatal(err)
 		}
@@ -146,7 +146,7 @@ func main() {
 		if len(args) != 2 {
 			fatal("ldrun: ls DIR")
 		}
-		names, err := unixtools.Ls(d, args[1])
+		names, err := unixtools.Ls(fs, args[1])
 		if err != nil {
 			fatal(err)
 		}

@@ -44,11 +44,11 @@ func TestEndToEndOnRealDisk(t *testing.T) {
 		block = 128 << 10
 	)
 	err = mpi.Run(ranks, 2, func(r *mpi.Rank) {
-		d := posix.NewDispatch(osfs)
-		if _, err := core.Preload(d, core.Config{
+		d, err := core.New(osfs, core.Config{
 			Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 			Pid:    uint32(r.Rank()),
-		}); err != nil {
+		})
+		if err != nil {
 			panic(err)
 		}
 		fh, err := mpiio.Open(r, mpiio.NewUFS(d), "/mnt/plfs/ckpt", mpiio.ModeCreate|mpiio.ModeRdwr, mpiio.DefaultHints())
@@ -76,12 +76,12 @@ func TestEndToEndOnRealDisk(t *testing.T) {
 		t.Fatalf("container marker missing on disk: %v", err)
 	}
 
-	// 2. A "login shell" with the shim preloaded runs the tools.
-	shell := posix.NewDispatch(osfs)
-	if _, err := core.Preload(shell, core.Config{
+	// 2. A "login shell" with the shim loaded runs the tools.
+	shell, err := core.New(osfs, core.Config{
 		Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    999,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sumContainer, err := unixtools.Md5sum(shell, "/mnt/plfs/ckpt")
@@ -134,11 +134,11 @@ func TestPaperScaleFlashOnNullFS(t *testing.T) {
 	cfg := workload.FlashIOConfig{NXB: 24, NBlocks: 80, NVars: 24, Hints: mpiio.DefaultHints()}
 	var wrote int64
 	err := mpi.Run(4, 2, func(r *mpi.Rank) {
-		d := posix.NewDispatch(null)
-		if _, err := core.Preload(d, core.Config{
+		d, err := core.New(null, core.Config{
 			Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 			Pid:    uint32(r.Rank()),
-		}); err != nil {
+		})
+		if err != nil {
 			panic(err)
 		}
 		res, err := workload.RunFlashIO(r, mpiio.NewUFS(d), "/mnt/plfs/flash", cfg)

@@ -20,12 +20,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The "process": a symbol table bound to the system, exactly what the
-	// dynamic loader gives a freshly exec'd binary.
-	proc := posix.NewDispatch(system)
-
+	// The "process": the file API a freshly exec'd binary calls, with
+	// the shim loaded over the system — the effect of
 	// export LDPLFS_MNT=/mnt/plfs=/backend && LD_PRELOAD=libldplfs.so
-	shim, err := core.Preload(proc, core.Config{
+	proc, err := core.New(system, core.Config{
 		Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    1234,
 	})
@@ -58,5 +56,5 @@ func main() {
 		fmt.Printf("  container member: %s\n", e.Name)
 	}
 	fmt.Printf("shim stats: %d calls interposed, %d passed through\n",
-		shim.Stats.Interposed.Load(), shim.Stats.PassedThru.Load())
+		proc.Stats.Interposed.Load(), proc.Stats.PassedThru.Load())
 }

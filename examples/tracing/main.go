@@ -29,20 +29,22 @@ func runTraced(usePLFS bool) iotrace.Summary {
 
 	cfg := workload.FlashIOConfig{NXB: 6, NBlocks: 4, NVars: 8, Hints: mpiio.DefaultHints()}
 	err := mpi.Run(8, 4, func(r *mpi.Rank) {
-		// Every rank's process: tracer first, then (optionally) LDPLFS —
-		// two entries in LD_PRELOAD, innermost loaded first.
-		d := posix.NewDispatch(rec)
+		// Every rank's process: tracer first, then (optionally) LDPLFS
+		// nested over it — two entries in LD_PRELOAD, innermost loaded
+		// first.
+		var proc posix.FS = rec
 		base := "/scratch/run"
 		if usePLFS {
-			if _, err := core.Preload(d, core.Config{
+			shim, err := core.New(rec, core.Config{
 				Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 				Pid:    uint32(r.Rank()),
-			}); err != nil {
+			})
+			if err != nil {
 				panic(err)
 			}
-			base = "/mnt/plfs/run"
+			proc, base = shim, "/mnt/plfs/run"
 		}
-		if _, err := workload.RunFlashIO(r, mpiio.NewUFS(d), base, cfg); err != nil {
+		if _, err := workload.RunFlashIO(r, mpiio.NewUFS(proc), base, cfg); err != nil {
 			panic(err)
 		}
 	})

@@ -15,7 +15,6 @@ import (
 	"ldplfs/internal/harness"
 	"ldplfs/internal/mpi"
 	"ldplfs/internal/mpiio"
-	"ldplfs/internal/posix"
 	"ldplfs/internal/unixtools"
 )
 
@@ -46,8 +45,8 @@ func main() {
 	}
 
 	// Phase 2: post-processing with standard tools. A fresh "login shell"
-	// process preloads LDPLFS via the environment-variable path.
-	shell := posix.NewDispatch(store)
+	// process loads LDPLFS over the store via the environment-variable
+	// path.
 	cfg, err := core.ConfigFromEnv(func(k string) string {
 		if k == core.EnvMounts {
 			return harness.MountPoint + "=" + harness.BackendDir
@@ -57,7 +56,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := core.Preload(shell, cfg); err != nil {
+	shell, err := core.New(store, cfg)
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Environment variables understood by PreloadFromEnv, mirroring how the
+// Environment variables understood by ConfigFromEnv, mirroring how the
 // real LDPLFS is driven entirely from the environment ("requires only a
 // simple environment variable to be exported").
 const (

@@ -10,19 +10,19 @@ import (
 )
 
 // faultEnv builds a shimmed process over a fault-injecting backend.
-func faultEnv(t *testing.T) (*posix.Dispatch, *posix.FaultFS) {
+func faultEnv(t *testing.T) (posix.FS, *posix.FaultFS) {
 	t.Helper()
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	d := posix.NewDispatch(ffs)
-	if _, err := Preload(d, Config{
+	d, err := New(ffs, Config{
 		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    1,
 		Plfs:   plfs.New(ffs),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return d, ffs
@@ -57,11 +57,11 @@ func TestOpenFailureDoesNotLeakShadowFds(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/backend", 0o755)
 	ffs := posix.NewFaultFS(mem)
-	d := posix.NewDispatch(ffs)
-	if _, err := Preload(d, Config{
+	d, err := New(ffs, Config{
 		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    1,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Fail the creation of the container's version file and beyond: the

@@ -6,9 +6,12 @@
 //
 // The mechanics mirror the paper's Section III-A exactly:
 //
-//   - Preload installs wrappers into the process's symbol table
-//     (posix.Dispatch), capturing the previous bindings the way a shim
-//     captures dlsym(RTLD_NEXT, "open").
+//   - New builds the shim as a posix.FS over the system it is given:
+//     the previous bindings, what dlsym(RTLD_NEXT, "open") returns to a
+//     shim. A tracer below it, or another shim, is just another
+//     posix.FS underneath, and the shim composes under interposers
+//     (posix.Interpose) like any other FS. Preload binds one into a
+//     posix.Dispatch symbol table for callers that still hold one.
 //   - When an application opens a file under a configured mount point, the
 //     shim calls plfs_open and ALSO opens a shadow POSIX file (the paper
 //     uses /dev/random) so the application receives a genuine file
@@ -20,7 +23,7 @@
 //     lseek(fd, 0, SEEK_CUR) before each PLFS call and advanced with
 //     lseek(fd, off+n, SEEK_SET) after it.
 //   - Operations on descriptors or paths with no lookup entry fall through
-//     to the previous symbols untouched.
+//     to the system below untouched.
 //
 // Every open() gets its own table entry and its own Plfs_fd, so a process
 // may hold several descriptors on one file. The table allows it and PLFS
@@ -68,7 +71,7 @@ func (m Mount) Resolve(path string) (backend string, ok bool) {
 	return "", false
 }
 
-// Config configures a preload.
+// Config configures a shim.
 type Config struct {
 	Mounts []Mount
 	// Pid identifies this "process" to PLFS (selects droppings); the paper
@@ -77,7 +80,7 @@ type Config struct {
 	// Plfs supplies the PLFS library instance: built by the caller over
 	// the store it composed, and shared when several ranks in one
 	// simulated node share state. Nil means a default instance over the
-	// dispatch's previous symbols.
+	// system the shim wraps.
 	Plfs *plfs.FS
 }
 
@@ -92,13 +95,14 @@ type Stats struct {
 	ShadowSeeks atomic.Int64 // lseek bookkeeping calls on shadow fds
 }
 
-// LDPLFS is a loaded instance of the shim. One instance corresponds to one
-// process having LD_PRELOAD=libldplfs.so in its environment.
+// LDPLFS is a loaded instance of the shim, a posix.FS. One instance
+// corresponds to one process having LD_PRELOAD=libldplfs.so in its
+// environment.
 type LDPLFS struct {
-	real  posix.Dispatch // previous symbol bindings (RTLD_NEXT)
-	table *posix.Dispatch
-	plfs  *plfs.FS
-	cfg   Config
+	real   posix.FS // the system below: previous bindings (RTLD_NEXT)
+	plfs   *plfs.FS
+	cfg    Config
+	unbind func() // set by Preload: restores the table it rebound
 
 	// mu guards files. Lookups (the hot path of every read/write) take
 	// it shared, so concurrent preads and pwrites through the shim reach
@@ -116,11 +120,10 @@ type openFile struct {
 	pid   uint32
 }
 
-// Preload installs LDPLFS into the process symbol table d. It captures the
-// current bindings first, so previously loaded shims (e.g. tracing tools)
-// keep working underneath — multiple libraries in LD_PRELOAD compose the
-// same way.
-func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
+// New loads the shim over system: calls on paths under cfg's mounts
+// (and on the descriptors they open) are retargeted to PLFS, and every
+// other call falls through to system untouched.
+func New(system posix.FS, cfg Config) (*LDPLFS, error) {
 	if len(cfg.Mounts) == 0 {
 		return nil, errors.New("ldplfs: no mount points configured (set PLFS_MNT)")
 	}
@@ -133,15 +136,14 @@ func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
 	}
 	cfg.Mounts = mounts
 	l := &LDPLFS{
-		real:  d.Snapshot(),
-		table: d,
+		real:  system,
 		cfg:   cfg,
 		files: make(map[int]*openFile),
 	}
 	if cfg.Plfs != nil {
 		l.plfs = cfg.Plfs
 	} else {
-		l.plfs = plfs.New(&l.real)
+		l.plfs = plfs.New(system)
 	}
 	// Ensure the shadow file exists (the analogue of /dev/random: any
 	// always-openable file works; we only need its descriptors).
@@ -150,32 +152,30 @@ func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
 		return nil, fmt.Errorf("ldplfs: create shadow file: %w", err)
 	}
 	l.real.Close(fd)
-
-	d.OpenFn = l.open
-	d.CloseFn = l.close
-	d.ReadFn = l.read
-	d.WriteFn = l.write
-	d.PreadFn = l.pread
-	d.PwriteFn = l.pwrite
-	d.LseekFn = l.lseek
-	d.FsyncFn = l.fsync
-	d.FtruncateFn = l.ftruncate
-	d.FstatFn = l.fstat
-	d.StatFn = l.stat
-	d.TruncateFn = l.truncate
-	d.UnlinkFn = l.unlink
-	d.MkdirFn = l.mkdir
-	d.RmdirFn = l.rmdir
-	d.ReaddirFn = l.readdir
-	d.RenameFn = l.rename
-	d.AccessFn = l.access
 	return l, nil
 }
 
-// Unload restores the previous symbol bindings and closes any PLFS state
-// still held by the lookup table (process exit).
+// Preload installs the shim into the process symbol table d: it loads
+// New over a snapshot of d's current bindings, so previously loaded
+// shims keep working underneath, and binds every entry of d to it.
+// Unload restores the snapshot.
+func Preload(d *posix.Dispatch, cfg Config) (*LDPLFS, error) {
+	prev := d.Snapshot()
+	l, err := New(&prev, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.Restore(*posix.NewDispatch(l))
+	l.unbind = func() { d.Restore(prev) }
+	return l, nil
+}
+
+// Unload closes any PLFS state still held by the lookup table (process
+// exit) and, for a Preload, restores the previous symbol bindings.
 func (l *LDPLFS) Unload() {
-	l.table.Restore(l.real)
+	if l.unbind != nil {
+		l.unbind()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for fd, of := range l.files {
@@ -217,9 +217,10 @@ func (l *LDPLFS) lookup(fd int) (*openFile, bool) {
 	return of, ok
 }
 
-// --- interposed symbols -------------------------------------------------
+// --- interposed symbols: posix.FS -----------------------------------------
 
-func (l *LDPLFS) open(path string, flags int, mode uint32) (int, error) {
+// Open implements posix.FS.
+func (l *LDPLFS) Open(path string, flags int, mode uint32) (int, error) {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -250,7 +251,8 @@ func (l *LDPLFS) open(path string, flags int, mode uint32) (int, error) {
 	return fd, nil
 }
 
-func (l *LDPLFS) close(fd int) error {
+// Close implements posix.FS.
+func (l *LDPLFS) Close(fd int) error {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -280,7 +282,8 @@ func (l *LDPLFS) advance(fd int, pos int64) error {
 	return err
 }
 
-func (l *LDPLFS) read(fd int, p []byte) (int, error) {
+// Read implements posix.FS.
+func (l *LDPLFS) Read(fd int, p []byte) (int, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -301,7 +304,8 @@ func (l *LDPLFS) read(fd int, p []byte) (int, error) {
 	return n, nil
 }
 
-func (l *LDPLFS) write(fd int, p []byte) (int, error) {
+// Write implements posix.FS.
+func (l *LDPLFS) Write(fd int, p []byte) (int, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -327,11 +331,11 @@ func (l *LDPLFS) write(fd int, p []byte) (int, error) {
 	return n, nil
 }
 
-// pread is the shim's read fast path: no shadow-offset bookkeeping, one
+// Pread is the shim's read fast path: no shadow-offset bookkeeping, one
 // shared-lock table lookup, then straight into plfs.File.Read — whose
 // scatter-gather runs concurrently with every other reader of the
 // container (the File serializes only writers).
-func (l *LDPLFS) pread(fd int, p []byte, off int64) (int, error) {
+func (l *LDPLFS) Pread(fd int, p []byte, off int64) (int, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -341,12 +345,12 @@ func (l *LDPLFS) pread(fd int, p []byte, off int64) (int, error) {
 	return of.file.Read(p, off)
 }
 
-// pwrite is the shim's write fast path, the twin of pread: no
+// Pwrite is the shim's write fast path, the twin of Pread: no
 // shadow-offset bookkeeping, one shared-lock table lookup, then straight
 // into plfs.File.Write — which serializes only against same-pid writes,
 // so concurrent pwrites through the shim stream their droppings in
 // parallel (the File takes its container's lock shared).
-func (l *LDPLFS) pwrite(fd int, p []byte, off int64) (int, error) {
+func (l *LDPLFS) Pwrite(fd int, p []byte, off int64) (int, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -356,7 +360,8 @@ func (l *LDPLFS) pwrite(fd int, p []byte, off int64) (int, error) {
 	return of.file.Write(p, off, of.pid)
 }
 
-func (l *LDPLFS) lseek(fd int, offset int64, whence int) (int64, error) {
+// Lseek implements posix.FS.
+func (l *LDPLFS) Lseek(fd int, offset int64, whence int) (int64, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -382,7 +387,8 @@ func (l *LDPLFS) lseek(fd int, offset int64, whence int) (int64, error) {
 	return l.real.Lseek(fd, offset, whence)
 }
 
-func (l *LDPLFS) fsync(fd int) error {
+// Fsync implements posix.FS.
+func (l *LDPLFS) Fsync(fd int) error {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -392,7 +398,8 @@ func (l *LDPLFS) fsync(fd int) error {
 	return of.file.Sync(of.pid)
 }
 
-func (l *LDPLFS) ftruncate(fd int, size int64) error {
+// Ftruncate implements posix.FS.
+func (l *LDPLFS) Ftruncate(fd int, size int64) error {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -402,7 +409,8 @@ func (l *LDPLFS) ftruncate(fd int, size int64) error {
 	return of.file.Trunc(size)
 }
 
-func (l *LDPLFS) fstat(fd int) (posix.Stat, error) {
+// Fstat implements posix.FS.
+func (l *LDPLFS) Fstat(fd int) (posix.Stat, error) {
 	of, ok := l.lookup(fd)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -416,7 +424,8 @@ func (l *LDPLFS) fstat(fd int) (posix.Stat, error) {
 	return posix.Stat{Size: size, Mode: 0o644, Nlink: 1}, nil
 }
 
-func (l *LDPLFS) stat(path string) (posix.Stat, error) {
+// Stat implements posix.FS.
+func (l *LDPLFS) Stat(path string) (posix.Stat, error) {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -429,7 +438,8 @@ func (l *LDPLFS) stat(path string) (posix.Stat, error) {
 	return l.real.Stat(bpath)
 }
 
-func (l *LDPLFS) truncate(path string, size int64) error {
+// Truncate implements posix.FS.
+func (l *LDPLFS) Truncate(path string, size int64) error {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -442,7 +452,8 @@ func (l *LDPLFS) truncate(path string, size int64) error {
 	return l.real.Truncate(bpath, size)
 }
 
-func (l *LDPLFS) unlink(path string) error {
+// Unlink implements posix.FS.
+func (l *LDPLFS) Unlink(path string) error {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -455,7 +466,8 @@ func (l *LDPLFS) unlink(path string) error {
 	return l.real.Unlink(bpath)
 }
 
-func (l *LDPLFS) mkdir(path string, mode uint32) error {
+// Mkdir implements posix.FS.
+func (l *LDPLFS) Mkdir(path string, mode uint32) error {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -465,7 +477,8 @@ func (l *LDPLFS) mkdir(path string, mode uint32) error {
 	return l.real.Mkdir(bpath, mode)
 }
 
-func (l *LDPLFS) rmdir(path string) error {
+// Rmdir implements posix.FS.
+func (l *LDPLFS) Rmdir(path string) error {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -479,7 +492,8 @@ func (l *LDPLFS) rmdir(path string) error {
 	return l.real.Rmdir(bpath)
 }
 
-func (l *LDPLFS) readdir(path string) ([]posix.DirEntry, error) {
+// Readdir implements posix.FS.
+func (l *LDPLFS) Readdir(path string) ([]posix.DirEntry, error) {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -502,7 +516,8 @@ func (l *LDPLFS) readdir(path string) ([]posix.DirEntry, error) {
 	return out, nil
 }
 
-func (l *LDPLFS) rename(oldpath, newpath string) error {
+// Rename implements posix.FS.
+func (l *LDPLFS) Rename(oldpath, newpath string) error {
 	bold, ok1 := l.Resolve(oldpath)
 	bnew, ok2 := l.Resolve(newpath)
 	switch {
@@ -521,7 +536,8 @@ func (l *LDPLFS) rename(oldpath, newpath string) error {
 	return l.real.Rename(bold, bnew)
 }
 
-func (l *LDPLFS) access(path string, mode int) error {
+// Access implements posix.FS.
+func (l *LDPLFS) Access(path string, mode int) error {
 	bpath, ok := l.Resolve(path)
 	if !ok {
 		l.Stats.PassedThru.Add(1)
@@ -530,3 +546,5 @@ func (l *LDPLFS) access(path string, mode int) error {
 	l.Stats.Interposed.Add(1)
 	return l.real.Access(bpath, mode)
 }
+
+var _ posix.FS = (*LDPLFS)(nil)

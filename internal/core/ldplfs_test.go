@@ -12,18 +12,12 @@ import (
 	"ldplfs/internal/posix"
 )
 
-// newEnv builds a process image: a MemFS "system", a dispatch table, and
-// the shim preloaded over mount /mnt/plfs -> /backend.
-func newEnv(t *testing.T) (*posix.Dispatch, *LDPLFS, *posix.MemFS) {
+// newEnv builds a process image: a MemFS "system" and the shim loaded
+// over it with mount /mnt/plfs -> /backend. The process calls the shim.
+func newEnv(t *testing.T) (posix.FS, *LDPLFS, *posix.MemFS) {
 	t.Helper()
-	mem := posix.NewMemFS()
-	for _, dir := range []string{"/backend", "/home", "/mnt"} {
-		if err := mem.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := posix.NewDispatch(mem)
-	l, err := Preload(d, Config{
+	mem := newSystem(t)
+	l, err := New(mem, Config{
 		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    42,
 		Plfs:   plfs.New(mem),
@@ -31,7 +25,19 @@ func newEnv(t *testing.T) (*posix.Dispatch, *LDPLFS, *posix.MemFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, l, mem
+	return l, l, mem
+}
+
+// newSystem is the MemFS a process image runs on.
+func newSystem(t *testing.T) *posix.MemFS {
+	t.Helper()
+	mem := posix.NewMemFS()
+	for _, dir := range []string{"/backend", "/home", "/mnt"} {
+		if err := mem.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mem
 }
 
 // TestConfigSurface pins what a preload can be given: where the mounts
@@ -319,7 +325,16 @@ func TestMkdirUnderMountStaysPosix(t *testing.T) {
 }
 
 func TestUnloadRestoresSymbols(t *testing.T) {
-	d, l, mem := newEnv(t)
+	mem := newSystem(t)
+	d := posix.NewDispatch(mem)
+	l, err := Preload(d, Config{
+		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+		Pid:    42,
+		Plfs:   plfs.New(mem),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l.Unload()
 	// After unload, opens under the mount hit the raw path (ENOENT since
 	// /mnt/plfs does not exist on the underlying FS).
@@ -354,45 +369,97 @@ func TestShadowFdBookkeeping(t *testing.T) {
 func TestStackedShims(t *testing.T) {
 	// A tracing shim loaded before LDPLFS keeps seeing the calls LDPLFS
 	// passes down — the paper's footnote about composing with tracers.
-	mem := posix.NewMemFS()
-	mem.Mkdir("/backend", 0o755)
-	d := posix.NewDispatch(mem)
+	t.Run("Preload over a tracer", func(t *testing.T) {
+		mem := posix.NewMemFS()
+		mem.Mkdir("/backend", 0o755)
+		d := posix.NewDispatch(mem)
 
-	traced := 0
-	prev := d.Snapshot()
-	d.OpenFn = func(path string, flags int, mode uint32) (int, error) {
-		traced++
-		return prev.OpenFn(path, flags, mode)
-	}
+		traced := 0
+		prev := d.Snapshot()
+		d.OpenFn = func(path string, flags int, mode uint32) (int, error) {
+			traced++
+			return prev.OpenFn(path, flags, mode)
+		}
 
-	l, err := Preload(d, Config{
-		Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
-		Pid:    1,
+		l, err := Preload(d, Config{
+			Mounts: []Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
+			Pid:    1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced = 0
+		fd, err := d.Open("/mnt/plfs/x", posix.O_CREAT|posix.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Write(fd, []byte("y"))
+		d.Close(fd)
+		// The tracer saw the shim's internal opens (droppings, shadow), proving
+		// LDPLFS chained to the previous symbols rather than the raw FS.
+		if traced == 0 {
+			t.Fatal("tracer below LDPLFS saw nothing")
+		}
+		l.Unload()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced = 0
-	fd, err := d.Open("/mnt/plfs/x", posix.O_CREAT|posix.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Write(fd, []byte("y"))
-	d.Close(fd)
-	// The tracer saw the shim's internal opens (droppings, shadow), proving
-	// LDPLFS chained to the previous symbols rather than the raw FS.
-	if traced == 0 {
-		t.Fatal("tracer below LDPLFS saw nothing")
-	}
-	l.Unload()
+
+	// Two shims nest as two posix.FS values: the outer one's container
+	// traffic goes down through the inner one, which passes it on, and
+	// the inner mount stays reachable through the outer shim.
+	t.Run("New over New", func(t *testing.T) {
+		mem := posix.NewMemFS()
+		mem.Mkdir("/b1", 0o755)
+		mem.Mkdir("/b2", 0o755)
+		inner, err := New(mem, Config{Mounts: []Mount{{Point: "/mnt/one", Backend: "/b1"}}, Pid: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := New(inner, Config{Mounts: []Mount{{Point: "/mnt/two", Backend: "/b2"}}, Pid: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each path is retargeted by one shim and passed through by the
+		// other: the outer mount's droppings go down through the inner
+		// shim, and the inner mount is reached through the outer one.
+		for _, c := range []struct {
+			path         string
+			retarget, by *LDPLFS
+		}{{"/mnt/one/f", inner, outer}, {"/mnt/two/f", outer, inner}} {
+			interposed, passed := c.retarget.Stats.Interposed.Load(), c.by.Stats.PassedThru.Load()
+			fd, err := outer.Open(c.path, posix.O_CREAT|posix.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := outer.Pwrite(fd, []byte(c.path), 0); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(c.path))
+			if n, err := outer.Pread(fd, got, 0); err != nil || string(got[:n]) != c.path {
+				t.Fatalf("%s read back %q, %v", c.path, got[:n], err)
+			}
+			if err := outer.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+			if c.retarget.Stats.Interposed.Load() == interposed || c.by.Stats.PassedThru.Load() == passed {
+				t.Fatalf("%s did not pass one shim and land in the other", c.path)
+			}
+		}
+		if !inner.Plfs().IsContainer("/b1/f") || !outer.Plfs().IsContainer("/b2/f") {
+			t.Fatal("a container is missing from its shim's backend")
+		}
+		outer.Unload()
+		inner.Unload()
+		if got := mem.OpenFDs(); got != 0 {
+			t.Fatalf("%d fds open after both shims unloaded", got)
+		}
+	})
 }
 
 func TestMultipleMounts(t *testing.T) {
 	mem := posix.NewMemFS()
 	mem.Mkdir("/b1", 0o755)
 	mem.Mkdir("/b2", 0o755)
-	d := posix.NewDispatch(mem)
-	l, err := Preload(d, Config{
+	l, err := New(mem, Config{
 		Mounts: []Mount{
 			{Point: "/mnt/one", Backend: "/b1"},
 			{Point: "/mnt/two", Backend: "/b2"},
@@ -403,12 +470,12 @@ func TestMultipleMounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []string{"/mnt/one/f", "/mnt/two/f"} {
-		fd, err := d.Open(m, posix.O_CREAT|posix.O_WRONLY, 0o644)
+		fd, err := l.Open(m, posix.O_CREAT|posix.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		d.Write(fd, []byte(m))
-		d.Close(fd)
+		l.Write(fd, []byte(m))
+		l.Close(fd)
 	}
 	if !l.Plfs().IsContainer("/b1/f") || !l.Plfs().IsContainer("/b2/f") {
 		t.Fatal("containers missing in one of the backends")
@@ -438,8 +505,7 @@ func TestShimMatchesPlainPosix(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 
 		d, _, _ := newEnv(t)
-		plainFS := posix.NewMemFS()
-		plain := posix.NewDispatch(plainFS)
+		plain := posix.NewMemFS()
 
 		pfd, err := d.Open("/mnt/plfs/w", posix.O_CREAT|posix.O_RDWR, 0o644)
 		if err != nil {

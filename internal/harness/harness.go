@@ -3,8 +3,9 @@
 // produces the per-rank ADIO driver and the path the application should
 // open. It assembles, it does not translate: three methods — and remote
 // mode, a gateway connection in place of the store — are the ufs driver
-// over a different POSIX face (plain dispatch, shim, FUSE view of the
-// shim, client.Conn dispatch), the fourth is ad_plfs. The conventions
+// over a different posix.FS (the store itself, the shim core.New builds
+// over it, the FUSE view of that shim, a client.Conn's table), the
+// fourth is ad_plfs. The conventions
 // match the experiments: PLFS containers live under /backend, the PLFS
 // mount point is /mnt/plfs, plain shared files live under /scratch.
 package harness
@@ -97,22 +98,22 @@ func PrepareStore(fs posix.FS) error {
 func DriverFor(method string, fs posix.FS, rank int, opts ...plfs.Option) (mpiio.Driver, func(name string) string, error) {
 	switch method {
 	case "mpiio":
-		return mpiio.NewUFS(posix.NewDispatch(fs)),
+		return mpiio.NewUFS(fs),
 			func(name string) string { return ScratchDir + "/" + name }, nil
 	case "romio":
 		p := plfs.New(fs, opts...)
 		drv := mpiio.NewPLFSDriver(p, core.NewMount(MountPoint, BackendDir).Resolve)
 		return drv, func(name string) string { return MountPoint + "/" + name }, nil
 	case "ldplfs":
-		d := posix.NewDispatch(fs)
-		if _, err := core.Preload(d, core.Config{
+		shim, err := core.New(fs, core.Config{
 			Mounts: []core.Mount{{Point: MountPoint, Backend: BackendDir}},
 			Pid:    uint32(rank),
 			Plfs:   plfs.New(fs, opts...),
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, nil, err
 		}
-		return mpiio.NewUFS(d),
+		return mpiio.NewUFS(shim),
 			func(name string) string { return MountPoint + "/" + name }, nil
 	case "fuse":
 		return mpiio.NewUFS(fuse.Mount(fs, MountPoint, BackendDir, opts...)),

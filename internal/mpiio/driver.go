@@ -137,9 +137,9 @@ type indexSharer interface {
 
 // --- ufs: the POSIX ADIO driver -----------------------------------------
 
-// UFS routes through a posix.FS — typically a *posix.Dispatch, so that a
-// preloaded LDPLFS shim (or a FUSE mount) transparently captures the
-// traffic, exactly as ad_ufs does in ROMIO.
+// UFS routes through a posix.FS — the plain system, the LDPLFS shim
+// loaded over it (core.New), or a FUSE mount of that shim — so the shim
+// transparently captures the traffic, exactly as ad_ufs does in ROMIO.
 type UFS struct {
 	fs posix.FS
 }

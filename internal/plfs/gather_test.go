@@ -2,6 +2,7 @@ package plfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -378,4 +379,42 @@ func TestGatherModeFollowsBackend(t *testing.T) {
 			mode, _ = read(t, r, 0)
 		}
 	})
+}
+
+// TestGatherNamesLostDropping: when the backend has lost a data
+// dropping the index still maps, a cold read fails naming that
+// dropping, with the backend's errno still matchable.
+func TestGatherNamesLostDropping(t *testing.T) {
+	mem := posix.NewMemFS()
+	if err := mem.Mkdir("/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const path = "/b/two"
+	p := New(mem)
+	for pid := uint32(1); pid <= 2; pid++ {
+		f, err := p.Open(path, posix.O_CREAT|posix.O_WRONLY, pid, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{byte(pid)}, 4096), int64(pid-1)*4096, pid); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := dataDropping(p.hostdir(path, 2), 2)
+	if err := mem.Unlink(lost); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := New(mem).Open(path, posix.O_RDONLY, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(0)
+	_, err = f.Read(make([]byte, 8192), 0)
+	if !errors.Is(err, posix.ENOENT) || !strings.Contains(fmt.Sprint(err), lost) {
+		t.Fatalf("read with %s lost = %v, want ENOENT naming it", lost, err)
+	}
 }

@@ -564,7 +564,7 @@ func (p *FS) readBatch(plan *readPlan, bi int) {
 	b := plan.batches[bi]
 	pin := &plan.pins[b.pin]
 	if pin.Err != nil {
-		plan.failBatch(bi, 0, fmt.Errorf("plfs: open data dropping for read: %w", pin.Err))
+		plan.failBatch(bi, 0, fmt.Errorf("plfs: open data dropping %s for read: %w", plan.paths[b.pin], pin.Err))
 		return
 	}
 	if b.n == 1 {

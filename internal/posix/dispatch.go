@@ -1,18 +1,19 @@
 package posix
 
-// Dispatch is the dynamic symbol table of this simulated process. Every
-// application-level component in the repository (the bundled UNIX tools, the
-// mini-applications, ROMIO's "ufs" ADIO driver) issues its file operations
-// through a *Dispatch rather than calling a backend directly — just as a
-// dynamically linked binary calls open(2) through the PLT rather than
-// jumping into libc.
+// Dispatch is a dynamic symbol table: 18 function fields, one per FS
+// method, that a shim rebinds to install itself — the in-process image
+// of a dynamically linked binary calling open(2) through the PLT.
 //
-// Interposition works exactly as with LD_PRELOAD: a shim (internal/core's
-// LDPLFS) captures the current entries (the "real" symbols, what dlsym
-// RTLD_NEXT would return) and installs its own wrappers in their place.
-// Multiple shims can stack, mirroring multiple libraries listed in
-// LD_PRELOAD — the paper notes tracing tools can be stacked with LDPLFS the
-// same way.
+// It is no longer the way in. The LDPLFS shim is itself an FS
+// (core.New), composed over the system below it like any other, and
+// tracing or accounting layers are hooks on Interpose. A Dispatch is
+// left only where core.Preload binds a shim into one — the benchmark
+// rig in cmd/plfsbench — and in the remote client's hand-built table;
+// both go once those build through core.New.
+//
+// A shim binding into a Dispatch captures the current entries first
+// (the "real" symbols, what dlsym RTLD_NEXT would return) with Snapshot,
+// and Unload puts them back with Restore.
 //
 // A Dispatch is configured at "load time" and must not be mutated while
 // calls are in flight; this mirrors the loader, which resolves symbols

@@ -33,13 +33,29 @@ const (
 	faceBackend = "/backend"
 )
 
+var faceConfig = core.Config{Mounts: []core.Mount{{Point: facePoint, Backend: faceBackend}}, Pid: 7}
+
 func shimOver(t *testing.T, inner posix.FS) posix.FS {
 	t.Helper()
 	if err := inner.Mkdir(faceBackend, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	shim, err := core.New(inner, faceConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shim
+}
+
+// preloadedOver is the shim bound into a symbol table over inner, the
+// construction core.Preload keeps for callers that hold a table.
+func preloadedOver(t *testing.T, inner posix.FS) posix.FS {
+	t.Helper()
+	if err := inner.Mkdir(faceBackend, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	d := posix.NewDispatch(inner)
-	if _, err := core.Preload(d, core.Config{Mounts: []core.Mount{{Point: facePoint, Backend: faceBackend}}, Pid: 7}); err != nil {
+	if _, err := core.Preload(d, faceConfig); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -54,6 +70,7 @@ var faces = []face{
 		}
 		return shimOver(t, osfs)
 	}},
+	{name: "shim/Preload", new: func(t *testing.T) posix.FS { return preloadedOver(t, posix.NewMemFS()) }},
 	{name: "fuse.FS", outside: posix.ENOENT, new: func(t *testing.T) posix.FS {
 		mem := posix.NewMemFS()
 		if err := mem.Mkdir(faceBackend, 0o755); err != nil {

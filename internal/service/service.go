@@ -190,7 +190,6 @@ type Session struct {
 	g      *Gateway
 	tenant *Tenant
 	ld     *core.LDPLFS
-	d      *posix.Dispatch
 	pid    uint32
 
 	mu     sync.Mutex
@@ -211,8 +210,7 @@ func (g *Gateway) NewSession(tenantName string) (*Session, error) {
 	fs := g.fss[tenantName]
 	g.mu.Unlock()
 
-	d := posix.NewDispatch(g.cfg.Backend)
-	ld, err := core.Preload(d, core.Config{
+	ld, err := core.New(g.cfg.Backend, core.Config{
 		Mounts: append([]core.Mount(nil), g.cfg.Mounts...),
 		Pid:    pid,
 		Plfs:   fs,
@@ -220,7 +218,7 @@ func (g *Gateway) NewSession(tenantName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{g: g, tenant: t, ld: ld, d: d, pid: pid}, nil
+	return &Session{g: g, tenant: t, ld: ld, pid: pid}, nil
 }
 
 // Pid reports the session's PLFS pid (tests assert dropping ownership).
@@ -258,7 +256,7 @@ func (s *Session) do(op iostats.Op, bytes int64, fn func() error) error {
 // as the shim does for unmounted paths).
 func (s *Session) Open(path string, flags int, mode uint32) (fd int, err error) {
 	err = s.do(iostats.Open, 0, func() error {
-		fd, err = s.d.Open(path, flags, mode)
+		fd, err = s.ld.Open(path, flags, mode)
 		return err
 	})
 	return fd, err
@@ -267,7 +265,7 @@ func (s *Session) Open(path string, flags int, mode uint32) (fd int, err error) 
 // Pread reads len(p) bytes at off.
 func (s *Session) Pread(fd int, p []byte, off int64) (n int, err error) {
 	err = s.do(iostats.Read, int64(len(p)), func() error {
-		n, err = s.d.Pread(fd, p, off)
+		n, err = s.ld.Pread(fd, p, off)
 		return err
 	})
 	return n, err
@@ -276,7 +274,7 @@ func (s *Session) Pread(fd int, p []byte, off int64) (n int, err error) {
 // Pwrite writes p at off.
 func (s *Session) Pwrite(fd int, p []byte, off int64) (n int, err error) {
 	err = s.do(iostats.Write, int64(len(p)), func() error {
-		n, err = s.d.Pwrite(fd, p, off)
+		n, err = s.ld.Pwrite(fd, p, off)
 		return err
 	})
 	return n, err
@@ -284,18 +282,18 @@ func (s *Session) Pwrite(fd int, p []byte, off int64) (n int, err error) {
 
 // Sync flushes fd's droppings.
 func (s *Session) Sync(fd int) error {
-	return s.do(iostats.Sync, 0, func() error { return s.d.Fsync(fd) })
+	return s.do(iostats.Sync, 0, func() error { return s.ld.Fsync(fd) })
 }
 
 // Close closes fd.
 func (s *Session) Close(fd int) error {
-	return s.do(iostats.Meta, 0, func() error { return s.d.Close(fd) })
+	return s.do(iostats.Meta, 0, func() error { return s.ld.Close(fd) })
 }
 
 // Stat stats a path.
 func (s *Session) Stat(path string) (st posix.Stat, err error) {
 	err = s.do(iostats.Meta, 0, func() error {
-		st, err = s.d.Stat(path)
+		st, err = s.ld.Stat(path)
 		return err
 	})
 	return st, err
@@ -304,7 +302,7 @@ func (s *Session) Stat(path string) (st posix.Stat, err error) {
 // Fstat stats an open fd.
 func (s *Session) Fstat(fd int) (st posix.Stat, err error) {
 	err = s.do(iostats.Meta, 0, func() error {
-		st, err = s.d.Fstat(fd)
+		st, err = s.ld.Fstat(fd)
 		return err
 	})
 	return st, err
@@ -312,12 +310,12 @@ func (s *Session) Fstat(fd int) (st posix.Stat, err error) {
 
 // Truncate truncates a path.
 func (s *Session) Truncate(path string, size int64) error {
-	return s.do(iostats.Meta, 0, func() error { return s.d.Truncate(path, size) })
+	return s.do(iostats.Meta, 0, func() error { return s.ld.Truncate(path, size) })
 }
 
 // Unlink removes a path.
 func (s *Session) Unlink(path string) error {
-	return s.do(iostats.Meta, 0, func() error { return s.d.Unlink(path) })
+	return s.do(iostats.Meta, 0, func() error { return s.ld.Unlink(path) })
 }
 
 // StatsText renders the gateway plane for the Stats wire op.

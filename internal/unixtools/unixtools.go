@@ -1,10 +1,10 @@
 // Package unixtools implements the standard UNIX tools of the paper's
 // Table II — cp, cat, grep, md5sum — as "unmodified binaries": they issue
-// every file operation through a posix.Dispatch symbol table and know
-// nothing about PLFS. Preloading LDPLFS into that table (internal/core)
-// retargets them onto containers, which is exactly the paper's
-// demonstration that raw data can be extracted from PLFS structures
-// without a FUSE mount.
+// every file operation through the posix.FS they are handed and know
+// nothing about PLFS. Handing them the LDPLFS shim (core.New) instead of
+// the plain system retargets them onto containers, which is exactly the
+// paper's demonstration that raw data can be extracted from PLFS
+// structures without a FUSE mount.
 package unixtools
 
 import (
@@ -25,15 +25,14 @@ const (
 	StreamBufSize = 128 << 10
 )
 
-// reader adapts a Dispatch fd to io.Reader for the streaming tools.
+// reader adapts an fd to io.Reader for the streaming tools.
 type reader struct {
-	d   *posix.Dispatch
-	fd  int
-	buf []byte
+	fs posix.FS
+	fd int
 }
 
 func (r *reader) Read(p []byte) (int, error) {
-	n, err := r.d.Read(r.fd, p)
+	n, err := r.fs.Read(r.fd, p)
 	if err != nil {
 		return n, err
 	}
@@ -45,22 +44,22 @@ func (r *reader) Read(p []byte) (int, error) {
 
 // Cp copies src to dst (cp src dst). Like cp, it streams through a large
 // buffer and preserves nothing but bytes.
-func Cp(d *posix.Dispatch, src, dst string) (int64, error) {
-	in, err := d.Open(src, posix.O_RDONLY, 0)
+func Cp(fs posix.FS, src, dst string) (int64, error) {
+	in, err := fs.Open(src, posix.O_RDONLY, 0)
 	if err != nil {
 		return 0, fmt.Errorf("cp: %s: %w", src, err)
 	}
-	defer d.Close(in)
-	out, err := d.Open(dst, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
+	defer fs.Close(in)
+	out, err := fs.Open(dst, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("cp: %s: %w", dst, err)
 	}
-	defer d.Close(out)
+	defer fs.Close(out)
 
 	var total int64
 	buf := make([]byte, CpBufSize)
 	for {
-		n, err := d.Read(in, buf)
+		n, err := fs.Read(in, buf)
 		if err != nil {
 			return total, fmt.Errorf("cp: read %s: %w", src, err)
 		}
@@ -69,7 +68,7 @@ func Cp(d *posix.Dispatch, src, dst string) (int64, error) {
 		}
 		w := 0
 		for w < n {
-			m, err := d.Write(out, buf[w:n])
+			m, err := fs.Write(out, buf[w:n])
 			if err != nil {
 				return total, fmt.Errorf("cp: write %s: %w", dst, err)
 			}
@@ -80,16 +79,16 @@ func Cp(d *posix.Dispatch, src, dst string) (int64, error) {
 }
 
 // Cat streams src to w (cat src > w).
-func Cat(d *posix.Dispatch, src string, w io.Writer) (int64, error) {
-	fd, err := d.Open(src, posix.O_RDONLY, 0)
+func Cat(fs posix.FS, src string, w io.Writer) (int64, error) {
+	fd, err := fs.Open(src, posix.O_RDONLY, 0)
 	if err != nil {
 		return 0, fmt.Errorf("cat: %s: %w", src, err)
 	}
-	defer d.Close(fd)
+	defer fs.Close(fd)
 	var total int64
 	buf := make([]byte, StreamBufSize)
 	for {
-		n, err := d.Read(fd, buf)
+		n, err := fs.Read(fd, buf)
 		if err != nil {
 			return total, fmt.Errorf("cat: %s: %w", src, err)
 		}
@@ -111,12 +110,12 @@ type GrepMatch struct {
 
 // Grep returns the lines of src containing pattern (fixed string, like
 // grep -F), streaming with a small buffer.
-func Grep(d *posix.Dispatch, pattern, src string) ([]GrepMatch, error) {
-	fd, err := d.Open(src, posix.O_RDONLY, 0)
+func Grep(fs posix.FS, pattern, src string) ([]GrepMatch, error) {
+	fd, err := fs.Open(src, posix.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("grep: %s: %w", src, err)
 	}
-	defer d.Close(fd)
+	defer fs.Close(fd)
 
 	var matches []GrepMatch
 	pat := []byte(pattern)
@@ -124,7 +123,7 @@ func Grep(d *posix.Dispatch, pattern, src string) ([]GrepMatch, error) {
 	var partial []byte
 	buf := make([]byte, StreamBufSize)
 	for {
-		n, err := d.Read(fd, buf)
+		n, err := fs.Read(fd, buf)
 		if err != nil {
 			return matches, fmt.Errorf("grep: %s: %w", src, err)
 		}
@@ -157,14 +156,14 @@ func Grep(d *posix.Dispatch, pattern, src string) ([]GrepMatch, error) {
 
 // Md5sum computes the MD5 digest of src, streaming like the coreutils
 // tool, and returns it hex-encoded.
-func Md5sum(d *posix.Dispatch, src string) (string, error) {
-	fd, err := d.Open(src, posix.O_RDONLY, 0)
+func Md5sum(fs posix.FS, src string) (string, error) {
+	fd, err := fs.Open(src, posix.O_RDONLY, 0)
 	if err != nil {
 		return "", fmt.Errorf("md5sum: %s: %w", src, err)
 	}
-	defer d.Close(fd)
+	defer fs.Close(fd)
 	h := md5.New()
-	if _, err := io.Copy(h, &reader{d: d, fd: fd, buf: nil}); err != nil {
+	if _, err := io.Copy(h, &reader{fs: fs, fd: fd}); err != nil {
 		return "", fmt.Errorf("md5sum: %s: %w", src, err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -173,8 +172,8 @@ func Md5sum(d *posix.Dispatch, src string) (string, error) {
 // Ls lists a directory the way ls -1 would (names only, sorted), with a
 // type marker for directories — used to show containers appearing as
 // plain files under LDPLFS.
-func Ls(d *posix.Dispatch, dir string) ([]string, error) {
-	entries, err := d.Readdir(dir)
+func Ls(fs posix.FS, dir string) ([]string, error) {
+	entries, err := fs.Readdir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("ls: %s: %w", dir, err)
 	}

@@ -14,8 +14,8 @@ import (
 	"ldplfs/internal/posix"
 )
 
-// env builds a process with LDPLFS preloaded over /mnt/plfs -> /backend.
-func env(t *testing.T) (*posix.Dispatch, *posix.MemFS) {
+// env builds a process with LDPLFS loaded over /mnt/plfs -> /backend.
+func env(t *testing.T) (posix.FS, *posix.MemFS) {
 	t.Helper()
 	mem := posix.NewMemFS()
 	for _, dir := range []string{"/backend", "/home"} {
@@ -23,19 +23,19 @@ func env(t *testing.T) (*posix.Dispatch, *posix.MemFS) {
 			t.Fatal(err)
 		}
 	}
-	d := posix.NewDispatch(mem)
-	if _, err := core.Preload(d, core.Config{
+	d, err := core.New(mem, core.Config{
 		Mounts: []core.Mount{{Point: "/mnt/plfs", Backend: "/backend"}},
 		Pid:    7,
 		Plfs:   plfs.New(mem),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return d, mem
 }
 
-// writeVia writes content to path through the dispatch.
-func writeVia(t *testing.T, d *posix.Dispatch, path string, content []byte) {
+// writeVia writes content to path through d.
+func writeVia(t *testing.T, d posix.FS, path string, content []byte) {
 	t.Helper()
 	fd, err := d.Open(path, posix.O_CREAT|posix.O_WRONLY|posix.O_TRUNC, 0o644)
 	if err != nil {
