@@ -34,7 +34,7 @@ func main() {
 	root := flag.String("root", ".", "host directory backing the tree (canonical backend)")
 	backends := flag.String("backends", "", "comma-separated extra host directories to stripe container droppings across (shadow backends)")
 	layoutDesc := flag.String("layout", "", "placement layout across the backends: mod-n (default) or replica-R")
-	preload := flag.Bool("preload", false, "preload LDPLFS into the symbol table")
+	preload := flag.Bool("preload", false, "load the LDPLFS shim over the tree, as LD_PRELOAD would")
 	mnt := flag.String("mnt", "/mnt/plfs=/backend", "mount spec (point=backend[,point=backend])")
 	pid := flag.Uint("pid", uint(os.Getpid()), "writer id passed to PLFS")
 	ptune.Register(flag.CommandLine)

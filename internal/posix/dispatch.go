@@ -4,16 +4,15 @@ package posix
 // method, that a shim rebinds to install itself — the in-process image
 // of a dynamically linked binary calling open(2) through the PLT.
 //
-// It is no longer the way in. The LDPLFS shim is itself an FS
+// Applications do not need one: the LDPLFS shim is itself an FS
 // (core.New), composed over the system below it like any other, and
 // tracing or accounting layers are hooks on Interpose. A Dispatch is
-// left only where core.Preload binds a shim into one — the benchmark
-// rig in cmd/plfsbench — and in the remote client's hand-built table;
-// both go once those build through core.New.
+// built only where core.Preload binds a shim into one — the benchmark
+// rig in cmd/plfsbench — and as the remote client's hand-built table.
 //
 // A shim binding into a Dispatch captures the current entries first
 // (the "real" symbols, what dlsym RTLD_NEXT would return) with Snapshot,
-// and Unload puts them back with Restore.
+// and the shim's Unload puts them back with Restore.
 //
 // A Dispatch is configured at "load time" and must not be mutated while
 // calls are in flight; this mirrors the loader, which resolves symbols
