@@ -55,7 +55,7 @@ func main() {
 			log.Fatalf("ldrun: %v", err)
 		}
 		defer conn.Close()
-		fs = conn.Dispatch()
+		fs = conn.FS()
 	} else {
 		osfs, err := posix.NewOSFS(*root)
 		if err != nil {

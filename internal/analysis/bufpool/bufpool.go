@@ -44,7 +44,6 @@ var HotFuncs = map[string]bool{
 	"readBatch":     true,
 	"failBatch":     true,
 	"writeV":        true,
-	"issue":         true,
 	"pwriteAll":     true,
 	// mpiio collective shuffle plane: the per-round aggregator loop.
 	"route":         true,
@@ -64,8 +63,8 @@ var HotFuncs = map[string]bool{
 	"WriteFrame":  true,
 	"handleFrame": true,
 	"roundTrip":   true,
-	"Pread":       true,
-	"Pwrite":      true,
+	"readAt":      true,
+	"writeAt":     true,
 }
 
 // Analyzer is the production instance.

@@ -16,7 +16,7 @@ type RemoteDialer interface {
 }
 
 // RankDriver builds one rank's ADIO driver: the ufs driver over a
-// gateway connection's dispatch when remote mode is on (each rank dials
+// gateway connection's posix.FS view when remote mode is on (each rank dials
 // its own connection — one session, one PLFS pid), otherwise the local
 // method over fs. The path function addresses the PLFS mount either way,
 // so kernels are oblivious to where the containers live.
@@ -26,7 +26,7 @@ func RankDriver(rd RemoteDialer, method string, fs posix.FS, rank int, opts ...p
 		if err != nil {
 			return nil, nil, err
 		}
-		return mpiio.NewUFS(conn.Dispatch()),
+		return mpiio.NewUFS(conn.FS()),
 			func(name string) string { return MountPoint + "/" + name }, nil
 	}
 	return DriverFor(method, fs, rank, opts...)

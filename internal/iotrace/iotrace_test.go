@@ -195,23 +195,26 @@ func TestLDPLFSCreatesScaleWithRanks(t *testing.T) {
 }
 
 // TestWriteSizesThroughCollectiveBuffering confirms the aggregator effect
-// the BT analysis leans on: with collective buffering, the backend sees
-// few large writes rather than many small ones.
+// the BT analysis leans on: with collective buffering (WriteAtAll), the
+// backend sees few large writes rather than the many small ones of each
+// rank writing its own block (WriteAt).
 func TestWriteSizesThroughCollectiveBuffering(t *testing.T) {
 	const ranks, block = 8, 64 << 10
 	run := func(cb bool) Summary {
 		mem := posix.NewMemFS()
 		mem.Mkdir("/scratch", 0o755)
 		rec := Wrap(mem)
-		hints := mpiio.DefaultHints()
-		hints.CollectiveBuffering = cb
 		err := mpi.Run(ranks, 4, func(r *mpi.Rank) {
 			fh, err := mpiio.Open(r, mpiio.NewUFS(posix.NewDispatch(rec)), "/scratch/f",
-				mpiio.ModeCreate|mpiio.ModeWronly, hints)
+				mpiio.ModeCreate|mpiio.ModeWronly, mpiio.DefaultHints())
 			if err != nil {
 				panic(err)
 			}
-			if _, err := fh.WriteAtAll(make([]byte, block), int64(r.Rank())*block); err != nil {
+			write := fh.WriteAt
+			if cb {
+				write = fh.WriteAtAll
+			}
+			if _, err := write(make([]byte, block), int64(r.Rank())*block); err != nil {
 				panic(err)
 			}
 			fh.Close()

@@ -1,8 +1,8 @@
 // Package mpi provides an in-process MPI runtime: ranks are goroutines,
 // the world communicator supports the collectives ROMIO and the
-// mini-applications need (Barrier, Bcast, Gather, Allgather, Reduce,
-// Allreduce, Alltoall), and a node topology (processes-per-node) mirrors
-// how the paper lays ranks out on Minerva and Sierra.
+// mini-applications need (Barrier, Bcast, Gather, Allgather, Allreduce,
+// Alltoall), and the processes-per-node a world is launched with
+// mirrors how the paper lays ranks out on Minerva and Sierra.
 //
 // Collectives are built on a single generation-counted rendezvous: every
 // rank deposits a value, the last arrival runs a combiner over the full
@@ -34,7 +34,6 @@ type Comm struct {
 	slots   []any
 	results []any
 	combine func([]any) []any
-	mbox    *mailbox
 }
 
 func newComm(size, ppn int) *Comm {
@@ -80,21 +79,6 @@ func (r *Rank) Size() int { return r.comm.size }
 
 // PPN returns the processes-per-node the world was launched with.
 func (r *Rank) PPN() int { return r.comm.ppn }
-
-// Node returns the compute node this rank lives on (block distribution,
-// as mpirun lays out ranks by default).
-func (r *Rank) Node() int { return r.rank / r.comm.ppn }
-
-// NodeRank returns this rank's index within its node.
-func (r *Rank) NodeRank() int { return r.rank % r.comm.ppn }
-
-// Nodes returns the number of nodes in the job.
-func (r *Rank) Nodes() int { return (r.comm.size + r.comm.ppn - 1) / r.comm.ppn }
-
-// NodeLeader reports whether this rank is the first on its node — the
-// default ROMIO collective-buffering aggregator (one per distinct node,
-// exactly the paper's configuration).
-func (r *Rank) NodeLeader() bool { return r.NodeRank() == 0 }
 
 // rendezvous deposits value, lets the last arrival run combine over all
 // deposits, and returns this rank's combined result.
@@ -201,26 +185,6 @@ func reduceInt64(vals []any, op Op) int64 {
 	return acc
 }
 
-func reduceFloat64(vals []any, op Op) float64 {
-	acc := vals[0].(float64)
-	for _, v := range vals[1:] {
-		x := v.(float64)
-		switch op {
-		case OpSum:
-			acc += x
-		case OpMin:
-			if x < acc {
-				acc = x
-			}
-		case OpMax:
-			if x > acc {
-				acc = x
-			}
-		}
-	}
-	return acc
-}
-
 // AllreduceInt64 reduces value across ranks and returns the result
 // everywhere.
 func (r *Rank) AllreduceInt64(value int64, op Op) int64 {
@@ -230,34 +194,6 @@ func (r *Rank) AllreduceInt64(value int64, op Op) int64 {
 		for i := range out {
 			out[i] = acc
 		}
-		return out
-	})
-	return res.(int64)
-}
-
-// AllreduceFloat64 reduces value across ranks and returns the result
-// everywhere.
-func (r *Rank) AllreduceFloat64(value float64, op Op) float64 {
-	res := r.rendezvous(value, func(in []any) []any {
-		acc := reduceFloat64(in, op)
-		out := make([]any, len(in))
-		for i := range out {
-			out[i] = acc
-		}
-		return out
-	})
-	return res.(float64)
-}
-
-// ReduceInt64 reduces to root; other ranks receive 0.
-func (r *Rank) ReduceInt64(root int, value int64, op Op) int64 {
-	res := r.rendezvous(value, func(in []any) []any {
-		acc := reduceInt64(in, op)
-		out := make([]any, len(in))
-		for i := range out {
-			out[i] = int64(0)
-		}
-		out[root] = acc
 		return out
 	})
 	return res.(int64)

@@ -7,11 +7,11 @@
 // The four access methods of the paper, and the remote mode added to
 // them, differ only in how this stack is assembled:
 //
-//	MPI-IO  : ufs driver over the plain POSIX dispatch
+//	MPI-IO  : ufs driver over the system's posix.FS
 //	FUSE    : ufs driver over a fuse.FS mount
 //	ROMIO   : plfs driver (direct PLFS calls, one Plfs_fd per rank)
-//	LDPLFS  : ufs driver over a dispatch with internal/core preloaded
-//	remote  : ufs driver over a client.Conn dispatch
+//	LDPLFS  : ufs driver over the internal/core shim (core.New)
+//	remote  : ufs driver over a client.Conn's posix.FS view (conn.FS())
 //
 // A read-only collective open of one path through the plfs driver
 // builds the index once: rank 0 opens the container and builds it, and

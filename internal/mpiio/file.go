@@ -12,20 +12,20 @@ import (
 )
 
 // Hints mirror the ROMIO info keys the paper leans on.
+//
+// Collective buffering (two-phase I/O, romio_cb_write/read) and data
+// sieving (romio_ds_write) are always on: the paper runs every test
+// "with collective buffering enabled and in its default configuration".
+// An independent call (WriteStrided, WriteAt) is the path without
+// collective buffering, and a sparse strided access is the one that is
+// not sieved.
 type Hints struct {
-	// CollectiveBuffering enables two-phase I/O (romio_cb_write/read).
-	// The paper runs every test "with collective buffering enabled and in
-	// its default configuration".
-	CollectiveBuffering bool
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
 	// ROMIO default 16 MiB). Aggregator writes are chunked at this size,
 	// and an aggregator's file domain takes one pipeline round per
 	// staging buffer's worth. Like every cb_* hint it must agree across
 	// the communicator: Open adopts rank 0's value on every rank.
 	CBBufferSize int
-	// DataSieving enables read-modify-write for independent strided
-	// access (romio_ds_write).
-	DataSieving bool
 	// SieveBufferSize is the sieving block (ind_rd_buffer_size, 4 MiB
 	// default).
 	SieveBufferSize int
@@ -46,10 +46,8 @@ type Hints struct {
 // aggregator per distinct compute node.
 func DefaultHints() Hints {
 	return Hints{
-		CollectiveBuffering: true,
-		CBBufferSize:        16 << 20,
-		DataSieving:         true,
-		SieveBufferSize:     4 << 20,
+		CBBufferSize:    16 << 20,
+		SieveBufferSize: 4 << 20,
 	}
 }
 
@@ -361,7 +359,7 @@ func (f *File) writeStrided(segs []Segment, buf []byte) (int, error) {
 	hi := segs[len(segs)-1].Off + segs[len(segs)-1].Len
 	span := hi - lo
 
-	useSieve := f.hints.DataSieving && len(segs) > 1 &&
+	useSieve := len(segs) > 1 &&
 		span <= int64(f.hints.SieveBufferSize) && span < 2*total
 
 	if !useSieve {
@@ -424,7 +422,7 @@ func (f *File) readStrided(segs []Segment, buf []byte) (int, error) {
 	// Same density cutoff as the write path: sieving a span more than
 	// twice the useful bytes reads mostly holes, so sparse strided
 	// access falls through to per-segment reads.
-	if f.hints.DataSieving && len(segs) > 1 &&
+	if len(segs) > 1 &&
 		span <= int64(f.hints.SieveBufferSize) && span < 2*total {
 		block := make([]byte, span)
 		f.cdr.Add(1)
@@ -554,11 +552,6 @@ func (f *File) writeAll(segs []Segment, buf []byte) (int, error) {
 	if err := validateSegs(segs, buf); err != nil {
 		return 0, err
 	}
-	if !f.hints.CollectiveBuffering {
-		n, err := f.writeStrided(segs, buf)
-		f.rank.Barrier()
-		return n, err
-	}
 	return f.writeAllPipelined(segs, buf)
 }
 
@@ -585,11 +578,6 @@ func (f *File) ReadAll(segs []Segment, buf []byte) (int, error) {
 func (f *File) readAll(segs []Segment, buf []byte) (int, error) {
 	if err := validateSegs(segs, buf); err != nil {
 		return 0, err
-	}
-	if !f.hints.CollectiveBuffering {
-		n, err := f.readStrided(segs, buf)
-		f.rank.Barrier()
-		return n, err
 	}
 	return f.readAllPipelined(segs, buf)
 }

@@ -297,19 +297,21 @@ func TestDataSievingWrite(t *testing.T) {
 	}
 }
 
+// TestSievingDisabledIssuesPerSegmentWrites: a sparse strided write —
+// its span at least twice the bytes it carries — is not sieved (the
+// read-modify-write would move mostly holes), so each segment is its
+// own driver write.
 func TestSievingDisabledIssuesPerSegmentWrites(t *testing.T) {
 	mem := newWorldFS(t)
-	hints := DefaultHints()
-	hints.DataSieving = false
 	err := mpi.Run(1, 1, func(r *mpi.Rank) {
-		fh, err := Open(r, NewUFS(posix.NewDispatch(mem)), "/scratch/nosieve", ModeCreate|ModeRdwr, hints)
+		fh, err := Open(r, NewUFS(posix.NewDispatch(mem)), "/scratch/nosieve", ModeCreate|ModeRdwr, DefaultHints())
 		if err != nil {
 			panic(err)
 		}
 		var segs []Segment
 		var buf []byte
 		for i := 0; i < 8; i++ {
-			segs = append(segs, Segment{Off: int64(i * 100), Len: 50})
+			segs = append(segs, Segment{Off: int64(i * 200), Len: 50}) // span 1450 >= 2 x 400 bytes
 			buf = append(buf, bytes.Repeat([]byte{byte(i)}, 50)...)
 		}
 		before := fh.Layer().Counter("driver_writes").Load()

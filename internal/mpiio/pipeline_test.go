@@ -389,11 +389,14 @@ func TestCollectivePathDifferential(t *testing.T) {
 	modes := []struct {
 		name string
 		tune func(*Hints)
+		// independent writes and reads each rank's stripes itself
+		// (WriteStrided/ReadStrided), with no collective buffering.
+		independent bool
 	}{
-		{"pipelined", func(h *Hints) {}},
-		{"pipelined-odd-cb-a2", func(h *Hints) { h.CBBufferSize = 3*block + 7; h.CBAggregators = 2 }},
-		{"pipelined-small-cb", func(h *Hints) { h.CBBufferSize = 2 * block }},
-		{"independent", func(h *Hints) { h.CollectiveBuffering = false }},
+		{"pipelined", func(h *Hints) {}, false},
+		{"pipelined-odd-cb-a2", func(h *Hints) { h.CBBufferSize = 3*block + 7; h.CBAggregators = 2 }, false},
+		{"pipelined-small-cb", func(h *Hints) { h.CBBufferSize = 2 * block }, false},
+		{"independent", func(h *Hints) {}, true},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		var refFile []byte
@@ -433,10 +436,15 @@ func TestCollectivePathDifferential(t *testing.T) {
 							buf = append(buf, byte(off+j+next(251)))
 						}
 					}
-					if n, err := fh.WriteAll(segs, buf); err != nil || n != len(buf) {
-						panic(fmt.Sprintf("WriteAll = %d, %v", n, err))
+					write := fh.WriteAll
+					if mode.independent {
+						write = fh.WriteStrided
+					}
+					if n, err := write(segs, buf); err != nil || n != len(buf) {
+						panic(fmt.Sprintf("%s write = %d, %v", mode.name, n, err))
 					}
 				}
+				r.Barrier() // every stripe is down before any is read back
 				// Collective read-back of the neighbour's stripes.
 				peer := (r.Rank() + 1) % ranks
 				rsegs := make([]Segment, 8)
@@ -444,7 +452,11 @@ func TestCollectivePathDifferential(t *testing.T) {
 					rsegs[s] = Segment{Off: int64(s*ranks+peer) * block, Len: block}
 				}
 				got := make([]byte, 8*block)
-				if _, err := fh.ReadAll(rsegs, got); err != nil {
+				read := fh.ReadAll
+				if mode.independent {
+					read = fh.ReadStrided
+				}
+				if _, err := read(rsegs, got); err != nil {
 					panic(err)
 				}
 				readback[r.Rank()] = got

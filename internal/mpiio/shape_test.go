@@ -34,7 +34,7 @@ func runUnderDeadline(t *testing.T, size, ppn int, body func(r *mpi.Rank)) error
 // TestHintsSurface pins the settable surface of the layer: a field added
 // to Hints is a knob added to every tool that renders them.
 func TestHintsSurface(t *testing.T) {
-	want := []string{"CBAggregators", "CBBufferSize", "CollectiveBuffering", "Collector", "DataSieving", "SieveBufferSize"}
+	want := []string{"CBAggregators", "CBBufferSize", "Collector", "SieveBufferSize"}
 	var got []string
 	ht := reflect.TypeOf(Hints{})
 	for i := 0; i < ht.NumField(); i++ {
@@ -45,7 +45,7 @@ func TestHintsSurface(t *testing.T) {
 		t.Fatalf("Hints fields:\n got %v\nwant %v", got, want)
 	}
 	d := DefaultHints()
-	if !d.CollectiveBuffering || !d.DataSieving || d.CBBufferSize != 16<<20 ||
+	if d.CBBufferSize != 16<<20 ||
 		d.SieveBufferSize != 4<<20 || d.CBAggregators != 0 || d.Collector != nil {
 		t.Fatalf("defaults = %+v", d)
 	}

@@ -30,10 +30,10 @@
 // in readengine.go; Read is its one-segment case. Every write runs the
 // one writeV in writeengine.go; Write is its one-segment case. It takes
 // the container lock shared and its pid's writer lock (lockWriter),
-// lands payload with positional writes and buffers index records per
-// writer. Their fan-out, batch depth and index group-flush threshold
-// are fixed when the instance is built (FS.workers, batchDepth,
-// indexBatch), as is the container geometry (FS.hostdirs: a pid's
+// lands each vector with one positional write and buffers index
+// records per writer. The read fan-out and batch depth and the index
+// group-flush threshold are fixed when the instance is built
+// (FS.workers, batchDepth, indexBatch), as is the container geometry (FS.hostdirs: a pid's
 // hostdir is pid mod 32); nothing selects a different path. Whether a
 // gather's batches run inline or across the pool is not a setting
 // either: the instance keeps a running mean of what a batch costs on
@@ -155,12 +155,13 @@ const (
 // small enough that a crashed writer loses at most a modest index tail.
 const DefaultIndexBatch = 512
 
-// DefaultBatchDepth is the vectored-submission bound: up to 64
-// physically-contiguous extents coalesce into one preadv/pwritev. 64
-// segments of the common 64 KiB strided block is a 4 MiB submission —
-// large enough to collapse a wide N-1 read to one backend op per
-// dropping, small enough to keep partial-failure blast radius and
-// per-batch latency modest.
+// DefaultBatchDepth bounds a read's vectored submissions: up to 64
+// physically-contiguous extents of one dropping coalesce into one
+// preadv. 64 segments of the common 64 KiB strided block is a 4 MiB
+// submission — large enough to collapse a wide N-1 read to one backend
+// op per dropping, small enough to keep partial-failure blast radius
+// and per-batch latency modest. A write is not bounded by it: a WriteV
+// lands its whole vector with one pwritev.
 const DefaultBatchDepth = 64
 
 // FS is a PLFS library instance bound to a backing store. It is safe for
@@ -191,8 +192,8 @@ type FS struct {
 
 	// hostdirs is the container geometry (a pid's bucket is pid mod
 	// hostdirs); workers bounds every engine fan-out (index
-	// reconstruction, the read scatter-gather, writes); batchDepth and
-	// indexBatch are the coalescing and group-flush bounds, streamChunk
+	// reconstruction, the read scatter-gather); batchDepth and
+	// indexBatch are the read coalescing and group-flush bounds, streamChunk
 	// the records an index dropping stream decodes per read. All five
 	// are resolved once in New; in-package tests set them on a fresh
 	// instance to stage another geometry, to pin the serial or the

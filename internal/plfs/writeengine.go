@@ -10,10 +10,7 @@
 // index records group-flush every DefaultIndexBatch records instead of
 // hitting the backend per record. There is one write path, writeV:
 // Write is its one-segment case. It reserves one physical range in the
-// dropping up front and fans the per-chunk pwrites out across the
-// worker pool (positional writes carry no file pointer — posix.FS
-// requires concurrent-pwrite safety); a one-chunk vector, every scalar
-// Write among them, runs inline.
+// dropping and lands the whole vector there with one positional write.
 package plfs
 
 import (
@@ -117,21 +114,16 @@ type WriteSeg struct {
 // WriteV appends every segment's payload to pid's data dropping and
 // buffers one index record per segment — a vectored plfs_write for
 // strided access patterns (one MPI-IO flattened datatype = one WriteV).
-// The physical range for the whole vector is reserved up front, so the
-// per-chunk pwrites land at precomputed dropping offsets concurrently
-// while the writer's lock is held once for the whole vector rather than
-// once per segment.
+// The physical range for the whole vector is reserved up front and the
+// vector lands there with one pwritev, the writer's lock held once for
+// the whole vector rather than once per segment.
 //
-// Partial-failure semantics mirror Read's short-read contract: every
-// byte that reached the dropping is indexed — including a failing
-// chunk's durable prefix and any chunks past the failure — so the
-// logical file always reflects exactly the durable data. The returned
-// count is the length of the contiguous error-free prefix of the vector,
-// and the error describes the first failing segment. A chunk (up to
-// DefaultBatchDepth consecutive segments, one pwritev) that fails
-// mid-vector leaves its remaining segments unwritten and unindexed. The
-// writer's cursor moves to the end of the furthest durable byte, so a
-// failed tail leaves no gap in the dropping.
+// Partial-failure semantics mirror Read's short-read contract: the
+// durable prefix lands in segment order, and every byte of it is
+// indexed, so the logical file always reflects exactly the durable
+// data. The returned count is the length of that prefix, and the error
+// names the first segment it does not cover. The writer's cursor moves
+// to the prefix's end, so a failed tail leaves no gap in the dropping.
 func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	start := f.fs.opStart()
 	n, err := f.writeV(segs, pid)
@@ -139,61 +131,9 @@ func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	return n, err
 }
 
-// writePlan is the reusable scratch of one vectored write: per-segment
-// physical offsets, durable counts and buffer references plus per-chunk
-// errors. Pooled so a warm WriteV allocates only its worker closure, and
-// a one-chunk write (every scalar Write) not even that.
-type writePlan struct {
-	offs []int64  // per-segment physical offset in the dropping
-	ns   []int    // per-segment durable byte count
-	bufs [][]byte // per-segment payload references
-	errs []error  // per-chunk error
-}
-
-var writePlanPool = sync.Pool{New: func() any { return new(writePlan) }}
-
-// release clears payload references (so the pool never retains caller
-// buffers) and returns the plan to the pool.
-func (plan *writePlan) release() {
-	for i := range plan.bufs {
-		plan.bufs[i] = nil
-	}
-	for i := range plan.errs {
-		plan.errs[i] = nil
-	}
-	plan.bufs = plan.bufs[:0]
-	writePlanPool.Put(plan)
-}
-
-// issue lands chunk ci — up to depth consecutive segments, physically
-// contiguous in the dropping — with one positional write, crediting
-// each segment its durable bytes. It reads payloads from plan.bufs, so
-// the caller's segment slice never reaches a worker.
-func (plan *writePlan) issue(backend posix.FS, fd, depth, ci int) {
-	lo := ci * depth
-	hi := min(lo+depth, len(plan.bufs))
-	if hi-lo == 1 {
-		plan.ns[lo], plan.errs[ci] = pwriteAll(backend, fd, plan.bufs[lo], plan.offs[lo])
-		return
-	}
-	span := plan.offs[hi-1] + int64(len(plan.bufs[hi-1])) - plan.offs[lo]
-	n, err := posix.Pwritev(backend, fd, plan.bufs[lo:hi], plan.offs[lo])
-	if err == nil && n < span {
-		err = fmt.Errorf("short write: want %d got %d", span, n)
-	}
-	// The durable prefix lands in segment order: credit it greedily.
-	rem := n
-	for i := lo; i < hi; i++ {
-		if l := int64(len(plan.bufs[i])); rem >= l {
-			plan.ns[i] = int(l)
-			rem -= l
-		} else {
-			plan.ns[i] = int(rem)
-			rem = 0
-		}
-	}
-	plan.errs[ci] = err
-}
+// writeBufs pools the buffer list a multi-segment write hands to
+// pwritev, so a warm WriteV allocates none.
+var writeBufs = sync.Pool{New: func() any { return new([][]byte) }}
 
 func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 	if f.flags&posix.O_ACCMODE == posix.O_RDONLY {
@@ -215,67 +155,45 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 	}
 	defer unlock()
 
-	depth := f.fs.batchDepth
-	nchunks := (len(segs) + depth - 1) / depth
-
-	plan := writePlanPool.Get().(*writePlan)
-	defer plan.release()
-	plan.offs = grow(plan.offs, len(segs))
-	plan.ns = grow(plan.ns, len(segs))
-	plan.errs = grow(plan.errs, nchunks)
-	if cap(plan.bufs) < len(segs) {
-		plan.bufs = make([][]byte, len(segs))
-	}
-	plan.bufs = plan.bufs[:len(segs)]
-
-	// Reserve [base, base+total) in the dropping: each segment's
-	// physical home is fixed before any byte moves, which is what makes
-	// the fan-out safe — and what makes each chunk of depth
-	// consecutive segments physically contiguous, i.e. one pwritev.
+	// Land the vector in [base, base+total) with one positional write.
 	base := w.physOff
-	cursor := base
-	for i, s := range segs {
-		plan.offs[i] = cursor
-		plan.bufs[i] = s.Data
-		cursor += int64(len(s.Data))
-	}
-
-	backend, fd := f.fs.backend, w.dataFD
-	if nchunks == 1 {
-		plan.issue(backend, fd, depth, 0)
+	var n int64
+	if len(segs) == 1 {
+		var m int
+		m, err = pwriteAll(f.fs.backend, w.dataFD, segs[0].Data, base)
+		n = int64(m)
 	} else {
-		runParallel(nchunks, f.fs.workers, func(ci int) { plan.issue(backend, fd, depth, ci) })
+		bufs := writeBufs.Get().(*[][]byte)
+		for _, s := range segs {
+			*bufs = append(*bufs, s.Data)
+		}
+		n, err = posix.Pwritev(f.fs.backend, w.dataFD, *bufs, base)
+		clear(*bufs) // the pool keeps no caller buffer
+		*bufs = (*bufs)[:0]
+		writeBufs.Put(bufs)
+		if err == nil && n < total {
+			err = fmt.Errorf("short write: want %d got %d", total, n)
+		}
 	}
 
-	// Every durable byte is indexed, and the cursor moves to the end of
-	// the furthest one: a failed chunk inside the vector leaves an
-	// unreferenced gap, a failed tail leaves none, and the cursor never
-	// points short of a byte the dropping holds.
-	end := base
+	// Index the durable prefix segment by segment, and move the cursor
+	// to its end.
+	phys, short := base, len(segs)-1
 	for i, s := range segs {
-		if plan.ns[i] == 0 {
-			continue
+		l := min(int64(len(s.Data)), base+n-phys)
+		if l > 0 {
+			f.appendEntryLocked(w, s.Off, l, phys, pid)
+			phys += l
 		}
-		f.appendEntryLocked(w, s.Off, int64(plan.ns[i]), plan.offs[i], pid)
-		end = plan.offs[i] + int64(plan.ns[i])
+		if l < int64(len(s.Data)) {
+			short = i
+			break
+		}
 	}
-	w.physOff = end
+	w.physOff = phys
 	f.maybeFlushIndexLocked(w)
-
-	var written int64
-	for i := range segs {
-		written += int64(plan.ns[i])
-		if plan.errs[i/depth] != nil && plan.ns[i] < len(segs[i].Data) {
-			return written, fmt.Errorf("plfs: writev segment %d (logical %d): %w", i, segs[i].Off, plan.errs[i/depth])
-		}
+	if err != nil {
+		return n, fmt.Errorf("plfs: writev segment %d (logical %d): %w", short, segs[short].Off, err)
 	}
-	// Defensive: a chunk error with every segment fully durable still
-	// surfaces, attributed to the chunk's first segment.
-	for ci := 0; ci < nchunks; ci++ {
-		if plan.errs[ci] != nil {
-			i := ci * depth
-			return written, fmt.Errorf("plfs: writev segment %d (logical %d): %w", i, segs[i].Off, plan.errs[ci])
-		}
-	}
-	return written, nil
+	return n, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,71 +178,66 @@ func TestWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestWriteVPartialFailure checks the vector's failure contract: the
-// returned count is the contiguous error-free prefix, and every durable
-// byte — including segments past the failure — is indexed.
+// TestWriteVPartialFailure checks the vector's failure contract at its
+// one backend write: a vector wider than DefaultBatchDepth segments is
+// still one write, and a vector whose write fails before its first byte
+// lands returns 0, names segment 0, indexes nothing and leaves the
+// writer's cursor where it was, so its retry lands with no gap
+// (TestWriteVChunkFailure pins a durable prefix that ends mid-segment).
 func TestWriteVPartialFailure(t *testing.T) {
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	ffs := posix.NewFaultFS(mem)
-	// Batch depth 1 makes every segment its own chunk: this test asserts
-	// the independence of chunks — a failed one costs its neighbours
-	// nothing (see TestWriteVChunkFailure for the contract inside one).
 	p := New(ffs)
-	p.workers, p.batchDepth = 1, 1
 	f, err := p.Open("/backend/vfail", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serial workers: segment order is deterministic, so failing the
-	// second data pwrite fails segment 1.
-	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: "dropping.data", After: 1, Times: 1, Err: posix.EIO})
+	// Every data write after the first fails.
+	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: "dropping.data", After: 1, Err: posix.EIO})
+	wide := make([]WriteSeg, 2*DefaultBatchDepth+1)
+	var want []byte
+	for i := range wide {
+		data := bytes.Repeat([]byte{byte('a' + i%26)}, 10)
+		wide[i] = WriteSeg{Off: int64(len(want)), Data: data}
+		want = append(want, data...)
+	}
+	end := int64(len(want))
+	if n, err := f.WriteV(wide, 1); err != nil || n != end {
+		t.Fatalf("WriteV of %d segments = %d, %v: it took more than one backend write", len(wide), n, err)
+	}
 	segs := []WriteSeg{
-		{Off: 0, Data: bytes.Repeat([]byte{'x'}, 100)},
-		{Off: 100, Data: bytes.Repeat([]byte{'y'}, 100)},
-		{Off: 200, Data: bytes.Repeat([]byte{'w'}, 100)},
+		{Off: end, Data: bytes.Repeat([]byte{'x'}, 100)},
+		{Off: end + 100, Data: bytes.Repeat([]byte{'y'}, 100)},
 	}
 	n, err := f.WriteV(segs, 1)
-	if !errors.Is(err, posix.EIO) {
-		t.Fatalf("WriteV with injected fault = %d, %v", n, err)
-	}
-	if n != 100 {
-		t.Fatalf("contiguous prefix = %d, want 100", n)
+	if !errors.Is(err, posix.EIO) || n != 0 || !strings.Contains(err.Error(), "segment 0 ") {
+		t.Fatalf("WriteV with its write failed = %d, %v; want 0 and EIO naming segment 0", n, err)
 	}
 	ffs.Clear()
-	// Segments 0 and 2 are durable and must be indexed; segment 1 is a
-	// hole reading as zeros.
-	got := make([]byte, 300)
-	if n, err := f.Read(got, 0); err != nil || n != 300 {
-		t.Fatalf("read back: n=%d err=%v", n, err)
+	if size, err := f.Size(); err != nil || size != end {
+		t.Fatalf("size after the failed vector = %d, %v; want %d (nothing indexed)", size, err, end)
 	}
-	want := append(append(bytes.Repeat([]byte{'x'}, 100), make([]byte, 100)...), bytes.Repeat([]byte{'w'}, 100)...)
-	if !bytes.Equal(got, want) {
-		t.Fatal("durable segments not indexed correctly after mid-vector failure")
+	if n, err := f.WriteV(segs, 1); err != nil || n != 200 {
+		t.Fatalf("retried WriteV = %d, %v", n, err)
 	}
-	// The next write must not overlap segment 2's payload in the
-	// dropping (cursor advanced by the full reservation).
-	if _, err := f.Write(bytes.Repeat([]byte{'q'}, 50), 300, 1); err != nil {
-		t.Fatal(err)
+	want = append(append(want, segs[0].Data...), segs[1].Data...)
+	got := make([]byte, len(want))
+	if n, err := f.Read(got, 0); err != nil || n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("read back: n=%d err=%v (bytes equal: %v)", n, err, bytes.Equal(got, want))
 	}
-	tail := make([]byte, 150)
-	if n, err := f.Read(tail, 200); err != nil || n != 150 {
-		t.Fatalf("tail read: n=%d err=%v", n, err)
-	}
-	wantTail := append(bytes.Repeat([]byte{'w'}, 100), bytes.Repeat([]byte{'q'}, 50)...)
-	if !bytes.Equal(tail, wantTail) {
-		t.Fatal("post-failure write clobbered reserved dropping space")
+	if st, err := mem.Stat("/backend/vfail/hostdir.1/dropping.data.1"); err != nil || st.Size != int64(len(want)) {
+		t.Fatalf("data dropping = %d bytes, %v; want %d (the failed vector left a gap)", st.Size, err, len(want))
 	}
 	f.Close(1)
 }
 
 // TestWriteVChunkFailure pins the coalesced vector's failure contract:
-// at the default batch depth the whole vector is one pwritev, a
-// partial backend failure leaves a durable prefix that can end
-// mid-segment, exactly that prefix is indexed, and the cursor still
-// advances by the full reservation.
+// the whole vector is one pwritev, a partial backend failure leaves a
+// durable prefix that can end mid-segment, exactly that prefix is
+// indexed, and the cursor moves to the prefix's end.
 func TestWriteVChunkFailure(t *testing.T) {
 	mem := posix.NewMemFS()
 	if err := mem.Mkdir("/backend", 0o755); err != nil {
@@ -283,9 +279,8 @@ func TestWriteVChunkFailure(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("indexed extents diverge from the durable prefix")
 	}
-	// The cursor advanced by the full reservation: the next write must
-	// not overlap the failed chunk's gap, and the unindexed range reads
-	// as a hole.
+	// The next write lands past the durable prefix, and the unindexed
+	// logical range reads as a hole.
 	if _, err := f.Write(bytes.Repeat([]byte{'q'}, 50), 300, 1); err != nil {
 		t.Fatal(err)
 	}

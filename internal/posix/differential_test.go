@@ -137,7 +137,7 @@ func runDifferential(t *testing.T, rng *rand.Rand, a, b FS, n int) {
 			an, aerr := a.Pwrite(p.afd, buf, off)
 			bn, berr := b.Pwrite(p.bfd, buf, off)
 			if check(fmt.Sprintf("Pwrite(fd=%d/%d len=%d off=%d) n=%d/%d", p.afd, p.bfd, len(buf), off, an, bn), aerr, berr) && an != bn {
-				t.Fatalf("Pwrite n: mem=%d os=%d", an, bn)
+				fail("Pwrite n: mem=%d os=%d", an, bn)
 			}
 		case 5: // pread
 			if len(open) == 0 {
@@ -151,7 +151,7 @@ func runDifferential(t *testing.T, rng *rand.Rand, a, b FS, n int) {
 			bn, berr := b.Pread(p.bfd, bbuf, off)
 			if check(fmt.Sprintf("Pread(fd=%d/%d len=%d off=%d) n=%d/%d", p.afd, p.bfd, len(abuf), off, an, bn), aerr, berr) {
 				if an != bn || !bytes.Equal(abuf[:an], bbuf[:bn]) {
-					t.Fatalf("Pread diverged at off %d: mem=%d os=%d", off, an, bn)
+					fail("Pread diverged at off %d: mem=%d os=%d", off, an, bn)
 				}
 			}
 		case 6: // lseek
@@ -171,7 +171,7 @@ func runDifferential(t *testing.T, rng *rand.Rand, a, b FS, n int) {
 			bst, berr := b.Stat(path)
 			if check("Stat "+path, aerr, berr) {
 				if ast.Size != bst.Size || ast.IsDir() != bst.IsDir() {
-					t.Fatalf("Stat %s: mem={%d dir=%v} os={%d dir=%v}",
+					fail("Stat %s: mem={%d dir=%v} os={%d dir=%v}",
 						path, ast.Size, ast.IsDir(), bst.Size, bst.IsDir())
 				}
 			}

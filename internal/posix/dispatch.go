@@ -7,8 +7,8 @@ package posix
 // Applications do not need one: the LDPLFS shim is itself an FS
 // (core.New), composed over the system below it like any other, and
 // tracing or accounting layers are hooks on Interpose. A Dispatch is
-// built only where core.Preload binds a shim into one — the benchmark
-// rig in cmd/plfsbench — and as the remote client's hand-built table.
+// built only where core.Preload binds a shim into one: the benchmark
+// rig in cmd/plfsbench.
 //
 // A shim binding into a Dispatch captures the current entries first
 // (the "real" symbols, what dlsym RTLD_NEXT would return) with Snapshot,

@@ -1,10 +1,11 @@
 // Package client is the Go client for a plfsd gateway: it speaks the
 // length-prefixed frame protocol of internal/service over any
 // net.Conn, presenting the same open/pread/pwrite/sync/close surface
-// as a local dispatch so ldrun-style workloads and the ufs ADIO driver
-// target a remote daemon unchanged (harness wires it up behind
-// -remote). The wire's rules — the frame ceiling, what has no frame —
-// are this package's to know; see Conn.Dispatch.
+// as a local file system so ldrun-style workloads and the ufs ADIO
+// driver target a remote daemon unchanged (harness wires it up behind
+// -remote). The client keeps no per-fd state: the session's shim owns
+// each descriptor's file pointer. The wire's rules — the frame ceiling,
+// what has no frame — are this package's to know; see Conn.FS.
 package client
 
 import (
@@ -151,6 +152,32 @@ const maxIO = service.MaxFramePayload - 64
 // carries more than was asked for is a protocol error and fails the
 // call — it is neither cut to fit nor let past the end of p.
 func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, posix.EINVAL
+	}
+	return c.readAt(fd, p, uint64(off))
+}
+
+// Pwrite writes p at off, one frame per maxIO bytes, each sent from p
+// itself.
+func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, posix.EINVAL
+	}
+	return c.writeAt(fd, p, uint64(off))
+}
+
+// next is the offset of a transfer's frame after done bytes: the
+// pointer stays the pointer, which the session has moved.
+func next(off uint64, done int) uint64 {
+	if off == service.AtCursor {
+		return off
+	}
+	return off + uint64(done)
+}
+
+// readAt is Pread at a wire offset: a file offset or service.AtCursor.
+func (c *Conn) readAt(fd int, p []byte, off uint64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
@@ -158,7 +185,7 @@ func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
 		chunk := p[total:min(len(p), total+maxIO)]
 		w := c.request()
 		w.U32(uint32(fd))
-		w.U64(uint64(off + int64(total)))
+		w.U64(next(off, total))
 		w.U32(uint32(len(chunk)))
 		n, err := c.roundTrip(service.OpRead, nil)
 		if err != nil {
@@ -177,9 +204,8 @@ func (c *Conn) Pread(fd int, p []byte, off int64) (int, error) {
 	}
 }
 
-// Pwrite writes p at off, one frame per maxIO bytes, each sent from p
-// itself.
-func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
+// writeAt is Pwrite at a wire offset: a file offset or service.AtCursor.
+func (c *Conn) writeAt(fd int, p []byte, off uint64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
@@ -187,7 +213,7 @@ func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
 		chunk := p[total:min(len(p), total+maxIO)]
 		w := c.request()
 		w.U32(uint32(fd))
-		w.U64(uint64(off + int64(total)))
+		w.U64(next(off, total))
 		if _, err := c.roundTrip(service.OpWrite, chunk); err != nil {
 			return total, err
 		}
@@ -200,6 +226,33 @@ func (c *Conn) Pwrite(fd int, p []byte, off int64) (int, error) {
 			return total, nil
 		}
 	}
+}
+
+// Lseek moves a remote fd's file pointer and returns its new offset.
+func (c *Conn) Lseek(fd int, offset int64, whence int) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.request()
+	w.U32(uint32(fd))
+	w.U64(uint64(offset))
+	w.U32(uint32(whence))
+	r, err := c.control(service.OpSeek)
+	if err != nil {
+		return 0, err
+	}
+	pos := r.U64()
+	return int64(pos), r.Err()
+}
+
+// Ftruncate sets the length of the file a remote fd is open on.
+func (c *Conn) Ftruncate(fd int, size int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.request()
+	w.U32(uint32(fd))
+	w.U64(uint64(size))
+	_, err := c.roundTrip(service.OpFtrunc, nil)
+	return err
 }
 
 // Sync flushes the fd's droppings on the gateway.
@@ -301,4 +354,34 @@ func (c *Conn) text(op byte) (string, error) {
 		return "", err
 	}
 	return string(r.Rest()), nil
+}
+
+// FS presents the connection as a posix.FS, so the bundled UNIX tools,
+// the ufs ADIO driver (remote mode is mpiio.NewUFS(conn.FS())) and
+// anything else written against posix.FS run against a remote gateway.
+// Every descriptor call is one of the wire's frames: read and write are
+// data frames at service.AtCursor, and the session's shim moves the
+// file pointer, O_APPEND included, as it does for a local process. What
+// has no frame is made up or refused:
+//
+//   - access is a stat (existence only, no permission check);
+//   - mkdir, rmdir, readdir and rename: ENOSYS.
+func (c *Conn) FS() posix.FS { return connFS{c} }
+
+// connFS is the posix.FS view of a Conn: the typed methods whose
+// signatures are the FS's own come through the embedding.
+type connFS struct{ *Conn }
+
+func (f connFS) Close(fd int) error                     { return f.CloseFd(fd) }
+func (f connFS) Read(fd int, p []byte) (int, error)     { return f.readAt(fd, p, service.AtCursor) }
+func (f connFS) Write(fd int, p []byte) (int, error)    { return f.writeAt(fd, p, service.AtCursor) }
+func (f connFS) Fsync(fd int) error                     { return f.Sync(fd) }
+func (connFS) Mkdir(string, uint32) error               { return posix.ENOSYS }
+func (connFS) Rmdir(string) error                       { return posix.ENOSYS }
+func (connFS) Readdir(string) ([]posix.DirEntry, error) { return nil, posix.ENOSYS }
+func (connFS) Rename(string, string) error              { return posix.ENOSYS }
+
+func (f connFS) Access(path string, _ int) error {
+	_, err := f.Stat(path)
+	return err
 }

@@ -208,7 +208,8 @@ func TestThreeConcurrentClients(t *testing.T) {
 }
 
 // TestDispatchAdapter runs an unmodified unixtool against the remote
-// gateway through the client-side Dispatch — the ldrun -remote path.
+// gateway through the connection's posix.FS view — the ldrun -remote
+// path.
 func TestDispatchAdapter(t *testing.T) {
 	addr := startGateway(t)
 	c, err := client.Dial(addr, "gold")
@@ -216,7 +217,7 @@ func TestDispatchAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	d := c.Dispatch()
+	d := c.FS()
 
 	// Seed a file through the streaming write path (offset-tracked fd).
 	fd, err := d.Open("/mnt/plfs/tool", posix.O_CREAT|posix.O_WRONLY, 0o644)
@@ -248,7 +249,7 @@ func TestDispatchAdapter(t *testing.T) {
 		t.Fatalf("md5 = %q", sum)
 	}
 
-	// Lseek through the adapter: END then read the tail.
+	// Lseek through the view: END then read the tail.
 	fd, err = d.Open("/mnt/plfs/tool", posix.O_RDONLY, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -78,17 +78,17 @@ var faces = []face{
 		}
 		return fuse.Mount(mem, facePoint, faceBackend)
 	}},
-	{name: "conn.Dispatch", dirOps: posix.ENOSYS, new: func(t *testing.T) posix.FS { return dialDispatch(t) }},
+	{name: "conn.Dispatch", dirOps: posix.ENOSYS, new: func(t *testing.T) posix.FS { return dialFS(t) }},
 }
 
-func dialDispatch(t *testing.T) *posix.Dispatch {
+func dialFS(t *testing.T) posix.FS {
 	t.Helper()
 	c, err := client.Dial(startGateway(t), "gold")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c.Dispatch()
+	return c.FS()
 }
 
 // script is a row's body over one face: helpers that fail the test on
@@ -328,7 +328,7 @@ var conformanceRows = []struct {
 
 // TestPOSIXFaceConformance runs one table against every POSIX face of
 // the tree — the shim over an in-memory and a real directory store, the
-// FUSE view, and a gateway connection's dispatch — then the rows where
+// FUSE view, and a gateway connection's posix.FS view — then the rows where
 // a face's boundary is allowed to show.
 func TestPOSIXFaceConformance(t *testing.T) {
 	for _, f := range faces {
@@ -393,11 +393,11 @@ func TestPOSIXFaceConformance(t *testing.T) {
 }
 
 // TestRemoteModeThroughUFS drives what harness.RankDriver returns in
-// remote mode — the ufs ADIO driver over a connection's dispatch — past
+// remote mode — the ufs ADIO driver over a connection's posix.FS view — past
 // the two things only a wire-aware driver used to get right: a transfer
 // above the frame ceiling, and MPI_File_set_size.
 func TestRemoteModeThroughUFS(t *testing.T) {
-	drv := mpiio.NewUFS(dialDispatch(t))
+	drv := mpiio.NewUFS(dialFS(t))
 	want := pattern(nineMiB)
 	err := mpi.Run(1, 1, func(r *mpi.Rank) {
 		f, err := mpiio.Open(r, drv, facePoint+"/ckpt", mpiio.ModeCreate|mpiio.ModeRdwr, mpiio.DefaultHints())

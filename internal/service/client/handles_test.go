@@ -10,19 +10,19 @@ import (
 )
 
 // handleRig is one way a single process comes to hold several handles
-// on one PLFS container, presented as a symbol table so one script
-// drives them all.
+// on one PLFS container, presented as a posix.FS so one script drives
+// them all.
 type handleRig struct {
 	name string
 	path string
-	new  func(t *testing.T) *posix.Dispatch
+	new  func(t *testing.T) posix.FS
 }
 
 // handleRigs are the three entry points of the paper's layer: the plfs
 // API opened twice with one pid, two fds through the preloaded shim, and
 // two fds on one gateway connection.
 var handleRigs = []handleRig{
-	{"plfs.Open", "/backend/f", func(t *testing.T) *posix.Dispatch {
+	{"plfs.Open", "/backend/f", func(t *testing.T) posix.FS {
 		mem := posix.NewMemFS()
 		if err := mem.Mkdir("/backend", 0o755); err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ var handleRigs = []handleRig{
 			PwriteFn: func(fd int, b []byte, off int64) (int, error) { return files[fd].Write(b, off, 7) },
 		}
 	}},
-	{"core.Preload", "/mnt/plfs/f", func(t *testing.T) *posix.Dispatch {
+	{"core.Preload", "/mnt/plfs/f", func(t *testing.T) posix.FS {
 		mem := posix.NewMemFS()
 		if err := mem.Mkdir("/backend", 0o755); err != nil {
 			t.Fatal(err)
@@ -54,13 +54,13 @@ var handleRigs = []handleRig{
 		}
 		return d
 	}},
-	{"client.Conn", "/mnt/plfs/f", func(t *testing.T) *posix.Dispatch {
+	{"client.Conn", "/mnt/plfs/f", func(t *testing.T) posix.FS {
 		c, err := client.Dial(startGateway(t), "gold")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		return c.Dispatch()
+		return c.FS()
 	}},
 }
 
@@ -68,7 +68,7 @@ var handleRigs = []handleRig{
 // fresh file, plus helpers that fail the test on any short transfer.
 type handleScript struct {
 	t        *testing.T
-	d        *posix.Dispatch
+	d        posix.FS
 	path     string
 	fd1, fd2 int
 }

@@ -302,14 +302,11 @@ func (q *qos) Tenants() []*Tenant {
 }
 
 // enter runs the full QoS stage for one operation: op-rate bucket,
-// byte bucket for the data direction, then priority admission. It
-// returns the leave func to defer. Bucket debts are paid by sleeping
-// BEFORE admission, so a rate-limited tenant never holds an inflight
-// slot while it waits for tokens.
-func (q *qos) enter(t *Tenant, op iostats.Op, bytes int64) func() {
-	if t == nil {
-		return func() {}
-	}
+// byte bucket for the data direction, then priority admission. The
+// slot it takes is freed by q.adm.release. Bucket debts are paid by
+// sleeping BEFORE admission, so a rate-limited tenant never holds an
+// inflight slot while it waits for tokens.
+func (q *qos) enter(t *Tenant, op iostats.Op, bytes int64) {
 	if d := q.opBucketDelay(t); d > 0 {
 		q.sleep(d)
 	}
@@ -327,7 +324,6 @@ func (q *qos) enter(t *Tenant, op iostats.Op, bytes int64) func() {
 	}
 	q.adm.acquire(t)
 	t.served.Add(bytes + 1) // +1 so metadata ops advance the deficit too
-	return q.adm.release
 }
 
 func (q *qos) opBucketDelay(t *Tenant) time.Duration {

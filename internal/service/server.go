@@ -164,7 +164,13 @@ func (s *Server) handleFrame(sess *Session, f Frame, reply *frameBuf) []byte {
 			return w.buf
 		}
 		buf := reply.sized(4 + int(n))
-		got, err := sess.Pread(int(fd), buf[4:], int64(off))
+		var got int
+		var err error
+		if off == AtCursor {
+			got, err = sess.Read(int(fd), buf[4:])
+		} else {
+			got, err = sess.Pread(int(fd), buf[4:], int64(off))
+		}
 		binary.LittleEndian.PutUint32(buf, uint32(ErrnoOf(err)))
 		if err != nil {
 			return buf[:4]
@@ -177,7 +183,13 @@ func (s *Server) handleFrame(sess *Session, f Frame, reply *frameBuf) []byte {
 		if bad(&r, &w) {
 			return w.buf
 		}
-		n, err := sess.Pwrite(int(fd), data, int64(off))
+		var n int
+		var err error
+		if off == AtCursor {
+			n, err = sess.Write(int(fd), data)
+		} else {
+			n, err = sess.Pwrite(int(fd), data, int64(off))
+		}
 		w.I32(ErrnoOf(err))
 		if err == nil {
 			w.U32(uint32(n))
@@ -187,7 +199,26 @@ func (s *Server) handleFrame(sess *Session, f Frame, reply *frameBuf) []byte {
 		if bad(&r, &w) {
 			return w.buf
 		}
-		w.I32(ErrnoOf(sess.Sync(int(fd))))
+		w.I32(ErrnoOf(sess.Fsync(int(fd))))
+	case OpSeek:
+		fd := r.U32()
+		off := r.U64()
+		whence := r.U32()
+		if bad(&r, &w) {
+			return w.buf
+		}
+		pos, err := sess.Lseek(int(fd), int64(off), int(whence))
+		w.I32(ErrnoOf(err))
+		if err == nil {
+			w.U64(uint64(pos))
+		}
+	case OpFtrunc:
+		fd := r.U32()
+		size := r.U64()
+		if bad(&r, &w) {
+			return w.buf
+		}
+		w.I32(ErrnoOf(sess.Ftruncate(int(fd), int64(size))))
 	case OpClose:
 		fd := r.U32()
 		if bad(&r, &w) {

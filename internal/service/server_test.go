@@ -288,7 +288,7 @@ func TestHandleFrameDecodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.End()
-	for _, op := range []byte{OpOpen, OpRead, OpWrite, OpSync, OpClose, OpStat, OpFstat, OpTrunc, OpUnlink, OpDoctor} {
+	for _, op := range []byte{OpOpen, OpRead, OpWrite, OpSync, OpClose, OpStat, OpFstat, OpTrunc, OpUnlink, OpDoctor, OpSeek, OpFtrunc} {
 		reply := srv.handleFrame(sess, Frame{Op: op, Payload: []byte{0xff}}, &frameBuf{})
 		if status := statusOf(reply); status != int32(posix.EINVAL) {
 			t.Fatalf("op %d malformed payload: status %d", op, status)
@@ -318,8 +318,8 @@ func TestQoSWallClockSleep(t *testing.T) {
 	tn := q.tenant("slow")
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		leave := q.enter(tn, 0, 0)
-		leave()
+		q.enter(tn, 0, 0)
+		q.adm.release()
 	}
 	// Burst 1 at 200 ops/s: ops 2 and 3 owe ~5ms each.
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {

@@ -181,16 +181,19 @@ func (g *Gateway) tick() {
 }
 
 // Session is one client's connection-equivalent: a private LDPLFS shim
-// (own fd table, own pid, so droppings never collide) over the
-// tenant's shared PLFS instance, with every operation passing the
-// tenant's QoS stage. Methods are safe for concurrent use; one network
-// connection drives its session serially, but in-process callers (and
-// the race tests) may not.
+// (own fd table, own pid, so droppings never collide) over the tenant's
+// shared PLFS instance, interposed under one hook, the tenant's QoS
+// stage. Its posix.FS methods are the interposer's, so the stage sees
+// every op by the interposer's rules: Close is recorded but never
+// admitted, and Lseek, a pure pointer move, passes no stage at all.
+// Methods are safe for concurrent use; one network connection drives
+// its session serially, but in-process callers (and the race tests) may
+// not.
 type Session struct {
-	g      *Gateway
-	tenant *Tenant
-	ld     *core.LDPLFS
-	pid    uint32
+	*posix.Interposer
+	stage *stage
+	ld    *core.LDPLFS
+	pid   uint32
 
 	mu     sync.Mutex
 	closed bool
@@ -218,14 +221,15 @@ func (g *Gateway) NewSession(tenantName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{g: g, tenant: t, ld: ld, pid: pid}, nil
+	st := &stage{g: g, t: t}
+	return &Session{Interposer: posix.Interpose(ld, st), stage: st, ld: ld, pid: pid}, nil
 }
 
 // Pid reports the session's PLFS pid (tests assert dropping ownership).
 func (s *Session) Pid() uint32 { return s.pid }
 
 // Tenant reports the session's tenant.
-func (s *Session) Tenant() *Tenant { return s.tenant }
+func (s *Session) Tenant() *Tenant { return s.stage.t }
 
 // End releases the session's fd table and shim. Idempotent.
 func (s *Session) End() {
@@ -238,84 +242,31 @@ func (s *Session) End() {
 	s.ld.Unload()
 }
 
-// do runs one operation through the QoS stage and records it on the
-// tenant layer. The latency sample starts before admission, so the
-// histograms measure what the tenant experiences — queueing and bucket
-// delay included.
-func (s *Session) do(op iostats.Op, bytes int64, fn func() error) error {
-	start := s.tenant.ls.Start()
-	leave := s.g.qos.enter(s.tenant, op, bytes)
-	err := fn()
-	leave()
-	s.tenant.ls.End(op, bytes, start, err)
+// stage is a tenant's QoS stage as the hook its sessions' ops run
+// through. The latency sample starts before Before, so the tenant
+// layer's histograms measure what the tenant experiences — queueing and
+// bucket delay included.
+type stage struct {
+	g *Gateway
+	t *Tenant
+}
+
+// Before implements posix.Hook: the buckets, then admission. It never
+// refuses.
+func (s *stage) Before(op posix.Op) (posix.Op, error) {
+	s.g.qos.enter(s.t, op.Class, op.Bytes)
+	return op, nil
+}
+
+// After implements posix.Hook: it frees the slot Before took, records
+// the op on the tenant layer and ticks the governor. A Close ran no
+// Before (the interposer's rule), so it holds no slot to free.
+func (s *stage) After(op posix.Op, _ int64, err error) {
+	if op.Call != posix.CallClose {
+		s.g.qos.adm.release()
+	}
+	s.t.ls.End(op.Class, op.Bytes, op.Start, err)
 	s.g.tick()
-	return err
-}
-
-// Open opens a path under the mount (or passes through to the backend,
-// as the shim does for unmounted paths).
-func (s *Session) Open(path string, flags int, mode uint32) (fd int, err error) {
-	err = s.do(iostats.Open, 0, func() error {
-		fd, err = s.ld.Open(path, flags, mode)
-		return err
-	})
-	return fd, err
-}
-
-// Pread reads len(p) bytes at off.
-func (s *Session) Pread(fd int, p []byte, off int64) (n int, err error) {
-	err = s.do(iostats.Read, int64(len(p)), func() error {
-		n, err = s.ld.Pread(fd, p, off)
-		return err
-	})
-	return n, err
-}
-
-// Pwrite writes p at off.
-func (s *Session) Pwrite(fd int, p []byte, off int64) (n int, err error) {
-	err = s.do(iostats.Write, int64(len(p)), func() error {
-		n, err = s.ld.Pwrite(fd, p, off)
-		return err
-	})
-	return n, err
-}
-
-// Sync flushes fd's droppings.
-func (s *Session) Sync(fd int) error {
-	return s.do(iostats.Sync, 0, func() error { return s.ld.Fsync(fd) })
-}
-
-// Close closes fd.
-func (s *Session) Close(fd int) error {
-	return s.do(iostats.Meta, 0, func() error { return s.ld.Close(fd) })
-}
-
-// Stat stats a path.
-func (s *Session) Stat(path string) (st posix.Stat, err error) {
-	err = s.do(iostats.Meta, 0, func() error {
-		st, err = s.ld.Stat(path)
-		return err
-	})
-	return st, err
-}
-
-// Fstat stats an open fd.
-func (s *Session) Fstat(fd int) (st posix.Stat, err error) {
-	err = s.do(iostats.Meta, 0, func() error {
-		st, err = s.ld.Fstat(fd)
-		return err
-	})
-	return st, err
-}
-
-// Truncate truncates a path.
-func (s *Session) Truncate(path string, size int64) error {
-	return s.do(iostats.Meta, 0, func() error { return s.ld.Truncate(path, size) })
-}
-
-// Unlink removes a path.
-func (s *Session) Unlink(path string) error {
-	return s.do(iostats.Meta, 0, func() error { return s.ld.Unlink(path) })
 }
 
 // StatsText renders the gateway plane for the Stats wire op.
@@ -327,16 +278,16 @@ func (g *Gateway) StatsText() string {
 // PLFS instance for a mount path and returns its report — the remote
 // face of plfsctl doctor, byte for byte the text the local tool prints.
 // The wire carries no force flag, so diverged replicas are only ever
-// rebuilt locally.
+// rebuilt locally. Not a posix.FS call, it passes the tenant's stage by
+// hand, as a Meta op.
 func (s *Session) Doctor(path string, fix bool) (string, error) {
 	backendPath, ok := s.ld.Resolve(path)
 	if !ok {
 		return "", posix.ENOENT
 	}
 	var report strings.Builder
-	err := s.do(iostats.Meta, 0, func() error {
-		_, err := s.ld.Plfs().Doctor(&report, backendPath, fix, false)
-		return err
-	})
+	op, _ := s.stage.Before(posix.Op{Class: iostats.Meta, Path: path, FD: -1, Start: s.stage.t.ls.Start()}) // the stage never refuses
+	_, err := s.ld.Plfs().Doctor(&report, backendPath, fix, false)
+	s.stage.After(op, 0, err)
 	return report.String(), err
 }

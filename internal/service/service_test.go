@@ -81,7 +81,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if n, err := s.Pwrite(fd, payload, 0); err != nil || n != len(payload) {
 		t.Fatalf("Pwrite = %d, %v", n, err)
 	}
-	if err := s.Sync(fd); err != nil {
+	if err := s.Fsync(fd); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(fd); err != nil {
@@ -187,6 +187,59 @@ func TestTenantLayerRecords(t *testing.T) {
 	}
 	if !strings.Contains(g.StatsText(), "tenant:gold") {
 		t.Fatal("plane snapshot missing tenant layer")
+	}
+}
+
+// TestStageSlotsBalance: the tenant stage is one hook under the
+// interposer's rules. Every op a session runs leaves the admission pool
+// as it found it — Close is recorded but takes no slot, every other op
+// frees the slot its Before took — and a seek, a pure pointer move,
+// passes no stage.
+func TestStageSlotsBalance(t *testing.T) {
+	g := newTestGateway(t, nil)
+	s, err := g.NewSession("gold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.End()
+	const path = "/mnt/plfs/slots"
+	fd, err := s.Open(path, posix.O_CREAT|posix.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	if n, err := s.Write(fd, buf); err != nil || n != len(buf) {
+		t.Fatalf("write = %d, %v", n, err)
+	}
+	if pos, err := s.Lseek(fd, 0, posix.SEEK_SET); err != nil || pos != 0 {
+		t.Fatalf("lseek = %d, %v", pos, err)
+	}
+	if n, err := s.Read(fd, buf); err != nil || n != len(buf) {
+		t.Fatalf("read = %d, %v", n, err)
+	}
+	if err := s.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Doctor(path, false); err != nil {
+		t.Fatal(err)
+	}
+	g.qos.adm.mu.Lock()
+	inflight := g.qos.adm.inflight
+	g.qos.adm.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d admission slots held after every op returned", inflight)
+	}
+	layer := g.Tenant("gold").Layer()
+	for _, c := range []struct {
+		op   iostats.Op
+		want int64
+	}{{iostats.Open, 1}, {iostats.Write, 1}, {iostats.Read, 1}, {iostats.Sync, 1}, {iostats.Meta, 2}} {
+		if got := layer.OpCount(c.op); got != c.want {
+			t.Errorf("%v ops recorded = %d, want %d (Close and Doctor are Meta; Lseek is none)", c.op, got, c.want)
+		}
 	}
 }
 

@@ -3,12 +3,12 @@
 // length-prefixed wire protocol, with a software-defined per-tenant QoS
 // stage enforced in the data path.
 //
-// The layering follows the PAIO stage design: the gateway reuses the
-// LDPLFS fd-table/dispatch machinery (internal/core) for its sessions,
-// scopes per-tenant telemetry through the iostats plane (layer
-// "tenant:<name>"), enforces token-bucket rate limits and priority
-// admission before any byte reaches the PLFS engines, and actuates
-// background tenants' rates with the internal/tune controller.
+// The layering follows the PAIO stage design: a session is the LDPLFS
+// shim (internal/core) interposed under one posix.Hook, its tenant's
+// QoS stage, which enforces token-bucket rate limits and priority
+// admission before any byte reaches the PLFS engines and records every
+// op on the tenant's layer of the iostats plane ("tenant:<name>"). The
+// internal/tune controller actuates background tenants' rates.
 //
 // One rule governs every buffer on the wire: a frame's payload belongs
 // to its connection and is valid until that connection's next frame;
@@ -46,7 +46,14 @@ const (
 	OpUnlink = byte(10) // path string
 	OpStats  = byte(11) // -> text (telemetry plane snapshot)
 	OpDoctor = byte(12) // path string, fix u8 -> report text
+	OpSeek   = byte(13) // fd u32, off u64, whence u32 -> pos u64
+	OpFtrunc = byte(14) // fd u32, size u64
 )
+
+// AtCursor is the offset OpRead and OpWrite carry to mean "at the fd's
+// file pointer": the session's shim moves it, as read(2) and write(2)
+// do, O_APPEND included.
+const AtCursor = ^uint64(0)
 
 // MaxFramePayload bounds a frame's payload; larger requests must split.
 // It caps both what the daemon will buffer per connection and what a
