@@ -63,6 +63,8 @@ var HotFuncs = map[string]bool{
 	"WriteFrame":  true,
 	"handleFrame": true,
 	"roundTrip":   true,
+	"Pread":       true,
+	"Pwrite":      true,
 	"readAt":      true,
 	"writeAt":     true,
 }

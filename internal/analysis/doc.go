@@ -88,10 +88,11 @@
 // same function with a Put — deferred directly or through a releasing
 // helper that contains the Put (the plan.release idiom) — and the hot
 // functions (bufpool.HotFuncs: the engine's scatterGather, planBatches,
-// readBatch, failBatch, writeV, pwriteAll; the collective
-// shuffle's per-round loop; the gateway wire's frame reads and writes,
-// handleFrame, and the client's roundTrip, readAt and writeAt) never
-// make([]byte, ...) per call.
+// readBatch, failBatch, writeV, pwriteAll; the collective shuffle's
+// per-round loop; the gateway wire's frame reads and writes, handleFrame,
+// and the client's roundTrip, readAt and writeAt; and every Pread and
+// Pwrite, matched by name in each checked package) never make([]byte, ...)
+// per call.
 //
 // History: the PR 9 zero-alloc rework moved the warm read/write paths
 // onto pooled plans and buffers, asserted by allocs-per-op budgets in

@@ -185,7 +185,8 @@ func (g *Gateway) tick() {
 // shared PLFS instance, interposed under one hook, the tenant's QoS
 // stage. Its posix.FS methods are the interposer's, so the stage sees
 // every op by the interposer's rules: Close is recorded but never
-// admitted, and Lseek, a pure pointer move, passes no stage at all.
+// admitted. Lseek is the one method written here: the interposer shows
+// no hook a seek, but a SEEK_END reads the file's index.
 // Methods are safe for concurrent use; one network connection drives
 // its session serially, but in-process callers (and the race tests) may
 // not.
@@ -223,6 +224,21 @@ func (g *Gateway) NewSession(tenantName string) (*Session, error) {
 	}
 	st := &stage{g: g, t: t}
 	return &Session{Interposer: posix.Interpose(ld, st), stage: st, ld: ld, pid: pid}, nil
+}
+
+// Lseek implements posix.FS. SEEK_SET and SEEK_CUR move the pointer
+// and pass no stage. SEEK_END sizes the file from its index droppings,
+// backend reads the tenant pays for, so it passes the stage as the
+// Meta op (an fstat) it stands for.
+func (s *Session) Lseek(fd int, offset int64, whence int) (pos int64, err error) {
+	if whence != posix.SEEK_END {
+		return s.Interposer.Lseek(fd, offset, whence)
+	}
+	err = s.stage.pass(posix.Op{Call: posix.CallFstat, FD: fd}, func() (err error) {
+		pos, err = s.Interposer.Lseek(fd, offset, whence)
+		return err
+	})
+	return pos, err
 }
 
 // Pid reports the session's PLFS pid (tests assert dropping ownership).
@@ -269,6 +285,17 @@ func (s *stage) After(op posix.Op, _ int64, err error) {
 	s.g.tick()
 }
 
+// pass runs call through the stage as one Meta op, for the work the
+// interposer does not see (Doctor, a SEEK_END). The caller names op's
+// Call, never CallClose, so After frees the slot Before took.
+func (s *stage) pass(op posix.Op, call func() error) error {
+	op.Class, op.Start = iostats.Meta, s.t.ls.Start()
+	op, _ = s.Before(op) // the stage never refuses
+	err := call()
+	s.After(op, 0, err)
+	return err
+}
+
 // StatsText renders the gateway plane for the Stats wire op.
 func (g *Gateway) StatsText() string {
 	return g.plane.Snapshot().String()
@@ -278,16 +305,17 @@ func (g *Gateway) StatsText() string {
 // PLFS instance for a mount path and returns its report — the remote
 // face of plfsctl doctor, byte for byte the text the local tool prints.
 // The wire carries no force flag, so diverged replicas are only ever
-// rebuilt locally. Not a posix.FS call, it passes the tenant's stage by
-// hand, as a Meta op.
+// rebuilt locally. Not a posix.FS call, it passes the tenant's stage as
+// the Meta op (a stat of the container) it stands for.
 func (s *Session) Doctor(path string, fix bool) (string, error) {
 	backendPath, ok := s.ld.Resolve(path)
 	if !ok {
 		return "", posix.ENOENT
 	}
 	var report strings.Builder
-	op, _ := s.stage.Before(posix.Op{Class: iostats.Meta, Path: path, FD: -1, Start: s.stage.t.ls.Start()}) // the stage never refuses
-	_, err := s.ld.Plfs().Doctor(&report, backendPath, fix, false)
-	s.stage.After(op, 0, err)
+	err := s.stage.pass(posix.Op{Call: posix.CallStat, Path: path, FD: -1}, func() error {
+		_, err := s.ld.Plfs().Doctor(&report, backendPath, fix, false)
+		return err
+	})
 	return report.String(), err
 }

@@ -193,8 +193,9 @@ func TestTenantLayerRecords(t *testing.T) {
 // TestStageSlotsBalance: the tenant stage is one hook under the
 // interposer's rules. Every op a session runs leaves the admission pool
 // as it found it — Close is recorded but takes no slot, every other op
-// frees the slot its Before took — and a seek, a pure pointer move,
-// passes no stage.
+// frees the slot its Before took — a SEEK_SET seek, a pure pointer
+// move, passes no stage, and a SEEK_END seek, which reads the index,
+// passes as Meta.
 func TestStageSlotsBalance(t *testing.T) {
 	g := newTestGateway(t, nil)
 	s, err := g.NewSession("gold")
@@ -210,6 +211,9 @@ func TestStageSlotsBalance(t *testing.T) {
 	buf := make([]byte, 4096)
 	if n, err := s.Write(fd, buf); err != nil || n != len(buf) {
 		t.Fatalf("write = %d, %v", n, err)
+	}
+	if pos, err := s.Lseek(fd, 0, posix.SEEK_END); err != nil || pos != int64(len(buf)) {
+		t.Fatalf("lseek end = %d, %v", pos, err)
 	}
 	if pos, err := s.Lseek(fd, 0, posix.SEEK_SET); err != nil || pos != 0 {
 		t.Fatalf("lseek = %d, %v", pos, err)
@@ -236,9 +240,9 @@ func TestStageSlotsBalance(t *testing.T) {
 	for _, c := range []struct {
 		op   iostats.Op
 		want int64
-	}{{iostats.Open, 1}, {iostats.Write, 1}, {iostats.Read, 1}, {iostats.Sync, 1}, {iostats.Meta, 2}} {
+	}{{iostats.Open, 1}, {iostats.Write, 1}, {iostats.Read, 1}, {iostats.Sync, 1}, {iostats.Meta, 3}} {
 		if got := layer.OpCount(c.op); got != c.want {
-			t.Errorf("%v ops recorded = %d, want %d (Close and Doctor are Meta; Lseek is none)", c.op, got, c.want)
+			t.Errorf("%v ops recorded = %d, want %d (SEEK_END, Close and Doctor are Meta; SEEK_SET is none)", c.op, got, c.want)
 		}
 	}
 }
