@@ -50,14 +50,12 @@ func (p *Plfs) NewPlane() *iostats.Plane {
 type MPIIO struct {
 	CBBufferSize  int
 	CBAggregators int
-	SieveBuffer   int
 }
 
 // Register installs the group's flags on fl.
 func (m *MPIIO) Register(fl *flag.FlagSet) {
 	fl.IntVar(&m.CBBufferSize, "cb-buffer-size", 0, "collective-buffering staging size per aggregator round in bytes (0 = ROMIO default 16 MiB)")
 	fl.IntVar(&m.CBAggregators, "cb-aggregators", 0, "aggregators per compute node (0 = the paper's default of 1)")
-	fl.IntVar(&m.SieveBuffer, "sieve-buffer-size", 0, "data-sieving block size for independent strided access (0 = default 4 MiB)")
 }
 
 // Hints renders the group over the ROMIO defaults.
@@ -68,9 +66,6 @@ func (m *MPIIO) Hints() mpiio.Hints {
 	}
 	if m.CBAggregators > 0 {
 		h.CBAggregators = m.CBAggregators
-	}
-	if m.SieveBuffer > 0 {
-		h.SieveBufferSize = m.SieveBuffer
 	}
 	return h
 }

@@ -55,20 +55,20 @@ func TestMPIIOGroup(t *testing.T) {
 	fl := flag.NewFlagSet("test", flag.ContinueOnError)
 	m.Register(fl)
 	// The group is the whole mpiio surface of the workload CLIs: ROMIO's
-	// static cb_* and sieving hints, nothing that steers them at runtime.
+	// static cb_* hints, nothing that steers them at runtime.
 	var names []string
 	fl.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if want := []string{"cb-aggregators", "cb-buffer-size", "sieve-buffer-size"}; !slices.Equal(names, want) {
+	if want := []string{"cb-aggregators", "cb-buffer-size"}; !slices.Equal(names, want) {
 		t.Fatalf("MPIIO registers %v, want exactly %v", names, want)
 	}
 	if h, d := m.Hints(), mpiio.DefaultHints(); h != d {
 		t.Fatalf("unset flags render %+v, want the defaults %+v", h, d)
 	}
-	if err := fl.Parse([]string{"-cb-buffer-size", "65536", "-cb-aggregators", "2", "-sieve-buffer-size", "1024"}); err != nil {
+	if err := fl.Parse([]string{"-cb-buffer-size", "65536", "-cb-aggregators", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	want := mpiio.DefaultHints()
-	want.CBBufferSize, want.CBAggregators, want.SieveBufferSize = 65536, 2, 1024
+	want.CBBufferSize, want.CBAggregators = 65536, 2
 	if h := m.Hints(); h != want {
 		t.Fatalf("hints = %+v, want %+v", h, want)
 	}

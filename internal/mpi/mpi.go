@@ -33,7 +33,6 @@ type Comm struct {
 	arrived int
 	slots   []any
 	results []any
-	combine func([]any) []any
 }
 
 func newComm(size, ppn int) *Comm {

@@ -1,8 +1,10 @@
 // Package mpiio reimplements the ROMIO MPI-IO layer the paper's methods
 // plug into: an ADIO driver interface with a POSIX ("ufs") driver and a
-// PLFS driver (the patched-ROMIO deployment), two-phase collective
-// buffering with one aggregator per compute node (the paper's default),
-// and data sieving for independent strided access.
+// PLFS driver (the patched-ROMIO deployment), and two-phase collective
+// buffering with one aggregator per compute node (the paper's default).
+// Collective buffering is always on: strided access is collective
+// (WriteAll, ReadAll), and an independent call (WriteAt, ReadAt) moves
+// one contiguous block.
 //
 // The four access methods of the paper, and the remote mode added to
 // them, differ only in how this stack is assembled:
@@ -84,8 +86,9 @@ type DriverFile interface {
 }
 
 // VectorWriter is an optional DriverFile extension: drivers that can
-// commit a whole flattened datatype in one call implement it, and
-// WriteStrided hands them the segment list instead of looping pwrites.
+// commit a whole flattened datatype in one call implement it, and the
+// collective aggregators hand them a round's coalesced run list instead
+// of looping pwrites.
 // The PLFS driver maps it onto plfs.File.WriteV, whose write engine
 // fans the segments out in parallel within one index transaction.
 type VectorWriter interface {

@@ -1,9 +1,7 @@
 package mpiio
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"slices"
 
 	"ldplfs/internal/iostats"
@@ -13,12 +11,11 @@ import (
 
 // Hints mirror the ROMIO info keys the paper leans on.
 //
-// Collective buffering (two-phase I/O, romio_cb_write/read) and data
-// sieving (romio_ds_write) are always on: the paper runs every test
-// "with collective buffering enabled and in its default configuration".
-// An independent call (WriteStrided, WriteAt) is the path without
-// collective buffering, and a sparse strided access is the one that is
-// not sieved.
+// Collective buffering (two-phase I/O, romio_cb_write/read) is always
+// on: the paper runs every test "with collective buffering enabled and
+// in its default configuration". Strided access is collective
+// (WriteAll, ReadAll); an independent call (WriteAt, ReadAt) moves one
+// contiguous block.
 type Hints struct {
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
 	// ROMIO default 16 MiB). Aggregator writes are chunked at this size,
@@ -26,9 +23,6 @@ type Hints struct {
 	// staging buffer's worth. Like every cb_* hint it must agree across
 	// the communicator: Open adopts rank 0's value on every rank.
 	CBBufferSize int
-	// SieveBufferSize is the sieving block (ind_rd_buffer_size, 4 MiB
-	// default).
-	SieveBufferSize int
 	// CBAggregators is the number of aggregators per compute node
 	// (cb_nodes-style). 0 or 1 keeps the paper's default of one
 	// aggregator per distinct node; higher values fan aggregator I/O
@@ -45,10 +39,7 @@ type Hints struct {
 // DefaultHints match ROMIO defaults plus the paper's configuration: one
 // aggregator per distinct compute node.
 func DefaultHints() Hints {
-	return Hints{
-		CBBufferSize:    16 << 20,
-		SieveBufferSize: 4 << 20,
-	}
+	return Hints{CBBufferSize: 16 << 20}
 }
 
 // File is an open MPI file handle, one per rank (like MPI_File). The
@@ -64,8 +55,8 @@ type File struct {
 	// Hints.Collector's "mpiio" layer, or a standalone layer bcast from
 	// rank 0 when no plane is attached. The named counters (grabbed
 	// once at Open) are what the retired Stats struct used to tally:
-	// collective/independent calls, driver-level reads/writes and their
-	// bytes, and data-sieving read-modify-write cycles.
+	// collective/independent calls and driver-level reads/writes and
+	// their bytes.
 	ls   *iostats.LayerStats
 	ccol *iostats.Counter // collective_calls
 	cind *iostats.Counter // independent_calls
@@ -73,15 +64,10 @@ type File struct {
 	cdr  *iostats.Counter // driver_reads
 	cbw  *iostats.Counter // bytes_written
 	cbr  *iostats.Counter // bytes_read
-	csr  *iostats.Counter // sieve_rmws
 	cshb *iostats.Counter // shuffle_bytes
 	cshp *iostats.Counter // shuffle_pieces
 	cago *iostats.Counter // agg_flush_ops
 	covl *iostats.Counter // round_overlap_ns
-
-	// srl serializes sieved read-modify-write cycles to overlapping
-	// ranges of this handle (disjoint spans proceed concurrently).
-	srl rangeLock
 
 	// The collective shape, fixed at Open from rank 0's cb_* hints: the
 	// aggregator ranks (ascending, identical on every rank) and whether
@@ -105,9 +91,6 @@ type Segment struct {
 func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*File, error) {
 	if hints.CBBufferSize <= 0 {
 		hints.CBBufferSize = 16 << 20
-	}
-	if hints.SieveBufferSize <= 0 {
-		hints.SieveBufferSize = 4 << 20
 	}
 	df, err := openDriverFile(r, driver, path, amode)
 	if err != nil {
@@ -142,7 +125,6 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	f.cdr = f.ls.Counter("driver_reads")
 	f.cbw = f.ls.Counter("bytes_written")
 	f.cbr = f.ls.Counter("bytes_read")
-	f.csr = f.ls.Counter("sieve_rmws")
 	f.cshb = f.ls.Counter("shuffle_bytes")
 	f.cshp = f.ls.Counter("shuffle_pieces")
 	f.cago = f.ls.Counter("agg_flush_ops")
@@ -334,179 +316,6 @@ func (f *File) ReadAt(buf []byte, off int64) (int, error) {
 	f.ls.End(iostats.Read, int64(n), start, err)
 	f.cbr.Add(int64(n))
 	return n, err
-}
-
-// WriteStrided writes a flattened strided access independently, applying
-// data sieving when the holes are small enough that one read-modify-write
-// beats many small writes (ROMIO's romio_ds_write heuristic).
-func (f *File) WriteStrided(segs []Segment, buf []byte) (int, error) {
-	f.cind.Add(1)
-	start := f.ls.Start()
-	n, err := f.writeStrided(segs, buf)
-	f.ls.End(iostats.Write, int64(n), start, err)
-	return n, err
-}
-
-func (f *File) writeStrided(segs []Segment, buf []byte) (int, error) {
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	if err := validateSegs(segs, buf); err != nil {
-		return 0, err
-	}
-	total := segsBytes(segs)
-	lo := segs[0].Off
-	hi := segs[len(segs)-1].Off + segs[len(segs)-1].Len
-	span := hi - lo
-
-	useSieve := len(segs) > 1 &&
-		span <= int64(f.hints.SieveBufferSize) && span < 2*total
-
-	if !useSieve {
-		n, _, err := f.writeRuns(segs, buf[:total])
-		return n, err
-	}
-
-	// Data sieving: read [lo,hi), overlay the segments, write back once.
-	// The range lock serializes concurrent RMW cycles over overlapping
-	// spans — without it, two interleaved sieved writes would each read
-	// the block, patch their own segments, and the later write-back
-	// would silently undo the earlier one.
-	f.srl.lock(lo, hi)
-	defer f.srl.unlock(lo, hi)
-	f.csr.Add(1)
-	block := make([]byte, span)
-	f.cdr.Add(1)
-	if _, err := f.df.PreadAt(block, lo); err != nil && !errors.Is(err, io.EOF) {
-		return 0, err
-	}
-	// A short pre-read (the sieve span extends past EOF) is not an
-	// error: the tail beyond n is a hole the write is about to define,
-	// and block's zero fill is exactly its contents — the same partial-
-	// fill handling the read path applies.
-	cursor := 0
-	for _, s := range segs {
-		copy(block[s.Off-lo:s.Off-lo+s.Len], buf[cursor:cursor+int(s.Len)])
-		cursor += int(s.Len)
-	}
-	f.cdw.Add(1)
-	if _, err := f.df.PwriteAt(block, lo); err != nil {
-		return 0, err
-	}
-	f.cbw.Add(total)
-	return int(total), nil
-}
-
-// ReadStrided reads a flattened strided access independently with data
-// sieving: one big read, then scatter.
-func (f *File) ReadStrided(segs []Segment, buf []byte) (int, error) {
-	f.cind.Add(1)
-	start := f.ls.Start()
-	n, err := f.readStrided(segs, buf)
-	f.ls.End(iostats.Read, int64(n), start, err)
-	return n, err
-}
-
-func (f *File) readStrided(segs []Segment, buf []byte) (int, error) {
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	if err := validateSegs(segs, buf); err != nil {
-		return 0, err
-	}
-	total := segsBytes(segs)
-	lo := segs[0].Off
-	hi := segs[len(segs)-1].Off + segs[len(segs)-1].Len
-	span := hi - lo
-
-	// Same density cutoff as the write path: sieving a span more than
-	// twice the useful bytes reads mostly holes, so sparse strided
-	// access falls through to per-segment reads.
-	if len(segs) > 1 &&
-		span <= int64(f.hints.SieveBufferSize) && span < 2*total {
-		block := make([]byte, span)
-		f.cdr.Add(1)
-		n, err := f.df.PreadAt(block, lo)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return 0, err
-		}
-		got := 0
-		cursor := 0
-		for _, s := range segs {
-			end := s.Off - lo + s.Len
-			if end > int64(n) {
-				end = int64(n)
-			}
-			if s.Off-lo < int64(n) {
-				got += copy(buf[cursor:cursor+int(s.Len)], block[s.Off-lo:end])
-			}
-			cursor += int(s.Len)
-		}
-		f.cbr.Add(int64(got))
-		return got, nil
-	}
-
-	n, _, err := f.readRuns(segs, buf[:total])
-	return n, err
-}
-
-// writeRuns states the write-side driver-call rule once, for sparse
-// independent access and for an aggregator's staged round alike: a
-// vector-capable driver takes two or more runs in one call (the PLFS
-// driver turns it into one WriteV, whose engine batches physically-
-// contiguous pwrites), any other gets a pwrite per run. buf holds the
-// runs' bytes back to back. Returns bytes written and driver calls made.
-func (f *File) writeRuns(runs []Segment, buf []byte) (n int, calls int64, err error) {
-	if vw, ok := f.df.(VectorWriter); ok && len(runs) > 1 {
-		f.cdw.Add(1)
-		n, err = vw.PwritevAt(runs, buf)
-		f.cbw.Add(int64(n))
-		return n, 1, err
-	}
-	cursor := int64(0)
-	for _, run := range runs {
-		calls++
-		w, werr := f.df.PwriteAt(buf[cursor:cursor+run.Len], run.Off)
-		n += w
-		if werr != nil {
-			err = werr
-			break
-		}
-		cursor += run.Len
-	}
-	f.cdw.Add(calls)
-	f.cbw.Add(int64(n))
-	return n, calls, err
-}
-
-// readRuns is the read-side twin: one PreadvAt for two or more runs on a
-// vector-capable driver (PLFS resolves the index once and batches
-// contiguous extents across runs), otherwise a pread per run. EOF is not
-// an error and bytes past it are zero-filled either way; n counts the
-// bytes below EOF.
-func (f *File) readRuns(runs []Segment, buf []byte) (n int, calls int64, err error) {
-	if vr, ok := f.df.(VectorReader); ok && len(runs) > 1 {
-		f.cdr.Add(1)
-		n, err = vr.PreadvAt(runs, buf)
-		f.cbr.Add(int64(n))
-		return n, 1, err
-	}
-	cursor := int64(0)
-	for _, run := range runs {
-		calls++
-		dst := buf[cursor : cursor+run.Len]
-		r, rerr := f.df.PreadAt(dst, run.Off)
-		n += r
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			err = rerr
-			break
-		}
-		clear(dst[r:])
-		cursor += run.Len
-	}
-	f.cdr.Add(calls)
-	f.cbr.Add(int64(n))
-	return n, calls, err
 }
 
 func validateSegs(segs []Segment, buf []byte) error {

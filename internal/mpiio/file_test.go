@@ -250,82 +250,6 @@ func TestIndependentWriteAt(t *testing.T) {
 	}
 }
 
-func TestDataSievingWrite(t *testing.T) {
-	mem := newWorldFS(t)
-	err := mpi.Run(1, 1, func(r *mpi.Rank) {
-		fh, err := Open(r, NewUFS(posix.NewDispatch(mem)), "/scratch/sieve", ModeCreate|ModeRdwr, DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		// Pre-fill 1 KiB of 0xFF so the sieve's read-modify-write has
-		// existing data to preserve.
-		base := bytes.Repeat([]byte{0xFF}, 1024)
-		fh.WriteAt(base, 0)
-
-		// Strided overwrite: 16 segments of 32 bytes every 64 bytes.
-		var segs []Segment
-		var buf []byte
-		for i := 0; i < 16; i++ {
-			segs = append(segs, Segment{Off: int64(i * 64), Len: 32})
-			buf = append(buf, bytes.Repeat([]byte{byte(i)}, 32)...)
-		}
-		before := fh.Layer().Counter("driver_writes").Load()
-		if _, err := fh.WriteStrided(segs, buf); err != nil {
-			panic(err)
-		}
-		if got := fh.Layer().Counter("driver_writes").Load() - before; got != 1 {
-			panic(fmt.Sprintf("sieved write issued %d driver writes, want 1", got))
-		}
-		if fh.Layer().Counter("sieve_rmws").Load() != 1 {
-			panic("sieve RMW not recorded")
-		}
-		// Verify overlay: stripes of i and preserved 0xFF gaps.
-		got := make([]byte, 1024)
-		fh.ReadAt(got, 0)
-		for i := 0; i < 16; i++ {
-			if got[i*64] != byte(i) || got[i*64+31] != byte(i) {
-				panic(fmt.Sprintf("segment %d lost", i))
-			}
-			if got[i*64+32] != 0xFF {
-				panic(fmt.Sprintf("gap %d overwritten: %x", i, got[i*64+32]))
-			}
-		}
-		fh.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSievingDisabledIssuesPerSegmentWrites: a sparse strided write —
-// its span at least twice the bytes it carries — is not sieved (the
-// read-modify-write would move mostly holes), so each segment is its
-// own driver write.
-func TestSievingDisabledIssuesPerSegmentWrites(t *testing.T) {
-	mem := newWorldFS(t)
-	err := mpi.Run(1, 1, func(r *mpi.Rank) {
-		fh, err := Open(r, NewUFS(posix.NewDispatch(mem)), "/scratch/nosieve", ModeCreate|ModeRdwr, DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		var segs []Segment
-		var buf []byte
-		for i := 0; i < 8; i++ {
-			segs = append(segs, Segment{Off: int64(i * 200), Len: 50}) // span 1450 >= 2 x 400 bytes
-			buf = append(buf, bytes.Repeat([]byte{byte(i)}, 50)...)
-		}
-		before := fh.Layer().Counter("driver_writes").Load()
-		fh.WriteStrided(segs, buf)
-		if got := fh.Layer().Counter("driver_writes").Load() - before; got != 8 {
-			panic(fmt.Sprintf("driver writes = %d, want 8", got))
-		}
-		fh.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetSizeAndSize(t *testing.T) {
 	mem := newWorldFS(t)
 	err := mpi.Run(3, 1, func(r *mpi.Rank) {

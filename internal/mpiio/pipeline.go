@@ -20,7 +20,9 @@
 package mpiio
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"ldplfs/internal/mpi"
@@ -204,19 +206,67 @@ func (w *aggWorker) close() (error, int64) {
 	return w.err, overlap
 }
 
-// flushArena issues one staged round's runs, still coalesced, and
-// counts the driver calls it took.
+// flushArena issues one staged round's runs, still coalesced, under
+// the one driver-call rule: a vector-capable driver takes two or more
+// runs in one call (the PLFS driver turns it into one WriteV, whose
+// engine batches physically-contiguous pwrites), any other gets a
+// pwrite per run. agg_flush_ops counts the calls.
 func (f *File) flushArena(a *arena) error {
-	_, calls, err := f.writeRuns(a.runs, a.buf)
+	if vw, ok := f.df.(VectorWriter); ok && len(a.runs) > 1 {
+		f.cdw.Add(1)
+		f.cago.Add(1)
+		n, err := vw.PwritevAt(a.runs, a.buf)
+		f.cbw.Add(int64(n))
+		return err
+	}
+	var cursor, calls, n int64
+	var err error
+	for _, run := range a.runs {
+		calls++
+		w, werr := f.df.PwriteAt(a.buf[cursor:cursor+run.Len], run.Off)
+		n += int64(w)
+		if werr != nil {
+			err = werr
+			break
+		}
+		cursor += run.Len
+	}
+	f.cdw.Add(calls)
 	f.cago.Add(calls)
+	f.cbw.Add(n)
 	return err
 }
 
-// fetchArena reads one round's covering runs into the arena, zero-
-// filling past EOF.
+// fetchArena reads one round's covering runs into the arena under the
+// same rule: one PreadvAt for two or more runs on a vector-capable
+// driver (PLFS resolves the index once and batches contiguous extents
+// across runs), otherwise a pread per run. EOF is not an error, and
+// bytes past it are zero-filled either way.
 func (f *File) fetchArena(a *arena) error {
-	_, calls, err := f.readRuns(a.runs, a.buf)
+	if vr, ok := f.df.(VectorReader); ok && len(a.runs) > 1 {
+		f.cdr.Add(1)
+		f.cago.Add(1)
+		n, err := vr.PreadvAt(a.runs, a.buf)
+		f.cbr.Add(int64(n))
+		return err
+	}
+	var cursor, calls, n int64
+	var err error
+	for _, run := range a.runs {
+		calls++
+		dst := a.buf[cursor : cursor+run.Len]
+		r, rerr := f.df.PreadAt(dst, run.Off)
+		n += int64(r)
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
+			err = rerr
+			break
+		}
+		clear(dst[r:])
+		cursor += run.Len
+	}
+	f.cdr.Add(calls)
 	f.cago.Add(calls)
+	f.cbr.Add(n)
 	return err
 }
 

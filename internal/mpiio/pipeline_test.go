@@ -3,8 +3,6 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,211 +10,6 @@ import (
 	"ldplfs/internal/mpi"
 	"ldplfs/internal/posix"
 )
-
-// --- satellite: sieved write past EOF --------------------------------------
-
-// eofDriver wraps a Driver so short preads surface as (n, io.EOF), the
-// os.File contract — in-tree backends return (n, nil) at EOF, which
-// masked the write path treating EOF as fatal.
-type eofDriver struct{ Driver }
-
-func (d eofDriver) Open(path string, amode int, rank int) (DriverFile, error) {
-	df, err := d.Driver.Open(path, amode, rank)
-	if err != nil {
-		return nil, err
-	}
-	return eofFile{df}, nil
-}
-
-type eofFile struct{ DriverFile }
-
-func (f eofFile) PreadAt(p []byte, off int64) (int, error) {
-	n, err := f.DriverFile.PreadAt(p, off)
-	if err == nil && n < len(p) {
-		err = io.EOF
-	}
-	return n, err
-}
-
-// TestSievedWritePastEOF is the regression for the data-sieving RMW
-// pre-read: a sieved write whose span extends past EOF used to fail on
-// the short pre-read instead of zero-filling the hole like the read
-// path does.
-func TestSievedWritePastEOF(t *testing.T) {
-	mem := newWorldFS(t)
-	err := mpi.Run(1, 1, func(r *mpi.Rank) {
-		fh, err := Open(r, eofDriver{NewUFS(posix.NewDispatch(mem))},
-			"/scratch/eof", ModeCreate|ModeRdwr, DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		defer fh.Close()
-		// Empty file: the whole sieve span is past EOF, the densest
-		// possible trigger of the old fatal path.
-		segs := []Segment{{Off: 0, Len: 64}, {Off: 128, Len: 64}}
-		buf := bytes.Repeat([]byte{7}, 128)
-		if n, err := fh.WriteStrided(segs, buf); err != nil || n != 128 {
-			panic(fmt.Sprintf("sieved write past EOF = %d, %v", n, err))
-		}
-		if fh.Layer().Counter("sieve_rmws").Load() != 1 {
-			panic("write did not take the sieve path")
-		}
-		got := make([]byte, 192)
-		if _, err := fh.ReadAt(got, 0); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 64; i++ {
-			if got[i] != 7 || got[64+i] != 0 || got[128+i] != 7 {
-				panic(fmt.Sprintf("byte layout wrong at %d: %d %d %d",
-					i, got[i], got[64+i], got[128+i]))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- satellite: unified sieving heuristic ----------------------------------
-
-// TestSieveHeuristicTable pins the shared density cutoff on both paths:
-// sieving only when the span is under the sieve buffer AND under twice
-// the useful bytes — sparse strided access falls through to per-segment
-// I/O instead of sieving mostly-useless holes.
-func TestSieveHeuristicTable(t *testing.T) {
-	cases := []struct {
-		name  string
-		segs  []Segment
-		sieve bool
-	}{
-		{
-			name:  "dense",
-			segs:  []Segment{{0, 256}, {320, 256}, {640, 256}}, // span 896 < 2*768
-			sieve: true,
-		},
-		{
-			name:  "sparse",
-			segs:  []Segment{{0, 64}, {4096, 64}, {8192, 64}}, // span 8256 >= 2*192
-			sieve: false,
-		},
-		{
-			name:  "span-over-buffer",
-			segs:  []Segment{{0, 3 << 20}, {5 << 20, 3 << 20}}, // span > SieveBufferSize
-			sieve: false,
-		},
-	}
-	for _, tc := range cases {
-		for _, op := range []string{"write", "read"} {
-			t.Run(tc.name+"/"+op, func(t *testing.T) {
-				mem := newWorldFS(t)
-				err := mpi.Run(1, 1, func(r *mpi.Rank) {
-					fh, err := Open(r, NewUFS(posix.NewDispatch(mem)),
-						"/scratch/h", ModeCreate|ModeRdwr, DefaultHints())
-					if err != nil {
-						panic(err)
-					}
-					defer fh.Close()
-					total := segsBytes(tc.segs)
-					buf := make([]byte, total)
-					wantOps := int64(len(tc.segs))
-					if tc.sieve {
-						wantOps = 1
-					}
-					switch op {
-					case "write":
-						before := fh.Layer().Counter("driver_writes").Load()
-						if _, err := fh.WriteStrided(tc.segs, buf); err != nil {
-							panic(err)
-						}
-						if got := fh.Layer().Counter("driver_writes").Load() - before; got != wantOps {
-							panic(fmt.Sprintf("write ops = %d, want %d", got, wantOps))
-						}
-					case "read":
-						before := fh.Layer().Counter("driver_reads").Load()
-						if _, err := fh.ReadStrided(tc.segs, buf); err != nil {
-							panic(err)
-						}
-						if got := fh.Layer().Counter("driver_reads").Load() - before; got != wantOps {
-							panic(fmt.Sprintf("read ops = %d, want %d", got, wantOps))
-						}
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// --- satellite: concurrent sieved writes -----------------------------------
-
-// TestConcurrentSievedWritesSerialized drives two goroutines through
-// sieved read-modify-write cycles over interleaved segments of one
-// overlapping span. Without the per-handle range lock each cycle reads
-// the block, patches its own stripes and writes the whole span back, so
-// the later write-back silently erases the earlier goroutine's stripes
-// (and the race detector flags the buffer). With the lock, every stripe
-// of both goroutines must survive.
-func TestConcurrentSievedWritesSerialized(t *testing.T) {
-	const (
-		stripe  = 128
-		stripes = 16
-		iters   = 8
-	)
-	mem := newWorldFS(t)
-	err := mpi.Run(1, 1, func(r *mpi.Rank) {
-		fh, err := Open(r, NewUFS(posix.NewDispatch(mem)),
-			"/scratch/rmw", ModeCreate|ModeRdwr, DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		defer fh.Close()
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				// Goroutine g owns the odd/even stripes; both spans
-				// overlap almost entirely, forcing the RMW cycles to
-				// serialize.
-				segs := make([]Segment, stripes)
-				buf := make([]byte, stripes*stripe)
-				for s := 0; s < stripes; s++ {
-					segs[s] = Segment{Off: int64(2*s+g) * stripe, Len: stripe}
-					for i := 0; i < stripe; i++ {
-						buf[s*stripe+i] = byte(g + 1)
-					}
-				}
-				for it := 0; it < iters; it++ {
-					if _, err := fh.WriteStrided(segs, buf); err != nil {
-						panic(err)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if fh.Layer().Counter("sieve_rmws").Load() == 0 {
-			panic("workload did not exercise the sieve path")
-		}
-		got := make([]byte, 2*stripes*stripe)
-		if _, err := fh.ReadAt(got, 0); err != nil {
-			panic(err)
-		}
-		for s := 0; s < 2*stripes; s++ {
-			want := byte(s%2 + 1)
-			for i := 0; i < stripe; i++ {
-				if got[s*stripe+i] != want {
-					panic(fmt.Sprintf("stripe %d byte %d = %d, want %d (lost update)",
-						s, i, got[s*stripe+i], want))
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 // --- satellite: collective failure paths -----------------------------------
 
@@ -376,10 +169,10 @@ func (f readFaultFile) PreadAt(p []byte, off int64) (int, error) {
 // --- satellite: differential byte-identity ---------------------------------
 
 // TestCollectivePathDifferential pins byte-identity of the pipelined
-// and independent paths over randomized disjoint strided
-// scripts: whatever the shuffle schedule, the file and every rank's
-// read-back must be identical. Pipelined variants also sweep the round
-// and aggregator knobs.
+// collective path against independent per-segment calls over randomized
+// disjoint strided scripts: whatever the shuffle schedule, the file and
+// every rank's read-back must be identical. Pipelined variants also
+// sweep the round and aggregator knobs.
 func TestCollectivePathDifferential(t *testing.T) {
 	const (
 		ranks = 6
@@ -389,8 +182,8 @@ func TestCollectivePathDifferential(t *testing.T) {
 	modes := []struct {
 		name string
 		tune func(*Hints)
-		// independent writes and reads each rank's stripes itself
-		// (WriteStrided/ReadStrided), with no collective buffering.
+		// independent writes and reads each rank's stripes itself, one
+		// WriteAt/ReadAt per segment, with no collective buffering.
 		independent bool
 	}{
 		{"pipelined", func(h *Hints) {}, false},
@@ -438,7 +231,7 @@ func TestCollectivePathDifferential(t *testing.T) {
 					}
 					write := fh.WriteAll
 					if mode.independent {
-						write = fh.WriteStrided
+						write = fh.writeEach
 					}
 					if n, err := write(segs, buf); err != nil || n != len(buf) {
 						panic(fmt.Sprintf("%s write = %d, %v", mode.name, n, err))
@@ -454,7 +247,7 @@ func TestCollectivePathDifferential(t *testing.T) {
 				got := make([]byte, 8*block)
 				read := fh.ReadAll
 				if mode.independent {
-					read = fh.ReadStrided
+					read = fh.readEach
 				}
 				if _, err := read(rsegs, got); err != nil {
 					panic(err)
@@ -475,6 +268,34 @@ func TestCollectivePathDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeEach writes segs one independent WriteAt per segment.
+func (f *File) writeEach(segs []Segment, buf []byte) (int, error) {
+	n := 0
+	for _, s := range segs {
+		w, err := f.WriteAt(buf[:s.Len], s.Off)
+		n += w
+		if err != nil {
+			return n, err
+		}
+		buf = buf[s.Len:]
+	}
+	return n, nil
+}
+
+// readEach reads segs one independent ReadAt per segment.
+func (f *File) readEach(segs []Segment, buf []byte) (int, error) {
+	n := 0
+	for _, s := range segs {
+		r, err := f.ReadAt(buf[:s.Len], s.Off)
+		n += r
+		if err != nil {
+			return n, err
+		}
+		buf = buf[s.Len:]
+	}
+	return n, nil
 }
 
 func dumpFile(t *testing.T, mem *posix.MemFS, path string) []byte {

@@ -34,7 +34,7 @@ func runUnderDeadline(t *testing.T, size, ppn int, body func(r *mpi.Rank)) error
 // TestHintsSurface pins the settable surface of the layer: a field added
 // to Hints is a knob added to every tool that renders them.
 func TestHintsSurface(t *testing.T) {
-	want := []string{"CBAggregators", "CBBufferSize", "Collector", "SieveBufferSize"}
+	want := []string{"CBAggregators", "CBBufferSize", "Collector"}
 	var got []string
 	ht := reflect.TypeOf(Hints{})
 	for i := 0; i < ht.NumField(); i++ {
@@ -45,8 +45,7 @@ func TestHintsSurface(t *testing.T) {
 		t.Fatalf("Hints fields:\n got %v\nwant %v", got, want)
 	}
 	d := DefaultHints()
-	if d.CBBufferSize != 16<<20 ||
-		d.SieveBufferSize != 4<<20 || d.CBAggregators != 0 || d.Collector != nil {
+	if d.CBBufferSize != 16<<20 || d.CBAggregators != 0 || d.Collector != nil {
 		t.Fatalf("defaults = %+v", d)
 	}
 }
@@ -286,23 +285,21 @@ type stubDriver struct {
 
 func (d stubDriver) Open(string, int, int) (DriverFile, error) { return d.df, nil }
 
-// TestDriverCallShape pins the one rule of writeRuns/readRuns on all four
-// paths that reach the driver with a run list: a vector-capable driver
-// gets the whole list in one call, any other a call per run.
+// TestDriverCallShape pins the one driver-call rule on both paths that
+// reach the driver with a run list, an aggregator's flushed and fetched
+// rounds: a vector-capable driver gets the whole list in one call, any
+// other a call per run.
 func TestDriverCallShape(t *testing.T) {
-	// Sparse (span >= 2x the useful bytes), so the strided calls do not sieve.
 	runs := []Segment{{0, 64}, {4096, 64}, {8192, 64}}
 	buf := make([]byte, 3*64)
 	staged := func() *arena { return &arena{runs: runs, buf: buf} }
 	paths := []struct {
-		name        string
-		read, round bool
-		do          func(f *File) error
+		name string
+		read bool
+		do   func(f *File) error
 	}{
-		{"WriteStrided", false, false, func(f *File) error { _, err := f.WriteStrided(runs, buf); return err }},
-		{"ReadStrided", true, false, func(f *File) error { _, err := f.ReadStrided(runs, buf); return err }},
-		{"flushed round", false, true, func(f *File) error { return f.flushArena(staged()) }},
-		{"fetched round", true, true, func(f *File) error { return f.fetchArena(staged()) }},
+		{"flushed round", false, func(f *File) error { return f.flushArena(staged()) }},
+		{"fetched round", true, func(f *File) error { return f.fetchArena(staged()) }},
 	}
 	for _, p := range paths {
 		for _, vector := range []bool{true, false} {
@@ -341,7 +338,7 @@ func TestDriverCallShape(t *testing.T) {
 					t.Fatalf("driver calls = %+v, want %+v", got, want)
 				}
 				calls := int64(want.pread + want.pwrite + want.preadv + want.pwritev)
-				if p.round && flushOps != calls {
+				if flushOps != calls {
 					t.Fatalf("agg_flush_ops = %d, want the %d driver calls", flushOps, calls)
 				}
 			})
