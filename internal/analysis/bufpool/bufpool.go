@@ -44,7 +44,6 @@ var HotFuncs = map[string]bool{
 	"readBatch":     true,
 	"failBatch":     true,
 	"writeV":        true,
-	"pwriteAll":     true,
 	// mpiio collective shuffle plane: the per-round aggregator loop.
 	"route":         true,
 	"stageWrite":    true,

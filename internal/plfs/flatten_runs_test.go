@@ -293,7 +293,7 @@ func writeFileBytes(t *testing.T, fs posix.FS, path string, data []byte) {
 		t.Fatal(err)
 	}
 	defer fs.Close(fd)
-	if err := posix.WriteFull(fs, fd, data, 0); err != nil {
+	if _, err := posix.WriteFull(fs, fd, data, 0); err != nil {
 		t.Fatal(fmt.Errorf("write %s: %w", path, err))
 	}
 }

@@ -70,7 +70,7 @@ func copyTree(t *testing.T, from, to posix.FS, path string) {
 			t.Fatal(err)
 		}
 		if len(buf) > 0 {
-			if err := posix.WriteFull(to, wfd, buf, 0); err != nil {
+			if _, err := posix.WriteFull(to, wfd, buf, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -441,7 +441,7 @@ func TestFlattenedStaleGenerationNameMismatch(t *testing.T) {
 	mem.Close(fd)
 	dst := "/backend/genm/index.flattened.9"
 	wfd, _ := mem.Open(dst, posix.O_CREAT|posix.O_WRONLY, 0o644)
-	if err := posix.WriteFull(mem, wfd, buf, 0); err != nil {
+	if _, err := posix.WriteFull(mem, wfd, buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	mem.Close(wfd)
@@ -482,7 +482,7 @@ func TestStreamingMergeMatchesSlurpUnderDisorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := posix.WriteFull(mem, fd, []byte("WIN!lose"), 0); err != nil {
+	if _, err := posix.WriteFull(mem, fd, []byte("WIN!lose"), 0); err != nil {
 		t.Fatal(err)
 	}
 	mem.Close(fd)

@@ -627,7 +627,7 @@ walk:
 // on failure.
 func WriteFlattened(fs posix.FS, path, tmp string, fd int, f *Flattened) error {
 	data := MarshalFlattened(f)
-	if err := posix.WriteFull(fs, fd, data, 0); err != nil {
+	if _, err := posix.WriteFull(fs, fd, data, 0); err != nil {
 		fs.Close(fd)
 		fs.Unlink(tmp)
 		return fmt.Errorf("index: write flattened %s: %w", tmp, err)

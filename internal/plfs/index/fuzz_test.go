@@ -356,7 +356,7 @@ func writeFile(tb testing.TB, fs posix.FS, path string, data []byte) {
 	}
 	defer fs.Close(fd)
 	if len(data) > 0 {
-		if err := posix.WriteFull(fs, fd, data, 0); err != nil {
+		if _, err := posix.WriteFull(fs, fd, data, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}

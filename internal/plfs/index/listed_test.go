@@ -188,7 +188,7 @@ func TestListedStreamBadHeader(t *testing.T) {
 				t.Fatal(err)
 			}
 			b[0] ^= 0xff
-			if err := posix.WriteFull(mem, fd, b, int64(at)); err != nil {
+			if _, err := posix.WriteFull(mem, fd, b, int64(at)); err != nil {
 				t.Fatal(err)
 			}
 			mem.Close(fd)

@@ -185,11 +185,6 @@ type FS struct {
 	hmu        sync.Mutex
 	containers map[string]*container
 
-	// seeded tracks containers whose on-backend timestamps this
-	// instance has folded into its clock (see seedClock).
-	smu    sync.Mutex
-	seeded map[string]bool
-
 	// hostdirs is the container geometry (a pid's bucket is pid mod
 	// hostdirs); workers bounds every engine fan-out (index
 	// reconstruction, the read scatter-gather); batchDepth and
@@ -225,7 +220,6 @@ func New(backend posix.FS, opts ...Option) *FS {
 		backend:     backend,
 		fds:         readcache.NewFDCache(backend, readcache.DefaultMaxFDs),
 		containers:  make(map[string]*container),
-		seeded:      make(map[string]bool),
 		hostdirs:    defaultHostdirs,
 		workers:     defaultWorkers(),
 		batchDepth:  DefaultBatchDepth,
@@ -285,40 +279,34 @@ func (p *FS) stripedBackend() *posix.StripedFS {
 // ContainerSpread counts the dropping files (data + index) each backend
 // holds for the container at path — the observability hook behind
 // `plfsctl info`/`doctor` and the proof, in tests, that striping
-// actually fans out. Each hostdir is listed on every backend of its
-// replica set, so a replicated dropping counts once per copy and a
-// missing copy not at all. For a single-backend instance the single
-// bucket holds every dropping.
+// actually fans out. Each hostdir's copies come from its replica set
+// (posix.StripedFS.Copies), so a replicated dropping counts once per
+// copy and a missing copy not at all. For a single-backend instance the
+// single bucket holds every dropping.
 func (p *FS) ContainerSpread(path string) ([]int, error) {
 	if !p.IsContainer(path) {
 		return nil, posix.ENOENT
 	}
-	backends := []posix.FS{p.backend}
-	owners := func(string) []int { return []int{0} }
-	if s := p.stripedBackend(); s != nil {
-		backends, owners = s.Backends(), s.ReplicasFor
+	s := p.stripedBackend()
+	if s == nil {
+		s = posix.NewStripedFS(p.backend)
 	}
-	spread := make([]int, len(backends))
 	dirs, err := p.backend.Readdir(path)
 	if err != nil {
 		return nil, err
 	}
+	spread := make([]int, s.NumBackends())
 	for _, d := range dirs {
 		if !d.IsDir || !strings.HasPrefix(d.Name, "hostdir.") {
 			continue
 		}
-		hostdir := path + "/" + d.Name
-		for _, b := range owners(hostdir) {
-			files, err := backends[b].Readdir(hostdir)
-			if errors.Is(err, posix.ENOENT) {
-				continue // a copy the doctor has yet to re-replicate
+		for _, f := range s.Copies(path + "/" + d.Name) {
+			if !strings.HasPrefix(f.Name, "dropping.") {
+				continue
 			}
-			if err != nil {
-				return nil, err
-			}
-			for _, fe := range files {
-				if strings.HasPrefix(fe.Name, "dropping.") {
-					spread[b]++
+			for _, c := range f.Copies {
+				if !c.Missing {
+					spread[c.Backend]++
 				}
 			}
 		}
@@ -461,18 +449,13 @@ func (p *FS) bumpClock(min uint64) {
 }
 
 // seedClock raises this instance's logical clock past every timestamp
-// already recorded in path's index droppings — once per container per
-// instance, before the container's first writer is created. A fresh FS
-// starts its clock at zero, so without the seed, new writes (from any
-// pid, including one with no dropping of its own) would lose the
-// last-writer-wins merge against records from a previous run.
+// already recorded in path's index droppings. A container record seeds
+// once, before its first writer is created (container.seeded). A fresh
+// FS starts its clock at zero, and another instance may have written
+// while this one held the container closed, so without the seed new
+// writes (from any pid, including one with no dropping of its own)
+// would lose the last-writer-wins merge against records already there.
 func (p *FS) seedClock(path string) error {
-	p.smu.Lock()
-	done := p.seeded[path]
-	p.smu.Unlock()
-	if done {
-		return nil
-	}
 	st, err := p.listIndexState(path)
 	if err != nil {
 		return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
@@ -488,9 +471,6 @@ func (p *FS) seedClock(path string) error {
 			return fmt.Errorf("plfs: seed clock for %s: %w", path, err)
 		}
 	}
-	p.smu.Lock()
-	p.seeded[path] = true
-	p.smu.Unlock()
 	return nil
 }
 
@@ -556,6 +536,11 @@ type container struct {
 
 	mu      sync.RWMutex
 	writers map[uint32]*writer
+	// seeded marks that the instance's clock has been raised past the
+	// container's recorded timestamps for this record (seedClock).
+	// Guarded by mu. A record lives while handles are open, so every
+	// reopen seeds again and sees what other instances wrote meanwhile.
+	seeded bool
 	// folds holds the folds of retired writers, by index dropping path,
 	// until the instance's last writer closes and hands them to its
 	// flatten. Guarded by mu.
@@ -724,8 +709,11 @@ func (c *container) getWriterLocked(pid uint32) (*writer, error) {
 		return w, nil
 	}
 	p := c.fs
-	if err := p.seedClock(c.path); err != nil {
-		return nil, err
+	if !c.seeded {
+		if err := p.seedClock(c.path); err != nil {
+			return nil, err
+		}
+		c.seeded = true
 	}
 	hostdir := p.hostdir(c.path, pid)
 	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
@@ -1411,7 +1399,7 @@ func (p *FS) Flatten(path, dst string) error {
 		if got == 0 {
 			break
 		}
-		if err := posix.WriteFull(p.backend, out, buf[:got], off); err != nil {
+		if _, err := posix.WriteFull(p.backend, out, buf[:got], off); err != nil {
 			return err
 		}
 		off += int64(got)

@@ -4,30 +4,22 @@
 // backend missed (under-replication) or half-applied (divergence), and
 // the repairer re-replicates from the best surviving copy — PLFS's
 // append-only droppings make "best" well-defined: the largest copy
-// strictly contains every shorter one.
+// strictly contains every shorter one. The composite that places the
+// copies also walks and rebuilds them (posix.StripedFS.Copies and
+// Heal); this file only judges what it reports.
 package plfs
 
 import (
 	"fmt"
-	gopath "path"
-	"sort"
 
-	idx "ldplfs/internal/plfs/index"
 	"ldplfs/internal/posix"
 )
-
-// replicaCopy is one backend's view of a replicated file.
-type replicaCopy struct {
-	Backend int   // backend index
-	Size    int64 // size on that backend (0 when missing)
-	Missing bool
-}
 
 // replicaProblem is one file whose copy set is unhealthy.
 type replicaProblem struct {
 	Path     string // container-relative path
 	Want     int    // expected copies (layout width)
-	Copies   []replicaCopy
+	Copies   []posix.FileCopy
 	Diverged bool // present copies disagree in size
 }
 
@@ -89,65 +81,14 @@ func (p *FS) replicaDirs(path string) ([]string, error) {
 	return dirs, nil
 }
 
-// scanReplicaDir returns each owner backend's view (name -> size) of
-// one container-relative directory, keyed by backend index, plus the
-// union file list. Backends that cannot list the directory (dead, or
-// never materialised it) report a nil map.
-func scanReplicaDir(backends []posix.FS, owners []int, dir string) (map[int]map[string]int64, []string) {
-	views := make(map[int]map[string]int64, len(owners))
-	union := map[string]bool{}
-	for _, b := range owners {
-		entries, err := backends[b].Readdir(dir)
-		if err != nil {
-			views[b] = nil
-			continue
-		}
-		view := make(map[string]int64, len(entries))
-		for _, e := range entries {
-			if e.IsDir {
-				continue
-			}
-			st, err := backends[b].Stat(dir + "/" + e.Name)
-			if err != nil || st.IsDir() {
-				continue
-			}
-			view[e.Name] = st.Size
-			union[e.Name] = true
-		}
-		views[b] = view
-	}
-	names := make([]string, 0, len(union))
-	for n := range union {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return views, names
-}
-
-// viewSignature folds one backend's directory view into the flattened-
-// index raw signature (names + sizes) — the PR 4 scheme reused here so
-// agreement between replicas is a single 8-byte comparison and the
-// per-file diff only runs on mismatch.
-func viewSignature(view map[string]int64) uint64 {
-	names := make([]string, 0, len(view))
-	for n := range view {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	sizes := make([]int64, len(names))
-	for i, n := range names {
-		sizes[i] = view[n]
-	}
-	return idx.RawSignature(names, sizes)
-}
-
 // replicationHealth scans the container at path: for every file that
-// the layout says should exist in R copies, it compares the copies
-// across the owner backends. A missing copy is under-replication (a
-// backend was dark while the file was written); present copies of
-// different sizes are divergence (a backend died mid-write). Logical
-// correctness is unaffected either way — reads serve from the healthy
-// replicas — but the container has lost redundancy until repaired.
+// the layout says should exist in R copies, it compares the copies the
+// striped composite lists on the owner backends. A missing copy is
+// under-replication (a backend was dark while the file was written);
+// present copies of different sizes are divergence (a backend died
+// mid-write). Logical correctness is unaffected either way — reads
+// serve from the healthy replicas — but the container has lost
+// redundancy until repaired.
 func (p *FS) replicationHealth(path string) (replicaHealth, error) {
 	h := replicaHealth{Width: 1}
 	s := p.stripedBackend()
@@ -167,113 +108,40 @@ func (p *FS) replicationHealth(path string) (replicaHealth, error) {
 	if err != nil {
 		return h, err
 	}
-	backends := s.Backends()
 	for _, dir := range dirs {
-		full := path
-		rel := ""
+		full, rel := path, ""
 		if dir != "" {
-			full = path + "/" + dir
-			rel = dir + "/"
+			full, rel = path+"/"+dir, dir+"/"
 		}
-		// Every file in one directory shares the directory's replica
-		// set (canonical rule or hostdir rule — see the layout
-		// contract), so owners are computed once per directory. Probe
-		// with a marker name so the path is file-like, not the dir.
-		owners := s.ReplicasFor(full + "/x")
-		views, names := scanReplicaDir(backends, owners, full)
-		// Raw-signature fast path: replicas whose (name, size) sets
-		// fold to the same signature need no per-file diff.
-		agreed := true
-		var sig0 uint64
-		for i, b := range owners {
-			if views[b] == nil {
-				agreed = false
-				break
-			}
-			sig := viewSignature(views[b])
-			if i == 0 {
-				sig0 = sig
-			} else if sig != sig0 {
-				agreed = false
-				break
-			}
-		}
-		h.Files += len(names)
-		if agreed {
-			continue
-		}
-		for _, name := range names {
-			prob := replicaProblem{Path: rel + name, Want: len(owners)}
+		files := s.Copies(full)
+		h.Files += len(files)
+		for _, f := range files {
 			missing, diverged := false, false
-			var present []int64
-			for _, b := range owners {
-				view := views[b]
-				size, ok := int64(0), false
-				if view != nil {
-					size, ok = view[name]
-				}
-				prob.Copies = append(prob.Copies, replicaCopy{Backend: b, Size: size, Missing: !ok})
-				if !ok {
+			size := int64(-1) // the first present copy's
+			for _, c := range f.Copies {
+				switch {
+				case c.Missing:
 					missing = true
-				} else {
-					present = append(present, size)
-				}
-			}
-			for _, sz := range present[1:] {
-				if sz != present[0] {
+				case size < 0:
+					size = c.Size
+				case c.Size != size:
 					diverged = true
 				}
 			}
-			prob.Diverged = diverged
+			if missing {
+				h.UnderReplicated++
+			}
+			if diverged {
+				h.Diverged++
+			}
 			if missing || diverged {
-				if missing {
-					h.UnderReplicated++
-				}
-				if diverged {
-					h.Diverged++
-				}
-				h.Problems = append(h.Problems, prob)
+				h.Problems = append(h.Problems, replicaProblem{
+					Path: rel + f.Name, Want: len(f.Copies), Copies: f.Copies, Diverged: diverged,
+				})
 			}
 		}
 	}
 	return h, nil
-}
-
-// copyReplica copies src (on backend from) to the same container-
-// relative path on backend to, creating parent directories — the
-// re-replication primitive. The destination is truncated first so a
-// diverged longer-than-source copy cannot survive as a hybrid.
-func copyReplica(backends []posix.FS, from, to int, path string) error {
-	sfd, err := backends[from].Open(path, posix.O_RDONLY, 0)
-	if err != nil {
-		return fmt.Errorf("plfs: repair source %s: %w", path, err)
-	}
-	defer backends[from].Close(sfd)
-	if err := posix.MkdirAll(backends[to], gopath.Dir(gopath.Clean("/"+path)), 0o755); err != nil {
-		return fmt.Errorf("plfs: repair mkdir for %s: %w", path, err)
-	}
-	dfd, err := backends[to].Open(path, posix.O_CREAT|posix.O_TRUNC|posix.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("plfs: repair destination %s: %w", path, err)
-	}
-	defer backends[to].Close(dfd)
-	b := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(b)
-	buf := *b
-	var off int64
-	for {
-		n, err := backends[from].Pread(sfd, buf, off)
-		if err != nil {
-			return fmt.Errorf("plfs: repair read %s: %w", path, err)
-		}
-		if n == 0 {
-			return nil
-		}
-		if err := posix.WriteFull(backends[to], dfd, buf[:n], off); err != nil {
-			return fmt.Errorf("plfs: repair write %s: %w", path, err)
-		}
-		off += int64(n)
-	}
 }
 
 // repairReplication re-replicates the container at path: every missing
@@ -294,33 +162,28 @@ func (p *FS) repairReplication(path string, force bool) (repairReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	backends := s.Backends()
 	var firstErr error
 	for _, prob := range h.Problems {
 		if prob.Diverged && !force {
 			rep.Skipped++
 			continue
 		}
-		// Source: the largest present copy.
+		// Source: the largest copy. Copies lists only files some owner
+		// holds, so there is one.
 		src, best := -1, int64(-1)
 		for _, c := range prob.Copies {
 			if !c.Missing && c.Size > best {
 				src, best = c.Backend, c.Size
 			}
 		}
-		if src < 0 {
-			// No copy left anywhere: nothing to repair from.
-			rep.Skipped++
-			continue
-		}
 		full := path + "/" + prob.Path
 		for _, c := range prob.Copies {
 			if c.Backend == src || (!c.Missing && c.Size == best) {
 				continue
 			}
-			if err := copyReplica(backends, src, c.Backend, full); err != nil {
+			if err := s.Heal(full, src, c.Backend); err != nil {
 				if firstErr == nil {
-					firstErr = err
+					firstErr = fmt.Errorf("plfs: repair %s on backend %d from backend %d: %w", full, c.Backend, src, err)
 				}
 				continue
 			}
@@ -347,7 +210,7 @@ func (p *FS) rewriteLayoutDescriptor(path, desc string) error {
 	}
 	defer p.backend.Close(fd)
 	rec := posix.MarshalLayoutDescriptor(desc)
-	if err := posix.WriteFull(p.backend, fd, rec, 0); err != nil {
+	if _, err := posix.WriteFull(p.backend, fd, rec, 0); err != nil {
 		return fmt.Errorf("plfs: rewrite layout descriptor: %w", err)
 	}
 	return nil

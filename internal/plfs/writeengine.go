@@ -50,25 +50,6 @@ func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
 	}
 }
 
-// pwriteAll lands buf at off with positional writes, returning how many
-// bytes reached the file — the durable prefix, even on error.
-func pwriteAll(backend posix.FS, fd int, buf []byte, off int64) (int, error) {
-	put := 0
-	for put < len(buf) {
-		n, err := backend.Pwrite(fd, buf[put:], off+int64(put))
-		if n > 0 {
-			put += n
-		}
-		if err != nil {
-			return put, err
-		}
-		if n <= 0 {
-			return put, fmt.Errorf("pwrite returned %d", n)
-		}
-	}
-	return put, nil
-}
-
 // appendEntryLocked buffers one index record for n bytes at logical
 // offset off whose payload landed at physOff, stamping the clock, and
 // folds it into the writer's fold; a fold that spills is dropped. Caller
@@ -160,7 +141,7 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 	var n int64
 	if len(segs) == 1 {
 		var m int
-		m, err = pwriteAll(f.fs.backend, w.dataFD, segs[0].Data, base)
+		m, err = posix.WriteFull(f.fs.backend, w.dataFD, segs[0].Data, base)
 		n = int64(m)
 	} else {
 		bufs := writeBufs.Get().(*[][]byte)

@@ -668,6 +668,51 @@ func TestClockResumesAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestLastWriterWinsAcrossInstances reopens a container in an instance
+// that wrote it before, after another instance wrote it meanwhile. The
+// reopened record must seed the clock again: instance A's clock is
+// still where A1 left it, far behind B's fifty writes, so a write
+// stamped from it would lose the merge to B's last one.
+func TestLastWriterWinsAcrossInstances(t *testing.T) {
+	const path = "/backend/lww"
+	mem := posix.NewMemFS()
+	if err := mem.Mkdir("/backend", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(p *FS, data string, times int) {
+		t.Helper()
+		f, err := p.Open(path, posix.O_CREAT|posix.O_WRONLY, 1, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range times {
+			if _, err := f.Write([]byte(data), 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := New(mem), New(mem)
+	write(a, "A1", 1)
+	write(b, "B2", 50)
+	write(a, "A3", 1)
+
+	r, err := New(mem).Open(path, posix.O_RDONLY, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close(100)
+	got := make([]byte, 2)
+	if n, err := r.Read(got, 0); err != nil || n != 2 {
+		t.Fatalf("read: n=%d err=%v", n, err)
+	}
+	if string(got) != "A3" {
+		t.Fatalf("a fresh reader sees %q, want the last write %q", got, "A3")
+	}
+}
+
 // TestClockSeedStreamsHistory holds the first write into an existing
 // container to the bound the index merge advertises: seeding the clock
 // from a long history (64 droppings of 4096 records) must allocate less

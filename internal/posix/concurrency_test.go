@@ -25,7 +25,7 @@ func testConcurrentPread(t *testing.T, fs FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFull(fs, fd, data, 0); err != nil {
+	if _, err := WriteFull(fs, fd, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(fd); err != nil {
@@ -98,7 +98,7 @@ func testConcurrentPwrite(t *testing.T, fs FS) {
 		go func(c int) {
 			defer wg.Done()
 			buf := bytes.Repeat([]byte{byte(c + 1)}, chunk)
-			if err := WriteFull(fs, fd, buf, int64(c*chunk)); err != nil {
+			if _, err := WriteFull(fs, fd, buf, int64(c*chunk)); err != nil {
 				errc <- err
 			}
 		}(c)

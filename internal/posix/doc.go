@@ -26,7 +26,10 @@
 //     at its mod-N primary; canonical paths live on backends 0..R-1.
 //     Writes fan out to every live replica, reads serve from the
 //     primary and fail over on error, and plfsctl doctor re-replicates
-//     whatever a dead backend missed.
+//     whatever a dead backend missed. The doctor's walk and repair are
+//     StripedFS's too: Copies lists a directory's copies on each of its
+//     owners, and Heal rebuilds one owner's copy from another's, so the
+//     layout is consulted in this package only.
 //
 // Mod-N is not a separate code path: it is the width-1 case of the one
 // replica loop, under three rules each stated once in stripedfs.go and

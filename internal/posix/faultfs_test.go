@@ -150,7 +150,7 @@ func TestFaultFSServiceTimeSerializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFull(f, fd, make([]byte, 64), 0); err != nil {
+	if _, err := WriteFull(f, fd, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,7 +195,7 @@ func TestFaultFSServiceTimeSerializes(t *testing.T) {
 		wg.Wait()
 		return time.Since(start)
 	}
-	if got := concurrent(func() error { return WriteFull(f, fd, make([]byte, 8), 0) }); got >= 2*ops*d {
+	if got := concurrent(func() error { _, err := WriteFull(f, fd, make([]byte, 8), 0); return err }); got >= 2*ops*d {
 		t.Fatalf("%d writes took %v under a read service time (wrongly serialized?)", 2*ops, got)
 	}
 	// Disabling restores full speed.

@@ -155,7 +155,7 @@ func TestInterposedDataPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := posix.WriteFull(fs, fd, make([]byte, 4096), 0); err != nil {
+		if _, err := posix.WriteFull(fs, fd, make([]byte, 4096), 0); err != nil {
 			t.Fatal(err)
 		}
 		vfs := fs.(posix.VectorFS)

@@ -101,9 +101,6 @@ func TestReplicatedOpsSurface(t *testing.T) {
 		if got := s.NumBackends(); got != 3 {
 			t.Fatalf("replica-%d: NumBackends = %d", r, got)
 		}
-		if got := len(s.Backends()); got != 3 {
-			t.Fatalf("replica-%d: Backends() = %d entries", r, got)
-		}
 		if w := s.LayoutWidth(); w != r {
 			t.Fatalf("replica-%d: LayoutWidth = %d", r, w)
 		}
@@ -394,7 +391,7 @@ func TestMkdirMissingParent(t *testing.T) {
 				if err := s.Mkdir("/p", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				primary := s.ReplicasFor("/p")[0]
+				primary := s.ownersOf("/p")[0]
 				for i, f := range faults {
 					if i != primary {
 						if err := f.Rmdir("/p"); err != nil {
@@ -408,7 +405,7 @@ func TestMkdirMissingParent(t *testing.T) {
 				}
 				holders := []int{0, 1, 2}
 				if routed(path) {
-					holders = s.ReplicasFor(path)
+					holders = s.ownersOf(path)
 				}
 				for _, i := range holders {
 					if st, err := faults[i].Stat(path); err != nil || !st.IsDir() {

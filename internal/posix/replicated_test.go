@@ -3,6 +3,8 @@ package posix
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"ldplfs/internal/iostats"
@@ -39,7 +41,7 @@ func mustWriteFile(t *testing.T, fs FS, path string, content []byte) {
 	if err != nil {
 		t.Fatalf("open %s: %v", path, err)
 	}
-	if err := WriteFull(fs, fd, content, 0); err != nil {
+	if _, err := WriteFull(fs, fd, content, 0); err != nil {
 		t.Fatalf("write %s: %v", path, err)
 	}
 	if err := fs.Close(fd); err != nil {
@@ -78,24 +80,24 @@ func TestReplicaWriteFansOut(t *testing.T) {
 	mustWriteFile(t, s, "/c/hostdir.1/dropping.data.7", payload)
 	mustWriteFile(t, s, "/c/canonical.file", []byte("canonical"))
 
-	owners := s.ReplicasFor("/c/hostdir.1/dropping.data.7")
+	owners := s.ownersOf("/c/hostdir.1/dropping.data.7")
 	if len(owners) != 2 || owners[0] != 1 || owners[1] != 2 {
 		t.Fatalf("owners = %v, want [1 2]", owners)
 	}
 	for _, b := range owners {
-		got := mustReadFile(t, s.Backends()[b], "/c/hostdir.1/dropping.data.7")
+		got := mustReadFile(t, s.backends[b], "/c/hostdir.1/dropping.data.7")
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("backend %d copy diverges: %q", b, got)
 		}
 	}
 	for _, b := range []int{0, 1} {
-		got := mustReadFile(t, s.Backends()[b], "/c/canonical.file")
+		got := mustReadFile(t, s.backends[b], "/c/canonical.file")
 		if !bytes.Equal(got, []byte("canonical")) {
 			t.Fatalf("backend %d canonical copy diverges: %q", b, got)
 		}
 	}
 	// The non-owner backend holds no copy.
-	if _, err := s.Backends()[0].Stat("/c/hostdir.1/dropping.data.7"); !errors.Is(err, ENOENT) {
+	if _, err := s.backends[0].Stat("/c/hostdir.1/dropping.data.7"); !errors.Is(err, ENOENT) {
 		t.Fatalf("non-owner backend 0 has a copy (err=%v)", err)
 	}
 }
@@ -147,11 +149,11 @@ func TestReplicaWriteDegraded(t *testing.T) {
 	mustWriteFile(t, s, "/c/hostdir.1/dropping.data.9", payload)
 	faults[2].Revive()
 
-	got := mustReadFile(t, s.Backends()[1], "/c/hostdir.1/dropping.data.9")
+	got := mustReadFile(t, s.backends[1], "/c/hostdir.1/dropping.data.9")
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("surviving copy diverges: %q", got)
 	}
-	if _, err := s.Backends()[2].Stat("/c/hostdir.1/dropping.data.9"); !errors.Is(err, ENOENT) {
+	if _, err := s.backends[2].Stat("/c/hostdir.1/dropping.data.9"); !errors.Is(err, ENOENT) {
 		t.Fatalf("dark backend unexpectedly has a copy (err=%v)", err)
 	}
 	if n := plane.Layer("posix").Counter("replica_write_degraded").Load(); n == 0 {
@@ -299,12 +301,135 @@ func TestReplicaRenameWithinSet(t *testing.T) {
 	if err := s.Rename("/c/hostdir.1/a", "/c/hostdir.1/b"); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range s.ReplicasFor("/c/hostdir.1/b") {
-		if _, err := s.Backends()[b].Stat("/c/hostdir.1/b"); err != nil {
+	for _, b := range s.ownersOf("/c/hostdir.1/b") {
+		if _, err := s.backends[b].Stat("/c/hostdir.1/b"); err != nil {
 			t.Fatalf("renamed copy missing on backend %d: %v", b, err)
 		}
 	}
 	if err := s.Rename("/c/hostdir.1/b", "/c/hostdir.2/b"); !errors.Is(err, EXDEV) {
 		t.Fatalf("cross-set rename = %v, want EXDEV", err)
+	}
+}
+
+// copiesString renders Copies as "name b<i>=<size|missing>...; ...".
+func copiesString(files []FileCopies) string {
+	var b strings.Builder
+	for i, f := range files {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(f.Name)
+		for _, c := range f.Copies {
+			if c.Missing {
+				fmt.Fprintf(&b, " b%d=missing", c.Backend)
+			} else {
+				fmt.Fprintf(&b, " b%d=%d", c.Backend, c.Size)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestStripedCopiesAndHeal pins the doctor's two StripedFS steps over
+// four backends. Copies lists every regular file of a directory (not
+// its subdirectories) with one copy per owner of the directory, in
+// replica order: a shadow backend is no owner, a missing or short copy
+// shows as such, and a dead owner holds no copy. Heal rebuilds one
+// owner's copy from another's byte for byte: a longer diverged copy is
+// truncated first, and parents the destination lacks are created.
+func TestStripedCopiesAndHeal(t *testing.T) {
+	const hostdir = "/c/hostdir.1" // owners 1, 1-2 and 1-3 by width
+	rows := []struct {
+		name     string
+		r        int
+		dir      string
+		stage    func(t *testing.T, s *StripedFS, faults []*FaultFS)
+		want     string
+		heal     string // the file Heal rebuilds ("" for none)
+		from, to int
+		after    string
+	}{
+		{name: "mod-n", r: 1, dir: hostdir, want: "a b1=5; b b1=3"},
+		{name: "replica-2", r: 2, dir: hostdir, want: "a b1=5 b2=5; b b1=3 b2=3"},
+		{name: "replica-3", r: 3, dir: hostdir, want: "a b1=5 b2=5 b3=5; b b1=3 b2=3 b3=3"},
+		{name: "replica-2 canonical dir", r: 2, dir: "/c", want: "m b0=1 b1=1"},
+		{
+			name: "replica-3 dead owner", r: 3, dir: hostdir,
+			stage: func(t *testing.T, s *StripedFS, faults []*FaultFS) { faults[2].Kill() },
+			want:  "a b1=5 b2=missing b3=5; b b1=3 b2=missing b3=3",
+		},
+		{
+			name: "replica-2 missing copy", r: 2, dir: hostdir,
+			stage: func(t *testing.T, s *StripedFS, faults []*FaultFS) {
+				if err := s.backends[2].Unlink(hostdir + "/a"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "a b1=5 b2=missing; b b1=3 b2=3",
+			heal: "a", from: 1, to: 2,
+			after: "a b1=5 b2=5; b b1=3 b2=3",
+		},
+		{
+			name: "replica-2 diverged copy", r: 2, dir: hostdir,
+			stage: func(t *testing.T, s *StripedFS, faults []*FaultFS) {
+				mustWriteFile(t, s.backends[1], hostdir+"/a", []byte("hel"))
+				mustWriteFile(t, s.backends[2], hostdir+"/a", []byte("hello, world"))
+			},
+			want: "a b1=3 b2=12; b b1=3 b2=3",
+			heal: "a", from: 1, to: 2,
+			after: "a b1=3 b2=3; b b1=3 b2=3",
+		},
+		{
+			name: "replica-3 heal into a backend missing the parent", r: 3, dir: hostdir,
+			stage: func(t *testing.T, s *StripedFS, faults []*FaultFS) {
+				b := s.backends[3]
+				for _, p := range []string{hostdir + "/a", hostdir + "/b"} {
+					if err := b.Unlink(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, p := range []string{hostdir + "/sub", hostdir, "/c"} {
+					if err := b.Rmdir(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			want: "a b1=5 b2=5 b3=missing; b b1=3 b2=3 b3=missing",
+			heal: "b", from: 1, to: 3,
+			after: "a b1=5 b2=5 b3=missing; b b1=3 b2=3 b3=3",
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s, faults := newReplicaFS(t, 4, row.r, nil)
+			for _, d := range []string{"/c", hostdir, hostdir + "/sub"} {
+				if err := s.Mkdir(d, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustWriteFile(t, s, hostdir+"/a", []byte("hello"))
+			mustWriteFile(t, s, hostdir+"/b", []byte("xyz"))
+			mustWriteFile(t, s, "/c/m", []byte("m"))
+			if row.stage != nil {
+				row.stage(t, s, faults)
+			}
+			if got := copiesString(s.Copies(row.dir)); got != row.want {
+				t.Fatalf("Copies(%s) = %q, want %q", row.dir, got, row.want)
+			}
+			if row.heal == "" {
+				return
+			}
+			from, to := row.from, row.to
+			path := row.dir + "/" + row.heal
+			if err := s.Heal(path, from, to); err != nil {
+				t.Fatalf("Heal(%s, %d, %d): %v", path, from, to, err)
+			}
+			if got := copiesString(s.Copies(row.dir)); got != row.after {
+				t.Fatalf("Copies(%s) after Heal = %q, want %q", row.dir, got, row.after)
+			}
+			if got, want := mustReadFile(t, s.backends[to], path), mustReadFile(t, s.backends[from], path); !bytes.Equal(got, want) {
+				t.Fatalf("healed copy on b%d = %q, want b%d's %q", to, got, from, want)
+			}
+		})
 	}
 }

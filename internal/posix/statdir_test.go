@@ -20,7 +20,7 @@ type hidden struct{ FS }
 // serial loop it replaced, one backend after another in scan order
 // through across.
 func serialReaddir(s *StripedFS, path string) ([]DirEntry, error) {
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	scan := owners
 	if !routed(path) {
 		scan = s.mirrored(owners)
@@ -43,7 +43,7 @@ func serialReaddir(s *StripedFS, path string) ([]DirEntry, error) {
 // first of the entry's replica set that listed it (whose copy Stat
 // returns), else from the first backend scanned that did.
 func serialReaddirStat(s *StripedFS, path string) ([]DirEntryStat, error) {
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	scan := owners
 	if !routed(path) {
 		scan = s.mirrored(owners)
@@ -67,7 +67,7 @@ func serialReaddirStat(s *StripedFS, path string) ([]DirEntryStat, error) {
 	slices.Sort(names)
 	out := []DirEntryStat{}
 	for _, name := range names {
-		for _, b := range append(s.ReplicasFor(path+"/"+name), scan...) {
+		for _, b := range append(s.ownersOf(path+"/"+name), scan...) {
 			if e, ok := copies[name][b]; ok {
 				out = append(out, e)
 				break

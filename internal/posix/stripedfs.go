@@ -33,7 +33,8 @@ import (
 // replica, reads serve from the primary and fail over in replica order,
 // and a backend failure degrades the file to its surviving replicas.
 // Divergence introduced by degraded writes is repaired offline by
-// plfsctl doctor (see internal/plfs's replication scanner). Mod-N is the
+// plfsctl doctor, through Copies and Heal (internal/plfs judges what
+// Copies reports and picks the copy to heal from). Mod-N is the
 // width-1 case: its sole owner has nothing to fail over to, so the loop
 // is a pass-through and every error comes back exactly as the backend
 // returned it. The package doc states the three rules the loop obeys
@@ -138,17 +139,14 @@ func NewLayoutFS(layout Layout, stats iostats.Collector, backends ...FS) *Stripe
 // NumBackends returns the number of composed backends.
 func (s *StripedFS) NumBackends() int { return len(s.backends) }
 
-// Backends returns the composed backends (index 0 is canonical).
-func (s *StripedFS) Backends() []FS { return slices.Clone(s.backends) }
-
 // Layout returns the placement layout.
 func (s *StripedFS) Layout() Layout { return s.layout }
 
 // LayoutWidth returns the effective replica count per path.
 func (s *StripedFS) LayoutWidth() int { return min(s.layout.Width(), len(s.backends)) }
 
-// ReplicasFor returns the ordered replica set owning path.
-func (s *StripedFS) ReplicasFor(path string) []int {
+// ownersOf returns the ordered replica set owning path.
+func (s *StripedFS) ownersOf(path string) []int {
 	return s.layout.Replicas(path, len(s.backends))
 }
 
@@ -245,7 +243,7 @@ func (s *StripedFS) openOn(b int, path string, flags int, mode uint32) (int, err
 // answers, leaving the rest to open lazily on failover. On total
 // failure the error is chosen by liveVerdict.
 func (s *StripedFS) Open(path string, flags int, mode uint32) (int, error) {
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	e := &stripedFD{path: path, reps: make([]replica, len(owners))}
 	readOnly := flags&O_ACCMODE == O_RDONLY
 	opened := 0
@@ -587,7 +585,7 @@ func (s *StripedFS) mirrored(owners []int) []int {
 // total failure the error is chosen by liveVerdict.
 func (s *StripedFS) pathFirst(path string, op func(b FS) error) error {
 	var verdict error
-	for _, i := range s.ReplicasFor(path) {
+	for _, i := range s.ownersOf(path) {
 		err := op(s.backends[i])
 		if err == nil {
 			return nil
@@ -601,7 +599,7 @@ func (s *StripedFS) pathFirst(path string, op func(b FS) error) error {
 // the write-side semantics for path ops (a dead replica degrades the
 // copy set; the doctor heals it later).
 func (s *StripedFS) pathAll(path string, op func(b FS) error) error {
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	return s.across(owners, owners, func(i int) error { return op(s.backends[i]) })
 }
 
@@ -653,7 +651,7 @@ func (s *StripedFS) Mkdir(path string, mode uint32) error {
 			return err
 		})
 	}
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	made := false
 	return s.across(s.mirrored(owners), owners, func(i int) error {
 		if made {
@@ -672,7 +670,7 @@ func (s *StripedFS) Rmdir(path string) error {
 	if routed(path) {
 		return s.pathAll(path, func(b FS) error { return b.Rmdir(path) })
 	}
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	order := s.mirrored(owners)
 	slices.Reverse(order)
 	return s.across(order, owners, func(i int) error { return s.backends[i].Rmdir(path) })
@@ -694,7 +692,7 @@ type answer[E any] struct {
 // flight on a backend whose answer the fold then ignores, which a
 // read-only op can afford.
 func listing[E any](s *StripedFS, path string, list func(b FS, path string) ([]E, error)) ([]answer[E], error) {
-	owners := s.ReplicasFor(path)
+	owners := s.ownersOf(path)
 	scan := owners
 	if !routed(path) {
 		scan = s.mirrored(owners)
@@ -803,10 +801,10 @@ func (s *StripedFS) ReaddirStat(path string) ([]DirEntryStat, error) {
 // holding the old path, carrying a container's shadow hostdir trees
 // along.
 func (s *StripedFS) Rename(oldpath, newpath string) error {
-	owners := s.ReplicasFor(oldpath)
+	owners := s.ownersOf(oldpath)
 	scan := owners
 	if routed(oldpath) || routed(newpath) {
-		if !slices.Equal(owners, s.ReplicasFor(newpath)) {
+		if !slices.Equal(owners, s.ownersOf(newpath)) {
 			return EXDEV
 		}
 	} else {
@@ -818,6 +816,94 @@ func (s *StripedFS) Rename(oldpath, newpath string) error {
 // Access implements FS.
 func (s *StripedFS) Access(path string, mode int) error {
 	return s.pathFirst(path, func(b FS) error { return b.Access(path, mode) })
+}
+
+// FileCopy is one owner's copy of a file: its size, or Missing when
+// the owner holds none.
+type FileCopy struct {
+	Backend int   // backend index
+	Size    int64 // 0 when missing
+	Missing bool
+}
+
+// FileCopies is one regular file of a directory with its copy on every
+// owner of the directory, in replica order.
+type FileCopies struct {
+	Name   string
+	Copies []FileCopy
+}
+
+// Copies walks the replica set of dir for the doctor: one listing with
+// attributes on each owner of dir, folded into every regular file some
+// owner holds, in name order. Every file in a directory shares the
+// directory's replica set (the canonical rule, or its hostdir's), so a
+// missing copy is a file a degraded write or a dark backend left
+// under-replicated, and copies of different sizes diverged. An owner
+// that cannot list dir, dead or never given it, holds no copy.
+func (s *StripedFS) Copies(dir string) []FileCopies {
+	owners := s.ownersOf(dir)
+	sizes := make([]map[string]int64, len(owners))
+	var names []string
+	for k, b := range owners {
+		list, err := ReaddirStat(s.backends[b], dir)
+		if err != nil {
+			continue
+		}
+		sizes[k] = make(map[string]int64, len(list))
+		for _, e := range list {
+			if !e.IsDir() {
+				sizes[k][e.Name] = e.Size
+				names = append(names, e.Name)
+			}
+		}
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	files := make([]FileCopies, len(names))
+	for i, name := range names {
+		copies := make([]FileCopy, len(owners))
+		for k, b := range owners {
+			size, ok := sizes[k][name]
+			copies[k] = FileCopy{Backend: b, Size: size, Missing: !ok}
+		}
+		files[i] = FileCopies{Name: name, Copies: copies}
+	}
+	return files
+}
+
+// Heal rebuilds path's copy on backend to from backend from's copy,
+// the doctor's re-replication step. Missing parents are created, and
+// the destination is truncated first, so a longer diverged copy cannot
+// survive as a hybrid of the two.
+func (s *StripedFS) Heal(path string, from, to int) error {
+	src, dst := s.backends[from], s.backends[to]
+	sfd, err := src.Open(path, O_RDONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer src.Close(sfd)
+	if err := MkdirAll(dst, gopath.Dir(gopath.Clean("/"+path)), 0o755); err != nil {
+		return err
+	}
+	dfd, err := dst.Open(path, O_CREAT|O_TRUNC|O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer dst.Close(dfd)
+	buf := make([]byte, 1<<20)
+	for off := int64(0); ; {
+		n, err := src.Pread(sfd, buf, off)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return nil
+		}
+		if _, err := WriteFull(dst, dfd, buf[:n], off); err != nil {
+			return err
+		}
+		off += int64(n)
+	}
 }
 
 var _ FS = (*StripedFS)(nil)

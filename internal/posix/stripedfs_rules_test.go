@@ -23,8 +23,8 @@ func TestRmdirRefusedByLiveShadow(t *testing.T) {
 	if err := s.Rmdir("/c"); !errors.Is(err, ENOTEMPTY) {
 		t.Fatalf("Rmdir of a directory holding a hostdir = %v, want ENOTEMPTY", err)
 	}
-	for _, b := range s.ReplicasFor("/c") {
-		if _, err := s.Backends()[b].Stat("/c"); err != nil {
+	for _, b := range s.ownersOf("/c") {
+		if _, err := s.backends[b].Stat("/c"); err != nil {
 			t.Fatalf("refused Rmdir still removed /c from owner %d: %v", b, err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestFailureBudgetWindow(t *testing.T) {
 						}
 						mustWriteFile(t, s, "/c/hostdir.2/d", []byte("x"))
 
-						owners := s.ReplicasFor(tg.dir)
+						owners := s.ownersOf(tg.dir)
 						deadTouched := 0
 						for _, b := range dead {
 							faults[b].Kill()
@@ -220,7 +220,7 @@ func TestSoleOwnerIsPassThrough(t *testing.T) {
 		defer s.Close(fd)
 		buf := make([]byte, 4096)
 		bufs := [][]byte{buf[:1024], buf[1024:]}
-		if err := WriteFull(s, fd, buf, 0); err != nil {
+		if _, err := WriteFull(s, fd, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		for name, op := range map[string]func() error{

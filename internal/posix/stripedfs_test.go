@@ -45,7 +45,7 @@ func TestStripedFSConcurrentPreadRouted(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := WriteFull(s, fd, data, 0); err != nil {
+	if _, err := WriteFull(s, fd, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(data))
@@ -107,14 +107,14 @@ func TestStripedBackendFor(t *testing.T) {
 		{"/backend/data/hostdir.31", 1}, // 31 % 3
 	}
 	for _, c := range cases {
-		if got := s.ReplicasFor(c.path)[0]; got != c.want {
+		if got := s.ownersOf(c.path)[0]; got != c.want {
 			t.Errorf("primary of %s = %d, want %d", c.path, got, c.want)
 		}
 	}
 	// Non-numeric hostdir suffixes still route deterministically and
 	// consistently between calls.
-	a := s.ReplicasFor("/x/hostdir.trunc/f")[0]
-	if b := s.ReplicasFor("/x/hostdir.trunc/f")[0]; a != b || a < 0 || a >= 3 {
+	a := s.ownersOf("/x/hostdir.trunc/f")[0]
+	if b := s.ownersOf("/x/hostdir.trunc/f")[0]; a != b || a < 0 || a >= 3 {
 		t.Fatalf("non-numeric hostdir routing unstable: %d vs %d", a, b)
 	}
 }
@@ -201,7 +201,7 @@ func TestStripedReaddirMerge(t *testing.T) {
 			t.Fatalf("container dir not mirrored on backend %d: %v", bi, err)
 		}
 		for _, e := range es {
-			if got := s.ReplicasFor("/c/" + e.Name)[0]; got != bi {
+			if got := s.ownersOf("/c/" + e.Name)[0]; got != bi {
 				t.Fatalf("backend %d holds %s, which routes to %d", bi, e.Name, got)
 			}
 		}

@@ -208,15 +208,23 @@ func ReadFull(fs FS, fd int, p []byte, off int64) error {
 	return nil
 }
 
-// WriteFull writes all of p at off via Pwrite.
-func WriteFull(fs FS, fd int, p []byte, off int64) error {
+// WriteFull writes all of p at off via Pwrite and returns how many
+// bytes reached the file: the durable prefix, even on error. A Pwrite
+// that makes no progress without an error fails the call rather than
+// being retried forever.
+func WriteFull(fs FS, fd int, p []byte, off int64) (int, error) {
 	put := 0
 	for put < len(p) {
 		n, err := fs.Pwrite(fd, p[put:], off+int64(put))
-		if err != nil {
-			return err
+		if n > 0 {
+			put += n
 		}
-		put += n
+		if err != nil {
+			return put, err
+		}
+		if n <= 0 {
+			return put, fmt.Errorf("pwrite returned %d", n)
+		}
 	}
-	return nil
+	return put, nil
 }

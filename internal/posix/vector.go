@@ -1,7 +1,5 @@
 package posix
 
-import "fmt"
-
 // VectorFS is the optional vectored positional-I/O capability: one
 // contiguous file range moved to or from a list of buffers in a single
 // backend operation, the preadv(2)/pwritev(2) shape. Backends that can
@@ -69,25 +67,16 @@ func preadvFallback(fs FS, fd int, bufs [][]byte, off int64) (int64, error) {
 	return total, nil
 }
 
-// pwritevFallback is the scalar decomposition of Pwritev: one full
-// Pwrite loop per buffer.
+// pwritevFallback is the scalar decomposition of Pwritev: one WriteFull
+// per buffer.
 func pwritevFallback(fs FS, fd int, bufs [][]byte, off int64) (int64, error) {
 	var total int64
 	for _, b := range bufs {
-		put := 0
-		for put < len(b) {
-			n, err := fs.Pwrite(fd, b[put:], off+total+int64(put))
-			if n > 0 {
-				put += n
-			}
-			if err != nil {
-				return total + int64(put), err
-			}
-			if n <= 0 {
-				return total + int64(put), fmt.Errorf("pwrite returned %d", n)
-			}
-		}
+		put, err := WriteFull(fs, fd, b, off+total)
 		total += int64(put)
+		if err != nil {
+			return total, err
+		}
 	}
 	return total, nil
 }

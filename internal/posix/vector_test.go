@@ -43,7 +43,7 @@ func TestPreadvParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close(fd)
-			if err := WriteFull(fs, fd, payload, 0); err != nil {
+			if _, err := WriteFull(fs, fd, payload, 0); err != nil {
 				t.Fatal(err)
 			}
 
@@ -102,7 +102,7 @@ func TestPreadvEOF(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close(fd)
-			if err := WriteFull(fs, fd, bytes.Repeat([]byte{'e'}, 150), 0); err != nil {
+			if _, err := WriteFull(fs, fd, bytes.Repeat([]byte{'e'}, 150), 0); err != nil {
 				t.Fatal(err)
 			}
 			bufs := [][]byte{make([]byte, 100), make([]byte, 100), make([]byte, 100)}
@@ -158,7 +158,7 @@ func TestPwritevParity(t *testing.T) {
 				}
 				cur := off
 				for i := range bufs {
-					if err := WriteFull(ref, rfd, bufs[i], cur); err != nil {
+					if _, err := WriteFull(ref, rfd, bufs[i], cur); err != nil {
 						t.Fatal(err)
 					}
 					cur += int64(len(bufs[i]))
@@ -208,7 +208,7 @@ func TestPreadvWiderThanIovMax(t *testing.T) {
 	const segs = 1500 // > iovMax on linux
 	payload := make([]byte, segs*8)
 	rand.New(rand.NewSource(5)).Read(payload)
-	if err := WriteFull(osfs, fd, payload, 0); err != nil {
+	if _, err := WriteFull(osfs, fd, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	bufs := make([][]byte, segs)
@@ -235,7 +235,7 @@ func TestFaultFSVectorOneOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ffs.Close(fd)
-	if err := WriteFull(ffs, fd, make([]byte, 300), 0); err != nil {
+	if _, err := WriteFull(ffs, fd, make([]byte, 300), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -412,5 +412,54 @@ func TestInstrumentVectorCounters(t *testing.T) {
 	}
 	if segs != 9 {
 		t.Fatalf("vector_segments delta = %d, want 9 (4+4+1)", segs)
+	}
+}
+
+// stalledFS lands a 3-byte prefix on its first Pwrite and then makes no
+// progress without an error. A third call means the caller retried a
+// write that cannot advance, which is how a loop without the
+// zero-progress check hangs.
+type stalledFS struct {
+	FS
+	t     *testing.T
+	calls int
+}
+
+func (s *stalledFS) Pwrite(fd int, p []byte, off int64) (int, error) {
+	s.calls++
+	switch s.calls {
+	case 1:
+		return s.FS.Pwrite(fd, p[:3], off)
+	case 2:
+		return 0, nil
+	}
+	s.t.Fatal("Pwrite called again after it made no progress")
+	return 0, nil
+}
+
+// TestWriteFullNoProgress pins WriteFull's rules on a backend that
+// stops making progress: it fails rather than retrying, and reports the
+// durable prefix. Pwritev's scalar fallback, built on it, does the same.
+func TestWriteFullNoProgress(t *testing.T) {
+	for name, write := range map[string]func(fs FS, fd int, p []byte) (int64, error){
+		"WriteFull": func(fs FS, fd int, p []byte) (int64, error) {
+			n, err := WriteFull(fs, fd, p, 0)
+			return int64(n), err
+		},
+		"Pwritev": func(fs FS, fd int, p []byte) (int64, error) {
+			return Pwritev(fs, fd, [][]byte{p[:4], p[4:]}, 0)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := NewMemFS()
+			fd := mustOpen(t, mem, "/f", O_CREAT|O_RDWR)
+			n, err := write(&stalledFS{FS: mem, t: t}, fd, []byte("abcdefgh"))
+			if err == nil || n != 3 {
+				t.Fatalf("write over a stalled backend = (%d, %v), want the 3-byte prefix and an error", n, err)
+			}
+			if st, _ := mem.Fstat(fd); st.Size != 3 {
+				t.Fatalf("file holds %d bytes, want the 3-byte prefix", st.Size)
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func TestZeroLengthIOChecksModeFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := NewMemFS()
-	if err := WriteFull(mem, mustOpen(t, mem, "/f", O_CREAT|O_WRONLY), []byte("data"), 0); err != nil {
+	if _, err := WriteFull(mem, mustOpen(t, mem, "/f", O_CREAT|O_WRONLY), []byte("data"), 0); err != nil {
 		t.Fatal(err)
 	}
 	empty := []byte{}
