@@ -35,6 +35,16 @@ type routePlan struct {
 	starts []int // first piece of each bucket
 	fill   []int // per-bucket cursor during the fill pass
 	send   []any // reusable Alltoall send vector, one entry per rank
+
+	// The geometry's scratch (newGeom): every rank's segment list, the
+	// sweep's edges with each rank's run of them and the merge's spare,
+	// and the round cuts with each domain's first cut.
+	lists [][]Segment
+	edges []edge
+	runs  []int
+	spare []edge
+	cuts  []int64
+	first []int
 }
 
 var routePool = sync.Pool{New: func() any { return new(routePlan) }}
@@ -48,11 +58,13 @@ func (rp *routePlan) release() {
 	for i := range rp.send {
 		rp.send[i] = nil
 	}
+	clear(rp.lists)
 	rp.pieces = rp.pieces[:0]
+	rp.lists = rp.lists[:0]
 	routePool.Put(rp)
 }
 
-// route splits segs at aggregator-domain and round boundaries and lays
+// route splits segs at aggregator-domain and round cuts and lays
 // the pieces out bucket-contiguously. buf is the caller's flattened
 // access buffer; every piece's data aliases it.
 func (rp *routePlan) route(segs []Segment, buf []byte, g *colGeom, worldSize int) {
@@ -341,6 +353,14 @@ func growBytes(s []byte, n int) []byte {
 func growPieces(s []pieceRef, n int) []pieceRef {
 	if cap(s) < n {
 		return make([]pieceRef, n)
+	}
+	return s[:n]
+}
+
+// growEdges resizes s to n elements reusing its capacity.
+func growEdges(s []edge, n int) []edge {
+	if cap(s) < n {
+		return make([]edge, n)
 	}
 	return s[:n]
 }

@@ -116,10 +116,12 @@ type VectorReader interface {
 // reads no index dropping back to flatten the file. A wrapping
 // DriverFile forwards it by implementing both methods.
 type foldCloser interface {
-	// CloseSending closes as Close does and returns the rank's folds,
-	// encoded (nil if it has none to hand on).
+	// CloseSending closes as Close does but leaves the flatten to the
+	// CloseGathered that follows it; it returns the rank's folds,
+	// encoded, if it wrote (nil if it did not).
 	CloseSending() ([]byte, error)
-	// CloseGathered closes as Close does, with the other ranks' folds.
+	// CloseGathered closes as Close does, with the non-nil results of
+	// the other ranks' CloseSending, and flattens if any rank wrote.
 	CloseGathered(peers [][]byte) error
 }
 

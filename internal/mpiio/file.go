@@ -18,10 +18,11 @@ import (
 // contiguous block.
 type Hints struct {
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
-	// ROMIO default 16 MiB). Aggregator writes are chunked at this size,
+	// ROMIO default 16 MiB). Aggregator runs are chunked at this size,
 	// and an aggregator's file domain takes one pipeline round per
-	// staging buffer's worth. Like every cb_* hint it must agree across
-	// the communicator: Open adopts rank 0's value on every rank.
+	// staging buffer's worth of the data it stages — holes in the domain
+	// take no room. Like every cb_* hint it must agree across the
+	// communicator: Open adopts rank 0's value on every rank.
 	CBBufferSize int
 	// CBAggregators is the number of aggregators per compute node
 	// (cb_nodes-style). 0 or 1 keeps the paper's default of one
@@ -235,9 +236,10 @@ func aggregators(size, ppn, perNode int) []int {
 // plfs's flatten.go). Through a driver whose files can hand on their
 // folded index records (foldCloser), the gather between the two steps
 // brings rank 0 the other ranks' folds, so its flatten reads no dropping
-// back; through any other, it carries nothing. The closing barrier
-// keeps MPI's rule that the file is closed on every rank once any
-// rank's Close returns.
+// back, and tells it whether any of them wrote; the other ranks then
+// leave even the openhosts listing to rank 0. Through any other driver
+// the gather carries nothing. The closing barrier keeps MPI's rule that
+// the file is closed on every rank once any rank's Close returns.
 func (f *File) Close() error {
 	fc, canFold := f.df.(foldCloser)
 	var err error

@@ -1,8 +1,10 @@
-// The pipelined two-phase collective path: the file domain is split
-// into staging-sized rounds and round k's exchange overlaps round k-1's
-// aggregator I/O — the overlap "Optimizing Noncontiguous Accesses in
-// MPI-IO" (Thakur et al.) identifies as the second half of the
-// collective win, on top of large coalesced requests.
+// The pipelined two-phase collective path: each aggregator's file
+// domain is cut into rounds that each stage at most one staging
+// buffer of data — holes take no room, so a sparse domain takes fewer
+// rounds than its span would — and round k's exchange overlaps round
+// k-1's aggregator I/O: the overlap "Optimizing Noncontiguous Accesses
+// in MPI-IO" (Thakur et al.) identifies as the second half of the
+// collective win, on top of few, large coalesced requests.
 //
 // Schedule, per collective:
 //
@@ -23,79 +25,189 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ldplfs/internal/mpi"
 )
 
 // colGeom is the per-collective geometry every rank derives from the
-// same allgathered extent and the shape agreed at Open, so round counts
-// and boundaries agree everywhere (divergence would deadlock the
+// same allgathered segment lists and the shape agreed at Open, so round
+// counts and boundaries agree everywhere (divergence would deadlock the
 // exchanges).
+//
+// [lo, hi) is split evenly over the aggregators, as ROMIO splits it, so
+// which aggregator writes a byte depends on the extent alone. Each
+// domain is then cut into rounds by the bytes its arena will stage, not
+// by file span: a cut goes where the bytes staged since the previous
+// cut reach the staging size, so a sparse domain takes only the rounds
+// its data needs, and a dense one is cut every staging bytes, where span
+// cutting cuts it.
 type colGeom struct {
 	lo, hi  int64
 	domain  int64 // contiguous file region per aggregator
-	staging int64 // cb buffer size: the width of a round and the run cap
-	rounds  int   // ceil(domain / staging)
+	staging int64 // cb buffer size: the most a round stages, and the run cap
+	rounds  int   // the most rounds any domain takes
 	aggs    []int // aggregator rank ids, ascending (the File's)
+	// cuts holds every domain's round boundaries, ascending: domain a's
+	// are cuts[first[a]:first[a+1]], and its round r ends at the r-th.
+	cuts  []int64
+	first []int
 }
 
-// newGeom splits [lo, hi) evenly over the aggregators and each domain
-// into staging-sized rounds.
-func newGeom(lo, hi, staging int64, aggs []int) colGeom {
-	g := colGeom{lo: lo, hi: hi, staging: staging, aggs: aggs}
-	if hi > lo {
-		n := int64(len(aggs))
-		g.domain = (hi - lo + n - 1) / n
-		g.rounds = int((g.domain + staging - 1) / staging)
+// edge is one end of a piece on the sweep that places the cuts: the
+// number of pieces covering an offset rises by one at a piece's start
+// and falls by one at its end.
+type edge struct {
+	off   int64
+	delta int
+}
+
+// newGeom derives one collective's geometry from every rank's segment
+// list, each ascending and disjoint (validateSegs). Bytes are counted
+// as the aggregators will stage them: a write stages every piece, so
+// pieces of different ranks that overlap count once each (stageWrite);
+// a read stages the union of the requests (stageReadRuns), which union
+// selects. A piece that crosses a cut is split there. The geometry
+// aliases rp's scratch until the collective ends.
+func newGeom(all [][]Segment, staging int64, aggs []int, union bool, rp *routePlan) colGeom {
+	g := colGeom{lo: 1 << 62, staging: staging, aggs: aggs}
+	edges, runs := rp.edges[:0], append(rp.runs[:0], 0)
+	for _, segs := range all {
+		for _, s := range segs {
+			g.lo = min(g.lo, s.Off)
+			g.hi = max(g.hi, s.Off+s.Len)
+			if s.Len > 0 {
+				edges = append(edges, edge{s.Off, 1}, edge{s.Off + s.Len, -1})
+			}
+		}
+		runs = append(runs, len(edges))
 	}
+	rp.edges, rp.runs = edges, runs
+	rp.first = growInts(rp.first, len(aggs)+1)
+	g.cuts, g.first = rp.cuts[:0], rp.first
+	if g.hi <= g.lo || len(edges) == 0 {
+		return g
+	}
+	n := int64(len(aggs))
+	g.domain = (g.hi - g.lo + n - 1) / n
+	rp.spare = growEdges(rp.spare, len(edges))
+	edges = mergeRuns(edges, rp.spare, runs)
+
+	dom, depth := -1, 0
+	var staged int64 // bytes the current round stages so far
+	for i := 1; i < len(edges); i++ {
+		depth += edges[i-1].delta
+		s, e := edges[i-1].off, edges[i].off
+		if depth == 0 || s == e {
+			continue
+		}
+		d := int64(depth) // bytes staged per offset of [s, e)
+		if union {
+			d = 1
+		}
+		for s < e {
+			if a := int((s - g.lo) / g.domain); a != dom {
+				g.enter(dom, a)
+				dom, staged = a, 0
+			}
+			end := min(e, g.lo+int64(dom+1)*g.domain)
+			for s < end {
+				if staged > 0 && staged+d > staging {
+					g.cuts = append(g.cuts, s)
+					staged = 0
+				}
+				// A round takes at least one offset, even one that more
+				// pieces overlap on than the staging size holds.
+				k := min(max((staging-staged)/d, 1), end-s)
+				staged += k * d
+				s += k
+			}
+		}
+	}
+	g.enter(dom, len(aggs))
+	rp.cuts = g.cuts
 	return g
+}
+
+// mergeRuns sorts edges, made of the ascending runs that runs bounds
+// (one per rank), by merging neighbouring runs into spare and back until
+// one is left: O(n log ranks). It returns whichever of edges and spare
+// ends up holding the result, and reuses runs' memory.
+func mergeRuns(edges, spare []edge, runs []int) []edge {
+	src, dst := edges, spare
+	for len(runs) > 2 {
+		merged := runs[:1]
+		for i := 0; i+1 < len(runs); i += 2 {
+			lo, mid, hi := runs[i], runs[i+1], runs[i+1]
+			if i+2 < len(runs) {
+				hi = runs[i+2]
+			}
+			mergeEdges(dst[lo:hi], src[lo:mid], src[mid:hi])
+			merged = append(merged, hi)
+		}
+		runs = merged
+		src, dst = dst, src
+	}
+	return src
+}
+
+// mergeEdges merges two ascending runs of edges into dst.
+func mergeEdges(dst, left, right []edge) {
+	i, j, k := 0, 0, 0
+	for i < len(left) && j < len(right) {
+		if left[i].off <= right[j].off {
+			dst[k] = left[i]
+			i++
+		} else {
+			dst[k] = right[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], left[i:])
+	copy(dst[k:], right[j:])
+}
+
+// enter moves the sweep from domain dom to domain a (len(aggs) once it
+// is done): dom's round count is settled, and every domain after dom up
+// to a begins its cuts where the cuts so far end.
+func (g *colGeom) enter(dom, a int) {
+	if dom >= 0 {
+		g.rounds = max(g.rounds, len(g.cuts)-g.first[dom]+1)
+	}
+	for k := dom + 1; k <= a; k++ {
+		g.first[k] = len(g.cuts)
+	}
 }
 
 // locate maps a file offset to its (aggregator, round) bucket and the
 // bucket's end offset.
 func (g *colGeom) locate(off int64) (agg, round int, end int64) {
-	rel := off - g.lo
-	a := int(rel / g.domain)
-	if a >= len(g.aggs) {
-		a = len(g.aggs) - 1
+	a := min(int((off-g.lo)/g.domain), len(g.aggs)-1)
+	cuts := g.cuts[g.first[a]:g.first[a+1]]
+	r, at := slices.BinarySearch(cuts, off)
+	if at {
+		r++
 	}
-	inDom := rel - int64(a)*g.domain
-	r := int(inDom / g.staging)
-	if r >= g.rounds {
-		r = g.rounds - 1
+	if r < len(cuts) {
+		return a, r, cuts[r]
 	}
-	end = g.lo + int64(a)*g.domain + int64(r+1)*g.staging
-	if domEnd := g.lo + int64(a+1)*g.domain; end > domEnd {
-		end = domEnd
-	}
-	return a, r, end
+	return a, r, g.lo + int64(a+1)*g.domain
 }
 
-// exchangePlan allgathers every rank's extent and derives the shared
-// collective geometry.
-func (f *File) exchangePlan(segs []Segment) colGeom {
-	type colExtent struct{ lo, hi int64 }
-	mine := colExtent{lo: 1 << 62, hi: 0}
-	for _, s := range segs {
-		if s.Off < mine.lo {
-			mine.lo = s.Off
-		}
-		if end := s.Off + s.Len; end > mine.hi {
-			mine.hi = end
-		}
+// exchangePlan allgathers every rank's segment list and derives the
+// shared collective geometry; union marks a read. The in-process
+// exchange moves the list's reference, as ROMIO's exchange of request
+// offsets and lengths moves the lists; every rank is done reading the
+// others' before any reaches the closing allreduce. rp lends the
+// scratch.
+func (f *File) exchangePlan(segs []Segment, union bool, rp *routePlan) colGeom {
+	rp.lists = rp.lists[:0]
+	for _, v := range f.rank.Allgather(segs) {
+		rp.lists = append(rp.lists, v.([]Segment))
 	}
-	all := mine
-	for _, v := range f.rank.Allgather(mine) {
-		e := v.(colExtent)
-		if e.lo < all.lo {
-			all.lo = e.lo
-		}
-		if e.hi > all.hi {
-			all.hi = e.hi
-		}
-	}
-	return newGeom(all.lo, all.hi, int64(f.hints.CBBufferSize), f.aggs)
+	return newGeom(rp.lists, int64(f.hints.CBBufferSize), f.aggs, union, rp)
 }
 
 // aggWorker is the background half of one aggregator's double-buffered
@@ -274,13 +386,13 @@ func (f *File) fetchArena(a *arena) error {
 // k (zero-copy piece exchange + arena staging) overlaps phase 2 of
 // round k-1 (the flusher goroutine's backend I/O).
 func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
-	g := f.exchangePlan(segs)
-	if g.hi <= g.lo {
+	rp := routePool.Get().(*routePlan)
+	defer rp.release()
+	g := f.exchangePlan(segs, false, rp)
+	if g.rounds == 0 {
 		f.rank.AllreduceInt64(0, mpi.OpMax)
 		return 0, nil
 	}
-	rp := routePool.Get().(*routePlan)
-	defer rp.release()
 	rp.route(segs, buf, &g, f.rank.Size())
 
 	var fl *aggWorker
@@ -314,13 +426,13 @@ func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
 // into peer buffers — the prefetcher goroutine reads round k while the
 // main loop exchanges round k+1's requests and delivers round k-1.
 func (f *File) readAllPipelined(segs []Segment, buf []byte) (int, error) {
-	g := f.exchangePlan(segs)
-	if g.hi <= g.lo {
+	rp := routePool.Get().(*routePlan)
+	defer rp.release()
+	g := f.exchangePlan(segs, true, rp)
+	if g.rounds == 0 {
 		f.rank.AllreduceInt64(0, mpi.OpMax)
 		return 0, nil
 	}
-	rp := routePool.Get().(*routePlan)
-	defer rp.release()
 	rp.route(segs, buf, &g, f.rank.Size())
 
 	var pf *aggWorker

@@ -8,6 +8,7 @@ import (
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
+	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 )
 
@@ -166,13 +167,137 @@ func (f readFaultFile) PreadAt(p []byte, off int64) (int, error) {
 	return 0, fmt.Errorf("injected prefetch fault")
 }
 
+// --- rounds cut by staged bytes ---------------------------------------------
+
+// callCountDriver counts the driver calls each rank's file receives, by
+// direction, and keeps the vector capabilities of the files it wraps.
+type callCountDriver struct {
+	Driver
+	writes, reads *[shRanks]atomic.Int64
+}
+
+func (d callCountDriver) Open(path string, amode int, rank int) (DriverFile, error) {
+	df, err := d.Driver.Open(path, amode, rank)
+	if err != nil {
+		return nil, err
+	}
+	return callCountFile{df, &d.writes[rank], &d.reads[rank]}, nil
+}
+
+type callCountFile struct {
+	DriverFile
+	writes, reads *atomic.Int64
+}
+
+func (f callCountFile) PwriteAt(p []byte, off int64) (int, error) {
+	f.writes.Add(1)
+	return f.DriverFile.PwriteAt(p, off)
+}
+
+func (f callCountFile) PreadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.DriverFile.PreadAt(p, off)
+}
+
+func (f callCountFile) PwritevAt(segs []Segment, buf []byte) (int, error) {
+	f.writes.Add(1)
+	return f.DriverFile.(VectorWriter).PwritevAt(segs, buf)
+}
+
+func (f callCountFile) PreadvAt(segs []Segment, buf []byte) (int, error) {
+	f.reads.Add(1)
+	return f.DriverFile.(VectorReader).PreadvAt(segs, buf)
+}
+
+// TestSparseCollectiveOneRoundPerDomain runs collective_romio_svc3's
+// shape — 4 ranks on 4 nodes, so 4 aggregators, each rank its own plfs
+// instance over a mod-3 StripedFS, stripes of 4 KiB each followed by a
+// hole as large, 64 KiB staging buffers — and counts the driver calls
+// per aggregator. Each domain spans 128 KiB but holds 64 KiB of data,
+// one staging buffer's worth, so each aggregator makes one driver write
+// per WriteAll and one driver read per ReadAll (span cutting made two).
+// Its dense twin, the same stripes with the holes filled, stages
+// 128 KiB per domain: two of each, as span cutting made. Every rank
+// reads back the bytes it wrote.
+func TestSparseCollectiveOneRoundPerDomain(t *testing.T) {
+	shapes := []struct {
+		name   string
+		stripe int64 // each rank's stripes; the period is 4 ranks x 8 KiB
+		rounds int64
+	}{
+		{"sparse", shStripe, 1},
+		{"dense-twin", 2 * shStripe, 2},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			backends := []posix.FS{posix.NewMemFS(), posix.NewMemFS(), posix.NewMemFS()}
+			var writes, reads [shRanks]atomic.Int64
+			drv := make([]Driver, shRanks)
+			for rank := range drv {
+				drv[rank] = callCountDriver{NewPLFSDriver(plfs.New(posix.NewStripedFS(backends...)), nil), &writes, &reads}
+			}
+			hints := DefaultHints()
+			hints.CBBufferSize = 64 << 10
+			segsOf := func(rank, c int) []Segment {
+				segs := shSegs(rank, c)
+				for i := range segs {
+					segs[i].Len = sh.stripe
+				}
+				return segs
+			}
+			err := runUnderDeadline(t, shRanks, 1, func(r *mpi.Rank) {
+				me := r.Rank()
+				fh, err := Open(r, drv[me], shPath, ModeCreate|ModeWronly, hints)
+				if err != nil {
+					panic(err)
+				}
+				for c := 0; c < shCalls; c++ {
+					segs := segsOf(me, c)
+					if _, err := fh.WriteAll(segs, shFill(segs)); err != nil {
+						panic(err)
+					}
+				}
+				if err := fh.Close(); err != nil {
+					panic(err)
+				}
+				if fh, err = Open(r, drv[me], shPath, ModeRdonly, hints); err != nil {
+					panic(err)
+				}
+				for c := 0; c < shCalls; c++ {
+					segs := segsOf(me, c)
+					got := make([]byte, segsBytes(segs))
+					if _, err := fh.ReadAll(segs, got); err != nil {
+						panic(err)
+					}
+					if !bytes.Equal(got, shFill(segs)) {
+						panic(fmt.Sprintf("rank %d: collective %d read back different bytes", me, c))
+					}
+				}
+				if err := fh.Close(); err != nil {
+					panic(err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := 0; rank < shRanks; rank++ {
+				if w, r := writes[rank].Load(), reads[rank].Load(); w != sh.rounds*shCalls || r != sh.rounds*shCalls {
+					t.Errorf("aggregator %d: %d driver writes and %d reads in %d WriteAll and %d ReadAll, want %d of each per collective",
+						rank, w, r, shCalls, shCalls, sh.rounds)
+				}
+			}
+		})
+	}
+}
+
 // --- satellite: differential byte-identity ---------------------------------
 
 // TestCollectivePathDifferential pins byte-identity of the pipelined
 // collective path against independent per-segment calls over randomized
 // disjoint strided scripts: whatever the shuffle schedule, the file and
 // every rank's read-back must be identical. Pipelined variants also
-// sweep the round and aggregator knobs.
+// sweep the round and aggregator knobs, down to a staging buffer smaller
+// than a stripe, so that round cuts split pieces.
 func TestCollectivePathDifferential(t *testing.T) {
 	const (
 		ranks = 6
@@ -189,6 +314,7 @@ func TestCollectivePathDifferential(t *testing.T) {
 		{"pipelined", func(h *Hints) {}, false},
 		{"pipelined-odd-cb-a2", func(h *Hints) { h.CBBufferSize = 3*block + 7; h.CBAggregators = 2 }, false},
 		{"pipelined-small-cb", func(h *Hints) { h.CBBufferSize = 2 * block }, false},
+		{"pipelined-sub-stripe-cb", func(h *Hints) { h.CBBufferSize = block/3 + 1 }, false},
 		{"independent", func(h *Hints) {}, true},
 	}
 	for seed := int64(1); seed <= 3; seed++ {

@@ -50,13 +50,73 @@ func TestHintsSurface(t *testing.T) {
 	}
 }
 
+// geomPatterns are the collective accesses TestCollectiveGeometry cuts:
+// rank's segment list, given the world size, the first offset and the
+// extent the pattern may fill.
+var geomPatterns = []struct {
+	name string
+	segs func(ranks, rank int, lo, ext int64) []Segment
+}{
+	// Each rank one block of the extent, every byte once.
+	{"dense", func(ranks, rank int, lo, ext int64) []Segment {
+		size := (ext + int64(ranks) - 1) / int64(ranks)
+		off, end := lo+int64(rank)*size, min(lo+int64(rank+1)*size, lo+ext)
+		if off >= end {
+			return nil
+		}
+		return []Segment{{off, end - off}}
+	}},
+	// 3-byte stripes dealt round-robin, every byte once.
+	{"dense-interleaved", func(ranks, rank int, lo, ext int64) []Segment {
+		return geomStripes(lo, ext, 3, 3*int64(ranks), int64(rank)*3)
+	}},
+	// collective_romio_svc3's shape: stripes dealt round-robin, each
+	// followed by a hole as large.
+	{"strided-holes", func(ranks, rank int, lo, ext int64) []Segment {
+		return geomStripes(lo, ext, 5, 10*int64(ranks), int64(rank)*10)
+	}},
+	// One rank strided with holes, the others with nothing.
+	{"single-rank", func(ranks, rank int, lo, ext int64) []Segment {
+		if rank != 0 {
+			return nil
+		}
+		return geomStripes(lo, ext, 7, 16, 0)
+	}},
+	// Ranks r and r+3 write the same stripes; neighbours' stripes
+	// overlap by a byte or two.
+	{"overlapping", func(ranks, rank int, lo, ext int64) []Segment {
+		return geomStripes(lo, ext, 4, 6, int64(rank%3))
+	}},
+	// Each rank a window of half the extent, the windows staggered.
+	{"overlapping-windows", func(ranks, rank int, lo, ext int64) []Segment {
+		off := lo + int64(rank)*ext/int64(2*ranks)
+		return []Segment{{off, min(ext/2+1, lo+ext-off)}}
+	}},
+}
+
+// geomStripes is stripes of width every period from lo+phase, clipped
+// to [lo, lo+ext).
+func geomStripes(lo, ext, width, period, phase int64) []Segment {
+	var segs []Segment
+	for off := lo + phase; off < lo+ext; off += period {
+		segs = append(segs, Segment{off, min(width, lo+ext-off)})
+	}
+	return segs
+}
+
 // TestCollectiveGeometry enumerates the collective shape: which ranks
-// aggregate, how many rounds a domain takes, and that locate tiles the
-// extent — every offset in exactly one (aggregator, round) bucket no
-// wider than the staging buffer, buckets in ascending order end to end.
+// aggregate, and how the rounds cut each access — dense, strided with
+// holes, one rank's alone, and overlapping pieces of different ranks —
+// as a write and as a read. The buckets tile the extent in (aggregator,
+// round) order, end to end; no bucket stages more than the staging size
+// (unless it holds one offset that more pieces cover than that); every
+// bucket but a domain's last is full, so it could take no more of the
+// next data; and a dense access is cut every staging bytes, at the
+// boundaries and round count ceil(domain / staging) of span cutting.
 func TestCollectiveGeometry(t *testing.T) {
 	extents := []int64{1, 13, 4096, 10007}
 	stagings := []int64{1, 7, 1000, 4096, 16 << 20}
+	rp := new(routePlan)
 	for ranks := 1; ranks <= 8; ranks++ {
 		for _, ppn := range []int{1, 2, 4} {
 			for _, cb := range []int{0, 1, 2, 4} {
@@ -70,18 +130,25 @@ func TestCollectiveGeometry(t *testing.T) {
 				if !slices.Equal(aggs, want) {
 					t.Fatalf("ranks %d ppn %d cb_aggregators %d: aggregators %v, want %v", ranks, ppn, cb, aggs, want)
 				}
-				for _, ext := range extents {
-					for _, staging := range stagings {
-						lo := int64(ranks) * 5 // unaligned on purpose
-						g := newGeom(lo, lo+ext, staging, aggs)
-						name := fmt.Sprintf("ranks %d ppn %d aggs %v extent %d staging %d", ranks, ppn, aggs, ext, staging)
-						if g.domain*int64(len(aggs)) < ext {
-							t.Fatalf("%s: %d domains of %d do not cover the extent", name, len(aggs), g.domain)
+			}
+		}
+		// The cuts depend on the aggregators only through their count.
+		for naggs := 1; naggs <= ranks; naggs++ {
+			aggs := make([]int, naggs)
+			for _, ext := range extents {
+				lo := int64(ranks) * 5 // unaligned on purpose
+				for _, pat := range geomPatterns {
+					all := make([][]Segment, ranks)
+					for r := range all {
+						all[r] = pat.segs(ranks, r, lo, ext)
+					}
+					for _, union := range []bool{false, true} {
+						staged := stagedBytes(all, union)
+						for _, staging := range stagings {
+							name := fmt.Sprintf("ranks %d aggs %d %s extent %d staging %d read %v", ranks, naggs, pat.name, ext, staging, union)
+							g := newGeom(all, staging, aggs, union, rp)
+							checkGeom(t, name, &g, staged)
 						}
-						if wantRounds := int((g.domain + staging - 1) / staging); g.rounds != wantRounds || g.rounds < 1 {
-							t.Fatalf("%s: rounds = %d, want ceil(%d/%d) = %d", name, g.rounds, g.domain, staging, wantRounds)
-						}
-						checkTiling(t, name, &g)
 					}
 				}
 			}
@@ -89,35 +156,101 @@ func TestCollectiveGeometry(t *testing.T) {
 	}
 }
 
-func checkTiling(t *testing.T, name string, g *colGeom) {
+// stagedBytes is what an arena stages for each offset of the access's
+// extent: the pieces covering it, or for a read (union) 1 if any does.
+func stagedBytes(all [][]Segment, union bool) []int64 {
+	lo, hi := int64(1<<62), int64(0)
+	for _, segs := range all {
+		for _, s := range segs {
+			lo, hi = min(lo, s.Off), max(hi, s.Off+s.Len)
+		}
+	}
+	staged := make([]int64, max(hi-lo, 0))
+	for _, segs := range all {
+		for _, s := range segs {
+			for o := s.Off; o < s.Off+s.Len; o++ {
+				if staged[o-lo] == 0 || !union {
+					staged[o-lo]++
+				}
+			}
+		}
+	}
+	return staged
+}
+
+// checkGeom checks one geometry against what its access stages at each
+// offset of the extent.
+func checkGeom(t *testing.T, name string, g *colGeom, staged []int64) {
 	t.Helper()
-	prevA, prevR, prevEnd := -1, -1, g.lo
-	for off := g.lo; off < g.hi; off++ {
+	lo, hi := g.lo, g.hi
+	if hi-lo != int64(len(staged)) {
+		t.Fatalf("%s: extent [%d, %d), want %d bytes", name, lo, hi, len(staged))
+	}
+	dense := !slices.Contains(staged, 0) && !slices.ContainsFunc(staged, func(n int64) bool { return n > 1 })
+	if g.domain*int64(len(g.aggs)) < hi-lo {
+		t.Fatalf("%s: %d domains of %d do not cover the extent", name, len(g.aggs), g.domain)
+	}
+	if wantRounds := int((g.domain + g.staging - 1) / g.staging); dense && g.rounds != wantRounds {
+		t.Fatalf("%s: dense access cut into %d rounds, want ceil(%d/%d) = %d", name, g.rounds, g.domain, g.staging, wantRounds)
+	}
+	lastRound := -1
+	prevA, prevR, prevEnd := -1, -1, lo
+	var prevBytes int64 // what the previous bucket stages
+	for off := lo; off < hi; {
 		a, r, end := g.locate(off)
 		if a < 0 || a >= len(g.aggs) || r < 0 || r >= g.rounds {
 			t.Fatalf("%s: offset %d -> bucket (%d, %d) out of range", name, off, a, r)
 		}
-		if a == prevA && r == prevR {
-			if end != prevEnd {
-				t.Fatalf("%s: bucket (%d, %d) ends at %d and at %d", name, a, r, prevEnd, end)
-			}
-			continue
-		}
 		// A new bucket: it starts exactly where the previous one ended,
-		// comes later in (aggregator, round) order and fits one arena.
+		// comes later in (aggregator, round) order, and every offset in
+		// it locates to it.
 		if off != prevEnd {
 			t.Fatalf("%s: bucket (%d, %d) starts at %d, previous ended at %d", name, a, r, off, prevEnd)
 		}
-		if a < prevA || (a == prevA && r < prevR) {
+		if a < prevA || (a == prevA && r <= prevR) {
 			t.Fatalf("%s: bucket (%d, %d) follows (%d, %d)", name, a, r, prevA, prevR)
 		}
-		if end <= off || end-off > g.staging {
-			t.Fatalf("%s: bucket (%d, %d) spans [%d, %d), staging is %d", name, a, r, off, end, g.staging)
+		if end <= off {
+			t.Fatalf("%s: bucket (%d, %d) spans [%d, %d)", name, a, r, off, end)
 		}
-		prevA, prevR, prevEnd = a, r, end
+		if a2, r2, end2 := g.locate(min(end, hi) - 1); a2 != a || r2 != r || end2 != end {
+			t.Fatalf("%s: offset %d -> bucket (%d, %d) ending %d, its first offset %d -> (%d, %d) ending %d", name, min(end, hi)-1, a2, r2, end2, off, a, r, end)
+		}
+		var bytes, covered int64
+		for _, n := range staged[off-lo : min(end, hi)-lo] {
+			bytes += n
+			if n > 0 {
+				covered++
+			}
+		}
+		if bytes > g.staging && covered > 1 {
+			t.Fatalf("%s: bucket (%d, %d) over [%d, %d) stages %d bytes, staging is %d", name, a, r, off, end, bytes, g.staging)
+		}
+		// The previous bucket was its domain's too: it was full, or it
+		// would have taken this one's first data.
+		if a == prevA && covered > 0 {
+			first := staged[off-lo+int64(slices.IndexFunc(staged[off-lo:], func(n int64) bool { return n > 0 }))]
+			if prevBytes+first <= g.staging {
+				t.Fatalf("%s: bucket (%d, %d) stages %d bytes and was cut before %d more, staging is %d", name, a, prevR, prevBytes, first, g.staging)
+			}
+		}
+		if dense {
+			domEnd := lo + int64(a+1)*g.domain
+			if want := min(lo+int64(a)*g.domain+int64(r+1)*g.staging, domEnd); min(end, hi) != min(want, hi) {
+				t.Fatalf("%s: dense bucket (%d, %d) ends at %d, span cutting ends it at %d", name, a, r, end, want)
+			}
+		}
+		if covered > 0 {
+			lastRound = max(lastRound, r)
+		}
+		prevA, prevR, prevEnd, prevBytes = a, r, end, bytes
+		off = end
 	}
-	if prevEnd < g.hi {
-		t.Fatalf("%s: last bucket ends at %d, extent at %d", name, prevEnd, g.hi)
+	if prevEnd < hi {
+		t.Fatalf("%s: last bucket ends at %d, extent at %d", name, prevEnd, hi)
+	}
+	if lastRound != g.rounds-1 {
+		t.Fatalf("%s: %d rounds, but the last that stages data is round %d", name, g.rounds, lastRound)
 	}
 }
 

@@ -20,8 +20,11 @@
 // openhosts, because other instances' writers are visible only there;
 // a writer whose openhosts record never landed still holds its own
 // instance's closes back. A collective close (mpiio's File.Close) closes
-// ranks other than 0 first and rank 0 after a barrier, so of a
-// communicator's instances only rank 0's finds no writer left.
+// ranks other than 0 first and rank 0 after a gather, so of a
+// communicator's instances only rank 0's can find no writer left: the
+// others close with File.CloseSending, which neither lists openhosts nor
+// flattens, and rank 0 closes with File.CloseGathered, which lists and
+// flattens if any rank of the communicator had a writer.
 // Instances whose last writers close at once each clear their openhosts
 // record before any of them looks, so each finds no writer left. Their
 // temp name is therefore a claim, keyed by the

@@ -1005,19 +1005,23 @@ func (f *File) Close(pid uint32) error {
 }
 
 // CloseSending is Close for a rank of a collective close that is not
-// the one expected to close last: it closes as Close does, and when
-// this is its instance's last writer it also returns the folds of the
-// droppings the instance wrote, encoded (idx.EncodeFolds), for the last
-// closer's CloseGathered. Otherwise the bytes are nil.
+// the one that closes last, which calls CloseGathered after it: it
+// closes as Close does but neither lists openhosts nor flattens, since
+// the last closer will. When this is its instance's last writer it
+// returns the folds of the droppings the instance wrote, encoded
+// (idx.EncodeFolds; an encoding of no folds if it has none), for the
+// last closer's CloseGathered. Otherwise the bytes are nil.
 func (f *File) CloseSending(pid uint32) ([]byte, error) {
 	return f.close(pid, nil, true)
 }
 
 // CloseGathered is Close for the rank of a collective close that closes
-// last, with the encodings its peers' CloseSending returned: a flatten
-// by this close may read the droppings their folds describe from the
-// folds instead of the backend. Peers change where the flatten reads
-// from, never whether it runs.
+// last, with the non-nil encodings its peers' CloseSending returned.
+// With no writer of its instance left it lists openhosts and flattens
+// when it retired a writer or any peer did, so a file only other ranks
+// wrote is flattened too. A flatten by this close may read the
+// droppings the peers' folds describe from the folds instead of the
+// backend.
 func (f *File) CloseGathered(pid uint32, peers [][]byte) error {
 	_, err := f.close(pid, peers, false)
 	return err
@@ -1045,23 +1049,22 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 			p.fds.DropPrefix(c.path + "/")
 		}
 	}
-	last := hadWriter && len(c.writers) == 0
+	last := len(c.writers) == 0 && (hadWriter || len(peers) > 0)
 	var folds map[string]*idx.Fold
 	if last {
 		folds, c.folds = c.folds, nil
 	}
 	c.mu.Unlock()
 	p.hmu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if !last {
+	case !last:
 		return nil, nil
-	}
-	p.flattenAtClose(c.path, foldSources{own: folds, peers: peers})
-	if send && len(folds) > 0 {
+	case send:
 		return idx.EncodeFolds(folds), nil
 	}
+	p.flattenAtClose(c.path, foldSources{own: folds, peers: peers})
 	return nil, nil
 }
 
