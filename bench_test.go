@@ -232,22 +232,77 @@ func BenchmarkCollectiveWrite8Ranks(b *testing.B) {
 	}
 }
 
-func BenchmarkBTIOKernel(b *testing.B) {
+func BenchmarkBTIOKernel(b *testing.B) { benchBTIO(b, 4, 16) }
+
+// BenchmarkBTIOKernel16Ranks is the dense collective at scale: 16 ranks
+// write 1024 rows each per WriteAll, so every rank's share of the
+// collective geometry (all ranks' segment lists) is 16k pieces.
+func BenchmarkBTIOKernel16Ranks(b *testing.B) { benchBTIO(b, 16, 64) }
+
+func benchBTIO(b *testing.B, ranks, grid int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		store := harness.NewStore()
-		err := mpi.Run(4, 2, func(r *mpi.Rank) {
+		err := mpi.Run(ranks, 2, func(r *mpi.Rank) {
 			drv, pathFor, err := harness.DriverFor("romio", store, r.Rank())
 			if err != nil {
 				panic(err)
 			}
 			if _, err := workload.RunBTIO(r, drv, pathFor(fmt.Sprintf("bt%d", i)),
-				workload.BTIOConfig{Grid: 16, Steps: 2, Hints: mpiio.DefaultHints()}, false); err != nil {
+				workload.BTIOConfig{Grid: grid, Steps: 2, Hints: mpiio.DefaultHints()}, false); err != nil {
 				panic(err)
 			}
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStridedCollective16Ranks times one WriteAll and one ReadAll
+// of 16 ranks' round-robin stripes, 1024 of 640 bytes each per rank,
+// with no holes and with a hole after every stripe as wide as it. At
+// the default staging size every domain is one round either way, so
+// this is the collective's own CPU: the plan exchange, the routing and
+// the staging, not fewer backend calls.
+func BenchmarkStridedCollective16Ranks(b *testing.B) {
+	const ranks, stripes, stripe = 16, 1024, 640
+	for _, period := range []int64{ranks * stripe, 2 * ranks * stripe} {
+		name := "dense"
+		if period > ranks*stripe {
+			name = "holes"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				store := harness.NewStore()
+				err := mpi.Run(ranks, 2, func(r *mpi.Rank) {
+					drv, pathFor, err := harness.DriverFor("romio", store, r.Rank())
+					if err != nil {
+						panic(err)
+					}
+					fh, err := mpiio.Open(r, drv, pathFor("strided"), mpiio.ModeCreate|mpiio.ModeRdwr, mpiio.DefaultHints())
+					if err != nil {
+						panic(err)
+					}
+					segs := make([]mpiio.Segment, stripes)
+					for k := range segs {
+						segs[k] = mpiio.Segment{Off: int64(k)*period + int64(r.Rank())*stripe, Len: stripe}
+					}
+					buf := make([]byte, stripes*stripe)
+					if _, err := fh.WriteAll(segs, buf); err != nil {
+						panic(err)
+					}
+					if _, err := fh.ReadAll(segs, buf); err != nil {
+						panic(err)
+					}
+					fh.Close()
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -49,7 +49,8 @@ var HotFuncs = map[string]bool{
 	"stageWrite":    true,
 	"stageReadRuns": true,
 	"deliver":       true,
-	"sortRefs":      true,
+	"collect":       true,
+	"sortRuns":      true,
 	"flushArena":    true,
 	"fetchArena":    true,
 	// gateway wire: every frame of a data op crosses these, on buffers

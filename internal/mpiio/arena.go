@@ -36,13 +36,15 @@ type routePlan struct {
 	fill   []int // per-bucket cursor during the fill pass
 	send   []any // reusable Alltoall send vector, one entry per rank
 
-	// The geometry's scratch (newGeom): every rank's segment list, the
-	// sweep's edges with each rank's run of them and the merge's spare,
-	// and the round cuts with each domain's first cut.
-	lists [][]Segment
+	// The geometry's scratch (exchangePlan): this rank's plan-exchange
+	// entry and every rank's, a domain's sweep edges and plan, and every
+	// domain's cuts with each domain's first cut.
+	mine  rankAccess
+	all   []*rankAccess
 	edges []edge
-	runs  []int
-	spare []edge
+	spare []edge // the edges' merge scratch
+	ends  []int  // where each rank's run of edges ends
+	plan  domainPlan
 	cuts  []int64
 	first []int
 }
@@ -58,9 +60,10 @@ func (rp *routePlan) release() {
 	for i := range rp.send {
 		rp.send[i] = nil
 	}
-	clear(rp.lists)
+	clear(rp.all)
+	rp.mine = rankAccess{}
 	rp.pieces = rp.pieces[:0]
-	rp.lists = rp.lists[:0]
+	rp.all = rp.all[:0]
 	routePool.Put(rp)
 }
 
@@ -145,6 +148,7 @@ type arena struct {
 	pos     []int64    // byte position of each run in buf
 	refs    []pieceRef // the round's pieces (sorted by off after staging)
 	scratch []pieceRef // merge-sort scratch
+	ends    []int      // where each sender's run of refs ends
 	ioErr   error      // set by the pipeline worker before handing back
 }
 
@@ -173,12 +177,15 @@ func (a *arena) release() {
 // order and sorts them by offset (stably, so overlapping writes resolve
 // in rank order, whatever order the exchange delivered them in).
 func (a *arena) collect(recv []any) {
-	a.refs = a.refs[:0]
+	a.refs, a.ends = a.refs[:0], a.ends[:0]
 	for _, v := range recv {
-		ps, _ := v.([]pieceRef)
-		a.refs = append(a.refs, ps...)
+		if ps, _ := v.([]pieceRef); len(ps) > 0 {
+			a.refs = append(a.refs, ps...)
+			a.ends = append(a.ends, len(a.refs))
+		}
 	}
-	a.sortRefs()
+	a.scratch = growPieces(a.scratch, len(a.refs))
+	sortRuns(a.refs, a.scratch, a.ends, func(p pieceRef) int64 { return p.off })
 }
 
 // stageWrite coalesces the round's write pieces into packed runs,
@@ -292,42 +299,35 @@ func (a *arena) findRun(off int64) int {
 	return lo
 }
 
-// sortRefs stably sorts a.refs by offset with a bottom-up merge sort
-// into pooled scratch — no interface boxing, no allocation once warm,
-// and stability keeps overlap resolution deterministic (rank order).
-func (a *arena) sortRefs() {
-	n := len(a.refs)
-	if n < 2 {
-		return
-	}
-	a.scratch = growPieces(a.scratch, n)
-	src, dst := a.refs, a.scratch
-	swapped := false
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
+// sortRuns stably sorts s by key, s being ascending runs that end at
+// ends (the last at len(s)), as every sender's pieces ascend: it merges
+// neighbouring runs into scratch and back, the earlier run first on
+// ties, until one is left — O(n log runs), not O(n log n). scratch must
+// be as long as s; ends is consumed.
+func sortRuns[T any](s, scratch []T, ends []int, key func(T) int64) {
+	src, dst := s, scratch
+	for len(ends) > 1 {
+		merged, lo := ends[:0], 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
 			}
-			if hi > n {
-				hi = n
-			}
-			mergeRefs(dst[lo:hi], src[lo:mid], src[mid:hi])
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], key)
+			merged, lo = append(merged, hi), hi
 		}
-		src, dst = dst, src
-		swapped = !swapped
+		ends, src, dst = merged, dst, src
 	}
-	if swapped {
-		copy(a.refs, src)
+	if len(s) > 0 && &src[0] != &s[0] {
+		copy(s, src)
 	}
 }
 
-// mergeRefs merges two offset-sorted halves, preferring left on ties
-// (stability).
-func mergeRefs(dst, left, right []pieceRef) {
+// mergeRuns merges two key-sorted runs into dst, left first on ties.
+func mergeRuns[T any](dst, left, right []T, key func(T) int64) {
 	i, j, k := 0, 0, 0
 	for i < len(left) && j < len(right) {
-		if left[i].off <= right[j].off {
+		if key(left[i]) <= key(right[j]) {
 			dst[k] = left[i]
 			i++
 		} else {
@@ -353,14 +353,6 @@ func growBytes(s []byte, n int) []byte {
 func growPieces(s []pieceRef, n int) []pieceRef {
 	if cap(s) < n {
 		return make([]pieceRef, n)
-	}
-	return s[:n]
-}
-
-// growEdges resizes s to n elements reusing its capacity.
-func growEdges(s []edge, n int) []edge {
-	if cap(s) < n {
-		return make([]edge, n)
 	}
 	return s[:n]
 }

@@ -8,6 +8,9 @@
 //
 // Schedule, per collective:
 //
+//	all ranks    plan: Allgather of every rank's access; a sparse
+//	             access's aggregators cut their own domains, and a
+//	             second Allgather hands the cuts round
 //	all ranks    round k: Alltoall of piece references (zero-copy)
 //	aggregator   stage round k into a pooled arena (the one copy)
 //	flusher      |— goroutine: round k-1's vectored backend I/O —|
@@ -22,6 +25,7 @@
 package mpiio
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +36,7 @@ import (
 )
 
 // colGeom is the per-collective geometry every rank derives from the
-// same allgathered segment lists and the shape agreed at Open, so round
+// same allgathered accesses and the shape agreed at Open, so round
 // counts and boundaries agree everywhere (divergence would deadlock the
 // exchanges).
 //
@@ -49,52 +53,122 @@ type colGeom struct {
 	staging int64 // cb buffer size: the most a round stages, and the run cap
 	rounds  int   // the most rounds any domain takes
 	aggs    []int // aggregator rank ids, ascending (the File's)
+	dense   bool  // the pieces tile [lo, hi), each byte once
 	// cuts holds every domain's round boundaries, ascending: domain a's
 	// are cuts[first[a]:first[a+1]], and its round r ends at the r-th.
 	cuts  []int64
 	first []int
 }
 
-// edge is one end of a piece on the sweep that places the cuts: the
-// number of pieces covering an offset rises by one at a piece's start
-// and falls by one at its end.
+// rankAccess is one rank's entry in the plan exchange: its segment list
+// and a summary its owner makes once, from which every rank finds the
+// extent and tells a dense collective without walking the lists.
+type rankAccess struct {
+	segs   []Segment
+	lo, hi int64  // the list's extent (lo > hi when it is empty)
+	chain  uint64 // the sum of mix(start) - mix(end) over its pieces
+}
+
+// summarize makes a rank's plan-exchange entry for segs.
+func summarize(segs []Segment) rankAccess {
+	ra := rankAccess{segs: segs, lo: 1 << 62}
+	for _, s := range segs {
+		ra.lo, ra.hi = min(ra.lo, s.Off), max(ra.hi, s.Off+s.Len)
+		if s.Len > 0 {
+			ra.chain += mix(uint64(s.Off)) - mix(uint64(s.Off+s.Len))
+		}
+	}
+	return ra
+}
+
+// mix is splitmix64's finalizer: a fixed 64-bit hash, so that equal
+// multisets of offsets have equal sums of it and unequal ones almost
+// never do.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// newGeom derives one collective's extent and domains from every rank's
+// access; the rounds come from cutting the domains (cut, cutAll). The
+// geometry aliases rp's scratch until the collective ends.
+//
+// The access is dense when its pieces tile [lo, hi). That holds exactly
+// when the pieces' starts plus hi equal their ends plus lo as multisets:
+// a tiling chains each end but hi to the next piece's start, and pieces
+// that chain from lo to hi with nothing left over tile it, since pieces
+// only run forward. Each owner sums a hash of its starts minus its ends
+// (chain), so comparing the multisets costs a rank one add per rank.
+// Were a non-dense access ever to collide, it would be cut by span, as
+// ROMIO cuts every access, and still move the right bytes.
+func newGeom(all []*rankAccess, staging int64, aggs []int, rp *routePlan) colGeom {
+	g := colGeom{lo: 1 << 62, staging: staging, aggs: aggs}
+	var chain uint64
+	for _, ra := range all {
+		g.lo, g.hi = min(g.lo, ra.lo), max(g.hi, ra.hi)
+		chain += ra.chain
+	}
+	g.cuts, g.first = rp.cuts[:0], append(rp.first[:0], 0)
+	if g.hi > g.lo {
+		n := int64(len(aggs))
+		g.domain = (g.hi - g.lo + n - 1) / n
+		g.dense = chain == mix(uint64(g.lo))-mix(uint64(g.hi))
+	}
+	return g
+}
+
+// edge is one end of a piece on the sweep that places a domain's cuts:
+// the number of pieces covering an offset rises by one at a piece's
+// start and falls by one at its end.
 type edge struct {
 	off   int64
 	delta int
 }
 
-// newGeom derives one collective's geometry from every rank's segment
-// list, each ascending and disjoint (validateSegs). Bytes are counted
-// as the aggregators will stage them: a write stages every piece, so
-// pieces of different ranks that overlap count once each (stageWrite);
-// a read stages the union of the requests (stageReadRuns), which union
-// selects. A piece that crosses a cut is split there. The geometry
-// aliases rp's scratch until the collective ends.
-func newGeom(all [][]Segment, staging int64, aggs []int, union bool, rp *routePlan) colGeom {
-	g := colGeom{lo: 1 << 62, staging: staging, aggs: aggs}
-	edges, runs := rp.edges[:0], append(rp.runs[:0], 0)
-	for _, segs := range all {
-		for _, s := range segs {
-			g.lo = min(g.lo, s.Off)
-			g.hi = max(g.hi, s.Off+s.Len)
-			if s.Len > 0 {
-				edges = append(edges, edge{s.Off, 1}, edge{s.Off + s.Len, -1})
+// cut places domain a's round cuts in rp.plan. Bytes are counted as the
+// aggregator will stage them: a write stages every piece, so pieces of
+// different ranks that overlap count once each (stageWrite); a read
+// stages the union of the requests (stageReadRuns), which union
+// selects. A dense domain is swept as one piece, with no list walked; a
+// sparse one from the pieces of every rank that fall in it, each list
+// entered by binary search. A piece that crosses a cut is split there.
+func (g *colGeom) cut(all []*rankAccess, a int, union bool, rp *routePlan) {
+	start := g.lo + int64(a)*g.domain
+	end := min(start+g.domain, g.hi)
+	edges := rp.edges[:0]
+	if g.dense {
+		if start < end {
+			edges = append(edges, edge{start, 1}, edge{end, -1})
+		}
+	} else {
+		rp.ends = rp.ends[:0]
+		for _, ra := range all {
+			n := len(edges)
+			i, _ := slices.BinarySearchFunc(ra.segs, start, func(s Segment, off int64) int {
+				return cmp.Compare(s.Off+s.Len, off+1)
+			})
+			for _, s := range ra.segs[i:] {
+				if s.Off >= end {
+					break
+				}
+				if lo, hi := max(s.Off, start), min(s.Off+s.Len, end); lo < hi {
+					edges = append(edges, edge{lo, 1}, edge{hi, -1})
+				}
+			}
+			if len(edges) > n {
+				rp.ends = append(rp.ends, len(edges))
 			}
 		}
-		runs = append(runs, len(edges))
+		rp.spare = slices.Grow(rp.spare[:0], len(edges))[:len(edges)]
+		sortRuns(edges, rp.spare, rp.ends, func(e edge) int64 { return e.off })
 	}
-	rp.edges, rp.runs = edges, runs
-	rp.first = growInts(rp.first, len(aggs)+1)
-	g.cuts, g.first = rp.cuts[:0], rp.first
-	if g.hi <= g.lo || len(edges) == 0 {
-		return g
-	}
-	n := int64(len(aggs))
-	g.domain = (g.hi - g.lo + n - 1) / n
-	rp.spare = growEdges(rp.spare, len(edges))
-	edges = mergeRuns(edges, rp.spare, runs)
+	rp.edges = edges
 
-	dom, depth := -1, 0
+	// Edges at one offset may come in any order: the spans between them
+	// are empty, and the sweep skips empty spans.
+	p := domainPlan{cuts: rp.plan.cuts[:0]}
+	depth := 0
 	var staged int64 // bytes the current round stages so far
 	for i := 1; i < len(edges); i++ {
 		depth += edges[i-1].delta
@@ -106,78 +180,41 @@ func newGeom(all [][]Segment, staging int64, aggs []int, union bool, rp *routePl
 		if union {
 			d = 1
 		}
+		p.rounds = max(p.rounds, 1)
 		for s < e {
-			if a := int((s - g.lo) / g.domain); a != dom {
-				g.enter(dom, a)
-				dom, staged = a, 0
+			if staged > 0 && staged+d > g.staging {
+				p.cuts = append(p.cuts, s)
+				p.rounds++
+				staged = 0
 			}
-			end := min(e, g.lo+int64(dom+1)*g.domain)
-			for s < end {
-				if staged > 0 && staged+d > staging {
-					g.cuts = append(g.cuts, s)
-					staged = 0
-				}
-				// A round takes at least one offset, even one that more
-				// pieces overlap on than the staging size holds.
-				k := min(max((staging-staged)/d, 1), end-s)
-				staged += k * d
-				s += k
-			}
+			// A round takes at least one offset, even one that more
+			// pieces overlap on than the staging size holds.
+			k := min(max((g.staging-staged)/d, 1), e-s)
+			staged += k * d
+			s += k
 		}
 	}
-	g.enter(dom, len(aggs))
-	rp.cuts = g.cuts
-	return g
+	rp.plan = p
 }
 
-// mergeRuns sorts edges, made of the ascending runs that runs bounds
-// (one per rank), by merging neighbouring runs into spare and back until
-// one is left: O(n log ranks). It returns whichever of edges and spare
-// ends up holding the result, and reuses runs' memory.
-func mergeRuns(edges, spare []edge, runs []int) []edge {
-	src, dst := edges, spare
-	for len(runs) > 2 {
-		merged := runs[:1]
-		for i := 0; i+1 < len(runs); i += 2 {
-			lo, mid, hi := runs[i], runs[i+1], runs[i+1]
-			if i+2 < len(runs) {
-				hi = runs[i+2]
-			}
-			mergeEdges(dst[lo:hi], src[lo:mid], src[mid:hi])
-			merged = append(merged, hi)
-		}
-		runs = merged
-		src, dst = dst, src
-	}
-	return src
+// domainPlan is one domain's rounds: how many, and the cuts between them.
+type domainPlan struct {
+	cuts   []int64
+	rounds int
 }
 
-// mergeEdges merges two ascending runs of edges into dst.
-func mergeEdges(dst, left, right []edge) {
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if left[i].off <= right[j].off {
-			dst[k] = left[i]
-			i++
-		} else {
-			dst[k] = right[j]
-			j++
-		}
-		k++
-	}
-	k += copy(dst[k:], left[i:])
-	copy(dst[k:], right[j:])
+// add appends the next domain's plan to the geometry.
+func (g *colGeom) add(p *domainPlan) {
+	g.cuts = append(g.cuts, p.cuts...)
+	g.first = append(g.first, len(g.cuts))
+	g.rounds = max(g.rounds, p.rounds)
 }
 
-// enter moves the sweep from domain dom to domain a (len(aggs) once it
-// is done): dom's round count is settled, and every domain after dom up
-// to a begins its cuts where the cuts so far end.
-func (g *colGeom) enter(dom, a int) {
-	if dom >= 0 {
-		g.rounds = max(g.rounds, len(g.cuts)-g.first[dom]+1)
-	}
-	for k := dom + 1; k <= a; k++ {
-		g.first[k] = len(g.cuts)
+// cutAll cuts every domain on this rank.
+func (g *colGeom) cutAll(all []*rankAccess, union bool, rp *routePlan) {
+	for a := range g.aggs {
+		g.cut(all, a, union, rp)
+		g.add(&rp.plan)
 	}
 }
 
@@ -196,18 +233,39 @@ func (g *colGeom) locate(off int64) (agg, round int, end int64) {
 	return a, r, g.lo + int64(a+1)*g.domain
 }
 
-// exchangePlan allgathers every rank's segment list and derives the
-// shared collective geometry; union marks a read. The in-process
-// exchange moves the list's reference, as ROMIO's exchange of request
-// offsets and lengths moves the lists; every rank is done reading the
-// others' before any reaches the closing allreduce. rp lends the
-// scratch.
+// exchangePlan allgathers every rank's access and derives the shared
+// collective geometry; union marks a read. The in-process exchange
+// moves the entry's reference, as ROMIO's exchange of request offsets
+// and lengths moves the lists. A dense access's cuts are arithmetic,
+// so every rank places them all. A sparse one's take a sweep of the
+// domain's pieces, so each aggregator cuts only its own domain and a
+// second allgather hands the plans round, as ROMIO's aggregators work
+// out only their own domain's requests. Every rank is done reading the
+// others' entries and plans before any reaches the closing allreduce,
+// and rp, which holds this rank's, outlives it. rp lends the scratch.
 func (f *File) exchangePlan(segs []Segment, union bool, rp *routePlan) colGeom {
-	rp.lists = rp.lists[:0]
-	for _, v := range f.rank.Allgather(segs) {
-		rp.lists = append(rp.lists, v.([]Segment))
+	rp.mine = summarize(segs)
+	rp.all = rp.all[:0]
+	for _, v := range f.rank.Allgather(&rp.mine) {
+		rp.all = append(rp.all, v.(*rankAccess))
 	}
-	return newGeom(rp.lists, int64(f.hints.CBBufferSize), f.aggs, union, rp)
+	g := newGeom(rp.all, int64(f.hints.CBBufferSize), f.aggs, rp)
+	switch {
+	case g.hi <= g.lo: // no data: no rounds
+	case g.dense:
+		g.cutAll(rp.all, union, rp)
+	default:
+		rp.plan.cuts, rp.plan.rounds = rp.plan.cuts[:0], 0
+		if a := slices.Index(f.aggs, f.rank.Rank()); a >= 0 {
+			g.cut(rp.all, a, union, rp)
+		}
+		plans := f.rank.Allgather(&rp.plan)
+		for _, rank := range f.aggs {
+			g.add(plans[rank].(*domainPlan))
+		}
+	}
+	rp.cuts, rp.first = g.cuts, g.first
+	return g
 }
 
 // aggWorker is the background half of one aggregator's double-buffered

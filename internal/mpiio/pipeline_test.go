@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -287,6 +288,49 @@ func TestSparseCollectiveOneRoundPerDomain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCollectiveOverlapRankOrder pins how a collective write resolves
+// pieces of different ranks that overlap: the aggregator stages a
+// round's pieces in rank order, so the highest rank's bytes land last
+// and win. Every rank writes the same strided stripes, so each
+// aggregator merges one run of equal offsets per rank.
+func TestCollectiveOverlapRankOrder(t *testing.T) {
+	const ranks, stripe, stripes = 4, 512, 8
+	drv := NewPLFSDriver(plfs.New(posix.NewMemFS()), nil)
+	segs := make([]Segment, stripes)
+	for k := range segs {
+		segs[k] = Segment{Off: int64(k) * 2 * stripe, Len: stripe}
+	}
+	got := make([]byte, stripes*stripe)
+	err := runUnderDeadline(t, ranks, 1, func(r *mpi.Rank) {
+		fh, err := Open(r, drv, "/overlap", ModeCreate|ModeRdwr, DefaultHints())
+		if err != nil {
+			panic(err)
+		}
+		if _, err := fh.WriteAll(segs, bytes.Repeat([]byte{byte(r.Rank() + 1)}, stripes*stripe)); err != nil {
+			panic(err)
+		}
+		if err := fh.Sync(); err != nil {
+			panic(err)
+		}
+		if r.Rank() == 0 {
+			if _, err := fh.ReadAll(segs, got); err != nil {
+				panic(err)
+			}
+		} else if _, err := fh.ReadAll(nil, nil); err != nil {
+			panic(err)
+		}
+		if err := fh.Close(); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(got, func(b byte) bool { return b != ranks }); i >= 0 {
+		t.Fatalf("byte %d of the overlapped stripes holds rank %d's write, want the last rank's (%d)", i, got[i]-1, ranks-1)
 	}
 }
 

@@ -92,6 +92,23 @@ var geomPatterns = []struct {
 		off := lo + int64(rank)*ext/int64(2*ranks)
 		return []Segment{{off, min(ext/2+1, lo+ext-off)}}
 	}},
+	// Rank 1 writes one of rank 0's bytes again, next to the byte no rank
+	// writes: the pieces add up to the extent without tiling it, so the
+	// access must not be cut as a dense one.
+	{"overlap-fills-hole", func(ranks, rank int, lo, ext int64) []Segment {
+		mid := lo + ext/2
+		switch {
+		case ranks < 2 || ext < 5:
+			if rank == 0 {
+				return []Segment{{lo, ext}}
+			}
+		case rank == 0:
+			return []Segment{{lo, mid - lo + 1}, {mid + 2, lo + ext - mid - 2}}
+		case rank == 1:
+			return []Segment{{mid, 1}}
+		}
+		return nil
+	}},
 }
 
 // geomStripes is stripes of width every period from lo+phase, clipped
@@ -139,14 +156,18 @@ func TestCollectiveGeometry(t *testing.T) {
 				lo := int64(ranks) * 5 // unaligned on purpose
 				for _, pat := range geomPatterns {
 					all := make([][]Segment, ranks)
+					accs := make([]*rankAccess, ranks)
 					for r := range all {
 						all[r] = pat.segs(ranks, r, lo, ext)
+						ra := summarize(all[r])
+						accs[r] = &ra
 					}
 					for _, union := range []bool{false, true} {
 						staged := stagedBytes(all, union)
 						for _, staging := range stagings {
 							name := fmt.Sprintf("ranks %d aggs %d %s extent %d staging %d read %v", ranks, naggs, pat.name, ext, staging, union)
-							g := newGeom(all, staging, aggs, union, rp)
+							g := newGeom(accs, staging, aggs, rp)
+							g.cutAll(accs, union, rp)
 							checkGeom(t, name, &g, staged)
 						}
 					}
