@@ -7,12 +7,17 @@
 // Collectives are built on a single generation-counted rendezvous: every
 // rank deposits a value, the last arrival runs a combiner over the full
 // slot vector, and all ranks pick up their per-rank result. This gives
-// deterministic semantics without per-collective channel plumbing.
+// deterministic semantics without per-collective channel plumbing. The
+// slot and result vectors live in the communicator and are reused by
+// every collective, so a Barrier or a Bcast of a pointer allocates
+// nothing; what a collective hands its callers (Gather's and
+// Allgather's vector, Alltoall's receive vectors) is fresh each time.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -80,22 +85,22 @@ func (r *Rank) Size() int { return r.comm.size }
 func (r *Rank) PPN() int { return r.comm.ppn }
 
 // rendezvous deposits value, lets the last arrival run combine over all
-// deposits, and returns this rank's combined result.
-func (r *Rank) rendezvous(value any, combine func([]any) []any) any {
+// deposits, and returns this rank's combined result. combine fills
+// results, one per rank, from slots; it must not keep either vector,
+// which the next collective reuses. A rank reads its result before it
+// can deposit into the next collective, so the next combine never
+// overwrites a result still unread.
+func (r *Rank) rendezvous(value any, combine func(slots, results []any)) any {
 	c := r.comm
 	c.mu.Lock()
 	gen := c.gen
 	c.slots[r.rank] = value
 	c.arrived++
 	if c.arrived == c.size {
-		out := combine(c.slots)
-		if len(out) != c.size {
-			c.mu.Unlock()
-			panic(fmt.Sprintf("mpi: combiner returned %d results for %d ranks", len(out), c.size))
-		}
-		copy(c.results, out)
+		clear(c.results)
+		combine(c.slots, c.results)
+		clear(c.slots)
 		c.arrived = 0
-		c.slots = make([]any, c.size)
 		c.gen++
 		c.cond.Broadcast()
 	} else {
@@ -110,29 +115,23 @@ func (r *Rank) rendezvous(value any, combine func([]any) []any) any {
 
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier() {
-	r.rendezvous(nil, func(in []any) []any { return in })
+	r.rendezvous(nil, func(_, _ []any) {})
 }
 
 // Bcast returns root's value on every rank.
 func (r *Rank) Bcast(root int, value any) any {
-	return r.rendezvous(value, func(in []any) []any {
-		out := make([]any, len(in))
+	return r.rendezvous(value, func(in, out []any) {
 		for i := range out {
 			out[i] = in[root]
 		}
-		return out
 	})
 }
 
 // Gather returns every rank's value, in rank order, on root (nil
 // elsewhere).
 func (r *Rank) Gather(root int, value any) []any {
-	res := r.rendezvous(value, func(in []any) []any {
-		gathered := make([]any, len(in))
-		copy(gathered, in)
-		out := make([]any, len(in))
-		out[root] = gathered
-		return out
+	res := r.rendezvous(value, func(in, out []any) {
+		out[root] = slices.Clone(in)
 	})
 	if res == nil {
 		return nil
@@ -142,14 +141,11 @@ func (r *Rank) Gather(root int, value any) []any {
 
 // Allgather returns every rank's value, in rank order, on all ranks.
 func (r *Rank) Allgather(value any) []any {
-	res := r.rendezvous(value, func(in []any) []any {
-		gathered := make([]any, len(in))
-		copy(gathered, in)
-		out := make([]any, len(in))
+	res := r.rendezvous(value, func(in, out []any) {
+		gathered := slices.Clone(in)
 		for i := range out {
 			out[i] = gathered
 		}
-		return out
 	})
 	return res.([]any)
 }
@@ -187,13 +183,11 @@ func reduceInt64(vals []any, op Op) int64 {
 // AllreduceInt64 reduces value across ranks and returns the result
 // everywhere.
 func (r *Rank) AllreduceInt64(value int64, op Op) int64 {
-	res := r.rendezvous(value, func(in []any) []any {
-		acc := reduceInt64(in, op)
-		out := make([]any, len(in))
+	res := r.rendezvous(value, func(in, out []any) {
+		var acc any = reduceInt64(in, op)
 		for i := range out {
 			out[i] = acc
 		}
-		return out
 	})
 	return res.(int64)
 }
@@ -218,9 +212,8 @@ func (r *Rank) Alltoall(send []any) []any {
 	// The combiner must not retain the caller's slice: rendezvous slots
 	// are recycled, but send itself may be reused by the caller for the
 	// next round, so transpose out of it entirely.
-	res := r.rendezvous(send, func(in []any) []any {
+	res := r.rendezvous(send, func(in, out []any) {
 		n := len(in)
-		out := make([]any, n)
 		for dst := 0; dst < n; dst++ {
 			recv := make([]any, n)
 			for src := 0; src < n; src++ {
@@ -228,7 +221,6 @@ func (r *Rank) Alltoall(send []any) []any {
 			}
 			out[dst] = recv
 		}
-		return out
 	})
 	return res.([]any)
 }

@@ -202,3 +202,35 @@ func TestInvalidWorld(t *testing.T) {
 		t.Fatal("size 0 accepted")
 	}
 }
+
+// TestCollectiveAllocs pins a Barrier and a Bcast of a pointer at zero
+// allocations: the rendezvous reuses the communicator's slot and result
+// vectors. Rank 0 measures while rank 1 meets it in every call.
+// testing.AllocsPerRun counts the whole process, so rank 1's side is
+// counted too.
+func TestCollectiveAllocs(t *testing.T) {
+	const runs = 100
+	payload := new(int)
+	var barrier, bcast float64
+	err := Run(2, 1, func(r *Rank) {
+		if r.Rank() != 0 {
+			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up call, then runs
+				r.Barrier()
+			}
+			for i := 0; i <= runs; i++ {
+				if r.Bcast(0, nil).(*int) != payload {
+					panic("bcast delivered another pointer")
+				}
+			}
+			return
+		}
+		barrier = testing.AllocsPerRun(runs, r.Barrier)
+		bcast = testing.AllocsPerRun(runs, func() { r.Bcast(0, payload) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if barrier != 0 || bcast != 0 {
+		t.Fatalf("allocations per Barrier %v, per Bcast of a pointer %v; want 0 and 0", barrier, bcast)
+	}
+}

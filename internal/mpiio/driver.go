@@ -121,8 +121,29 @@ type foldCloser interface {
 	// encoded, if it wrote (nil if it did not).
 	CloseSending() ([]byte, error)
 	// CloseGathered closes as Close does, with the non-nil results of
-	// the other ranks' CloseSending, and flattens if any rank wrote.
+	// the other ranks' CloseSending: it removes the communicator's
+	// openhosts record if its file made it (commMarker), then lists
+	// openhosts and flattens if any rank wrote.
 	CloseGathered(peers [][]byte) error
+}
+
+// commMarker is an optional DriverFile capability: a file whose writers
+// can leave marking the file open to one record for the whole
+// communicator. openDriverFile uses it at a collective open whose amode
+// may write: rank 0's file makes the record before the open's closing
+// funnel releases any rank, and the files of the ranks that opened the
+// same path join it, so their writers make no record of their own. Rank
+// 0's file removes the record when it closes, which a collective close
+// makes the communicator's last close (File.Close), before that close
+// looks for writers left. A wrapping DriverFile forwards it by
+// implementing both methods.
+type commMarker interface {
+	// MarkComm, on rank 0's file, makes the record for a communicator
+	// of size ranks. On error no record exists and nothing changed.
+	MarkComm(size int) error
+	// JoinComm, on any other rank's file, leaves marking the file open
+	// to the record rank 0's file made.
+	JoinComm()
 }
 
 // indexSharer is an optional Driver capability: a driver that can build
@@ -321,3 +342,10 @@ func (f *plfsFile) CloseSending() ([]byte, error) { return f.f.CloseSending(f.pi
 
 // CloseGathered implements foldCloser over plfs.File.CloseGathered.
 func (f *plfsFile) CloseGathered(peers [][]byte) error { return f.f.CloseGathered(f.pid, peers) }
+
+// MarkComm implements commMarker over plfs.File.MarkComm: the record
+// names pids 0..size-1, since pid = rank.
+func (f *plfsFile) MarkComm(size int) error { return f.f.MarkComm(size) }
+
+// JoinComm implements commMarker over plfs.File.JoinComm.
+func (f *plfsFile) JoinComm() { f.f.JoinComm() }

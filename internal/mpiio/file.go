@@ -88,7 +88,11 @@ type Segment struct {
 }
 
 // Open opens path collectively on all ranks of r with the given driver —
-// MPI_File_open.
+// MPI_File_open. An open whose amode may write marks the file open once
+// for the communicator where the driver's files can (commMarker, which
+// the PLFS driver's do): rank 0's file makes one openhosts record before
+// any rank returns, and the writers every rank's file makes, collective
+// or independent, make none of their own. Close removes it.
 func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*File, error) {
 	if hints.CBBufferSize <= 0 {
 		hints.CBBufferSize = 16 << 20
@@ -137,6 +141,10 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 // returning alone would leave the others waiting for it in their next
 // collective, forever.
 //
+// A writable open marks the file open once for the communicator where
+// the driver's files can (markComm), instead of once per rank that
+// writes.
+//
 // A read-only open of one path through a driver that can share an index
 // builds it once: rank 0 opens and builds, and the other ranks open from
 // its index without a metadata op (indexSharer). Whether the ranks agree
@@ -172,6 +180,9 @@ func openDriverFile(r *mpi.Rank, driver Driver, path string, amode int) (DriverF
 		amode &^= ModeExcl // rank 0 already arbitrated exclusive creation
 	}
 	df, err := driver.Open(path, amode, r.Rank())
+	if amode&ModeRdonly == 0 {
+		markComm(r, df, err, path)
+	}
 	if err := funnel(r, err, "open"); err != nil {
 		if df != nil {
 			df.Close()
@@ -179,6 +190,26 @@ func openDriverFile(r *mpi.Rank, driver Driver, path string, amode int) (DriverF
 		return nil, err
 	}
 	return df, nil
+}
+
+// markComm marks a writable collective open's file open once for the
+// communicator (commMarker): rank 0's file makes the record, and a rank
+// joins it only if its own open succeeded on the path rank 0 marked. A
+// rank of a file-per-process open, or one whose file cannot join, keeps
+// its writers' own records, as every rank does if rank 0 could not make
+// the record. Every rank calls it: the broadcast of rank 0's path is a
+// collective. A failed open closes rank 0's file, which removes the
+// record.
+func markComm(r *mpi.Rank, df DriverFile, err error, path string) {
+	cm, ok := df.(commMarker)
+	ok = ok && err == nil
+	var marked *string
+	if r.Rank() == 0 && ok && cm.MarkComm(r.Size()) == nil {
+		marked = &path
+	}
+	if got := r.Bcast(0, marked).(*string); r.Rank() != 0 && ok && got != nil && *got == path {
+		cm.JoinComm()
+	}
 }
 
 // sharedOpen is what rank 0 broadcasts in a shared-index open: its index,
@@ -237,9 +268,12 @@ func aggregators(size, ppn, perNode int) []int {
 // folded index records (foldCloser), the gather between the two steps
 // brings rank 0 the other ranks' folds, so its flatten reads no dropping
 // back, and tells it whether any of them wrote; the other ranks then
-// leave even the openhosts listing to rank 0. Through any other driver
-// the gather carries nothing. The closing barrier keeps MPI's rule that
-// the file is closed on every rank once any rank's Close returns.
+// leave even the openhosts listing to rank 0. Rank 0's close removes
+// the communicator's openhosts record, if Open made one, once every
+// other rank has closed and before it looks for writers left. Through
+// any other driver the gather carries nothing. The closing barrier keeps
+// MPI's rule that the file is closed on every rank once any rank's
+// Close returns.
 func (f *File) Close() error {
 	fc, canFold := f.df.(foldCloser)
 	var err error

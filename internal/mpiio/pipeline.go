@@ -284,6 +284,9 @@ type aggWorker struct {
 	err   error // owned by the worker goroutine until done is closed
 	busy  int64 // ns spent in backend I/O (worker-owned)
 	stall int64 // ns the main loop blocked on the pipeline (main-owned)
+	// tail is when the last round was submitted, until the wait that
+	// follows charges stall from it (main-owned; see submit).
+	tail time.Time
 }
 
 // newAggWorker starts the worker with two pooled arenas in flight.
@@ -333,19 +336,40 @@ func (w *aggWorker) run() {
 // clock (pipeline backpressure: the backend is slower than the
 // exchange).
 func (w *aggWorker) next() *arena {
-	t0 := time.Now()
+	t0 := w.waitStart()
 	a := <-w.free
 	w.stall += time.Since(t0).Nanoseconds()
 	return a
 }
 
-// submit hands a staged arena to the worker.
-func (w *aggWorker) submit(a *arena) { w.work <- a }
+// submit hands a staged arena to the worker. The last round's submit
+// starts the tail clock: after it the main loop has no exchange left for
+// I/O to overlap, so the wait that follows — for the last round's I/O —
+// charges stall from the submit, not from when the main loop got to it.
+// Stamped before the hand-off, the tail starts before the worker's I/O
+// clock does, so the last round's I/O never counts as overlap.
+func (w *aggWorker) submit(a *arena, last bool) {
+	if last {
+		w.tail = time.Now()
+	}
+	w.work <- a
+}
+
+// waitStart is when a wait starts charging stall: the last round's
+// submit for the first wait after it, now otherwise.
+func (w *aggWorker) waitStart() time.Time {
+	t0 := w.tail
+	if t0.IsZero() {
+		return time.Now()
+	}
+	w.tail = time.Time{}
+	return t0
+}
 
 // ready blocks until the oldest submitted arena's I/O completed
 // (reads only). The caller recycles it with recycle after delivery.
 func (w *aggWorker) ready() *arena {
-	t0 := time.Now()
+	t0 := w.waitStart()
 	a := <-w.out
 	w.stall += time.Since(t0).Nanoseconds()
 	return a
@@ -357,10 +381,14 @@ func (w *aggWorker) recycle(a *arena) { w.free <- a }
 // close drains the pipeline, joins the worker, releases the arenas and
 // reports the first backend error plus the exchange/I-O overlap the
 // pipeline achieved (I/O time that ran concurrently with the main
-// loop's exchanges rather than stalling them).
+// loop's exchanges rather than stalling them). The wait for the worker
+// is stall — for a write it is the wait for the last round's I/O — so a
+// one-round collective overlaps nothing.
 func (w *aggWorker) close() (error, int64) {
+	t0 := w.waitStart()
 	close(w.work)
 	<-w.done
+	w.stall += time.Since(t0).Nanoseconds()
 	if w.out != nil {
 		for len(w.out) > 0 {
 			(<-w.out).release()
@@ -464,7 +492,7 @@ func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
 			np, nb := a.stageWrite(recv, g.staging)
 			f.cshp.Add(int64(np))
 			f.cshb.Add(nb)
-			fl.submit(a)
+			fl.submit(a, k == g.rounds-1)
 		}
 	}
 	var aggErr error
@@ -515,7 +543,7 @@ func (f *File) readAllPipelined(segs []Segment, buf []byte) (int, error) {
 		np, nb := a.stageReadRuns(recv, g.staging)
 		f.cshp.Add(int64(np))
 		f.cshb.Add(nb)
-		pf.submit(a)
+		pf.submit(a, k == g.rounds-1)
 		inFlight++
 	}
 	var aggErr error

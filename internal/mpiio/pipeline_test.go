@@ -334,6 +334,89 @@ func TestCollectiveOverlapRankOrder(t *testing.T) {
 	}
 }
 
+// gatedDriver holds every pwrite and pread of its files until a release
+// comes back for the signal it sends when the call starts, so a call's
+// I/O outlasts a goroutine hand-off whatever the host's speed.
+type gatedDriver struct {
+	Driver
+	started chan struct{}
+	release chan struct{}
+}
+
+func (d gatedDriver) Open(path string, amode int, rank int) (DriverFile, error) {
+	df, err := d.Driver.Open(path, amode, rank)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{df, d}, nil
+}
+
+type gatedFile struct {
+	DriverFile
+	d gatedDriver
+}
+
+func (f gatedFile) PwriteAt(p []byte, off int64) (int, error) {
+	f.d.started <- struct{}{}
+	<-f.d.release
+	return f.DriverFile.PwriteAt(p, off)
+}
+
+func (f gatedFile) PreadAt(p []byte, off int64) (int, error) {
+	f.d.started <- struct{}{}
+	<-f.d.release
+	return f.DriverFile.PreadAt(p, off)
+}
+
+// TestOneRoundOverlapIsZero runs a one-round WriteAll and a one-round
+// ReadAll, one aggregator, through a driver whose I/O waits on a
+// hand-off: with no later round to exchange, the main loop's wait for
+// the last round's I/O is stall, so round_overlap_ns stays 0. Counting
+// that wait as overlap reads the I/O's whole duration there instead.
+func TestOneRoundOverlapIsZero(t *testing.T) {
+	const ranks, block = 2, 4 << 10
+	drv := gatedDriver{NewUFS(newWorldFS(t)), make(chan struct{}), make(chan struct{})}
+	go func() {
+		for range drv.started {
+			drv.release <- struct{}{}
+		}
+	}()
+	defer close(drv.started)
+	var overlap [2]int64
+	err := runUnderDeadline(t, ranks, ranks, func(r *mpi.Rank) {
+		fh, err := Open(r, drv, "/scratch/one-round", ModeCreate|ModeRdwr, DefaultHints())
+		if err != nil {
+			panic(err)
+		}
+		ovl := fh.Layer().Counter("round_overlap_ns")
+		seg := []Segment{{Off: int64(r.Rank()) * block, Len: block}}
+		if _, err := fh.WriteAll(seg, make([]byte, block)); err != nil {
+			panic(err)
+		}
+		r.Barrier()
+		if r.Rank() == 0 {
+			overlap[0] = ovl.Load()
+		}
+		r.Barrier()
+		if _, err := fh.ReadAll(seg, make([]byte, block)); err != nil {
+			panic(err)
+		}
+		r.Barrier()
+		if r.Rank() == 0 {
+			overlap[1] = ovl.Load() - overlap[0]
+		}
+		if err := fh.Close(); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if overlap != [2]int64{} {
+		t.Fatalf("round_overlap_ns of a one-round WriteAll, ReadAll = %v, want 0 and 0", overlap)
+	}
+}
+
 // --- satellite: differential byte-identity ---------------------------------
 
 // TestCollectivePathDifferential pins byte-identity of the pipelined

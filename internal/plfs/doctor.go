@@ -15,20 +15,60 @@ import (
 )
 
 // openHostRecord describes one openhosts entry — the marker an active
-// writer drops at open and clears at close.
+// writer drops at open and clears at close, or the one record a
+// communicator's collective open drops for all of its ranks' writers
+// and its collective close clears (File.MarkComm).
 type openHostRecord struct {
-	Pid uint32
-	// Stale marks a record whose pid has no data dropping: the writer's
-	// state is gone (a pre-fix Trunc(0) leak, or a crash between
-	// container truncation and close), so nothing can still be writing
-	// under it. Stale records distrust every flattened record and make
-	// CompactIndex refuse the container.
+	// Name is the entry's name in openhosts/.
+	Name string
+	// Pid is the writer's pid; a communicator's record names the pids
+	// Pid..Last, and Last is Pid for a writer's own record.
+	Pid, Last uint32
+	// Comm marks a communicator's record.
+	Comm bool
+	// Stale marks a record none of whose pids has a data dropping: the
+	// writers' state is gone (a pre-fix Trunc(0) leak, a crash between
+	// container truncation and close, or a job that died before any
+	// rank wrote), so nothing can still be writing under it. Stale
+	// records distrust every flattened record and make CompactIndex
+	// refuse the container.
+	//
+	// A communicator's record also reads stale in one window of a live
+	// job: from its collective open until the first rank's first write
+	// makes a data dropping. A doctor -fix in that window removes it,
+	// and the job's writers then run unmarked, as a writer whose own
+	// record never landed does.
 	Stale bool
 }
 
+// maxCommPids bounds the pids a communicator's record may name. The
+// doctor probes each named pid's data dropping, and a forged name
+// claiming all 2^32 would keep it probing for hours; a name claiming
+// more is not read as a record, as any other name that does not parse
+// is not.
+const maxCommPids = 1 << 20
+
+// parseOpenHost reads an openhosts entry's name: host.<pid> for a
+// writer's record, comm.<first>-<last>.<nonce> for a communicator's.
+func parseOpenHost(name string) (rec openHostRecord, ok bool) {
+	rec.Name = name
+	if _, err := fmt.Sscanf(name, "host.%d", &rec.Pid); err == nil {
+		rec.Last = rec.Pid
+		return rec, true
+	}
+	if _, err := fmt.Sscanf(name, commPrefix+"%d-%d.", &rec.Pid, &rec.Last); err == nil &&
+		rec.Last >= rec.Pid && rec.Last-rec.Pid < maxCommPids {
+		rec.Comm = true
+		return rec, true
+	}
+	return rec, false
+}
+
 // openHosts lists the container's openhosts records and diagnoses stale
-// ones. The liveness probe stats through the instance's backend, so a
-// writer whose dropping lives on a shadow backend is found there.
+// ones: a record is live while any pid it names has a data dropping,
+// and a communicator's record counts once however many pids it names.
+// The liveness probe stats through the instance's backend, so a writer
+// whose dropping lives on a shadow backend is found there.
 func (p *FS) openHosts(path string) ([]openHostRecord, error) {
 	if !p.IsContainer(path) {
 		return nil, posix.ENOENT
@@ -42,16 +82,20 @@ func (p *FS) openHosts(path string) ([]openHostRecord, error) {
 	}
 	var out []openHostRecord
 	for _, e := range entries {
-		var pid uint32
 		if e.IsDir {
 			continue
 		}
-		if _, err := fmt.Sscanf(e.Name, "host.%d", &pid); err != nil {
+		rec, ok := parseOpenHost(e.Name)
+		if !ok {
 			continue
 		}
-		rec := openHostRecord{Pid: pid}
-		if _, err := p.backend.Stat(dataDropping(p.hostdir(path, pid), pid)); errors.Is(err, posix.ENOENT) {
-			rec.Stale = true
+		rec.Stale = true
+		for pid := rec.Pid; rec.Stale; pid++ {
+			_, err := p.backend.Stat(dataDropping(p.hostdir(path, pid), pid))
+			rec.Stale = errors.Is(err, posix.ENOENT)
+			if pid == rec.Last {
+				break
+			}
 		}
 		out = append(out, rec)
 	}
@@ -74,7 +118,7 @@ func (p *FS) scrubOpenHosts(path string) (int, error) {
 		if !r.Stale {
 			continue
 		}
-		name := fmt.Sprintf("%s/%s/host.%d", path, openhostsDir, r.Pid)
+		name := path + "/" + openhostsDir + "/" + r.Name
 		if err := p.backend.Unlink(name); err != nil {
 			if ferr == nil {
 				ferr = fmt.Errorf("plfs: scrub %s: %w", name, err)
@@ -110,10 +154,14 @@ func (p *FS) Doctor(w io.Writer, path string, fix, force bool) (healthy bool, er
 	}
 	live, stale := 0, 0
 	for _, r := range recs {
-		if r.Stale {
+		switch {
+		case r.Stale && r.Comm:
+			stale++
+			fmt.Fprintf(w, "stale openhosts record: communicator of pids %d-%d (no data dropping — the job died, or no rank has written yet)\n", r.Pid, r.Last)
+		case r.Stale:
 			stale++
 			fmt.Fprintf(w, "stale openhosts record: pid %d (no data dropping — writer state lost)\n", r.Pid)
-		} else {
+		default:
 			live++
 		}
 	}

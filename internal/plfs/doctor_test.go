@@ -264,3 +264,29 @@ func TestContainerSpreadCountsEveryCopy(t *testing.T) {
 	}
 	check(6*2*2 - 1)
 }
+
+// TestParseOpenHost pins which openhosts names the doctor reads as
+// records: a writer's host.<pid>, a communicator's
+// comm.<first>-<last>.<nonce>, and nothing else — a reversed range, or
+// one wider than maxCommPids, whose liveness probe would not end.
+func TestParseOpenHost(t *testing.T) {
+	cases := []struct {
+		name           string
+		ok, comm       bool
+		first, lastPid uint32
+	}{
+		{"host.7", true, false, 7, 7},
+		{"comm.0-3.00000000deadbeef", true, true, 0, 3},
+		{"comm.5-5.1", true, true, 5, 5},
+		{"comm.3-0.1", false, false, 0, 0},
+		{"comm.0-4294967295.1", false, false, 0, 0},
+		{"comm.x", false, false, 0, 0},
+		{"index.flattened.1", false, false, 0, 0},
+	}
+	for _, c := range cases {
+		rec, ok := parseOpenHost(c.name)
+		if ok != c.ok || ok && (rec.Comm != c.comm || rec.Pid != c.first || rec.Last != c.lastPid || rec.Name != c.name) {
+			t.Errorf("parseOpenHost(%q) = %+v, %v; want ok %v, comm %v, pids %d-%d", c.name, rec, ok, c.ok, c.comm, c.first, c.lastPid)
+		}
+	}
+}

@@ -24,7 +24,12 @@
 // communicator's instances only rank 0's can find no writer left: the
 // others close with File.CloseSending, which neither lists openhosts nor
 // flattens, and rank 0 closes with File.CloseGathered, which lists and
-// flattens if any rank of the communicator had a writer.
+// flattens if any rank of the communicator had a writer. Such a
+// communicator marks the container open with one openhosts record, made
+// by rank 0's handle at the collective open (File.MarkComm), and its
+// writers make none of their own; rank 0's close removes that record
+// after retiring its writer and before it lists, so the listing finds
+// the writers of other instances and communicators only.
 // Instances whose last writers close at once each clear their openhosts
 // record before any of them looks, so each finds no writer left. Their
 // temp name is therefore a claim, keyed by the

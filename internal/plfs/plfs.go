@@ -424,6 +424,37 @@ func (p *FS) clearOpen(path string, pid uint32) {
 	p.backend.Unlink(fmt.Sprintf("%s/%s/host.%d", path, openhostsDir, pid))
 }
 
+// commPrefix starts the name of a communicator's openhosts record,
+// comm.<first>-<last>.<nonce>: one record for the writers of pids
+// first..last that the communicator's handles make (see File.MarkComm).
+// The nonce keeps two opens by one communicator apart.
+const commPrefix = "comm."
+
+// MarkComm makes f the handle that marks the container open for a
+// communicator whose n ranks write as pids 0..n-1: it creates the
+// communicator's one openhosts record, and f's close removes it after
+// retiring f's writer and before listing openhosts. The writers f
+// makes, like those of the other ranks' handles (JoinComm), drop no
+// record of their own. On error f is left as it was, and its writers
+// mark the container per pid. Call it before the handle's first write,
+// and before any other rank's handle joins.
+func (f *File) MarkComm(n int) error {
+	name := fmt.Sprintf("%s/%s/%s0-%d.%016x", f.path, openhostsDir, commPrefix, n-1, rand.Uint64())
+	fd, err := f.fs.backend.Open(name, posix.O_CREAT|posix.O_EXCL|posix.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	f.fs.backend.Close(fd)
+	f.comm, f.commRecord = true, name
+	return nil
+}
+
+// JoinComm makes f one of a communicator's handles on a container that
+// another rank's handle marked open for the communicator (MarkComm):
+// the writers f makes drop no openhosts record of their own. Call it
+// before the handle's first write.
+func (f *File) JoinComm() { f.comm = true }
+
 // hasOpenWriters reports whether any writer may hold the container
 // open: the openhosts listing holds a record, or it failed for any
 // reason but the directory's absence — a listing that cannot be read
@@ -519,6 +550,10 @@ type writer struct {
 	// resumed a dropping or was rebound by a truncate, and once the
 	// fold spills past idx.MaxFoldRuns.
 	fold *idx.Fold
+	// marked says the writer dropped its own openhosts record, which
+	// retiring it clears; a writer a communicator's handle made has none
+	// (File.MarkComm, File.JoinComm).
+	marked bool
 }
 
 // container is one instance's state for one container it has open: the
@@ -573,6 +608,14 @@ type File struct {
 
 	// closed is set by Close under FS.hmu and the record's mu.
 	closed atomic.Bool
+
+	// comm marks a handle a communicator opened: the writers it makes
+	// drop no openhosts record of their own, since the communicator's
+	// record covers them. commRecord names that record on the handle
+	// that made it (MarkComm); the handle's close removes it. Both are
+	// set before the handle's first write.
+	comm       bool
+	commRecord string
 }
 
 // Open opens (and with O_CREAT, creates) the container at path, returning
@@ -702,9 +745,10 @@ func (c *container) dataPath(pid uint32) string {
 	return path
 }
 
-// getWriterLocked returns (creating if needed) pid's writer. Caller
-// holds c.mu exclusive.
-func (c *container) getWriterLocked(pid uint32) (*writer, error) {
+// getWriterLocked returns (creating if needed) pid's writer; a writer it
+// creates drops its own openhosts record when mark is set. Caller holds
+// c.mu exclusive.
+func (c *container) getWriterLocked(pid uint32, mark bool) (*writer, error) {
 	if w, ok := c.writers[pid]; ok {
 		return w, nil
 	}
@@ -745,7 +789,10 @@ func (c *container) getWriterLocked(pid uint32) (*writer, error) {
 		delete(c.folds, idxPath)
 	}
 	c.writers[pid] = w
-	p.markOpen(c.path, pid)
+	if mark {
+		p.markOpen(c.path, pid)
+		w.marked = true
+	}
 	return w, nil
 }
 
@@ -961,7 +1008,9 @@ func (p *FS) truncateShared(path string, size int64) error {
 // too, so every writer is retired. Retiring clears the pid's openhosts
 // record — left behind, it would make hasOpenWriters report true for
 // the container's remaining lifetime, distrusting every flattened
-// record and making CompactIndex refuse the container.
+// record and making CompactIndex refuse the container. A communicator's
+// writer has no record of its own: the communicator's stays until the
+// handle that made it closes (File.MarkComm).
 func (c *container) rebindWritersLocked(size int64) error {
 	p := c.fs
 	var rerr error
@@ -979,14 +1028,18 @@ func (c *container) rebindWritersLocked(size int64) error {
 			}
 		}
 		p.backend.Close(w.dataFD)
-		p.clearOpen(c.path, pid)
+		if w.marked {
+			p.clearOpen(c.path, pid)
+		}
 		delete(c.writers, pid)
 	}
 	return rerr
 }
 
 // Close closes the handle and retires pid's writer — plfs_close: its
-// index records are flushed and its openhosts record is cleared. The
+// index records are flushed and its openhosts record, if it dropped one,
+// is cleared; a handle that marked the container open for a
+// communicator (MarkComm) then removes the communicator's record. The
 // container's last handle out retires every remaining writer the same
 // way and drains the read-fd cache. A close that retires the container's
 // last writer also persists the flattened global index (best effort), so
@@ -1016,12 +1069,13 @@ func (f *File) CloseSending(pid uint32) ([]byte, error) {
 }
 
 // CloseGathered is Close for the rank of a collective close that closes
-// last, with the non-nil encodings its peers' CloseSending returned.
-// With no writer of its instance left it lists openhosts and flattens
-// when it retired a writer or any peer did, so a file only other ranks
-// wrote is flattened too. A flatten by this close may read the
-// droppings the peers' folds describe from the folds instead of the
-// backend.
+// last, with the non-nil encodings its peers' CloseSending returned. It
+// removes the communicator's openhosts record if this handle made it
+// (MarkComm). With no writer of its instance left it then lists
+// openhosts and flattens when it retired a writer or any peer did, so a
+// file only other ranks wrote is flattened too. A flatten by this close
+// may read the droppings the peers' folds describe from the folds
+// instead of the backend.
 func (f *File) CloseGathered(pid uint32, peers [][]byte) error {
 	_, err := f.close(pid, peers, false)
 	return err
@@ -1056,6 +1110,9 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 	}
 	c.mu.Unlock()
 	p.hmu.Unlock()
+	if err == nil && f.commRecord != "" {
+		p.backend.Unlink(f.commRecord)
+	}
 	switch {
 	case err != nil:
 		return nil, err
@@ -1069,7 +1126,7 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 }
 
 // teardownWriterLocked closes one pid's writer and clears its openhosts
-// record. Caller holds c.mu exclusive.
+// record, if it dropped one. Caller holds c.mu exclusive.
 func (c *container) teardownWriterLocked(pid uint32) error {
 	w, ok := c.writers[pid]
 	if !ok {
@@ -1085,7 +1142,9 @@ func (c *container) teardownWriterLocked(pid uint32) error {
 	if err := p.backend.Close(w.dataFD); err != nil {
 		return err
 	}
-	p.clearOpen(c.path, pid)
+	if w.marked {
+		p.clearOpen(c.path, pid)
+	}
 	delete(c.writers, pid)
 	if w.fold != nil {
 		if c.folds == nil {

@@ -41,7 +41,7 @@ func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
 		c.mu.Lock()
 		var err error = posix.EBADF
 		if !f.closed.Load() {
-			_, err = c.getWriterLocked(pid)
+			_, err = c.getWriterLocked(pid, !f.comm)
 		}
 		c.mu.Unlock()
 		if err != nil {
