@@ -263,46 +263,55 @@ func benchBTIO(b *testing.B, ranks, grid int) {
 // of 16 ranks' round-robin stripes, 1024 of 640 bytes each per rank,
 // with no holes and with a hole after every stripe as wide as it. At
 // the default staging size every domain is one round either way, so
-// this is the collective's own CPU: the plan exchange, the routing and
-// the staging, not fewer backend calls.
+// those cases time the collective's own CPU: the plan exchange, the
+// routing and the staging, not fewer backend calls. The cb64K cases
+// stage 64 KiB a round, so each of the 8 aggregators' 1.25 MiB of data
+// takes 20 rounds: they time the multi-round schedule.
 func BenchmarkStridedCollective16Ranks(b *testing.B) {
 	const ranks, stripes, stripe = 16, 1024, 640
-	for _, period := range []int64{ranks * stripe, 2 * ranks * stripe} {
-		name := "dense"
-		if period > ranks*stripe {
-			name = "holes"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				store := harness.NewStore()
-				err := mpi.Run(ranks, 2, func(r *mpi.Rank) {
-					drv, pathFor, err := harness.DriverFor("romio", store, r.Rank())
-					if err != nil {
-						panic(err)
-					}
-					fh, err := mpiio.Open(r, drv, pathFor("strided"), mpiio.ModeCreate|mpiio.ModeRdwr, mpiio.DefaultHints())
-					if err != nil {
-						panic(err)
-					}
-					segs := make([]mpiio.Segment, stripes)
-					for k := range segs {
-						segs[k] = mpiio.Segment{Off: int64(k)*period + int64(r.Rank())*stripe, Len: stripe}
-					}
-					buf := make([]byte, stripes*stripe)
-					if _, err := fh.WriteAll(segs, buf); err != nil {
-						panic(err)
-					}
-					if _, err := fh.ReadAll(segs, buf); err != nil {
-						panic(err)
-					}
-					fh.Close()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+	for _, cb := range []struct {
+		prefix  string
+		staging int
+	}{{"", mpiio.DefaultHints().CBBufferSize}, {"cb64K-", 64 << 10}} {
+		hints := mpiio.DefaultHints()
+		hints.CBBufferSize = cb.staging
+		for _, period := range []int64{ranks * stripe, 2 * ranks * stripe} {
+			name := "dense"
+			if period > ranks*stripe {
+				name = "holes"
 			}
-		})
+			b.Run(cb.prefix+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					store := harness.NewStore()
+					err := mpi.Run(ranks, 2, func(r *mpi.Rank) {
+						drv, pathFor, err := harness.DriverFor("romio", store, r.Rank())
+						if err != nil {
+							panic(err)
+						}
+						fh, err := mpiio.Open(r, drv, pathFor("strided"), mpiio.ModeCreate|mpiio.ModeRdwr, hints)
+						if err != nil {
+							panic(err)
+						}
+						segs := make([]mpiio.Segment, stripes)
+						for k := range segs {
+							segs[k] = mpiio.Segment{Off: int64(k)*period + int64(r.Rank())*stripe, Len: stripe}
+						}
+						buf := make([]byte, stripes*stripe)
+						if _, err := fh.WriteAll(segs, buf); err != nil {
+							panic(err)
+						}
+						if _, err := fh.ReadAll(segs, buf); err != nil {
+							panic(err)
+						}
+						fh.Close()
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // Collective I/O benchmarks on the 3-backend service-limited rig: the
-// strided-with-gaps workload where the pipelined collective path's
-// vectored aggregator flushes collapse a round's runs into a handful of
+// strided-with-gaps workload where the collective path's vectored
+// aggregator flushes collapse a round's runs into a handful of
 // batched engine submissions. With each backend retiring one op per
 // service interval, the op-count collapse is the wall-clock story.
 const (
@@ -97,7 +97,7 @@ func colRead(tb testing.TB, p *plfs.FS, path string, hints mpiio.Hints) {
 	}
 }
 
-func BenchmarkCollectiveStridedWritePipelined(b *testing.B) {
+func BenchmarkCollectiveStridedWrite(b *testing.B) {
 	p, faults := colRig(3)
 	for _, fb := range faults {
 		fb.SetServiceTime(posix.FaultWrite, stService)
@@ -110,7 +110,7 @@ func BenchmarkCollectiveStridedWritePipelined(b *testing.B) {
 	}
 }
 
-func BenchmarkCollectiveStridedReadPipelined(b *testing.B) {
+func BenchmarkCollectiveStridedRead(b *testing.B) {
 	p, faults := colRig(3)
 	colWrite(b, p, "/col-r", colHints(nil)) // seed with service time off
 	for _, fb := range faults {
@@ -125,7 +125,7 @@ func BenchmarkCollectiveStridedReadPipelined(b *testing.B) {
 }
 
 // TestCollectiveEngineOpsCollapse is the CI op-count floor: the
-// pipelined aggregators must issue at least 4x fewer driver flush ops
+// aggregators must issue at least 4x fewer driver flush ops
 // than the pieces they shuffle — the structural guarantee that staging
 // coalesces and the vectored driver path batches, measured on the mpiio
 // layer's counters rather than wall clock.

@@ -9,9 +9,9 @@
 // slot vector, and all ranks pick up their per-rank result. This gives
 // deterministic semantics without per-collective channel plumbing. The
 // slot and result vectors live in the communicator and are reused by
-// every collective, so a Barrier or a Bcast of a pointer allocates
-// nothing; what a collective hands its callers (Gather's and
-// Allgather's vector, Alltoall's receive vectors) is fresh each time.
+// every collective, and so are the vectors Allgather and Alltoall hand
+// their callers: a Barrier, a Bcast, an Allgather of a pointer and an
+// Alltoall allocate nothing. Only Gather's vector is fresh each time.
 package mpi
 
 import (
@@ -38,10 +38,26 @@ type Comm struct {
 	arrived int
 	slots   []any
 	results []any
+
+	// The vectors Allgather and Alltoall hand their callers: one
+	// gathered vector every rank shares, one receive vector per rank,
+	// and the send vectors Alltoall's combiner reads. A rank's view
+	// stays valid until its next collective: the next combine that
+	// overwrites it runs only once every rank has entered that one.
+	gathered []any
+	recv     [][]any
+	sends    [][]any
 }
 
 func newComm(size, ppn int) *Comm {
-	c := &Comm{size: size, ppn: ppn, slots: make([]any, size), results: make([]any, size)}
+	c := &Comm{
+		size: size, ppn: ppn,
+		slots: make([]any, size), results: make([]any, size),
+		gathered: make([]any, size), recv: make([][]any, size), sends: make([][]any, size),
+	}
+	for i := range c.recv {
+		c.recv[i] = make([]any, size)
+	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -140,14 +156,12 @@ func (r *Rank) Gather(root int, value any) []any {
 }
 
 // Allgather returns every rank's value, in rank order, on all ranks.
+// Every rank gets the same vector, valid until its next collective;
+// callers must not modify it.
 func (r *Rank) Allgather(value any) []any {
-	res := r.rendezvous(value, func(in, out []any) {
-		gathered := slices.Clone(in)
-		for i := range out {
-			out[i] = gathered
-		}
-	})
-	return res.([]any)
+	c := r.comm
+	r.rendezvous(value, func(in, _ []any) { copy(c.gathered, in) })
+	return c.gathered
 }
 
 // Op is a reduction operator.
@@ -194,33 +208,35 @@ func (r *Rank) AllreduceInt64(value int64, op Op) int64 {
 
 // Alltoall exchanges one arbitrary value per destination rank: send[i]
 // goes to rank i, and the result holds at index j the value rank j sent
-// to this rank. Nil entries are allowed and arrive as nil.
+// to this rank. Nil entries are allowed and arrive as nil. The result
+// is this rank's receive vector, valid until its next collective; send
+// is not kept, so the caller may reuse it for the next round.
 //
-// Nothing is marshalled: the value itself — typically
-// a slice of descriptors referencing the sender's memory — crosses
-// ranks by reference, so large payloads move zero-copy. The rendezvous
-// gives the usual happens-before edge (everything a sender wrote before
-// entering the exchange is visible to receivers after it returns), and
-// a receiver holding references into a peer's memory keeps them valid
-// by construction as long as both sides still have a later collective
-// to meet at — the discipline the mpiio pipelined two-phase path is
-// built on, where the closing allreduce is that meeting point.
+// Nothing is marshalled: the value itself — typically a slice of
+// descriptors referencing the sender's memory — crosses ranks by
+// reference, so large payloads move zero-copy. The rendezvous gives the
+// usual happens-before edge (everything a sender wrote before entering
+// the exchange is visible to receivers after it returns), and a
+// receiver holding references into a peer's memory keeps them valid as
+// long as both sides still have a later collective to meet at. mpiio's
+// two-phase collective is built on that: its closing allreduce is the
+// meeting point.
 func (r *Rank) Alltoall(send []any) []any {
-	if len(send) != r.comm.size {
-		panic(fmt.Sprintf("mpi: Alltoall send vector has %d entries for %d ranks", len(send), r.comm.size))
+	c := r.comm
+	if len(send) != c.size {
+		panic(fmt.Sprintf("mpi: Alltoall send vector has %d entries for %d ranks", len(send), c.size))
 	}
-	// The combiner must not retain the caller's slice: rendezvous slots
-	// are recycled, but send itself may be reused by the caller for the
-	// next round, so transpose out of it entirely.
-	res := r.rendezvous(send, func(in, out []any) {
-		n := len(in)
-		for dst := 0; dst < n; dst++ {
-			recv := make([]any, n)
-			for src := 0; src < n; src++ {
-				recv[src] = in[src].([]any)[dst]
+	// The send vector rides beside the rendezvous, not in its slot, so
+	// that depositing it boxes nothing. The rendezvous's lock orders this
+	// write before the combine, which runs once every rank has arrived.
+	c.sends[r.rank] = send
+	r.rendezvous(nil, func(_, _ []any) {
+		for dst, recv := range c.recv {
+			for src, s := range c.sends {
+				recv[src] = s[dst]
 			}
-			out[dst] = recv
 		}
+		clear(c.sends)
 	})
-	return res.([]any)
+	return c.recv[r.rank]
 }

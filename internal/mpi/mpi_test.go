@@ -203,34 +203,48 @@ func TestInvalidWorld(t *testing.T) {
 	}
 }
 
-// TestCollectiveAllocs pins a Barrier and a Bcast of a pointer at zero
-// allocations: the rendezvous reuses the communicator's slot and result
-// vectors. Rank 0 measures while rank 1 meets it in every call.
-// testing.AllocsPerRun counts the whole process, so rank 1's side is
-// counted too.
+// TestCollectiveAllocs pins a Barrier, a Bcast of a pointer, an
+// Allgather of a pointer and an Alltoall at zero allocations: the
+// rendezvous reuses the communicator's slot and result vectors, and
+// the exchanges their gathered and receive vectors. Rank 0 measures
+// while rank 1 meets it in every call. testing.AllocsPerRun counts the
+// whole process, so rank 1's side is counted too.
 func TestCollectiveAllocs(t *testing.T) {
 	const runs = 100
 	payload := new(int)
-	var barrier, bcast float64
+	var barrier, bcast, allgather, alltoall float64
 	err := Run(2, 1, func(r *Rank) {
+		send := []any{payload, payload}
+		check := func(v any, what string) {
+			if v.(*int) != payload {
+				panic(what + " delivered another pointer")
+			}
+		}
 		if r.Rank() != 0 {
 			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up call, then runs
 				r.Barrier()
 			}
 			for i := 0; i <= runs; i++ {
-				if r.Bcast(0, nil).(*int) != payload {
-					panic("bcast delivered another pointer")
-				}
+				check(r.Bcast(0, nil), "bcast")
+			}
+			for i := 0; i <= runs; i++ {
+				check(r.Allgather(payload)[0], "allgather")
+			}
+			for i := 0; i <= runs; i++ {
+				check(r.Alltoall(send)[0], "alltoall")
 			}
 			return
 		}
 		barrier = testing.AllocsPerRun(runs, r.Barrier)
 		bcast = testing.AllocsPerRun(runs, func() { r.Bcast(0, payload) })
+		allgather = testing.AllocsPerRun(runs, func() { check(r.Allgather(payload)[1], "allgather") })
+		alltoall = testing.AllocsPerRun(runs, func() { check(r.Alltoall(send)[1], "alltoall") })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if barrier != 0 || bcast != 0 {
-		t.Fatalf("allocations per Barrier %v, per Bcast of a pointer %v; want 0 and 0", barrier, bcast)
+	if barrier != 0 || bcast != 0 || allgather != 0 || alltoall != 0 {
+		t.Fatalf("allocations per Barrier %v, per Bcast of a pointer %v, per Allgather of a pointer %v, per Alltoall %v; want 0 each",
+			barrier, bcast, allgather, alltoall)
 	}
 }

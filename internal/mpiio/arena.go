@@ -1,4 +1,4 @@
-// Pooled staging arenas and zero-copy piece routing for the pipelined
+// Pooled staging arenas and zero-copy piece routing for the two-phase
 // collective path.
 //
 // The shuffle plane never marshals payloads: a piece is a file range
@@ -14,7 +14,7 @@ package mpiio
 
 import "sync"
 
-// pieceRef is the exchange unit of the pipelined collective path: a
+// pieceRef is the exchange unit of the two-phase collective path: a
 // file range plus a reference into the owning rank's memory (source
 // window for writes, destination window for read requests). The
 // collective rendezvous provides the happens-before edges that make
@@ -139,9 +139,8 @@ func (rp *routePlan) sendFor(round int, g *colGeom) []any {
 }
 
 // arena is one pooled aggregator staging buffer: the coalesced runs of
-// one pipeline round packed back-to-back in buf. Two arenas per
-// aggregator double-buffer the pipeline, overlapping round k's exchange
-// and staging with round k-1's backend I/O.
+// one round packed back-to-back in buf. An aggregator takes one per
+// collective and reuses it every round.
 type arena struct {
 	buf     []byte
 	runs    []Segment  // ascending file ranges, packed in buf order
@@ -149,7 +148,6 @@ type arena struct {
 	refs    []pieceRef // the round's pieces (sorted by off after staging)
 	scratch []pieceRef // merge-sort scratch
 	ends    []int      // where each sender's run of refs ends
-	ioErr   error      // set by the pipeline worker before handing back
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -169,7 +167,6 @@ func (a *arena) release() {
 	a.runs = a.runs[:0]
 	a.pos = a.pos[:0]
 	a.buf = a.buf[:0]
-	a.ioErr = nil
 	arenaPool.Put(a)
 }
 

@@ -19,9 +19,9 @@ import (
 type Hints struct {
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
 	// ROMIO default 16 MiB). Aggregator runs are chunked at this size,
-	// and an aggregator's file domain takes one pipeline round per
-	// staging buffer's worth of the data it stages — holes in the domain
-	// take no room. Like every cb_* hint it must agree across the
+	// and an aggregator's file domain takes one round per staging
+	// buffer's worth of the data it stages — holes in the domain take
+	// no room. Like every cb_* hint it must agree across the
 	// communicator: Open adopts rank 0's value on every rank.
 	CBBufferSize int
 	// CBAggregators is the number of aggregators per compute node
@@ -68,7 +68,6 @@ type File struct {
 	cshb *iostats.Counter // shuffle_bytes
 	cshp *iostats.Counter // shuffle_pieces
 	cago *iostats.Counter // agg_flush_ops
-	covl *iostats.Counter // round_overlap_ns
 
 	// The collective shape, fixed at Open from rank 0's cb_* hints: the
 	// aggregator ranks (ascending, identical on every rank) and whether
@@ -133,7 +132,6 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	f.cshb = f.ls.Counter("shuffle_bytes")
 	f.cshp = f.ls.Counter("shuffle_pieces")
 	f.cago = f.ls.Counter("agg_flush_ops")
-	f.covl = f.ls.Counter("round_overlap_ns")
 	return f, nil
 }
 
@@ -397,7 +395,10 @@ func (f *File) writeAll(segs []Segment, buf []byte) (int, error) {
 	if err := validateSegs(segs, buf); err != nil {
 		return 0, err
 	}
-	return f.writeAllPipelined(segs, buf)
+	if err := f.twoPhase(segs, buf, false); err != nil {
+		return 0, err
+	}
+	return int(segsBytes(segs)), nil
 }
 
 // WriteAtAll is the contiguous special case — MPI_File_write_at_all.
@@ -424,7 +425,10 @@ func (f *File) readAll(segs []Segment, buf []byte) (int, error) {
 	if err := validateSegs(segs, buf); err != nil {
 		return 0, err
 	}
-	return f.readAllPipelined(segs, buf)
+	if err := f.twoPhase(segs, buf, true); err != nil {
+		return 0, err
+	}
+	return int(segsBytes(segs)), nil
 }
 
 // ReadAtAll is the contiguous special case — MPI_File_read_at_all.

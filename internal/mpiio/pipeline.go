@@ -1,10 +1,13 @@
-// The pipelined two-phase collective path: each aggregator's file
-// domain is cut into rounds that each stage at most one staging
-// buffer of data — holes take no room, so a sparse domain takes fewer
-// rounds than its span would — and round k's exchange overlaps round
-// k-1's aggregator I/O: the overlap "Optimizing Noncontiguous Accesses
-// in MPI-IO" (Thakur et al.) identifies as the second half of the
-// collective win, on top of few, large coalesced requests.
+// The two-phase collective path: each aggregator's file domain is cut
+// into rounds that each stage at most one staging buffer of data —
+// holes take no room, so a sparse domain takes fewer rounds than its
+// span would — and each round runs on the rank's own goroutine:
+// exchange, stage, then the round's backend I/O. The win "Optimizing
+// Noncontiguous Accesses in MPI-IO" (Thakur et al.) credits two-phase
+// I/O with is few, large coalesced requests, and the staged-bytes cut
+// gives those; at the default staging size every collective in the
+// tree's kernels is one round, so there is nothing for a round's I/O
+// to overlap.
 //
 // Schedule, per collective:
 //
@@ -12,8 +15,8 @@
 //	             access's aggregators cut their own domains, and a
 //	             second Allgather hands the cuts round
 //	all ranks    round k: Alltoall of piece references (zero-copy)
-//	aggregator   stage round k into a pooled arena (the one copy)
-//	flusher      |— goroutine: round k-1's vectored backend I/O —|
+//	aggregator   stage round k into a pooled arena (the one copy), then
+//	             its vectored backend I/O; a read delivers before k+1
 //	all ranks    closing allreduce funnels errors; no early returns
 //
 // Every rank must reach every exchange and the closing allreduce, so
@@ -30,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 
 	"ldplfs/internal/mpi"
 )
@@ -268,142 +270,6 @@ func (f *File) exchangePlan(segs []Segment, union bool, rp *routePlan) colGeom {
 	return g
 }
 
-// aggWorker is the background half of one aggregator's double-buffered
-// pipeline: arenas cycle free -> (stage) -> work -> (io) -> free for
-// writes, with an extra ready hop for reads so delivery waits for the
-// round's backend I/O. The first error is recorded and later rounds
-// are drained without touching the backend; the collective's closing
-// allreduce surfaces it on every rank.
-type aggWorker struct {
-	f     *File
-	io    func(*arena) error
-	work  chan *arena
-	out   chan *arena // reads: completed arenas, in round order
-	free  chan *arena
-	done  chan struct{}
-	err   error // owned by the worker goroutine until done is closed
-	busy  int64 // ns spent in backend I/O (worker-owned)
-	stall int64 // ns the main loop blocked on the pipeline (main-owned)
-	// tail is when the last round was submitted, until the wait that
-	// follows charges stall from it (main-owned; see submit).
-	tail time.Time
-}
-
-// newAggWorker starts the worker with two pooled arenas in flight.
-// forReads adds the ready hop.
-func (f *File) newAggWorker(io func(*arena) error, forReads bool) *aggWorker {
-	w := &aggWorker{
-		f:    f,
-		io:   io,
-		work: make(chan *arena, 1),
-		free: make(chan *arena, 2),
-		done: make(chan struct{}),
-	}
-	if forReads {
-		w.out = make(chan *arena, 2)
-	}
-	// The double-buffer arenas outlive this function by design: they
-	// cycle through the pipeline until close() drains the rings and
-	// release()s every one back to the pool.
-	//plfslint:ignore bufpool arenas are returned by aggWorker.close via arena.release; the pipeline's lifecycle spans the collective, not one function
-	w.free <- arenaPool.Get().(*arena)
-	w.free <- arenaPool.Get().(*arena)
-	go w.run()
-	return w
-}
-
-func (w *aggWorker) run() {
-	defer close(w.done)
-	for a := range w.work {
-		if w.err == nil {
-			t0 := time.Now()
-			w.err = w.io(a)
-			w.busy += time.Since(t0).Nanoseconds()
-		}
-		// The sticky error rides the arena back: the channel send is the
-		// happens-before edge, so the main loop never touches w.err while
-		// the worker owns it.
-		a.ioErr = w.err
-		if w.out != nil {
-			w.out <- a
-		} else {
-			w.free <- a
-		}
-	}
-}
-
-// next blocks until an arena is free, charging the wait to the stall
-// clock (pipeline backpressure: the backend is slower than the
-// exchange).
-func (w *aggWorker) next() *arena {
-	t0 := w.waitStart()
-	a := <-w.free
-	w.stall += time.Since(t0).Nanoseconds()
-	return a
-}
-
-// submit hands a staged arena to the worker. The last round's submit
-// starts the tail clock: after it the main loop has no exchange left for
-// I/O to overlap, so the wait that follows — for the last round's I/O —
-// charges stall from the submit, not from when the main loop got to it.
-// Stamped before the hand-off, the tail starts before the worker's I/O
-// clock does, so the last round's I/O never counts as overlap.
-func (w *aggWorker) submit(a *arena, last bool) {
-	if last {
-		w.tail = time.Now()
-	}
-	w.work <- a
-}
-
-// waitStart is when a wait starts charging stall: the last round's
-// submit for the first wait after it, now otherwise.
-func (w *aggWorker) waitStart() time.Time {
-	t0 := w.tail
-	if t0.IsZero() {
-		return time.Now()
-	}
-	w.tail = time.Time{}
-	return t0
-}
-
-// ready blocks until the oldest submitted arena's I/O completed
-// (reads only). The caller recycles it with recycle after delivery.
-func (w *aggWorker) ready() *arena {
-	t0 := w.waitStart()
-	a := <-w.out
-	w.stall += time.Since(t0).Nanoseconds()
-	return a
-}
-
-// recycle returns a delivered arena to the free ring.
-func (w *aggWorker) recycle(a *arena) { w.free <- a }
-
-// close drains the pipeline, joins the worker, releases the arenas and
-// reports the first backend error plus the exchange/I-O overlap the
-// pipeline achieved (I/O time that ran concurrently with the main
-// loop's exchanges rather than stalling them). The wait for the worker
-// is stall — for a write it is the wait for the last round's I/O — so a
-// one-round collective overlaps nothing.
-func (w *aggWorker) close() (error, int64) {
-	t0 := w.waitStart()
-	close(w.work)
-	<-w.done
-	w.stall += time.Since(t0).Nanoseconds()
-	if w.out != nil {
-		for len(w.out) > 0 {
-			(<-w.out).release()
-		}
-	}
-	for len(w.free) > 0 {
-		(<-w.free).release()
-	}
-	overlap := w.busy - w.stall
-	if overlap < 0 {
-		overlap = 0
-	}
-	return w.err, overlap
-}
-
 // flushArena issues one staged round's runs, still coalesced, under
 // the one driver-call rule: a vector-capable driver takes two or more
 // runs in one call (the PLFS driver turns it into one WriteV, whose
@@ -468,102 +334,49 @@ func (f *File) fetchArena(a *arena) error {
 	return err
 }
 
-// writeAllPipelined is the pipelined collective write. Phase 1 of round
-// k (zero-copy piece exchange + arena staging) overlaps phase 2 of
-// round k-1 (the flusher goroutine's backend I/O).
-func (f *File) writeAllPipelined(segs []Segment, buf []byte) (int, error) {
+// twoPhase runs one collective write, or read when read is set, round
+// by round. An aggregator stages each round in its one pooled arena and
+// issues the round's I/O before the next exchange; a read delivers
+// straight into the requesters' buffers. The first backend error is
+// sticky: later rounds still reach every exchange, but do no I/O and
+// deliver nothing, and the closing allreduce surfaces the error on
+// every rank.
+func (f *File) twoPhase(segs []Segment, buf []byte, read bool) error {
 	rp := routePool.Get().(*routePlan)
 	defer rp.release()
-	g := f.exchangePlan(segs, false, rp)
-	if g.rounds == 0 {
-		f.rank.AllreduceInt64(0, mpi.OpMax)
-		return 0, nil
-	}
+	g := f.exchangePlan(segs, read, rp)
 	rp.route(segs, buf, &g, f.rank.Size())
 
-	var fl *aggWorker
+	var a *arena
 	if f.isAgg {
-		fl = f.newAggWorker(f.flushArena, false)
+		a = arenaPool.Get().(*arena)
+		defer a.release()
 	}
+	var err error
 	for k := 0; k < g.rounds; k++ {
 		recv := f.rank.Alltoall(rp.sendFor(k, &g))
-		if fl != nil {
-			a := fl.next()
-			np, nb := a.stageWrite(recv, g.staging)
-			f.cshp.Add(int64(np))
-			f.cshb.Add(nb)
-			fl.submit(a, k == g.rounds-1)
-		}
-	}
-	var aggErr error
-	if fl != nil {
-		var overlap int64
-		aggErr, overlap = fl.close()
-		f.covl.Add(overlap)
-	}
-	if err := funnel(f.rank, aggErr, "write"); err != nil {
-		return 0, err
-	}
-	return int(segsBytes(segs)), nil
-}
-
-// readAllPipelined is the pipelined collective read. Requests carry the
-// requester's destination window, so aggregators deliver bytes straight
-// into peer buffers — the prefetcher goroutine reads round k while the
-// main loop exchanges round k+1's requests and delivers round k-1.
-func (f *File) readAllPipelined(segs []Segment, buf []byte) (int, error) {
-	rp := routePool.Get().(*routePlan)
-	defer rp.release()
-	g := f.exchangePlan(segs, true, rp)
-	if g.rounds == 0 {
-		f.rank.AllreduceInt64(0, mpi.OpMax)
-		return 0, nil
-	}
-	rp.route(segs, buf, &g, f.rank.Size())
-
-	var pf *aggWorker
-	if f.isAgg {
-		pf = f.newAggWorker(f.fetchArena, true)
-	}
-	inFlight := 0
-	for k := 0; k < g.rounds; k++ {
-		recv := f.rank.Alltoall(rp.sendFor(k, &g))
-		if pf == nil {
+		if a == nil || err != nil {
 			continue
 		}
-		if inFlight == 2 {
-			a := pf.ready()
-			if a.ioErr == nil {
+		var np int
+		var nb int64
+		if read {
+			np, nb = a.stageReadRuns(recv, g.staging)
+			if err = f.fetchArena(a); err == nil {
 				a.deliver()
 			}
-			pf.recycle(a)
-			inFlight--
+		} else {
+			np, nb = a.stageWrite(recv, g.staging)
+			err = f.flushArena(a)
 		}
-		a := pf.next()
-		np, nb := a.stageReadRuns(recv, g.staging)
 		f.cshp.Add(int64(np))
 		f.cshb.Add(nb)
-		pf.submit(a, k == g.rounds-1)
-		inFlight++
 	}
-	var aggErr error
-	if pf != nil {
-		for inFlight > 0 {
-			a := pf.ready()
-			if a.ioErr == nil {
-				a.deliver()
-			}
-			pf.recycle(a)
-			inFlight--
-		}
-		var overlap int64
-		aggErr, overlap = pf.close()
-		f.covl.Add(overlap)
+	op := "write"
+	if read {
+		op = "read"
 	}
-	if err := funnel(f.rank, aggErr, "read"); err != nil {
-		return 0, err
-	}
-	return int(segsBytes(segs)), nil
+	return funnel(f.rank, err, op)
 }
 
 // funnel runs the closing allreduce every rank must reach: the

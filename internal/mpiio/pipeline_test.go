@@ -16,8 +16,7 @@ import (
 // --- satellite: collective failure paths -----------------------------------
 
 // faultDriver fails pwrites once the shared allowance runs out —
-// injected mid-collective it fails an aggregator between pipeline
-// rounds.
+// injected mid-collective it fails an aggregator between rounds.
 type faultDriver struct {
 	Driver
 	allow *atomic.Int64
@@ -334,89 +333,6 @@ func TestCollectiveOverlapRankOrder(t *testing.T) {
 	}
 }
 
-// gatedDriver holds every pwrite and pread of its files until a release
-// comes back for the signal it sends when the call starts, so a call's
-// I/O outlasts a goroutine hand-off whatever the host's speed.
-type gatedDriver struct {
-	Driver
-	started chan struct{}
-	release chan struct{}
-}
-
-func (d gatedDriver) Open(path string, amode int, rank int) (DriverFile, error) {
-	df, err := d.Driver.Open(path, amode, rank)
-	if err != nil {
-		return nil, err
-	}
-	return gatedFile{df, d}, nil
-}
-
-type gatedFile struct {
-	DriverFile
-	d gatedDriver
-}
-
-func (f gatedFile) PwriteAt(p []byte, off int64) (int, error) {
-	f.d.started <- struct{}{}
-	<-f.d.release
-	return f.DriverFile.PwriteAt(p, off)
-}
-
-func (f gatedFile) PreadAt(p []byte, off int64) (int, error) {
-	f.d.started <- struct{}{}
-	<-f.d.release
-	return f.DriverFile.PreadAt(p, off)
-}
-
-// TestOneRoundOverlapIsZero runs a one-round WriteAll and a one-round
-// ReadAll, one aggregator, through a driver whose I/O waits on a
-// hand-off: with no later round to exchange, the main loop's wait for
-// the last round's I/O is stall, so round_overlap_ns stays 0. Counting
-// that wait as overlap reads the I/O's whole duration there instead.
-func TestOneRoundOverlapIsZero(t *testing.T) {
-	const ranks, block = 2, 4 << 10
-	drv := gatedDriver{NewUFS(newWorldFS(t)), make(chan struct{}), make(chan struct{})}
-	go func() {
-		for range drv.started {
-			drv.release <- struct{}{}
-		}
-	}()
-	defer close(drv.started)
-	var overlap [2]int64
-	err := runUnderDeadline(t, ranks, ranks, func(r *mpi.Rank) {
-		fh, err := Open(r, drv, "/scratch/one-round", ModeCreate|ModeRdwr, DefaultHints())
-		if err != nil {
-			panic(err)
-		}
-		ovl := fh.Layer().Counter("round_overlap_ns")
-		seg := []Segment{{Off: int64(r.Rank()) * block, Len: block}}
-		if _, err := fh.WriteAll(seg, make([]byte, block)); err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		if r.Rank() == 0 {
-			overlap[0] = ovl.Load()
-		}
-		r.Barrier()
-		if _, err := fh.ReadAll(seg, make([]byte, block)); err != nil {
-			panic(err)
-		}
-		r.Barrier()
-		if r.Rank() == 0 {
-			overlap[1] = ovl.Load() - overlap[0]
-		}
-		if err := fh.Close(); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if overlap != [2]int64{} {
-		t.Fatalf("round_overlap_ns of a one-round WriteAll, ReadAll = %v, want 0 and 0", overlap)
-	}
-}
-
 // --- satellite: differential byte-identity ---------------------------------
 
 // TestCollectivePathDifferential pins byte-identity of the pipelined
@@ -624,5 +540,59 @@ func TestAggregatorStageAllocs(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("warm aggregator stage+flush allocates %.1f/op, budget is 1", avg)
+	}
+}
+
+// TestOneRoundCollectiveAllocs is the ceiling on a warm one-round
+// WriteAll plus ReadAll of 4 ranks' strided stripes, each rank an
+// aggregator, over MemFS. Rank 0 measures while the other ranks meet
+// it in every call; testing.AllocsPerRun counts the whole process, so
+// their side is counted too. The rounds run inline on each rank, in one
+// pooled arena, so an aggregator starts no goroutine and makes no
+// channel. What is left is one boxed bucket in the send vector per
+// rank, aggregator and round: 4 x 4 x 2 = 32, and a little room for a
+// pool the collector emptied.
+func TestOneRoundCollectiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the ceiling only holds on plain builds")
+	}
+	const ranks, stripes, stripe, runs, budget = 4, 8, 512, 50, 34
+	drv := NewUFS(newWorldFS(t))
+	var allocs float64
+	err := runUnderDeadline(t, ranks, 1, func(r *mpi.Rank) {
+		fh, err := Open(r, drv, "/scratch/allocs", ModeCreate|ModeRdwr, DefaultHints())
+		if err != nil {
+			panic(err)
+		}
+		segs := make([]Segment, stripes)
+		for k := range segs {
+			segs[k] = Segment{Off: int64(k*ranks+r.Rank()) * stripe, Len: stripe}
+		}
+		buf := make([]byte, stripes*stripe)
+		collective := func() {
+			if _, err := fh.WriteAll(segs, buf); err != nil {
+				panic(err)
+			}
+			if _, err := fh.ReadAll(segs, buf); err != nil {
+				panic(err)
+			}
+		}
+		collective() // warm the pools and the file
+		if r.Rank() == 0 {
+			allocs = testing.AllocsPerRun(runs, collective)
+		} else {
+			for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up call, then runs
+				collective()
+			}
+		}
+		if err := fh.Close(); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Fatalf("a warm one-round WriteAll plus ReadAll on %d ranks allocates %.1f, budget is %d", ranks, allocs, budget)
 	}
 }
