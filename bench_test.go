@@ -262,11 +262,11 @@ func benchBTIO(b *testing.B, ranks, grid int) {
 // BenchmarkStridedCollective16Ranks times one WriteAll and one ReadAll
 // of 16 ranks' round-robin stripes, 1024 of 640 bytes each per rank,
 // with no holes and with a hole after every stripe as wide as it. At
-// the default staging size every domain is one round either way, so
-// those cases time the collective's own CPU: the plan exchange, the
-// routing and the staging, not fewer backend calls. The cb64K cases
-// stage 64 KiB a round, so each of the 8 aggregators' 1.25 MiB of data
-// takes 20 rounds: they time the multi-round schedule.
+// the default staging size every domain is one staging buffer either
+// way, so those cases time the collective's own CPU: the plan exchange,
+// the routing and the staging, not fewer backend calls. The cb64K cases
+// stage 64 KiB at a time, so each of the 8 aggregators' 1.25 MiB of
+// data takes 20 buffers: they time the aggregator's staging loop.
 func BenchmarkStridedCollective16Ranks(b *testing.B) {
 	const ranks, stripes, stripe = 16, 1024, 640
 	for _, cb := range []struct {

@@ -44,15 +44,16 @@ var HotFuncs = map[string]bool{
 	"readBatch":     true,
 	"failBatch":     true,
 	"writeV":        true,
-	// mpiio collective shuffle plane: the per-round aggregator loop.
-	"route":         true,
-	"stageWrite":    true,
-	"stageReadRuns": true,
-	"deliver":       true,
-	"collect":       true,
-	"sortRuns":      true,
-	"flushArena":    true,
-	"fetchArena":    true,
+	// mpiio collective shuffle plane: routing and the aggregator loop.
+	"route":      true,
+	"stageWrite": true,
+	"stageRead":  true,
+	"union":      true,
+	"deliver":    true,
+	"collect":    true,
+	"sortRuns":   true,
+	"flushArena": true,
+	"fetchArena": true,
 	// gateway wire: every frame of a data op crosses these, on buffers
 	// their connection owns (frameBuf.sized is the one grow-on-demand,
 	// and is deliberately not in this set).

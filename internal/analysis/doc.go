@@ -88,8 +88,8 @@
 // same function with a Put — deferred directly or through a releasing
 // helper that contains the Put (the plan.release idiom) — and the hot
 // functions (bufpool.HotFuncs: the engine's scatterGather, planBatches,
-// readBatch, failBatch, writeV; the collective shuffle's
-// per-round loop; the gateway wire's frame reads and writes, handleFrame,
+// readBatch, failBatch, writeV; the collective shuffle's routing
+// and staging loop; the gateway wire's frame reads and writes, handleFrame,
 // and the client's roundTrip, readAt and writeAt; and every Pread and
 // Pwrite, matched by name in each checked package) never make([]byte, ...)
 // per call.

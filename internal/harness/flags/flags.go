@@ -54,7 +54,7 @@ type MPIIO struct {
 
 // Register installs the group's flags on fl.
 func (m *MPIIO) Register(fl *flag.FlagSet) {
-	fl.IntVar(&m.CBBufferSize, "cb-buffer-size", 0, "collective-buffering staging size per aggregator round in bytes (0 = ROMIO default 16 MiB)")
+	fl.IntVar(&m.CBBufferSize, "cb-buffer-size", 0, "collective-buffering staging buffer per aggregator in bytes (0 = ROMIO default 16 MiB)")
 	fl.IntVar(&m.CBAggregators, "cb-aggregators", 0, "aggregators per compute node (0 = the paper's default of 1)")
 }
 

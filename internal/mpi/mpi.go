@@ -210,7 +210,7 @@ func (r *Rank) AllreduceInt64(value int64, op Op) int64 {
 // goes to rank i, and the result holds at index j the value rank j sent
 // to this rank. Nil entries are allowed and arrive as nil. The result
 // is this rank's receive vector, valid until its next collective; send
-// is not kept, so the caller may reuse it for the next round.
+// is not kept, so the caller may reuse it for its next collective.
 //
 // Nothing is marshalled: the value itself — typically a slice of
 // descriptors referencing the sender's memory — crosses ranks by

@@ -25,28 +25,13 @@ type pieceRef struct {
 }
 
 // routePlan is the pooled per-collective routing scratch: the caller's
-// flattened access split into pieces and laid out bucket-contiguously
-// by (round, aggregator), so each round's send vector is a set of
-// subslices — an iovec-style index over the caller's buffer, built in
-// two passes (count, then fill) with no per-piece allocation.
+// flattened access split into pieces, one bucket per aggregator — an
+// iovec-style index over the caller's buffer with no per-piece
+// allocation.
 type routePlan struct {
-	pieces []pieceRef
-	counts []int // pieces per bucket (round*naggs + agg)
-	starts []int // first piece of each bucket
-	fill   []int // per-bucket cursor during the fill pass
-	send   []any // reusable Alltoall send vector, one entry per rank
-
-	// The geometry's scratch (exchangePlan): this rank's plan-exchange
-	// entry and every rank's, a domain's sweep edges and plan, and every
-	// domain's cuts with each domain's first cut.
-	mine  rankAccess
-	all   []*rankAccess
-	edges []edge
-	spare []edge // the edges' merge scratch
-	ends  []int  // where each rank's run of edges ends
-	plan  domainPlan
-	cuts  []int64
-	first []int
+	ext     extent       // this rank's plan-exchange entry
+	buckets [][]pieceRef // each aggregator's pieces, ascending
+	send    []any        // the Alltoall send vector, one entry per rank
 }
 
 var routePool = sync.Pool{New: func() any { return new(routePlan) }}
@@ -54,100 +39,72 @@ var routePool = sync.Pool{New: func() any { return new(routePlan) }}
 // release clears buffer references (so the pool never retains caller
 // memory) and returns the plan to the pool.
 func (rp *routePlan) release() {
-	for i := range rp.pieces {
-		rp.pieces[i].data = nil
+	for _, b := range rp.buckets {
+		clear(b)
 	}
-	for i := range rp.send {
-		rp.send[i] = nil
-	}
-	clear(rp.all)
-	rp.mine = rankAccess{}
-	rp.pieces = rp.pieces[:0]
-	rp.all = rp.all[:0]
+	clear(rp.send)
 	routePool.Put(rp)
 }
 
-// route splits segs at aggregator-domain and round cuts and lays
-// the pieces out bucket-contiguously. buf is the caller's flattened
-// access buffer; every piece's data aliases it.
-func (rp *routePlan) route(segs []Segment, buf []byte, g *colGeom, worldSize int) {
-	nb := g.rounds * len(g.aggs)
-	rp.counts = growInts(rp.counts, nb)
-	total := 0
-	rp.walk(segs, buf, g, func(b int, off int64, data []byte) {
-		rp.counts[b]++
-		total++
-	})
-	rp.starts = growInts(rp.starts, nb)
-	sum := 0
-	for b := 0; b < nb; b++ {
-		rp.starts[b] = sum
-		sum += rp.counts[b]
+// route splits segs at aggregator-domain boundaries into one bucket per
+// aggregator and returns the send vector: a pointer to each non-empty
+// bucket's slice header at its aggregator's rank, nil everywhere else.
+// The pointer boxes nothing, and the header lives in rp, which outlives
+// the collective. buf is the caller's flattened access buffer; every
+// piece's data aliases it.
+func (rp *routePlan) route(segs []Segment, buf []byte, g *colGeom, worldSize int) []any {
+	for len(rp.buckets) < len(g.aggs) {
+		rp.buckets = append(rp.buckets, nil)
 	}
-	rp.fill = growInts(rp.fill, nb)
-	rp.pieces = growPieces(rp.pieces, total)
-	rp.walk(segs, buf, g, func(b int, off int64, data []byte) {
-		i := rp.starts[b] + rp.fill[b]
-		rp.fill[b]++
-		rp.pieces[i] = pieceRef{off: off, data: data}
-	})
-	if cap(rp.send) < worldSize {
-		rp.send = make([]any, worldSize)
+	for a := range rp.buckets {
+		rp.buckets[a] = rp.buckets[a][:0]
 	}
-	rp.send = rp.send[:worldSize]
-}
-
-// walk visits every (bucket, file-offset, buffer-window) piece of the
-// access in segment order.
-func (rp *routePlan) walk(segs []Segment, buf []byte, g *colGeom, visit func(b int, off int64, data []byte)) {
 	cursor := 0
 	for _, s := range segs {
 		off, l := s.Off, s.Len
 		for l > 0 {
-			a, r, end := g.locate(off)
-			n := l
-			if off+n > end {
-				n = end - off
-			}
-			visit(r*len(g.aggs)+a, off, buf[cursor:cursor+int(n)])
+			a, end := g.owner(off)
+			n := min(l, end-off)
+			rp.buckets[a] = append(rp.buckets[a], pieceRef{off: off, data: buf[cursor : cursor+int(n)]})
 			off += n
 			l -= n
 			cursor += int(n)
 		}
 	}
-}
-
-// bucket returns the pieces of one (round, aggregator) bucket.
-func (rp *routePlan) bucket(round, agg, naggs int) []pieceRef {
-	b := round*naggs + agg
-	s := rp.starts[b]
-	return rp.pieces[s : s+rp.counts[b]]
-}
-
-// sendFor fills the reusable Alltoall send vector for one round: each
-// aggregator's bucket slice (nil when empty), nil for every other rank.
-func (rp *routePlan) sendFor(round int, g *colGeom) []any {
-	for i := range rp.send {
-		rp.send[i] = nil
+	if cap(rp.send) < worldSize {
+		rp.send = make([]any, worldSize)
 	}
+	rp.send = rp.send[:worldSize]
+	clear(rp.send)
 	for a, rank := range g.aggs {
-		if b := rp.bucket(round, a, len(g.aggs)); len(b) > 0 {
-			rp.send[rank] = b
+		if len(rp.buckets[a]) > 0 {
+			rp.send[rank] = &rp.buckets[a]
 		}
 	}
 	return rp.send
 }
 
-// arena is one pooled aggregator staging buffer: the coalesced runs of
-// one round packed back-to-back in buf. An aggregator takes one per
-// collective and reuses it every round.
+// arena is one pooled aggregator staging buffer. An aggregator takes
+// one per collective, collects its domain's pieces into it once, and
+// stages them a buffer at a time: the buffer's coalesced runs packed
+// back-to-back in buf.
 type arena struct {
 	buf     []byte
-	runs    []Segment  // ascending file ranges, packed in buf order
-	pos     []int64    // byte position of each run in buf
-	refs    []pieceRef // the round's pieces (sorted by off after staging)
+	runs    []Segment  // the buffer's ascending file ranges, packed in buf order
+	pos     []int64    // byte position of each run in buf (reads)
+	refs    []pieceRef // the domain's pieces, sorted by off (collect)
 	scratch []pieceRef // merge-sort scratch
 	ends    []int      // where each sender's run of refs ends
+	cover   []Segment  // reads: the disjoint ascending union of the requests
+
+	// The staging cursor: the first piece (writes) or cover run (reads)
+	// not yet wholly staged, the bytes of it already staged, and the
+	// bytes left to stage. from is the first request deliver still
+	// looks at.
+	next int
+	done int64
+	left int64
+	from int
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -156,12 +113,8 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 // across collectives) and returns the arena — buf is the arena's own
 // memory and keeps its capacity.
 func (a *arena) release() {
-	for i := range a.refs {
-		a.refs[i].data = nil
-	}
-	for i := range a.scratch {
-		a.scratch[i].data = nil
-	}
+	clear(a.refs)
+	clear(a.scratch)
 	a.refs = a.refs[:0]
 	a.scratch = a.scratch[:0]
 	a.runs = a.runs[:0]
@@ -170,115 +123,122 @@ func (a *arena) release() {
 	arenaPool.Put(a)
 }
 
-// collect gathers the round's pieces from the exchange result in rank
+// collect gathers the domain's pieces from the exchange result in rank
 // order and sorts them by offset (stably, so overlapping writes resolve
-// in rank order, whatever order the exchange delivered them in).
-func (a *arena) collect(recv []any) {
+// in rank order, whatever order the exchange delivered them in), and
+// sets the write cursor to the first. Returns piece and byte counts for
+// the shuffle counters.
+func (a *arena) collect(recv []any) (npieces int, nbytes int64) {
 	a.refs, a.ends = a.refs[:0], a.ends[:0]
 	for _, v := range recv {
-		if ps, _ := v.([]pieceRef); len(ps) > 0 {
-			a.refs = append(a.refs, ps...)
+		if ps, _ := v.(*[]pieceRef); ps != nil {
+			a.refs = append(a.refs, *ps...)
 			a.ends = append(a.ends, len(a.refs))
 		}
 	}
 	a.scratch = growPieces(a.scratch, len(a.refs))
 	sortRuns(a.refs, a.scratch, a.ends, func(p pieceRef) int64 { return p.off })
-}
-
-// stageWrite coalesces the round's write pieces into packed runs,
-// copying each piece exactly once into the arena (the only copy on the
-// whole write path). maxRun caps a single run at the staging size.
-// Returns piece and byte counts for the shuffle counters.
-func (a *arena) stageWrite(recv []any, maxRun int64) (npieces int, nbytes int64) {
-	a.collect(recv)
-	a.runs = a.runs[:0]
-	need := 0
-	for _, p := range a.refs {
-		need += len(p.data)
-	}
-	a.buf = growBytes(a.buf, need)
-	cursor := 0
-	for _, p := range a.refs {
-		n := len(a.runs)
-		if n > 0 && a.runs[n-1].Off+a.runs[n-1].Len == p.off &&
-			a.runs[n-1].Len+int64(len(p.data)) <= maxRun {
-			a.runs[n-1].Len += int64(len(p.data))
-		} else {
-			a.runs = append(a.runs, Segment{Off: p.off, Len: int64(len(p.data))})
-		}
-		cursor += copy(a.buf[cursor:], p.data)
-	}
-	nbytes = int64(need)
-	return len(a.refs), nbytes
-}
-
-// stageReadRuns builds the disjoint covering runs of the round's read
-// requests: the union of the requested ranges, chopped at maxRun, with
-// per-run buf positions recorded for delivery. The request pieces stay
-// in a.refs (each still carrying its requester's destination window)
-// until deliver.
-func (a *arena) stageReadRuns(recv []any, maxRun int64) (npieces int, nbytes int64) {
-	a.collect(recv)
-	a.runs = a.runs[:0]
-	a.pos = a.pos[:0]
-	var runOff, runEnd int64
-	open := false
-	emit := func(off, end int64) {
-		for off < end {
-			n := end - off
-			if n > maxRun {
-				n = maxRun
-			}
-			a.runs = append(a.runs, Segment{Off: off, Len: n})
-			off += n
-		}
-	}
-	for _, p := range a.refs {
-		e := p.off + int64(len(p.data))
-		if !open {
-			runOff, runEnd, open = p.off, e, true
-			continue
-		}
-		if p.off <= runEnd {
-			if e > runEnd {
-				runEnd = e
-			}
-			continue
-		}
-		emit(runOff, runEnd)
-		runOff, runEnd = p.off, e
-	}
-	if open {
-		emit(runOff, runEnd)
-	}
-	var total int64
-	a.pos = growInt64s(a.pos, len(a.runs))
-	for i, r := range a.runs {
-		a.pos[i] = total
-		total += r.Len
-	}
-	a.buf = growBytes(a.buf, int(total))
 	for _, p := range a.refs {
 		nbytes += int64(len(p.data))
 	}
+	a.next, a.done, a.left, a.from = 0, 0, nbytes, 0
 	return len(a.refs), nbytes
 }
 
-// deliver copies every staged request's bytes from the arena straight
-// into the requester's destination window. Runs are disjoint, ascending
-// and (within one requested range) contiguous, so a request spanning a
-// maxRun chop walks consecutive runs.
-func (a *arena) deliver() {
-	for _, rq := range a.refs {
-		off, dst := rq.off, rq.data
-		for len(dst) > 0 {
-			i := a.findRun(off)
-			r := a.runs[i]
-			src := a.buf[a.pos[i]+(off-r.Off) : a.pos[i]+r.Len]
-			n := copy(dst, src)
-			dst = dst[n:]
-			off += int64(n)
+// stageWrite copies the next buffer of the sorted pieces into the
+// arena, each byte exactly once (the only copy on the whole write
+// path): up to staging bytes in order, a piece that does not fit split
+// at the buffer's end, adjacent pieces coalesced into one run. It
+// reports whether it staged anything.
+func (a *arena) stageWrite(staging int64) bool {
+	n := min(staging, a.left)
+	a.buf = growBytes(a.buf, int(n))
+	a.runs = a.runs[:0]
+	for cursor := int64(0); cursor < n; {
+		p := a.refs[a.next]
+		off, data := p.off+a.done, p.data[a.done:]
+		k := min(int64(len(data)), n-cursor)
+		if r := len(a.runs) - 1; r >= 0 && a.runs[r].Off+a.runs[r].Len == off {
+			a.runs[r].Len += k
+		} else {
+			a.runs = append(a.runs, Segment{Off: off, Len: k})
 		}
+		cursor += int64(copy(a.buf[cursor:], data[:k]))
+		a.advance(k, int64(len(p.data)))
+	}
+	a.left -= n
+	return n > 0
+}
+
+// advance moves the staging cursor k bytes on in an item of size bytes.
+func (a *arena) advance(k, size int64) {
+	if a.done += k; a.done == size {
+		a.next, a.done = a.next+1, 0
+	}
+}
+
+// union merges the sorted read requests into the disjoint ascending
+// runs they cover, each byte once, and sets the read cursor to the
+// first. The requests stay in a.refs, each still carrying its
+// requester's destination window, for deliver.
+func (a *arena) union() {
+	a.cover = a.cover[:0]
+	a.left = 0
+	for _, p := range a.refs {
+		end := p.off + int64(len(p.data))
+		if c := len(a.cover) - 1; c >= 0 && p.off <= a.cover[c].Off+a.cover[c].Len {
+			a.cover[c].Len = max(a.cover[c].Len, end-a.cover[c].Off)
+			continue
+		}
+		a.cover = append(a.cover, Segment{Off: p.off, Len: end - p.off})
+	}
+	for _, c := range a.cover {
+		a.left += c.Len
+	}
+}
+
+// stageRead lays out the next buffer of the union for fetchArena: up to
+// staging bytes of its runs in order, a run that does not fit split at
+// the buffer's end, with each run's position in buf. It reports whether
+// it staged anything.
+func (a *arena) stageRead(staging int64) bool {
+	n := min(staging, a.left)
+	a.buf = growBytes(a.buf, int(n))
+	a.runs, a.pos = a.runs[:0], a.pos[:0]
+	for cursor := int64(0); cursor < n; {
+		c := a.cover[a.next]
+		k := min(c.Len-a.done, n-cursor)
+		a.runs = append(a.runs, Segment{Off: c.Off + a.done, Len: k})
+		a.pos = append(a.pos, cursor)
+		cursor += k
+		a.advance(k, c.Len)
+	}
+	a.left -= n
+	return n > 0
+}
+
+// deliver copies from the fetched buffer every request's bytes that
+// fall in it straight into the requester's destination window. A
+// request lies in one run of the union, and a buffer holds one
+// contiguous part of each run, so a request's part in the buffer is one
+// copy from one staged run.
+func (a *arena) deliver() {
+	last := a.runs[len(a.runs)-1]
+	lo, hi := a.runs[0].Off, last.Off+last.Len
+	for a.from < len(a.refs) && a.refs[a.from].off+int64(len(a.refs[a.from].data)) <= lo {
+		a.from++
+	}
+	for _, rq := range a.refs[a.from:] {
+		if rq.off >= hi {
+			break
+		}
+		s, e := max(rq.off, lo), min(rq.off+int64(len(rq.data)), hi)
+		if s >= e {
+			continue
+		}
+		i := a.findRun(s)
+		at := a.pos[i] + s - a.runs[i].Off
+		copy(rq.data[s-rq.off:e-rq.off], a.buf[at:at+e-s])
 	}
 }
 
@@ -352,28 +312,4 @@ func growPieces(s []pieceRef, n int) []pieceRef {
 		return make([]pieceRef, n)
 	}
 	return s[:n]
-}
-
-// growInts resizes s to n zeroed elements, reusing its capacity.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// growInt64s resizes s to n zeroed elements, reusing its capacity.
-func growInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

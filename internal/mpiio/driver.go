@@ -87,13 +87,14 @@ type DriverFile interface {
 
 // VectorWriter is an optional DriverFile extension: drivers that can
 // commit a whole flattened datatype in one call implement it, and the
-// collective aggregators hand them a round's coalesced run list instead
-// of looping pwrites.
+// collective aggregators hand them a staging buffer's coalesced run
+// list instead of looping pwrites.
 // The PLFS driver maps it onto plfs.File.WriteV, whose write engine
 // fans the segments out in parallel within one index transaction.
 type VectorWriter interface {
-	// PwritevAt writes buf scattered across segs (ascending, disjoint,
-	// covering exactly len(buf) bytes), returning bytes written.
+	// PwritevAt writes buf scattered across segs (ascending by offset,
+	// covering exactly len(buf) bytes; where segments of different ranks
+	// overlap, the later lands last), returning bytes written.
 	PwritevAt(segs []Segment, buf []byte) (int, error)
 }
 

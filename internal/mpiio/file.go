@@ -18,11 +18,10 @@ import (
 // contiguous block.
 type Hints struct {
 	// CBBufferSize is the aggregator staging buffer (cb_buffer_size,
-	// ROMIO default 16 MiB). Aggregator runs are chunked at this size,
-	// and an aggregator's file domain takes one round per staging
-	// buffer's worth of the data it stages — holes in the domain take
-	// no room. Like every cb_* hint it must agree across the
-	// communicator: Open adopts rank 0's value on every rank.
+	// ROMIO default 16 MiB). An aggregator stages its file domain this
+	// many bytes of data at a time — holes in the domain take no room —
+	// and issues each buffer as one vectored driver call. Open adopts
+	// rank 0's value on every rank, as it does every cb_* hint.
 	CBBufferSize int
 	// CBAggregators is the number of aggregators per compute node
 	// (cb_nodes-style). 0 or 1 keeps the paper's default of one
@@ -100,9 +99,10 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	if err != nil {
 		return nil, err
 	}
-	// Rank 0's cb_* hints become the communicator's: every collective's
-	// exchange schedule is derived from them, so ranks that disagreed
-	// would deadlock (MPI requires cb_* hints to match for that reason).
+	// Rank 0's cb_* hints become the communicator's: every rank routes
+	// its pieces to the aggregators cb_aggregators picks, so ranks that
+	// disagreed would send pieces to a rank that does not aggregate them
+	// (MPI requires cb_* hints to match).
 	// The same broadcast shares rank 0's standalone telemetry layer when
 	// no plane is attached, so per-handle tallies aggregate across ranks.
 	type shape struct {

@@ -24,8 +24,9 @@ const budgetCalls = 8
 //     an open and a close at the open. (When every rank marked the
 //     container open at its first write, the row was 55 / 22 / 18: each
 //     rank's record cost backend 0 a Mkdir, an open and a close.)
-//   - writeall: the 8 WriteAll, one round each, two aggregators' vectored
-//     write per collective on each backend their droppings live on.
+//   - writeall: the 8 WriteAll, one staging buffer each, two
+//     aggregators' vectored write per collective on each backend their
+//     droppings live on.
 //   - close: the collective close. Ranks 1..3 close their writers; rank
 //     0 closes its own, removes the communicator's record, lists
 //     openhosts and flattens from the folds gathered to it: the root's

@@ -1,25 +1,31 @@
-// The two-phase collective path: each aggregator's file domain is cut
-// into rounds that each stage at most one staging buffer of data —
-// holes take no room, so a sparse domain takes fewer rounds than its
-// span would — and each round runs on the rank's own goroutine:
-// exchange, stage, then the round's backend I/O. The win "Optimizing
+// The two-phase collective path: one exchange per collective. Every
+// rank sends each aggregator the pieces of its access that fall in the
+// aggregator's file domain, in one Alltoall of piece references, and
+// each aggregator then stages its domain a buffer at a time — at most
+// one staging buffer of data, holes taking no room — issuing each
+// buffer's backend I/O before it stages the next. The win "Optimizing
 // Noncontiguous Accesses in MPI-IO" (Thakur et al.) credits two-phase
-// I/O with is few, large coalesced requests, and the staged-bytes cut
-// gives those; at the default staging size every collective in the
-// tree's kernels is one round, so there is nothing for a round's I/O
-// to overlap.
+// I/O with is few, large coalesced requests, and full staging buffers
+// give those. ROMIO exchanges in rounds because real MPI moves the
+// bytes, so the rounds bound what an aggregator receives; here the
+// exchange moves references, so only the staging buffer needs a bound,
+// and the aggregator sets it alone: no rank needs to know where another
+// aggregator's buffers end.
 //
 // Schedule, per collective:
 //
-//	all ranks    plan: Allgather of every rank's access; a sparse
-//	             access's aggregators cut their own domains, and a
-//	             second Allgather hands the cuts round
-//	all ranks    round k: Alltoall of piece references (zero-copy)
-//	aggregator   stage round k into a pooled arena (the one copy), then
-//	             its vectored backend I/O; a read delivers before k+1
+//	all ranks    plan: Allgather of every rank's extent; the extent is
+//	             split evenly into one domain per aggregator
+//	all ranks    Alltoall of piece references (zero-copy), one bucket
+//	             per aggregator
+//	aggregator   sort the domain's pieces once (a read takes their
+//	             union); then, a buffer at a time, stage up to
+//	             cb_buffer_size bytes into a pooled arena (the one
+//	             copy) and issue its vectored backend I/O; a read
+//	             delivers each buffer before staging the next
 //	all ranks    closing allreduce funnels errors; no early returns
 //
-// Every rank must reach every exchange and the closing allreduce, so
+// Every rank must reach the exchanges and the closing allreduce, so
 // aggregator errors are carried, never returned early — an early
 // return would deadlock the communicator. The closing allreduce is
 // also the happens-before edge that lets aggregators write read bytes
@@ -28,249 +34,70 @@
 package mpiio
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"ldplfs/internal/mpi"
 )
 
 // colGeom is the per-collective geometry every rank derives from the
-// same allgathered accesses and the shape agreed at Open, so round
-// counts and boundaries agree everywhere (divergence would deadlock the
-// exchanges).
+// same allgathered extents and the aggregators agreed at Open, so every
+// rank routes a byte to the same aggregator.
 //
-// [lo, hi) is split evenly over the aggregators, as ROMIO splits it, so
-// which aggregator writes a byte depends on the extent alone. Each
-// domain is then cut into rounds by the bytes its arena will stage, not
-// by file span: a cut goes where the bytes staged since the previous
-// cut reach the staging size, so a sparse domain takes only the rounds
-// its data needs, and a dense one is cut every staging bytes, where span
-// cutting cuts it.
+// The extent [lo, hi) is split evenly over the aggregators, as ROMIO
+// splits it, so which aggregator writes a byte depends on the extent
+// alone: aggregator a's domain starts at lo + a*domain.
 type colGeom struct {
-	lo, hi  int64
-	domain  int64 // contiguous file region per aggregator
-	staging int64 // cb buffer size: the most a round stages, and the run cap
-	rounds  int   // the most rounds any domain takes
-	aggs    []int // aggregator rank ids, ascending (the File's)
-	dense   bool  // the pieces tile [lo, hi), each byte once
-	// cuts holds every domain's round boundaries, ascending: domain a's
-	// are cuts[first[a]:first[a+1]], and its round r ends at the r-th.
-	cuts  []int64
-	first []int
+	lo     int64
+	domain int64 // contiguous file region per aggregator
+	aggs   []int // aggregator rank ids, ascending (the File's)
 }
 
-// rankAccess is one rank's entry in the plan exchange: its segment list
-// and a summary its owner makes once, from which every rank finds the
-// extent and tells a dense collective without walking the lists.
-type rankAccess struct {
-	segs   []Segment
-	lo, hi int64  // the list's extent (lo > hi when it is empty)
-	chain  uint64 // the sum of mix(start) - mix(end) over its pieces
-}
+// extent is one rank's entry in the plan exchange: the file range its
+// access spans (lo > hi when it is empty).
+type extent struct{ lo, hi int64 }
 
-// summarize makes a rank's plan-exchange entry for segs.
-func summarize(segs []Segment) rankAccess {
-	ra := rankAccess{segs: segs, lo: 1 << 62}
+// extentOf is the file range segs span.
+func extentOf(segs []Segment) extent {
+	e := extent{lo: 1 << 62}
 	for _, s := range segs {
-		ra.lo, ra.hi = min(ra.lo, s.Off), max(ra.hi, s.Off+s.Len)
-		if s.Len > 0 {
-			ra.chain += mix(uint64(s.Off)) - mix(uint64(s.Off+s.Len))
-		}
+		e.lo, e.hi = min(e.lo, s.Off), max(e.hi, s.Off+s.Len)
 	}
-	return ra
+	return e
 }
 
-// mix is splitmix64's finalizer: a fixed 64-bit hash, so that equal
-// multisets of offsets have equal sums of it and unequal ones almost
-// never do.
-func mix(x uint64) uint64 {
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
-// newGeom derives one collective's extent and domains from every rank's
-// access; the rounds come from cutting the domains (cut, cutAll). The
-// geometry aliases rp's scratch until the collective ends.
-//
-// The access is dense when its pieces tile [lo, hi). That holds exactly
-// when the pieces' starts plus hi equal their ends plus lo as multisets:
-// a tiling chains each end but hi to the next piece's start, and pieces
-// that chain from lo to hi with nothing left over tile it, since pieces
-// only run forward. Each owner sums a hash of its starts minus its ends
-// (chain), so comparing the multisets costs a rank one add per rank.
-// Were a non-dense access ever to collide, it would be cut by span, as
-// ROMIO cuts every access, and still move the right bytes.
-func newGeom(all []*rankAccess, staging int64, aggs []int, rp *routePlan) colGeom {
-	g := colGeom{lo: 1 << 62, staging: staging, aggs: aggs}
-	var chain uint64
-	for _, ra := range all {
-		g.lo, g.hi = min(g.lo, ra.lo), max(g.hi, ra.hi)
-		chain += ra.chain
-	}
-	g.cuts, g.first = rp.cuts[:0], append(rp.first[:0], 0)
-	if g.hi > g.lo {
+// newGeom splits [lo, hi) evenly over aggs.
+func newGeom(lo, hi int64, aggs []int) colGeom {
+	g := colGeom{lo: lo, aggs: aggs}
+	if hi > lo {
 		n := int64(len(aggs))
-		g.domain = (g.hi - g.lo + n - 1) / n
-		g.dense = chain == mix(uint64(g.lo))-mix(uint64(g.hi))
+		g.domain = (hi - lo + n - 1) / n
 	}
 	return g
 }
 
-// edge is one end of a piece on the sweep that places a domain's cuts:
-// the number of pieces covering an offset rises by one at a piece's
-// start and falls by one at its end.
-type edge struct {
-	off   int64
-	delta int
-}
-
-// cut places domain a's round cuts in rp.plan. Bytes are counted as the
-// aggregator will stage them: a write stages every piece, so pieces of
-// different ranks that overlap count once each (stageWrite); a read
-// stages the union of the requests (stageReadRuns), which union
-// selects. A dense domain is swept as one piece, with no list walked; a
-// sparse one from the pieces of every rank that fall in it, each list
-// entered by binary search. A piece that crosses a cut is split there.
-func (g *colGeom) cut(all []*rankAccess, a int, union bool, rp *routePlan) {
-	start := g.lo + int64(a)*g.domain
-	end := min(start+g.domain, g.hi)
-	edges := rp.edges[:0]
-	if g.dense {
-		if start < end {
-			edges = append(edges, edge{start, 1}, edge{end, -1})
-		}
-	} else {
-		rp.ends = rp.ends[:0]
-		for _, ra := range all {
-			n := len(edges)
-			i, _ := slices.BinarySearchFunc(ra.segs, start, func(s Segment, off int64) int {
-				return cmp.Compare(s.Off+s.Len, off+1)
-			})
-			for _, s := range ra.segs[i:] {
-				if s.Off >= end {
-					break
-				}
-				if lo, hi := max(s.Off, start), min(s.Off+s.Len, end); lo < hi {
-					edges = append(edges, edge{lo, 1}, edge{hi, -1})
-				}
-			}
-			if len(edges) > n {
-				rp.ends = append(rp.ends, len(edges))
-			}
-		}
-		rp.spare = slices.Grow(rp.spare[:0], len(edges))[:len(edges)]
-		sortRuns(edges, rp.spare, rp.ends, func(e edge) int64 { return e.off })
-	}
-	rp.edges = edges
-
-	// Edges at one offset may come in any order: the spans between them
-	// are empty, and the sweep skips empty spans.
-	p := domainPlan{cuts: rp.plan.cuts[:0]}
-	depth := 0
-	var staged int64 // bytes the current round stages so far
-	for i := 1; i < len(edges); i++ {
-		depth += edges[i-1].delta
-		s, e := edges[i-1].off, edges[i].off
-		if depth == 0 || s == e {
-			continue
-		}
-		d := int64(depth) // bytes staged per offset of [s, e)
-		if union {
-			d = 1
-		}
-		p.rounds = max(p.rounds, 1)
-		for s < e {
-			if staged > 0 && staged+d > g.staging {
-				p.cuts = append(p.cuts, s)
-				p.rounds++
-				staged = 0
-			}
-			// A round takes at least one offset, even one that more
-			// pieces overlap on than the staging size holds.
-			k := min(max((g.staging-staged)/d, 1), e-s)
-			staged += k * d
-			s += k
-		}
-	}
-	rp.plan = p
-}
-
-// domainPlan is one domain's rounds: how many, and the cuts between them.
-type domainPlan struct {
-	cuts   []int64
-	rounds int
-}
-
-// add appends the next domain's plan to the geometry.
-func (g *colGeom) add(p *domainPlan) {
-	g.cuts = append(g.cuts, p.cuts...)
-	g.first = append(g.first, len(g.cuts))
-	g.rounds = max(g.rounds, p.rounds)
-}
-
-// cutAll cuts every domain on this rank.
-func (g *colGeom) cutAll(all []*rankAccess, union bool, rp *routePlan) {
-	for a := range g.aggs {
-		g.cut(all, a, union, rp)
-		g.add(&rp.plan)
-	}
-}
-
-// locate maps a file offset to its (aggregator, round) bucket and the
-// bucket's end offset.
-func (g *colGeom) locate(off int64) (agg, round int, end int64) {
+// owner maps a file offset to its aggregator and the end of that
+// aggregator's domain.
+func (g *colGeom) owner(off int64) (agg int, end int64) {
 	a := min(int((off-g.lo)/g.domain), len(g.aggs)-1)
-	cuts := g.cuts[g.first[a]:g.first[a+1]]
-	r, at := slices.BinarySearch(cuts, off)
-	if at {
-		r++
-	}
-	if r < len(cuts) {
-		return a, r, cuts[r]
-	}
-	return a, r, g.lo + int64(a+1)*g.domain
+	return a, g.lo + int64(a+1)*g.domain
 }
 
-// exchangePlan allgathers every rank's access and derives the shared
-// collective geometry; union marks a read. The in-process exchange
-// moves the entry's reference, as ROMIO's exchange of request offsets
-// and lengths moves the lists. A dense access's cuts are arithmetic,
-// so every rank places them all. A sparse one's take a sweep of the
-// domain's pieces, so each aggregator cuts only its own domain and a
-// second allgather hands the plans round, as ROMIO's aggregators work
-// out only their own domain's requests. Every rank is done reading the
-// others' entries and plans before any reaches the closing allreduce,
-// and rp, which holds this rank's, outlives it. rp lends the scratch.
-func (f *File) exchangePlan(segs []Segment, union bool, rp *routePlan) colGeom {
-	rp.mine = summarize(segs)
-	rp.all = rp.all[:0]
-	for _, v := range f.rank.Allgather(&rp.mine) {
-		rp.all = append(rp.all, v.(*rankAccess))
+// exchangePlan allgathers every rank's extent and derives the shared
+// geometry. The in-process exchange moves a reference to the entry in
+// rp, which outlives the collective's closing allreduce.
+func (f *File) exchangePlan(segs []Segment, rp *routePlan) colGeom {
+	rp.ext = extentOf(segs)
+	lo, hi := int64(1<<62), int64(0)
+	for _, v := range f.rank.Allgather(&rp.ext) {
+		e := v.(*extent)
+		lo, hi = min(lo, e.lo), max(hi, e.hi)
 	}
-	g := newGeom(rp.all, int64(f.hints.CBBufferSize), f.aggs, rp)
-	switch {
-	case g.hi <= g.lo: // no data: no rounds
-	case g.dense:
-		g.cutAll(rp.all, union, rp)
-	default:
-		rp.plan.cuts, rp.plan.rounds = rp.plan.cuts[:0], 0
-		if a := slices.Index(f.aggs, f.rank.Rank()); a >= 0 {
-			g.cut(rp.all, a, union, rp)
-		}
-		plans := f.rank.Allgather(&rp.plan)
-		for _, rank := range f.aggs {
-			g.add(plans[rank].(*domainPlan))
-		}
-	}
-	rp.cuts, rp.first = g.cuts, g.first
-	return g
+	return newGeom(lo, hi, f.aggs)
 }
 
-// flushArena issues one staged round's runs, still coalesced, under
+// flushArena issues one staged buffer's runs, still coalesced, under
 // the one driver-call rule: a vector-capable driver takes two or more
 // runs in one call (the PLFS driver turns it into one WriteV, whose
 // engine batches physically-contiguous pwrites), any other gets a
@@ -301,7 +128,7 @@ func (f *File) flushArena(a *arena) error {
 	return err
 }
 
-// fetchArena reads one round's covering runs into the arena under the
+// fetchArena reads one staged buffer's runs into the arena under the
 // same rule: one PreadvAt for two or more runs on a vector-capable
 // driver (PLFS resolves the index once and batches contiguous extents
 // across runs), otherwise a pread per run. EOF is not an error, and
@@ -334,43 +161,38 @@ func (f *File) fetchArena(a *arena) error {
 	return err
 }
 
-// twoPhase runs one collective write, or read when read is set, round
-// by round. An aggregator stages each round in its one pooled arena and
-// issues the round's I/O before the next exchange; a read delivers
-// straight into the requesters' buffers. The first backend error is
-// sticky: later rounds still reach every exchange, but do no I/O and
-// deliver nothing, and the closing allreduce surfaces the error on
-// every rank.
+// twoPhase runs one collective write, or read when read is set, with
+// one exchange. An aggregator stages its domain in its pooled arena a
+// buffer at a time and issues each buffer's I/O before staging the
+// next; a read delivers straight into the requesters' buffers. The
+// first backend error stops the aggregator's loop, and the closing
+// allreduce surfaces it on every rank.
 func (f *File) twoPhase(segs []Segment, buf []byte, read bool) error {
 	rp := routePool.Get().(*routePlan)
 	defer rp.release()
-	g := f.exchangePlan(segs, read, rp)
-	rp.route(segs, buf, &g, f.rank.Size())
+	g := f.exchangePlan(segs, rp)
+	recv := f.rank.Alltoall(rp.route(segs, buf, &g, f.rank.Size()))
 
-	var a *arena
-	if f.isAgg {
-		a = arenaPool.Get().(*arena)
-		defer a.release()
-	}
 	var err error
-	for k := 0; k < g.rounds; k++ {
-		recv := f.rank.Alltoall(rp.sendFor(k, &g))
-		if a == nil || err != nil {
-			continue
-		}
-		var np int
-		var nb int64
-		if read {
-			np, nb = a.stageReadRuns(recv, g.staging)
-			if err = f.fetchArena(a); err == nil {
-				a.deliver()
-			}
-		} else {
-			np, nb = a.stageWrite(recv, g.staging)
-			err = f.flushArena(a)
-		}
+	if f.isAgg {
+		a := arenaPool.Get().(*arena)
+		defer a.release()
+		np, nb := a.collect(recv)
 		f.cshp.Add(int64(np))
 		f.cshb.Add(nb)
+		staging := int64(f.hints.CBBufferSize)
+		if read {
+			a.union()
+			for err == nil && a.stageRead(staging) {
+				if err = f.fetchArena(a); err == nil {
+					a.deliver()
+				}
+			}
+		} else {
+			for err == nil && a.stageWrite(staging) {
+				err = f.flushArena(a)
+			}
+		}
 	}
 	op := "write"
 	if read {

@@ -16,7 +16,8 @@ import (
 // --- satellite: collective failure paths -----------------------------------
 
 // faultDriver fails pwrites once the shared allowance runs out —
-// injected mid-collective it fails an aggregator between rounds.
+// injected mid-collective it fails an aggregator between staging
+// buffers.
 type faultDriver struct {
 	Driver
 	allow *atomic.Int64
@@ -43,10 +44,10 @@ func (f faultFile) PwriteAt(p []byte, off int64) (int, error) {
 }
 
 // TestPipelinedAggregatorFaultNoDeadlock fails the aggregator mid-flush
-// with multiple pipeline rounds in flight: every rank must come out of
-// the collective with the error (reaching every exchange and the
-// closing allreduce — no deadlock), and the rounds flushed before the
-// fault must be durable.
+// with several staging buffers to flush: every rank must come out of
+// the collective with the error (reaching the exchanges and the closing
+// allreduce — no deadlock), and the buffers flushed before the fault
+// must be durable.
 func TestPipelinedAggregatorFaultNoDeadlock(t *testing.T) {
 	const (
 		ranks = 4
@@ -55,9 +56,9 @@ func TestPipelinedAggregatorFaultNoDeadlock(t *testing.T) {
 	)
 	mem := newWorldFS(t)
 	var allow atomic.Int64
-	allow.Store(1) // round 0 flushes, round 1 faults
+	allow.Store(1) // buffer 0 flushes, buffer 1 faults
 	hints := DefaultHints()
-	hints.CBBufferSize = block // 4 rounds over the 16 KiB extent
+	hints.CBBufferSize = block // 4 buffers over the 16 KiB extent
 	errs := make([]error, ranks)
 	err := mpi.Run(ranks, ppn, func(r *mpi.Rank) {
 		fh, err := Open(r, faultDriver{NewUFS(posix.NewDispatch(mem)), &allow},
@@ -77,8 +78,9 @@ func TestPipelinedAggregatorFaultNoDeadlock(t *testing.T) {
 			t.Fatalf("rank %d: collective write with faulted aggregator returned nil error", rk)
 		}
 	}
-	// Durable prefix: exactly the pre-fault round's bytes. 4 rounds over
-	// a 16 KiB extent = 4 KiB per round; round 0 is rank 0's block.
+	// Durable prefix: exactly the pre-fault buffer's bytes. 4 buffers
+	// over a 16 KiB extent = 4 KiB per buffer; buffer 0 is rank 0's
+	// block.
 	st, err := mem.Stat("/scratch/fault")
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +105,7 @@ func TestPipelinedAggregatorFaultNoDeadlock(t *testing.T) {
 }
 
 // TestReadAllAggregatorFaultNoDeadlock is the read-side twin: a faulted
-// prefetch must surface on every rank without deadlocking the exchange
-// schedule.
+// fetch must surface on every rank without deadlocking the exchange.
 func TestReadAllAggregatorFaultNoDeadlock(t *testing.T) {
 	const (
 		ranks = 4
@@ -129,7 +130,7 @@ func TestReadAllAggregatorFaultNoDeadlock(t *testing.T) {
 		t.Fatal(seedErr)
 	}
 	hints := DefaultHints()
-	hints.CBBufferSize = block // 4 rounds over the 16 KiB extent
+	hints.CBBufferSize = block // 4 buffers over the 16 KiB extent
 	errs := make([]error, ranks)
 	err := mpi.Run(ranks, ppn, func(r *mpi.Rank) {
 		fh, err := Open(r, readFaultDriver{NewUFS(posix.NewDispatch(mem))},
@@ -167,7 +168,7 @@ func (f readFaultFile) PreadAt(p []byte, off int64) (int, error) {
 	return 0, fmt.Errorf("injected prefetch fault")
 }
 
-// --- rounds cut by staged bytes ---------------------------------------------
+// --- staging buffers filled with data, not file span ----------------------
 
 // callCountDriver counts the driver calls each rank's file receives, by
 // direction, and keeps the vector capabilities of the files it wraps.
@@ -217,8 +218,8 @@ func (f callCountFile) PreadvAt(segs []Segment, buf []byte) (int, error) {
 // one staging buffer's worth, so each aggregator makes one driver write
 // per WriteAll and one driver read per ReadAll (span cutting made two).
 // Its dense twin, the same stripes with the holes filled, stages
-// 128 KiB per domain: two of each, as span cutting made. Every rank
-// reads back the bytes it wrote.
+// 128 KiB per domain: two buffers, so two of each, as span cutting
+// made. Every rank reads back the bytes it wrote.
 func TestSparseCollectiveOneRoundPerDomain(t *testing.T) {
 	shapes := []struct {
 		name   string
@@ -291,10 +292,10 @@ func TestSparseCollectiveOneRoundPerDomain(t *testing.T) {
 }
 
 // TestCollectiveOverlapRankOrder pins how a collective write resolves
-// pieces of different ranks that overlap: the aggregator stages a
-// round's pieces in rank order, so the highest rank's bytes land last
-// and win. Every rank writes the same strided stripes, so each
-// aggregator merges one run of equal offsets per rank.
+// pieces of different ranks that overlap: the aggregator stages its
+// domain's pieces at one offset in rank order, so the highest rank's
+// bytes land last and win. Every rank writes the same strided stripes,
+// so each aggregator merges one run of equal offsets per rank.
 func TestCollectiveOverlapRankOrder(t *testing.T) {
 	const ranks, stripe, stripes = 4, 512, 8
 	drv := NewPLFSDriver(plfs.New(posix.NewMemFS()), nil)
@@ -339,8 +340,8 @@ func TestCollectiveOverlapRankOrder(t *testing.T) {
 // collective path against independent per-segment calls over randomized
 // disjoint strided scripts: whatever the shuffle schedule, the file and
 // every rank's read-back must be identical. Pipelined variants also
-// sweep the round and aggregator knobs, down to a staging buffer smaller
-// than a stripe, so that round cuts split pieces.
+// sweep the staging and aggregator knobs, down to a staging buffer
+// smaller than a stripe, so that buffer ends split pieces.
 func TestCollectivePathDifferential(t *testing.T) {
 	const (
 		ranks = 6
@@ -498,9 +499,9 @@ func (nullFile) Sync() error                               { return nil }
 func (nullFile) Close() error                              { return nil }
 
 // TestAggregatorStageAllocs is the CI-enforced ceiling on the warm
-// aggregator hot loop: collect + sort + stage + flush of a round's
-// pieces must not allocate once the arena is warm — the pooled arena,
-// the merge-sort scratch and the grow helpers make it zero-alloc.
+// aggregator hot loop: collect + sort once, then stage + flush a buffer
+// at a time, must not allocate once the arena is warm — the pooled
+// arena, the merge-sort scratch and the grow helpers make it zero-alloc.
 func TestAggregatorStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the floor only holds on plain builds")
@@ -511,9 +512,11 @@ func TestAggregatorStageAllocs(t *testing.T) {
 	f.cbw = f.ls.Counter("bytes_written")
 	f.cago = f.ls.Counter("agg_flush_ops")
 
-	// A round's worth of pieces from 8 ranks, interleaved so sorting and
-	// coalescing both do real work.
+	// A domain's worth of pieces from 8 ranks, interleaved so sorting
+	// and coalescing both do real work, staged in 4 buffers, so a piece
+	// is split at each buffer's end.
 	const ranks, stripes, stripe = 8, 16, 1024
+	const staging = ranks*stripes*stripe/4 + 100
 	backing := make([]byte, ranks*stripes*stripe)
 	recv := make([]any, ranks)
 	for rk := 0; rk < ranks; rk++ {
@@ -522,41 +525,40 @@ func TestAggregatorStageAllocs(t *testing.T) {
 			off := int64(s*ranks+rk) * stripe
 			ps[s] = pieceRef{off: off, data: backing[off : off+stripe]}
 		}
-		recv[rk] = ps
+		recv[rk] = &ps
 	}
 	a := arenaPool.Get().(*arena)
 	defer a.release()
-	for i := 0; i < 3; i++ { // warm the arena buffers and run slices
-		a.stageWrite(recv, 16<<20)
-		if err := f.flushArena(a); err != nil {
-			t.Fatal(err)
+	stage := func() {
+		a.collect(recv)
+		for a.stageWrite(staging) {
+			if err := f.flushArena(a); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	avg := testing.AllocsPerRun(100, func() {
-		a.stageWrite(recv, 16<<20)
-		if err := f.flushArena(a); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 1 {
+	for i := 0; i < 3; i++ { // warm the arena buffers and run slices
+		stage()
+	}
+	if avg := testing.AllocsPerRun(100, stage); avg > 1 {
 		t.Fatalf("warm aggregator stage+flush allocates %.1f/op, budget is 1", avg)
 	}
 }
 
-// TestOneRoundCollectiveAllocs is the ceiling on a warm one-round
-// WriteAll plus ReadAll of 4 ranks' strided stripes, each rank an
-// aggregator, over MemFS. Rank 0 measures while the other ranks meet
+// TestOneRoundCollectiveAllocs is the ceiling on a warm WriteAll plus
+// ReadAll of 4 ranks' strided stripes, each rank an aggregator staging
+// one buffer, over MemFS. Rank 0 measures while the other ranks meet
 // it in every call; testing.AllocsPerRun counts the whole process, so
-// their side is counted too. The rounds run inline on each rank, in one
-// pooled arena, so an aggregator starts no goroutine and makes no
-// channel. What is left is one boxed bucket in the send vector per
-// rank, aggregator and round: 4 x 4 x 2 = 32, and a little room for a
-// pool the collector emptied.
+// their side is counted too. Each rank's plan entry and buckets live
+// in its pooled route plan, and the send vector carries pointers to
+// them, so nothing is boxed; an aggregator stages in one pooled arena
+// on its own goroutine. The budget is room for a pool the collector
+// emptied.
 func TestOneRoundCollectiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the ceiling only holds on plain builds")
 	}
-	const ranks, stripes, stripe, runs, budget = 4, 8, 512, 50, 34
+	const ranks, stripes, stripe, runs, budget = 4, 8, 512, 50, 1
 	drv := NewUFS(newWorldFS(t))
 	var allocs float64
 	err := runUnderDeadline(t, ranks, 1, func(r *mpi.Rank) {

@@ -2,8 +2,11 @@ package mpiio
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/md5"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -13,6 +16,7 @@ import (
 
 	"ldplfs/internal/iostats"
 	"ldplfs/internal/mpi"
+	"ldplfs/internal/plfs"
 	"ldplfs/internal/posix"
 )
 
@@ -122,18 +126,20 @@ func geomStripes(lo, ext, width, period, phase int64) []Segment {
 }
 
 // TestCollectiveGeometry enumerates the collective shape: which ranks
-// aggregate, and how the rounds cut each access — dense, strided with
-// holes, one rank's alone, and overlapping pieces of different ranks —
-// as a write and as a read. The buckets tile the extent in (aggregator,
-// round) order, end to end; no bucket stages more than the staging size
-// (unless it holds one offset that more pieces cover than that); every
-// bucket but a domain's last is full, so it could take no more of the
-// next data; and a dense access is cut every staging bytes, at the
-// boundaries and round count ceil(domain / staging) of span cutting.
+// aggregate, and how each aggregator stages its domain of each access —
+// dense, strided with holes, one rank's alone, and overlapping pieces
+// of different ranks — as a write and as a read. Every rank routes its
+// access as twoPhase does, and each aggregator collects what the
+// exchange hands it and stages it a buffer at a time. No buffer holds
+// more than the staging size, and every buffer but an aggregator's last
+// is full, so it could take no more of the next data. A write's
+// buffers hold every byte of every piece in the domain exactly once,
+// in offset order and rank order on ties, adjacent pieces coalesced. A
+// read's buffers hold the union of the requests in the domain exactly
+// once, and delivering each fetched buffer fills every requester.
 func TestCollectiveGeometry(t *testing.T) {
 	extents := []int64{1, 13, 4096, 10007}
 	stagings := []int64{1, 7, 1000, 4096, 16 << 20}
-	rp := new(routePlan)
 	for ranks := 1; ranks <= 8; ranks++ {
 		for _, ppn := range []int{1, 2, 4} {
 			for _, cb := range []int{0, 1, 2, 4} {
@@ -149,27 +155,22 @@ func TestCollectiveGeometry(t *testing.T) {
 				}
 			}
 		}
-		// The cuts depend on the aggregators only through their count.
+		// The staging depends on the aggregators only through their count.
 		for naggs := 1; naggs <= ranks; naggs++ {
 			aggs := make([]int, naggs)
+			for a := range aggs {
+				aggs[a] = a
+			}
 			for _, ext := range extents {
 				lo := int64(ranks) * 5 // unaligned on purpose
 				for _, pat := range geomPatterns {
 					all := make([][]Segment, ranks)
-					accs := make([]*rankAccess, ranks)
 					for r := range all {
 						all[r] = pat.segs(ranks, r, lo, ext)
-						ra := summarize(all[r])
-						accs[r] = &ra
 					}
-					for _, union := range []bool{false, true} {
-						staged := stagedBytes(all, union)
-						for _, staging := range stagings {
-							name := fmt.Sprintf("ranks %d aggs %d %s extent %d staging %d read %v", ranks, naggs, pat.name, ext, staging, union)
-							g := newGeom(accs, staging, aggs, rp)
-							g.cutAll(accs, union, rp)
-							checkGeom(t, name, &g, staged)
-						}
+					for _, read := range []bool{false, true} {
+						name := fmt.Sprintf("ranks %d aggs %d %s extent %d read %v", ranks, naggs, pat.name, ext, read)
+						checkStaging(t, name, all, aggs, stagings, read)
 					}
 				}
 			}
@@ -177,109 +178,261 @@ func TestCollectiveGeometry(t *testing.T) {
 	}
 }
 
-// stagedBytes is what an arena stages for each offset of the access's
-// extent: the pieces covering it, or for a read (union) 1 if any does.
-func stagedBytes(all [][]Segment, union bool) []int64 {
+// geomByte is the byte rank writes at off, or (rank -1) the file holds
+// there for a read: distinct ranks' bytes at one offset differ.
+func geomByte(rank int, off int64) byte { return byte(off*7 + int64(rank+1)*101) }
+
+// staged is one byte of a staging buffer: its file offset and value.
+type staged struct {
+	off int64
+	b   byte
+}
+
+// checkStaging routes every rank's access in all to aggs, stages each
+// aggregator's domain in buffers of at most each of stagings bytes, and
+// checks the buffers against the access.
+func checkStaging(t *testing.T, name string, all [][]Segment, aggs []int, stagings []int64, read bool) {
+	t.Helper()
 	lo, hi := int64(1<<62), int64(0)
 	for _, segs := range all {
-		for _, s := range segs {
-			lo, hi = min(lo, s.Off), max(hi, s.Off+s.Len)
+		e := extentOf(segs)
+		lo, hi = min(lo, e.lo), max(hi, e.hi)
+	}
+	g := newGeom(lo, hi, aggs)
+	bufs := make([][]byte, len(all))
+	sends := make([][]any, len(all))
+	fill := func(r int) {
+		cursor := 0
+		for _, s := range all[r] {
+			for o := s.Off; o < s.Off+s.Len; o++ {
+				if read {
+					bufs[r][cursor] = ^geomByte(-1, o) // not what the file holds
+				} else {
+					bufs[r][cursor] = geomByte(r, o)
+				}
+				cursor++
+			}
 		}
 	}
-	staged := make([]int64, max(hi-lo, 0))
-	for _, segs := range all {
-		for _, s := range segs {
-			for o := s.Off; o < s.Off+s.Len; o++ {
-				if staged[o-lo] == 0 || !union {
-					staged[o-lo]++
+	for r, segs := range all {
+		bufs[r] = make([]byte, segsBytes(segs))
+		fill(r)
+		sends[r] = new(routePlan).route(segs, bufs[r], &g, len(all))
+	}
+	wants := make([][]staged, len(aggs))
+	for a := range aggs {
+		wants[a] = wantStaged(all, lo+int64(a)*g.domain, lo+int64(a+1)*g.domain, read)
+	}
+	ar := new(arena)
+	for _, staging := range stagings {
+		for r := range all {
+			fill(r)
+		}
+		for a, rank := range aggs {
+			recv := make([]any, len(all))
+			for src := range recv {
+				recv[src] = sends[src][rank]
+			}
+			ar.collect(recv)
+			if read {
+				ar.union()
+			}
+			got := make([]staged, 0, len(wants[a]))
+			var sizes []int64
+			for {
+				more := ar.stageWrite
+				if read {
+					more = ar.stageRead
+				}
+				if !more(staging) {
+					break
+				}
+				var n int64
+				for i, run := range ar.runs {
+					if i > 0 && !read && ar.runs[i-1].Off+ar.runs[i-1].Len == run.Off {
+						t.Fatalf("%s staging %d: aggregator %d buffer %d: adjacent runs %v and %v not coalesced", name, staging, a, len(sizes), ar.runs[i-1], run)
+					}
+					if i > 0 && read && ar.runs[i-1].Off+ar.runs[i-1].Len >= run.Off {
+						t.Fatalf("%s staging %d: aggregator %d buffer %d: read runs %v and %v touch", name, staging, a, len(sizes), ar.runs[i-1], run)
+					}
+					if read && ar.pos[i] != n {
+						t.Fatalf("%s staging %d: aggregator %d buffer %d: run %d at %d, want %d", name, staging, a, len(sizes), i, ar.pos[i], n)
+					}
+					for o := run.Off; o < run.Off+run.Len; o++ {
+						if read { // the fetch
+							ar.buf[n] = geomByte(-1, o)
+						}
+						got = append(got, staged{o, ar.buf[n]})
+						n++
+					}
+				}
+				if n != int64(len(ar.buf)) {
+					t.Fatalf("%s staging %d: aggregator %d buffer %d: runs hold %d bytes, buffer %d", name, staging, a, len(sizes), n, len(ar.buf))
+				}
+				if read {
+					ar.deliver()
+				}
+				sizes = append(sizes, n)
+			}
+			for i, n := range sizes {
+				if n > staging || (n < staging && i < len(sizes)-1) {
+					t.Fatalf("%s staging %d: aggregator %d buffer %d of %d stages %d bytes", name, staging, a, i, len(sizes), n)
+				}
+			}
+			if i := firstDiff(got, wants[a]); i >= 0 {
+				t.Fatalf("%s staging %d: aggregator %d stages %d bytes, want %d; they differ at byte %d", name, staging, a, len(got), len(wants[a]), i)
+			}
+		}
+		if !read {
+			continue
+		}
+		for r, segs := range all {
+			cursor := 0
+			for _, s := range segs {
+				for o := s.Off; o < s.Off+s.Len; o++ {
+					if bufs[r][cursor] != geomByte(-1, o) {
+						t.Fatalf("%s staging %d: rank %d was not delivered offset %d", name, staging, r, o)
+					}
+					cursor++
 				}
 			}
 		}
 	}
-	return staged
 }
 
-// checkGeom checks one geometry against what its access stages at each
-// offset of the extent.
-func checkGeom(t *testing.T, name string, g *colGeom, staged []int64) {
-	t.Helper()
-	lo, hi := g.lo, g.hi
-	if hi-lo != int64(len(staged)) {
-		t.Fatalf("%s: extent [%d, %d), want %d bytes", name, lo, hi, len(staged))
-	}
-	dense := !slices.Contains(staged, 0) && !slices.ContainsFunc(staged, func(n int64) bool { return n > 1 })
-	if g.domain*int64(len(g.aggs)) < hi-lo {
-		t.Fatalf("%s: %d domains of %d do not cover the extent", name, len(g.aggs), g.domain)
-	}
-	if wantRounds := int((g.domain + g.staging - 1) / g.staging); dense && g.rounds != wantRounds {
-		t.Fatalf("%s: dense access cut into %d rounds, want ceil(%d/%d) = %d", name, g.rounds, g.domain, g.staging, wantRounds)
-	}
-	lastRound := -1
-	prevA, prevR, prevEnd := -1, -1, lo
-	var prevBytes int64 // what the previous bucket stages
-	for off := lo; off < hi; {
-		a, r, end := g.locate(off)
-		if a < 0 || a >= len(g.aggs) || r < 0 || r >= g.rounds {
-			t.Fatalf("%s: offset %d -> bucket (%d, %d) out of range", name, off, a, r)
-		}
-		// A new bucket: it starts exactly where the previous one ended,
-		// comes later in (aggregator, round) order, and every offset in
-		// it locates to it.
-		if off != prevEnd {
-			t.Fatalf("%s: bucket (%d, %d) starts at %d, previous ended at %d", name, a, r, off, prevEnd)
-		}
-		if a < prevA || (a == prevA && r <= prevR) {
-			t.Fatalf("%s: bucket (%d, %d) follows (%d, %d)", name, a, r, prevA, prevR)
-		}
-		if end <= off {
-			t.Fatalf("%s: bucket (%d, %d) spans [%d, %d)", name, a, r, off, end)
-		}
-		if a2, r2, end2 := g.locate(min(end, hi) - 1); a2 != a || r2 != r || end2 != end {
-			t.Fatalf("%s: offset %d -> bucket (%d, %d) ending %d, its first offset %d -> (%d, %d) ending %d", name, min(end, hi)-1, a2, r2, end2, off, a, r, end)
-		}
-		var bytes, covered int64
-		for _, n := range staged[off-lo : min(end, hi)-lo] {
-			bytes += n
-			if n > 0 {
-				covered++
+// wantStaged is what the domain [domLo, domHi) stages, byte by byte in
+// order: for a write every piece's bytes, the pieces in offset order
+// and rank order on ties; for a read the union of the requests.
+func wantStaged(all [][]Segment, domLo, domHi int64, read bool) []staged {
+	var want []staged
+	if read {
+		covered := make([]bool, max(domHi-domLo, 0))
+		for _, segs := range all {
+			for _, s := range segs {
+				for o := max(s.Off, domLo); o < min(s.Off+s.Len, domHi); o++ {
+					covered[o-domLo] = true
+				}
 			}
 		}
-		if bytes > g.staging && covered > 1 {
-			t.Fatalf("%s: bucket (%d, %d) over [%d, %d) stages %d bytes, staging is %d", name, a, r, off, end, bytes, g.staging)
-		}
-		// The previous bucket was its domain's too: it was full, or it
-		// would have taken this one's first data.
-		if a == prevA && covered > 0 {
-			first := staged[off-lo+int64(slices.IndexFunc(staged[off-lo:], func(n int64) bool { return n > 0 }))]
-			if prevBytes+first <= g.staging {
-				t.Fatalf("%s: bucket (%d, %d) stages %d bytes and was cut before %d more, staging is %d", name, a, prevR, prevBytes, first, g.staging)
+		for i, c := range covered {
+			if c {
+				want = append(want, staged{domLo + int64(i), geomByte(-1, domLo+int64(i))})
 			}
 		}
-		if dense {
-			domEnd := lo + int64(a+1)*g.domain
-			if want := min(lo+int64(a)*g.domain+int64(r+1)*g.staging, domEnd); min(end, hi) != min(want, hi) {
-				t.Fatalf("%s: dense bucket (%d, %d) ends at %d, span cutting ends it at %d", name, a, r, end, want)
+		return want
+	}
+	type piece struct {
+		rank    int
+		off, to int64
+	}
+	var pieces []piece
+	for r, segs := range all {
+		for _, s := range segs {
+			if p := (piece{r, max(s.Off, domLo), min(s.Off+s.Len, domHi)}); p.off < p.to {
+				pieces = append(pieces, p)
 			}
 		}
-		if covered > 0 {
-			lastRound = max(lastRound, r)
+	}
+	slices.SortStableFunc(pieces, func(x, y piece) int { return cmp.Compare(x.off, y.off) })
+	for _, p := range pieces {
+		for o := p.off; o < p.to; o++ {
+			want = append(want, staged{o, geomByte(p.rank, o)})
 		}
-		prevA, prevR, prevEnd, prevBytes = a, r, end, bytes
-		off = end
 	}
-	if prevEnd < hi {
-		t.Fatalf("%s: last bucket ends at %d, extent at %d", name, prevEnd, hi)
+	return want
+}
+
+// firstDiff is the first index where got and want differ, or -1.
+func firstDiff[T comparable](got, want []T) int {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return i
+		}
 	}
-	if lastRound != g.rounds-1 {
-		t.Fatalf("%s: %d rounds, but the last that stages data is round %d", name, g.rounds, lastRound)
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
+}
+
+// TestCollectiveBytesIgnoreStaging writes pieces of different ranks
+// that overlap — ranks r and r+3 the same stripes, neighbours' stripes
+// sharing a byte or two — with 4 ranks on 4 nodes, so 4 aggregators,
+// at staging sizes from 7 bytes to 16 MiB, through the PLFS and the
+// UFS drivers. Which rank's byte lands last at an offset is decided by
+// the aggregator's one sort of its domain, so the file is the same
+// whatever the staging size, byte for byte.
+func TestCollectiveBytesIgnoreStaging(t *testing.T) {
+	const ranks, lo, ext = 4, 40, 10007
+	var pat func(ranks, rank int, lo, ext int64) []Segment
+	for _, p := range geomPatterns {
+		if p.name == "overlapping" {
+			pat = p.segs
+		}
+	}
+	drivers := []struct {
+		name string
+		new  func() Driver
+	}{
+		{"plfs", func() Driver { return NewPLFSDriver(plfs.New(newWorldFS(t)), nil) }},
+		{"ufs", func() Driver { return NewUFS(newWorldFS(t)) }},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var want [md5.Size]byte
+			for i, staging := range []int{7, 100, 1000, 16 << 20} {
+				drv := d.new()
+				hints := DefaultHints()
+				hints.CBBufferSize = staging
+				err := runUnderDeadline(t, ranks, 1, func(r *mpi.Rank) {
+					segs := pat(ranks, r.Rank(), lo, ext)
+					buf := make([]byte, 0, segsBytes(segs))
+					for _, s := range segs {
+						for o := s.Off; o < s.Off+s.Len; o++ {
+							buf = append(buf, geomByte(r.Rank(), o))
+						}
+					}
+					fh, err := Open(r, drv, "/scratch/staging", ModeCreate|ModeWronly, hints)
+					if err != nil {
+						panic(err)
+					}
+					if _, err := fh.WriteAll(segs, buf); err != nil {
+						panic(err)
+					}
+					if err := fh.Close(); err != nil {
+						panic(err)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				df, err := drv.Open("/scratch/staging", ModeRdonly, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				file := make([]byte, lo+ext)
+				if n, err := df.PreadAt(file, 0); n != len(file) || (err != nil && !errors.Is(err, io.EOF)) {
+					t.Fatalf("staging %d: read %d of %d bytes: %v", staging, n, len(file), err)
+				}
+				if err := df.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if sum := md5.Sum(file); i == 0 {
+					want = sum
+				} else if sum != want {
+					t.Fatalf("staging %d: file md5 %x, at staging 7 %x", staging, sum, want)
+				}
+			}
+		})
 	}
 }
 
-// TestHintsAgreeAtOpen hands every rank different cb_* hints. The
-// exchange schedule is derived from them, so the communicator only gets
-// through a multi-round collective if Open made rank 0's values
-// everyone's — and then the file is the uniform-hints run's, byte for
-// byte.
+// TestHintsAgreeAtOpen hands every rank different cb_* hints. Every rank
+// routes its pieces to the aggregators cb_aggregators picks, so the
+// file is the uniform-hints run's, byte for byte, only if Open made
+// rank 0's values everyone's: ranks that disagreed would send pieces to
+// a rank that does not aggregate them. (cb_buffer_size is each
+// aggregator's own business, and no longer has to agree.)
 func TestHintsAgreeAtOpen(t *testing.T) {
 	const (
 		ranks  = 4
@@ -322,7 +475,7 @@ func TestHintsAgreeAtOpen(t *testing.T) {
 	}
 	uniform := func(int) Hints {
 		h := DefaultHints()
-		h.CBBufferSize = 3 * stripe // 16 KiB over 4 aggregators: 3 rounds each
+		h.CBBufferSize = 3 * stripe // 16 KiB over 4 aggregators: 3 buffers each
 		h.CBAggregators = 2
 		return h
 	}
@@ -441,8 +594,8 @@ func (d stubDriver) Open(string, int, int) (DriverFile, error) { return d.df, ni
 
 // TestDriverCallShape pins the one driver-call rule on both paths that
 // reach the driver with a run list, an aggregator's flushed and fetched
-// rounds: a vector-capable driver gets the whole list in one call, any
-// other a call per run.
+// staging buffers: a vector-capable driver gets the whole list in one
+// call, any other a call per run.
 func TestDriverCallShape(t *testing.T) {
 	runs := []Segment{{0, 64}, {4096, 64}, {8192, 64}}
 	buf := make([]byte, 3*64)
