@@ -35,12 +35,9 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends, plane)
+	store := harness.Instrument(harness.NewStoreN(job.Backends, plane), plane)
 	cfg := workload.BTIOConfig{Grid: *grid, Steps: *steps, EPIO: *epio, Hints: mio.Hints()}
-	if plane != nil {
-		store = harness.Instrument(store, plane)
-		cfg.Hints.Collector = plane
-	}
+	cfg.Hints.Collector = plane
 	popts := ptune.Options(plane)
 
 	start := time.Now()
@@ -60,11 +57,9 @@ func main() {
 		}
 	})
 	if err != nil {
-		if plane != nil {
-			// log.Fatal skips defers; a failing run is exactly when the
-			// per-layer snapshot matters, so dump it first.
-			fmt.Fprint(os.Stderr, plane.Snapshot().String())
-		}
+		// log.Fatal skips defers; a failing run is exactly when the
+		// per-layer snapshot matters, so dump it first.
+		fmt.Fprint(os.Stderr, plane.Snapshot().String())
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start).Seconds()
@@ -77,7 +72,5 @@ func main() {
 	if job.Verify {
 		fmt.Println("verification: OK")
 	}
-	if plane != nil {
-		fmt.Fprint(os.Stderr, plane.Snapshot().String())
-	}
+	fmt.Fprint(os.Stderr, plane.Snapshot().String())
 }

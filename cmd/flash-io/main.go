@@ -36,13 +36,10 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends, plane)
+	store := harness.Instrument(harness.NewStoreN(job.Backends, plane), plane)
 	cfg := workload.FlashIOConfig{NXB: *nxb, NBlocks: *nblocks, NVars: *nvars, SplitFiles: *split, Hints: mio.Hints()}
 	fmt.Printf("flash-io: ~%.1f MB per process\n", float64(cfg.BytesPerProcess())/1e6)
-	if plane != nil {
-		store = harness.Instrument(store, plane)
-		cfg.Hints.Collector = plane
-	}
+	cfg.Hints.Collector = plane
 	popts := ptune.Options(plane)
 
 	start := time.Now()
@@ -68,11 +65,9 @@ func main() {
 		}
 	})
 	if err != nil {
-		if plane != nil {
-			// log.Fatal skips defers; a failing run is exactly when the
-			// per-layer snapshot matters, so dump it first.
-			fmt.Fprint(os.Stderr, plane.Snapshot().String())
-		}
+		// log.Fatal skips defers; a failing run is exactly when the
+		// per-layer snapshot matters, so dump it first.
+		fmt.Fprint(os.Stderr, plane.Snapshot().String())
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start).Seconds()
@@ -81,7 +76,5 @@ func main() {
 	if job.Verify {
 		fmt.Println("verification: OK (all three files)")
 	}
-	if plane != nil {
-		fmt.Fprint(os.Stderr, plane.Snapshot().String())
-	}
+	fmt.Fprint(os.Stderr, plane.Snapshot().String())
 }

@@ -64,11 +64,7 @@ func main() {
 		// The plane comes first so the striped composite's replica
 		// counters land on it too.
 		plane = ptune.NewPlane()
-		var stats iostats.Collector
-		if plane != nil {
-			stats = plane
-		}
-		system, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, stats)
+		system, err := posix.NewStripedRoots(osfs, *backends, *layoutDesc, plane)
 		if err != nil {
 			log.Fatalf("ldrun: %v", err)
 		}
@@ -94,11 +90,7 @@ func main() {
 	// The snapshot must survive failing commands too — that is when an
 	// operator most wants the per-layer picture — so the fatal paths
 	// below dump before exiting (log.Fatal skips deferred functions).
-	dumpStats := func() {
-		if plane != nil {
-			fmt.Fprint(os.Stderr, plane.Snapshot().String())
-		}
-	}
+	dumpStats := func() { fmt.Fprint(os.Stderr, plane.Snapshot().String()) }
 	defer dumpStats()
 	fatal := func(v ...any) {
 		dumpStats() // log.Fatal exits without running defers

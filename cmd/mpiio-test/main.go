@@ -38,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	plane := ptune.NewPlane()
-	store := harness.NewStoreN(job.Backends, plane)
+	store := harness.Instrument(harness.NewStoreN(job.Backends, plane), plane)
 	cfg := workload.MPIIOTestConfig{
 		BytesPerProc: *size,
 		BlockSize:    *block,
@@ -46,10 +46,7 @@ func main() {
 		Verify:       job.Verify,
 		Hints:        mio.Hints(),
 	}
-	if plane != nil {
-		store = harness.Instrument(store, plane)
-		cfg.Hints.Collector = plane
-	}
+	cfg.Hints.Collector = plane
 	popts := ptune.Options(plane)
 
 	start := time.Now()
@@ -69,11 +66,9 @@ func main() {
 		}
 	})
 	if err != nil {
-		if plane != nil {
-			// log.Fatal skips defers; a failing run is exactly when the
-			// per-layer snapshot matters, so dump it first.
-			fmt.Fprint(os.Stderr, plane.Snapshot().String())
-		}
+		// log.Fatal skips defers; a failing run is exactly when the
+		// per-layer snapshot matters, so dump it first.
+		fmt.Fprint(os.Stderr, plane.Snapshot().String())
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start).Seconds()
@@ -86,7 +81,5 @@ func main() {
 	if job.Verify {
 		fmt.Println("verification: OK (every rank validated its neighbour's blocks)")
 	}
-	if plane != nil {
-		fmt.Fprint(os.Stderr, plane.Snapshot().String())
-	}
+	fmt.Fprint(os.Stderr, plane.Snapshot().String())
 }

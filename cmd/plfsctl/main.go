@@ -242,7 +242,7 @@ func runRemote(addr, tenant string, args []string, fix bool, stdout io.Writer, f
 // runStats drives one small harness workload with every layer wired to
 // a single telemetry plane, then dumps the plane: a self-contained
 // demonstration (and e2e test fixture) that the whole stack reports
-// through one Collector — posix backend, plfs engines, readcache,
+// through one plane — posix backend, plfs engines, readcache,
 // mpiio.
 func runStats(stdout io.Writer, fail func(string, ...any) int) int {
 	plane := iostats.NewPlane()

@@ -109,7 +109,7 @@ func runNotify(argv []string, stdout, stderr io.Writer, ready chan<- string) int
 // buildStore assembles the backing FS: OS-backed (optionally striped
 // over extra roots, the composite counting on stats) or a fresh
 // in-memory store for demos and tests.
-func buildStore(root, backends string, stats iostats.Collector) (posix.FS, error) {
+func buildStore(root, backends string, stats *iostats.Plane) (posix.FS, error) {
 	if root == "" {
 		mem := posix.NewMemFS()
 		if err := mem.Mkdir("/backend", 0o755); err != nil {

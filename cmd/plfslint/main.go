@@ -1,8 +1,8 @@
-// Command plfslint is the repository's multichecker: six
+// Command plfslint is the repository's multichecker: five
 // project-specific static analyzers that mechanically enforce the
 // data-path invariants PRs 1-9 established (lock ranking, errno
-// preservation, clock injection, typed-nil interface safety, atomic
-// field access, pooled-buffer hygiene). CI runs it as a blocking job:
+// preservation, clock injection, atomic field access, pooled-buffer
+// hygiene). CI runs it as a blocking job:
 //
 //	go run ./cmd/plfslint ./...
 //

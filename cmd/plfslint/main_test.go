@@ -14,7 +14,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errs); code != 0 {
 		t.Fatalf("-list: exit %d, stderr: %s", code, errs.String())
 	}
-	for _, name := range []string{"nilcollector", "lockorder", "errnopreserve", "clockinject", "atomicfield"} {
+	for _, name := range []string{"lockorder", "errnopreserve", "clockinject", "atomicfield", "bufpool"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -40,7 +40,6 @@ func TestKnownBadFails(t *testing.T) {
 		t.Fatalf("knownbad: exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errs.String())
 	}
 	for _, want := range []string{
-		"possibly-nil *ldplfs/internal/iostats.Plane",
 		"plain access of gen",
 		"stale plfslint:ignore comment",
 	} {

@@ -62,9 +62,10 @@
 // recorder hook into too), the PLFS engines and read caches
 // (plfs.WithStats), the MPI-IO collective path (mpiio.Hints.Collector)
 // and the iotrace recorder all
-// report per-op counts, bytes and latency through one Collector of
-// sharded-atomic counters and fixed-bucket histograms — nil-safe, so an
-// uninstrumented stack pays one branch per call. The PLFS engines take
+// report per-op counts, bytes and latency through one *iostats.Plane of
+// sharded-atomic counters and fixed-bucket histograms — nil-safe, so a
+// nil plane is telemetry off and an uninstrumented stack pays one
+// branch per call. The PLFS engines take
 // no tuning — their fan-out, batch depth and index batch are constants
 // a sweep over the benchmark's workloads settled — the MPI-IO cb_*
 // hints are static and agreed across the communicator at open, and an

@@ -6,24 +6,11 @@
 // durable form of the rule: the comment can go stale, the finding
 // cannot.
 //
-// # nilcollector — typed-nil pointers must not become interfaces
-//
-// Invariant: a concrete pointer that may be nil is never stored into
-// iostats.Collector or posix.FS. A nil *iostats.Plane wrapped in a
-// Collector is != nil, so every `if stats != nil` guard downstream
-// passes and the first method call segfaults.
-//
-// History: the PR 6 gateway wired the plfs telemetry collector from a
-// *iostats.Plane that was only allocated when telemetry was enabled;
-// with telemetry off, the daemon crashed on first I/O. This PR's
-// initial run found the same shape again in service.go (an unguarded
-// store of g.plane into the collector field), now fixed with a nil
-// guard.
-//
-// Allowed forms the checker recognizes: untyped nil, constructor
-// calls, &composite, a dominating `x != nil` guard, an earlier
-// `if x == nil { x = ... }` normalization, and locals provably
-// assigned non-nil in the enclosing function.
+// The typed-nil class (PR 6: a nil *iostats.Plane stored in a
+// telemetry interface compared != nil, and the first call segfaulted)
+// has no analyzer: telemetry is passed as a concrete *iostats.Plane,
+// nil meaning off, and every plane and layer method accepts a nil
+// receiver, so the typed-nil store cannot be written.
 //
 // # lockorder — the data path's three locks have a declared ranking
 //

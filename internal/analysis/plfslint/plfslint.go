@@ -1,9 +1,8 @@
-// Package plfslint wires the six project analyzers into the scoped
+// Package plfslint wires the five project analyzers into the scoped
 // suite that cmd/plfslint and CI run. The scopes pin each invariant to
 // the packages where it is a contract rather than a style preference:
 //
-//   - nilcollector, atomicfield: every package (the bug classes are
-//     global),
+//   - atomicfield: every package (the bug class is global),
 //   - lockorder: internal/plfs, where the ranked locks live,
 //   - errnopreserve: the wire-protocol path (service, its client, the
 //     posix layer whose errnos it transports, and the daemon),
@@ -23,7 +22,6 @@ import (
 	"ldplfs/internal/analysis/clockinject"
 	"ldplfs/internal/analysis/errnopreserve"
 	"ldplfs/internal/analysis/lockorder"
-	"ldplfs/internal/analysis/nilcollector"
 )
 
 // AllowlistName is the checked-in suppression allowlist at the module
@@ -34,7 +32,6 @@ const AllowlistName = "plfslint.allow"
 // Checks returns the production suite with its package scopes.
 func Checks() []analysis.Check {
 	return []analysis.Check{
-		{Analyzer: nilcollector.Analyzer},
 		{Analyzer: atomicfield.Analyzer},
 		{Analyzer: lockorder.Analyzer, Packages: []string{"ldplfs/internal/plfs"}},
 		{Analyzer: errnopreserve.Analyzer, Packages: []string{
@@ -54,7 +51,7 @@ func Checks() []analysis.Check {
 	}
 }
 
-// Analyzers returns the six analyzers without scoping (for -list and
+// Analyzers returns the five analyzers without scoping (for -list and
 // for running everything against a fixture).
 func Analyzers() []*analysis.Analyzer {
 	var out []*analysis.Analyzer

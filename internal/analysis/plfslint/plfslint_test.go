@@ -35,7 +35,6 @@ func TestKnownBadTripsEveryAnalyzer(t *testing.T) {
 		}
 	}
 	// The historical-bug shapes must be called out in the messages.
-	assertFinding(t, findings, "possibly-nil *ldplfs/internal/iostats.Plane stored into ldplfs/internal/iostats.Collector")
 	assertFinding(t, findings, "acquires FS.hmu (rank 0) while holding container.mu (rank 1)")
 	assertFinding(t, findings, "error wrapped with %v drops its errno chain")
 	assertFinding(t, findings, "time.Now bypasses the injected tune.Clock")
@@ -44,7 +43,7 @@ func TestKnownBadTripsEveryAnalyzer(t *testing.T) {
 	assertFinding(t, findings, "make([]byte, ...) in engine hot-path scatterGather")
 	// Suppression hygiene is findings too.
 	assertFinding(t, findings, "stale plfslint:ignore comment")
-	assertFinding(t, findings, "has no allowlist entry for nilcollector")
+	assertFinding(t, findings, "has no allowlist entry for atomicfield")
 }
 
 func assertFinding(t *testing.T, findings []analysis.Diagnostic, substr string) {
@@ -64,10 +63,8 @@ func TestScopes(t *testing.T) {
 	for _, c := range plfslint.Checks() {
 		scopeOf[c.Analyzer.Name] = c.Packages
 	}
-	for _, global := range []string{"nilcollector", "atomicfield"} {
-		if got, ok := scopeOf[global]; !ok || len(got) != 0 {
-			t.Errorf("%s should be unscoped (all packages), got %v", global, got)
-		}
+	if got, ok := scopeOf["atomicfield"]; !ok || len(got) != 0 {
+		t.Errorf("atomicfield should be unscoped (all packages), got %v", got)
 	}
 	if got := scopeOf["lockorder"]; len(got) != 1 || got[0] != "ldplfs/internal/plfs" {
 		t.Errorf("lockorder scope = %v, want exactly ldplfs/internal/plfs", got)

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ldplfs/internal/iostats"
 )
 
 // Lock owners named like the data path's so the ranking applies.
@@ -25,11 +23,6 @@ type container struct {
 
 type writer struct {
 	mu sync.Mutex
-}
-
-// nilcollector: the PR 6 typed-nil shape.
-func typedNil(p *iostats.Plane) iostats.Collector {
-	return p
 }
 
 // lockorder: the PR 2 inversion shape.
@@ -79,13 +72,12 @@ func read() int64 {
 // A stale ignore: no finding on this or the next line, so the driver
 // reports the comment itself.
 //
-//plfslint:ignore nilcollector nothing to suppress here; pins the stale-ignore meta-finding
+//plfslint:ignore atomicfield nothing to suppress here; pins the stale-ignore meta-finding
 var placeholder = 0
 
 // An undocumented suppression: the ignore silences the diagnostic but
 // has no allowlist entry, so the driver surfaces it as a finding.
-func undocumented(p *iostats.Plane) {
-	//plfslint:ignore nilcollector undocumented on purpose; pins the allowlist meta-finding
-	var c iostats.Collector = p
-	_ = c
+func undocumented() int64 {
+	//plfslint:ignore atomicfield undocumented on purpose; pins the allowlist meta-finding
+	return gen
 }

@@ -47,7 +47,7 @@ func colRig(n int) (*plfs.FS, []*posix.FaultFS) {
 	return opts.instance(), faults
 }
 
-func colHints(plane iostats.Collector) mpiio.Hints {
+func colHints(plane *iostats.Plane) mpiio.Hints {
 	h := mpiio.DefaultHints()
 	h.Collector = plane
 	return h

@@ -27,9 +27,7 @@ func (p *Plfs) Register(fl *flag.FlagSet) {
 }
 
 // Options renders the group as plfs options: WithStats over the plane,
-// or none. The plane may be nil (no telemetry) — taking the concrete
-// *iostats.Plane rather than the Collector interface keeps a typed-nil
-// plane from turning into a non-nil interface downstream.
+// or none when the plane is nil (telemetry off).
 func (p *Plfs) Options(plane *iostats.Plane) []plfs.Option {
 	if plane != nil {
 		return []plfs.Option{plfs.WithStats(plane)}

@@ -56,13 +56,7 @@ func NewStoreN(n int, plane *iostats.Plane) posix.FS {
 	for i := range backends {
 		backends[i] = posix.NewMemFS()
 	}
-	// Taking the concrete plane and storing it only when non-nil keeps a
-	// typed-nil plane out of the Collector interface.
-	var stats iostats.Collector
-	if plane != nil {
-		stats = plane
-	}
-	striped := posix.NewLayoutFS(posix.Layout{}, stats, backends...)
+	striped := posix.NewLayoutFS(posix.Layout{}, plane, backends...)
 	if err := PrepareStore(striped); err != nil {
 		panic(err.Error())
 	}
@@ -71,9 +65,9 @@ func NewStoreN(n int, plane *iostats.Plane) posix.FS {
 
 // Instrument wraps store so that every backend operation — whichever
 // method and PLFS machinery runs above it — reports to c's "posix"
-// layer. A nil collector returns the store unchanged, so the CLIs can
+// layer. A nil plane returns the store unchanged, so the CLIs can
 // thread their -stats flag through unconditionally.
-func Instrument(store posix.FS, c iostats.Collector) posix.FS {
+func Instrument(store posix.FS, c *iostats.Plane) posix.FS {
 	if c == nil {
 		return store
 	}

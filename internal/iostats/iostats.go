@@ -1,14 +1,15 @@
 // Package iostats is the unified I/O telemetry plane: every layer of
 // the stack (posix backends, the PLFS read/write engines, the shared
 // read caches, the MPI-IO collective path, the iotrace recorder)
-// reports through one Collector instead of growing its own ad-hoc
-// stats struct.
+// reports through one Plane instead of growing its own ad-hoc stats
+// struct.
 //
 // The design goals, in order:
 //
 //   - Pay-for-what-you-touch. A layer holds a *LayerStats handle; nil
 //     means telemetry is off and every recording call is a single nil
-//     check. No layer ever branches on a config flag.
+//     check. No layer ever branches on a config flag, and a nil *Plane
+//     hands out nil handles, so off is a nil plane passed everywhere.
 //   - Low overhead when on. Counters are sharded across padded cache
 //     lines (writers on different Ps rarely contend on one word), and
 //     histograms are fixed power-of-two buckets — one bits.Len64 and
@@ -18,13 +19,12 @@
 //     layer-specific quantities (cache hits, shim passthroughs, ...)
 //     are named counters registered on the layer.
 //
-// A Plane is the concrete Collector: a named set of layers, snapshotted
-// atomically-enough for dashboards (`plfsctl stats`, the CLIs' -stats
-// flag) and consumed online by the gateway's QoS governor (an
-// internal/tune controller), which steers background tenants' rate
-// caps from the byte counters alone — the PAIO "stage-based
-// instrumentation" idea crossed with IOPathTune's observe-only tuning
-// loop.
+// A Plane is a named set of layers, snapshotted atomically-enough for
+// dashboards (`plfsctl stats`, the CLIs' -stats flag) and consumed
+// online by the gateway's QoS governor (an internal/tune controller),
+// which steers background tenants' rate caps from the byte counters
+// alone — the PAIO "stage-based instrumentation" idea crossed with
+// IOPathTune's observe-only tuning loop.
 package iostats
 
 import (
@@ -207,7 +207,7 @@ type LayerStats struct {
 
 // NewLayerStats returns a standalone layer, not attached to any Plane
 // — for components that keep their own counters regardless of whether
-// an operator wired up a collector (the plfs index cache, an mpiio file).
+// an operator wired up a plane (the plfs index cache, an mpiio file).
 func NewLayerStats(name string) *LayerStats {
 	return &LayerStats{name: name, counters: make(map[string]*Counter)}
 }
@@ -329,19 +329,12 @@ func (l *LayerStats) snapshot() LayerSnapshot {
 	return s
 }
 
-// Collector is the plane's registration interface: an instrumented
-// layer asks for its handle once and records through it thereafter.
-// Asking twice for one name returns the same handle, so layers
-// instantiated per rank (or per FS instance) over one plane aggregate
-// into one view.
-type Collector interface {
-	// Layer returns the stats handle for the named layer, creating it
-	// on first use.
-	Layer(name string) *LayerStats
-}
-
-// Plane is the concrete Collector: a registry of layers in
-// registration order.
+// Plane is the telemetry plane: a registry of layers in registration
+// order. An instrumented layer asks for its handle once and records
+// through it thereafter. Asking twice for one name returns the same
+// handle, so layers instantiated per rank (or per FS instance) over one
+// plane aggregate into one view. A nil *Plane is telemetry off: every
+// method accepts a nil receiver, so callers pass it along unchecked.
 type Plane struct {
 	mu     sync.Mutex
 	layers map[string]*LayerStats
@@ -353,10 +346,9 @@ func NewPlane() *Plane {
 	return &Plane{layers: make(map[string]*LayerStats)}
 }
 
-// Layer implements Collector. Like the LayerStats handles it returns,
-// it is nil-receiver safe: a nil *Plane (telemetry off) yields a nil
-// handle — important because a typed-nil *Plane stored in a Collector
-// interface still dispatches here.
+// Layer returns the stats handle for the named layer, creating it on
+// first use. A nil plane yields a nil handle, which every LayerStats
+// method accepts.
 func (p *Plane) Layer(name string) *LayerStats {
 	if p == nil {
 		return nil
@@ -374,8 +366,12 @@ func (p *Plane) Layer(name string) *LayerStats {
 
 // Snapshot captures every layer. Counters are read without a global
 // pause, so a snapshot taken under load is consistent per counter, not
-// across counters — fine for dashboards, which is what it is for.
+// across counters — fine for dashboards, which is what it is for. A
+// nil plane's snapshot is empty and formats as "".
 func (p *Plane) Snapshot() Snapshot {
+	if p == nil {
+		return Snapshot{}
+	}
 	p.mu.Lock()
 	order := append([]string(nil), p.order...)
 	layers := make([]*LayerStats, len(order))

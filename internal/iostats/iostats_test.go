@@ -51,6 +51,14 @@ func TestNilSafety(t *testing.T) {
 	if nilCounter.Load() != 0 {
 		t.Fatal("nil counter loaded non-zero")
 	}
+	// A nil plane is telemetry off: nil layers and an empty snapshot.
+	var p *Plane
+	if p.Layer("posix") != nil {
+		t.Fatal("nil plane handed out a layer")
+	}
+	if s := p.Snapshot(); len(s.Layers) != 0 || s.String() != "" {
+		t.Fatalf("nil plane snapshot = %+v, want empty", s)
+	}
 }
 
 func TestLayerStatsRecords(t *testing.T) {

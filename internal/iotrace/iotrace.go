@@ -67,7 +67,7 @@ func Wrap(inner posix.FS) *Recorder { return WrapWith(inner, nil) }
 // WrapWith is Wrap with an InstrumentFS inside the recorder reporting
 // to a telemetry plane (layer "iotrace"), so one wrapped backend feeds
 // both the event stream and the plane.
-func WrapWith(inner posix.FS, c iostats.Collector) *Recorder {
+func WrapWith(inner posix.FS, c *iostats.Plane) *Recorder {
 	r := &Recorder{inner: inner}
 	fs := inner
 	if c != nil {

@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -33,7 +34,7 @@ type Hints struct {
 	// collective and independent call reports count/bytes/latency to
 	// layer "mpiio" (plus collective_calls/independent_calls counters).
 	// Nil leaves the layer unobserved.
-	Collector iostats.Collector
+	Collector *iostats.Plane
 }
 
 // DefaultHints match ROMIO defaults plus the paper's configuration: one
@@ -115,14 +116,13 @@ func Open(r *mpi.Rank, driver Driver, path string, amode int, hints Hints) (*Fil
 	}
 	agreed := r.Bcast(0, mine).(shape)
 	hints.CBBufferSize, hints.CBAggregators = agreed.staging, agreed.aggsPerNode
-	f := &File{rank: r, df: df, hints: hints, path: path, ls: agreed.ls}
+	// The plane's layer, or rank 0's standalone one when no plane is
+	// attached. Every rank asks the plane for the same layer name, so
+	// the whole communicator aggregates into one view of it.
+	ls := cmp.Or(hints.Collector.Layer("mpiio"), agreed.ls)
+	f := &File{rank: r, df: df, hints: hints, path: path, ls: ls}
 	f.aggs = aggregators(r.Size(), r.PPN(), hints.CBAggregators)
 	f.isAgg = slices.Contains(f.aggs, r.Rank())
-	if hints.Collector != nil {
-		// Every rank asks for the same layer name, so the whole
-		// communicator aggregates into one view of the plane.
-		f.ls = hints.Collector.Layer("mpiio")
-	}
 	f.ccol = f.ls.Counter("collective_calls")
 	f.cind = f.ls.Counter("independent_calls")
 	f.cdw = f.ls.Counter("driver_writes")

@@ -342,10 +342,6 @@ func (p *FS) flattenAtClose(path string, src foldSources) {
 	p.writeFlattened(path, true, src)
 }
 
-// maybeAutoFlatten is flattenAtClose for a close that brings no fold:
-// every dropping is streamed.
-func (p *FS) maybeAutoFlatten(path string) { p.flattenAtClose(path, foldSources{}) }
-
 // DropFlattenedIndex removes the container's flattened records (all
 // generations), returning how many were unlinked. Raw droppings are
 // untouched, so reads simply revert to the streaming merge. Used by

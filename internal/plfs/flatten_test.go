@@ -793,7 +793,7 @@ func TestDeadFlattenClaim(t *testing.T) {
 	}
 	mem.Close(fd)
 
-	p.maybeAutoFlatten(path)
+	p.flattenAtClose(path, foldSources{})
 	if names := flattenedNames(t, p, path); len(names) != 1 || path+"/"+names[0] != dead {
 		t.Fatalf("a close over the dead claim's droppings flattened: root holds %v", names)
 	}

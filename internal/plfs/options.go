@@ -33,13 +33,11 @@ type Option func(*FS)
 // WithStats attaches the instance to a telemetry plane: the engines
 // report per-op counts, bytes and latency to layer "plfs" and the
 // shared index cache registers its counters on layer "readcache".
-// Without it telemetry is off; the data paths then pay one nil check
+// Without it, or with a nil plane, telemetry is off; the data paths then pay one nil check
 // per operation and never touch the clock.
-func WithStats(stats iostats.Collector) Option {
+func WithStats(stats *iostats.Plane) Option {
 	return func(p *FS) {
-		if stats != nil {
-			p.stats = stats.Layer("plfs")
-			p.cacheLayer = stats.Layer("readcache")
-		}
+		p.stats = stats.Layer("plfs")
+		p.cacheLayer = stats.Layer("readcache")
 	}
 }

@@ -98,9 +98,8 @@ func TestConfigSurface(t *testing.T) {
 		t.Fatal("WithStats did not wire layers plfs and readcache")
 	}
 	for name, opts := range map[string][]Option{
-		"none":      nil,
-		"nil":       {WithStats(nil)},
-		"typed nil": {WithStats((*iostats.Plane)(nil))},
+		"none": nil,
+		"nil":  {WithStats(nil)},
 	} {
 		p := New(posix.NewMemFS(), opts...)
 		if p.stats != nil || p.cacheLayer == nil {

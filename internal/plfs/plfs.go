@@ -173,7 +173,7 @@ type FS struct {
 	// cache is the shared per-container merged-index cache and fds the
 	// shared read-descriptor cache: the read-engine state shared by
 	// every File. cacheLayer is where the index cache counts: the
-	// collector's "readcache" layer, or a standalone one without. Both
+	// plane's "readcache" layer, or a standalone one without. Both
 	// run at their package defaults; in-package tests swap in a smaller
 	// fds on a fresh instance to pin the descriptor cap.
 	cache      *readcache.IndexCache

@@ -105,7 +105,7 @@ type FaultStep struct {
 
 // NewFaultFS wraps inner with no rules (transparent until Inject).
 // FaultFS carries no operation counters of its own: observe it by
-// wrapping in an InstrumentFS attached to a collector.
+// wrapping in an InstrumentFS attached to a plane.
 func NewFaultFS(inner FS) *FaultFS {
 	f := &FaultFS{opsClass: make(map[FaultOp]int)}
 	f.Interposer = Interpose(inner, faultHook{f})

@@ -35,14 +35,12 @@ type InstrumentFS struct {
 
 // NewInstrumentFS wraps inner, reporting to c's "posix" layer (or the
 // WithLayerName override). With a nil c it only forwards.
-func NewInstrumentFS(inner FS, c iostats.Collector, opts ...InstrumentOption) *InstrumentFS {
+func NewInstrumentFS(inner FS, c *iostats.Plane, opts ...InstrumentOption) *InstrumentFS {
 	f := &InstrumentFS{layerName: "posix"}
 	for _, o := range opts {
 		o(f)
 	}
-	if c != nil {
-		f.ls = c.Layer(f.layerName)
-	}
+	f.ls = c.Layer(f.layerName)
 	// Counter is nil-safe on a nil layer (returns a standalone counter),
 	// so the handles are always usable.
 	f.backendOps = f.ls.Counter("backend_ops")
@@ -52,7 +50,7 @@ func NewInstrumentFS(inner FS, c iostats.Collector, opts ...InstrumentOption) *I
 }
 
 // Stats returns the layer handle the wrapper reports to (nil when no
-// collector was attached).
+// plane was attached).
 func (f *InstrumentFS) Stats() *iostats.LayerStats { return f.ls }
 
 // instrumentHook is InstrumentFS's hook on its Interposer.

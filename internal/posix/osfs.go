@@ -62,7 +62,7 @@ func (o *OSFS) Root() string { return o.root }
 // keeps them standalone). An empty spec returns canonical unchanged; a
 // replica layout then has nowhere to put a second copy and is refused,
 // as is a spec with an empty entry.
-func NewStripedRoots(canonical FS, shadowSpec, layoutDesc string, stats iostats.Collector) (FS, error) {
+func NewStripedRoots(canonical FS, shadowSpec, layoutDesc string, stats *iostats.Plane) (FS, error) {
 	if shadowSpec == "" {
 		if _, err := LayoutFor(layoutDesc, 1); err != nil {
 			return nil, err

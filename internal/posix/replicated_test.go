@@ -12,7 +12,7 @@ import (
 
 // newReplicaFS builds a replica-r composite over n MemFS backends, each
 // wrapped in a FaultFS so tests can kill or stall individual backends.
-func newReplicaFS(t *testing.T, n, r int, stats iostats.Collector) (*StripedFS, []*FaultFS) {
+func newReplicaFS(t *testing.T, n, r int, stats *iostats.Plane) (*StripedFS, []*FaultFS) {
 	t.Helper()
 	faults := make([]*FaultFS, n)
 	backends := make([]FS, n)

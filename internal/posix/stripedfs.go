@@ -57,7 +57,7 @@ type StripedFS struct {
 	layout   Layout
 
 	// Replica data-path counters, registered on layer "posix" when a
-	// collector is wired (standalone otherwise — Counter is nil-safe).
+	// plane is wired (standalone otherwise — Counter is nil-safe).
 	readPrimary   *iostats.Counter
 	readFailover  *iostats.Counter
 	writeDegraded *iostats.Counter
@@ -116,7 +116,7 @@ func NewStripedFS(backends ...FS) *StripedFS {
 // NewLayoutFS composes backends under an explicit layout (the zero
 // Layout is mod-N). stats registers the replica read/write counters on
 // its layer "posix"; nil keeps standalone (invisible) counters.
-func NewLayoutFS(layout Layout, stats iostats.Collector, backends ...FS) *StripedFS {
+func NewLayoutFS(layout Layout, stats *iostats.Plane, backends ...FS) *StripedFS {
 	if len(backends) == 0 {
 		panic("posix: NewStripedFS needs at least one backend")
 	}
@@ -126,10 +126,7 @@ func NewLayoutFS(layout Layout, stats iostats.Collector, backends ...FS) *Stripe
 		fds:      make(map[int]*stripedFD),
 		nextFD:   3,
 	}
-	var layer *iostats.LayerStats
-	if stats != nil {
-		layer = stats.Layer("posix")
-	}
+	layer := stats.Layer("posix")
 	s.readPrimary = layer.Counter("replica_read_primary")
 	s.readFailover = layer.Counter("replica_read_failover")
 	s.writeDegraded = layer.Counter("replica_write_degraded")

@@ -253,7 +253,7 @@ type qos struct {
 	clock   tune.Clock
 }
 
-func newQoS(cfgs []TenantConfig, collector iostats.Collector, inflight int, clock tune.Clock) *qos {
+func newQoS(cfgs []TenantConfig, plane *iostats.Plane, inflight int, clock tune.Clock) *qos {
 	if clock == nil {
 		clock = tune.WallClock()
 	}
@@ -271,9 +271,7 @@ func newQoS(cfgs []TenantConfig, collector iostats.Collector, inflight int, cloc
 			readBucket:  NewTokenBucket(tc.ReadBytesPerSec, defaultBurst(tc.ReadBytesPerSec, burst), clock),
 			writeBucket: NewTokenBucket(tc.WriteBytesPerSec, defaultBurst(tc.WriteBytesPerSec, burst), clock),
 			opBucket:    NewTokenBucket(tc.OpsPerSec, defaultBurst(tc.OpsPerSec, burst), clock),
-		}
-		if collector != nil {
-			t.ls = collector.Layer("tenant:" + tc.Name)
+			ls:          plane.Layer("tenant:" + tc.Name),
 		}
 		q.tenants[tc.Name] = t
 	}

@@ -19,7 +19,7 @@ type Config struct {
 	// instance and every session's non-PLFS paths run over it. To
 	// stripe or replicate, compose a posix.StripedFS before handing it
 	// over, as a local client would, with Plane as the composite's
-	// collector so its replica counters share the gateway's snapshot.
+	// plane so its replica counters share the gateway's snapshot.
 	Backend posix.FS
 
 	// Mounts maps client-visible path prefixes onto backend container
