@@ -23,11 +23,12 @@
 // The write path is its twin, and also one path: File.Write is a
 // one-segment File.WriteV. It has per-writer sharded locking (writes
 // and syncs for distinct pids proceed fully in parallel under a shared
-// container lock), batched index appends (plfs.DefaultIndexBatch), and
-// vectored multi-extent writes that reserve a physical range up front
-// and fan chunk pwrites out concurrently. Partial writes are always
-// indexed to exactly the durable prefix, and the writer's cursor stops
-// at the last durable byte. See README.md ("The write engine").
+// container lock), write-behind of small writes (plfs.WriteStage: a
+// writer's small appends land as one backend write, ahead of their index
+// records), batched index appends (plfs.DefaultIndexBatch), and vectored
+// multi-extent writes that land in one pwritev. Partial writes are
+// always indexed to exactly the durable prefix, and the writer's cursor
+// stops at the last durable byte. See README.md ("The write engine").
 //
 // Containers can be striped over multiple backends by composing a
 // posix.StripedFS and handing it to plfs.New as the backend (the

@@ -44,6 +44,7 @@ var HotFuncs = map[string]bool{
 	"readBatch":     true,
 	"failBatch":     true,
 	"writeV":        true,
+	"land":          true,
 	// mpiio collective shuffle plane: routing and the aggregator loop.
 	"route":      true,
 	"stageWrite": true,

@@ -28,25 +28,71 @@ func faultEnv(t *testing.T) (posix.FS, *posix.FaultFS) {
 	return d, ffs
 }
 
+// TestWriteFailurePropagatesThroughShim: a small write is staged by
+// PLFS's write-behind, so a full device surfaces through the shim at the
+// fsync that lands it, and at the close when nothing syncs first.
 func TestWriteFailurePropagatesThroughShim(t *testing.T) {
 	d, ffs := faultEnv(t)
 	fd, err := d.Open("/mnt/plfs/f", posix.O_CREAT|posix.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First write succeeds, then the device fills up.
+	// First write succeeds and is synced, then the device fills up.
 	if _, err := d.Write(fd, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
 	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, Err: posix.ENOSPC})
-	if _, err := d.Write(fd, []byte("doomed")); !errors.Is(err, posix.ENOSPC) {
+	if _, err := d.Write(fd, []byte("doomed")); err != nil {
+		t.Fatalf("staged write under ENOSPC = %v, want it accepted", err)
+	}
+	if err := d.Fsync(fd); !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("fsync under ENOSPC = %v, want ENOSPC", err)
+	}
+	if _, err := d.Write(fd, []byte("doomed")); err != nil {
+		t.Fatalf("staged write under ENOSPC = %v, want it accepted", err)
+	}
+	if err := d.Close(fd); !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("close under ENOSPC = %v, want ENOSPC", err)
+	}
+	ffs.Clear()
+	// The successful data is intact.
+	fd, err = d.Open("/mnt/plfs/f", posix.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if n, err := d.Pread(fd, buf, 0); err != nil || !bytes.Equal(buf[:n], []byte("ok")) {
+		t.Fatalf("data after failed writes: %q, %v", buf[:n], err)
+	}
+	if err := d.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteFailurePropagatesThroughShimUnstaged is its twin for a write
+// too large to stage: it lands in the write call, so the write itself
+// fails, and the handle survives the failure.
+func TestWriteFailurePropagatesThroughShimUnstaged(t *testing.T) {
+	d, ffs := faultEnv(t)
+	fd, err := d.Open("/mnt/plfs/f", posix.O_CREAT|posix.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("ok"), plfs.WriteStage)
+	if _, err := d.Write(fd, big); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, Err: posix.ENOSPC})
+	if _, err := d.Write(fd, big); !errors.Is(err, posix.ENOSPC) {
 		t.Fatalf("write under ENOSPC = %v, want ENOSPC", err)
 	}
 	ffs.Clear()
-	// The handle survives the failure; the successful data is intact.
-	buf := make([]byte, 2)
-	if _, err := d.Pread(fd, buf, 0); err != nil || !bytes.Equal(buf, []byte("ok")) {
-		t.Fatalf("data after failed write: %q, %v", buf, err)
+	buf := make([]byte, 2*len(big))
+	if n, err := d.Pread(fd, buf, 0); err != nil || !bytes.Equal(buf[:n], big) {
+		t.Fatalf("data after failed write: %d bytes, %v; want the %d that landed", n, err, len(big))
 	}
 	if err := d.Close(fd); err != nil {
 		t.Fatal(err)

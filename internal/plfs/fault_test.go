@@ -20,6 +20,10 @@ func faultPLFS(t *testing.T) (*FS, *posix.FaultFS, *posix.MemFS) {
 	return New(ffs), ffs, mem
 }
 
+// TestENOSPCDuringDataWrite: a small write is staged, so the device
+// filling up surfaces at the Sync that lands it (see "Write-behind" in
+// writeengine.go). The synced write survives and the failed one leaves
+// no phantom index entry.
 func TestENOSPCDuringDataWrite(t *testing.T) {
 	p, ffs, _ := faultPLFS(t)
 	f, err := p.Open("/backend/full", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
@@ -29,9 +33,15 @@ func TestENOSPCDuringDataWrite(t *testing.T) {
 	if _, err := f.Write([]byte("fits"), 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Sync(1); err != nil {
+		t.Fatal(err)
+	}
 	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, Err: posix.ENOSPC})
-	if _, err := f.Write([]byte("does not"), 4, 1); !errors.Is(err, posix.ENOSPC) {
-		t.Fatalf("write on full device = %v, want ENOSPC", err)
+	if _, err := f.Write([]byte("does not"), 4, 1); err != nil {
+		t.Fatalf("staged write on full device = %v, want it accepted", err)
+	}
+	if err := f.Sync(1); !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("sync on full device = %v, want ENOSPC", err)
 	}
 	ffs.Clear()
 	// The successful write survives; no phantom index entry for the
@@ -47,11 +57,40 @@ func TestENOSPCDuringDataWrite(t *testing.T) {
 	f.Close(1)
 }
 
+// TestENOSPCDuringDataWriteUnstaged is its twin for a write too large
+// to stage: it lands before Write returns, so Write itself fails.
+func TestENOSPCDuringDataWriteUnstaged(t *testing.T) {
+	p, ffs, _ := faultPLFS(t)
+	f, err := p.Open("/backend/full", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := bytes.Repeat([]byte{'f'}, stageBelow)
+	if _, err := f.Write(fits, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, Err: posix.ENOSPC})
+	if n, err := f.Write(bytes.Repeat([]byte{'x'}, stageBelow), stageBelow, 1); n != 0 || !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("unstaged write on full device = %d, %v, want 0, ENOSPC", n, err)
+	}
+	ffs.Clear()
+	got := make([]byte, 2*stageBelow)
+	n, err := f.Read(got, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != stageBelow || !bytes.Equal(got[:n], fits) {
+		t.Fatalf("content after ENOSPC: n=%d, want the %d bytes that fit", n, stageBelow)
+	}
+	f.Close(1)
+}
+
 // TestPartialWriteKeepsIndexInSync is the regression test for the
 // partial-write desync: when the backend lands n > 0 bytes and then
 // errors, the dropping grew by n, so the durable prefix must be indexed
 // and the physical cursor advanced — or every subsequent write's index
-// entry points n bytes before its real payload.
+// entry points n bytes before its real payload. The write is staged, so
+// the partial landing happens at the Sync that lands it.
 func TestPartialWriteKeepsIndexInSync(t *testing.T) {
 	p, ffs, mem := faultPLFS(t)
 	f, err := p.Open("/backend/torn-write", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
@@ -64,6 +103,30 @@ func TestPartialWriteKeepsIndexInSync(t *testing.T) {
 		Partial: 40, Times: 1, Err: posix.ENOSPC,
 	})
 	first := bytes.Repeat([]byte{'p'}, 100)
+	if n, err := f.Write(first, 0, 1); err != nil || n != 100 {
+		t.Fatalf("staged write = %d, %v, want 100 accepted", n, err)
+	}
+	if err := f.Sync(1); !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("sync on filling device = %v (want ENOSPC)", err)
+	}
+	ffs.Clear()
+	checkTornWrite(t, p, mem, f, "/backend/torn-write", first[:40], 100)
+}
+
+// TestPartialWriteKeepsIndexInSyncUnstaged is its twin for a write too
+// large to stage: the partial landing happens in Write, which returns
+// the durable prefix's length with the error.
+func TestPartialWriteKeepsIndexInSyncUnstaged(t *testing.T) {
+	p, ffs, mem := faultPLFS(t)
+	f, err := p.Open("/backend/torn-write", posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&posix.FaultRule{
+		Op: posix.FaultWrite, PathContains: "dropping.data",
+		Partial: 40, Times: 1, Err: posix.ENOSPC,
+	})
+	first := bytes.Repeat([]byte{'p'}, stageBelow)
 	n, err := f.Write(first, 0, 1)
 	if !errors.Is(err, posix.ENOSPC) {
 		t.Fatalf("write on filling device = %d, %v (want ENOSPC)", n, err)
@@ -72,32 +135,40 @@ func TestPartialWriteKeepsIndexInSync(t *testing.T) {
 		t.Fatalf("partial write landed %d bytes, want 40", n)
 	}
 	ffs.Clear()
+	checkTornWrite(t, p, mem, f, "/backend/torn-write", first[:40], 100)
+}
+
+// checkTornWrite checks the file after a write of which only prefix
+// landed: the prefix reads back, a 60-byte write right after it is not
+// shifted, and the data dropping holds both back to back, size bytes.
+func checkTornWrite(t *testing.T, p *FS, mem *posix.MemFS, f *File, path string, prefix []byte, size int64) {
+	t.Helper()
 	// The durable prefix must read back...
-	got := make([]byte, 40)
-	if rn, err := f.Read(got, 0); err != nil || rn != 40 {
+	got := make([]byte, len(prefix))
+	if rn, err := f.Read(got, 0); err != nil || rn != len(prefix) {
 		t.Fatalf("read durable prefix: n=%d err=%v", rn, err)
 	}
-	if !bytes.Equal(got, first[:40]) {
+	if !bytes.Equal(got, prefix) {
 		t.Fatal("durable prefix not indexed after partial write")
 	}
 	// ...and the next successful write must not be shifted by the
-	// unrecorded 40 bytes (the original bug: stale physOff).
+	// unrecorded bytes (the original bug: stale physOff).
 	second := bytes.Repeat([]byte{'s'}, 60)
-	if wn, err := f.Write(second, 40, 1); err != nil || wn != 60 {
+	if wn, err := f.Write(second, int64(len(prefix)), 1); err != nil || wn != 60 {
 		t.Fatalf("follow-up write: n=%d err=%v", wn, err)
 	}
-	full := make([]byte, 100)
-	if rn, err := f.Read(full, 0); err != nil || rn != 100 {
+	full := make([]byte, len(prefix)+60)
+	if rn, err := f.Read(full, 0); err != nil || rn != len(full) {
 		t.Fatalf("full read: n=%d err=%v", rn, err)
 	}
-	want := append(append([]byte{}, first[:40]...), second...)
+	want := append(append([]byte{}, prefix...), second...)
 	if !bytes.Equal(full, want) {
 		t.Fatal("write after partial failure reads back shifted payload (physOff desync)")
 	}
-	// ...and the cursor moved by the 40 durable bytes, not the 100
-	// reserved: the dropping holds both payloads back to back.
-	if st, err := mem.Stat(dataDropping(p.hostdir("/backend/torn-write", 1), 1)); err != nil || st.Size != 100 {
-		t.Fatalf("data dropping after follow-up write = %+v, %v; want 100 bytes, no gap", st, err)
+	// ...and the cursor moved by the durable bytes, not the ones asked
+	// for: the dropping holds both payloads back to back.
+	if st, err := mem.Stat(dataDropping(p.hostdir(path, 1), 1)); err != nil || st.Size != size {
+		t.Fatalf("data dropping after follow-up write = %+v, %v; want %d bytes, no gap", st, err, size)
 	}
 	f.Close(1)
 }
@@ -275,5 +346,52 @@ func TestIndexDroppingHeaderWindow(t *testing.T) {
 	}
 	if all := readAllBytes(t, New(ffs), path); string(all) != "onetwo" {
 		t.Fatalf("after the window closed: %q", all)
+	}
+}
+
+// TestFailedCloseRetiresWriter: a close whose landing or index flush
+// fails still retires the writer. It reports the error once, closes
+// both of the writer's descriptors, clears its openhosts record and
+// drops the container record; closing again is a no-op.
+func TestFailedCloseRetiresWriter(t *testing.T) {
+	for _, dropping := range []string{"dropping.index", "dropping.data"} {
+		t.Run(dropping, func(t *testing.T) {
+			p, ffs, mem := faultPLFS(t)
+			const path = "/backend/failclose"
+			f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("data"), 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: dropping, Err: posix.EIO})
+			if err := f.Close(1); !errors.Is(err, posix.EIO) {
+				t.Fatalf("close with its flush failing = %v, want EIO", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := f.Close(1); err != nil {
+					t.Fatalf("close again = %v, want nil (a no-op)", err)
+				}
+			}
+			ffs.Clear()
+			if n := p.OpenContainers(); n != 0 {
+				t.Errorf("open containers after the failed close = %d, want 0", n)
+			}
+			if got := mem.OpenFDs(); got != 0 {
+				t.Errorf("%d backend fds left open by the failed close", got)
+			}
+			h, err := p.IndexHealth(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.OpenWriters != 0 {
+				t.Errorf("openhosts records after the failed close = %d, want 0", h.OpenWriters)
+			}
+			// The container reads as the failure left it: nothing indexed.
+			if size, err := New(ffs).Stat(path); err != nil || size.Size != 0 {
+				t.Errorf("a fresh instance's Stat = %+v, %v; want size 0", size, err)
+			}
+		})
 	}
 }

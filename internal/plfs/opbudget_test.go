@@ -51,30 +51,36 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 //     and its read of every dropping, then the writer's creation — its
 //     hostdir's Mkdir, its data dropping's open and fstat, its index
 //     dropping's Stat, open and header write, its openhosts record
-//     (Mkdir, open, close) — and the data pwrite. (While seedClock read
-//     each dropping to its Fstat — open, fstat, two preads, close — it
-//     cost 11 + H + 5·D ops, 6 + H + 2·D meta, on MemFS and
-//     13 + H + 5·D, 8 + H + 2·D on mod-3.)
+//     (Mkdir, open, close). The 4-byte write is staged, so its data
+//     pwrite moved to the writer's close. (While seedClock read each
+//     dropping to its Fstat — open, fstat, two preads, close — it cost
+//     11 + H + 5·D ops, 6 + H + 2·D meta, on MemFS and 13 + H + 5·D,
+//     8 + H + 2·D on mod-3; while every write landed before it
+//     returned, one more op.)
 //   - first write by a new pid: pid 101's first write in that
-//     instance, whose clock is seeded: the writer's creation and the
-//     pwrite;
+//     instance, whose clock is seeded: the writer's creation (10 ops
+//     while the write's pwrite was part of it);
 //   - writer close: pid 100 closes while pid 101 is open in the same
-//     instance: its index flush (write, fsync) and close, its data
-//     dropping's close and its openhosts record's unlink. The instance's
-//     own writer table says a writer is left, so the close lists
-//     nothing. (While every close listed openhosts, it cost 6 ops, 4
+//     instance: its staged write's pwrite, its index flush (write,
+//     fsync) and close, its data dropping's close and its openhosts
+//     record's unlink. The instance's own writer table says a writer
+//     is left, so the close lists nothing. (5 ops while the pwrite was
+//     the write's; while every close listed openhosts, it cost 6 ops, 4
 //     meta, on MemFS and 8, 6 on mod-3; a writer that also dropped a
-//     size hint — an open, a write and a close — cost 9 and 11.)
+//     size hint — an open, a write and a close — cost 9 and 11.) A
+//     write and a close, taken together, cost what they did before
+//     write-behind: the pwrite only moved.
 //   - writer close, the other writer in another instance: pid 101, the
 //     instance's last writer, closes while pid 102 is open in another
 //     instance: the writer close plus the openhosts listing that finds
 //     pid 102 (one listing per backend striped);
-//   - last close: pid 102 closes and finds no writer left, so it
-//     flattens: the listing, then the walk, the claim's O_EXCL create,
+//   - last close: pid 102 lands its staged write, closes and finds no
+//     writer left, so it flattens: the pwrite, the listing, then the
+//     walk, the claim's O_EXCL create,
 //     the merge of the D + 3 droppings (the fixture's and the three
 //     writers') and the record's write, fsync, close and rename (one
-//     rename per backend striped) — 12 + H + 3·(D + 3) ops,
-//     7 + H + (D + 3) meta, on MemFS and 18 + H + 3·(D + 3),
+//     rename per backend striped) — 13 + H + 3·(D + 3) ops,
+//     7 + H + (D + 3) meta, on MemFS and 19 + H + 3·(D + 3),
 //     13 + H + (D + 3) on mod-3. The listings are the listing rows'.
 //     The closing instance wrote one of those droppings and holds its
 //     fold, but a flatten reads droppings from folds only when every
@@ -82,16 +88,16 @@ func (b budget) String() string { return fmt.Sprintf("%d + %d·H + %d·D", b.bas
 //   - last close, every dropping its own: one instance's D + 1 writers,
 //     pids 200.., each on its own handle, wrote a fresh container, and
 //     the last of them closes: the last close's row with every dropping
-//     read from its writer's fold — no D term, 12 + H ops, 7 + H meta,
-//     on MemFS and 18 + H, 13 + H on mod-3.
+//     read from its writer's fold — no D term, 13 + H ops, 7 + H meta,
+//     on MemFS and 19 + H, 13 + H on mod-3.
 //   - last close, a size that disagrees / a resumed writer / a spilled
 //     fold: the same, with one dropping its fold cannot vouch for — a
 //     partial record appended behind the writer's back, a writer that
 //     resumed the dropping its pid closed earlier, or a writer whose
 //     records folded into more than idx.MaxFoldRuns runs — so every
 //     dropping is read back as the last close's row reads them:
-//     12 + H + 3·(D + 1) ops, 7 + H + (D + 1) meta, on MemFS and
-//     18 + H + 3·(D + 1), 13 + H + (D + 1) on mod-3.
+//     13 + H + 3·(D + 1) ops, 7 + H + (D + 1) meta, on MemFS and
+//     19 + H + 3·(D + 1), 13 + H + (D + 1) on mod-3.
 func TestOpBudget(t *testing.T) {
 	type row struct{ total, meta budget }
 	stores := []struct {
@@ -104,30 +110,30 @@ func TestOpBudget(t *testing.T) {
 			"revalidating": {budget{2, 1, 0}, budget{2, 1, 0}},
 			"stat":         {budget{7, 1, 0}, budget{5, 1, 0}},
 			"raw":          {budget{2, 1, 3}, budget{2, 1, 1}},
-			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
-			"writer close, the other writer in another instance": {budget{6, 0, 0}, budget{4, 0, 0}},
-			"first write, fresh instance":                        {budget{11, 1, 3}, budget{6, 1, 1}},
-			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
-			"last close":                                         {budget{21, 1, 3}, budget{10, 1, 1}},
-			"last close, every dropping its own":                 {budget{12, 1, 0}, budget{7, 1, 0}},
-			"last close, a size that disagrees":                  {budget{15, 1, 3}, budget{8, 1, 1}},
-			"last close, a resumed writer":                       {budget{15, 1, 3}, budget{8, 1, 1}},
-			"last close, a spilled fold":                         {budget{15, 1, 3}, budget{8, 1, 1}},
+			"writer close": {budget{6, 0, 0}, budget{3, 0, 0}},
+			"writer close, the other writer in another instance": {budget{7, 0, 0}, budget{4, 0, 0}},
+			"first write, fresh instance":                        {budget{10, 1, 3}, budget{6, 1, 1}},
+			"first write by a new pid":                           {budget{9, 0, 0}, budget{5, 0, 0}},
+			"last close":                                         {budget{22, 1, 3}, budget{10, 1, 1}},
+			"last close, every dropping its own":                 {budget{13, 1, 0}, budget{7, 1, 0}},
+			"last close, a size that disagrees":                  {budget{16, 1, 3}, budget{8, 1, 1}},
+			"last close, a resumed writer":                       {budget{16, 1, 3}, budget{8, 1, 1}},
+			"last close, a spilled fold":                         {budget{16, 1, 3}, budget{8, 1, 1}},
 		}},
 		{"mod-3", 3, map[string]row{
 			"trusted":      {budget{10, 1, 0}, budget{8, 1, 0}},
 			"revalidating": {budget{4, 1, 0}, budget{4, 1, 0}},
 			"stat":         {budget{11, 1, 0}, budget{9, 1, 0}},
 			"raw":          {budget{4, 1, 3}, budget{4, 1, 1}},
-			"writer close": {budget{5, 0, 0}, budget{3, 0, 0}},
-			"writer close, the other writer in another instance": {budget{8, 0, 0}, budget{6, 0, 0}},
-			"first write, fresh instance":                        {budget{13, 1, 3}, budget{8, 1, 1}},
-			"first write by a new pid":                           {budget{10, 0, 0}, budget{5, 0, 0}},
-			"last close":                                         {budget{27, 1, 3}, budget{16, 1, 1}},
-			"last close, every dropping its own":                 {budget{18, 1, 0}, budget{13, 1, 0}},
-			"last close, a size that disagrees":                  {budget{21, 1, 3}, budget{14, 1, 1}},
-			"last close, a resumed writer":                       {budget{21, 1, 3}, budget{14, 1, 1}},
-			"last close, a spilled fold":                         {budget{21, 1, 3}, budget{14, 1, 1}},
+			"writer close": {budget{6, 0, 0}, budget{3, 0, 0}},
+			"writer close, the other writer in another instance": {budget{9, 0, 0}, budget{6, 0, 0}},
+			"first write, fresh instance":                        {budget{12, 1, 3}, budget{8, 1, 1}},
+			"first write by a new pid":                           {budget{9, 0, 0}, budget{5, 0, 0}},
+			"last close":                                         {budget{28, 1, 3}, budget{16, 1, 1}},
+			"last close, every dropping its own":                 {budget{19, 1, 0}, budget{13, 1, 0}},
+			"last close, a size that disagrees":                  {budget{22, 1, 3}, budget{14, 1, 1}},
+			"last close, a resumed writer":                       {budget{22, 1, 3}, budget{14, 1, 1}},
+			"last close, a spilled fold":                         {budget{22, 1, 3}, budget{14, 1, 1}},
 		}},
 	}
 	const path = "/backend/c"

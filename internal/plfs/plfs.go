@@ -30,10 +30,12 @@
 // in readengine.go; Read is its one-segment case. Every write runs the
 // one writeV in writeengine.go; Write is its one-segment case. It takes
 // the container lock shared and its pid's writer lock (lockWriter),
-// lands each vector with one positional write and buffers index
-// records per writer. The read fan-out and batch depth and the index
-// group-flush threshold are fixed when the instance is built
-// (FS.workers, batchDepth, indexBatch), as is the container geometry (FS.hostdirs: a pid's
+// stages a small write in the writer's stage or lands the stage and the
+// write with one positional write, and buffers index records per writer
+// — a record moves to the index writer only once its bytes have landed.
+// The read fan-out and batch depth and the index group-flush threshold
+// are fixed when the instance is built (FS.workers, batchDepth,
+// indexBatch), as is the container geometry (FS.hostdirs: a pid's
 // hostdir is pid mod 32); nothing selects a different path. Whether a
 // gather's batches run inline or across the pool is not a setting
 // either: the instance keeps a running mean of what a batch costs on
@@ -536,19 +538,30 @@ func (p *FS) newestInDropping(st indexState, i int) (uint64, error) {
 // proceed fully in parallel (the point of PLFS's file partitioning),
 // synchronizing only on the container's shared lock and the atomic clock.
 //
-// Lock order: container.mu (shared or exclusive) before writer.mu. Paths
-// holding container.mu exclusive (Trunc, Close) own every writer
-// outright and skip writer.mu.
+// Lock order: container.mu (shared or exclusive) before writer.mu. A
+// Sync takes writer.mu under container.mu shared and lets the container
+// lock go for its backend I/O, so a writer's creation or another
+// writer's Close never waits on that I/O; a path holding container.mu
+// exclusive (Trunc, Close) takes a writer's lock to wait out a Sync in
+// flight before it touches the writer, and then owns it outright.
 type writer struct {
 	mu      sync.Mutex
 	dataFD  int
 	idxW    *idx.Writer
 	idxPath string
+	// physOff is the cursor: the end of what has landed in the data
+	// dropping. The stage's bytes belong at [physOff, physOff+len(stage)).
 	physOff int64
+	// stage holds the payload of small writes accepted but not yet
+	// landed, and pending their records, stamped at acceptance (see
+	// "Write-behind" in writeengine.go). stage is made at the writer's
+	// first staged write, WriteStage bytes.
+	stage   []byte
+	pending []idx.Entry
 	// fold holds every record the writer appended, for the flatten of
 	// its instance's last close (see flatten.go); nil for a writer that
-	// resumed a dropping or was rebound by a truncate, and once the
-	// fold spills past idx.MaxFoldRuns.
+	// resumed a dropping or was rebound by a truncate, once the fold
+	// spills past idx.MaxFoldRuns, and after a failed landing.
 	fold *idx.Fold
 	// marked says the writer dropped its own openhosts record, which
 	// retiring it clears; a writer a communicator's handle made has none
@@ -571,6 +584,12 @@ type container struct {
 
 	mu      sync.RWMutex
 	writers map[uint32]*writer
+	// creating holds, per pid whose writer is being made outside mu, a
+	// channel closed once it is installed or given up (createWriter).
+	// truncs counts truncates, so a creator can tell that one ran while
+	// it made its droppings. Both guarded by mu.
+	creating map[uint32]chan struct{}
+	truncs   uint64
 	// seeded marks that the instance's clock has been raised past the
 	// container's recorded timestamps for this record (seedClock).
 	// Guarded by mu. A record lives while handles are open, so every
@@ -745,19 +764,15 @@ func (c *container) dataPath(pid uint32) string {
 	return path
 }
 
-// getWriterLocked returns (creating if needed) pid's writer; a writer it
-// creates drops its own openhosts record when mark is set. Caller holds
-// c.mu exclusive.
-func (c *container) getWriterLocked(pid uint32, mark bool) (*writer, error) {
-	if w, ok := c.writers[pid]; ok {
-		return w, nil
-	}
+// makeWriter does the backend ops of pid's writer creation, with no
+// container lock held: the clock seed when seed is set, the hostdir, both
+// droppings and, when mark is set, the writer's own openhosts record.
+func (c *container) makeWriter(pid uint32, seed, mark bool) (*writer, error) {
 	p := c.fs
-	if !c.seeded {
+	if seed {
 		if err := p.seedClock(c.path); err != nil {
 			return nil, err
 		}
-		c.seeded = true
 	}
 	hostdir := p.hostdir(c.path, pid)
 	if err := p.backend.Mkdir(hostdir, 0o755); err != nil && !errors.Is(err, posix.EEXIST) {
@@ -765,8 +780,7 @@ func (c *container) getWriterLocked(pid uint32, mark bool) (*writer, error) {
 	}
 	// The data dropping is opened without O_APPEND: the write engine
 	// tracks the append cursor (physOff) itself and lands payload with
-	// positional writes, so WriteV can reserve a physical range and fan
-	// its segment pwrites out concurrently.
+	// positional writes at it.
 	fd, err := p.backend.Open(dataDropping(hostdir, pid), posix.O_CREAT|posix.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("plfs: open data dropping: %w", err)
@@ -785,10 +799,7 @@ func (c *container) getWriterLocked(pid uint32, mark bool) (*writer, error) {
 	w := &writer{dataFD: fd, idxW: iw, idxPath: idxPath, physOff: st.Size}
 	if fresh {
 		w.fold = &idx.Fold{}
-	} else {
-		delete(c.folds, idxPath)
 	}
-	c.writers[pid] = w
 	if mark {
 		p.markOpen(c.path, pid)
 		w.marked = true
@@ -809,16 +820,31 @@ func openIndexWriter(p *FS, path string) (w *idx.Writer, fresh bool, err error) 
 }
 
 // Write appends len(buf) bytes at logical offset off on behalf of pid —
-// plfs_write. It is WriteV of one segment: the payload lands at the end
+// plfs_write. It is WriteV of one segment: the payload goes to the end
 // of pid's data dropping and one index record is buffered
 // (group-flushed every DefaultIndexBatch records). Writes for distinct
-// pids proceed fully in parallel.
+// pids proceed fully in parallel. buf is not retained.
 //
-// Partial-write semantics: n is the number of payload bytes that reached
-// the data dropping. Those n bytes are always indexed — even when err is
-// non-nil — so the logical file reflects exactly the durable prefix, and
-// the writer's physical cursor advances by n, never desynchronizing from
-// the dropping.
+// When its bytes land: a write of 8 KiB or more lands before Write
+// returns, with whatever pid's writer had staged ahead of it. A smaller
+// one is copied into the writer's stage and returns at once; its bytes
+// land with the next write that cannot be staged, or when the stage's
+// records reach the group flush, or at the next Sync of pid, read
+// through this instance, Trunc or Close, whichever comes first (see
+// "Write-behind" in writeengine.go). Its index record reaches the
+// backend only after its bytes.
+//
+// Where an error surfaces: a landing's error is returned by the call
+// that landed it, so the failure of a staged write is reported by a
+// later Write, Sync, read, Trunc or Close — as POSIX lets a write-behind
+// cache report it at fsync or close, and as PLFS's buffered index
+// reports an index error at close.
+//
+// Partial-write semantics: a failed landing indexes exactly its durable
+// prefix, and the writer's physical cursor moves to the prefix's end,
+// never desynchronizing from the dropping. n is len(buf) for a write
+// accepted into the stage; for a write that landed in this call, n is
+// its part of the durable prefix.
 func (f *File) Write(buf []byte, off int64, pid uint32) (int, error) {
 	start := f.fs.opStart()
 	seg := [1]WriteSeg{{Off: off, Data: buf}}
@@ -827,18 +853,20 @@ func (f *File) Write(buf []byte, off int64, pid uint32) (int, error) {
 	return int(n), err
 }
 
-// flushIndex puts every index record the instance has buffered for this
-// container on the backend — one sweep over the writers, each quiesced
-// under its own lock so the others stay concurrent.
+// flushIndex puts every write the instance has accepted for this
+// container on the backend, staged bytes first, then index records —
+// one sweep over the writers, each quiesced under its own lock so the
+// others stay concurrent. The first error is returned; a failed landing
+// is that write's error (see "Write-behind" in writeengine.go).
 func (c *container) flushIndex() error {
 	var ferr error
 	flushed := false
 	c.mu.RLock()
 	for _, w := range c.writers {
 		w.mu.Lock()
-		if w.idxW.Buffered() > 0 {
+		if len(w.stage) > 0 || w.idxW.Buffered() > 0 {
 			flushed = true
-			if err := w.idxW.Sync(); err != nil && ferr == nil {
+			if err := w.syncIndex(c.fs); err != nil && ferr == nil {
 				ferr = err
 			}
 		}
@@ -922,8 +950,10 @@ func (f *File) Size() (int64, error) {
 	return index.Size(), nil
 }
 
-// Sync flushes pid's buffered index records and data — plfs_sync. Syncs
-// for distinct pids proceed in parallel, like the writes they flush.
+// Sync lands pid's staged writes, then flushes its buffered index
+// records and data — plfs_sync. Syncs for distinct pids proceed in
+// parallel, like the writes they flush. An error from landing a staged
+// write is returned here (see File.Write).
 func (f *File) Sync(pid uint32) error {
 	start := f.fs.opStart()
 	err := f.sync(pid)
@@ -938,14 +968,16 @@ func (c *container) sync(pid uint32) error {
 		c.mu.RUnlock()
 		return nil
 	}
+	// The writer's lock alone covers the I/O: the writer leaves the table
+	// only under the container lock exclusive and its own lock.
 	w.mu.Lock()
-	serr := w.idxW.Sync()
+	c.mu.RUnlock()
+	serr := w.syncIndex(c.fs)
 	var ferr error
 	if serr == nil {
 		ferr = c.fs.backend.Fsync(w.dataFD)
 	}
 	w.mu.Unlock()
-	c.mu.RUnlock()
 	// Stale out the shared index even on error: the record flush may
 	// have reached the backend before the fsync failed, and the writer's
 	// buffer is empty either way, so flushIndex would never re-trigger
@@ -968,8 +1000,9 @@ func (f *File) Trunc(size int64) error {
 }
 
 // truncateShared truncates a container under its record's lock (when
-// the instance has it open): every writer's buffered records are flushed
-// so they participate in the consolidation, and afterwards the writers
+// the instance has it open): every writer's staged writes are landed and
+// its buffered records flushed so they participate in the consolidation,
+// and a landing's error fails the truncate. Afterwards the writers
 // are retired (size 0) or rebound to fresh index droppings (size > 0) —
 // a truncate through one handle, a path-based Truncate, or an O_TRUNC
 // open must not leave any writer appending to unlinked droppings.
@@ -982,8 +1015,14 @@ func (p *FS) truncateShared(path string, size int64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.truncs++ // droppings a creator is making now may be unlinked
 	for _, w := range c.writers {
-		if err := w.idxW.Sync(); err != nil {
+		// Wait out the writer's I/O in flight; with the container lock
+		// exclusive, nothing takes its lock again until we let go.
+		w.mu.Lock()
+		err := w.syncIndex(p)
+		w.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
@@ -1037,9 +1076,10 @@ func (c *container) rebindWritersLocked(size int64) error {
 }
 
 // Close closes the handle and retires pid's writer — plfs_close: its
-// index records are flushed and its openhosts record, if it dropped one,
-// is cleared; a handle that marked the container open for a
-// communicator (MarkComm) then removes the communicator's record. The
+// staged writes land, its index records are flushed and its openhosts
+// record, if it dropped one, is cleared; a handle that marked the
+// container open for a communicator (MarkComm) then removes the
+// communicator's record. The
 // container's last handle out retires every remaining writer the same
 // way and drains the read-fd cache. A close that retires the container's
 // last writer also persists the flattened global index (best effort), so
@@ -1052,6 +1092,12 @@ func (c *container) rebindWritersLocked(size int64) error {
 // hands the merge its instance's writers' folds (see "Where a flatten
 // reads a dropping from" in flatten.go). Closing a closed handle is a
 // no-op. Close is CloseGathered with no peers.
+//
+// A close whose landing or flush fails still closes the handle and
+// retires the writer: both descriptors are closed, the openhosts record
+// is cleared, and the first error — from any writer the close retired,
+// a staged write's landing included — is returned once; the instance's
+// last writer out does not flatten then. Closing again is a no-op.
 func (f *File) Close(pid uint32) error {
 	_, err := f.close(pid, nil, false)
 	return err
@@ -1091,17 +1137,17 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 	c.mu.Lock()
 	_, hadWriter := c.writers[pid]
 	err := c.teardownWriterLocked(pid)
-	if err == nil {
-		f.closed.Store(true)
-		c.handles--
-		if c.handles == 0 {
-			hadWriter = hadWriter || len(c.writers) > 0
-			for pid := range c.writers {
-				c.teardownWriterLocked(pid)
+	f.closed.Store(true)
+	c.handles--
+	if c.handles == 0 {
+		hadWriter = hadWriter || len(c.writers) > 0
+		for pid := range c.writers {
+			if terr := c.teardownWriterLocked(pid); err == nil {
+				err = terr
 			}
-			delete(p.containers, c.path)
-			p.fds.DropPrefix(c.path + "/")
 		}
+		delete(p.containers, c.path)
+		p.fds.DropPrefix(c.path + "/")
 	}
 	last := len(c.writers) == 0 && (hadWriter || len(peers) > 0)
 	var folds map[string]*idx.Fold
@@ -1110,7 +1156,7 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 	}
 	c.mu.Unlock()
 	p.hmu.Unlock()
-	if err == nil && f.commRecord != "" {
+	if f.commRecord != "" {
 		p.backend.Unlink(f.commRecord)
 	}
 	switch {
@@ -1125,27 +1171,28 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 	return nil, nil
 }
 
-// teardownWriterLocked closes one pid's writer and clears its openhosts
-// record, if it dropped one. Caller holds c.mu exclusive.
+// teardownWriterLocked retires one pid's writer: it lands the writer's
+// stage, then closes it (closeWriter). The writer leaves the table
+// whatever fails; the first error is returned, and only a writer retired
+// without one hands its fold to the record. Caller holds c.mu exclusive.
 func (c *container) teardownWriterLocked(pid uint32) error {
 	w, ok := c.writers[pid]
 	if !ok {
 		return nil
 	}
-	p := c.fs
 	// Invalidate even if the close errors below: its internal flush may
 	// have put records on the backend before failing.
-	defer p.invalidateIndex(c.path)
-	if err := w.idxW.Close(); err != nil {
-		return err
-	}
-	if err := p.backend.Close(w.dataFD); err != nil {
-		return err
-	}
-	if w.marked {
-		p.clearOpen(c.path, pid)
-	}
+	defer c.fs.invalidateIndex(c.path)
+	w.mu.Lock() // wait out a Sync in flight (see writer)
+	defer w.mu.Unlock()
 	delete(c.writers, pid)
+	_, err := w.land(c.fs, nil, pid)
+	if cerr := c.closeWriter(pid, w); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
 	if w.fold != nil {
 		if c.folds == nil {
 			c.folds = make(map[string]*idx.Fold)
@@ -1153,6 +1200,22 @@ func (c *container) teardownWriterLocked(pid uint32) error {
 		c.folds[w.idxPath] = w.fold
 	}
 	return nil
+}
+
+// closeWriter flushes and closes w's index writer, closes its data
+// dropping and clears its openhosts record, if it dropped one — each
+// step taken whatever the one before returned. It returns the first
+// error.
+func (c *container) closeWriter(pid uint32, w *writer) error {
+	p := c.fs
+	err := w.idxW.Close()
+	if cerr := p.backend.Close(w.dataFD); err == nil {
+		err = cerr
+	}
+	if w.marked {
+		p.clearOpen(c.path, pid)
+	}
+	return err
 }
 
 // dropFolds forgets the folds of path's retired writers: the operation

@@ -1,16 +1,40 @@
-// The concurrent write engine: per-writer sharded locking, batched index
-// appends, and parallel multi-extent vectored writes.
+// The concurrent write engine: per-writer sharded locking, write-behind
+// of small appends, batched index appends, and vectored writes.
 //
 // A PLFS write has none of the read path's cross-writer coupling — every
 // pid appends payload to its own data dropping and index records to its
 // own index dropping. The engine makes the client side match that shape:
 // Write/Sync hold the container lock *shared* and serialize only on the
 // owning writer's lock, so N pids writing one container stream N
-// droppings fully in parallel; the logical clock is a lone atomic; and
+// droppings fully in parallel; the logical clock is a lone atomic; a
+// writer's creation makes its droppings with no container lock held; and
 // index records group-flush every DefaultIndexBatch records instead of
 // hitting the backend per record. There is one write path, writeV:
-// Write is its one-segment case. It reserves one physical range in the
-// dropping and lands the whole vector there with one positional write.
+// Write is its one-segment case.
+//
+// # Write-behind
+//
+// A one-segment write under stageBelow bytes is copied into its writer's
+// stage, a WriteStage-byte buffer the writer owns, and returns: the
+// stage's bytes land later as one positional write at the stage's base,
+// the writer's cursor. Every other write — too large to stage, a vector,
+// or a small one the stage has no room left for — lands with the staged
+// bytes ahead of it in one pwritev, so it costs no more backend ops than
+// it would with nothing staged.
+//
+// One rule keeps the index honest: no index record reaches the backend
+// ahead of the bytes it maps. A staged write's record, stamped when the
+// write was accepted, waits in the writer (pending) and moves into the
+// index writer only once its bytes have landed (land). Every path that
+// puts records on the backend lands first: the group flush, flushIndex
+// (so a read through the instance sees its own writes), Sync,
+// truncateShared and writer teardown.
+//
+// A landing's failure is a write's failure, whichever call lands it: the
+// durable prefix is indexed, the cursor moves to its end, the fold is
+// dropped, and the error is returned, errno intact, by that call — Write
+// or WriteV, Sync, Close, a read, or Trunc. Staged bytes past the prefix
+// are lost with their records, as the tail of an unstaged write is.
 package plfs
 
 import (
@@ -22,10 +46,22 @@ import (
 	"ldplfs/internal/posix"
 )
 
+// WriteStage is the size of a writer's write-behind stage: the most
+// payload of small writes a writer holds before landing it. 32 KiB turns
+// eight 4 KiB strided writes into one backend write, and costs each
+// writer that stages once, on its first staged write; a 64 KiB stage
+// cost a wide container's many small writers more than it saved (see
+// README.md, "Constants, and why").
+const WriteStage = 32 << 10
+
+// stageBelow is the largest write, exclusive, that is staged: a write
+// this large is already few enough per byte that copying it buys little.
+const stageBelow = WriteStage / 4
+
 // lockWriter returns pid's writer with the container lock held shared
 // and the writer's own lock held, creating the writer on first use.
 // unlock releases both. A closed handle gets EBADF: Close sets the flag
-// under the container lock, so no writer is created after it.
+// under the container lock, and a writer is installed only under it.
 func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
 	c := f.container
 	for {
@@ -35,54 +71,69 @@ func (f *File) lockWriter(pid uint32) (*writer, func(), error) {
 			return w, func() { w.mu.Unlock(); c.mu.RUnlock() }, nil
 		}
 		c.mu.RUnlock()
-		// First write from this pid: create the writer under the
-		// exclusive lock, then loop back to the shared fast path (a
-		// concurrent Trunc/Close may retire it before we re-acquire).
-		c.mu.Lock()
-		var err error = posix.EBADF
-		if !f.closed.Load() {
-			_, err = c.getWriterLocked(pid, !f.comm)
-		}
-		c.mu.Unlock()
-		if err != nil {
+		// First write from this pid: create the writer, then loop back to
+		// the shared fast path (a concurrent Trunc/Close may retire it
+		// before we re-acquire).
+		if err := f.createWriter(pid); err != nil {
 			return nil, nil, err
 		}
 	}
 }
 
-// appendEntryLocked buffers one index record for n bytes at logical
-// offset off whose payload landed at physOff, stamping the clock, and
-// folds it into the writer's fold; a fold that spills is dropped. Caller
-// holds the writer's lock (or the container lock exclusive).
-func (f *File) appendEntryLocked(w *writer, off, n, physOff int64, pid uint32) {
-	e := idx.Entry{
-		LogicalOffset:  off,
-		Length:         n,
-		PhysicalOffset: physOff,
-		Timestamp:      f.fs.clock.Add(1),
-		Pid:            pid,
+// createWriter makes pid's writer and installs it in the record. The
+// backend ops — the clock seed, the hostdir, both droppings, the
+// openhosts record — run with no container lock held, so every other
+// writer's I/O and Sync go on meanwhile; the exclusive lock is taken
+// only to claim the pid and to install. One creator per pid at a time: a
+// second waits for the first and returns, to look again. What a creator
+// made is closed again when its handle closed or a truncate ran
+// meanwhile (the truncate may have unlinked it).
+func (f *File) createWriter(pid uint32) error {
+	c := f.container
+	c.mu.Lock()
+	if f.closed.Load() {
+		c.mu.Unlock()
+		return posix.EBADF
 	}
-	w.idxW.Append(e)
-	if w.fold != nil && !w.fold.Append(e) {
-		w.fold = nil
+	if _, ok := c.writers[pid]; ok {
+		c.mu.Unlock()
+		return nil
 	}
-}
+	if wait, ok := c.creating[pid]; ok {
+		c.mu.Unlock()
+		<-wait
+		return nil
+	}
+	if c.creating == nil {
+		c.creating = make(map[uint32]chan struct{})
+	}
+	done := make(chan struct{})
+	c.creating[pid] = done
+	truncs, seeded := c.truncs, c.seeded
+	c.mu.Unlock()
 
-// maybeFlushIndexLocked group-flushes the writer's buffered index
-// records once they reach the batch threshold. The flush is an append
-// without fsync; a failure leaves the unwritten records buffered for the
-// next flush or Sync, which will surface a persistent error. Flushed
-// records are on the backend, so the shared index generation is bumped —
-// readers of other handles see them, exactly as after a Sync.
-func (f *File) maybeFlushIndexLocked(w *writer) {
-	if w.idxW.BufferedRecords() < f.fs.indexBatch {
-		return
+	w, err := c.makeWriter(pid, !seeded, !f.comm)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.creating, pid)
+	close(done)
+	switch {
+	case err != nil:
+		return err
+	case f.closed.Load():
+		c.closeWriter(pid, w)
+		return posix.EBADF
+	case c.truncs != truncs:
+		c.closeWriter(pid, w)
+		return nil
 	}
-	// Invalidate whenever bytes reached the backend, error or not: a
-	// short flush still made records visible to rebuilds.
-	if n, _ := w.idxW.Flush(); n > 0 {
-		f.fs.invalidateIndex(f.path)
+	c.seeded = true
+	if w.fold == nil {
+		delete(c.folds, w.idxPath) // it resumed that dropping
 	}
+	c.writers[pid] = w
+	return nil
 }
 
 // WriteSeg is one extent of a vectored write: Data lands at logical
@@ -95,16 +146,18 @@ type WriteSeg struct {
 // WriteV appends every segment's payload to pid's data dropping and
 // buffers one index record per segment — a vectored plfs_write for
 // strided access patterns (one MPI-IO flattened datatype = one WriteV).
-// The physical range for the whole vector is reserved up front and the
-// vector lands there with one pwritev, the writer's lock held once for
-// the whole vector rather than once per segment.
+// A vector is never staged: it lands before WriteV returns, in one
+// pwritev with whatever pid's writer had staged ahead of it, the
+// writer's lock held once for the whole vector.
 //
 // Partial-failure semantics mirror Read's short-read contract: the
 // durable prefix lands in segment order, and every byte of it is
 // indexed, so the logical file always reflects exactly the durable
-// data. The returned count is the length of that prefix, and the error
-// names the first segment it does not cover. The writer's cursor moves
-// to the prefix's end, so a failed tail leaves no gap in the dropping.
+// data. The returned count is the length of the vector's part of that
+// prefix, and the error names the first write it does not cover: a
+// segment, or a staged write landing ahead of the vector (then the count
+// is 0). The writer's cursor moves to the prefix's end, so a failed tail
+// leaves no gap in the dropping.
 func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	start := f.fs.opStart()
 	n, err := f.writeV(segs, pid)
@@ -112,8 +165,8 @@ func (f *File) WriteV(segs []WriteSeg, pid uint32) (int64, error) {
 	return n, err
 }
 
-// writeBufs pools the buffer list a multi-segment write hands to
-// pwritev, so a warm WriteV allocates none.
+// writeBufs pools the buffer list a landing hands to pwritev, so a warm
+// WriteV allocates none.
 var writeBufs = sync.Pool{New: func() any { return new([][]byte) }}
 
 func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
@@ -135,20 +188,85 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		return 0, err
 	}
 	defer unlock()
+	p := f.fs
 
-	// Land the vector in [base, base+total) with one positional write.
+	if len(segs) == 1 && total < stageBelow && len(w.stage)+int(total) <= WriteStage {
+		at := w.hold(segs[0], p.clock.Add(1), pid)
+		if len(w.pending)+w.idxW.BufferedRecords() < p.indexBatch {
+			return total, nil
+		}
+		// The group flush: land first, so the records it flushes are
+		// those of bytes on the backend.
+		n, err := w.land(p, nil, pid)
+		f.maybeFlushIndexLocked(w)
+		if err != nil {
+			return min(max(n-at, 0), total), err
+		}
+		return total, nil
+	}
+	staged := int64(len(w.stage))
+	n, err := w.land(p, segs, pid)
+	f.maybeFlushIndexLocked(w)
+	return max(n-staged, 0), err
+}
+
+// hold copies s into the writer's stage, whose room the caller
+// checked, and keeps its record, stamped ts, until the bytes land. It
+// returns where in the stage s begins. Caller holds the writer's lock.
+func (w *writer) hold(s WriteSeg, ts uint64, pid uint32) int64 {
+	if w.stage == nil {
+		w.stage = make([]byte, 0, WriteStage)
+	}
+	at := int64(len(w.stage))
+	w.pending = append(w.pending, idx.Entry{
+		LogicalOffset:  s.Off,
+		Length:         int64(len(s.Data)),
+		PhysicalOffset: w.physOff + at,
+		Timestamp:      ts,
+		Pid:            pid,
+	})
+	w.stage = append(w.stage, s.Data...)
+	return at
+}
+
+// land puts the writer's staged bytes and then segs on the backend with
+// one positional write at the cursor, moves the records of the durable
+// prefix into the index writer — the staged writes' records, then one per
+// segment for pid, stamped now — and moves the cursor to the prefix's
+// end. It returns the length of that prefix, staged bytes included. The
+// stage is empty afterwards either way. A failed landing drops the fold,
+// and its error names the first write the prefix does not cover. Caller
+// holds the writer's lock.
+func (w *writer) land(p *FS, segs []WriteSeg, pid uint32) (int64, error) {
+	staged := int64(len(w.stage))
+	total := staged
+	for _, s := range segs {
+		total += int64(len(s.Data))
+	}
+	if total == 0 {
+		return 0, nil
+	}
 	base := w.physOff
 	var n int64
-	if len(segs) == 1 {
+	var err error
+	switch {
+	case len(segs) == 0 || staged == 0 && len(segs) == 1:
+		buf := w.stage
+		if len(segs) == 1 {
+			buf = segs[0].Data
+		}
 		var m int
-		m, err = posix.WriteFull(f.fs.backend, w.dataFD, segs[0].Data, base)
+		m, err = posix.WriteFull(p.backend, w.dataFD, buf, base)
 		n = int64(m)
-	} else {
+	default:
 		bufs := writeBufs.Get().(*[][]byte)
+		if staged > 0 {
+			*bufs = append(*bufs, w.stage)
+		}
 		for _, s := range segs {
 			*bufs = append(*bufs, s.Data)
 		}
-		n, err = posix.Pwritev(f.fs.backend, w.dataFD, *bufs, base)
+		n, err = posix.Pwritev(p.backend, w.dataFD, *bufs, base)
 		clear(*bufs) // the pool keeps no caller buffer
 		*bufs = (*bufs)[:0]
 		writeBufs.Put(bufs)
@@ -157,24 +275,88 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		}
 	}
 
-	// Index the durable prefix segment by segment, and move the cursor
-	// to its end.
-	phys, short := base, len(segs)-1
-	for i, s := range segs {
-		l := min(int64(len(s.Data)), base+n-phys)
+	// Index the durable prefix record by record, and move the cursor to
+	// its end. The first record it does not wholly cover is the one the
+	// error names.
+	end := base + n
+	var short error
+	for _, e := range w.pending {
+		l := min(e.Length, end-e.PhysicalOffset)
 		if l > 0 {
-			f.appendEntryLocked(w, s.Off, l, phys, pid)
+			whole := e.Length
+			e.Length = l
+			w.index(e)
+			if l == whole {
+				continue
+			}
+		}
+		if err != nil {
+			short = fmt.Errorf("plfs: staged write (logical %d): %w", e.LogicalOffset, err)
+		}
+		break
+	}
+	phys := base + staged
+	for i, s := range segs {
+		l := min(int64(len(s.Data)), end-phys)
+		if l > 0 {
+			w.index(idx.Entry{LogicalOffset: s.Off, Length: l, PhysicalOffset: phys, Timestamp: p.clock.Add(1), Pid: pid})
 			phys += l
 		}
 		if l < int64(len(s.Data)) {
-			short = i
+			if err != nil && short == nil {
+				short = fmt.Errorf("plfs: writev segment %d (logical %d): %w", i, s.Off, err)
+			}
 			break
 		}
 	}
-	w.physOff = phys
-	f.maybeFlushIndexLocked(w)
+	w.physOff = end
+	w.stage = w.stage[:0]
+	w.pending = w.pending[:0]
 	if err != nil {
-		return n, fmt.Errorf("plfs: writev segment %d (logical %d): %w", short, segs[short].Off, err)
+		w.fold = nil
+		if short == nil { // a backend that erred after moving every byte
+			short = fmt.Errorf("plfs: write: %w", err)
+		}
+		return n, short
 	}
 	return n, nil
+}
+
+// index buffers e in the index writer and folds it into the writer's
+// fold; a fold that spills is dropped.
+func (w *writer) index(e idx.Entry) {
+	w.idxW.Append(e)
+	if w.fold != nil && !w.fold.Append(e) {
+		w.fold = nil
+	}
+}
+
+// syncIndex lands the writer's stage and then syncs its index writer:
+// what every path that puts records on the backend outside the group
+// flush does. The landing's error wins; the records of its durable
+// prefix are synced all the same. Caller holds the writer's lock.
+func (w *writer) syncIndex(p *FS) error {
+	_, lerr := w.land(p, nil, 0)
+	if err := w.idxW.Sync(); lerr == nil {
+		return err
+	}
+	return lerr
+}
+
+// maybeFlushIndexLocked group-flushes the writer's buffered index
+// records once they reach the batch threshold; the caller landed the
+// bytes they map. The flush is an append without fsync; a failure leaves
+// the unwritten records buffered for the next flush or Sync, which will
+// surface a persistent error. Flushed records are on the backend, so the
+// shared index generation is bumped — readers of other handles see them,
+// exactly as after a Sync.
+func (f *File) maybeFlushIndexLocked(w *writer) {
+	if w.idxW.BufferedRecords() < f.fs.indexBatch {
+		return
+	}
+	// Invalidate whenever bytes reached the backend, error or not: a
+	// short flush still made records visible to rebuilds.
+	if n, _ := w.idxW.Flush(); n > 0 {
+		f.fs.invalidateIndex(f.path)
+	}
 }
