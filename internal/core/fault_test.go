@@ -72,6 +72,42 @@ func TestWriteFailurePropagatesThroughShim(t *testing.T) {
 	}
 }
 
+// TestWriteFailureSurvivesFstat: an fstat lands the staged write to
+// size the file, and that landing fails; the fstat succeeds, and the
+// failure is kept for the writer, so the fsync after it still reports
+// ENOSPC, once.
+func TestWriteFailureSurvivesFstat(t *testing.T) {
+	d, ffs := faultEnv(t)
+	fd, err := d.Open("/mnt/plfs/f", posix.O_CREAT|posix.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Write(fd, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: "dropping.data", Err: posix.ENOSPC})
+	if _, err := d.Write(fd, []byte("doomed")); err != nil {
+		t.Fatalf("staged write under ENOSPC = %v, want it accepted", err)
+	}
+	st, err := d.Fstat(fd)
+	if err != nil || st.Size != 2 {
+		t.Fatalf("fstat while the landing fails = size %d, %v; want 2, no error", st.Size, err)
+	}
+	ffs.Clear()
+	if err := d.Fsync(fd); !errors.Is(err, posix.ENOSPC) {
+		t.Fatalf("fsync after fstat = %v, want ENOSPC", err)
+	}
+	if err := d.Fsync(fd); err != nil {
+		t.Fatalf("second fsync = %v, want the error reported once", err)
+	}
+	if err := d.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriteFailurePropagatesThroughShimUnstaged is its twin for a write
 // too large to stage: it lands in the write call, so the write itself
 // fails, and the handle survives the failure.

@@ -28,12 +28,13 @@
 // Errors surface where PLFS puts them. PLFS stages a small write in its
 // writer and lands it later (see "Write-behind" in internal/plfs), so a
 // write() can succeed and the failure to land its bytes — ENOSPC, EIO —
-// be returned by a later write(), fsync(), a read or close() of the
-// process's descriptors on that file. POSIX allows exactly this of a
-// write-behind cache, and PLFS's buffered index already reports index
-// errors at close; an application that must know its data landed calls
-// fsync() and checks it, as it must on any file system. A write too
-// large to stage still fails in the write() call.
+// be returned by the process's next write(), fsync() or close() on that
+// file. A read(), fstat() or ftruncate() that lands the bytes on the way
+// gives no error for them; PLFS keeps the error for the writer. POSIX
+// allows exactly this of a write-behind cache, and PLFS's buffered index
+// already reports index errors at close; an application that must know
+// its data landed calls fsync() and checks it, as it must on any file
+// system. A write too large to stage still fails in the write() call.
 //
 // Every open() gets its own table entry and its own Plfs_fd, so a process
 // may hold several descriptors on one file. The table allows it and PLFS

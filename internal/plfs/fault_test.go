@@ -85,6 +85,112 @@ func TestENOSPCDuringDataWriteUnstaged(t *testing.T) {
 	f.Close(1)
 }
 
+// TestLandingErrorReachesItsWriter: a staged write whose landing fails
+// in a call made on someone else's behalf — a read, a Size through a
+// read-only handle of another pid, a path Stat or MergedIndex, a
+// truncate — gives that call no error; the failure is kept for the
+// writer, whose next Write, Sync or Close reports it once.
+func TestLandingErrorReachesItsWriter(t *testing.T) {
+	const path = "/backend/kept"
+	readers := []struct {
+		name string
+		call func(p *FS, f *File) error
+	}{
+		{"read", func(p *FS, f *File) error {
+			got := make([]byte, 16)
+			n, err := f.Read(got, 0)
+			if err == nil && string(got[:n]) != "fits" {
+				t.Errorf("read while landing fails = %q, want the synced %q", got[:n], "fits")
+			}
+			return err
+		}},
+		{"size", func(p *FS, f *File) error {
+			g, err := p.Open(path, posix.O_RDONLY, 2, 0)
+			if err != nil {
+				return err
+			}
+			defer g.Close(2)
+			_, err = g.Size()
+			return err
+		}},
+		{"stat", func(p *FS, f *File) error { _, err := p.Stat(path); return err }},
+		{"merged-index", func(p *FS, f *File) error { _, err := p.MergedIndex(path); return err }},
+		{"trunc", func(p *FS, f *File) error { return f.Trunc(4) }},
+	}
+	reporters := []struct {
+		name string
+		want string // the file's content afterwards
+		call func(f *File) error
+	}{
+		{"sync", "fits", func(f *File) error {
+			err := f.Sync(1)
+			if again := f.Sync(1); again != nil {
+				t.Errorf("second sync = %v, want the error reported once", again)
+			}
+			return err
+		}},
+		{"write", "fitsmore", func(f *File) error {
+			n, err := f.Write([]byte("more"), 4, 1)
+			if n != 0 {
+				t.Errorf("write reporting an earlier failure = %d, want 0 written", n)
+			}
+			if _, again := f.Write([]byte("more"), 4, 1); again != nil {
+				t.Errorf("retried write = %v", again)
+			}
+			if serr := f.Sync(1); serr != nil {
+				t.Errorf("sync after the retry = %v", serr)
+			}
+			return err
+		}},
+		{"close", "fits", func(f *File) error {
+			err := f.Close(1)
+			if again := f.Close(1); again != nil {
+				t.Errorf("second close = %v, want a no-op", again)
+			}
+			return err
+		}},
+	}
+	for _, r := range readers {
+		for _, rep := range reporters {
+			t.Run(r.name+"-then-"+rep.name, func(t *testing.T) {
+				p, ffs, _ := faultPLFS(t)
+				f, err := p.Open(path, posix.O_CREAT|posix.O_RDWR, 1, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte("fits"), 0, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(1); err != nil {
+					t.Fatal(err)
+				}
+				ffs.Inject(&posix.FaultRule{Op: posix.FaultWrite, PathContains: "dropping.data", Err: posix.ENOSPC})
+				if _, err := f.Write([]byte("lost"), 4, 1); err != nil {
+					t.Fatalf("staged write on full device = %v, want it accepted", err)
+				}
+				if err := r.call(p, f); err != nil {
+					t.Fatalf("%s while the landing fails = %v, want no error", r.name, err)
+				}
+				ffs.Clear()
+				if err := rep.call(f); !errors.Is(err, posix.ENOSPC) {
+					t.Fatalf("%s after the %s = %v, want ENOSPC", rep.name, r.name, err)
+				}
+				f.Close(1)
+				g, err := p.Open(path, posix.O_RDONLY, 3, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer g.Close(3)
+				got := make([]byte, 16)
+				n, err := g.Read(got, 0)
+				if err != nil || string(got[:n]) != rep.want {
+					t.Fatalf("content = %q, %v; want %q", got[:n], err, rep.want)
+				}
+			})
+		}
+	}
+}
+
 // TestPartialWriteKeepsIndexInSync is the regression test for the
 // partial-write desync: when the backend lands n > 0 bytes and then
 // errors, the dropping grew by n, so the durable prefix must be indexed

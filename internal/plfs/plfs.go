@@ -126,6 +126,7 @@
 package plfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -558,6 +559,10 @@ type writer struct {
 	// first staged write, WriteStage bytes.
 	stage   []byte
 	pending []idx.Entry
+	// err is a landing's error kept for the writer's own next Write,
+	// WriteV, Sync or Close, when a call made on someone else's behalf
+	// landed its stage (writer.settle, writer.takeErr).
+	err error
 	// fold holds every record the writer appended, for the flatten of
 	// its instance's last close (see flatten.go); nil for a writer that
 	// resumed a dropping or was rebound by a truncate, once the fold
@@ -834,11 +839,13 @@ func openIndexWriter(p *FS, path string) (w *idx.Writer, fresh bool, err error) 
 // "Write-behind" in writeengine.go). Its index record reaches the
 // backend only after its bytes.
 //
-// Where an error surfaces: a landing's error is returned by the call
-// that landed it, so the failure of a staged write is reported by a
-// later Write, Sync, read, Trunc or Close — as POSIX lets a write-behind
-// cache report it at fsync or close, and as PLFS's buffered index
-// reports an index error at close.
+// Where an error surfaces: a staged write's failure to land is reported
+// to pid's writer, once, by its next Write, WriteV, Sync or Close — the
+// call that landed it, or the next one after a read, Stat or Trunc
+// landed it, which returns no error for it — as POSIX lets a
+// write-behind cache report it at fsync or close, and as PLFS's buffered
+// index reports an index error at close. A Write that reports an earlier
+// write's failure writes nothing.
 //
 // Partial-write semantics: a failed landing indexes exactly its durable
 // prefix, and the writer's physical cursor moves to the prefix's end,
@@ -856,8 +863,9 @@ func (f *File) Write(buf []byte, off int64, pid uint32) (int, error) {
 // flushIndex puts every write the instance has accepted for this
 // container on the backend, staged bytes first, then index records —
 // one sweep over the writers, each quiesced under its own lock so the
-// others stay concurrent. The first error is returned; a failed landing
-// is that write's error (see "Write-behind" in writeengine.go).
+// others stay concurrent. The first index error is returned; a failed
+// landing is kept for its writer, not returned to the reader (see
+// "Write-behind" in writeengine.go).
 func (c *container) flushIndex() error {
 	var ferr error
 	flushed := false
@@ -866,7 +874,7 @@ func (c *container) flushIndex() error {
 		w.mu.Lock()
 		if len(w.stage) > 0 || w.idxW.Buffered() > 0 {
 			flushed = true
-			if err := w.syncIndex(c.fs); err != nil && ferr == nil {
+			if err := w.settle(c.fs); err != nil && ferr == nil {
 				ferr = err
 			}
 		}
@@ -952,8 +960,9 @@ func (f *File) Size() (int64, error) {
 
 // Sync lands pid's staged writes, then flushes its buffered index
 // records and data — plfs_sync. Syncs for distinct pids proceed in
-// parallel, like the writes they flush. An error from landing a staged
-// write is returned here (see File.Write).
+// parallel, like the writes they flush. A staged write's failure to
+// land is returned here, whether this Sync or an earlier read, Stat or
+// Trunc landed it (see File.Write).
 func (f *File) Sync(pid uint32) error {
 	start := f.fs.opStart()
 	err := f.sync(pid)
@@ -972,6 +981,7 @@ func (c *container) sync(pid uint32) error {
 	// only under the container lock exclusive and its own lock.
 	w.mu.Lock()
 	c.mu.RUnlock()
+	kept := w.takeErr()
 	serr := w.syncIndex(c.fs)
 	var ferr error
 	if serr == nil {
@@ -983,10 +993,7 @@ func (c *container) sync(pid uint32) error {
 	// buffer is empty either way, so flushIndex would never re-trigger
 	// the invalidation.
 	c.fs.invalidateIndex(c.path)
-	if serr != nil {
-		return serr
-	}
-	return ferr
+	return cmp.Or(kept, serr, ferr)
 }
 
 // Trunc truncates the open file — plfs_trunc on an open handle. The
@@ -1001,8 +1008,10 @@ func (f *File) Trunc(size int64) error {
 
 // truncateShared truncates a container under its record's lock (when
 // the instance has it open): every writer's staged writes are landed and
-// its buffered records flushed so they participate in the consolidation,
-// and a landing's error fails the truncate. Afterwards the writers
+// its buffered records flushed so they participate in the consolidation.
+// A landing's error is kept for its writer (writer.settle) — a truncate
+// to zero, which retires every writer, discards those bytes with the
+// rest — and an index flush's error fails the truncate. Afterwards the writers
 // are retired (size 0) or rebound to fresh index droppings (size > 0) —
 // a truncate through one handle, a path-based Truncate, or an O_TRUNC
 // open must not leave any writer appending to unlinked droppings.
@@ -1020,7 +1029,7 @@ func (p *FS) truncateShared(path string, size int64) error {
 		// Wait out the writer's I/O in flight; with the container lock
 		// exclusive, nothing takes its lock again until we let go.
 		w.mu.Lock()
-		err := w.syncIndex(p)
+		err := w.settle(p)
 		w.mu.Unlock()
 		if err != nil {
 			return err
@@ -1096,7 +1105,8 @@ func (c *container) rebindWritersLocked(size int64) error {
 // A close whose landing or flush fails still closes the handle and
 // retires the writer: both descriptors are closed, the openhosts record
 // is cleared, and the first error — from any writer the close retired,
-// a staged write's landing included — is returned once; the instance's
+// a staged write's landing included, whichever call landed it — is
+// returned once; the instance's
 // last writer out does not flatten then. Closing again is a no-op.
 func (f *File) Close(pid uint32) error {
 	_, err := f.close(pid, nil, false)
@@ -1173,8 +1183,9 @@ func (f *File) close(pid uint32, peers [][]byte, send bool) ([]byte, error) {
 
 // teardownWriterLocked retires one pid's writer: it lands the writer's
 // stage, then closes it (closeWriter). The writer leaves the table
-// whatever fails; the first error is returned, and only a writer retired
-// without one hands its fold to the record. Caller holds c.mu exclusive.
+// whatever fails; the first error — a landing error kept for the writer
+// first — is returned, and only a writer retired without one hands its
+// fold to the record. Caller holds c.mu exclusive.
 func (c *container) teardownWriterLocked(pid uint32) error {
 	w, ok := c.writers[pid]
 	if !ok {
@@ -1186,7 +1197,10 @@ func (c *container) teardownWriterLocked(pid uint32) error {
 	w.mu.Lock() // wait out a Sync in flight (see writer)
 	defer w.mu.Unlock()
 	delete(c.writers, pid)
-	_, err := w.land(c.fs, nil, pid)
+	err := w.takeErr()
+	if _, lerr := w.land(c.fs, nil, pid); err == nil {
+		err = lerr
+	}
 	if cerr := c.closeWriter(pid, w); err == nil {
 		err = cerr
 	}

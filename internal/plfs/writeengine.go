@@ -30,11 +30,17 @@
 // (so a read through the instance sees its own writes), Sync,
 // truncateShared and writer teardown.
 //
-// A landing's failure is a write's failure, whichever call lands it: the
-// durable prefix is indexed, the cursor moves to its end, the fold is
-// dropped, and the error is returned, errno intact, by that call — Write
-// or WriteV, Sync, Close, a read, or Trunc. Staged bytes past the prefix
-// are lost with their records, as the tail of an unstaged write is.
+// A landing's failure is a write's failure, and it is the writer's to
+// hear: the durable prefix is indexed, the cursor moves to its end, the
+// fold is dropped, and the error, errno intact, goes to the writer's own
+// call. When that call landed it — Write or WriteV, Sync, Close — the
+// call returns it. When a call made for someone else landed it — a read,
+// Size, Stat or MergedIndex through flushIndex, or a truncate — the
+// error is kept on the writer (writer.err, after Linux's errseq) and
+// the writer's next Write, WriteV, Sync or Close returns it, once; the
+// reader or truncator did not write those bytes and gets no error for
+// them. Staged bytes past the prefix are lost with their records, as the
+// tail of an unstaged write is.
 package plfs
 
 import (
@@ -188,45 +194,41 @@ func (f *File) writeV(segs []WriteSeg, pid uint32) (int64, error) {
 		return 0, err
 	}
 	defer unlock()
-	p := f.fs
-
-	if len(segs) == 1 && total < stageBelow && len(w.stage)+int(total) <= WriteStage {
-		at := w.hold(segs[0], p.clock.Add(1), pid)
-		if len(w.pending)+w.idxW.BufferedRecords() < p.indexBatch {
-			return total, nil
-		}
-		// The group flush: land first, so the records it flushes are
-		// those of bytes on the backend.
-		n, err := w.land(p, nil, pid)
-		f.maybeFlushIndexLocked(w)
-		if err != nil {
-			return min(max(n-at, 0), total), err
-		}
-		return total, nil
+	if err := w.takeErr(); err != nil {
+		return 0, err
 	}
-	staged := int64(len(w.stage))
-	n, err := w.land(p, segs, pid)
-	f.maybeFlushIndexLocked(w)
-	return max(n-staged, 0), err
+
+	// before is where the write begins among the bytes the next landing
+	// puts down; n counts those bytes as landed so far.
+	before := int64(len(w.stage))
+	var n int64
+	if len(segs) == 1 && total < stageBelow && len(w.stage)+int(total) <= WriteStage {
+		w.hold(segs[0], f.fs.clock.Add(1), pid)
+		n = before + total
+	} else {
+		n, err = w.land(f.fs, segs, pid)
+	}
+	if ln, lerr := f.maybeFlushIndexLocked(w); lerr != nil {
+		n, err = ln, lerr
+	}
+	return min(max(n-before, 0), total), err
 }
 
 // hold copies s into the writer's stage, whose room the caller
-// checked, and keeps its record, stamped ts, until the bytes land. It
-// returns where in the stage s begins. Caller holds the writer's lock.
-func (w *writer) hold(s WriteSeg, ts uint64, pid uint32) int64 {
+// checked, and keeps its record, stamped ts, until the bytes land.
+// Caller holds the writer's lock.
+func (w *writer) hold(s WriteSeg, ts uint64, pid uint32) {
 	if w.stage == nil {
 		w.stage = make([]byte, 0, WriteStage)
 	}
-	at := int64(len(w.stage))
 	w.pending = append(w.pending, idx.Entry{
 		LogicalOffset:  s.Off,
 		Length:         int64(len(s.Data)),
-		PhysicalOffset: w.physOff + at,
+		PhysicalOffset: w.physOff + int64(len(w.stage)),
 		Timestamp:      ts,
 		Pid:            pid,
 	})
 	w.stage = append(w.stage, s.Data...)
-	return at
 }
 
 // land puts the writer's staged bytes and then segs on the backend with
@@ -331,10 +333,10 @@ func (w *writer) index(e idx.Entry) {
 	}
 }
 
-// syncIndex lands the writer's stage and then syncs its index writer:
-// what every path that puts records on the backend outside the group
-// flush does. The landing's error wins; the records of its durable
-// prefix are synced all the same. Caller holds the writer's lock.
+// syncIndex lands the writer's stage and then syncs its index writer,
+// for the writer's own Sync. The landing's error wins; the records of
+// its durable prefix are synced all the same. Caller holds the writer's
+// lock.
 func (w *writer) syncIndex(p *FS) error {
 	_, lerr := w.land(p, nil, 0)
 	if err := w.idxW.Sync(); lerr == nil {
@@ -343,20 +345,44 @@ func (w *writer) syncIndex(p *FS) error {
 	return lerr
 }
 
-// maybeFlushIndexLocked group-flushes the writer's buffered index
-// records once they reach the batch threshold; the caller landed the
-// bytes they map. The flush is an append without fsync; a failure leaves
-// the unwritten records buffered for the next flush or Sync, which will
-// surface a persistent error. Flushed records are on the backend, so the
-// shared index generation is bumped — readers of other handles see them,
-// exactly as after a Sync.
-func (f *File) maybeFlushIndexLocked(w *writer) {
-	if w.idxW.BufferedRecords() < f.fs.indexBatch {
-		return
+// settle is syncIndex for a call made on someone else's behalf — a read
+// or Stat through flushIndex, a truncate: a landing's error is kept for
+// the writer's own next call (takeErr) and only the index sync's is
+// returned. An error already kept stays, as the earlier one. Caller
+// holds the writer's lock.
+func (w *writer) settle(p *FS) error {
+	if _, err := w.land(p, nil, 0); err != nil && w.err == nil {
+		w.err = err
 	}
+	return w.idxW.Sync()
+}
+
+// takeErr returns the landing error kept for the writer by settle, and
+// forgets it: it is reported once. Caller holds the writer's lock.
+func (w *writer) takeErr() error {
+	err := w.err
+	w.err = nil
+	return err
+}
+
+// maybeFlushIndexLocked group-flushes the writer's index records once
+// they — the staged writes' records included — reach the batch
+// threshold. It lands the stage first, so the records it flushes are
+// those of bytes on the backend, and returns that landing's count and
+// error (0 and nil with nothing staged). The flush is an append without
+// fsync; a failure leaves the unwritten records buffered for the next
+// flush or Sync, which will surface a persistent error. Flushed records
+// are on the backend, so the shared index generation is bumped —
+// readers of other handles see them, exactly as after a Sync.
+func (f *File) maybeFlushIndexLocked(w *writer) (int64, error) {
+	if len(w.pending)+w.idxW.BufferedRecords() < f.fs.indexBatch {
+		return 0, nil
+	}
+	n, err := w.land(f.fs, nil, 0)
 	// Invalidate whenever bytes reached the backend, error or not: a
 	// short flush still made records visible to rebuilds.
-	if n, _ := w.idxW.Flush(); n > 0 {
+	if m, _ := w.idxW.Flush(); m > 0 {
 		f.fs.invalidateIndex(f.path)
 	}
+	return n, err
 }
